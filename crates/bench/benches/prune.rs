@@ -141,7 +141,9 @@ fn main() {
             let (hits, scan) = if scenario.shards == 0 {
                 db.top_k_with_stats(&Pss, &Dtw, q, K, false, scenario.prune)
             } else {
-                sharded.top_k_with_stats(&Pss, &Dtw, q, K, false, scenario.prune)
+                let (mut hits, scan) =
+                    sharded.top_k(&Pss, &Dtw, &[q.as_slice()], K, false, scenario.prune, 1);
+                (hits.remove(0), scan)
             };
             stats.merge(&scan);
             assert_eq!(

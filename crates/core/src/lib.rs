@@ -54,11 +54,7 @@ pub use simtra::SimTra;
 pub use sizes::SizeS;
 pub use splitting::{suffix_similarities, Pos, PosD, Pss};
 pub use spring::Spring;
-pub use topk::{
-    scan_top_k_batch_into, scan_top_k_into, sort_hits_and_truncate, top_k_search,
-    top_k_search_batch, top_k_search_batch_with_stats, top_k_search_parallel,
-    top_k_search_parallel_with_stats, top_k_search_with_stats, TopKHeap, TopKResult,
-};
+pub use topk::{scan_top_k_into, sort_hits_and_truncate, TopKHeap, TopKResult};
 pub use ucr::Ucr;
 pub use workspace::SearchWorkspace;
 

@@ -12,14 +12,14 @@
 //!   the answer. [`PruneStats`] counts what happened.
 //! - **Allocate-once.** One [`SearchWorkspace`] per (query, scan) serves
 //!   every trajectory; no per-trajectory evaluator boxing.
-//! - **Arena-backed.** The scan kernels walk a [`CorpusArena`]: data
+//! - **Arena-backed.** The scan kernel walks a [`CorpusArena`]: data
 //!   points come from contiguous SoA slabs through zero-copy
 //!   [`simsub_trajectory::TrajView`]s, and per-trajectory MBRs are O(1)
-//!   reads from the arena's precomputed table — the old per-scan MBR
-//!   materialization buffer is gone.
+//!   reads from the arena's precomputed table.
 //!
-//! All paths — sequential, parallel, batched, the indexed variants in
-//! `simsub-index`, and the sharded fan-out — rank through
+//! [`scan_top_k_into`] is the only scan kernel: a database scan, a shard
+//! fan-out, a parallel fan-out and a micro-batch (`simsub-index`) are all
+//! loops of it over caller-owned heaps. Every caller ranks through
 //! [`sort_hits_and_truncate`]'s total order (or the identical
 //! [`TopKHeap`] order), so results stay interchangeable, pruning is
 //! byte-invisible (`tests/prune_equivalence.rs`), and the arena layout is
@@ -27,10 +27,9 @@
 
 use crate::bounds::{BoundCascade, PruneStats, SharedSimFloor};
 use crate::{SearchResult, SearchWorkspace, SubtrajSearch};
-use simsub_measures::Measure;
-use simsub_trajectory::{CorpusArena, Point, Trajectory};
+use simsub_trajectory::{CorpusArena, Point};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// One database hit: the trajectory and the best subtrajectory inside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,9 +225,7 @@ fn search_and_push(
 /// debug-asserted). With `prune`, candidates are visited
 /// best-coarse-bound-first and must survive the [`BoundCascade`] before
 /// being searched; `floor` optionally shares a certified k-th similarity
-/// across workers. Trajectory MBRs are O(1) reads from the arena's
-/// precomputed table (the old per-scan materialization buffer is gone).
-/// The heap's final contents are identical for every
+/// across workers. The heap's final contents are identical for every
 /// `prune`/`floor`/visit order — bounds are admissible and the hit order
 /// is total.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
@@ -297,287 +294,10 @@ pub fn scan_top_k_into(
     }
 }
 
-/// Batched scan kernel: the trajectory loop stays *outer* (each data
-/// trajectory's slab windows stay hot in cache for the whole
-/// micro-batch, the amortization `simsub-service` relies on), with
-/// per-query heaps, workspaces, and bound cascades. `filters[qi]`, when
-/// given, restricts query `qi` to the listed trajectory ids (the R-tree
-/// candidate sets of the indexed path). Heaps may arrive pre-seeded from
-/// earlier shards; the final contents equal a single scan over the
-/// union. MBRs come from the arena table — nothing is materialized per
-/// batch.
-#[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
-pub fn scan_top_k_batch_into(
-    algo: &dyn SubtrajSearch,
-    arena: &CorpusArena,
-    candidates: &[usize],
-    queries: &[&[Point]],
-    heaps: &mut [TopKHeap],
-    workspaces: &mut [SearchWorkspace<'_>],
-    filters: Option<&[HashSet<u64>]>,
-    prune: bool,
-    floors: Option<&[SharedSimFloor]>,
-    stats: &mut PruneStats,
-) {
-    assert_eq!(queries.len(), heaps.len(), "one heap per query");
-    assert_eq!(queries.len(), workspaces.len(), "one workspace per query");
-    let timing = crate::bounds::scan_timing_enabled();
-    let admissible = algo.reported_similarity_is_admissible();
-    let mut cascades: Vec<BoundCascade> = queries
-        .iter()
-        .zip(workspaces.iter())
-        .map(|(q, ws)| BoundCascade::new(ws.measure(), q))
-        .collect();
-    let any_active = prune && admissible && cascades.iter().any(BoundCascade::is_active);
-    for &slot in candidates {
-        let id = arena.id(slot);
-        let mbr = arena.mbr(slot);
-        for (qi, cascade) in cascades.iter_mut().enumerate() {
-            if let Some(filters) = filters {
-                if !filters[qi].contains(&id) {
-                    continue;
-                }
-            }
-            stats.scanned += 1;
-            let heap = &mut heaps[qi];
-            let floor = floors.map(|f| &f[qi]);
-            if any_active && cascade.is_active() {
-                let bound_start = timing.then(std::time::Instant::now);
-                let coarse = cascade.coarse_bound(mbr);
-                let coarse_admits = admits(heap, floor, coarse, id);
-                let envelope_admits = coarse_admits && {
-                    let envelope = cascade.envelope_bound(mbr);
-                    admits(heap, floor, envelope, id)
-                };
-                if let Some(start) = bound_start {
-                    stats.bound_ns += start.elapsed().as_nanos() as u64;
-                }
-                if !coarse_admits {
-                    stats.pruned_by_kim += 1;
-                    continue;
-                }
-                if !envelope_admits {
-                    stats.pruned_by_mbr += 1;
-                    continue;
-                }
-            }
-            search_and_push(
-                algo,
-                arena,
-                slot,
-                heap,
-                &mut workspaces[qi],
-                floor,
-                timing,
-                stats,
-            );
-        }
-    }
-}
-
-/// Scans `db`, running `algo` on each trajectory, and returns the top-`k`
-/// hits by descending similarity (deterministic tie-break by trajectory
-/// id). Pruning follows [`crate::bounds::pruning_enabled`]; answers are
-/// identical either way.
-///
-/// Builds a temporary [`CorpusArena`] for the scan (one slab copy of the
-/// corpus). Repeated scans should go through an arena-holding database
-/// (`simsub_index::TrajectoryDb`), which builds it once.
-pub fn top_k_search(
-    algo: &dyn SubtrajSearch,
-    measure: &dyn Measure,
-    db: &[Trajectory],
-    query: &[Point],
-    k: usize,
-) -> Vec<TopKResult> {
-    top_k_search_with_stats(
-        algo,
-        measure,
-        db,
-        query,
-        k,
-        crate::bounds::pruning_enabled(),
-    )
-    .0
-}
-
-/// [`top_k_search`] with an explicit prune switch and the scan's
-/// [`PruneStats`]. `prune: false` is the reference path: identical
-/// answers, every candidate searched.
-pub fn top_k_search_with_stats(
-    algo: &dyn SubtrajSearch,
-    measure: &dyn Measure,
-    db: &[Trajectory],
-    query: &[Point],
-    k: usize,
-    prune: bool,
-) -> (Vec<TopKResult>, PruneStats) {
-    assert!(k > 0, "k must be positive");
-    let mut stats = PruneStats::default();
-    if db.is_empty() {
-        return (Vec::new(), stats);
-    }
-    let arena = CorpusArena::from_trajectories(db);
-    let slots: Vec<usize> = (0..arena.len()).collect();
-    let mut heap = TopKHeap::new(k);
-    let mut ws = SearchWorkspace::new(measure, query);
-    scan_top_k_into(
-        algo, &arena, &slots, query, &mut heap, &mut ws, prune, None, &mut stats,
-    );
-    (heap.into_sorted_hits(), stats)
-}
-
-/// Parallel variant of [`top_k_search`]: partitions the corpus across
-/// `threads` scoped worker threads, each with its own heap and
-/// workspace; workers publish their k-th similarity through a
-/// [`SharedSimFloor`] so one worker's progress prunes the others. The
-/// result is identical to the sequential scan (asserted by tests).
-/// Falls back to the sequential path for `threads <= 1` or tiny
-/// databases.
-pub fn top_k_search_parallel(
-    algo: &(dyn SubtrajSearch + Sync),
-    measure: &dyn Measure,
-    db: &[Trajectory],
-    query: &[Point],
-    k: usize,
-    threads: usize,
-) -> Vec<TopKResult> {
-    top_k_search_parallel_with_stats(
-        algo,
-        measure,
-        db,
-        query,
-        k,
-        threads,
-        crate::bounds::pruning_enabled(),
-    )
-    .0
-}
-
-/// [`top_k_search_parallel`] with an explicit prune switch and merged
-/// [`PruneStats`] across workers.
-pub fn top_k_search_parallel_with_stats(
-    algo: &(dyn SubtrajSearch + Sync),
-    measure: &dyn Measure,
-    db: &[Trajectory],
-    query: &[Point],
-    k: usize,
-    threads: usize,
-    prune: bool,
-) -> (Vec<TopKResult>, PruneStats) {
-    assert!(k > 0, "k must be positive");
-    if threads <= 1 || db.len() < 2 * threads {
-        return top_k_search_with_stats(algo, measure, db, query, k, prune);
-    }
-    let arena = CorpusArena::from_trajectories(db);
-    let slots: Vec<usize> = (0..arena.len()).collect();
-    let chunk = slots.len().div_ceil(threads);
-    let floor = SharedSimFloor::new();
-    let (mut hits, stats) = crossbeam::scope(|scope| {
-        let (floor, arena) = (&floor, &arena);
-        let handles: Vec<_> = slots
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| {
-                    let mut heap = TopKHeap::new(k);
-                    let mut ws = SearchWorkspace::new(measure, query);
-                    let mut stats = PruneStats::default();
-                    scan_top_k_into(
-                        algo,
-                        arena,
-                        part,
-                        query,
-                        &mut heap,
-                        &mut ws,
-                        prune,
-                        Some(floor),
-                        &mut stats,
-                    );
-                    (heap.into_sorted_hits(), stats)
-                })
-            })
-            .collect();
-        let mut merged = Vec::with_capacity(threads * k);
-        let mut stats = PruneStats::default();
-        for h in handles {
-            let (hits, worker_stats) = h.join().expect("search worker panicked");
-            merged.extend(hits);
-            stats.merge(&worker_stats);
-        }
-        (merged, stats)
-    })
-    .expect("scoped search threads panicked");
-    sort_hits_and_truncate(&mut hits, k);
-    (hits, stats)
-}
-
-/// Batched variant of [`top_k_search`]: answers `queries.len()` top-k
-/// queries in one scan of the database (see [`scan_top_k_batch_into`]
-/// for the locality argument). Results are identical to calling
-/// [`top_k_search`] once per query (asserted by tests).
-pub fn top_k_search_batch(
-    algo: &dyn SubtrajSearch,
-    measure: &dyn Measure,
-    db: &[Trajectory],
-    queries: &[&[Point]],
-    k: usize,
-) -> Vec<Vec<TopKResult>> {
-    top_k_search_batch_with_stats(
-        algo,
-        measure,
-        db,
-        queries,
-        k,
-        crate::bounds::pruning_enabled(),
-    )
-    .0
-}
-
-/// [`top_k_search_batch`] with an explicit prune switch and the batch's
-/// merged [`PruneStats`].
-pub fn top_k_search_batch_with_stats(
-    algo: &dyn SubtrajSearch,
-    measure: &dyn Measure,
-    db: &[Trajectory],
-    queries: &[&[Point]],
-    k: usize,
-    prune: bool,
-) -> (Vec<Vec<TopKResult>>, PruneStats) {
-    assert!(k > 0, "k must be positive");
-    let mut stats = PruneStats::default();
-    if db.is_empty() || queries.is_empty() {
-        return (vec![Vec::new(); queries.len()], stats);
-    }
-    let arena = CorpusArena::from_trajectories(db);
-    let slots: Vec<usize> = (0..arena.len()).collect();
-    let mut heaps: Vec<TopKHeap> = queries.iter().map(|_| TopKHeap::new(k)).collect();
-    let mut workspaces: Vec<SearchWorkspace<'_>> = queries
-        .iter()
-        .map(|q| SearchWorkspace::new(measure, q))
-        .collect();
-    scan_top_k_batch_into(
-        algo,
-        &arena,
-        &slots,
-        queries,
-        &mut heaps,
-        &mut workspaces,
-        None,
-        prune,
-        None,
-        &mut stats,
-    );
-    (
-        heaps.into_iter().map(TopKHeap::into_sorted_hits).collect(),
-        stats,
-    )
-}
-
 /// The single definition of hit ordering: descending similarity, ties
-/// broken by ascending trajectory id. Every top-k path — sequential,
-/// parallel, batched, and the indexed variants in `simsub-index` — must
-/// rank through this function (or the identically-ordered [`TopKHeap`])
-/// so results stay interchangeable.
+/// broken by ascending trajectory id. Every merge of per-worker top-k
+/// lists must rank through this function (or the identically-ordered
+/// [`TopKHeap`]) so results stay interchangeable.
 pub fn sort_hits_and_truncate(hits: &mut Vec<TopKResult>, k: usize) {
     hits.sort_by(|a, b| {
         b.result
@@ -594,6 +314,7 @@ mod tests {
     use crate::test_util::{pts, walk};
     use crate::{ExactS, Pss};
     use simsub_measures::Dtw;
+    use simsub_trajectory::Trajectory;
 
     fn db(count: usize, len: usize) -> Vec<Trajectory> {
         (0..count)
@@ -601,11 +322,30 @@ mod tests {
             .collect()
     }
 
+    /// One full DTW scan of `db` through the kernel.
+    fn scan(
+        algo: &dyn SubtrajSearch,
+        db: &[Trajectory],
+        query: &[Point],
+        k: usize,
+        prune: bool,
+    ) -> (Vec<TopKResult>, PruneStats) {
+        let arena = CorpusArena::from_trajectories(db);
+        let slots: Vec<usize> = (0..arena.len()).collect();
+        let mut heap = TopKHeap::new(k);
+        let mut ws = SearchWorkspace::new(&Dtw, query);
+        let mut stats = PruneStats::default();
+        scan_top_k_into(
+            algo, &arena, &slots, query, &mut heap, &mut ws, prune, None, &mut stats,
+        );
+        (heap.into_sorted_hits(), stats)
+    }
+
     #[test]
     fn returns_k_sorted_hits() {
         let db = db(12, 15);
         let q = walk(100, 5);
-        let hits = top_k_search(&ExactS, &Dtw, &db, &q, 5);
+        let (hits, _) = scan(&ExactS, &db, &q, 5, true);
         assert_eq!(hits.len(), 5);
         for w in hits.windows(2) {
             assert!(w[0].result.similarity >= w[1].result.similarity);
@@ -616,7 +356,7 @@ mod tests {
     fn k_larger_than_db_returns_all() {
         let db = db(3, 10);
         let q = walk(100, 4);
-        let hits = top_k_search(&Pss, &Dtw, &db, &q, 50);
+        let (hits, _) = scan(&Pss, &db, &q, 50, true);
         assert_eq!(hits.len(), 3);
     }
 
@@ -628,7 +368,7 @@ mod tests {
         let mut planted = vec![pts(&[(50.0, 50.0)])[0]];
         planted.extend_from_slice(&q);
         database.push(Trajectory::new_unchecked(99, planted));
-        let hits = top_k_search(&ExactS, &Dtw, &database, &q, 1);
+        let (hits, _) = scan(&ExactS, &database, &q, 1, true);
         assert_eq!(hits[0].trajectory_id, 99);
         assert!(hits[0].result.distance.abs() < 1e-12);
     }
@@ -649,7 +389,7 @@ mod tests {
                 })
                 .collect();
             sort_hits_and_truncate(&mut want, k);
-            let got = top_k_search(&ExactS, &Dtw, &db, &q, k);
+            let (got, _) = scan(&ExactS, &db, &q, k, true);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.trajectory_id, w.trajectory_id, "k={k}");
@@ -666,35 +406,44 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
-        let db = db(2, 5);
-        let q = walk(0, 3);
-        let _ = top_k_search(&ExactS, &Dtw, &db, &q, 0);
+        let _ = TopKHeap::new(0);
     }
 
     #[test]
-    fn batch_matches_per_query() {
-        let db = db(23, 12);
-        let queries: Vec<Vec<Point>> = (0..7).map(|i| walk(900 + i, 4 + i as usize)).collect();
-        let query_refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
-        for k in [1, 3, 40] {
-            let batched = top_k_search_batch(&ExactS, &Dtw, &db, &query_refs, k);
-            assert_eq!(batched.len(), queries.len());
-            for (got, q) in batched.iter().zip(&queries) {
-                let want = top_k_search(&ExactS, &Dtw, &db, q, k);
-                assert_eq!(got, &want, "k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
+    fn split_scans_sharing_a_floor_match_one_scan() {
+        // The shape every fan-out takes: disjoint slot ranges scanned into
+        // separate heaps that publish their k-th similarity through one
+        // `SharedSimFloor`, merged by `sort_hits_and_truncate`.
         let db = db(37, 14);
         let q = walk(500, 5);
+        let arena = CorpusArena::from_trajectories(&db);
+        let slots: Vec<usize> = (0..arena.len()).collect();
         for k in [1, 5, 50] {
-            let seq = top_k_search(&ExactS, &Dtw, &db, &q, k);
-            for threads in [1, 2, 4, 8] {
-                let par = top_k_search_parallel(&ExactS, &Dtw, &db, &q, k, threads);
-                assert_eq!(seq, par, "k={k} threads={threads}");
+            let (want, _) = scan(&ExactS, &db, &q, k, true);
+            for parts in [1, 2, 4, 8] {
+                let floor = SharedSimFloor::new();
+                let mut merged = Vec::new();
+                let mut stats = PruneStats::default();
+                for part in slots.chunks(slots.len().div_ceil(parts)) {
+                    let mut heap = TopKHeap::new(k);
+                    let mut ws = SearchWorkspace::new(&Dtw, &q);
+                    scan_top_k_into(
+                        &ExactS,
+                        &arena,
+                        part,
+                        &q,
+                        &mut heap,
+                        &mut ws,
+                        true,
+                        Some(&floor),
+                        &mut stats,
+                    );
+                    merged.extend(heap.into_sorted_hits());
+                }
+                sort_hits_and_truncate(&mut merged, k);
+                assert_eq!(merged, want, "k={k} parts={parts}");
+                assert!(stats.is_consistent());
+                assert_eq!(stats.scanned, db.len() as u64);
             }
         }
     }
@@ -704,8 +453,8 @@ mod tests {
         let db = db(40, 12);
         let q = walk(777, 5);
         for k in [1, 3, 10] {
-            let (unpruned, s0) = top_k_search_with_stats(&ExactS, &Dtw, &db, &q, k, false);
-            let (pruned, s1) = top_k_search_with_stats(&ExactS, &Dtw, &db, &q, k, true);
+            let (unpruned, s0) = scan(&ExactS, &db, &q, k, false);
+            let (pruned, s1) = scan(&ExactS, &db, &q, k, true);
             assert_eq!(unpruned, pruned, "k={k}");
             assert!(s0.is_consistent() && s1.is_consistent());
             assert_eq!(s0.pruned(), 0, "reference path never prunes");

@@ -17,7 +17,7 @@ use simsub_core::{
 };
 use simsub_measures::Measure;
 use simsub_trajectory::{CorpusArena, Mbr, Point, TrajView, Trajectory};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The database is immutable after [`TrajectoryDb::build`], so concurrent
@@ -211,7 +211,7 @@ impl TrajectoryDb {
     /// running k-th similarity and the evaluator buffers carry across
     /// shard rounds.
     #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
-    pub fn scan_top_k_into(
+    pub(crate) fn scan_top_k_into(
         &self,
         algo: &dyn SubtrajSearch,
         query: &[Point],
@@ -232,97 +232,6 @@ impl TrajectoryDb {
             ws,
             prune,
             floor,
-            stats,
-        );
-    }
-
-    /// Batched [`TrajectoryDb::top_k`]: answers every query in one outer
-    /// scan of the database (see `simsub_core::scan_top_k_batch_into` for
-    /// the locality argument). With `use_index`, each query keeps its own
-    /// R-tree candidate set, so results are identical to the per-query
-    /// path — a trajectory is evaluated for exactly the queries whose MBR
-    /// it intersects, but its slab window is touched once per batch
-    /// rather than once per query.
-    pub fn top_k_batch(
-        &self,
-        algo: &dyn SubtrajSearch,
-        measure: &dyn Measure,
-        queries: &[&[Point]],
-        k: usize,
-        use_index: bool,
-    ) -> Vec<Vec<TopKResult>> {
-        self.top_k_batch_with_stats(algo, measure, queries, k, use_index, pruning_enabled())
-            .0
-    }
-
-    /// [`TrajectoryDb::top_k_batch`] with an explicit prune switch and
-    /// the batch's merged [`PruneStats`].
-    pub fn top_k_batch_with_stats(
-        &self,
-        algo: &dyn SubtrajSearch,
-        measure: &dyn Measure,
-        queries: &[&[Point]],
-        k: usize,
-        use_index: bool,
-        prune: bool,
-    ) -> (Vec<Vec<TopKResult>>, PruneStats) {
-        assert!(k > 0, "k must be positive");
-        let mut stats = PruneStats::default();
-        if self.is_empty() || queries.is_empty() {
-            return (vec![Vec::new(); queries.len()], stats);
-        }
-        let mut heaps: Vec<TopKHeap> = queries.iter().map(|_| TopKHeap::new(k)).collect();
-        let mut workspaces: Vec<SearchWorkspace<'_>> = queries
-            .iter()
-            .map(|q| SearchWorkspace::new(measure, q))
-            .collect();
-        self.scan_top_k_batch_into(
-            algo,
-            queries,
-            &mut heaps,
-            &mut workspaces,
-            use_index,
-            prune,
-            None,
-            &mut stats,
-        );
-        (
-            heaps.into_iter().map(TopKHeap::into_sorted_hits).collect(),
-            stats,
-        )
-    }
-
-    /// Low-level batched fan-out entry, mirroring
-    /// [`TrajectoryDb::scan_top_k_into`] for whole micro-batches.
-    #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
-    pub fn scan_top_k_batch_into(
-        &self,
-        algo: &dyn SubtrajSearch,
-        queries: &[&[Point]],
-        heaps: &mut [TopKHeap],
-        workspaces: &mut [SearchWorkspace<'_>],
-        use_index: bool,
-        prune: bool,
-        floors: Option<&[SharedSimFloor]>,
-        stats: &mut PruneStats,
-    ) {
-        let slots: Vec<usize> = (0..self.arena.len()).collect();
-        let filters: Option<Vec<HashSet<u64>>> = use_index.then(|| {
-            queries
-                .iter()
-                .map(|q| self.candidate_ids(&Mbr::of_points(q)).into_iter().collect())
-                .collect()
-        });
-        simsub_core::scan_top_k_batch_into(
-            algo,
-            &self.arena,
-            &slots,
-            queries,
-            heaps,
-            workspaces,
-            filters.as_deref(),
-            prune,
-            floors,
             stats,
         );
     }
@@ -399,9 +308,6 @@ mod tests {
         assert!(db.candidates(&qmbr).is_empty());
         for use_index in [false, true] {
             assert!(db.top_k(&ExactS, &Dtw, &query, 3, use_index).is_empty());
-            let refs = [query.as_slice()];
-            let batched = db.top_k_batch(&ExactS, &Dtw, &refs, 3, use_index);
-            assert_eq!(batched, vec![Vec::new()]);
         }
     }
 
@@ -445,25 +351,6 @@ mod tests {
         let indexed = db.top_k(&ExactS, &Dtw, &query, 1, true);
         assert_eq!(full[0].trajectory_id, indexed[0].trajectory_id);
         assert!((full[0].result.similarity - indexed[0].result.similarity).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batched_topk_matches_per_query() {
-        let db = build_db(50);
-        let queries: Vec<Vec<Point>> = (0..6)
-            .map(|i| {
-                let origin = ((i % 3) as f64 * 30.0, (i / 3) as f64 * 30.0);
-                walk(200 + i as u64, 7, origin)
-            })
-            .collect();
-        let query_refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
-        for use_index in [false, true] {
-            let batched = db.top_k_batch(&ExactS, &Dtw, &query_refs, 4, use_index);
-            for (got, q) in batched.iter().zip(&queries) {
-                let want = db.top_k(&ExactS, &Dtw, q, 4, use_index);
-                assert_eq!(got, &want, "use_index={use_index}");
-            }
-        }
     }
 
     #[test]

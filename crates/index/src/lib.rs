@@ -12,11 +12,11 @@
 //! t2vec, ~20-30% time saved). [`TrajectoryDb::top_k`] exposes both the
 //! indexed and the full-scan paths so the harness can reproduce Figure 4.
 //!
-//! For corpora too large for one worker, [`ShardedDb`] partitions the
-//! database into N shards (hash or grid assignment, one R-tree each) and
-//! answers `candidate_ids` / `top_k` / `top_k_batch` by per-shard fan-out
-//! plus a merge that reuses the single ranking function, so results are
-//! byte-identical to an unsharded [`TrajectoryDb`].
+//! [`ShardedDb`] is the corpus type the serving layer holds: N shards
+//! (hash or grid assignment, one R-tree each; a single database is the
+//! 1-shard case) answering `candidate_ids` and one batched `top_k` entry
+//! by per-shard fan-out plus a merge that reuses the single ranking
+//! function, so results are byte-identical to [`TrajectoryDb::top_k`].
 
 mod db;
 mod grid;

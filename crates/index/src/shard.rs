@@ -1,12 +1,14 @@
-//! A partitioned trajectory corpus: N [`TrajectoryDb`] shards, each with
-//! its own R-tree, behind the same query surface as a single database.
+//! The corpus type every query runs against: N [`TrajectoryDb`] shards,
+//! each with its own R-tree. A single database is the 1-shard case
+//! ([`ShardedDb::single`] wraps it by move), so there is one corpus type
+//! and one query entry, [`ShardedDb::top_k`].
 //!
 //! Sharding is the first step toward corpora that stop being one worker's
 //! problem: a query fans out across shards (optionally in parallel) and
-//! the per-shard top-k lists are heap-merged through
-//! [`sort_hits_and_truncate`] — the *same* ranking function every
-//! single-database path uses — so results are byte-identical (ids,
-//! scores, order) to an unsharded [`TrajectoryDb`] over the same corpus.
+//! the per-worker top-k lists are merged through
+//! [`sort_hits_and_truncate`] — the same total order the scan heap uses —
+//! so results are byte-identical (ids, scores, order) to
+//! [`TrajectoryDb::top_k`] over the same corpus.
 //! `tests/shard_equivalence.rs` asserts that contract property-style.
 //!
 //! Why the merge is exact
@@ -33,8 +35,8 @@
 
 use crate::TrajectoryDb;
 use simsub_core::{
-    pruning_enabled, sort_hits_and_truncate, PruneStats, SearchWorkspace, SharedSimFloor,
-    SubtrajSearch, TopKHeap, TopKResult,
+    sort_hits_and_truncate, PruneStats, SearchWorkspace, SharedSimFloor, SubtrajSearch, TopKHeap,
+    TopKResult,
 };
 use simsub_measures::Measure;
 use simsub_trajectory::{CorpusArena, Mbr, Point, TrajView, Trajectory};
@@ -72,11 +74,10 @@ impl std::str::FromStr for PartitionerKind {
 }
 
 /// A corpus partitioned into [`TrajectoryDb`] shards. Immutable after
-/// [`ShardedDb::build`], like the single database (same `Send + Sync`
-/// contract).
+/// construction, like the single database (same `Send + Sync` contract).
 #[derive(Debug, Clone)]
 pub struct ShardedDb {
-    shards: Vec<TrajectoryDb>,
+    shards: Vec<Arc<TrajectoryDb>>,
     /// Union of member-trajectory MBRs per shard; [`Mbr::EMPTY`] for an
     /// empty shard, which intersects nothing and so is pruned from every
     /// indexed fan-out for free.
@@ -102,16 +103,21 @@ impl ShardedDb {
     }
 
     /// Partitions a columnar arena into `shard_count` databases — the
-    /// reload path for packed binary corpora. Each shard gets its own
-    /// contiguous sub-arena ([`CorpusArena::gather`]); the partitioners
+    /// reload path for packed binary corpora. One shard takes the arena
+    /// whole, with no copy (the layout of [`ShardedDb::single`]);
+    /// otherwise each shard gets its own contiguous sub-arena
+    /// ([`CorpusArena::gather`]). The partitioners
     /// read ids and MBR centers straight from the arena tables, so the
-    /// resulting layout is bitwise identical to
-    /// [`ShardedDb::build`] over the same corpus.
+    /// resulting layout is bitwise identical to [`ShardedDb::build`] over
+    /// the same corpus.
     ///
     /// # Panics
     /// Panics when `shard_count` is zero or on duplicate trajectory ids.
     pub fn from_arena(arena: CorpusArena, shard_count: usize, kind: PartitionerKind) -> Self {
         assert!(shard_count >= 1, "need at least one shard");
+        if shard_count == 1 {
+            return Self::assemble(vec![TrajectoryDb::from_arena(arena).into_shared()], kind);
+        }
         // Duplicate ids across shards are impossible only if they were
         // unique corpus-wide: check before partitioning.
         let mut seen = std::collections::HashSet::with_capacity(arena.len());
@@ -130,10 +136,21 @@ impl ShardedDb {
         for (slot, shard) in assignment.into_iter().enumerate() {
             buckets[shard].push(slot);
         }
-        let shards: Vec<TrajectoryDb> = buckets
+        let shards = buckets
             .into_iter()
-            .map(|slots| TrajectoryDb::from_arena(arena.gather(&slots)))
+            .map(|slots| TrajectoryDb::from_arena(arena.gather(&slots)).into_shared())
             .collect();
+        Self::assemble(shards, kind)
+    }
+
+    /// A built database as the 1-shard corpus: taken by move, so nothing
+    /// is copied, re-indexed or re-validated. [`ShardedDb::from_arena`]
+    /// with one shard builds the same layout under either partitioner.
+    pub fn single(db: Arc<TrajectoryDb>) -> Self {
+        Self::assemble(vec![db], PartitionerKind::Hash)
+    }
+
+    fn assemble(shards: Vec<Arc<TrajectoryDb>>, kind: PartitionerKind) -> Self {
         let shard_mbrs = shards
             .iter()
             .map(|s| {
@@ -143,8 +160,8 @@ impl ShardedDb {
                     .fold(Mbr::EMPTY, |acc, &mbr| acc.union(mbr))
             })
             .collect();
-        let len = shards.iter().map(TrajectoryDb::len).sum();
-        let total_points = shards.iter().map(TrajectoryDb::total_points).sum();
+        let len = shards.iter().map(|s| s.len()).sum();
+        let total_points = shards.iter().map(|s| s.total_points()).sum();
         Self {
             shards,
             shard_mbrs,
@@ -165,7 +182,7 @@ impl ShardedDb {
     }
 
     /// The shard databases, in shard order.
-    pub fn shards(&self) -> &[TrajectoryDb] {
+    pub fn shards(&self) -> &[Arc<TrajectoryDb>] {
         &self.shards
     }
 
@@ -195,10 +212,13 @@ impl ShardedDb {
 
     /// Stable fingerprint of the shard layout (partitioner + shard
     /// count). Serving layers fold this into result-cache keys so entries
-    /// computed under one layout can never be replayed under another —
-    /// the invariant snapshot hot-swap will rely on. `0` is reserved for
-    /// the unsharded layout.
+    /// computed under one layout can never be replayed under another.
+    /// One shard is `0` whatever the partitioner — there is only one way
+    /// to put a corpus in one shard; multi-shard layouts are never `0`.
     pub fn layout_version(&self) -> u64 {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let kind_tag = match self.kind {
             PartitionerKind::Hash => 1u64,
@@ -210,11 +230,11 @@ impl ShardedDb {
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         }
-        h | 1 // never collides with the reserved unsharded version 0
+        h | 1 // never collides with the one-shard version 0
     }
 
-    /// Wraps the built sharded corpus in an [`Arc`] for lock-free sharing
-    /// across worker threads (mirrors [`TrajectoryDb::into_shared`]).
+    /// Wraps the built corpus in an [`Arc`] for lock-free sharing across
+    /// worker threads (mirrors [`TrajectoryDb::into_shared`]).
     pub fn into_shared(self) -> Arc<Self> {
         Arc::new(self)
     }
@@ -240,296 +260,101 @@ impl ShardedDb {
         out
     }
 
-    /// Top-k search: per-shard fan-out through *one* shared heap and
-    /// evaluator workspace. The running k-th similarity established by
-    /// earlier shards prunes candidates in later shards (cross-shard
-    /// threshold sharing), and the evaluator buffers are allocated once
-    /// for the whole fan-out. Byte-identical to [`TrajectoryDb::top_k`]
-    /// over the same corpus (see module docs): the heap over the union
-    /// of per-shard candidate sets is exactly the single-database top-k.
+    /// Top-k search for every query in `queries` — the one query entry of
+    /// the corpus. Returns the hits per query (same order) and the
+    /// [`PruneStats`] summed over all of them; a batch is a plain loop of
+    /// single-query fan-outs, so both are exactly what one call per query
+    /// would add up to.
+    ///
+    /// Each query visits its relevant shards through *one* heap and
+    /// evaluator workspace: the running k-th similarity established by
+    /// earlier shards prunes candidates in later ones, and the evaluator
+    /// buffers are allocated once per query. With `threads > 1` the
+    /// relevant shards are spread over up to `threads` scoped workers,
+    /// each with its own heap and workspace, which publish their k-th
+    /// similarity through a [`SharedSimFloor`] so one worker's progress
+    /// prunes the others; `threads <= 1` is sequential. `prune` switches
+    /// the admissible-bound cascade (see `simsub_core::bounds`). Answers
+    /// are byte-identical to [`TrajectoryDb::top_k`] over the same corpus
+    /// for every shard count, partitioner, `prune` and `threads` (see the
+    /// module docs).
+    #[allow(clippy::too_many_arguments)] // the whole scan plan, spelled once
     pub fn top_k(
         &self,
-        algo: &dyn SubtrajSearch,
+        algo: &(dyn SubtrajSearch + Sync),
         measure: &dyn Measure,
-        query: &[Point],
-        k: usize,
-        use_index: bool,
-    ) -> Vec<TopKResult> {
-        self.top_k_with_stats(algo, measure, query, k, use_index, pruning_enabled())
-            .0
-    }
-
-    /// [`ShardedDb::top_k`] with an explicit prune switch and merged
-    /// [`PruneStats`] across shards.
-    pub fn top_k_with_stats(
-        &self,
-        algo: &dyn SubtrajSearch,
-        measure: &dyn Measure,
-        query: &[Point],
+        queries: &[&[Point]],
         k: usize,
         use_index: bool,
         prune: bool,
-    ) -> (Vec<TopKResult>, PruneStats) {
+        threads: usize,
+    ) -> (Vec<Vec<TopKResult>>, PruneStats) {
         assert!(k > 0, "k must be positive");
-        let qmbr = Mbr::of_points(query);
         let mut stats = PruneStats::default();
-        let relevant = self.relevant_shards(&qmbr, use_index);
-        if relevant.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let mut heap = TopKHeap::new(k);
-        let mut ws = SearchWorkspace::new(measure, query);
-        for i in relevant {
-            self.shards[i].scan_top_k_into(
-                algo, query, use_index, &mut heap, &mut ws, prune, None, &mut stats,
-            );
-        }
-        (heap.into_sorted_hits(), stats)
-    }
-
-    /// [`ShardedDb::top_k`] with the shard fan-out spread over up to
-    /// `threads` scoped worker threads. Identical results: each worker
-    /// only computes per-shard locals and the final merge is the same
-    /// [`sort_hits_and_truncate`] call. Falls back to the sequential path
-    /// for `threads <= 1` or a single relevant shard.
-    pub fn top_k_parallel(
-        &self,
-        algo: &(dyn SubtrajSearch + Sync),
-        measure: &dyn Measure,
-        query: &[Point],
-        k: usize,
-        use_index: bool,
-        threads: usize,
-    ) -> Vec<TopKResult> {
-        self.top_k_parallel_with_stats(
-            algo,
-            measure,
-            query,
-            k,
-            use_index,
-            threads,
-            pruning_enabled(),
-        )
-        .0
-    }
-
-    /// [`ShardedDb::top_k_parallel`] with an explicit prune switch and
-    /// merged [`PruneStats`]. Workers keep per-shard-round workspaces and
-    /// heaps but publish their k-th similarity through a
-    /// [`SharedSimFloor`], so one worker's progress prunes the others —
-    /// the parallel form of the sequential path's cross-shard threshold.
-    #[allow(clippy::too_many_arguments)] // mirrors the non-batch signature
-    pub fn top_k_parallel_with_stats(
-        &self,
-        algo: &(dyn SubtrajSearch + Sync),
-        measure: &dyn Measure,
-        query: &[Point],
-        k: usize,
-        use_index: bool,
-        threads: usize,
-        prune: bool,
-    ) -> (Vec<TopKResult>, PruneStats) {
-        assert!(k > 0, "k must be positive");
-        let qmbr = Mbr::of_points(query);
-        let relevant = self.relevant_shards(&qmbr, use_index);
-        if threads <= 1 || relevant.len() <= 1 {
-            return self.top_k_with_stats(algo, measure, query, k, use_index, prune);
-        }
-        let chunk = relevant.len().div_ceil(threads);
-        let floor = SharedSimFloor::new();
-        let (mut hits, stats) = crossbeam::scope(|scope| {
-            let floor = &floor;
-            let handles: Vec<_> = relevant
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move |_| {
-                        // One heap/workspace per worker, threaded through
-                        // its whole shard subset.
-                        let mut heap = TopKHeap::new(k);
-                        let mut ws = SearchWorkspace::new(measure, query);
-                        let mut stats = PruneStats::default();
-                        for &i in part {
-                            self.shards[i].scan_top_k_into(
-                                algo,
-                                query,
-                                use_index,
-                                &mut heap,
-                                &mut ws,
-                                prune,
-                                Some(floor),
-                                &mut stats,
-                            );
-                        }
-                        (heap.into_sorted_hits(), stats)
-                    })
-                })
-                .collect();
-            let mut merged = Vec::with_capacity(threads * k);
-            let mut stats = PruneStats::default();
-            for h in handles {
-                let (local, local_stats) = h.join().expect("shard worker panicked");
-                merged.extend(local);
-                stats.merge(&local_stats);
-            }
-            (merged, stats)
-        })
-        .expect("scoped shard threads panicked");
-        sort_hits_and_truncate(&mut hits, k);
+        let hits = queries
+            .iter()
+            .map(|query| {
+                self.fan_out(
+                    algo, measure, query, k, use_index, prune, threads, &mut stats,
+                )
+            })
+            .collect();
         (hits, stats)
     }
 
-    /// Batched top-k: every query fans out across shards, each shard
-    /// answers the whole batch in one scan through *shared* per-query
-    /// heaps and workspaces — the running k-th similarities carry from
-    /// shard to shard exactly as in [`ShardedDb::top_k`]. Byte-identical
-    /// to the single-database batch path.
-    pub fn top_k_batch(
-        &self,
-        algo: &dyn SubtrajSearch,
-        measure: &dyn Measure,
-        queries: &[&[Point]],
-        k: usize,
-        use_index: bool,
-    ) -> Vec<Vec<TopKResult>> {
-        self.top_k_batch_with_stats(algo, measure, queries, k, use_index, pruning_enabled())
-            .0
-    }
-
-    /// [`ShardedDb::top_k_batch`] with an explicit prune switch and
-    /// merged [`PruneStats`].
-    pub fn top_k_batch_with_stats(
-        &self,
-        algo: &dyn SubtrajSearch,
-        measure: &dyn Measure,
-        queries: &[&[Point]],
-        k: usize,
-        use_index: bool,
-        prune: bool,
-    ) -> (Vec<Vec<TopKResult>>, PruneStats) {
-        assert!(k > 0, "k must be positive");
-        let mut stats = PruneStats::default();
-        if self.is_empty() || queries.is_empty() {
-            return (vec![Vec::new(); queries.len()], stats);
-        }
-        let mut heaps: Vec<TopKHeap> = queries.iter().map(|_| TopKHeap::new(k)).collect();
-        let mut workspaces: Vec<SearchWorkspace<'_>> = queries
-            .iter()
-            .map(|q| SearchWorkspace::new(measure, q))
-            .collect();
-        for shard in self.shards.iter().filter(|s| !s.is_empty()) {
-            shard.scan_top_k_batch_into(
-                algo,
-                queries,
-                &mut heaps,
-                &mut workspaces,
-                use_index,
-                prune,
-                None,
-                &mut stats,
-            );
-        }
-        (
-            heaps.into_iter().map(TopKHeap::into_sorted_hits).collect(),
-            stats,
-        )
-    }
-
-    /// [`ShardedDb::top_k_batch`] with the shard fan-out spread over up
-    /// to `threads` scoped worker threads (the serving layer's cold
-    /// path on multi-core). Identical results, same merge.
-    pub fn top_k_batch_parallel(
+    /// One query's fan-out over its relevant shards (see
+    /// [`ShardedDb::top_k`]), adding its counters to `stats`.
+    #[allow(clippy::too_many_arguments)] // mirrors `top_k`
+    fn fan_out(
         &self,
         algo: &(dyn SubtrajSearch + Sync),
         measure: &dyn Measure,
-        queries: &[&[Point]],
+        query: &[Point],
         k: usize,
         use_index: bool,
-        threads: usize,
-    ) -> Vec<Vec<TopKResult>> {
-        self.top_k_batch_parallel_with_stats(
-            algo,
-            measure,
-            queries,
-            k,
-            use_index,
-            threads,
-            pruning_enabled(),
-        )
-        .0
-    }
-
-    /// [`ShardedDb::top_k_batch_parallel`] with an explicit prune switch
-    /// and merged [`PruneStats`]. Workers share one [`SharedSimFloor`]
-    /// per query, mirroring [`ShardedDb::top_k_parallel_with_stats`].
-    #[allow(clippy::too_many_arguments)] // mirrors the non-batch signature
-    pub fn top_k_batch_parallel_with_stats(
-        &self,
-        algo: &(dyn SubtrajSearch + Sync),
-        measure: &dyn Measure,
-        queries: &[&[Point]],
-        k: usize,
-        use_index: bool,
-        threads: usize,
         prune: bool,
-    ) -> (Vec<Vec<TopKResult>>, PruneStats) {
-        assert!(k > 0, "k must be positive");
-        let populated: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| !self.shards[i].is_empty())
-            .collect();
-        if threads <= 1 || populated.len() <= 1 {
-            return self.top_k_batch_with_stats(algo, measure, queries, k, use_index, prune);
+        threads: usize,
+        stats: &mut PruneStats,
+    ) -> Vec<TopKResult> {
+        let relevant = self.relevant_shards(&Mbr::of_points(query), use_index);
+        let workers = threads.min(relevant.len()).max(1);
+        let floor = SharedSimFloor::new();
+        let floor = (workers > 1).then_some(&floor);
+        // One heap/workspace per worker, threaded through its whole shard
+        // subset.
+        let scan = |part: &[usize]| {
+            let mut heap = TopKHeap::new(k);
+            let mut stats = PruneStats::default();
+            if !part.is_empty() {
+                let mut ws = SearchWorkspace::new(measure, query);
+                for &i in part {
+                    self.shards[i].scan_top_k_into(
+                        algo, query, use_index, &mut heap, &mut ws, prune, floor, &mut stats,
+                    );
+                }
+            }
+            (heap.into_sorted_hits(), stats)
+        };
+        if workers == 1 {
+            let (hits, local) = scan(&relevant);
+            stats.merge(&local);
+            return hits;
         }
-        let chunk = populated.len().div_ceil(threads);
-        let floors: Vec<SharedSimFloor> = queries.iter().map(|_| SharedSimFloor::new()).collect();
-        let mut per_query: Vec<Vec<TopKResult>> = vec![Vec::new(); queries.len()];
-        let mut stats = PruneStats::default();
-        let partials = crossbeam::scope(|scope| {
-            let floors = floors.as_slice();
-            let handles: Vec<_> = populated
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move |_| {
-                        let mut heaps: Vec<TopKHeap> =
-                            queries.iter().map(|_| TopKHeap::new(k)).collect();
-                        let mut workspaces: Vec<SearchWorkspace<'_>> = queries
-                            .iter()
-                            .map(|q| SearchWorkspace::new(measure, q))
-                            .collect();
-                        let mut stats = PruneStats::default();
-                        for &i in part {
-                            self.shards[i].scan_top_k_batch_into(
-                                algo,
-                                queries,
-                                &mut heaps,
-                                &mut workspaces,
-                                use_index,
-                                prune,
-                                Some(floors),
-                                &mut stats,
-                            );
-                        }
-                        let local: Vec<Vec<TopKResult>> =
-                            heaps.into_iter().map(TopKHeap::into_sorted_hits).collect();
-                        (local, stats)
-                    })
-                })
+        let mut merged = Vec::with_capacity(workers * k);
+        crossbeam::scope(|scope| {
+            let handles: Vec<_> = relevant
+                .chunks(relevant.len().div_ceil(workers))
+                .map(|part| scope.spawn(|_| scan(part)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect::<Vec<_>>()
+            for handle in handles {
+                let (hits, local) = handle.join().expect("shard worker panicked");
+                merged.extend(hits);
+                stats.merge(&local);
+            }
         })
         .expect("scoped shard threads panicked");
-        for (partial, local_stats) in partials {
-            stats.merge(&local_stats);
-            for (acc, hits) in per_query.iter_mut().zip(partial) {
-                acc.extend(hits);
-            }
-        }
-        for hits in &mut per_query {
-            sort_hits_and_truncate(hits, k);
-        }
-        (per_query, stats)
+        sort_hits_and_truncate(&mut merged, k);
+        merged
     }
 
     /// Shard indices a query must visit. With the index enabled, a shard
@@ -656,6 +481,13 @@ mod tests {
         }
     }
 
+    /// One sequential, pruned ExactS+DTW query through the corpus entry.
+    fn top_k_one(db: &ShardedDb, query: &[Point], k: usize, use_index: bool) -> Vec<TopKResult> {
+        db.top_k(&ExactS, &Dtw, &[query], k, use_index, true, 1)
+            .0
+            .remove(0)
+    }
+
     #[test]
     fn topk_matches_single_database() {
         let trajs = corpus(40);
@@ -666,7 +498,7 @@ mod tests {
                 let sharded = ShardedDb::build(trajs.clone(), shards, kind);
                 for use_index in [false, true] {
                     let want = db.top_k(&ExactS, &Dtw, &query, 5, use_index);
-                    let got = sharded.top_k(&ExactS, &Dtw, &query, 5, use_index);
+                    let got = top_k_one(&sharded, &query, 5, use_index);
                     assert_eq!(got, want, "{kind:?} shards={shards} index={use_index}");
                 }
             }
@@ -674,21 +506,47 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fanout_matches_sequential() {
+    fn parallel_fanout_and_batches_match_sequential_single_queries() {
         let trajs = corpus(50);
         let sharded = ShardedDb::build(trajs, 6, PartitionerKind::Hash);
-        let query = walk(7, 7, (40.0, 20.0));
-        let queries = [query.as_slice()];
-        for threads in [1, 2, 4, 8] {
-            for use_index in [false, true] {
-                let seq = sharded.top_k(&ExactS, &Dtw, &query, 4, use_index);
-                let par = sharded.top_k_parallel(&ExactS, &Dtw, &query, 4, use_index, threads);
-                assert_eq!(seq, par, "threads={threads} index={use_index}");
-                let seq_b = sharded.top_k_batch(&ExactS, &Dtw, &queries, 4, use_index);
-                let par_b =
-                    sharded.top_k_batch_parallel(&ExactS, &Dtw, &queries, 4, use_index, threads);
-                assert_eq!(seq_b, par_b, "batch threads={threads} index={use_index}");
+        let queries: Vec<Vec<Point>> = (0..3)
+            .map(|i| walk(7 + i, 7, (40.0 - 10.0 * i as f64, 20.0)))
+            .collect();
+        let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
+        for use_index in [false, true] {
+            let want: Vec<Vec<TopKResult>> = queries
+                .iter()
+                .map(|q| top_k_one(&sharded, q, 4, use_index))
+                .collect();
+            for threads in [1, 2, 4, 8] {
+                for prune in [false, true] {
+                    let (got, stats) =
+                        sharded.top_k(&ExactS, &Dtw, &refs, 4, use_index, prune, threads);
+                    assert_eq!(got, want, "threads={threads} index={use_index}");
+                    assert!(stats.is_consistent());
+                }
             }
+        }
+    }
+
+    #[test]
+    fn single_wraps_the_database_by_move() {
+        let db = TrajectoryDb::build(corpus(20)).into_shared();
+        let corpus = ShardedDb::single(Arc::clone(&db));
+        assert!(
+            Arc::ptr_eq(&corpus.shards()[0], &db),
+            "no copy of the arena"
+        );
+        assert_eq!(corpus.shard_count(), 1);
+        assert_eq!((corpus.len(), corpus.total_points()), (20, 20 * 16));
+        assert_eq!(corpus.get(7).unwrap().id, 7);
+        assert_eq!(corpus.layout_version(), 0);
+        let query = walk(5, 6, (30.0, 30.0));
+        for use_index in [false, true] {
+            assert_eq!(
+                top_k_one(&corpus, &query, 3, use_index),
+                db.top_k(&ExactS, &Dtw, &query, 3, use_index)
+            );
         }
     }
 
@@ -724,7 +582,7 @@ mod tests {
         }
         let sharded = ShardedDb::build(trajs.clone(), 8, PartitionerKind::Grid);
         assert!(
-            sharded.shards().iter().any(TrajectoryDb::is_empty),
+            sharded.shards().iter().any(|s| s.is_empty()),
             "layout should produce at least one empty shard"
         );
 
@@ -743,7 +601,7 @@ mod tests {
         let query = walk(200, 6, (500.0, 500.0));
         for use_index in [false, true] {
             assert_eq!(
-                sharded.top_k(&ExactS, &Dtw, &query, 3, use_index),
+                top_k_one(&sharded, &query, 3, use_index),
                 db.top_k(&ExactS, &Dtw, &query, 3, use_index),
             );
         }
@@ -759,9 +617,7 @@ mod tests {
         assert!(sharded.is_empty());
         let probe = Mbr::of_points(&walk(0, 4, (0.0, 0.0)));
         assert!(sharded.candidate_ids(&probe).is_empty());
-        assert!(sharded
-            .top_k(&ExactS, &Dtw, &walk(0, 4, (0.0, 0.0)), 3, true)
-            .is_empty());
+        assert!(top_k_one(&sharded, &walk(0, 4, (0.0, 0.0)), 3, true).is_empty());
     }
 
     #[test]
@@ -775,7 +631,10 @@ mod tests {
         );
         assert_ne!(v(2, PartitionerKind::Hash), v(4, PartitionerKind::Hash));
         assert_ne!(v(4, PartitionerKind::Hash), v(4, PartitionerKind::Grid));
-        assert_ne!(v(1, PartitionerKind::Hash), 0, "0 is reserved: unsharded");
+        for kind in [PartitionerKind::Hash, PartitionerKind::Grid] {
+            assert_eq!(v(1, kind), 0, "one shard is one layout");
+            assert_ne!(v(2, kind), 0, "0 is reserved for one shard");
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub(crate) struct AuditSample {
 pub(crate) fn evaluate_sample(sample: &AuditSample) -> Option<EffectivenessMetrics> {
     let snapshot = sample.snapshot.snapshot();
     let measure = snapshot.measure(sample.measure).ok()?;
-    let data = snapshot.corpus().trajectory_points(sample.trajectory_id)?;
+    let data = snapshot.corpus().get(sample.trajectory_id)?.to_points();
     if data.is_empty() || data.len() > AUDIT_MAX_TRAJECTORY_POINTS || sample.query.is_empty() {
         return None;
     }

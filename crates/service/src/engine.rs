@@ -5,11 +5,11 @@
 //! Design
 //! ------
 //! - **Snapshot ownership.** The engine serves from an immutable
-//!   [`CorpusSnapshot`]: a [`Corpus`] (one `Arc<TrajectoryDb>`, or an
-//!   `Arc<ShardedDb>` whose queries fan out across per-shard R-trees)
-//!   plus the loaded RLS policy and t2vec model (when present). On
-//!   multi-core hosts with spare cores beyond the worker pool, each
-//!   worker spreads a sharded fan-out across scoped threads.
+//!   [`CorpusSnapshot`]: one `Arc<ShardedDb>` (a single database is its
+//!   1-shard case; queries fan out across per-shard R-trees) plus the
+//!   loaded RLS policy and t2vec model (when present). On multi-core
+//!   hosts with spare cores beyond the worker pool, each worker spreads
+//!   a multi-shard fan-out across scoped threads.
 //! - **Hot-swappable handle.** The snapshot lives behind an
 //!   [`EngineHandle`]: a swap cell pairing `Arc<CorpusSnapshot>` with a
 //!   monotonically increasing *epoch*. [`QueryEngine::swap_snapshot`]
@@ -19,15 +19,15 @@
 //!   requests see the new snapshot immediately. No restart, no dropped
 //!   connections.
 //! - **Epoch- and layout-versioned cache keys.** Cache keys mix the
-//!   canonical query hash with [`Corpus::layout_version`] *and* the
+//!   canonical query hash with [`ShardedDb::layout_version`] *and* the
 //!   handle epoch, so entries computed under one shard layout — or one
 //!   snapshot generation — are never replayed under another; a swap also
 //!   purges stale-epoch entries eagerly ([`SwapReport::cache_evicted`]).
 //! - **Micro-batching.** Each worker blocks on the shared queue, then
 //!   drains up to `max_batch - 1` additional requests non-blockingly.
 //!   Batch members with the same `(algo, measure, k, index)` signature are
-//!   answered by one [`TrajectoryDb::top_k_batch`] call, whose outer loop
-//!   over data trajectories amortizes point access across the batch.
+//!   answered by one [`ShardedDb::top_k`] call — a loop of single-query
+//!   scans sharing the resolved algorithm, measure and prune counters.
 //! - **Result cache.** Keyed by [`CorpusSnapshot::cache_key`] (the
 //!   canonical query hash mixed with the layout version); a hit
 //!   short-circuits before any search runs. Within a batch, duplicate
@@ -125,128 +125,28 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// The corpus a snapshot serves from: one database, or a sharded layout
-/// whose queries fan out across per-shard R-trees. Both answer the same
-/// requests with byte-identical results (`tests/shard_equivalence.rs`).
-#[derive(Clone)]
-pub enum Corpus {
-    /// A single [`TrajectoryDb`].
-    Single(Arc<TrajectoryDb>),
-    /// A partitioned [`ShardedDb`]; see `simsub_index::ShardedDb`.
-    Sharded(Arc<ShardedDb>),
-}
-
-impl Corpus {
-    /// Number of trajectories.
-    pub fn len(&self) -> usize {
-        match self {
-            Corpus::Single(db) => db.len(),
-            Corpus::Sharded(db) => db.len(),
-        }
-    }
-
-    /// True when the corpus holds no trajectories.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total points across all trajectories.
-    pub fn total_points(&self) -> usize {
-        match self {
-            Corpus::Single(db) => db.total_points(),
-            Corpus::Sharded(db) => db.total_points(),
-        }
-    }
-
-    /// Number of shards (1 for a single database).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            Corpus::Single(_) => 1,
-            Corpus::Sharded(db) => db.shard_count(),
-        }
-    }
-
-    /// The full point sequence of trajectory `id`, if present — the
-    /// auditor's window into the pinned snapshot's data.
-    pub(crate) fn trajectory_points(&self, id: u64) -> Option<Vec<Point>> {
-        match self {
-            Corpus::Single(db) => db.get(id).map(|view| view.to_points()),
-            Corpus::Sharded(db) => db.get(id).map(|view| view.to_points()),
-        }
-    }
-
-    /// Fingerprint of the corpus layout, folded into every cache key so
-    /// a result computed under one shard layout can never be replayed
-    /// under another. `0` is the unsharded layout; sharded layouts hash
-    /// their partitioner and shard count (never 0).
-    pub fn layout_version(&self) -> u64 {
-        match self {
-            Corpus::Single(_) => 0,
-            Corpus::Sharded(db) => db.layout_version(),
-        }
-    }
-
-    /// Dispatches one batched top-k scan, returning the hits plus the
-    /// scan's prune counters (see `simsub_core::bounds`). The sharded arm
-    /// fans each batch across shards, spreading the fan-out over up to
-    /// `shard_threads` scoped threads (1 = sequential — the right call
-    /// when the worker pool already covers every core). Each worker's
-    /// scan allocates its evaluator workspaces once per (query, batch)
-    /// and reuses them across every trajectory and shard it visits.
-    #[allow(clippy::too_many_arguments)] // internal dispatch, mirrors the scan surface
-    fn top_k_batch(
-        &self,
-        algo: &(dyn SubtrajSearch + Sync),
-        measure: &dyn Measure,
-        queries: &[&[Point]],
-        k: usize,
-        use_index: bool,
-        shard_threads: usize,
-        prune: bool,
-    ) -> (Vec<Vec<TopKResult>>, simsub_core::PruneStats) {
-        match self {
-            Corpus::Single(db) => {
-                db.top_k_batch_with_stats(algo, measure, queries, k, use_index, prune)
-            }
-            Corpus::Sharded(db) => db.top_k_batch_parallel_with_stats(
-                algo,
-                measure,
-                queries,
-                k,
-                use_index,
-                shard_threads,
-                prune,
-            ),
-        }
-    }
-}
-
 /// Immutable corpus + models the engine serves from. Cloning is cheap
 /// (`Arc`s all the way down). Snapshots are never mutated — live reload
 /// builds a fresh one and swaps it in through the [`EngineHandle`].
 #[derive(Clone)]
 pub struct CorpusSnapshot {
-    corpus: Corpus,
+    corpus: Arc<ShardedDb>,
     rls: Option<Arc<Rls>>,
     t2vec: Option<Arc<T2Vec>>,
 }
 
 impl CorpusSnapshot {
-    /// Snapshot over a single built database, with no learned models
-    /// loaded.
+    /// Snapshot over a single built database (the 1-shard corpus, taken
+    /// by move), with no learned models loaded.
     pub fn new(db: Arc<TrajectoryDb>) -> Self {
-        Self {
-            corpus: Corpus::Single(db),
-            rls: None,
-            t2vec: None,
-        }
+        Self::sharded(ShardedDb::single(db).into_shared())
     }
 
-    /// Snapshot over a sharded corpus; every query fans out across the
-    /// shards and answers stay byte-identical to the unsharded layout.
+    /// Snapshot over a corpus of any shard count; every query fans out
+    /// across the shards and answers are byte-identical for every layout.
     pub fn sharded(db: Arc<ShardedDb>) -> Self {
         Self {
-            corpus: Corpus::Sharded(db),
+            corpus: db,
             rls: None,
             t2vec: None,
         }
@@ -281,12 +181,11 @@ impl CorpusSnapshot {
         policy: Option<(&std::path::Path, MdpConfig)>,
         t2vec: Option<&std::path::Path>,
     ) -> Result<Self, String> {
-        let mut snapshot = match layout {
-            Some((shards, partitioner)) if shards >= 1 => CorpusSnapshot::sharded(
-                ShardedDb::from_arena(arena, shards, partitioner).into_shared(),
-            ),
-            _ => CorpusSnapshot::new(TrajectoryDb::from_arena(arena).into_shared()),
-        };
+        let (shards, partitioner) = layout
+            .filter(|&(shards, _)| shards >= 1)
+            .unwrap_or((1, PartitionerKind::Hash));
+        let mut snapshot =
+            Self::sharded(ShardedDb::from_arena(arena, shards, partitioner).into_shared());
         if let Some((path, mdp)) = policy {
             let policy =
                 Policy::load(path).map_err(|e| format!("loading {}: {e}", path.display()))?;
@@ -313,7 +212,7 @@ impl CorpusSnapshot {
     }
 
     /// The corpus this snapshot serves from.
-    pub fn corpus(&self) -> &Corpus {
+    pub fn corpus(&self) -> &Arc<ShardedDb> {
         &self.corpus
     }
 
@@ -328,7 +227,7 @@ impl CorpusSnapshot {
     }
 
     /// The cache key for `request` under this snapshot: the request's
-    /// canonical hash mixed with [`Corpus::layout_version`]. Two engines
+    /// canonical hash mixed with [`ShardedDb::layout_version`]. Two engines
     /// over different shard layouts therefore key the same request
     /// differently — an entry never outlives the layout that computed it
     /// — while within one layout the key is exactly as stable as the
@@ -338,18 +237,19 @@ impl CorpusSnapshot {
     }
 
     /// Checks a request against the loaded models, then resolves its
-    /// algorithm. `Box`ing per call is noise-level: every variant except
-    /// RLS is a zero-to-word-sized value, and RLS is an `Arc` clone.
-    fn algo(&self, spec: AlgoSpec) -> Result<Box<dyn SubtrajSearch + Send + Sync>, ServiceError> {
+    /// algorithm. The scan gets the loaded [`Rls`] itself (every request
+    /// shares one policy), so all of its trait overrides — columnar
+    /// `search_with`, non-admissible similarities — apply when served.
+    fn algo(&self, spec: AlgoSpec) -> Result<Arc<dyn SubtrajSearch + Send + Sync>, ServiceError> {
         Ok(match spec {
-            AlgoSpec::Exact => Box::new(ExactS),
-            AlgoSpec::SizeS { xi } => Box::new(SizeS::new(xi)),
-            AlgoSpec::Pss => Box::new(Pss),
-            AlgoSpec::Pos => Box::new(Pos),
-            AlgoSpec::PosD { delay } => Box::new(PosD::new(delay)),
-            AlgoSpec::Spring => Box::new(Spring::new()),
+            AlgoSpec::Exact => Arc::new(ExactS),
+            AlgoSpec::SizeS { xi } => Arc::new(SizeS::new(xi)),
+            AlgoSpec::Pss => Arc::new(Pss),
+            AlgoSpec::Pos => Arc::new(Pos),
+            AlgoSpec::PosD { delay } => Arc::new(PosD::new(delay)),
+            AlgoSpec::Spring => Arc::new(Spring::new()),
             AlgoSpec::Rls => match &self.rls {
-                Some(rls) => Box::new(SharedRls(Arc::clone(rls))),
+                Some(rls) => Arc::clone(rls) as _,
                 None => {
                     return Err(ServiceError::InvalidRequest(
                         "no RLS policy loaded into this engine".into(),
@@ -370,25 +270,6 @@ impl CorpusSnapshot {
                 )),
             },
         }
-    }
-}
-
-/// `Arc<Rls>` view implementing the search trait by delegation, so every
-/// request shares one loaded policy.
-struct SharedRls(Arc<Rls>);
-
-impl SubtrajSearch for SharedRls {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn search(
-        &self,
-        measure: &dyn Measure,
-        data: &[Point],
-        query: &[Point],
-    ) -> simsub_core::SearchResult {
-        self.0.search(measure, data, query)
     }
 }
 
@@ -1007,24 +888,15 @@ impl QueryEngine {
     /// concurrent [`QueryEngine::swap_snapshot`] does not change what an
     /// already-admitted request computes against.
     pub fn submit(&self, request: QueryRequest) -> Result<PendingQuery, ServiceError> {
-        self.submit_traced(request, false)
+        self.submit_with_deadline(request, false, None)
     }
 
-    /// [`QueryEngine::submit`] with an explicit trace flag: a traced
-    /// request's answer carries a per-stage timing breakdown
-    /// ([`QueryResponse::trace`]), including the in-scan bound/kernel
-    /// split measured for its dispatch group.
-    pub fn submit_traced(
-        &self,
-        request: QueryRequest,
-        trace: bool,
-    ) -> Result<PendingQuery, ServiceError> {
-        self.submit_with_deadline(request, trace, None)
-    }
-
-    /// [`QueryEngine::submit_traced`] with an explicit deadline budget:
-    /// if no worker has *started* scanning the request once `deadline`
-    /// elapses, the job is dropped and answered with
+    /// [`QueryEngine::submit`] with an explicit trace flag and deadline
+    /// budget. A traced request's answer carries a per-stage timing
+    /// breakdown ([`QueryResponse::trace`]), including the in-scan
+    /// bound/kernel split measured for its dispatch group. If no worker
+    /// has *started* scanning the request once `deadline` elapses, the
+    /// job is dropped and answered with
     /// [`ServiceError::DeadlineExceeded`] (checked at dequeue and again
     /// between dispatch groups). `None` falls back to the engine's
     /// `default_deadline_ms` (no deadline when that is 0 too). A
@@ -1888,14 +1760,14 @@ fn process_batch(inner: &Inner, jobs: Vec<Job>, timing: &BatchTiming) {
                 .measure(measure_spec)
                 .expect("measure validated at submit");
             let timing_guard = group_traced.then(simsub_core::scan_timing_scope);
-            let result = snapshot.snapshot.corpus.top_k_batch(
+            let result = snapshot.snapshot.corpus.top_k(
                 algo.as_ref(),
                 measure,
                 &queries,
                 k,
                 use_index,
-                inner.shard_threads,
                 prune,
+                inner.shard_threads,
             );
             drop(timing_guard);
             result
@@ -2083,11 +1955,8 @@ mod tests {
     }
 
     fn request(snapshot: &CorpusSnapshot) -> QueryRequest {
-        let Corpus::Single(db) = snapshot.corpus() else {
-            unreachable!("test snapshots are single")
-        };
         QueryRequest {
-            query: db.view(0).to_points()[..6].to_vec(),
+            query: snapshot.corpus().shards()[0].view(0).to_points()[..6].to_vec(),
             algo: AlgoSpec::Exact,
             measure: MeasureSpec::Dtw,
             k: 2,

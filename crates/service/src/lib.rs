@@ -9,7 +9,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`engine`] | [`QueryEngine`]: worker pool, MPSC queue, micro-batching, graceful shutdown; [`Corpus`]: single vs. sharded corpus snapshots; [`EngineHandle`]: epoch-versioned hot-swap cell ([`QueryEngine::swap_snapshot`] = live reload); bulkheads: panic-isolated dispatch, worker supervision, bounded admission with deadlines; completion-based submission ([`QueryEngine::submit_with_completion`]) for non-blocking callers |
+//! | [`engine`] | [`QueryEngine`]: worker pool, MPSC queue, micro-batching, graceful shutdown; [`CorpusSnapshot`]: one `ShardedDb` corpus (a single database is its 1-shard case) plus loaded models; [`EngineHandle`]: epoch-versioned hot-swap cell ([`QueryEngine::swap_snapshot`] = live reload); bulkheads: panic-isolated dispatch, worker supervision, bounded admission with deadlines; completion-based submission ([`QueryEngine::submit_with_completion`]) for non-blocking callers |
 //! | `batcher` (private) | the shared micro-batcher: windowed queue drain that recovers cold-path batching on multi-worker pools |
 //! | `reactor` (private) | readiness-polled serve loop (epoll via the vendored `polling` shim): 10k+ connections on one thread, pipelined out-of-order responses by wire-v2 `"id"` |
 //! | [`fault`] | named fault-injection points for chaos testing (`SIMSUB_FAULTS`, admin `configure`); zero-cost when disarmed |
@@ -25,7 +25,7 @@
 //! Answers are bit-identical to the offline paths: a cache hit replays a
 //! previously computed `TrajectoryDb::top_k` answer for a canonically
 //! equal request, and a miss runs the same algorithms through
-//! `TrajectoryDb::top_k_batch` (asserted equivalent by tests).
+//! `ShardedDb::top_k` (asserted equivalent by tests).
 //!
 //! ```
 //! use simsub_core::ExactS;
@@ -71,7 +71,7 @@ pub mod sync;
 pub mod trace;
 
 pub use engine::{
-    CompletionFn, ConfigUpdate, ConfigView, Corpus, CorpusSnapshot, EngineConfig, EngineHandle,
+    CompletionFn, ConfigUpdate, ConfigView, CorpusSnapshot, EngineConfig, EngineHandle,
     EpochSnapshot, PendingQuery, QueryEngine, ServiceError, ShutdownReport, SwapReport,
 };
 pub use fault::{FaultPoint, FaultRegistry};

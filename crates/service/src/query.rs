@@ -296,7 +296,7 @@ pub struct QueryResponse {
     /// answered it, even if a hot swap landed while it was queued.
     pub epoch: u64,
     /// Per-stage timing breakdown, present only for requests submitted
-    /// through `QueryEngine::submit_traced` (or slow-query outliers).
+    /// with `trace: true` (or slow-query outliers).
     /// Deliberately *not* part of [`QueryResponse::to_json`]: the server
     /// appends the `"trace"` object itself after rendering the body, so
     /// it can stamp `serialize_us` — and so the v1 body shape stays

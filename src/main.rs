@@ -19,7 +19,7 @@ use simsub::core::{
 use simsub::data::{
     generate, read_bin_file, read_csv_file, write_bin_file, write_csv_file, DatasetSpec,
 };
-use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub::index::{PartitionerKind, ShardedDb};
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::nn::BinaryCodec;
 use simsub::rl::Policy;
@@ -254,7 +254,7 @@ fn mdp_from_flags(flags: &Flags) -> Result<MdpConfig, String> {
     })
 }
 
-fn load_algo(flags: &Flags, mdp: MdpConfig) -> Result<Box<dyn SubtrajSearch>, String> {
+fn load_algo(flags: &Flags, mdp: MdpConfig) -> Result<Box<dyn SubtrajSearch + Sync>, String> {
     Ok(match flags.require("algo")? {
         "exact" => Box::new(ExactS),
         "sizes" => Box::new(SizeS::new(flags.parse_or("xi", 5usize)?)),
@@ -892,39 +892,25 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
     // answers are byte-identical either way — only the timing and the
     // prune counters change.
     let prune = !flags.switch("no-prune") && simsub::core::pruning_enabled();
-    // Sharded and single layouts return byte-identical hits; `--shards`
-    // exists on `topk` to exercise (and time) the fan-out offline.
-    let (hits, stats, corpus_len, layout) = match sharding_from_flags(flags)? {
-        Some((shards, partitioner)) => {
-            let db = ShardedDb::from_arena(corpus, shards, partitioner);
-            let (hits, stats) = db.top_k_with_stats(
-                algo.as_ref(),
-                measure.as_ref(),
-                query.points(),
-                k,
-                use_index,
-                prune,
-            );
-            (
-                hits,
-                stats,
-                db.len(),
-                format!("{}x{}", shards, partitioner.name()),
-            )
-        }
-        None => {
-            let db = TrajectoryDb::from_arena(corpus);
-            let (hits, stats) = db.top_k_with_stats(
-                algo.as_ref(),
-                measure.as_ref(),
-                query.points(),
-                k,
-                use_index,
-                prune,
-            );
-            (hits, stats, db.len(), "single".to_string())
-        }
-    };
+    // Every layout returns byte-identical hits; `--shards` exists on
+    // `topk` to exercise (and time) the fan-out offline.
+    let sharding = sharding_from_flags(flags)?;
+    let layout = sharding.map_or("single".to_string(), |(shards, partitioner)| {
+        format!("{}x{}", shards, partitioner.name())
+    });
+    let (shards, partitioner) = sharding.unwrap_or((1, PartitionerKind::Hash));
+    let db = ShardedDb::from_arena(corpus, shards, partitioner);
+    let (mut hits, stats) = db.top_k(
+        algo.as_ref(),
+        measure.as_ref(),
+        &[query.points()],
+        k,
+        use_index,
+        prune,
+        1,
+    );
+    let hits = hits.remove(0);
+    let corpus_len = db.len();
     println!(
         "top-{k} by {} over {} ({} trajectories, layout={layout}, index={}, prune={}):",
         algo.name(),

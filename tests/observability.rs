@@ -7,11 +7,13 @@
 //! (`SIMSUB_SHARDS=4`, `SIMSUB_NO_PRUNE=1`), so nothing here may assume
 //! pruning happened or a particular corpus layout.
 
+mod common;
+
+use common::snapshot_for;
 use simsub::data::{generate, DatasetSpec};
-use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub::index::TrajectoryDb;
 use simsub::service::{
-    AlgoSpec, ConfigUpdate, CorpusSnapshot, EngineConfig, Histogram, MeasureSpec, QueryEngine,
-    QueryRequest, Server,
+    AlgoSpec, ConfigUpdate, EngineConfig, Histogram, MeasureSpec, QueryEngine, QueryRequest, Server,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -21,20 +23,6 @@ use std::time::{Duration, Instant};
 
 fn shared_db(count: usize) -> Arc<TrajectoryDb> {
     TrajectoryDb::build(generate(&DatasetSpec::porto(), count, 42)).into_shared()
-}
-
-/// Mirrors `service_engine.rs`: sharded snapshot when `SIMSUB_SHARDS=N`
-/// is set, so the CI matrix exercises the metrics pipeline both ways.
-fn snapshot_for(db: &Arc<TrajectoryDb>) -> CorpusSnapshot {
-    match std::env::var("SIMSUB_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => CorpusSnapshot::sharded(
-            ShardedDb::build(db.to_trajectories(), n, PartitionerKind::Hash).into_shared(),
-        ),
-        _ => CorpusSnapshot::new(Arc::clone(db)),
-    }
 }
 
 fn request(query: Vec<Point>, algo: AlgoSpec, k: usize) -> QueryRequest {

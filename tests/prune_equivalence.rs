@@ -1,19 +1,16 @@
 //! Property harness for the prune-first scan contract: for any corpus,
 //! any query, any measure on the search path (DTW, discrete Frechet, a
 //! trained t2vec model), either service-default algorithm (ExactS, PSS),
-//! and shard counts 1..4, the pruned scan must be **byte-identical** —
-//! same ids, same score bit patterns, same order — to the unpruned
-//! reference scan, with consistent [`PruneStats`]
+//! shard counts 1..4 and sequential or parallel fan-out, the pruned scan
+//! must be **byte-identical** — same ids, same score bit patterns, same
+//! order — to the unpruned reference scan, with consistent [`PruneStats`]
 //! (`scanned == pruned + searched`) and admissible bounds
 //! (`bound >= true best subtrajectory similarity` for every trajectory).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simsub::core::{
-    top_k_search_batch_with_stats, top_k_search_parallel_with_stats, top_k_search_with_stats,
-    BoundCascade, ExactS, PruneStats, Pss, SubtrajSearch, TopKResult,
-};
+use simsub::core::{BoundCascade, ExactS, PruneStats, Pss, SubtrajSearch, TopKResult};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::trajectory::{Point, Trajectory};
@@ -76,8 +73,21 @@ fn assert_stats(stats: &PruneStats, candidates: u64, context: &str) {
     assert_eq!(stats.scanned, candidates, "scanned everything: {context}");
 }
 
-/// Pruned == unpruned across the sequential, parallel, batched, single-
-/// database, and sharded scan paths for one combination.
+/// One full (unindexed) scan of `corpus` as a single database: every
+/// trajectory is a candidate, so `scanned` is pinned to the corpus size.
+fn full_scan(
+    algo: &dyn SubtrajSearch,
+    measure: &dyn Measure,
+    corpus: &[Trajectory],
+    query: &[Point],
+    k: usize,
+    prune: bool,
+) -> (Vec<TopKResult>, PruneStats) {
+    TrajectoryDb::build(corpus.to_vec()).top_k_with_stats(algo, measure, query, k, false, prune)
+}
+
+/// Pruned == unpruned across the single-database and sharded scan paths
+/// (sequential, parallel fan-out, batched entry) for one combination.
 fn check_prune_equivalence(
     corpus: &[Trajectory],
     algo: &(dyn SubtrajSearch + Sync),
@@ -88,21 +98,14 @@ fn check_prune_equivalence(
     let n = corpus.len() as u64;
     let context_base = format!("measure={} algo={} k={k}", measure.name(), algo.name());
 
-    // Core scans over the raw slice.
-    let (want, ref_stats) = top_k_search_with_stats(algo, measure, corpus, query, k, false);
+    // Full scans: the reference never prunes, the pruned scan still
+    // accounts for every trajectory.
+    let (want, ref_stats) = full_scan(algo, measure, corpus, query, k, false);
     assert_stats(&ref_stats, n, &context_base);
     assert_eq!(ref_stats.pruned(), 0, "reference never prunes");
-    let (pruned, stats) = top_k_search_with_stats(algo, measure, corpus, query, k, true);
+    let (pruned, stats) = full_scan(algo, measure, corpus, query, k, true);
     assert_identical(&pruned, &want, &format!("sequential {context_base}"));
     assert_stats(&stats, n, &context_base);
-    let (par, par_stats) =
-        top_k_search_parallel_with_stats(algo, measure, corpus, query, k, 4, true);
-    assert_identical(&par, &want, &format!("parallel {context_base}"));
-    assert_stats(&par_stats, n, &context_base);
-    let (batch, batch_stats) =
-        top_k_search_batch_with_stats(algo, measure, corpus, &[query], k, true);
-    assert_identical(&batch[0], &want, &format!("batched {context_base}"));
-    assert_stats(&batch_stats, n, &context_base);
 
     // Indexed database and sharded layouts, both index modes.
     let db = TrajectoryDb::build(corpus.to_vec());
@@ -115,19 +118,19 @@ fn check_prune_equivalence(
         for shards in SHARD_COUNTS {
             for kind in [PartitionerKind::Hash, PartitionerKind::Grid] {
                 let sharded = ShardedDb::build(corpus.to_vec(), shards, kind);
-                let context = format!("{context} shards={shards} kind={}", kind.name());
-                let (got, stats) =
-                    sharded.top_k_with_stats(algo, measure, query, k, use_index, true);
-                assert_identical(&got, &want_db, &format!("sharded {context}"));
-                assert!(stats.is_consistent(), "sharded stats: {context}");
-                let (got_par, par_stats) =
-                    sharded.top_k_parallel_with_stats(algo, measure, query, k, use_index, 4, true);
-                assert_identical(&got_par, &want_db, &format!("sharded parallel {context}"));
-                assert!(par_stats.is_consistent(), "parallel stats: {context}");
-                let (got_batch, batch_stats) =
-                    sharded.top_k_batch_with_stats(algo, measure, &[query], k, use_index, true);
-                assert_identical(&got_batch[0], &want_db, &format!("sharded batch {context}"));
-                assert!(batch_stats.is_consistent(), "batch stats: {context}");
+                for threads in [1, 4] {
+                    let context = format!(
+                        "{context} shards={shards} kind={} threads={threads}",
+                        kind.name()
+                    );
+                    let (got, stats) =
+                        sharded.top_k(algo, measure, &[query], k, use_index, true, threads);
+                    assert_identical(&got[0], &want_db, &format!("sharded {context}"));
+                    assert!(stats.is_consistent(), "sharded stats: {context}");
+                    if !use_index {
+                        assert_stats(&stats, n, &format!("sharded {context}"));
+                    }
+                }
             }
         }
     }
@@ -198,11 +201,12 @@ proptest! {
             .map(|i| walk(seed.wrapping_mul(17).wrapping_add(i), 3 + i as usize, (0.0, 0.0)))
             .collect();
         let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
-        let (batched, stats) =
-            top_k_search_batch_with_stats(&Pss, &Dtw, &corpus, &refs, k, true);
+        let (batched, stats) = ShardedDb::build(corpus.clone(), 1, PartitionerKind::Hash)
+            .top_k(&Pss, &Dtw, &refs, k, false, true, 1);
         prop_assert!(stats.is_consistent());
+        prop_assert_eq!(stats.scanned, (corpus.len() * queries.len()) as u64);
         for (got, q) in batched.iter().zip(&queries) {
-            let (want, _) = top_k_search_with_stats(&Pss, &Dtw, &corpus, q, k, false);
+            let (want, _) = full_scan(&Pss, &Dtw, &corpus, q, k, false);
             assert_identical(got, &want, "pruned batch vs unpruned per-query");
         }
     }
@@ -223,8 +227,8 @@ fn t2vec_is_never_pruned_and_stays_identical() {
     let (model, _sep) = T2Vec::train(&corpus, &cfg);
     let query = walk(0xabcd, 7, (0.0, 0.0));
     for algo in [&ExactS as &(dyn SubtrajSearch + Sync), &Pss] {
-        let (want, _) = top_k_search_with_stats(algo, &model, &corpus, &query, 4, false);
-        let (pruned, stats) = top_k_search_with_stats(algo, &model, &corpus, &query, 4, true);
+        let (want, _) = full_scan(algo, &model, &corpus, &query, 4, false);
+        let (pruned, stats) = full_scan(algo, &model, &corpus, &query, 4, true);
         assert_identical(&pruned, &want, "t2vec pruned vs unpruned");
         assert_eq!(stats.pruned(), 0, "no admissible bound exists for t2vec");
         assert_eq!(stats.searched, corpus.len() as u64);
@@ -244,8 +248,8 @@ fn rls_disables_pruning() {
     let rls = Rls::new(report.policy, MdpConfig::rls());
     assert!(!rls.reported_similarity_is_admissible());
     let query = walk(0x715, 6, (0.0, 0.0));
-    let (want, _) = top_k_search_with_stats(&rls, &Dtw, &corpus, &query, 3, false);
-    let (got, stats) = top_k_search_with_stats(&rls, &Dtw, &corpus, &query, 3, true);
+    let (want, _) = full_scan(&rls, &Dtw, &corpus, &query, 3, false);
+    let (got, stats) = full_scan(&rls, &Dtw, &corpus, &query, 3, true);
     assert_identical(&got, &want, "rls pruned vs unpruned");
     assert_eq!(stats.pruned(), 0, "non-admissible algorithms never prune");
 }
@@ -262,8 +266,8 @@ fn clustered_corpus_prunes_most_of_the_scan() {
         corpus.push(Trajectory::new_unchecked(i, walk(i + 1, 14, origin)));
     }
     let query = corpus[0].points()[2..8].to_vec();
-    let (want, _) = top_k_search_with_stats(&Pss, &Dtw, &corpus, &query, 3, false);
-    let (got, stats) = top_k_search_with_stats(&Pss, &Dtw, &corpus, &query, 3, true);
+    let (want, _) = full_scan(&Pss, &Dtw, &corpus, &query, 3, false);
+    let (got, stats) = full_scan(&Pss, &Dtw, &corpus, &query, 3, true);
     assert_identical(&got, &want, "clustered corpus");
     assert!(stats.is_consistent());
     assert!(

@@ -16,12 +16,15 @@
 //! `SIMSUB_SHARDS=4` and `SIMSUB_NO_PRUNE=1`, so nothing here assumes a
 //! particular corpus layout or that pruning happened.
 
+mod common;
+
+use common::snapshot_for;
 use proptest::prelude::*;
 use simsub::data::{generate, DatasetSpec};
-use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub::index::TrajectoryDb;
 use simsub::service::{
-    json::Json, AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
-    Server, ServiceError, StatsSnapshot,
+    json::Json, AlgoSpec, EngineConfig, MeasureSpec, QueryEngine, QueryRequest, Server,
+    ServiceError, StatsSnapshot,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -56,20 +59,6 @@ fn quiet_injected_panics() {
 
 fn shared_db(count: usize) -> Arc<TrajectoryDb> {
     TrajectoryDb::build(generate(&DatasetSpec::porto(), count, 42)).into_shared()
-}
-
-/// Mirrors `service_engine.rs`: sharded snapshot when `SIMSUB_SHARDS=N`
-/// is set, so the CI matrix exercises the bulkheads both ways.
-fn snapshot_for(db: &Arc<TrajectoryDb>) -> CorpusSnapshot {
-    match std::env::var("SIMSUB_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => CorpusSnapshot::sharded(
-            ShardedDb::build(db.to_trajectories(), n, PartitionerKind::Hash).into_shared(),
-        ),
-        _ => CorpusSnapshot::new(Arc::clone(db)),
-    }
 }
 
 fn request(query: Vec<Point>, k: usize) -> QueryRequest {

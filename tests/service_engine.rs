@@ -4,6 +4,9 @@
 //! semantics (epoch pinning, cache purging, live reload over the wire,
 //! v1/v2 coexistence).
 
+mod common;
+
+use common::{assert_bitwise_topk, snapshot_for};
 use simsub::core::{ExactS, Pss, SubtrajSearch};
 use simsub::data::{generate, write_csv_file, DatasetSpec};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
@@ -19,22 +22,6 @@ use std::sync::Arc;
 
 fn shared_db(count: usize) -> Arc<TrajectoryDb> {
     TrajectoryDb::build(generate(&DatasetSpec::porto(), count, 42)).into_shared()
-}
-
-/// Snapshot over `db`'s corpus, sharded when `SIMSUB_SHARDS=N` (N ≥ 1) is
-/// set — the CI matrix runs this whole suite both ways, and every
-/// expectation below compares against the *unsharded* `db.top_k`, so the
-/// sharded engine is held to byte-identical answers.
-fn snapshot_for(db: &Arc<TrajectoryDb>) -> CorpusSnapshot {
-    match std::env::var("SIMSUB_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => CorpusSnapshot::sharded(
-            ShardedDb::build(db.to_trajectories(), n, PartitionerKind::Hash).into_shared(),
-        ),
-        _ => CorpusSnapshot::new(Arc::clone(db)),
-    }
 }
 
 fn engine_with(db: &Arc<TrajectoryDb>, workers: usize) -> QueryEngine {
@@ -409,6 +396,64 @@ fn sharded_engine_matches_unsharded_on_the_wire() {
             "wire answer of {name} differs from single"
         );
     }
+}
+
+/// A served `"algo":"rls"` scan gets the loaded [`Rls`] itself, so its
+/// trait overrides apply: RLS reports non-admissible similarities, hence
+/// the bound cascade must stay off (no candidate pruned) even on a
+/// clustered corpus where an admissible algorithm prunes most of it, and
+/// the answer is bitwise the offline unpruned full scan.
+#[test]
+fn served_rls_never_prunes_and_matches_the_offline_scan() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use simsub::core::{train_rls, MdpConfig, Rls, RlsTrainConfig};
+    use simsub::trajectory::Trajectory;
+
+    // Tight clusters 60 units apart: a query cut from one cluster leaves
+    // the bound cascade nearly everything to prune.
+    let corpus: Vec<Trajectory> = (0..40u64)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(i + 1);
+            let (mut x, mut y) = ((i % 8) as f64 * 60.0, (i / 8) as f64 * 60.0);
+            let points = (0..14)
+                .map(|t| {
+                    x += rng.gen_range(-1.5..1.5);
+                    y += rng.gen_range(-1.5..1.5);
+                    Point::new(x, y, t as f64)
+                })
+                .collect();
+            Trajectory::new_unchecked(i, points)
+        })
+        .collect();
+    let query = corpus[0].points()[2..8].to_vec();
+    let mdp = MdpConfig::rls();
+    let policy = train_rls(&Dtw, &corpus, &corpus, &RlsTrainConfig::paper(mdp, 6)).policy;
+    let rls = Rls::new(policy.clone(), mdp);
+    let db = TrajectoryDb::build(corpus).into_shared();
+    let (want, _) = db.top_k_with_stats(&rls, &Dtw, &query, 3, false, false);
+
+    let engine = QueryEngine::start(
+        snapshot_for(&db).with_rls(Rls::new(policy, mdp)),
+        EngineConfig {
+            workers: 1,
+            prune: true,
+            ..EngineConfig::default()
+        },
+    );
+    let mut req = request(query, AlgoSpec::Rls, MeasureSpec::Dtw, 3);
+    req.use_index = false;
+    let got = engine.query(req.clone()).expect("served rls");
+    assert_bitwise_topk(&got.results, &want, "served rls vs offline full scan");
+    let stats = engine.stats();
+    assert_eq!(stats.scan_candidates, 40);
+    assert_eq!(stats.scan_pruned, 0, "RLS scores admit no bound pruning");
+
+    // The same engine does prune this corpus for an admissible algorithm.
+    req.algo = AlgoSpec::Pss;
+    engine.query(req).expect("served pss");
+    assert!(engine.stats().scan_pruned > 0, "PSS + DTW prunes clusters");
+    engine.shutdown();
 }
 
 /// Cache keys are layout-versioned: the same request keys differently

@@ -5,15 +5,19 @@
 //! corpus. Covers every similarity measure wired into the search path
 //! (DTW, discrete Frechet, and a trained t2vec model), both search
 //! algorithms the service dispatches by default paths (ExactS, PSS),
-//! indexed and full-scan modes, the batched entry point, and the
-//! parallel fan-out.
+//! indexed and full-scan modes, the parallel fan-out, and batches — whose
+//! hits *and* prune counters must be exactly the sum of their
+//! single-query calls.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simsub::core::{ExactS, Pss, SubtrajSearch, TopKResult};
+use simsub::core::{pruning_enabled, ExactS, PruneStats, Pss, SubtrajSearch, TopKResult};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
+use simsub::service::{
+    AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
+};
 use simsub::trajectory::{Mbr, Point, Trajectory};
 
 const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=8;
@@ -81,31 +85,28 @@ fn check_equivalence(
     let single = TrajectoryDb::build(corpus.to_vec());
     for use_index in [false, true] {
         let want = single.top_k(algo, measure, query, k, use_index);
-        let want_batch = single.top_k_batch(algo, measure, &[query], k, use_index);
         for shards in SHARD_COUNTS {
             for kind in PARTITIONERS {
                 let sharded = ShardedDb::build(corpus.to_vec(), shards, kind);
-                let context = format!(
-                    "shards={shards} kind={} index={use_index} measure={} algo={} k={k}",
-                    kind.name(),
-                    measure.name(),
-                    algo.name(),
-                );
-                assert_identical(
-                    &sharded.top_k(algo, measure, query, k, use_index),
-                    &want,
-                    &context,
-                );
-                assert_identical(
-                    &sharded.top_k_batch(algo, measure, &[query], k, use_index)[0],
-                    &want_batch[0],
-                    &format!("batch {context}"),
-                );
-                assert_identical(
-                    &sharded.top_k_parallel(algo, measure, query, k, use_index, 4),
-                    &want,
-                    &format!("parallel {context}"),
-                );
+                for threads in [1, 4] {
+                    let (got, _) = sharded.top_k(
+                        algo,
+                        measure,
+                        &[query],
+                        k,
+                        use_index,
+                        pruning_enabled(),
+                        threads,
+                    );
+                    let context = format!(
+                        "shards={shards} kind={} index={use_index} threads={threads} \
+                         measure={} algo={} k={k}",
+                        kind.name(),
+                        measure.name(),
+                        algo.name(),
+                    );
+                    assert_identical(&got[0], &want, &context);
+                }
             }
         }
     }
@@ -158,10 +159,15 @@ proptest! {
         }
     }
 
-    /// Multi-query batches match per-query answers under sharding, with
-    /// queries of different lengths sharing one fan-out.
+    /// A batch is exactly the sum of its single-query calls: same hits
+    /// per query and the same summed `PruneStats`, with queries of
+    /// different lengths sharing one call. (With a parallel fan-out and
+    /// pruning on, which worker raises the shared floor first decides
+    /// *how* a candidate is rejected, so only `scanned` and consistency
+    /// are pinned there; every other combination is deterministic and
+    /// compared whole.)
     #[test]
-    fn sharded_batch_matches_per_query(
+    fn batch_equals_the_sum_of_single_query_calls(
         seed in 0u64..10_000,
         count in 2usize..30,
         k in 1usize..5,
@@ -171,20 +177,72 @@ proptest! {
             .map(|i| walk(seed.wrapping_mul(31).wrapping_add(i), 4 + i as usize, (0.0, 0.0)))
             .collect();
         let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
-        for shards in [1, 3, 8] {
+        for shards in [1, 3, 4] {
             for kind in PARTITIONERS {
                 let sharded = ShardedDb::build(corpus.clone(), shards, kind);
-                for use_index in [false, true] {
-                    let batched = sharded.top_k_batch(&ExactS, &Dtw, &refs, k, use_index);
-                    for (got, q) in batched.iter().zip(&queries) {
-                        let want = sharded.top_k(&ExactS, &Dtw, q, k, use_index);
-                        assert_identical(got, &want,
-                            &format!("shards={shards} kind={} index={use_index}", kind.name()));
+                for (use_index, prune, threads) in [
+                    (false, true, 1), (true, true, 1), (false, false, 1),
+                    (false, true, 2), (true, true, 2), (true, false, 2),
+                ] {
+                    let context = format!(
+                        "shards={shards} kind={} index={use_index} prune={prune} threads={threads}",
+                        kind.name()
+                    );
+                    let (batched, batch_stats) =
+                        sharded.top_k(&ExactS, &Dtw, &refs, k, use_index, prune, threads);
+                    let mut summed = PruneStats::default();
+                    for (got, q) in batched.iter().zip(&refs) {
+                        let (want, stats) =
+                            sharded.top_k(&ExactS, &Dtw, &[q], k, use_index, prune, threads);
+                        assert_identical(got, &want[0], &context);
+                        summed.merge(&stats);
+                    }
+                    prop_assert!(batch_stats.is_consistent(), "{}", context);
+                    prop_assert_eq!(batch_stats.scanned, summed.scanned, "{}", context);
+                    if threads == 1 || !prune {
+                        prop_assert_eq!(batch_stats, summed, "{}", context);
                     }
                 }
             }
         }
     }
+}
+
+/// A single database *is* the 1-shard corpus: `CorpusSnapshot::new(db)`
+/// and an explicit 1-shard layout under either partitioner key the cache
+/// identically and serve identical answers.
+#[test]
+fn single_database_is_the_one_shard_layout() {
+    let corpus = random_corpus(5, 24);
+    let db = TrajectoryDb::build(corpus.clone()).into_shared();
+    let request = QueryRequest {
+        query: walk(0x51, 7, (0.0, 0.0)),
+        algo: AlgoSpec::Pss,
+        measure: MeasureSpec::Dtw,
+        k: 4,
+        use_index: true,
+    };
+    let want = db.top_k(&Pss, &Dtw, &request.query, request.k, true);
+    let single = CorpusSnapshot::new(db);
+    assert_eq!(single.corpus().layout_version(), 0);
+    for kind in PARTITIONERS {
+        let explicit =
+            CorpusSnapshot::sharded(ShardedDb::build(corpus.clone(), 1, kind).into_shared());
+        assert_eq!(
+            explicit.cache_key(&request),
+            single.cache_key(&request),
+            "1-shard {} layout keys differently",
+            kind.name()
+        );
+        let engine = QueryEngine::start(explicit, EngineConfig::default());
+        let got = engine.query(request.clone()).expect("served");
+        assert_identical(&got.results, &want, kind.name());
+        engine.shutdown();
+    }
+    let engine = QueryEngine::start(single, EngineConfig::default());
+    let got = engine.query(request).expect("served");
+    assert_identical(&got.results, &want, "CorpusSnapshot::new");
+    engine.shutdown();
 }
 
 /// The learned measure: a t2vec model trained once (deterministic seed)
