@@ -1,5 +1,6 @@
 //! Experiment harness regenerating every table and figure of the SimSub
-//! paper's evaluation (see DESIGN.md §5 for the per-experiment index).
+//! paper's evaluation; the subcommand list below is the per-experiment
+//! index.
 //!
 //! Usage:
 //! ```text

@@ -1,9 +1,9 @@
-//! Shared harness utilities for the experiment binary and the criterion
-//! benches: dataset/model preparation with caching, timing helpers, and
-//! aligned table printing.
+//! Shared harness utilities for the experiment binary: dataset/model
+//! preparation with caching, timing helpers, and aligned table printing.
 //!
 //! The experiment protocols themselves live in `src/bin/experiments.rs`;
-//! one subcommand per table/figure of the paper (see DESIGN.md §5).
+//! one subcommand per table/figure of the paper (its usage text is the
+//! per-experiment index).
 
 pub mod experiments;
 pub mod ext_measures;

@@ -30,8 +30,7 @@ pub struct Ucr {
     pub band_ratio: f64,
 }
 
-/// Counters exposing how much the LB cascade pruned (for the ablation
-/// bench of DESIGN.md §7.4).
+/// Counters exposing how much the LB cascade pruned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UcrStats {
     pub windows: usize,

@@ -4,7 +4,7 @@
 //! the SimSub paper's evaluation (Section 6.1), plus query-workload
 //! construction.
 //!
-//! # Substitution note (see DESIGN.md §3)
+//! # Substitution note
 //!
 //! The paper evaluates on proprietary/real datasets we cannot ship:
 //!

@@ -2,7 +2,7 @@
 //! t2vec (Li et al., ICDE 2018), built on the from-scratch GRU of
 //! `simsub-nn`.
 //!
-//! # Substitution note (see DESIGN.md §3)
+//! # Substitution note
 //!
 //! The original t2vec trains a GRU seq2seq autoencoder over discretized
 //! grid-cell tokens with a spatially-smoothed NLL, in PyTorch on a GPU.

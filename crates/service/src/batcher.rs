@@ -1,23 +1,24 @@
 //! The shared micro-batcher: a windowed drain policy for the worker
 //! queue.
 //!
-//! # Why it exists — the batcher_sweep anomaly
+//! # Why it exists — batch-starvation thrash
 //!
 //! Through PR 9 each worker drained the shared MPSC queue with one
 //! blocking `recv` plus a greedy `try_recv` loop. With a single worker
 //! that batches beautifully for free: while the worker scans, a backlog
-//! builds, and the next drain takes all of it (`batcher_sweep`
-//! workers=1: mean_batch 7.76). With N > 1 workers the same policy
-//! destroys batching — **batch-starvation thrash**: every idle worker
+//! builds, and the next drain takes all of it (a worker-count sweep at
+//! PR 8 read mean_batch 7.76 at workers=1). With N > 1 workers the same
+//! policy destroys batching: every idle worker
 //! is parked inside `recv`, so each arrival of a near-simultaneous
 //! burst is picked off the instant it lands by a *different* worker,
 //! and the queue never holds two jobs at once. Each worker then runs a
 //! singleton scan, losing the amortization batching buys (one corpus
 //! pass shared by the whole group). The recorded numbers: workers=2
 //! drained mean_batch 2.27 and was *slower* than workers=1 — 1814 vs
-//! 2074 qps (BENCH_service.json, PR 8) — because on the 1-core dev box
-//! the two singleton scans also context-switch against each other
-//! mid-pass. More workers with worse throughput.
+//! 2074 qps — because on the 1-core dev box the two singleton scans
+//! also context-switch against each other mid-pass. More workers with
+//! worse throughput. (`tests/service_engine.rs` pins the repaired
+//! property: a 2-worker engine still batches a cold burst.)
 //!
 //! # The fix
 //!

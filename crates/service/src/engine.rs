@@ -321,8 +321,8 @@ impl EpochSnapshot {
 
 /// The hot-swap cell at the center of the control plane: an
 /// atomically-replaceable `Arc<EpochSnapshot>`. Loads are wait-short
-/// (a read lock held only for one `Arc` clone — the warm-path overhead
-/// is reported by the service bench as `handle_load_ns`); swaps take the
+/// (a read lock held only for one `Arc` clone — part of every warm hit,
+/// so the perf ledger's `service.engine_hit_us` carries it); swaps take the
 /// write lock for one pointer exchange. Epochs start at 1 and increase
 /// by exactly 1 per swap, so an epoch uniquely names a snapshot
 /// generation for the lifetime of the engine.

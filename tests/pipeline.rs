@@ -8,7 +8,9 @@
 //! observable: under the reactor, id-carrying responses may overtake it
 //! (and the test demands they do); id-less responses must never
 //! reorder; and under the threads model everything stays strictly
-//! sequential.
+//! sequential. A last case holds the reactor's connection-scale claim:
+//! hundreds of idle connections cost descriptors, not threads, and do
+//! not get in a pipelined client's way.
 
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
@@ -16,7 +18,7 @@ use simsub::service::{CorpusSnapshot, EngineConfig, IoModel, QueryEngine, Server
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn shared_db(count: usize) -> Arc<TrajectoryDb> {
     TrajectoryDb::build(generate(&DatasetSpec::porto(), count, 42)).into_shared()
@@ -192,6 +194,85 @@ fn reactor_keeps_idless_responses_in_submission_order() {
         );
     }
 
+    server.stop();
+    server.wait();
+}
+
+/// OS threads of this process right now (one `/proc/self/task` entry
+/// each).
+fn resident_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .count()
+}
+
+/// Connection scale in miniature: the reactor holds 512 idle
+/// connections on its one thread — a thread-per-connection front-end
+/// would add 512 — while a pipelined wire-v2 client on one more
+/// connection still gets every answer. Both ends of every socket live in
+/// this process (≈ 1,030 descriptors); binding the reactor lifts the soft
+/// `RLIMIT_NOFILE` to the hard cap, so the default 1,024 does not bite.
+#[test]
+fn reactor_holds_idle_connections_on_one_thread_and_keeps_answering() {
+    const IDLE: usize = 512;
+    const PIPELINED: usize = 24;
+    let timeout = Duration::from_secs(3);
+    let db = shared_db(20);
+    let engine = engine_two_workers(&db);
+    let server = Server::bind_with(Arc::clone(&engine), "127.0.0.1:0", IoModel::Reactor)
+        .expect("bind reactor");
+    assert_eq!(server.io_model(), IoModel::Reactor);
+    let addr = server.local_addr();
+    let threads_bound = resident_threads();
+
+    let idle: Vec<TcpStream> = (0..IDLE)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle connect {i}: {e}")))
+        .collect();
+    // `connect` returns at SYN-ACK; the gauge counts accepted sockets.
+    let accept_deadline = Instant::now() + timeout;
+    while engine.stats().open_connections < IDLE as i64 {
+        assert!(
+            Instant::now() < accept_deadline,
+            "reactor accepted only {} of {IDLE} idle connections",
+            engine.stats().open_connections
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let threads_idle = resident_threads();
+    // The slack absorbs engines and servers of the other tests in this
+    // binary starting meanwhile.
+    assert!(
+        threads_idle < threads_bound + 128,
+        "{IDLE} idle connections grew the process from {threads_bound} to {threads_idle} threads"
+    );
+
+    let mut stream = TcpStream::connect(addr).expect("connect active");
+    stream
+        .set_read_timeout(Some(timeout))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let burst: String = (0..PIPELINED)
+        .map(|i| query_json(&db, i, 2, Some(&format!("q{i}"))) + "\n")
+        .collect();
+    stream.write_all(burst.as_bytes()).expect("write burst");
+    let mut responses = Vec::new();
+    for _ in 0..PIPELINED {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response in time");
+        assert!(line.contains("\"ok\":true"), "request failed: {line:?}");
+        responses.push(line);
+    }
+    for i in 0..PIPELINED {
+        let needle = format!("\"id\":\"q{i}\"");
+        assert_eq!(
+            responses.iter().filter(|r| r.contains(&needle)).count(),
+            1,
+            "{needle} not answered exactly once: {responses:?}"
+        );
+    }
+    assert_eq!(engine.stats().open_connections, IDLE as i64 + 1);
+
+    drop(idle);
     server.stop();
     server.wait();
 }

@@ -256,8 +256,8 @@ fn rls_disables_pruning() {
 
 /// The clustered regime the serving corpus actually looks like: a tight
 /// query against far-away clusters must prune most of the corpus *and*
-/// stay byte-identical — the end-to-end shape of the acceptance
-/// criterion, in miniature.
+/// stay byte-identical — the end-to-end shape of the acceptance bar,
+/// in miniature.
 #[test]
 fn clustered_corpus_prunes_most_of_the_scan() {
     let mut corpus = Vec::new();

@@ -192,6 +192,46 @@ fn shutdown_drains_in_flight_requests() {
     engine.shutdown();
 }
 
+/// Workers > 1 must not destroy micro-batching: a cold burst submitted
+/// back-to-back outruns the scans, so the drains behind the first two
+/// dispatches have to coalesce a backlog instead of two workers picking
+/// every arrival off as a singleton (the batch-starvation thrash
+/// `crates/service/src/batcher.rs` describes).
+#[test]
+fn two_workers_still_batch_a_cold_burst() {
+    const BURST: usize = 64;
+    let db = shared_db(BURST);
+    let engine = QueryEngine::start(
+        snapshot_for(&db),
+        EngineConfig {
+            workers: 2,
+            max_batch: 8,
+            cache_capacity: 0,
+            ..EngineConfig::default()
+        },
+    );
+    // One query per trajectory, so all 64 are distinct.
+    let pendings: Vec<_> = queries_from(&db, BURST)
+        .into_iter()
+        .map(|q| {
+            engine
+                .submit(request(q, AlgoSpec::Exact, MeasureSpec::Dtw, 3))
+                .expect("submit")
+        })
+        .collect();
+    for pending in pendings {
+        assert!(!pending.wait().expect("burst query").cached);
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.requests, BURST as u64);
+    assert!(
+        stats.mean_batch > 1.0,
+        "2 workers dispatched a {BURST}-query burst as singletons (mean_batch {})",
+        stats.mean_batch
+    );
+    engine.shutdown();
+}
+
 #[test]
 fn invalid_requests_fail_fast() {
     let db = shared_db(10);

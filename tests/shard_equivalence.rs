@@ -54,7 +54,7 @@ fn random_corpus(seed: u64, count: usize) -> Vec<Trajectory> {
 
 /// Byte-level equality: ids, subtrajectory ranges, and the exact bit
 /// patterns of distance and similarity. `assert_eq!` on `TopKResult`
-/// would accept `-0.0 == 0.0`; the acceptance criterion is stricter.
+/// would accept `-0.0 == 0.0`; the acceptance bar is stricter.
 fn assert_identical(got: &[TopKResult], want: &[TopKResult], context: &str) {
     assert_eq!(got.len(), want.len(), "hit count differs: {context}");
     for (rank, (g, w)) in got.iter().zip(want).enumerate() {
