@@ -10,54 +10,20 @@ use simsub_trajectory::{subtrajectory_count, Point, SubtrajRange, TrajView};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactS;
 
-/// The scalar exhaustive sweep behind the AoS `search` entry (the bitwise
-/// reference for [`exact_sweep_view`]).
-fn exact_sweep(ws: &mut SearchWorkspace<'_>, data: &[Point]) -> SearchResult {
-    let n = data.len();
-    let mut best_range = SubtrajRange::new(0, 0);
-    let mut best_sim = f64::NEG_INFINITY;
-    let eval = ws.prefix();
-    for i in 0..n {
-        // Θ(T[i,i], Tq) from scratch (Φini) ...
-        let mut sim = eval.init(data[i]);
-        if sim > best_sim {
-            best_sim = sim;
-            best_range = SubtrajRange::new(i, i);
-        }
-        // ... then Θ(T[i,j], Tq) incrementally (Φinc), j ascending.
-        for j in i + 1..n {
-            sim = eval.extend(data[j]);
-            if sim > best_sim {
-                best_sim = sim;
-                best_range = SubtrajRange::new(i, j);
-            }
-        }
-    }
-    SearchResult {
-        range: best_range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
-    }
-}
-
 impl SubtrajSearch for ExactS {
     fn name(&self) -> String {
         "ExactS".to_string()
     }
 
     fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
-        assert!(
-            !data.is_empty() && !query.is_empty(),
-            "inputs must be non-empty"
-        );
-        exact_sweep(&mut SearchWorkspace::new(measure, query), data)
+        crate::search_via_view(self, measure, data, query)
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
         assert!(!data.is_empty(), "inputs must be non-empty");
         // The measure's multi-start slice kernel when it has one (DTW,
-        // discrete Frechet) — bit-identical to the sweep by its contract
-        // (property-tested per measure and end-to-end by
+        // discrete Frechet) — bit-identical to the scalar sweep by its
+        // contract (property-tested per measure and end-to-end by
         // tests/layout_equivalence.rs) — else the evaluator-driven bulk
         // sweep straight off the view's slabs.
         if let Some(result) = ws.exact_best(data) {
@@ -72,8 +38,8 @@ impl SubtrajSearch for ExactS {
 /// [`simsub_measures::PrefixEvaluator::extend_run_into`] call over the
 /// entire tail, then a scalar in-order argmax over the buffered
 /// similarities — the same strict-`>` comparisons in the same order as
-/// [`exact_sweep`] (chunking invariance), with no per-candidate AoS
-/// staging copy.
+/// the scalar `init`/`extend` sweep of Algorithm 1 (chunking invariance),
+/// with no per-candidate AoS staging copy.
 fn exact_sweep_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
     let n = data.len();
     let (xs, ys, ts) = (data.xs(), data.ys(), data.ts());

@@ -108,12 +108,14 @@ pub trait SubtrajSearch {
     /// scan hot path: one evaluator allocation serves an entire corpus
     /// scan and the data is read straight from the corpus arena's SoA
     /// slabs, zero-copy. Must return bit-identical results to `search`
-    /// with the workspace's measure and query (the shared generic bodies
-    /// guarantee this by construction; `tests/layout_equivalence.rs`
-    /// asserts it end to end). The scan algorithms that dominate the
-    /// serving hot path (ExactS, PSS, POS, POS-D, SizeS) override it,
-    /// while the default stages the view into the workspace's reusable
-    /// AoS buffer and falls back to the allocating `search` path.
+    /// with the workspace's measure and query. For the scan algorithms
+    /// that dominate the serving hot path (ExactS, PSS, POS, POS-D,
+    /// SizeS) this override *is* the algorithm's one scan body — their
+    /// `search` is an adapter that builds a one-trajectory view and calls
+    /// it, and `tests/common/scalar.rs` holds the scalar definitions the
+    /// equivalence harnesses pin it to bit for bit. The default stages
+    /// the view into the workspace's reusable AoS buffer and falls back
+    /// to the allocating `search` path (RLS and the baselines).
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
         let (measure, data, query) = ws.staged(data);
         self.search(measure, data, query)
@@ -129,6 +131,26 @@ pub trait SubtrajSearch {
     fn reported_similarity_is_admissible(&self) -> bool {
         true
     }
+}
+
+/// The AoS `search` entry of the algorithms whose scan body lives in
+/// `search_with`: splits `data` into coordinate columns and runs that one
+/// body over a one-trajectory view with a fresh workspace.
+pub(crate) fn search_via_view(
+    algo: &dyn SubtrajSearch,
+    measure: &dyn Measure,
+    data: &[Point],
+    query: &[Point],
+) -> SearchResult {
+    assert!(
+        !data.is_empty() && !query.is_empty(),
+        "inputs must be non-empty"
+    );
+    let xs: Vec<f64> = data.iter().map(|p| p.x).collect();
+    let ys: Vec<f64> = data.iter().map(|p| p.y).collect();
+    let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
+    let mut ws = SearchWorkspace::new(measure, query);
+    algo.search_with(&mut ws, TrajView::new(0, &xs, &ys, &ts))
 }
 
 #[cfg(test)]

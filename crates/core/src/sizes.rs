@@ -27,66 +27,12 @@ impl Default for SizeS {
     }
 }
 
-/// The scalar SizeS scan body behind the AoS `search` entry (the bitwise
-/// reference for [`sizes_scan_view`]).
-fn sizes_scan(xi: usize, ws: &mut SearchWorkspace<'_>, data: &[Point]) -> SearchResult {
-    let n = data.len();
-    let measure = ws.measure();
-    let m = ws.query().len();
-    let min_len = m.saturating_sub(xi).max(1);
-    let max_len = (m + xi).min(n);
-
-    let mut best_range = SubtrajRange::new(0, 0);
-    let mut best_sim = f64::NEG_INFINITY;
-    {
-        let eval = ws.prefix();
-        for i in 0..n {
-            // Grow the prefix from length 1; only lengths within the
-            // window are *candidates*, but shorter ones must still be
-            // computed to reach the window incrementally.
-            let mut sim = eval.init(data[i]);
-            let mut len = 1;
-            if len >= min_len && sim > best_sim {
-                best_sim = sim;
-                best_range = SubtrajRange::new(i, i);
-            }
-            for j in i + 1..n {
-                len += 1;
-                if len > max_len {
-                    break;
-                }
-                sim = eval.extend(data[j]);
-                if len >= min_len && sim > best_sim {
-                    best_sim = sim;
-                    best_range = SubtrajRange::new(i, j);
-                }
-            }
-        }
-    }
-    // When min_len exceeds every reachable length (n < m - ξ), fall
-    // back to the longest prefix candidates: the loop above never
-    // admitted a candidate, so admit whole-trajectory as the solution.
-    if best_sim == f64::NEG_INFINITY {
-        let sim = measure.similarity(data, ws.query());
-        return SearchResult {
-            range: SubtrajRange::new(0, n - 1),
-            similarity: sim,
-            distance: simsub_measures::distance_from_similarity(sim),
-        };
-    }
-    SearchResult {
-        range: best_range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
-    }
-}
-
 /// The arena-backed SizeS scan: per start point, one `init` plus **one**
 /// bulk [`simsub_measures::PrefixEvaluator::extend_run_into`] call over
 /// the whole size window, then a scalar in-order pass over the buffered
 /// per-length similarities — the same comparisons against the same values
-/// in the same order as [`sizes_scan`] (chunking invariance), with no
-/// per-candidate AoS staging copy.
+/// in the same order as the scalar `init`/`extend` scan (chunking
+/// invariance), with no per-candidate AoS staging copy.
 fn sizes_scan_view(xi: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
     let n = data.len();
     let m = ws.query().len();
@@ -104,8 +50,10 @@ fn sizes_scan_view(xi: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) 
                 best_sim = sim;
                 best_range = SubtrajRange::new(i, i);
             }
-            // The scalar body extends j while len <= max_len: the window
-            // covers data indices i+1 ..= i+max_len-1, clamped to the end.
+            // Prefixes grow while len <= max_len: the window covers data
+            // indices i+1 ..= i+max_len-1, clamped to the end. Lengths
+            // below min_len are computed (to reach the window
+            // incrementally) but are not candidates.
             let end = (i + max_len - 1).min(n - 1);
             if end > i {
                 sims.clear();
@@ -121,8 +69,9 @@ fn sizes_scan_view(xi: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) 
             }
         }
     }
-    // Same fallback as the scalar body (n < m - ξ admits no candidate);
-    // cold path, so the one-off staging copy is fine here.
+    // When min_len exceeds every reachable length (n < m - ξ) the loop
+    // admitted no candidate: return the whole trajectory. Cold path, so
+    // the one-off staging copy is fine here.
     if best_sim == f64::NEG_INFINITY {
         let (measure, staged, query) = ws.staged(data);
         let sim = measure.similarity(staged, query);
@@ -145,11 +94,7 @@ impl SubtrajSearch for SizeS {
     }
 
     fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
-        assert!(
-            !data.is_empty() && !query.is_empty(),
-            "inputs must be non-empty"
-        );
-        sizes_scan(self.xi, &mut SearchWorkspace::new(measure, query), data)
+        crate::search_via_view(self, measure, data, query)
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {

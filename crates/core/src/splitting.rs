@@ -177,46 +177,10 @@ impl Default for PosD {
     }
 }
 
-/// The scalar PSS scan body behind the AoS `search` entry — and the
-/// bitwise reference for [`pss_scan_view`], which walks the same decision
-/// sequence over bulk-computed prefix/suffix streams.
-fn pss_scan(ws: &mut SearchWorkspace<'_>, data: &[Point]) -> SearchResult {
-    let n = data.len();
-    ws.compute_suffix_similarities(data);
-    let (eval, suffix) = ws.prefix_and_suffix();
-
-    let mut best_sim = 0.0f64;
-    let mut best_range: Option<SubtrajRange> = None;
-    let mut h = 0usize;
-    for i in 0..n {
-        let pre = if i == h {
-            eval.init(data[i])
-        } else {
-            eval.extend(data[i])
-        };
-        let suf = suffix[i];
-        if pre.max(suf) > best_sim {
-            best_sim = pre.max(suf);
-            best_range = Some(if pre > suf {
-                SubtrajRange::new(h, i)
-            } else {
-                SubtrajRange::new(i, n - 1)
-            });
-            h = i + 1;
-        }
-    }
-    let range = best_range.expect("similarities are positive; first point always splits");
-    SearchResult {
-        range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
-    }
-}
-
 /// The arena-backed PSS scan: suffix similarities through one bulk
 /// reversed `extend_run_into` pass, prefix similarities through a
-/// speculative [`PrefixStream`], and the identical decision walk as
-/// [`pss_scan`] over those values — no per-candidate AoS staging copy.
+/// speculative [`PrefixStream`], and Algorithm 2's scalar decision walk
+/// over those values — no per-candidate AoS staging copy.
 fn pss_scan_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
     let n = data.len();
     // When the measure factors its DP cells through coordinates only
@@ -272,44 +236,12 @@ impl SubtrajSearch for Pss {
     }
 
     fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
-        assert!(
-            !data.is_empty() && !query.is_empty(),
-            "inputs must be non-empty"
-        );
-        pss_scan(&mut SearchWorkspace::new(measure, query), data)
+        crate::search_via_view(self, measure, data, query)
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
         assert!(!data.is_empty(), "inputs must be non-empty");
         pss_scan_view(ws, data)
-    }
-}
-
-/// The scalar POS scan body behind the AoS `search` entry (the bitwise
-/// reference for [`pos_scan_view`]).
-fn pos_scan(ws: &mut SearchWorkspace<'_>, data: &[Point]) -> SearchResult {
-    let n = data.len();
-    let mut best_sim = 0.0f64;
-    let mut best_range: Option<SubtrajRange> = None;
-    let eval = ws.prefix();
-    let mut h = 0usize;
-    for i in 0..n {
-        let pre = if i == h {
-            eval.init(data[i])
-        } else {
-            eval.extend(data[i])
-        };
-        if pre > best_sim {
-            best_sim = pre;
-            best_range = Some(SubtrajRange::new(h, i));
-            h = i + 1;
-        }
-    }
-    let range = best_range.expect("similarities are positive; first point always splits");
-    SearchResult {
-        range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
     }
 }
 
@@ -353,11 +285,7 @@ impl SubtrajSearch for Pos {
     }
 
     fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
-        assert!(
-            !data.is_empty() && !query.is_empty(),
-            "inputs must be non-empty"
-        );
-        pos_scan(&mut SearchWorkspace::new(measure, query), data)
+        crate::search_via_view(self, measure, data, query)
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
@@ -366,55 +294,11 @@ impl SubtrajSearch for Pos {
     }
 }
 
-/// The scalar POS-D scan body behind the AoS `search` entry (the bitwise
-/// reference for [`pos_d_scan_view`]).
-fn pos_d_scan(delay: usize, ws: &mut SearchWorkspace<'_>, data: &[Point]) -> SearchResult {
-    let n = data.len();
-    let mut best_sim = 0.0f64;
-    let mut best_range: Option<SubtrajRange> = None;
-    let eval = ws.prefix();
-    let mut h = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        let pre = if i == h {
-            eval.init(data[i])
-        } else {
-            eval.extend(data[i])
-        };
-        if pre > best_sim {
-            // Delay the split: look ahead up to `delay` more points and
-            // split at the position with the most similar prefix.
-            let mut split_at = i;
-            let mut split_sim = pre;
-            let lookahead_end = (i + delay).min(n - 1);
-            for j in i + 1..=lookahead_end {
-                let s = eval.extend(data[j]);
-                if s > split_sim {
-                    split_sim = s;
-                    split_at = j;
-                }
-            }
-            best_sim = split_sim;
-            best_range = Some(SubtrajRange::new(h, split_at));
-            h = split_at + 1;
-            i = split_at + 1;
-        } else {
-            i += 1;
-        }
-    }
-    let range = best_range.expect("similarities are positive; first point always splits");
-    SearchResult {
-        range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
-    }
-}
-
 /// The arena-backed POS-D scan. The lookahead reads the same stream as
-/// the main walk: in the scalar body the lookahead `extend`s continue the
-/// running prefix chain, which is exactly what the stream's buffered
-/// continuation holds, so the strict-`>` argmax (earliest index wins on
-/// ties) sees bit-identical values in the identical order.
+/// the main walk: in the scalar definition the lookahead `extend`s
+/// continue the running prefix chain, which is exactly what the stream's
+/// buffered continuation holds, so the strict-`>` argmax (earliest index
+/// wins on ties) sees bit-identical values in the identical order.
 fn pos_d_scan_view(delay: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
     let n = data.len();
     let (eval, _, vals) = ws.scan_parts();
@@ -429,6 +313,8 @@ fn pos_d_scan_view(delay: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_
         loop {
             let pre = stream.get(i);
             if pre > best_sim {
+                // Delay the split: look ahead up to `delay` more points
+                // and split at the position with the most similar prefix.
                 let mut split_at = i;
                 let mut split_sim = pre;
                 let lookahead_end = (i + delay).min(n - 1);
@@ -464,11 +350,7 @@ impl SubtrajSearch for PosD {
     }
 
     fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
-        assert!(
-            !data.is_empty() && !query.is_empty(),
-            "inputs must be non-empty"
-        );
-        pos_d_scan(self.delay, &mut SearchWorkspace::new(measure, query), data)
+        crate::search_via_view(self, measure, data, query)
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {

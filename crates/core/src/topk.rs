@@ -375,9 +375,10 @@ mod tests {
 
     #[test]
     fn arena_scan_matches_per_trajectory_search() {
-        // The arena-backed scan must return exactly what running the
-        // allocating AoS `search` per trajectory and ranking through
-        // `sort_hits_and_truncate` returns — the pre-arena reference.
+        // The scan kernel (one reused workspace, heap, best-bound-first
+        // order) must return exactly what one `search` per trajectory
+        // with a fresh workspace, ranked through
+        // `sort_hits_and_truncate`, returns.
         let db = db(18, 13);
         let q = walk(321, 6);
         for k in [1, 4, 30] {

@@ -1,11 +1,11 @@
 //! The allocate-once evaluation workspace a corpus scan threads through
 //! every trajectory it searches.
 //!
-//! Before this existed, every `algo.search(measure, data, query)` call
-//! boxed a fresh `PrefixEvaluator` (including a `query.to_vec()` copy)
-//! per (trajectory, query) pair — pure heap traffic on the scan hot
-//! path, since [`simsub_measures::PrefixEvaluator::init`] already
-//! re-anchors an evaluator from scratch. A [`SearchWorkspace`] pays the
+//! A per-trajectory `algo.search(measure, data, query)` call boxes a
+//! fresh `PrefixEvaluator` (including a `query.to_vec()` copy) per
+//! (trajectory, query) pair — pure heap traffic on a scan hot path,
+//! since [`simsub_measures::PrefixEvaluator::init`] already re-anchors
+//! an evaluator from scratch. A [`SearchWorkspace`] pays the
 //! allocation once per (query, scan): the prefix evaluator (and, for
 //! suffix-using algorithms like [`crate::Pss`], a reversed-query
 //! evaluator plus a suffix-similarity buffer) are created on first use
@@ -27,8 +27,9 @@
 //!
 //! Reuse is bitwise-transparent: `init` fully overwrites evaluator state
 //! with the same arithmetic a fresh evaluator would perform, so a scan
-//! through one workspace returns bit-identical results to the allocating
-//! path (asserted by `tests/prune_equivalence.rs` and
+//! through one workspace returns bit-identical results to a fresh
+//! evaluator per trajectory (asserted by `tests/prune_equivalence.rs`
+//! and, against the scalar oracle of `tests/common/scalar.rs`, by
 //! `tests/layout_equivalence.rs`).
 
 use crate::SearchResult;
@@ -122,17 +123,11 @@ impl<'m> SearchWorkspace<'m> {
         &self.query
     }
 
-    /// The reusable prefix evaluator (`Φini` via `init`, `Φinc` via
-    /// `extend`).
-    pub fn prefix(&mut self) -> &mut (dyn PrefixEvaluator + 'm) {
-        self.prefix.as_mut()
-    }
-
     /// The measure's exhaustive-best slice kernel over columnar data
     /// (`Measure::exact_best`), run through this workspace's reused
     /// scratch buffers. `None` when the measure has no kernel; the result
-    /// is bit-identical to the scalar [`crate::ExactS`] sweep by the
-    /// kernel contract.
+    /// is bit-identical to the scalar `init`/`extend` sweep of
+    /// Algorithm 1 by the kernel contract.
     pub fn exact_best(&mut self, data: TrajView<'_>) -> Option<SearchResult> {
         let (start, end, similarity) =
             self.measure
@@ -157,36 +152,16 @@ impl<'m> SearchWorkspace<'m> {
     }
 
     /// Fills the suffix-similarity buffer for `data` (Algorithm 2,
-    /// lines 2-3): one backward pass of a reversed-query evaluator, at
-    /// `Φini + (n-1)·Φinc` cost and zero allocation after first use.
-    /// Read the result through [`SearchWorkspace::prefix_and_suffix`].
-    /// Generic over [`PointSeq`] so the AoS entry points and the
-    /// arena-backed scan share one (hence bitwise-identical) body.
-    pub fn compute_suffix_similarities<S: PointSeq>(&mut self, data: S) {
-        let n = data.seq_len();
-        assert!(n > 0, "data must be non-empty");
-        if self.suffix_eval.is_none() {
-            self.reversed_query.clear();
-            self.reversed_query.extend(self.query.iter().rev().copied());
-            self.suffix_eval = Some(self.measure.make_workspace(&self.reversed_query));
-        }
-        let eval = self.suffix_eval.as_mut().expect("created above");
-        self.suffix.clear();
-        self.suffix.resize(n, 0.0);
-        self.suffix[n - 1] = eval.init(data.seq_point(n - 1));
-        for t in (0..n - 1).rev() {
-            self.suffix[t] = eval.extend(data.seq_point(t));
-        }
-    }
-
-    /// Bulk variant of [`SearchWorkspace::compute_suffix_similarities`]
-    /// for arena views: copies the view's coordinate slabs reversed (a
+    /// lines 2-3) at `Φini + (n-1)·Φinc` cost and zero allocation after
+    /// first use: copies the view's coordinate slabs reversed (a
     /// sequential SoA copy, not a per-point AoS round trip) and rolls the
     /// reversed-query evaluator forward with **one**
     /// [`PrefixEvaluator::extend_run_into`] call instead of `n - 1`
-    /// virtual `extend` calls. Bit-identical to the generic backward scan
-    /// by the `extend_run` contract (the reversed stream's point `k` *is*
-    /// `data.point(n - 1 - k)`, same coordinate bits).
+    /// virtual `extend` calls. Bit-identical to the scalar backward chain
+    /// ([`crate::suffix_similarities`]) by the `extend_run` contract (the
+    /// reversed stream's point `k` *is* `data.point(n - 1 - k)`, same
+    /// coordinate bits). Read the result through
+    /// [`SearchWorkspace::scan_parts`].
     pub fn compute_suffix_similarities_bulk(&mut self, data: TrajView<'_>) {
         let n = data.len();
         assert!(n > 0, "data must be non-empty");
@@ -281,13 +256,6 @@ impl<'m> SearchWorkspace<'m> {
         }
     }
 
-    /// Split borrow: the prefix evaluator together with the suffix
-    /// similarities of the last [`SearchWorkspace::compute_suffix_similarities`]
-    /// call (empty if never called).
-    pub fn prefix_and_suffix(&mut self) -> (&mut (dyn PrefixEvaluator + 'm), &[f64]) {
-        (self.prefix.as_mut(), &self.suffix)
-    }
-
     /// Three-way split borrow for the bulk scan bodies: the prefix
     /// evaluator, the suffix similarities (state of the last
     /// `compute_suffix_similarities*` call; empty if never called), and
@@ -328,38 +296,6 @@ mod tests {
     use simsub_measures::{Dtw, Frechet};
 
     #[test]
-    fn suffix_buffer_matches_allocating_path() {
-        let q = walk(1, 5);
-        let mut ws = SearchWorkspace::new(&Dtw, &q);
-        for seed in 0..5u64 {
-            let data = walk(10 + seed, 9);
-            ws.compute_suffix_similarities(data.as_slice());
-            let want = suffix_similarities(&Dtw, data.as_slice(), &q);
-            let (_, got) = ws.prefix_and_suffix();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn suffix_buffer_identical_over_views() {
-        let q = walk(2, 6);
-        let data = walk(3, 11);
-        let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
-        let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
-        let view = TrajView::new(0, &xs, &ys, &ts);
-        let mut ws = SearchWorkspace::new(&Dtw, &q);
-        ws.compute_suffix_similarities(view);
-        let want = suffix_similarities(&Dtw, data.as_slice(), &q);
-        let (_, got) = ws.prefix_and_suffix();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
     fn bulk_suffix_matches_generic_backward_scan() {
         let q = walk(7, 6);
         for seed in 0..6u64 {
@@ -370,7 +306,7 @@ mod tests {
             let mut ws = SearchWorkspace::new(&Dtw, &q);
             ws.compute_suffix_similarities_bulk(view);
             let want = suffix_similarities(&Dtw, data.as_slice(), &q);
-            let (_, got) = ws.prefix_and_suffix();
+            let (_, got, _) = ws.scan_parts();
             assert_eq!(got.len(), want.len());
             for (t, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "seed {seed} suffix {t}");
@@ -391,7 +327,7 @@ mod tests {
                 assert!(ws.prepare_cell_rows(view), "dtw/frechet factor cell rows");
                 ws.compute_suffix_similarities_rows(view);
                 let want = suffix_similarities(measure, data.as_slice(), &q);
-                let (_, got) = ws.prefix_and_suffix();
+                let (_, got, _) = ws.scan_parts();
                 assert_eq!(got.len(), want.len());
                 for (t, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
@@ -423,13 +359,16 @@ mod tests {
         let q1 = walk(1, 4);
         let q2 = walk(2, 7);
         let data = walk(3, 8);
+        let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
+        let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
+        let view = TrajView::new(0, &xs, &ys, &ts);
         let mut ws = SearchWorkspace::new(&Frechet, &q1);
-        ws.compute_suffix_similarities(data.as_slice());
+        ws.compute_suffix_similarities_bulk(view);
         ws.reset(&q2);
         assert_eq!(ws.query(), &q2[..]);
-        ws.compute_suffix_similarities(data.as_slice());
+        ws.compute_suffix_similarities_bulk(view);
         let want = suffix_similarities(&Frechet, data.as_slice(), &q2);
-        let (eval, got) = ws.prefix_and_suffix();
+        let (eval, got, _) = ws.scan_parts();
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
         }

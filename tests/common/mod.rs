@@ -1,7 +1,9 @@
 //! Shared helpers for the integration harnesses: the bitwise top-k
-//! assertion of the equivalence suites and the `SIMSUB_SHARDS` snapshot
-//! constructor of the serving suites.
+//! assertion and scalar oracle ([`scalar`]) of the equivalence suites
+//! and the `SIMSUB_SHARDS` snapshot constructor of the serving suites.
 #![allow(dead_code)] // each harness uses its own subset
+
+pub mod scalar;
 
 use simsub::core::TopKResult;
 use simsub::index::{PartitionerKind, TrajectoryDb};

@@ -6,16 +6,18 @@
 //! (`extend_run(a); extend_run(b)` ≡ `extend_run(a ++ b)`, including
 //! empty chunks), and unchanged after `reset`. On top of the kernel
 //! contract, differential tests pin the *search-path* consequence: the
-//! arena-backed PSS/SizeS split scoring must pick the identical winner
-//! index as the scalar AoS scan on tie-heavy duplicated-point corpora.
+//! bulk-kernel scan bodies of all five scan algorithms (ExactS's
+//! evaluator-driven sweep, SizeS, PSS, POS, POS-D) must pick the
+//! identical winner as the scalar oracle (`tests/common/scalar.rs`) on
+//! tie-heavy duplicated-point corpora.
 
 mod common;
 
 use common::assert_bitwise_topk;
+use common::scalar::{reference_top_k, Scalar};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simsub::core::{sort_hits_and_truncate, Pss, SizeS, SubtrajSearch, TopKResult};
 use simsub::index::TrajectoryDb;
 use simsub::measures::{Cdtw, CoordNormalizer, Dtw, Edr, Erp, Frechet, Lcss, Measure, T2Vec};
 use simsub::trajectory::{Point, Trajectory};
@@ -206,24 +208,82 @@ fn grid_corpus(seed: u64, count: usize) -> Vec<Trajectory> {
         .collect()
 }
 
-/// Pre-arena reference ranking: the allocating scalar AoS `search` per
-/// trajectory, through the shared comparator.
-fn reference_top_k(
-    algo: &dyn SubtrajSearch,
-    measure: &dyn Measure,
+/// Continuous counterpart of [`grid_corpus`]: seeded random walks, where
+/// ties are rare and every comparison is decided by low-order bits.
+fn walk_corpus(seed: u64, count: usize) -> Vec<Trajectory> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xc0a7);
+    (0..count)
+        .map(|i| {
+            let len = rng.gen_range(1usize..16);
+            let (mut x, mut y) = (0.0, 0.0);
+            let coords: Vec<(f64, f64)> = (0..len)
+                .map(|_| {
+                    x += rng.gen_range(-1.5..1.5);
+                    y += rng.gen_range(-1.5..1.5);
+                    (x, y)
+                })
+                .collect();
+            Trajectory::new_unchecked(i as u64, pts(&coords))
+        })
+        .collect()
+}
+
+/// Query on the same 3×3 grid as [`grid_corpus`].
+fn grid_query(seed: u64, qlen: usize) -> Vec<Point> {
+    let seed = seed as usize;
+    pts(&(0..qlen)
+        .map(|i| (((seed + i) % 3) as f64, ((seed + 2 * i) % 3) as f64))
+        .collect::<Vec<_>>())
+}
+
+/// The measures of the search-path differential: the two with slice DP
+/// kernels and cell-row factoring, and the learned one without either.
+fn scan_measures() -> [Box<dyn Measure>; 3] {
+    [
+        Box::new(Dtw),
+        Box::new(Frechet),
+        Box::new(T2Vec::random(7, 6, CoordNormalizer::identity())),
+    ]
+}
+
+const SPLITTERS_WITH_SUFFIX_OR_WINDOW: [Scalar; 4] = [
+    Scalar::Pss,
+    Scalar::SizeS { xi: 0 },
+    Scalar::SizeS { xi: 2 },
+    Scalar::SizeS { xi: 5 },
+];
+
+const PREFIX_ONLY_AND_EXACT: [Scalar; 5] = [
+    Scalar::Pos,
+    Scalar::PosD { delay: 0 },
+    Scalar::PosD { delay: 3 },
+    Scalar::PosD { delay: 5 },
+    Scalar::ExactS,
+];
+
+/// The search-path differential for one corpus: every `(measure,
+/// algorithm)` pair's arena scan — the product's one scan body — must
+/// equal the scalar oracle's ranking bit for bit.
+fn check_scan_winners(
     corpus: &[Trajectory],
     query: &[Point],
     k: usize,
-) -> Vec<TopKResult> {
-    let mut hits: Vec<TopKResult> = corpus
-        .iter()
-        .map(|t| TopKResult {
-            trajectory_id: t.id,
-            result: algo.search(measure, t.points(), query),
-        })
-        .collect();
-    sort_hits_and_truncate(&mut hits, k);
-    hits
+    measures: &[Box<dyn Measure>],
+    algos: &[Scalar],
+) {
+    let db = TrajectoryDb::build(corpus.to_vec());
+    for measure in measures {
+        for &which in algos {
+            let algo = which.product();
+            let want = reference_top_k(which, measure.as_ref(), corpus, query, k);
+            let got = db.top_k(algo.as_ref(), measure.as_ref(), query, k, false);
+            assert_bitwise_topk(
+                &got,
+                &want,
+                &format!("measure={} algo={} k={k}", measure.name(), algo.name()),
+            );
+        }
+    }
 }
 
 proptest! {
@@ -232,7 +292,7 @@ proptest! {
     /// Differential tie-breaking pin: the bulk-kernel view scans behind
     /// `search_with` (PSS's speculative prefix stream + bulk suffix pass,
     /// SizeS's windowed bulk scoring) must report the *identical* winner
-    /// (trajectory, split, score bits) as the scalar path on corpora
+    /// (trajectory, split, score bits) as the scalar oracle on corpora
     /// engineered for score ties.
     #[test]
     fn pss_and_sizes_split_winners_match_scalar_on_ties(
@@ -241,28 +301,52 @@ proptest! {
         k in 1usize..5,
         qlen in 1usize..6,
     ) {
-        let corpus = grid_corpus(seed, count);
-        let query = pts(
-            &(0..qlen)
-                .map(|i| (((seed as usize + i) % 3) as f64, ((seed as usize + 2 * i) % 3) as f64))
-                .collect::<Vec<_>>(),
+        check_scan_winners(
+            &grid_corpus(seed, count),
+            &grid_query(seed, qlen),
+            k,
+            &scan_measures(),
+            &SPLITTERS_WITH_SUFFIX_OR_WINDOW,
         );
-        let db = TrajectoryDb::build(corpus.clone());
-        for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
-            for algo in [
-                &Pss as &(dyn SubtrajSearch + Sync),
-                &SizeS::new(0),
-                &SizeS::new(2),
-                &SizeS::default(),
-            ] {
-                let want = reference_top_k(algo, measure, &corpus, &query, k);
-                let got = db.top_k(algo, measure, &query, k, false);
-                assert_bitwise_topk(
-                    &got,
-                    &want,
-                    &format!("measure={} algo={} k={k}", measure.name(), algo.name()),
-                );
-            }
+    }
+
+    /// The same pin for the prefix-only splitters — POS and POS-D at
+    /// delay 0, 3 and 5, whose lookahead argmax must keep the earliest
+    /// index on ties — and for ExactS, both through the multi-start
+    /// slice kernel (DTW, Fréchet) and, under measures without an
+    /// `exact_best` kernel (t2vec, ERP, EDR), through the
+    /// evaluator-driven bulk sweep.
+    #[test]
+    fn pos_posd_and_exact_winners_match_scalar_on_ties(
+        seed in 0u64..5_000,
+        count in 1usize..12,
+        k in 1usize..5,
+        qlen in 1usize..6,
+    ) {
+        let corpus = grid_corpus(seed, count);
+        let query = grid_query(seed, qlen);
+        check_scan_winners(&corpus, &query, k, &scan_measures(), &PREFIX_ONLY_AND_EXACT);
+        check_scan_winners(
+            &corpus,
+            &query,
+            k,
+            &[Box::new(Erp::new()), Box::new(Edr::new(0.5))],
+            &[Scalar::ExactS],
+        );
+    }
+
+    /// All five scan bodies against the oracle on continuous corpora,
+    /// where winners are decided by low-order score bits, not ties.
+    #[test]
+    fn scan_bodies_match_scalar_on_continuous_corpora(
+        seed in 0u64..5_000,
+        count in 1usize..12,
+        k in 1usize..5,
+        query in arb_traj(8),
+    ) {
+        let corpus = walk_corpus(seed, count);
+        for algos in [&SPLITTERS_WITH_SUFFIX_OR_WINDOW[..], &PREFIX_ONLY_AND_EXACT[..]] {
+            check_scan_winners(&corpus, &query, k, &scan_measures(), algos);
         }
     }
 }

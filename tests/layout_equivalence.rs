@@ -2,21 +2,22 @@
 //! (SoA slabs, precomputed MBR tables, slice DP kernels, zero-copy
 //! `TrajView`s) must be **byte-identical** — same ids, same ranges, same
 //! score bit patterns, same order — to the pre-arena `Vec<Point>` path
-//! (the allocating per-trajectory `SubtrajSearch::search` over AoS
-//! points, ranked through `sort_hits_and_truncate`), across measures on
-//! the search path (DTW, discrete Frechet, a trained t2vec model), both
-//! service-default algorithms (ExactS, PSS), shard counts 1..4, and
+//! (the scalar oracle of `tests/common/scalar.rs` per trajectory over
+//! AoS points, ranked through `sort_hits_and_truncate`), across measures
+//! on the search path (DTW, discrete Frechet, a trained t2vec model),
+//! both service-default algorithms (ExactS, PSS), shard counts 1..4, and
 //! prune on/off. The packed binary corpus format must round-trip the
 //! arena bit-exactly and reject corrupt or truncated files.
 
 mod common;
 
 use common::assert_bitwise_topk;
+use common::scalar::{reference_top_k, Scalar};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simsub::core::{sort_hits_and_truncate, ExactS, Pss, SubtrajSearch, TopKResult};
-use simsub::data::{read_bin, write_bin, BinCorpusError};
+use simsub::core::{ExactS, TopKResult};
+use simsub::data::{read_bin, read_csv, write_bin, write_csv, BinCorpusError};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::trajectory::{CorpusArena, Point, Trajectory};
@@ -52,38 +53,19 @@ fn random_corpus(seed: u64, count: usize) -> Vec<Trajectory> {
         .collect()
 }
 
-/// The pre-arena reference: the allocating AoS `search` per trajectory,
-/// ranked through the shared comparator. This touches neither the arena,
-/// the workspace reuse, the slice kernels, nor the bound cascade.
-fn reference_top_k(
-    algo: &dyn SubtrajSearch,
-    measure: &dyn Measure,
-    corpus: &[Trajectory],
-    query: &[Point],
-    k: usize,
-) -> Vec<TopKResult> {
-    let mut hits: Vec<TopKResult> = corpus
-        .iter()
-        .map(|t| TopKResult {
-            trajectory_id: t.id,
-            result: algo.search(measure, t.points(), query),
-        })
-        .collect();
-    sort_hits_and_truncate(&mut hits, k);
-    hits
-}
-
 /// Arena-backed scans across every path must equal the pre-arena
 /// reference bit for bit.
 fn check_layout_equivalence(
     corpus: &[Trajectory],
-    algo: &(dyn SubtrajSearch + Sync),
+    which: Scalar,
     measure: &dyn Measure,
     query: &[Point],
     k: usize,
 ) {
+    let algo = which.product();
+    let algo = algo.as_ref();
     let context_base = format!("measure={} algo={} k={k}", measure.name(), algo.name());
-    let want = reference_top_k(algo, measure, corpus, query, k);
+    let want = reference_top_k(which, measure, corpus, query, k);
 
     let db = TrajectoryDb::build(corpus.to_vec());
     for prune in [false, true] {
@@ -111,7 +93,7 @@ fn check_layout_equivalence(
         .filter(|t| t.mbr().intersects(&qmbr))
         .cloned()
         .collect();
-    let want_indexed = reference_top_k(algo, measure, &filtered, query, k);
+    let want_indexed = reference_top_k(which, measure, &filtered, query, k);
     let got_indexed = db.top_k(algo, measure, query, k, true);
     assert_bitwise_topk(
         &got_indexed,
@@ -148,6 +130,17 @@ fn check_pack_round_trip(corpus: &[Trajectory], query: &[Point], k: usize) {
         let want = from_csv_path.top_k(&ExactS, &Dtw, query, k, false);
         let got = from_packed.top_k(&ExactS, &Dtw, query, k, false);
         assert_bitwise_topk(&got, &want, "packed reload answers");
+
+        // A CSV reload of the same corpus ranks the same trajectories.
+        let mut csv = Vec::new();
+        write_csv(&mut csv, corpus).expect("write csv");
+        let from_csv = TrajectoryDb::build(read_csv(std::io::Cursor::new(csv)).expect("read csv"));
+        let ids = |hits: &[TopKResult]| hits.iter().map(|h| h.trajectory_id).collect::<Vec<_>>();
+        assert_eq!(
+            ids(&from_csv.top_k(&ExactS, &Dtw, query, k, false)),
+            ids(&got),
+            "csv vs packed reload ids"
+        );
     }
 }
 
@@ -167,8 +160,8 @@ proptest! {
         let corpus = random_corpus(seed, count);
         let query = walk(seed ^ 0xa7e4a, qlen, (0.0, 0.0));
         for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
-            check_layout_equivalence(&corpus, &ExactS, measure, &query, k);
-            check_layout_equivalence(&corpus, &Pss, measure, &query, k);
+            check_layout_equivalence(&corpus, Scalar::ExactS, measure, &query, k);
+            check_layout_equivalence(&corpus, Scalar::Pss, measure, &query, k);
         }
     }
 
@@ -236,8 +229,8 @@ fn t2vec_arena_scans_match_prearena_path() {
     };
     let (model, _sep) = T2Vec::train(&corpus, &cfg);
     let query = walk(0xfeed, 7, (0.0, 0.0));
-    check_layout_equivalence(&corpus, &ExactS, &model, &query, 3);
-    check_layout_equivalence(&corpus, &Pss, &model, &query, 3);
+    check_layout_equivalence(&corpus, Scalar::ExactS, &model, &query, 3);
+    check_layout_equivalence(&corpus, Scalar::Pss, &model, &query, 3);
 }
 
 /// Bad magic and trailing garbage are typed errors, not panics.
