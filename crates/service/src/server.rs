@@ -224,15 +224,29 @@ pub enum IoModel {
 }
 
 impl IoModel {
-    /// Reads `SIMSUB_IO_MODEL` (`reactor` / `threads`); unset or
-    /// unrecognized values fall back to the reactor with a warning.
+    /// Reads `SIMSUB_IO_MODEL` (`reactor` / `threads`). Unset or empty
+    /// means the hatch is off (reactor), as for the other `SIMSUB_*`
+    /// hatches; an unrecognized value falls back to the reactor with a
+    /// warning.
     pub fn from_env() -> IoModel {
-        match std::env::var("SIMSUB_IO_MODEL") {
-            Ok(v) => v.parse().unwrap_or_else(|e: String| {
-                eprintln!("simsub: {e}; serving with the reactor");
-                IoModel::Reactor
-            }),
-            Err(_) => IoModel::Reactor,
+        let (io_model, warning) =
+            Self::from_env_value(std::env::var("SIMSUB_IO_MODEL").ok().as_deref());
+        if let Some(warning) = warning {
+            eprintln!("simsub: {warning}");
+        }
+        io_model
+    }
+
+    /// [`IoModel::from_env`] minus the process environment: the model
+    /// for an optional `SIMSUB_IO_MODEL` value, and the warning to print.
+    fn from_env_value(value: Option<&str>) -> (IoModel, Option<String>) {
+        match value.filter(|v| !v.is_empty()).map(str::parse::<IoModel>) {
+            None => (IoModel::Reactor, None),
+            Some(Ok(io_model)) => (io_model, None),
+            Some(Err(e)) => (
+                IoModel::Reactor,
+                Some(format!("{e}; serving with the reactor")),
+            ),
         }
     }
 }
@@ -1064,5 +1078,32 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
             ("workers", Json::Num(view.workers as f64)),
         ]),
         Err(e) => error_response(&e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::IoModel;
+
+    #[test]
+    fn io_model_env_hatch_treats_empty_as_unset() {
+        for off in [None, Some("")] {
+            assert_eq!(IoModel::from_env_value(off), (IoModel::Reactor, None));
+        }
+        assert_eq!(
+            IoModel::from_env_value(Some("threads")),
+            (IoModel::Threads, None)
+        );
+        let (io_model, warning) = IoModel::from_env_value(Some("bogus"));
+        assert_eq!(io_model, IoModel::Reactor);
+        assert_eq!(
+            warning.as_deref(),
+            Some(
+                "unknown io model \"bogus\" (expected \"reactor\" or \"threads\"); \
+                 serving with the reactor"
+            )
+        );
+        // The CLI flag is stricter: `--io-model ""` is an error, not "off".
+        assert!("".parse::<IoModel>().is_err());
     }
 }
