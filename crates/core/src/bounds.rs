@@ -30,14 +30,49 @@
 //! - **Max** (Frechet-like): `dist(T', Tq) ≥ max_k d(q_k, R)` and
 //!   `dist(T', Tq) ≥ d(MBR(Tq), R)`.
 //!
+//! The **point-level** bound replaces the rectangle by the trajectory's
+//! own points: the point `q_k` is matched to is one of `T`'s, so its pair
+//! costs at least `min_r d(p_r, q_k)` — the minimum of column `k` of the
+//! `n × m` point-distance matrix — and `dist(T', Tq) ≥ Σ_k min_r d(p_r,
+//! q_k)` (Sum) or `≥ max_k min_r d(p_r, q_k)` (Max). It is never looser
+//! than the envelope (`p_r ∈ R`) and it still fires when the MBRs
+//! intersect, which is every candidate an R-tree lookup returns. It costs
+//! the O(n·m) matrix, but that is the matrix the search itself starts
+//! from ([`crate::SearchWorkspace::prepare_cell_rows`]): a survivor's
+//! ExactS start groups and PSS walks read it instead of recomputing
+//! distances.
+//!
 //! Distance lower bounds convert to similarity upper bounds through the
 //! monotone `Θ = 1/(1+dist)`. Measures with no aggregate (`None`, e.g.
 //! t2vec) yield an infinite bound: nothing is ever pruned, answers stay
 //! trivially identical.
 //!
 //! The cascade is evaluated cheap-first: the O(1) screen first, the O(m)
-//! envelope only for survivors. [`PruneStats`] counts what each stage
-//! rejected so serving layers can report prune ratios.
+//! envelope only for survivors, the point-level bound only for theirs.
+//! [`PruneStats`] counts what each stage rejected so serving layers can
+//! report prune ratios.
+//!
+//! Inside a survivor: the row-minimum argument
+//! ------------------------------------------
+//! The same running k-th similarity also bounds the work *inside* an
+//! ExactS search. For one start `i`, row `j` of the DP holds
+//! `D_j[c] = dist(T[i, j], Tq[1, c])`. Every cell of row `j + 1` is
+//! `op(d, best)` with `d ≥ 0` a point distance and `best` either
+//! `D_j[1]` (first column) or the minimum of `D_j[c-1]`, `D_j[c]` and
+//! `D_{j+1}[c-1]`; `op` is `d + best` (DTW) or `max(d, best)` (Frechet),
+//! and both return at least `best` — for the sum this survives rounding,
+//! because `a + d ≥ a` holds exactly for `d ≥ 0` and rounding to nearest
+//! is monotone, so the computed `a ⊕ d ≥ a`. By induction over `c`,
+//! every cell of row `j + 1` is `≥ min_c D_j[c]`: the row minimum never
+//! decreases, and every later prefix distance `D_{j'}[m]`, `j' > j`, is
+//! `≥` it. So once a start's row minimum reaches the distance `τ` whose
+//! similarity is strictly below the k-th (`Θ` is evaluated by two
+//! monotone operations, so `x ≥ τ ⇒ Θ(x) ≤ Θ(τ) < k-th`), nothing that
+//! start can still produce enters the top-k, and the kernel stops
+//! extending it. No slack is needed here: the comparison is between
+//! values the DP itself computed, not between two summation orders. What
+//! an abandoned search reports is a real subtrajectory's similarity below
+//! the k-th, which the heap rejects like the true best it stands in for.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::OnceLock;
@@ -45,8 +80,9 @@ use simsub_measures::{similarity_from_distance, DistanceAggregate, Measure};
 use simsub_trajectory::{Mbr, Point};
 
 /// Counters describing one (or many merged) pruned corpus scans.
-/// Invariant: `scanned == pruned_by_kim + pruned_by_mbr + searched`
-/// (checked by [`PruneStats::is_consistent`] and asserted in tests).
+/// Invariant: `scanned == pruned_by_kim + pruned_by_mbr +
+/// pruned_by_points + searched` (checked by
+/// [`PruneStats::is_consistent`] and asserted in tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Candidate evaluations considered by the scan — one per
@@ -57,10 +93,18 @@ pub struct PruneStats {
     pub pruned_by_kim: u64,
     /// Rejected by the O(m) MBR-envelope bound.
     pub pruned_by_mbr: u64,
+    /// Rejected by the O(n·m) point-level bound.
+    pub pruned_by_points: u64,
     /// Ran the full subtrajectory search.
     pub searched: u64,
-    /// Total DP cells (`data_len × query_len`) evaluated by the searched
-    /// candidates — the cost-model denominator for ns-per-cell gauges.
+    /// Searched candidates whose exact kernel left at least one start
+    /// group early against the running k-th similarity (a subset of
+    /// `searched`).
+    pub abandoned: u64,
+    /// Nominal DP size of the searched candidates, `Σ data_len ×
+    /// query_len` — the cost-model unit behind ns-per-cell gauges, *not* a
+    /// count of cells evaluated: it is the same whether a search runs
+    /// `n(n+1)/2` prefixes over it or abandons most of them.
     pub searched_cells: u64,
     /// Nanoseconds spent evaluating bound cascades, accumulated only
     /// while a [`scan_timing_scope`] guard is live (zero otherwise).
@@ -73,7 +117,7 @@ pub struct PruneStats {
 impl PruneStats {
     /// Total candidates skipped without a full search.
     pub fn pruned(&self) -> u64 {
-        self.pruned_by_kim + self.pruned_by_mbr
+        self.pruned_by_kim + self.pruned_by_mbr + self.pruned_by_points
     }
 
     /// Fraction of scanned candidates that skipped the full search
@@ -87,9 +131,9 @@ impl PruneStats {
     }
 
     /// `scanned == pruned + searched` — every counted trajectory went
-    /// exactly one way.
+    /// exactly one way — and only searched candidates can have abandoned.
     pub fn is_consistent(&self) -> bool {
-        self.scanned == self.pruned() + self.searched
+        self.scanned == self.pruned() + self.searched && self.abandoned <= self.searched
     }
 
     /// Accumulates another scan's counters (shard fan-outs, batches).
@@ -97,7 +141,9 @@ impl PruneStats {
         self.scanned += other.scanned;
         self.pruned_by_kim += other.pruned_by_kim;
         self.pruned_by_mbr += other.pruned_by_mbr;
+        self.pruned_by_points += other.pruned_by_points;
         self.searched += other.searched;
+        self.abandoned += other.abandoned;
         self.searched_cells += other.searched_cells;
         self.bound_ns += other.bound_ns;
         self.kernel_ns += other.kernel_ns;
@@ -150,11 +196,13 @@ impl Drop for ScanTimingGuard {
 /// ulp drift yet far below any pruning-relevant margin.
 const DIST_LB_SLACK: f64 = 1.0 - 1e-9;
 
-/// The two-stage bound cascade for one query under one measure.
+/// The three-stage bound cascade for one query under one measure.
 /// Construction is O(m) (query MBR plus an SoA copy of the query);
 /// [`BoundCascade::coarse_bound`] is O(1) and
 /// [`BoundCascade::envelope_bound`] is O(m) per trajectory, reading the
-/// trajectory's MBR from the corpus arena's precomputed table.
+/// trajectory's MBR from the corpus arena's precomputed table;
+/// [`BoundCascade::point_bound`] is O(n·m) over the trajectory's
+/// point-distance matrix.
 ///
 /// The envelope stage is a slice kernel: the per-query-point
 /// rectangle distances are filled into a reused scratch buffer by a
@@ -215,10 +263,37 @@ impl BoundCascade {
             return f64::INFINITY;
         };
         fill_mbr_dists(&self.qx, &self.qy, trajectory_mbr, &mut self.scratch);
-        // Reductions keep the scalar path's exact fold order: `sum()`
-        // folds left-to-right from 0.0 and the max fold starts at 0.0,
-        // as before — only the element computation moved into the
-        // vectorizable fill above.
+        self.aggregated_bound(aggregate)
+    }
+
+    /// O(n·m) upper bound from the trajectory's own points: per query
+    /// point the distance to its nearest data point, read as the column
+    /// minima of `cell_rows` — the point-distance matrix
+    /// [`crate::SearchWorkspace::prepare_cell_rows`] fills
+    /// (`cell_rows[r * m + k] = d(p_r, q_k)`). Tighter than the envelope
+    /// and able to reject a trajectory whose MBR contains the query.
+    /// `INFINITY` when inactive.
+    pub fn point_bound(&mut self, cell_rows: &[f64]) -> f64 {
+        let Some(aggregate) = self.aggregate else {
+            return f64::INFINITY;
+        };
+        let m = self.qx.len();
+        debug_assert!(!cell_rows.is_empty() && cell_rows.len().is_multiple_of(m));
+        self.scratch.fill(f64::INFINITY);
+        for row in cell_rows.chunks_exact(m) {
+            // Distances are never NaN; the bare compare vectorizes where
+            // `f64::min` does not.
+            for (lo, &d) in self.scratch.iter_mut().zip(row) {
+                *lo = if d < *lo { d } else { *lo };
+            }
+        }
+        self.aggregated_bound(aggregate)
+    }
+
+    /// Folds the per-query-point lower bounds in `scratch` into one
+    /// similarity upper bound. `sum()` folds left-to-right from 0.0 and
+    /// the max fold starts at 0.0 — the scalar formulation's fold order.
+    fn aggregated_bound(&self, aggregate: DistanceAggregate) -> f64 {
         let dist_lb = match aggregate {
             DistanceAggregate::Sum => self.scratch.iter().sum::<f64>(),
             DistanceAggregate::Max => self.scratch.iter().fold(0.0f64, |a, &b| a.max(b)),
@@ -317,8 +392,10 @@ mod tests {
         let mut s = PruneStats {
             scanned: 10,
             pruned_by_kim: 4,
-            pruned_by_mbr: 3,
+            pruned_by_mbr: 2,
+            pruned_by_points: 1,
             searched: 3,
+            abandoned: 2,
             searched_cells: 90,
             ..PruneStats::default()
         };
@@ -327,9 +404,14 @@ mod tests {
         assert!((s.prune_ratio() - 0.7).abs() < 1e-12);
         s.merge(&s.clone());
         assert_eq!(s.scanned, 20);
+        assert_eq!(s.pruned_by_points, 2);
+        assert_eq!(s.abandoned, 4);
         assert_eq!(s.searched_cells, 180);
         assert!(s.is_consistent());
         assert_eq!(PruneStats::default().prune_ratio(), 0.0);
+        // Only a searched candidate can have abandoned.
+        s.abandoned = s.searched + 1;
+        assert!(!s.is_consistent());
     }
 
     #[test]
@@ -341,6 +423,45 @@ mod tests {
         let mbr = Mbr::of_points(&walk(2, 6));
         assert_eq!(cascade.coarse_bound(&mbr), f64::INFINITY);
         assert_eq!(cascade.envelope_bound(&mbr), f64::INFINITY);
+        assert_eq!(cascade.point_bound(&[1.0; 5]), f64::INFINITY);
+    }
+
+    /// The point-distance matrix of `(data, query)`, filled the way the
+    /// scan fills it.
+    fn cell_rows(
+        measure: &dyn simsub_measures::Measure,
+        data: &[Point],
+        query: &[Point],
+    ) -> Vec<f64> {
+        let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
+        let ts = vec![0.0; data.len()];
+        let view = simsub_trajectory::TrajView::new(0, &xs, &ys, &ts);
+        let mut ws = crate::SearchWorkspace::new(measure, query);
+        assert!(ws.prepare_cell_rows(view));
+        ws.cell_rows().to_vec()
+    }
+
+    #[test]
+    fn point_bound_is_the_column_minimum_fold() {
+        // Against the definition: per query point the distance to its
+        // nearest data point, summed (or maxed) in query order.
+        for seed in 0..25u64 {
+            let q = walk(seed, 7);
+            let t = walk(seed + 40, 9);
+            for measure in [&Dtw as &dyn simsub_measures::Measure, &Frechet] {
+                let mut cascade = BoundCascade::new(measure, &q);
+                let got = cascade.point_bound(&cell_rows(measure, &t, &q));
+                let nearest = q
+                    .iter()
+                    .map(|&qk| t.iter().map(|&p| p.dist(qk)).fold(f64::INFINITY, f64::min));
+                let dist_lb = match measure.distance_aggregate().unwrap() {
+                    simsub_measures::DistanceAggregate::Sum => nearest.sum::<f64>(),
+                    simsub_measures::DistanceAggregate::Max => nearest.fold(0.0, f64::max),
+                };
+                let want = similarity_from_distance(dist_lb * DIST_LB_SLACK);
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -409,6 +530,11 @@ mod tests {
                     "envelope seed {seed} {}",
                     measure.name()
                 );
+                // The point-level stage is admissible without the
+                // tolerance and never looser than the envelope.
+                let points = cascade.point_bound(&cell_rows(measure, traj.points(), &q));
+                assert!(points >= best, "points seed {seed} {}", measure.name());
+                assert!(points <= cascade.envelope_bound(&traj.mbr()));
             }
         }
     }

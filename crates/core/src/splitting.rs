@@ -80,14 +80,6 @@ impl<'a, 'm> PrefixStream<'a, 'm> {
         eval: &'a mut (dyn PrefixEvaluator + 'm),
         data: TrajView<'a>,
         vals: &'a mut Vec<f64>,
-    ) -> Self {
-        Self::with_rows(eval, data, vals, None)
-    }
-
-    fn with_rows(
-        eval: &'a mut (dyn PrefixEvaluator + 'm),
-        data: TrajView<'a>,
-        vals: &'a mut Vec<f64>,
         rows: Option<(&'a [f64], usize)>,
     ) -> Self {
         Self {
@@ -187,15 +179,14 @@ fn pss_scan_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResu
     // (DTW, Fréchet), fill the cell matrix once and share it between the
     // suffix pass (reversed) and the prefix stream — PSS otherwise
     // computes every point-pair distance twice.
-    let rows_ready = ws.prepare_cell_rows(data);
+    let rows_ready = ws.ensure_cell_rows(data);
     if rows_ready {
         ws.compute_suffix_similarities_rows(data);
     } else {
         ws.compute_suffix_similarities_bulk(data);
     }
-    let (eval, suffix, vals, rows, stride) = ws.scan_parts_rows();
-    let rows = rows_ready.then_some((rows, stride));
-    let mut stream = PrefixStream::with_rows(eval, data, vals, rows);
+    let (eval, suffix, vals, rows) = ws.scan_parts_rows();
+    let mut stream = PrefixStream::new(eval, data, vals, rows);
 
     let mut best_sim = 0.0f64;
     let mut best_range: Option<SubtrajRange> = None;
@@ -248,8 +239,9 @@ impl SubtrajSearch for Pss {
 /// The arena-backed POS scan: [`pss_scan_view`] minus the suffix channel.
 fn pos_scan_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
     let n = data.len();
-    let (eval, _, vals) = ws.scan_parts();
-    let mut stream = PrefixStream::new(eval, data, vals);
+    ws.ensure_cell_rows(data);
+    let (eval, _, vals, rows) = ws.scan_parts_rows();
+    let mut stream = PrefixStream::new(eval, data, vals, rows);
 
     let mut best_sim = 0.0f64;
     let mut best_range: Option<SubtrajRange> = None;
@@ -301,8 +293,9 @@ impl SubtrajSearch for Pos {
 /// wins on ties) sees bit-identical values in the identical order.
 fn pos_d_scan_view(delay: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
     let n = data.len();
-    let (eval, _, vals) = ws.scan_parts();
-    let mut stream = PrefixStream::new(eval, data, vals);
+    ws.ensure_cell_rows(data);
+    let (eval, _, vals, rows) = ws.scan_parts_rows();
+    let mut stream = PrefixStream::new(eval, data, vals, rows);
 
     let mut best_sim = 0.0f64;
     let mut best_range: Option<SubtrajRange> = None;

@@ -6,10 +6,12 @@
 //!   entries (the scan used to collect one hit per database trajectory
 //!   before truncating); the heap's k-th element is the prune threshold.
 //! - **Prune-first.** Candidates are ordered best-bound-first and each
-//!   must pass the [`BoundCascade`] (O(1) Kim-style screen, then the
-//!   O(m) MBR envelope) before the full `Φini`/`Φinc` search runs; see
-//!   [`crate::bounds`] for why skipped trajectories can never appear in
-//!   the answer. [`PruneStats`] counts what happened.
+//!   must pass the [`BoundCascade`] (O(1) Kim-style screen, the O(m) MBR
+//!   envelope, then the O(n·m) point-level bound) before the full
+//!   `Φini`/`Φinc` search runs, and the search itself is told the running
+//!   k-th similarity so the exact kernel abandons starts that cannot
+//!   reach it; see [`crate::bounds`] for why neither can change the
+//!   answer. [`PruneStats`] counts what happened.
 //! - **Allocate-once.** One [`SearchWorkspace`] per (query, scan) serves
 //!   every trajectory; no per-trajectory evaluator boxing.
 //! - **Arena-backed.** The scan kernel walks a [`CorpusArena`]: data
@@ -185,9 +187,33 @@ fn admits(heap: &TopKHeap, floor: Option<&SharedSimFloor>, bound: f64, id: u64) 
     heap.would_admit(bound, id)
 }
 
-/// Runs the full search on one candidate, recording `searched`,
-/// `searched_cells` (`data_len × query_len`, the DP cost-model unit), and
-/// — only when `timing` — the kernel's wall-clock nanoseconds.
+/// The similarity a hit must reach to matter — the higher of this heap's
+/// k-th and the cross-worker floor, `-∞` while neither exists. A hit
+/// strictly below it ranks behind `k` others whatever its id (this heap
+/// rejects it, or the heap that certified the shared floor outranks it at
+/// the merge), so a search may stop at "below this" without finding the
+/// value; a hit equal to it may still win on id and must be found exactly.
+fn sim_floor(heap: &TopKHeap, floor: Option<&SharedSimFloor>) -> f64 {
+    let own = heap.full_floor().unwrap_or(f64::NEG_INFINITY);
+    own.max(floor.map_or(f64::NEG_INFINITY, SharedSimFloor::get))
+}
+
+/// Runs `f`, adding its wall-clock nanoseconds to `ns` only when `timing`.
+fn timed<T>(timing: bool, ns: &mut u64, f: impl FnOnce() -> T) -> T {
+    let start = timing.then(std::time::Instant::now);
+    let out = f();
+    if let Some(start) = start {
+        *ns += start.elapsed().as_nanos() as u64;
+    }
+    out
+}
+
+/// Runs the full search on one candidate under the per-candidate hints
+/// `(sim_floor, rows_prepared)` (see [`SearchWorkspace::begin_candidate`];
+/// the reference path passes `(-∞, false)`), recording `searched`,
+/// `abandoned`, `searched_cells` (`data_len × query_len`, the nominal DP
+/// cost-model unit — it does not shrink when the kernel abandons), and —
+/// only when `timing` — the kernel's wall-clock nanoseconds.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
 fn search_and_push(
     algo: &dyn SubtrajSearch,
@@ -196,16 +222,18 @@ fn search_and_push(
     heap: &mut TopKHeap,
     ws: &mut SearchWorkspace<'_>,
     floor: Option<&SharedSimFloor>,
+    sim_floor: f64,
+    rows_prepared: bool,
     timing: bool,
     stats: &mut PruneStats,
 ) {
     stats.searched += 1;
     stats.searched_cells += arena.view(slot).len() as u64 * ws.query().len() as u64;
-    let start = timing.then(std::time::Instant::now);
-    let result = algo.search_with(ws, arena.view(slot));
-    if let Some(start) = start {
-        stats.kernel_ns += start.elapsed().as_nanos() as u64;
-    }
+    ws.begin_candidate(sim_floor, rows_prepared);
+    let result = timed(timing, &mut stats.kernel_ns, || {
+        algo.search_with(ws, arena.view(slot))
+    });
+    stats.abandoned += u64::from(ws.end_candidate());
     heap.push(TopKResult {
         trajectory_id: arena.id(slot),
         result,
@@ -223,11 +251,14 @@ fn search_and_push(
 /// `query`, the searches run through `ws` — a mismatch would prune with
 /// one query's bounds against another query's scores, so it is
 /// debug-asserted). With `prune`, candidates are visited
-/// best-coarse-bound-first and must survive the [`BoundCascade`] before
-/// being searched; `floor` optionally shares a certified k-th similarity
-/// across workers. The heap's final contents are identical for every
-/// `prune`/`floor`/visit order — bounds are admissible and the hit order
-/// is total.
+/// best-coarse-bound-first, must survive the [`BoundCascade`] before
+/// being searched, and are searched under the running k-th similarity;
+/// `floor` optionally shares a certified k-th similarity across workers.
+/// Without it every candidate is searched in full with no floor — the
+/// reference the pruned path is held to. The heap's final contents are
+/// identical for every `prune`/`floor`/visit order — bounds are
+/// admissible, a floored search differs from the full one only below the
+/// floor, and the hit order is total.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
 pub fn scan_top_k_into(
     algo: &dyn SubtrajSearch,
@@ -253,27 +284,38 @@ pub fn scan_top_k_into(
     let mut cascade = BoundCascade::new(ws.measure(), query);
     let active = prune && cascade.is_active() && algo.reported_similarity_is_admissible();
     if !active {
+        // The reference path: no floor, no prepared rows.
         for &slot in candidates {
             stats.scanned += 1;
-            search_and_push(algo, arena, slot, heap, ws, floor, timing, stats);
+            search_and_push(
+                algo,
+                arena,
+                slot,
+                heap,
+                ws,
+                floor,
+                f64::NEG_INFINITY,
+                false,
+                timing,
+                stats,
+            );
         }
         return;
     }
     // Best-first: descending coarse bound (ties by ascending id) raises
     // the k-th similarity as early as possible, so later candidates die
     // at the O(1) screen instead of the O(m) envelope or the search.
-    let order_start = timing.then(std::time::Instant::now);
-    let mut order: Vec<(f64, usize)> = candidates
-        .iter()
-        .map(|&slot| (cascade.coarse_bound(arena.mbr(slot)), slot))
-        .collect();
-    order.sort_unstable_by(|a, b| {
-        b.0.total_cmp(&a.0)
-            .then_with(|| arena.id(a.1).cmp(&arena.id(b.1)))
+    let order = timed(timing, &mut stats.bound_ns, || {
+        let mut order: Vec<(f64, usize)> = candidates
+            .iter()
+            .map(|&slot| (cascade.coarse_bound(arena.mbr(slot)), slot))
+            .collect();
+        order.sort_unstable_by(|a, b| {
+            b.0.total_cmp(&a.0)
+                .then_with(|| arena.id(a.1).cmp(&arena.id(b.1)))
+        });
+        order
     });
-    if let Some(start) = order_start {
-        stats.bound_ns += start.elapsed().as_nanos() as u64;
-    }
     for (coarse, slot) in order {
         let id = arena.id(slot);
         stats.scanned += 1;
@@ -281,16 +323,39 @@ pub fn scan_top_k_into(
             stats.pruned_by_kim += 1;
             continue;
         }
-        let envelope_start = timing.then(std::time::Instant::now);
-        let envelope = cascade.envelope_bound(arena.mbr(slot));
-        if let Some(start) = envelope_start {
-            stats.bound_ns += start.elapsed().as_nanos() as u64;
-        }
+        let envelope = timed(timing, &mut stats.bound_ns, || {
+            cascade.envelope_bound(arena.mbr(slot))
+        });
         if !admits(heap, floor, envelope, id) {
             stats.pruned_by_mbr += 1;
             continue;
         }
-        search_and_push(algo, arena, slot, heap, ws, floor, timing, stats);
+        // The point-level stage fills the candidate's point-distance
+        // matrix; a survivor's search reads it back (`rows_prepared`).
+        let (rows_prepared, points) = timed(timing, &mut stats.bound_ns, || {
+            if ws.prepare_cell_rows(arena.view(slot)) {
+                (true, cascade.point_bound(ws.cell_rows()))
+            } else {
+                (false, f64::INFINITY)
+            }
+        });
+        if !admits(heap, floor, points, id) {
+            stats.pruned_by_points += 1;
+            continue;
+        }
+        let sim_floor = sim_floor(heap, floor);
+        search_and_push(
+            algo,
+            arena,
+            slot,
+            heap,
+            ws,
+            floor,
+            sim_floor,
+            rows_prepared,
+            timing,
+            stats,
+        );
     }
 }
 
@@ -313,8 +378,8 @@ mod tests {
     use super::*;
     use crate::test_util::{pts, walk};
     use crate::{ExactS, Pss};
-    use simsub_measures::Dtw;
-    use simsub_trajectory::Trajectory;
+    use simsub_measures::{Dtw, Measure};
+    use simsub_trajectory::{TrajView, Trajectory};
 
     fn db(count: usize, len: usize) -> Vec<Trajectory> {
         (0..count)
@@ -462,6 +527,130 @@ mod tests {
             assert_eq!(s0.scanned, db.len() as u64);
             assert_eq!(s1.scanned, db.len() as u64);
         }
+    }
+
+    #[test]
+    fn floor_equal_to_a_later_duplicates_best_still_admits_it() {
+        // Five copies of one trajectory plus fillers, k = 2. The copies
+        // with the *largest* ids are scanned first and fill the heap, so
+        // the floor the later copies are searched under is exactly the
+        // similarity they will reach — and, their ids being smaller, they
+        // must displace the earlier ones. A search that gave up on
+        // "cannot beat the floor" instead of "cannot reach it" would lose
+        // them.
+        let twin = walk(901, 14);
+        let mut database: Vec<Trajectory> = (0..5)
+            .map(|id| Trajectory::new_unchecked(id, twin.clone()))
+            .collect();
+        database.extend((5..12).map(|id| Trajectory::new_unchecked(id, walk(id + 40, 11))));
+        let arena = CorpusArena::from_trajectories(&database);
+        let slot_of = |id: u64| (0..arena.len()).find(|&s| arena.id(s) == id).unwrap();
+        let late: Vec<usize> = [3, 4, 7, 9].map(slot_of).to_vec();
+        let early: Vec<usize> = [0, 1, 2, 5, 6, 8, 10, 11].map(slot_of).to_vec();
+        // A window of the twin itself (Θ = 1, the floor's upper edge) and
+        // the same window nudged off it (a tie at an ordinary value).
+        let exact: Vec<Point> = twin[4..10].to_vec();
+        let near: Vec<Point> = exact
+            .iter()
+            .map(|p| Point::xy(p.x + 0.05, p.y - 0.03))
+            .collect();
+        for q in [exact, near] {
+            let (want, _) = scan(&ExactS, &database, &q, 2, false);
+            assert_eq!((want[0].trajectory_id, want[1].trajectory_id), (0, 1));
+            // One heap carried across two scans (the sequential shard walk).
+            let mut heap = TopKHeap::new(2);
+            let mut ws = SearchWorkspace::new(&Dtw, &q);
+            let mut stats = PruneStats::default();
+            for part in [&late, &early] {
+                scan_top_k_into(
+                    &ExactS, &arena, part, &q, &mut heap, &mut ws, true, None, &mut stats,
+                );
+            }
+            assert_eq!(heap.into_sorted_hits(), want, "shared heap");
+            assert!(stats.is_consistent());
+            // Two heaps that only share the certified floor (the parallel
+            // fan-out): the second scan runs under the first one's k-th.
+            let floor = SharedSimFloor::new();
+            let mut merged = Vec::new();
+            for part in [&late, &early] {
+                let mut heap = TopKHeap::new(2);
+                scan_top_k_into(
+                    &ExactS,
+                    &arena,
+                    part,
+                    &q,
+                    &mut heap,
+                    &mut ws,
+                    true,
+                    Some(&floor),
+                    &mut stats,
+                );
+                merged.extend(heap.into_sorted_hits());
+            }
+            sort_hits_and_truncate(&mut merged, 2);
+            assert_eq!(merged, want, "shared floor");
+        }
+    }
+
+    /// Records the floor each search is handed, then defers to ExactS.
+    struct FloorProbe(std::cell::RefCell<Vec<f64>>);
+
+    impl SubtrajSearch for FloorProbe {
+        fn name(&self) -> String {
+            "FloorProbe".to_string()
+        }
+
+        fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
+            ExactS.search(measure, data, query)
+        }
+
+        fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
+            self.0.borrow_mut().push(ws.sim_floor());
+            ExactS.search_with(ws, data)
+        }
+    }
+
+    #[test]
+    fn only_the_pruning_path_hands_searches_a_floor() {
+        let db = db(30, 12);
+        let q = walk(55, 5);
+        // Reference path: no floor, no prepared rows, nothing abandoned —
+        // with and without a shared floor that already certifies a k-th.
+        let shared = SharedSimFloor::new();
+        shared.raise(0.9);
+        for floor in [None, Some(&shared)] {
+            let probe = FloorProbe(Default::default());
+            let arena = CorpusArena::from_trajectories(&db);
+            let slots: Vec<usize> = (0..arena.len()).collect();
+            let mut heap = TopKHeap::new(3);
+            let mut ws = SearchWorkspace::new(&Dtw, &q);
+            let mut stats = PruneStats::default();
+            scan_top_k_into(
+                &probe, &arena, &slots, &q, &mut heap, &mut ws, false, floor, &mut stats,
+            );
+            let seen = probe.0.into_inner();
+            assert_eq!(seen.len(), db.len());
+            assert!(seen.iter().all(|&f| f == f64::NEG_INFINITY), "{seen:?}");
+            assert_eq!((stats.abandoned, stats.pruned()), (0, 0));
+            assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
+        }
+        // Pruning path: -∞ until the heap fills, then the running k-th —
+        // non-decreasing, and cleared again once the scan is over.
+        let probe = FloorProbe(Default::default());
+        let arena = CorpusArena::from_trajectories(&db);
+        let slots: Vec<usize> = (0..arena.len()).collect();
+        let mut heap = TopKHeap::new(3);
+        let mut ws = SearchWorkspace::new(&Dtw, &q);
+        let mut stats = PruneStats::default();
+        scan_top_k_into(
+            &probe, &arena, &slots, &q, &mut heap, &mut ws, true, None, &mut stats,
+        );
+        let seen = probe.0.into_inner();
+        assert_eq!(seen.len() as u64, stats.searched);
+        assert!(seen[..3].iter().all(|&f| f == f64::NEG_INFINITY));
+        assert!(seen[3..].iter().all(|&f| f > 0.0), "{seen:?}");
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
+        assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
     }
 
     #[test]

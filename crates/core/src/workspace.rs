@@ -15,7 +15,12 @@
 //! With the columnar corpus arena the workspace also carries:
 //! - the [`simsub_measures::DpScratch`] buffers behind the slice DP
 //!   kernels ([`SearchWorkspace::exact_best`] dispatches to
-//!   [`simsub_measures::Measure::exact_best`]),
+//!   [`simsub_measures::Measure::exact_best_above`]),
+//! - what a pruning scan knows about the candidate it is about to search
+//!   ([`SearchWorkspace::begin_candidate`]): the similarity floor the hit
+//!   has to reach and whether the candidate's cell-row matrix is already
+//!   filled — live for exactly one search, so a search outside a scan
+//!   never sees either,
 //! - the speculative-similarity and reversed-slab scratch behind the bulk
 //!   [`simsub_measures::PrefixEvaluator::extend_run`] scan paths (the
 //!   evaluator-driven algorithms feed the arena slabs to `extend_run`
@@ -74,6 +79,15 @@ pub struct SearchWorkspace<'m> {
     rev_cell_rows: Vec<f64>,
     /// Row stride of `cell_rows` (the query length), 0 when inactive.
     cell_stride: usize,
+    /// The scan's similarity floor for the candidate being searched
+    /// (`-∞` outside [`SearchWorkspace::begin_candidate`] /
+    /// [`SearchWorkspace::end_candidate`]).
+    sim_floor: f64,
+    /// True while `cell_rows` holds the matrix of the candidate being
+    /// searched (the scan's point-level bound filled it).
+    rows_prepared: bool,
+    /// Set when the candidate's exact kernel left a start group early.
+    abandoned: bool,
 }
 
 impl<'m> SearchWorkspace<'m> {
@@ -97,6 +111,9 @@ impl<'m> SearchWorkspace<'m> {
             cell_rows: Vec::new(),
             rev_cell_rows: Vec::new(),
             cell_stride: 0,
+            sim_floor: f64::NEG_INFINITY,
+            rows_prepared: false,
+            abandoned: false,
         }
     }
 
@@ -123,19 +140,53 @@ impl<'m> SearchWorkspace<'m> {
         &self.query
     }
 
+    /// Tells the next `search_with` call what the pruning scan knows about
+    /// its candidate: only a hit with similarity `≥ sim_floor` can still
+    /// enter the top-k, and — when `rows_prepared` — the matrix of the last
+    /// [`SearchWorkspace::prepare_cell_rows`] call belongs to it. Both are
+    /// overwritten per candidate and cleared by
+    /// [`SearchWorkspace::end_candidate`].
+    pub fn begin_candidate(&mut self, sim_floor: f64, rows_prepared: bool) {
+        self.sim_floor = sim_floor;
+        self.rows_prepared = rows_prepared;
+        self.abandoned = false;
+    }
+
+    /// Clears the per-candidate hints and reports whether the search
+    /// between the two calls abandoned any of its DP against the floor.
+    pub fn end_candidate(&mut self) -> bool {
+        self.sim_floor = f64::NEG_INFINITY;
+        self.rows_prepared = false;
+        std::mem::take(&mut self.abandoned)
+    }
+
+    /// The similarity floor of the candidate being searched; `-∞` when no
+    /// pruning scan set one.
+    pub fn sim_floor(&self) -> f64 {
+        self.sim_floor
+    }
+
     /// The measure's exhaustive-best slice kernel over columnar data
-    /// (`Measure::exact_best`), run through this workspace's reused
-    /// scratch buffers. `None` when the measure has no kernel; the result
-    /// is bit-identical to the scalar `init`/`extend` sweep of
-    /// Algorithm 1 by the kernel contract.
+    /// (`Measure::exact_best_above`), run through this workspace's reused
+    /// scratch buffers under the candidate's floor and, when the scan
+    /// prepared it, over the candidate's cell-row matrix. `None` when the
+    /// measure has no kernel; outside a pruning scan the result is
+    /// bit-identical to the scalar `init`/`extend` sweep of Algorithm 1,
+    /// inside one whenever it reaches the floor (the kernel contract).
     pub fn exact_best(&mut self, data: TrajView<'_>) -> Option<SearchResult> {
-        let (start, end, similarity) =
-            self.measure
-                .exact_best(data, &self.query, &mut self.dp_scratch)?;
+        let cell_rows = self.rows_prepared.then_some(self.cell_rows.as_slice());
+        let best = self.measure.exact_best_above(
+            data,
+            &self.query,
+            self.sim_floor,
+            cell_rows,
+            &mut self.dp_scratch,
+        )?;
+        self.abandoned |= best.abandoned;
         Some(SearchResult {
-            range: SubtrajRange::new(start, end),
-            similarity,
-            distance: distance_from_similarity(similarity),
+            range: SubtrajRange::new(best.start, best.end),
+            similarity: best.similarity,
+            distance: distance_from_similarity(best.similarity),
         })
     }
 
@@ -222,6 +273,20 @@ impl<'m> SearchWorkspace<'m> {
         }
     }
 
+    /// [`SearchWorkspace::prepare_cell_rows`] unless the scan already
+    /// prepared this candidate's matrix (see
+    /// [`SearchWorkspace::begin_candidate`]).
+    pub fn ensure_cell_rows(&mut self, data: TrajView<'_>) -> bool {
+        self.rows_prepared || self.prepare_cell_rows(data)
+    }
+
+    /// The matrix of the last successful
+    /// [`SearchWorkspace::prepare_cell_rows`] call, row-major with the
+    /// query length as stride.
+    pub fn cell_rows(&self) -> &[f64] {
+        &self.cell_rows
+    }
+
     /// Rows-based variant of
     /// [`SearchWorkspace::compute_suffix_similarities_bulk`]: consumes
     /// the matrix prepared by [`SearchWorkspace::prepare_cell_rows`]
@@ -264,10 +329,12 @@ impl<'m> SearchWorkspace<'m> {
         (self.prefix.as_mut(), &self.suffix, &mut self.sims)
     }
 
-    /// [`SearchWorkspace::scan_parts`] plus the shared cell-row matrix
-    /// of the last [`SearchWorkspace::prepare_cell_rows`] call and its
-    /// row stride, for scan bodies that feed the prefix stream from
-    /// precomputed rows.
+    /// [`SearchWorkspace::scan_parts`] plus the shared cell-row matrix and
+    /// its row stride, for scan bodies that feed the prefix stream from
+    /// precomputed rows: `Some` after a successful
+    /// [`SearchWorkspace::ensure_cell_rows`] /
+    /// [`SearchWorkspace::prepare_cell_rows`] for the trajectory being
+    /// searched, `None` when the measure does not factor cell rows.
     #[allow(clippy::type_complexity)]
     pub fn scan_parts_rows(
         &mut self,
@@ -275,16 +342,10 @@ impl<'m> SearchWorkspace<'m> {
         &mut (dyn PrefixEvaluator + 'm),
         &[f64],
         &mut Vec<f64>,
-        &[f64],
-        usize,
+        Option<(&[f64], usize)>,
     ) {
-        (
-            self.prefix.as_mut(),
-            &self.suffix,
-            &mut self.sims,
-            &self.cell_rows,
-            self.cell_stride,
-        )
+        let rows = (self.cell_stride > 0).then_some((self.cell_rows.as_slice(), self.cell_stride));
+        (self.prefix.as_mut(), &self.suffix, &mut self.sims, rows)
     }
 }
 
@@ -338,6 +399,41 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn candidate_hints_last_one_search_and_keep_the_answer() {
+        let q = walk(11, 6);
+        let data = walk(12, 23);
+        let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
+        let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
+        let view = TrajView::new(0, &xs, &ys, &ts);
+        for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
+            let mut ws = SearchWorkspace::new(measure, &q);
+            let plain = ws.exact_best(view).expect("kernel measure");
+            assert!(!ws.end_candidate(), "no floor, nothing to abandon");
+            // A floor the best reaches, over the prepared matrix: same
+            // answer, and the kernel found starts to give up on.
+            assert!(ws.prepare_cell_rows(view));
+            ws.begin_candidate(plain.similarity, true);
+            assert_eq!(ws.sim_floor(), plain.similarity);
+            assert!(ws.ensure_cell_rows(view));
+            assert_eq!(ws.exact_best(view), Some(plain));
+            assert!(
+                ws.end_candidate(),
+                "{}: a tight floor abandons",
+                measure.name()
+            );
+            // The hints are gone: the next search is the plain one again.
+            assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
+            assert_eq!(ws.exact_best(view), Some(plain));
+            assert!(!ws.end_candidate());
+            // A floor out of reach yields some real, lower similarity.
+            ws.begin_candidate(plain.similarity.next_up(), false);
+            let missed = ws.exact_best(view).expect("kernel measure");
+            assert!(missed.similarity <= plain.similarity);
+            ws.end_candidate();
         }
     }
 

@@ -11,7 +11,7 @@
 //! The incremental evaluator keeps the last DP row (length `m`), so
 //! `Φini = Φinc = O(m)` exactly as Table 1 requires.
 
-use crate::kernel::{self, fill_point_dists, load_query_soa, DpScratch};
+use crate::kernel::{self, fill_point_dists, load_query_soa, DpScratch, ExactBest};
 use crate::{similarity_from_distance, DistanceAggregate, Measure, PrefixEvaluator};
 use simsub_trajectory::{Point, TrajView};
 
@@ -142,16 +142,20 @@ impl Measure for Dtw {
         Some(DistanceAggregate::Sum)
     }
 
-    fn exact_best(
+    fn exact_best_above(
         &self,
         data: TrajView<'_>,
         query: &[Point],
+        floor: f64,
+        cell_rows: Option<&[f64]>,
         scratch: &mut DpScratch,
-    ) -> Option<(usize, usize, f64)> {
+    ) -> Option<ExactBest> {
         Some(kernel::exact_best_multi_start::<kernel::SumOp>(
             data.xs(),
             data.ys(),
             query,
+            floor,
+            cell_rows,
             scratch,
         ))
     }
@@ -578,6 +582,22 @@ mod tests {
             chunked.extend_run(&xs[..s], &ys[..s], &ts[..s]);
             chunked.extend_run(&xs[s..], &ys[s..], &ts[s..]);
             prop_assert_eq!(chunked.distance().to_bits(), stepwise.distance().to_bits());
+        }
+
+        #[test]
+        fn exact_best_above_honours_the_floor_contract(
+            a in arb_traj(22), b in arb_traj(9), probe in 0.0..1.0f64,
+        ) {
+            crate::kernel::assert_floor_contract(&Dtw, &a, &b, probe);
+        }
+
+        #[test]
+        fn exact_best_above_honours_the_floor_contract_on_ties(
+            a in arb_grid_traj(18), b in arb_grid_traj(8), probe in 0.0..1.0f64,
+        ) {
+            // Duplicated points: many subtrajectories share the best Θ
+            // bit for bit, so a floor equal to it must keep the first.
+            crate::kernel::assert_floor_contract(&Dtw, &a, &b, probe);
         }
 
         #[test]

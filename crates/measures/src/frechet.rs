@@ -9,7 +9,7 @@
 //!
 //! Same row-rolling structure as DTW, so `Φini = Φinc = O(m)`.
 
-use crate::kernel::{self, fill_point_dists, load_query_soa, DpScratch};
+use crate::kernel::{self, fill_point_dists, load_query_soa, DpScratch, ExactBest};
 use crate::{similarity_from_distance, DistanceAggregate, Measure, PrefixEvaluator};
 use simsub_trajectory::{Point, TrajView};
 
@@ -48,16 +48,20 @@ impl Measure for Frechet {
         Some(DistanceAggregate::Max)
     }
 
-    fn exact_best(
+    fn exact_best_above(
         &self,
         data: TrajView<'_>,
         query: &[Point],
+        floor: f64,
+        cell_rows: Option<&[f64]>,
         scratch: &mut DpScratch,
-    ) -> Option<(usize, usize, f64)> {
+    ) -> Option<ExactBest> {
         Some(kernel::exact_best_multi_start::<kernel::MaxOp>(
             data.xs(),
             data.ys(),
             query,
+            floor,
+            cell_rows,
             scratch,
         ))
     }
@@ -421,6 +425,22 @@ mod tests {
             chunked.extend_run(&xs[..s], &ys[..s], &ts[..s]);
             chunked.extend_run(&xs[s..], &ys[s..], &ts[s..]);
             prop_assert_eq!(chunked.distance().to_bits(), stepwise.distance().to_bits());
+        }
+
+        #[test]
+        fn exact_best_above_honours_the_floor_contract(
+            a in arb_traj(22), b in arb_traj(9), probe in 0.0..1.0f64,
+        ) {
+            crate::kernel::assert_floor_contract(&Frechet, &a, &b, probe);
+        }
+
+        #[test]
+        fn exact_best_above_honours_the_floor_contract_on_ties(
+            a in arb_grid_traj(18), b in arb_grid_traj(8), probe in 0.0..1.0f64,
+        ) {
+            // Duplicated points: many subtrajectories share the best Θ
+            // bit for bit, so a floor equal to it must keep the first.
+            crate::kernel::assert_floor_contract(&Frechet, &a, &b, probe);
         }
 
         #[test]

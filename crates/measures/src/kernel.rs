@@ -24,7 +24,12 @@
 //!    Per-cell arithmetic and the tie-breaking scan order (ascending
 //!    start, then ascending end, strict improvement) are exactly those of
 //!    the scalar sweep, so the returned `(start, end, similarity)` is
-//!    bit-for-bit the scalar answer.
+//!    bit-for-bit the scalar answer. Given a similarity floor (a top-k
+//!    scan's running k-th) the same body also tracks each lane's row
+//!    minimum — a lower bound on everything that start can still produce
+//!    — and leaves a start group once no lane can reach the floor; the
+//!    answer is then bit-for-bit the scalar one whenever it reaches the
+//!    floor.
 
 use crate::similarity_from_distance;
 use simsub_trajectory::Point;
@@ -141,61 +146,140 @@ pub struct DpScratch {
     rows: Vec<f64>,
 }
 
+/// What [`exact_best_multi_start`] found: the winning range, its
+/// similarity, and whether the similarity floor let it leave any start
+/// group before the end of the data.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExactBest {
+    /// First point of the best subtrajectory (0-based, inclusive).
+    pub start: usize,
+    /// Last point of the best subtrajectory (0-based, inclusive).
+    pub end: usize,
+    /// `Θ(T[start, end], query)`.
+    pub similarity: f64,
+    /// True when at least one start group was left early.
+    pub abandoned: bool,
+}
+
+/// The distance threshold `τ` of a similarity floor: every distance
+/// `x ≥ τ` has `similarity_from_distance(x) < floor` *strictly*.
+/// `Θ = 1/(1+x)` is evaluated by two correctly rounded — hence monotone —
+/// operations, so it suffices to find one `τ` whose own similarity is
+/// below the floor; the algebraic inverse is nudged up until the forward
+/// evaluation agrees (the nudge doubles, so the loop runs once or twice).
+/// A floor no similarity can be below (`≤ 0`, `-∞`, NaN) yields `∞`.
+fn abandon_threshold(floor: f64) -> f64 {
+    if floor.is_nan() || floor <= 0.0 {
+        return f64::INFINITY;
+    }
+    let mut tau = fmax(1.0 / floor - 1.0, 0.0);
+    let mut nudge = f64::EPSILON;
+    while similarity_from_distance(tau) >= floor {
+        tau = (tau + nudge) * (1.0 + nudge);
+        nudge *= 2.0;
+    }
+    tau
+}
+
 /// The best subtrajectory under a measure whose prefix DP is expressible
-/// as a [`DpOp`]: `(start, end, similarity)` with exactly the scalar
-/// ExactS sweep's values and tie-breaking.
+/// as a [`DpOp`], with exactly the scalar ExactS sweep's values and
+/// tie-breaking **whenever that best reaches `floor`**; when it does not,
+/// the result is some real subtrajectory's similarity, itself below
+/// `floor` (a top-k heap whose k-th similarity is `floor` rejects it
+/// either way). `floor = -∞` is the plain exhaustive sweep.
+///
+/// The floor buys early abandoning. Cell costs are `≥ 0`, so both ops
+/// only ever grow what they combine (`d + best ≥ best` also after
+/// rounding, `max(d, best) ≥ best`): by induction along a row every cell
+/// of a start's next row is `≥` the minimum of its current row, so that
+/// minimum never decreases and every later prefix distance from the same
+/// start is `≥` it. Once a lane's row minimum reaches
+/// [`abandon_threshold`]`(floor)` none of its remaining consults can
+/// reach the floor, and a start group whose lanes are all in that state is
+/// left. Skipped consults are strictly below the true best, so neither
+/// its value nor the strict-`>` tie-breaking among equal bests can change.
+///
+/// `cell_rows`, when given, is the data × query point-distance matrix
+/// (`cell_rows[j * m + c] = d(p_j, q_c)`, as `fill_cell_rows` lays it out
+/// with [`fill_point_dists`] bits); the kernel then reads row `j` instead
+/// of refilling it once per start group.
 pub(crate) fn exact_best_multi_start<Op: DpOp>(
     xs: &[f64],
     ys: &[f64],
     query: &[Point],
+    floor: f64,
+    cell_rows: Option<&[f64]>,
     scratch: &mut DpScratch,
-) -> (usize, usize, f64) {
+) -> ExactBest {
     let n = xs.len();
     let m = query.len();
     assert!(n > 0 && m > 0, "inputs must be non-empty");
     assert_eq!(n, ys.len(), "coordinate slabs must agree");
-    load_query_soa(query, &mut scratch.qx, &mut scratch.qy);
+    if let Some(cell_rows) = cell_rows {
+        assert_eq!(cell_rows.len(), n * m, "cell rows must cover data × query");
+    } else {
+        load_query_soa(query, &mut scratch.qx, &mut scratch.qy);
+    }
     scratch.dist.resize(m, 0.0);
     scratch.rows.resize(m * LANES, 0.0);
-    let dist = &mut scratch.dist[..m];
     let rows = &mut scratch.rows[..m * LANES];
+    let tau = abandon_threshold(floor);
 
     let mut best_sim = f64::NEG_INFINITY;
     let mut best = (0usize, 0usize);
+    let mut abandoned = false;
     for group in (0..n).step_by(LANES) {
         let lanes = LANES.min(n - group);
         let mut lane_best_sim = [f64::NEG_INFINITY; LANES];
         let mut lane_best_end = [0usize; LANES];
+        let mut lane_best_dist = [f64::INFINITY; LANES];
         for j in group..n {
-            fill_point_dists(&scratch.qx, &scratch.qy, xs[j], ys[j], dist);
-            // Lane `l` covers start `group + l`: it initializes its row at
-            // j == group + l and extends on every later j.
-            let newly = j - group;
-            let extending = newly.min(lanes);
-            if extending == LANES {
-                extend_all_lanes::<Op>(rows, dist, m);
-            } else {
-                for l in 0..extending {
-                    extend_lane::<Op>(rows, l, dist, m);
+            let dist: &[f64] = match cell_rows {
+                Some(cell_rows) => &cell_rows[j * m..(j + 1) * m],
+                None => {
+                    fill_point_dists(&scratch.qx, &scratch.qy, xs[j], ys[j], &mut scratch.dist);
+                    &scratch.dist
                 }
-            }
+            };
+            // Lane `l` covers start `group + l`: it initializes its row at
+            // j == group + l and extends on every later j. All lanes
+            // extend in lockstep from the group's second point on; a lane
+            // that has not started yet (or, in a ragged tail group, never
+            // will) carries junk that its own init overwrites and that
+            // is neither consulted nor allowed to hold the group open.
+            let newly = j - group;
+            let mut row_min = if newly == 0 {
+                [f64::INFINITY; LANES]
+            } else {
+                extend_all_lanes::<Op>(rows, dist, m)
+            };
             if newly < lanes {
+                // A boundary row only accumulates, so its minimum is its
+                // first cell.
                 init_lane::<Op>(rows, newly, dist, m);
+                row_min[newly] = rows[newly];
             }
             let active = if newly < lanes { newly + 1 } else { lanes };
-            for (l, (lane_sim, lane_end)) in lane_best_sim
-                .iter_mut()
-                .zip(lane_best_end.iter_mut())
-                .take(active)
-                .enumerate()
-            {
-                // Identical consult to the scalar sweep: the similarity of
-                // the row's last cell, strict improvement only.
-                let sim = similarity_from_distance(rows[(m - 1) * LANES + l]);
-                if sim > *lane_sim {
-                    *lane_sim = sim;
-                    *lane_end = j;
+            for l in 0..active {
+                // The scalar sweep's consult — similarity of the row's
+                // last cell, strict improvement only — minus the divisions
+                // that cannot win: Θ is non-increasing in distance, so a
+                // cell above the one behind the lane's best cannot be
+                // strictly more similar.
+                let last = rows[(m - 1) * LANES + l];
+                if last <= lane_best_dist[l] {
+                    let sim = similarity_from_distance(last);
+                    if sim > lane_best_sim[l] {
+                        lane_best_sim[l] = sim;
+                        lane_best_dist[l] = last;
+                        lane_best_end[l] = j;
+                    }
                 }
+            }
+            let dead = |l: usize| l >= lanes || row_min[l] >= tau;
+            if active == lanes && j + 1 < n && (0..LANES).all(dead) {
+                abandoned = true;
+                break;
             }
         }
         // Merging lane bests in ascending-lane order with strict `>`
@@ -207,7 +291,12 @@ pub(crate) fn exact_best_multi_start<Op: DpOp>(
             }
         }
     }
-    (best.0, best.1, best_sim)
+    ExactBest {
+        start: best.0,
+        end: best.1,
+        similarity: best_sim,
+        abandoned,
+    }
 }
 
 /// Φini for lane `l`: the boundary recurrence over the distance row.
@@ -220,25 +309,14 @@ fn init_lane<Op: DpOp>(rows: &mut [f64], l: usize, dist: &[f64], m: usize) {
     }
 }
 
-/// Φinc for lane `l` alone (group warmup and ragged tail groups).
-#[inline]
-fn extend_lane<Op: DpOp>(rows: &mut [f64], l: usize, dist: &[f64], m: usize) {
-    let mut diag = rows[l];
-    rows[l] = Op::cell(dist[0], rows[l]);
-    for jj in 1..m {
-        let up = rows[jj * LANES + l];
-        let left = rows[(jj - 1) * LANES + l];
-        rows[jj * LANES + l] = Op::cell(dist[jj], fmin(fmin(diag, up), left));
-        diag = up;
-    }
-}
-
 /// Φinc for all [`LANES`] lanes in lockstep: the per-`jj` lane loop runs
 /// over a contiguous `[f64; LANES]` group, so the serial `min`/`add`
-/// chain vectorizes across lanes; `diag`/`left` stay in registers.
-/// Per-cell arithmetic is exactly [`extend_lane`]'s.
+/// chain vectorizes across lanes; `diag`/`left` stay in registers and
+/// lanes never mix, so each lane's cells are exactly the scalar
+/// recurrence's. Returns the per-lane minima of the new rows — one more
+/// packed `min` per cell group, fed by the chain but not on it.
 #[inline]
-fn extend_all_lanes<Op: DpOp>(rows: &mut [f64], dist: &[f64], m: usize) {
+fn extend_all_lanes<Op: DpOp>(rows: &mut [f64], dist: &[f64], m: usize) -> [f64; LANES] {
     let mut diag = [0.0f64; LANES];
     let mut left = [0.0f64; LANES];
     let d0 = dist[0];
@@ -250,6 +328,7 @@ fn extend_all_lanes<Op: DpOp>(rows: &mut [f64], dist: &[f64], m: usize) {
             left[l] = r0[l];
         }
     }
+    let mut row_min = left;
     let mut groups = rows[LANES..LANES * m].chunks_exact_mut(LANES);
     for (row, &d) in (&mut groups).zip(&dist[1..m]) {
         for l in 0..LANES {
@@ -257,8 +336,10 @@ fn extend_all_lanes<Op: DpOp>(rows: &mut [f64], dist: &[f64], m: usize) {
             row[l] = Op::cell(d, fmin(fmin(diag[l], up), left[l]));
             diag[l] = up;
             left[l] = row[l];
+            row_min[l] = fmin(row_min[l], row[l]);
         }
     }
+    row_min
 }
 
 /// Queries shorter than this take the scalar per-point fallback inside
@@ -644,9 +725,122 @@ pub(crate) fn scalar_exact_sweep(
     (best.0, best.1, best_sim)
 }
 
+/// Test support: the floor contract of `Measure::exact_best_above`,
+/// checked for one `(data, query)` pair with and without the cell-row
+/// matrix. At a floor the true best reaches (its own similarity, one ulp
+/// below, `probe` when it happens to be low enough) the result must be the
+/// unfloored one bit for bit; at a floor it misses (one ulp above, `probe`
+/// otherwise) the result must be a real subtrajectory's similarity below
+/// that floor.
+#[cfg(test)]
+pub(crate) fn assert_floor_contract(
+    measure: &dyn crate::Measure,
+    data: &[Point],
+    query: &[Point],
+    probe: f64,
+) {
+    let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
+    let ts = vec![0.0; data.len()];
+    let view = simsub_trajectory::TrajView::new(0, &xs, &ys, &ts);
+    let mut scratch = DpScratch::default();
+    let (start, end, sim) = measure
+        .exact_best(view, query, &mut scratch)
+        .expect("measure has a kernel");
+    assert_eq!(
+        (start, end, sim.to_bits()),
+        {
+            let (s, e, v) = scalar_exact_sweep(measure, data, query);
+            (s, e, v.to_bits())
+        },
+        "unfloored kernel vs scalar sweep"
+    );
+    let mut matrix = Vec::new();
+    measure
+        .make_workspace(query)
+        .fill_cell_rows(&xs, &ys, &ts, &mut matrix)
+        .expect("measure factors cell rows");
+    for cell_rows in [None, Some(matrix.as_slice())] {
+        for floor in [sim, sim.next_down(), sim.next_up(), probe] {
+            let got = measure
+                .exact_best_above(view, query, floor, cell_rows, &mut scratch)
+                .expect("measure has a kernel");
+            let context = format!(
+                "floor {floor:e} best {sim:e} rows {} n {} m {}",
+                cell_rows.is_some(),
+                data.len(),
+                query.len()
+            );
+            if sim >= floor {
+                assert_eq!(
+                    (got.start, got.end, got.similarity.to_bits()),
+                    (start, end, sim.to_bits()),
+                    "{context}"
+                );
+            } else {
+                assert!(got.similarity < floor, "{context}: {got:?}");
+                let real = measure.similarity(&data[got.start..=got.end], query);
+                assert_eq!(got.similarity.to_bits(), real.to_bits(), "{context}");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn abandon_threshold_is_strictly_below_the_floor() {
+        for floor in [1.0, 1.0f64.next_down(), 0.75, 0.5, 1e-3, 1e-300, 5e-324] {
+            let tau = abandon_threshold(floor);
+            assert!(similarity_from_distance(tau) < floor, "floor {floor:e}");
+            // Tight: a distance a few ulps of the algebraic inverse lower
+            // still reaches the floor.
+            let exact = 1.0 / floor - 1.0;
+            assert!(
+                tau <= exact * (1.0 + 1e-12) + 1e-15,
+                "floor {floor:e} tau {tau:e}"
+            );
+        }
+        // Nothing is below these floors / everything is below those.
+        for floor in [f64::NEG_INFINITY, -1.0, 0.0, f64::NAN] {
+            assert_eq!(abandon_threshold(floor), f64::INFINITY);
+        }
+        for floor in [1.0f64.next_up(), 2.0, f64::INFINITY] {
+            assert_eq!(abandon_threshold(floor), 0.0);
+        }
+    }
+
+    #[test]
+    fn floor_contract_on_degenerate_shapes() {
+        // n = 1, ragged tail groups (n % 4 = 1, 2, 3), queries shorter
+        // than the wavefront minimum, and exact duplicates (best Θ = 1).
+        let walk = |seed: u64, len: usize| -> Vec<Point> {
+            (0..len)
+                .map(|i| {
+                    let t = (seed * 31 + i as u64) as f64;
+                    Point::xy(
+                        (t * 0.37).sin() * 3.0 + i as f64 * 0.2,
+                        (t * 0.73).cos() * 2.0,
+                    )
+                })
+                .collect()
+        };
+        for n in [1usize, 2, 3, 4, 5, 6, 7, 9, 13] {
+            for m in [1usize, 2, 4, 5, 8] {
+                let data = walk(n as u64, n);
+                let query = walk(100 + m as u64, m);
+                for measure in [&crate::Dtw as &dyn crate::Measure, &crate::Frechet] {
+                    assert_floor_contract(measure, &data, &query, 0.3);
+                }
+            }
+        }
+        let data = walk(7, 11);
+        let query = data[3..8].to_vec();
+        for measure in [&crate::Dtw as &dyn crate::Measure, &crate::Frechet] {
+            assert_floor_contract(measure, &data, &query, 1.0);
+        }
+    }
 
     #[test]
     fn fill_point_dists_matches_point_dist() {

@@ -44,7 +44,7 @@ pub use dtw::{dtw_distance, dtw_distance_banded, BandedDtwWorkspace, Dtw, DtwEva
 pub use edr::{edr_distance, Edr, EdrEvaluator};
 pub use erp::{erp_distance, Erp, ErpEvaluator};
 pub use frechet::{frechet_distance, Frechet, FrechetEvaluator};
-pub use kernel::{fill_point_dists, load_query_soa, DpScratch};
+pub use kernel::{fill_point_dists, load_query_soa, DpScratch, ExactBest};
 pub use lcss::{lcss_distance, lcss_length, Lcss, LcssEvaluator};
 pub use t2vec::{CoordNormalizer, T2Vec, T2VecConfig, T2VecEvaluator};
 
@@ -132,20 +132,44 @@ pub trait Measure: Send + Sync {
     /// `None` when the measure has no specialized kernel (the caller then
     /// runs the scalar prefix-evaluator sweep).
     ///
-    /// **Contract:** an implementation must be *bit-identical* to the
-    /// scalar sweep — same similarity bits, same `(start, end)` under the
-    /// sweep's tie-breaking (ascending start, then ascending end, strict
-    /// improvement). DTW and discrete Frechet implement this through the
-    /// multi-start lockstep kernel in [`mod@self`]'s `kernel` module
-    /// (property-tested per measure); measures that cannot preserve the
-    /// contract must stay with the default `None`.
+    /// This is [`Measure::exact_best_above`] with no floor and no
+    /// precomputed cell rows — the same kernel body, never abandoned.
+    /// Measures implement that method, not this one.
     fn exact_best(
         &self,
         data: TrajView<'_>,
         query: &[Point],
         scratch: &mut DpScratch,
     ) -> Option<(usize, usize, f64)> {
-        let _ = (data, query, scratch);
+        self.exact_best_above(data, query, f64::NEG_INFINITY, None, scratch)
+            .map(|best| (best.start, best.end, best.similarity))
+    }
+
+    /// [`Measure::exact_best`] for a caller that only cares about results
+    /// whose similarity reaches `floor` (a top-k scan's running k-th
+    /// similarity), optionally fed the evaluator's own
+    /// [`PrefixEvaluator::fill_cell_rows`] matrix for `(data, query)` so
+    /// the kernel reads point distances instead of recomputing them.
+    ///
+    /// **Contract:** whenever the true best similarity is `≥ floor` the
+    /// result is *bit-identical* to the scalar sweep — same similarity
+    /// bits, same `(start, end)` under the sweep's tie-breaking (ascending
+    /// start, then ascending end, strict improvement). Otherwise it is
+    /// the similarity of some real subtrajectory, `< floor`. With
+    /// `floor = -∞` the first case always applies. DTW and discrete
+    /// Frechet implement this through the multi-start lockstep kernel in
+    /// [`mod@self`]'s `kernel` module, which uses the floor to abandon
+    /// start groups early (property-tested per measure); measures that
+    /// cannot preserve the contract must stay with the default `None`.
+    fn exact_best_above(
+        &self,
+        data: TrajView<'_>,
+        query: &[Point],
+        floor: f64,
+        cell_rows: Option<&[f64]>,
+        scratch: &mut DpScratch,
+    ) -> Option<ExactBest> {
+        let _ = (data, query, floor, cell_rows, scratch);
         None
     }
 }

@@ -1317,13 +1317,23 @@ impl QueryEngine {
             snap.scan_pruned_mbr,
         );
         b.counter(
+            "simsub_scan_pruned_points_total",
+            "Candidates rejected by the O(n*m) point-level bound.",
+            snap.scan_pruned_points,
+        );
+        b.counter(
             "simsub_scan_searched_total",
             "Candidates fully searched by the DP kernel.",
             snap.scan_searched,
         );
         b.counter(
+            "simsub_scan_abandoned_total",
+            "Searched candidates whose exact kernel abandoned part of its DP against the k-th similarity.",
+            snap.scan_abandoned,
+        );
+        b.counter(
             "simsub_scan_searched_cells_total",
-            "DP cells (data_len x query_len) evaluated by searched candidates.",
+            "Nominal DP size (data_len x query_len) of searched candidates; abandoning does not shrink it.",
             snap.scan_searched_cells,
         );
         b.counter(
@@ -1333,7 +1343,7 @@ impl QueryEngine {
         );
         b.gauge(
             "simsub_ns_per_cell",
-            "Mean scan nanoseconds per DP cell (scan_ns / searched_cells).",
+            "Mean scan nanoseconds per nominal DP cell (scan_ns / searched_cells).",
             snap.ns_per_cell,
         );
         b.counter(

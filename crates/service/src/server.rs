@@ -104,7 +104,8 @@
 //! response then carries a `"trace"` object *appended after* the v1 body
 //! fields — `{"admit_us":..,"queue_us":..,"batch_us":..,"scan_us":..,
 //! "bound_us":..,"kernel_us":..,"merge_us":..,"serialize_us":..,
-//! "scanned":..,"pruned_by_kim":..,"pruned_by_mbr":..,"searched":..,
+//! "scanned":..,"pruned_by_kim":..,"pruned_by_mbr":..,
+//! "pruned_by_points":..,"searched":..,"abandoned":..,
 //! "searched_cells":..,"cached":..,"batch_size":..}` (see
 //! [`crate::trace::TraceReport`]). On a v1 line the flag is ignored: v1
 //! responses never grow fields. Tracing turns on the per-candidate

@@ -31,10 +31,16 @@ pub struct ServeStats {
     scan_pruned_kim: Counter,
     /// Of those, skipped by the O(m) MBR-envelope bound.
     scan_pruned_mbr: Counter,
+    /// Of those, skipped by the O(n·m) point-level bound.
+    scan_pruned_points: Counter,
     /// Of those, fully searched.
     scan_searched: Counter,
-    /// DP cells (`data_len × query_len`) evaluated by searched
-    /// candidates — the denominator of the ns-per-cell gauge.
+    /// Of the searched, those whose exact kernel abandoned part of its DP
+    /// against the running k-th similarity.
+    scan_abandoned: Counter,
+    /// Nominal DP size (`data_len × query_len`) of the searched
+    /// candidates — the denominator of the ns-per-cell gauge; abandoning
+    /// does not shrink it.
     scan_searched_cells: Counter,
     /// Wall-clock nanoseconds spent inside corpus scans (measured by the
     /// engine around each batched scan call) — the ns-per-cell numerator.
@@ -128,7 +134,9 @@ impl ServeStats {
             scan_candidates: Counter::new(),
             scan_pruned_kim: Counter::new(),
             scan_pruned_mbr: Counter::new(),
+            scan_pruned_points: Counter::new(),
             scan_searched: Counter::new(),
+            scan_abandoned: Counter::new(),
             scan_searched_cells: Counter::new(),
             scan_ns: Counter::new(),
             swaps: Counter::new(),
@@ -180,7 +188,9 @@ impl ServeStats {
         self.scan_candidates.add(scan.scanned);
         self.scan_pruned_kim.add(scan.pruned_by_kim);
         self.scan_pruned_mbr.add(scan.pruned_by_mbr);
+        self.scan_pruned_points.add(scan.pruned_by_points);
         self.scan_searched.add(scan.searched);
+        self.scan_abandoned.add(scan.abandoned);
         self.scan_searched_cells.add(scan.searched_cells);
         self.scan_ns.add(scan_ns);
     }
@@ -296,6 +306,8 @@ impl ServeStats {
         let batched_requests = self.batched_requests.get();
         let scan_pruned_kim = self.scan_pruned_kim.get();
         let scan_pruned_mbr = self.scan_pruned_mbr.get();
+        let scan_pruned_points = self.scan_pruned_points.get();
+        let scan_pruned = scan_pruned_kim + scan_pruned_mbr + scan_pruned_points;
         let scan_candidates = self.scan_candidates.get();
         let scan_searched = self.scan_searched.get();
         let scan_searched_cells = self.scan_searched_cells.get();
@@ -325,9 +337,9 @@ impl ServeStats {
             p99_us: latency_hist.quantile(0.99),
             mean_batch: ratio(batched_requests, batches),
             scan_candidates,
-            scan_pruned: scan_pruned_kim + scan_pruned_mbr,
+            scan_pruned,
             scan_searched,
-            prune_ratio: ratio(scan_pruned_kim + scan_pruned_mbr, scan_candidates),
+            prune_ratio: ratio(scan_pruned, scan_candidates),
             swaps: self.swaps.get(),
             cache_evicted_on_swap: self.cache_evicted_on_swap.get(),
             p999_us: latency_hist.quantile(0.999),
@@ -354,6 +366,8 @@ impl ServeStats {
             open_connections: self.open_connections.get(),
             scan_pruned_kim,
             scan_pruned_mbr,
+            scan_pruned_points,
+            scan_abandoned: self.scan_abandoned.get(),
             scan_searched_cells,
             scan_ns,
             ns_per_cell: ratio(scan_ns, scan_searched_cells),
@@ -452,7 +466,12 @@ pub struct StatsSnapshot {
     pub scan_pruned_kim: u64,
     /// Scan candidates rejected by the O(m) MBR-envelope bound.
     pub scan_pruned_mbr: u64,
-    /// DP cells evaluated by searched candidates.
+    /// Scan candidates rejected by the O(n·m) point-level bound.
+    pub scan_pruned_points: u64,
+    /// Searched candidates whose exact kernel abandoned part of its DP.
+    pub scan_abandoned: u64,
+    /// Nominal DP size (`data_len × query_len`) of the searched
+    /// candidates; not reduced by abandoning.
     pub scan_searched_cells: u64,
     /// Wall-clock nanoseconds spent inside corpus scans.
     pub scan_ns: u64,
@@ -541,6 +560,11 @@ impl StatsSnapshot {
             ("open_connections", Json::Num(self.open_connections as f64)),
             ("latency_buckets", buckets_json(&self.latency_hist)),
             ("batch_buckets", buckets_json(&self.batch_hist)),
+            (
+                "scan_pruned_points",
+                Json::Num(self.scan_pruned_points as f64),
+            ),
+            ("scan_abandoned", Json::Num(self.scan_abandoned as f64)),
         ])
     }
 }
@@ -594,7 +618,9 @@ mod tests {
                 scanned: 100,
                 pruned_by_kim: 40,
                 pruned_by_mbr: 20,
-                searched: 40,
+                pruned_by_points: 10,
+                searched: 30,
+                abandoned: 25,
                 searched_cells: 4000,
                 ..PruneStats::default()
             },
@@ -613,14 +639,16 @@ mod tests {
         );
         let snap = stats.snapshot();
         assert_eq!(snap.scan_candidates, 200);
-        assert_eq!(snap.scan_pruned, 60);
+        assert_eq!(snap.scan_pruned, 70);
         assert_eq!(snap.scan_pruned_kim, 40);
         assert_eq!(snap.scan_pruned_mbr, 20);
-        assert_eq!(snap.scan_searched, 140);
+        assert_eq!(snap.scan_pruned_points, 10);
+        assert_eq!(snap.scan_searched, 130);
+        assert_eq!(snap.scan_abandoned, 25);
         assert_eq!(snap.scan_searched_cells, 10_000);
         assert_eq!(snap.scan_ns, 20_000);
         assert!((snap.ns_per_cell - 2.0).abs() < 1e-12);
-        assert!((snap.prune_ratio - 0.3).abs() < 1e-12);
+        assert!((snap.prune_ratio - 0.35).abs() < 1e-12);
         assert_eq!(snap.scan_candidates, snap.scan_pruned + snap.scan_searched);
     }
 

@@ -75,7 +75,12 @@ impl TraceReport {
             ("scanned", Json::Num(self.prune.scanned as f64)),
             ("pruned_by_kim", Json::Num(self.prune.pruned_by_kim as f64)),
             ("pruned_by_mbr", Json::Num(self.prune.pruned_by_mbr as f64)),
+            (
+                "pruned_by_points",
+                Json::Num(self.prune.pruned_by_points as f64),
+            ),
             ("searched", Json::Num(self.prune.searched as f64)),
+            ("abandoned", Json::Num(self.prune.abandoned as f64)),
             (
                 "searched_cells",
                 Json::Num(self.prune.searched_cells as f64),
@@ -129,8 +134,10 @@ mod tests {
             prune: PruneStats {
                 scanned: 10,
                 pruned_by_kim: 4,
-                pruned_by_mbr: 3,
+                pruned_by_mbr: 2,
+                pruned_by_points: 1,
                 searched: 3,
+                abandoned: 2,
                 searched_cells: 99,
                 ..PruneStats::default()
             },
@@ -149,8 +156,10 @@ mod tests {
             ("serialize_us", 8.0),
             ("scanned", 10.0),
             ("pruned_by_kim", 4.0),
-            ("pruned_by_mbr", 3.0),
+            ("pruned_by_mbr", 2.0),
+            ("pruned_by_points", 1.0),
             ("searched", 3.0),
+            ("abandoned", 2.0),
             ("searched_cells", 99.0),
             ("batch_size", 2.0),
         ] {

@@ -930,12 +930,14 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
         );
     }
     println!(
-        "scan: {} scanned, {} pruned (kim {}, mbr {}), {} searched — prune ratio {:.1}%",
+        "scan: {} scanned, {} pruned (kim {}, mbr {}, points {}), {} searched ({} abandoned) — prune ratio {:.1}%",
         stats.scanned,
         stats.pruned(),
         stats.pruned_by_kim,
         stats.pruned_by_mbr,
+        stats.pruned_by_points,
         stats.searched,
+        stats.abandoned,
         stats.prune_ratio() * 100.0
     );
     Ok(())

@@ -1,8 +1,10 @@
 //! Shared helpers for the integration harnesses: the bitwise top-k
-//! assertion and scalar oracle ([`scalar`]) of the equivalence suites
-//! and the `SIMSUB_SHARDS` snapshot constructor of the serving suites.
+//! assertion, the scalar bodies ([`scalar`]) and the independent
+//! full-matrix ExactS oracle ([`oracle`]) of the equivalence suites, and
+//! the `SIMSUB_SHARDS` snapshot constructor of the serving suites.
 #![allow(dead_code)] // each harness uses its own subset
 
+pub mod oracle;
 pub mod scalar;
 
 use simsub::core::TopKResult;

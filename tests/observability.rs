@@ -184,7 +184,9 @@ fn metrics_exposition_over_the_wire() {
         "simsub_scan_candidates_total",
         "simsub_scan_pruned_kim_total",
         "simsub_scan_pruned_mbr_total",
+        "simsub_scan_pruned_points_total",
         "simsub_scan_searched_total",
+        "simsub_scan_abandoned_total",
         "simsub_scan_searched_cells_total",
         "simsub_scan_ns_total",
         "simsub_ns_per_cell",
@@ -258,6 +260,8 @@ fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
         "merge_us",
         "serialize_us",
         "scanned",
+        "pruned_by_points",
+        "abandoned",
         "searched_cells",
         "batch_size",
     ] {

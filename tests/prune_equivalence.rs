@@ -6,14 +6,24 @@
 //! order — to the unpruned reference scan, with consistent [`PruneStats`]
 //! (`scanned == pruned + searched`) and admissible bounds
 //! (`bound >= true best subtrajectory similarity` for every trajectory).
+//! The reference never prunes, never abandons and never sees a floor; and
+//! because it still runs the library's own evaluators, ExactS under DTW
+//! and Frechet is additionally held — pruned and unpruned — to the
+//! independent full-matrix oracle of `tests/common/oracle.rs`.
 
+mod common;
+
+use common::assert_bitwise_topk;
+use common::oracle::{self, OracleMeasure};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simsub::core::{BoundCascade, ExactS, PruneStats, Pss, SubtrajSearch, TopKResult};
+use simsub::core::{
+    BoundCascade, ExactS, PruneStats, Pss, SearchWorkspace, SubtrajSearch, TopKResult,
+};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
-use simsub::trajectory::{Point, Trajectory};
+use simsub::trajectory::{CorpusArena, Point, Trajectory};
 
 const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=4;
 
@@ -31,36 +41,46 @@ fn walk(seed: u64, len: usize, origin: (f64, f64)) -> Vec<Point> {
 
 /// Mixed spatial layout (clustered near the origin + spread far away) so
 /// both "prunes almost everything" and "prunes nothing" regimes occur.
+/// Every other clustered trajectory is a point-for-point copy of the one
+/// before it under a new id: the likeliest hits come in pairs with
+/// bit-equal scores, so the running k-th similarity is routinely *equal*
+/// to the best a later candidate can reach — the case where a floor that
+/// abandoned one ulp early, or a tie broken the wrong way, changes the
+/// answer.
 fn random_corpus(seed: u64, count: usize) -> Vec<Trajectory> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xdead_beef);
-    (0..count)
-        .map(|i| {
-            let origin = if i % 3 == 0 {
-                (0.0, 0.0)
-            } else {
-                (rng.gen_range(-90.0..90.0), rng.gen_range(-90.0..90.0))
-            };
-            let len = rng.gen_range(5usize..18);
-            Trajectory::new_unchecked(i as u64, walk(seed.wrapping_add(i as u64), len, origin))
-        })
-        .collect()
+    let mut corpus: Vec<Trajectory> = Vec::with_capacity(count);
+    for i in 0..count {
+        let origin = if i % 3 == 0 {
+            (0.0, 0.0)
+        } else {
+            (rng.gen_range(-90.0..90.0), rng.gen_range(-90.0..90.0))
+        };
+        let len = rng.gen_range(5usize..18);
+        let points = if i % 6 == 3 {
+            corpus[i - 3].points().to_vec()
+        } else {
+            walk(seed.wrapping_add(i as u64), len, origin)
+        };
+        corpus.push(Trajectory::new_unchecked(i as u64, points));
+    }
+    corpus
 }
 
-/// Byte-level equality: ids, ranges, and exact score bit patterns.
-fn assert_identical(got: &[TopKResult], want: &[TopKResult], context: &str) {
-    assert_eq!(got.len(), want.len(), "hit count differs: {context}");
-    for (rank, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(g.trajectory_id, w.trajectory_id, "rank {rank}: {context}");
-        assert_eq!(g.result.range, w.result.range, "rank {rank}: {context}");
+/// Byte-level equality with the independent oracle's top-k.
+fn assert_matches_oracle(got: &[TopKResult], want: &[oracle::OracleHit], context: &str) {
+    assert_eq!(got.len(), want.len(), "hit count vs oracle: {context}");
+    for (rank, (g, &(id, start, end, similarity))) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.trajectory_id, id, "rank {rank} id vs oracle: {context}");
         assert_eq!(
-            g.result.distance.to_bits(),
-            w.result.distance.to_bits(),
-            "rank {rank} distance bits: {context}"
+            (g.result.range.start, g.result.range.end),
+            (start, end),
+            "rank {rank} range vs oracle: {context}"
         );
         assert_eq!(
             g.result.similarity.to_bits(),
-            w.result.similarity.to_bits(),
-            "rank {rank} similarity bits: {context}"
+            similarity.to_bits(),
+            "rank {rank} similarity bits vs oracle: {context}"
         );
     }
 }
@@ -103,9 +123,19 @@ fn check_prune_equivalence(
     let (want, ref_stats) = full_scan(algo, measure, corpus, query, k, false);
     assert_stats(&ref_stats, n, &context_base);
     assert_eq!(ref_stats.pruned(), 0, "reference never prunes");
+    assert_eq!(ref_stats.abandoned, 0, "reference never abandons");
     let (pruned, stats) = full_scan(algo, measure, corpus, query, k, true);
-    assert_identical(&pruned, &want, &format!("sequential {context_base}"));
+    assert_bitwise_topk(&pruned, &want, &format!("sequential {context_base}"));
     assert_stats(&stats, n, &context_base);
+    // ExactS has an oracle that shares no code with it.
+    let exact_oracle = (algo.name() == ExactS.name())
+        .then(|| OracleMeasure::named(measure.name()))
+        .flatten()
+        .map(|m| oracle::top_k(m, corpus, query, k));
+    if let Some(oracle_hits) = &exact_oracle {
+        assert_matches_oracle(&want, oracle_hits, &format!("unpruned {context_base}"));
+        assert_matches_oracle(&pruned, oracle_hits, &format!("pruned {context_base}"));
+    }
 
     // Indexed database and sharded layouts, both index modes.
     let db = TrajectoryDb::build(corpus.to_vec());
@@ -113,7 +143,7 @@ fn check_prune_equivalence(
         let (want_db, _) = db.top_k_with_stats(algo, measure, query, k, use_index, false);
         let (got_db, db_stats) = db.top_k_with_stats(algo, measure, query, k, use_index, true);
         let context = format!("{context_base} index={use_index}");
-        assert_identical(&got_db, &want_db, &format!("db {context}"));
+        assert_bitwise_topk(&got_db, &want_db, &format!("db {context}"));
         assert!(db_stats.is_consistent(), "db stats: {context}");
         for shards in SHARD_COUNTS {
             for kind in [PartitionerKind::Hash, PartitionerKind::Grid] {
@@ -125,7 +155,10 @@ fn check_prune_equivalence(
                     );
                     let (got, stats) =
                         sharded.top_k(algo, measure, &[query], k, use_index, true, threads);
-                    assert_identical(&got[0], &want_db, &format!("sharded {context}"));
+                    assert_bitwise_topk(&got[0], &want_db, &format!("sharded {context}"));
+                    if let (Some(oracle_hits), false) = (&exact_oracle, use_index) {
+                        assert_matches_oracle(&got[0], oracle_hits, &format!("sharded {context}"));
+                    }
                     assert!(stats.is_consistent(), "sharded stats: {context}");
                     if !use_index {
                         assert_stats(&stats, n, &format!("sharded {context}"));
@@ -157,10 +190,9 @@ proptest! {
         }
     }
 
-    /// Admissibility: both cascade stages upper-bound the true best
+    /// Admissibility: all three cascade stages upper-bound the true best
     /// subtrajectory similarity (ExactS) for every trajectory of a
-    /// random corpus, and the envelope is never looser than the coarse
-    /// screen.
+    /// random corpus, and each is never looser than the one before it.
     #[test]
     fn bounds_are_admissible_on_random_corpora(
         seed in 0u64..10_000,
@@ -169,13 +201,22 @@ proptest! {
     ) {
         let corpus = random_corpus(seed, count);
         let query = walk(seed ^ 0xb0bd, qlen, (0.0, 0.0));
+        let arena = CorpusArena::from_trajectories(&corpus);
         for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
             let mut cascade = BoundCascade::new(measure, &query);
+            let mut ws = SearchWorkspace::new(measure, &query);
             prop_assert!(cascade.is_active());
-            for t in &corpus {
+            for (slot, t) in corpus.iter().enumerate() {
                 let best = ExactS.search(measure, t.points(), &query).similarity;
                 let coarse = cascade.coarse_bound(&t.mbr());
                 let envelope = cascade.envelope_bound(&t.mbr());
+                prop_assert!(ws.prepare_cell_rows(arena.view(slot)));
+                let points = cascade.point_bound(ws.cell_rows());
+                prop_assert!(points <= envelope,
+                    "point bound looser than envelope: traj {} {}", t.id, measure.name());
+                prop_assert!(points >= best,
+                    "point bound {} < best {} for traj {} under {}",
+                    points, best, t.id, measure.name());
                 prop_assert!(envelope <= coarse + 1e-12,
                     "envelope looser than coarse: traj {} {}", t.id, measure.name());
                 prop_assert!(coarse >= best - 1e-12,
@@ -188,8 +229,11 @@ proptest! {
         }
     }
 
-    /// Multi-query batches: pruned batched scans match pruned per-query
-    /// scans (which themselves match the unpruned reference above).
+    /// Multi-query batches: pruned batched scans match the unpruned
+    /// per-query reference under both measures and both algorithms, on
+    /// one shard and on three — where `threads = 4` scans them in
+    /// parallel against one `SharedSimFloor`, so the floor an ExactS
+    /// search abandons against may come from another worker's heap.
     #[test]
     fn pruned_batch_matches_per_query(
         seed in 0u64..10_000,
@@ -201,13 +245,25 @@ proptest! {
             .map(|i| walk(seed.wrapping_mul(17).wrapping_add(i), 3 + i as usize, (0.0, 0.0)))
             .collect();
         let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
-        let (batched, stats) = ShardedDb::build(corpus.clone(), 1, PartitionerKind::Hash)
-            .top_k(&Pss, &Dtw, &refs, k, false, true, 1);
-        prop_assert!(stats.is_consistent());
-        prop_assert_eq!(stats.scanned, (corpus.len() * queries.len()) as u64);
-        for (got, q) in batched.iter().zip(&queries) {
-            let (want, _) = full_scan(&Pss, &Dtw, &corpus, q, k, false);
-            assert_identical(got, &want, "pruned batch vs unpruned per-query");
+        for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
+            for algo in [&ExactS as &(dyn SubtrajSearch + Sync), &Pss] {
+                let wants: Vec<Vec<TopKResult>> = queries
+                    .iter()
+                    .map(|q| full_scan(algo, measure, &corpus, q, k, false).0)
+                    .collect();
+                for (shards, threads) in [(1, 1), (3, 1), (3, 4)] {
+                    let (batched, stats) =
+                        ShardedDb::build(corpus.clone(), shards, PartitionerKind::Hash)
+                            .top_k(algo, measure, &refs, k, false, true, threads);
+                    prop_assert!(stats.is_consistent());
+                    prop_assert_eq!(stats.scanned, (corpus.len() * queries.len()) as u64);
+                    for (got, want) in batched.iter().zip(&wants) {
+                        assert_bitwise_topk(got, want, &format!(
+                            "pruned batch vs unpruned per-query: {} {} shards={shards} threads={threads}",
+                            measure.name(), algo.name()));
+                    }
+                }
+            }
         }
     }
 }
@@ -229,8 +285,10 @@ fn t2vec_is_never_pruned_and_stays_identical() {
     for algo in [&ExactS as &(dyn SubtrajSearch + Sync), &Pss] {
         let (want, _) = full_scan(algo, &model, &corpus, &query, 4, false);
         let (pruned, stats) = full_scan(algo, &model, &corpus, &query, 4, true);
-        assert_identical(&pruned, &want, "t2vec pruned vs unpruned");
+        assert_bitwise_topk(&pruned, &want, "t2vec pruned vs unpruned");
         assert_eq!(stats.pruned(), 0, "no admissible bound exists for t2vec");
+        assert_eq!(stats.pruned_by_points, 0, "the point-level stage never ran");
+        assert_eq!(stats.abandoned, 0, "no floor reaches a t2vec search");
         assert_eq!(stats.searched, corpus.len() as u64);
     }
     // And the full layout sweep for one algorithm.
@@ -250,8 +308,10 @@ fn rls_disables_pruning() {
     let query = walk(0x715, 6, (0.0, 0.0));
     let (want, _) = full_scan(&rls, &Dtw, &corpus, &query, 3, false);
     let (got, stats) = full_scan(&rls, &Dtw, &corpus, &query, 3, true);
-    assert_identical(&got, &want, "rls pruned vs unpruned");
+    assert_bitwise_topk(&got, &want, "rls pruned vs unpruned");
     assert_eq!(stats.pruned(), 0, "non-admissible algorithms never prune");
+    assert_eq!(stats.pruned_by_points, 0, "the point-level stage never ran");
+    assert_eq!(stats.abandoned, 0, "no floor reaches an RLS search");
 }
 
 /// The clustered regime the serving corpus actually looks like: a tight
@@ -268,11 +328,42 @@ fn clustered_corpus_prunes_most_of_the_scan() {
     let query = corpus[0].points()[2..8].to_vec();
     let (want, _) = full_scan(&Pss, &Dtw, &corpus, &query, 3, false);
     let (got, stats) = full_scan(&Pss, &Dtw, &corpus, &query, 3, true);
-    assert_identical(&got, &want, "clustered corpus");
+    assert_bitwise_topk(&got, &want, "clustered corpus");
     assert!(stats.is_consistent());
     assert!(
         stats.prune_ratio() >= 0.5,
         "expected at least half the corpus pruned, got {:?}",
         stats
     );
+}
+
+/// The regime behind an R-tree lookup: every candidate's MBR contains the
+/// query, so the two MBR stages are blind and only the point-level bound
+/// and the kernel's own abandoning can save work. Both must fire here —
+/// otherwise the byte-identity proptests above would pass vacuously — and
+/// the answer must still be the oracle's.
+#[test]
+fn overlapping_corpus_prunes_on_points_and_abandons() {
+    // Long walks from one origin: overlapping MBRs, distinct points.
+    let corpus: Vec<Trajectory> = (0..48u64)
+        .map(|i| Trajectory::new_unchecked(i, walk(900 + i, 40, (0.0, 0.0))))
+        .collect();
+    let query = corpus[17].points()[10..18].to_vec();
+    for (measure, oracle_measure) in [
+        (&Dtw as &dyn Measure, OracleMeasure::Dtw),
+        (&Frechet as &dyn Measure, OracleMeasure::Frechet),
+    ] {
+        let (want, _) = full_scan(&ExactS, measure, &corpus, &query, 3, false);
+        let (got, stats) = full_scan(&ExactS, measure, &corpus, &query, 3, true);
+        assert_bitwise_topk(&got, &want, measure.name());
+        assert_matches_oracle(
+            &got,
+            &oracle::top_k(oracle_measure, &corpus, &query, 3),
+            measure.name(),
+        );
+        assert!(stats.is_consistent(), "{stats:?}");
+        assert!(stats.pruned_by_points > 0, "{}: {stats:?}", measure.name());
+        assert!(stats.abandoned > 0, "{}: {stats:?}", measure.name());
+        assert!(stats.abandoned <= stats.searched);
+    }
 }

@@ -488,6 +488,11 @@ fn served_rls_never_prunes_and_matches_the_offline_scan() {
     let stats = engine.stats();
     assert_eq!(stats.scan_candidates, 40);
     assert_eq!(stats.scan_pruned, 0, "RLS scores admit no bound pruning");
+    assert_eq!(
+        (stats.scan_pruned_points, stats.scan_abandoned),
+        (0, 0),
+        "neither the point-level stage nor a floor reaches an RLS search"
+    );
 
     // The same engine does prune this corpus for an admissible algorithm.
     req.algo = AlgoSpec::Pss;
@@ -1010,6 +1015,8 @@ fn stats_wire_response_is_append_only_and_v1_stays_frozen() {
         "audit_ar",
         "latency_buckets",
         "batch_buckets",
+        "scan_pruned_points",
+        "scan_abandoned",
     ] {
         let needle = format!("\"{key}\":");
         assert!(
