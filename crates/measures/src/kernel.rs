@@ -146,9 +146,9 @@ pub struct DpScratch {
     rows: Vec<f64>,
 }
 
-/// What [`exact_best_multi_start`] found: the winning range, its
-/// similarity, and whether the similarity floor let it leave any start
-/// group before the end of the data.
+/// What `Measure::exact_best_above` found: the winning range, its
+/// similarity, and whether the similarity floor let the kernel leave any
+/// start group before the end of the data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactBest {
     /// First point of the best subtrajectory (0-based, inclusive).
