@@ -46,7 +46,7 @@ pub use bounds::{
     ScanTimingGuard, SharedSimFloor,
 };
 pub use exact::{exhaustive_ranking, ExactS, ExhaustiveRanking};
-pub use mdp::{MdpConfig, ScanStats, SplitEnv, StepOutcome};
+pub use mdp::{episode_parts, MdpConfig, ScanStats, SplitEnv, StepOutcome};
 pub use metrics::{EffectivenessMetrics, MetricsAccumulator};
 pub use random_s::RandomS;
 pub use rls::{train_rls, Rls, RlsTrainConfig, TrainReport};

@@ -108,53 +108,81 @@ pub struct ScanStats {
 /// One episode of the splitting MDP over a `(data, query)` pair.
 /// Generic over [`PointSeq`] so AoS slices and columnar arena
 /// [`simsub_trajectory::TrajView`]s drive the identical episode without a
-/// staging copy (the default keeps plain `SplitEnv::new(m, &points, ...)`
-/// callers compiling unchanged).
-pub struct SplitEnv<'a, S: PointSeq = &'a [Point]> {
+/// staging copy.
+///
+/// The episode *borrows* what it walks: a prefix evaluator already
+/// targeted at the query and (for the with-suffix MDPs) the suffix
+/// similarities of `data`. A corpus scan lends the ones its
+/// [`crate::SearchWorkspace`] keeps, so the query is encoded once per scan
+/// and an episode allocates nothing; a caller without a workspace builds
+/// them with [`episode_parts`].
+pub struct SplitEnv<'e, S: PointSeq = &'e [Point]> {
     data: S,
-    eval: Box<dyn PrefixEvaluator + 'a>,
-    suffix: Vec<f64>,
+    eval: &'e mut dyn PrefixEvaluator,
+    suffix: &'e [f64],
     cfg: MdpConfig,
     n: usize,
     /// Index of the point currently being scanned.
     t: usize,
     /// Index of the first point after the last split (the paper's `h`).
     h: usize,
-    theta_best: f64,
-    theta_pre: f64,
-    theta_suf: f64,
+    /// `(Θbest, Θpre, Θsuf)`; the policy sees the first `state_dim`.
+    state: [f64; 3],
     best: Option<(SubtrajRange, f64)>,
     stats: ScanStats,
     done: bool,
 }
 
-impl<'a, S: PointSeq> SplitEnv<'a, S> {
-    /// Starts an episode: precomputes suffix similarities (if enabled) and
-    /// anchors the prefix evaluator at the first point.
-    pub fn new(measure: &'a dyn Measure, data: S, query: &'a [Point], cfg: MdpConfig) -> Self {
+/// The owned halves of an episode for callers without a workspace: a
+/// prefix evaluator targeted at `query` and the suffix similarities of
+/// `data` (empty when `cfg` drops the suffix component).
+pub fn episode_parts<'m, S: PointSeq>(
+    measure: &'m dyn Measure,
+    data: S,
+    query: &[Point],
+    cfg: MdpConfig,
+) -> (Box<dyn PrefixEvaluator + 'm>, Vec<f64>) {
+    let suffix = if cfg.use_suffix {
+        suffix_similarities(measure, data, query)
+    } else {
+        Vec::new()
+    };
+    (measure.prefix_evaluator(query), suffix)
+}
+
+/// Positions of `Θbest`, `Θpre`, `Θsuf` in the state vector.
+const BEST: usize = 0;
+const PRE: usize = 1;
+const SUF: usize = 2;
+
+impl<'e, S: PointSeq> SplitEnv<'e, S> {
+    /// Starts an episode over `data`, anchoring `eval` (targeted at the
+    /// query by the caller) at the first point. `suffix[t]` is the
+    /// similarity of `data[t..]`; it is not read when `cfg` drops the
+    /// suffix component.
+    pub fn new(
+        eval: &'e mut dyn PrefixEvaluator,
+        suffix: &'e [f64],
+        data: S,
+        cfg: MdpConfig,
+    ) -> Self {
+        assert!(!data.seq_is_empty(), "inputs must be non-empty");
+        let n = data.seq_len();
         assert!(
-            !data.seq_is_empty() && !query.is_empty(),
-            "inputs must be non-empty"
+            !cfg.use_suffix || suffix.len() == n,
+            "one suffix similarity per data point"
         );
-        let suffix = if cfg.use_suffix {
-            suffix_similarities(measure, data, query)
-        } else {
-            Vec::new()
-        };
-        let mut eval = measure.prefix_evaluator(query);
         let theta_pre = eval.init(data.seq_point(0));
-        let theta_suf = suffix.first().copied().unwrap_or(0.0);
+        let theta_suf = if cfg.use_suffix { suffix[0] } else { 0.0 };
         Self {
             data,
             eval,
             suffix,
             cfg,
-            n: data.seq_len(),
+            n,
             t: 0,
             h: 0,
-            theta_best: 0.0,
-            theta_pre,
-            theta_suf,
+            state: [0.0, theta_pre, theta_suf],
             best: None,
             stats: ScanStats {
                 scanned: 1,
@@ -170,12 +198,8 @@ impl<'a, S: PointSeq> SplitEnv<'a, S> {
     }
 
     /// Current state vector `(Θbest, Θpre[, Θsuf])`.
-    pub fn state(&self) -> Vec<f64> {
-        if self.cfg.use_suffix {
-            vec![self.theta_best, self.theta_pre, self.theta_suf]
-        } else {
-            vec![self.theta_best, self.theta_pre]
-        }
+    pub fn state(&self) -> &[f64] {
+        &self.state[..self.cfg.state_dim()]
     }
 
     /// True when the point being scanned is the last one, i.e. the episode
@@ -203,7 +227,7 @@ impl<'a, S: PointSeq> SplitEnv<'a, S> {
     pub fn step(&mut self, action: usize) -> StepOutcome {
         assert!(!self.done, "episode already terminated");
         assert!(action < self.cfg.n_actions(), "invalid action {action}");
-        let old_best = self.theta_best;
+        let old_best = self.state[BEST];
         let prefix_start = self.h;
 
         // Lines 11-13: a split moves h past the current point.
@@ -213,20 +237,20 @@ impl<'a, S: PointSeq> SplitEnv<'a, S> {
         }
 
         // Line 14: Θbest ← max{Θbest, Θpre, Θsuf}, tracking the achiever.
-        if self.theta_pre > self.theta_best {
-            self.theta_best = self.theta_pre;
-            self.best = Some((SubtrajRange::new(prefix_start, self.t), self.theta_pre));
+        if self.state[PRE] > self.state[BEST] {
+            self.state[BEST] = self.state[PRE];
+            self.best = Some((SubtrajRange::new(prefix_start, self.t), self.state[PRE]));
         }
-        if self.cfg.use_suffix && self.theta_suf > self.theta_best {
-            self.theta_best = self.theta_suf;
-            self.best = Some((SubtrajRange::new(self.t, self.n - 1), self.theta_suf));
+        if self.cfg.use_suffix && self.state[SUF] > self.state[BEST] {
+            self.state[BEST] = self.state[SUF];
+            self.best = Some((SubtrajRange::new(self.t, self.n - 1), self.state[SUF]));
         }
 
         // Lines 15-17: terminate at the last point.
         if self.t == self.n - 1 {
             self.done = true;
             return StepOutcome {
-                reward: self.theta_best - old_best,
+                reward: self.state[BEST] - old_best,
                 done: true,
             };
         }
@@ -241,17 +265,17 @@ impl<'a, S: PointSeq> SplitEnv<'a, S> {
 
         // Lines 18-19: refresh Θpre / Θsuf. Skipped points are omitted
         // from the evaluator (the RLS-Skip prefix simplification).
-        self.theta_pre = if self.t == self.h {
+        self.state[PRE] = if self.t == self.h {
             self.eval.init(self.data.seq_point(self.t))
         } else {
             self.eval.extend(self.data.seq_point(self.t))
         };
         if self.cfg.use_suffix {
-            self.theta_suf = self.suffix[self.t];
+            self.state[SUF] = self.suffix[self.t];
         }
 
         StepOutcome {
-            reward: self.theta_best - old_best,
+            reward: self.state[BEST] - old_best,
             done: false,
         }
     }
@@ -298,7 +322,8 @@ mod tests {
         let t = walk(5, 12);
         let q = walk(6, 4);
         for pattern in 0..8u64 {
-            let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+            let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+            let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.as_slice(), MdpConfig::rls());
             let mut total = 0.0;
             let mut step = 0u64;
             loop {
@@ -323,7 +348,8 @@ mod tests {
         // suffix a candidate; Θbest must then be at least PSS's best
         // single-point/suffix candidate value.
         let (t, q) = figure1();
-        let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.as_slice(), MdpConfig::rls());
         loop {
             if env.step(1).done {
                 break;
@@ -340,7 +366,8 @@ mod tests {
     fn never_split_considers_full_prefixes() {
         let t = walk(9, 10);
         let q = walk(10, 4);
-        let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.as_slice(), MdpConfig::rls());
         loop {
             if env.step(0).done {
                 break;
@@ -362,7 +389,8 @@ mod tests {
         let t = walk(13, 10);
         let q = walk(14, 3);
         let cfg = MdpConfig::rls_skip(3);
-        let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, cfg);
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, cfg);
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.as_slice(), cfg);
         // Skip 2 points at the first step: next scanned index is 3.
         env.step(3);
         assert_eq!(env.stats().skipped, 2);
@@ -377,7 +405,13 @@ mod tests {
     fn skip_past_end_clamps_to_last_point() {
         let t = walk(15, 5);
         let q = walk(16, 3);
-        let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls_skip(10));
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls_skip(10));
+        let mut env = SplitEnv::new(
+            eval.as_mut(),
+            &suffix,
+            t.as_slice(),
+            MdpConfig::rls_skip(10),
+        );
         let out = env.step(11); // skip 10 points from p0 → clamped to p4
         assert!(!out.done);
         assert!(env.at_last_point());
@@ -389,7 +423,13 @@ mod tests {
     fn suffix_free_state_has_two_components() {
         let t = walk(17, 6);
         let q = walk(18, 3);
-        let env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls_skip_plus(2));
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls_skip_plus(2));
+        let env = SplitEnv::new(
+            eval.as_mut(),
+            &suffix,
+            t.as_slice(),
+            MdpConfig::rls_skip_plus(2),
+        );
         assert_eq!(env.state().len(), 2);
     }
 
@@ -397,7 +437,8 @@ mod tests {
     fn single_point_episode_terminates_immediately() {
         let t = walk(19, 1);
         let q = walk(20, 3);
-        let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.as_slice(), MdpConfig::rls());
         assert!(env.at_last_point());
         let out = env.step(0);
         assert!(out.done);
@@ -409,7 +450,8 @@ mod tests {
     fn step_after_done_panics() {
         let t = walk(21, 1);
         let q = walk(22, 2);
-        let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.as_slice(), MdpConfig::rls());
         env.step(0);
         env.step(0);
     }
@@ -419,7 +461,8 @@ mod tests {
     fn invalid_action_panics() {
         let t = walk(23, 4);
         let q = walk(24, 2);
-        let mut env = SplitEnv::new(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let (mut eval, suffix) = episode_parts(&Dtw, t.as_slice(), &q, MdpConfig::rls());
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.as_slice(), MdpConfig::rls());
         env.step(2); // k = 0 → only actions 0, 1
     }
 }

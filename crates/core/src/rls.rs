@@ -2,13 +2,14 @@
 //! DQN-learned policy instead of hand-crafted heuristics, plus the
 //! training loop of Algorithm 3.
 
-use crate::mdp::{MdpConfig, ScanStats, SplitEnv};
+use crate::mdp::{episode_parts, MdpConfig, ScanStats, SplitEnv};
 use crate::{SearchResult, SearchWorkspace, SubtrajSearch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsub_measures::Measure;
+use simsub_nn::MlpCache;
 use simsub_rl::{DqnAgent, DqnConfig, Policy, Transition};
-use simsub_trajectory::{Point, TrajView, Trajectory};
+use simsub_trajectory::{Point, PointSeq, TrajView, Trajectory};
 
 /// The reinforcement-learning based search algorithm. Carries a frozen
 /// greedy [`Policy`] and the MDP configuration it was trained for:
@@ -52,22 +53,51 @@ impl Rls {
 
     /// Runs the greedy policy over the splitting MDP and returns both the
     /// result and the scan statistics (Table 5 reports the skipped-point
-    /// percentage).
+    /// percentage), on an evaluator and suffix similarities built for this
+    /// one `(data, query)` pair.
     pub fn search_with_stats(
         &self,
         measure: &dyn Measure,
         data: &[Point],
         query: &[Point],
     ) -> (SearchResult, ScanStats) {
-        let mut env = SplitEnv::new(measure, data, query, self.cfg);
-        loop {
-            let action = self.policy.greedy_action(&env.state());
-            if env.step(action).done {
-                break;
-            }
-        }
-        (env.result(), env.stats())
+        let (mut eval, suffix) = episode_parts(measure, data, query, self.cfg);
+        let env = SplitEnv::new(eval.as_mut(), &suffix, data, self.cfg);
+        greedy_walk(&self.policy, env, &mut MlpCache::default())
     }
+
+    /// [`Rls::search_with_stats`] for a corpus scan: the episode walks the
+    /// columnar view directly (`SplitEnv` is generic over `PointSeq`) on
+    /// what `ws` already holds — the evaluator targeted at the query once
+    /// per scan, the suffix buffer, the Q-network's activations — so the
+    /// query is not re-encoded and nothing is allocated per candidate.
+    pub fn scan_with_stats(
+        &self,
+        ws: &mut SearchWorkspace<'_>,
+        data: TrajView<'_>,
+    ) -> (SearchResult, ScanStats) {
+        assert!(!data.is_empty(), "inputs must be non-empty");
+        if self.cfg.use_suffix {
+            ws.compute_suffix_similarities_bulk(data);
+        }
+        let (eval, suffix, scratch) = ws.episode_parts();
+        greedy_walk(
+            &self.policy,
+            SplitEnv::new(eval, suffix, data, self.cfg),
+            scratch,
+        )
+    }
+}
+
+/// Walks `env` to its end under `policy`'s greedy actions — the one place
+/// a frozen policy meets an episode.
+fn greedy_walk<S: PointSeq>(
+    policy: &Policy,
+    mut env: SplitEnv<'_, S>,
+    scratch: &mut MlpCache,
+) -> (SearchResult, ScanStats) {
+    while !env.step(policy.greedy_action(env.state(), scratch)).done {}
+    (env.result(), env.stats())
 }
 
 impl SubtrajSearch for Rls {
@@ -80,18 +110,7 @@ impl SubtrajSearch for Rls {
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-        assert!(!data.is_empty(), "inputs must be non-empty");
-        // The MDP environment consumes the columnar view directly
-        // (`SplitEnv` is generic over `PointSeq`) — same episode, same
-        // greedy walk, no AoS staging copy.
-        let mut env = SplitEnv::new(ws.measure(), data, ws.query(), self.cfg);
-        loop {
-            let action = self.policy.greedy_action(&env.state());
-            if env.step(action).done {
-                break;
-            }
-        }
-        env.result()
+        self.scan_with_stats(ws, data).0
     }
 
     fn reported_similarity_is_admissible(&self) -> bool {
@@ -190,17 +209,14 @@ pub fn train_rls(
             )
         })
         .collect();
-    let validate = |agent: &DqnAgent| -> f64 {
+    let validate = |policy: &Policy| -> f64 {
+        let mut scratch = MlpCache::default();
         let mut total = 0.0;
         for &(di, qi) in &validation {
-            let mut env = SplitEnv::new(measure, data[di].points(), queries[qi].points(), cfg.mdp);
-            loop {
-                let action = agent.act_greedy(&env.state());
-                if env.step(action).done {
-                    break;
-                }
-            }
-            total += env.result().similarity;
+            let (data, query) = (data[di].points(), queries[qi].points());
+            let (mut eval, suffix) = episode_parts(measure, data, query, cfg.mdp);
+            let env = SplitEnv::new(eval.as_mut(), &suffix, data, cfg.mdp);
+            total += greedy_walk(policy, env, &mut scratch).0.similarity;
         }
         total / validation.len().max(1) as f64
     };
@@ -211,8 +227,9 @@ pub fn train_rls(
     for episode in 0..cfg.episodes {
         let t = &data[rng.gen_range(0..data.len())];
         let tq = &queries[rng.gen_range(0..queries.len())];
-        let mut env = SplitEnv::new(measure, t.points(), tq.points(), cfg.mdp);
-        let mut state = env.state();
+        let (mut eval, suffix) = episode_parts(measure, t.points(), tq.points(), cfg.mdp);
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.points(), cfg.mdp);
+        let mut state = env.state().to_vec();
         loop {
             let action = agent.act(&state);
             let terminal_next = {
@@ -227,7 +244,7 @@ pub fn train_rls(
                 let _ = terminal_next;
                 break;
             }
-            let next_state = env.state();
+            let next_state = env.state().to_vec();
             agent.remember(Transition {
                 state: std::mem::take(&mut state),
                 action,
@@ -249,9 +266,10 @@ pub fn train_rls(
 
         let is_last = episode + 1 == cfg.episodes;
         if !validation.is_empty() && (is_last || (episode + 1) % cfg.validate_every.max(1) == 0) {
-            let score = validate(&agent);
+            let policy = agent.policy();
+            let score = validate(&policy);
             if best_policy.as_ref().is_none_or(|(best, _)| score > *best) {
-                best_policy = Some((score, agent.policy()));
+                best_policy = Some((score, policy));
             }
         }
     }

@@ -24,7 +24,11 @@
 //! - the speculative-similarity and reversed-slab scratch behind the bulk
 //!   [`simsub_measures::PrefixEvaluator::extend_run`] scan paths (the
 //!   evaluator-driven algorithms feed the arena slabs to `extend_run`
-//!   directly, with no per-candidate AoS staging copy), and
+//!   directly, with no per-candidate AoS staging copy),
+//! - the Q-network activations behind the learned walk
+//!   ([`SearchWorkspace::episode_parts`] lends a [`crate::SplitEnv`] the
+//!   prefix evaluator, the suffix buffer and this scratch, so an RLS scan
+//!   encodes its query once and allocates nothing per candidate), and
 //! - a reusable AoS staging buffer ([`SearchWorkspace::staged`]) for
 //!   algorithms without a view-based override, so the default
 //!   [`crate::SubtrajSearch::search_with`] stays allocation-free after
@@ -39,6 +43,7 @@
 
 use crate::SearchResult;
 use simsub_measures::{distance_from_similarity, DpScratch, Measure, PrefixEvaluator};
+use simsub_nn::MlpCache;
 use simsub_trajectory::{Point, PointSeq, SubtrajRange, TrajView};
 
 /// Reusable evaluator state for one query under one measure. See the
@@ -88,6 +93,8 @@ pub struct SearchWorkspace<'m> {
     rows_prepared: bool,
     /// Set when the candidate's exact kernel left a start group early.
     abandoned: bool,
+    /// Q-network activations behind the learned walk ([`crate::Rls`]).
+    policy_scratch: MlpCache,
 }
 
 impl<'m> SearchWorkspace<'m> {
@@ -114,6 +121,7 @@ impl<'m> SearchWorkspace<'m> {
             sim_floor: f64::NEG_INFINITY,
             rows_prepared: false,
             abandoned: false,
+            policy_scratch: MlpCache::default(),
         }
     }
 
@@ -327,6 +335,14 @@ impl<'m> SearchWorkspace<'m> {
     /// the per-point similarity scratch buffer.
     pub fn scan_parts(&mut self) -> (&mut (dyn PrefixEvaluator + 'm), &[f64], &mut Vec<f64>) {
         (self.prefix.as_mut(), &self.suffix, &mut self.sims)
+    }
+
+    /// What a splitting-MDP episode ([`crate::SplitEnv`]) borrows: the
+    /// prefix evaluator, the suffix similarities of the last
+    /// `compute_suffix_similarities*` call, and the policy network's
+    /// activation scratch.
+    pub fn episode_parts(&mut self) -> (&mut (dyn PrefixEvaluator + 'm), &[f64], &mut MlpCache) {
+        (self.prefix.as_mut(), &self.suffix, &mut self.policy_scratch)
     }
 
     /// [`SearchWorkspace::scan_parts`] plus the shared cell-row matrix and

@@ -29,7 +29,7 @@ use crate::{similarity_from_distance, Measure, PrefixEvaluator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simsub_nn::{squared_distance, Adam, GruCache, GruCell, GruGrads};
+use simsub_nn::{squared_distance, Adam, GruCache, GruCell, GruGrads, GruScratch};
 use simsub_trajectory::{Mbr, Point, Trajectory};
 
 /// Affine normalization of raw coordinates into roughly `[-1, 1]²`, fitted
@@ -233,16 +233,20 @@ impl T2Vec {
     /// Encodes a trajectory into its embedding vector in `O(n)`.
     pub fn encode(&self, points: &[Point]) -> Vec<f64> {
         let mut h = self.cell.initial_state();
-        for &p in points {
-            let f = self.norm.features(p);
-            self.cell.step(&mut h, &f);
-        }
+        self.encode_into(points, &mut h, &mut GruScratch::default());
         h
+    }
+
+    /// Rolls `h` forward over `points`, one GRU step each.
+    fn encode_into(&self, points: &[Point], h: &mut [f64], scratch: &mut GruScratch) {
+        for &p in points {
+            self.cell.step_with(h, &self.norm.features(p), scratch);
+        }
     }
 
     /// Embedding dimensionality.
     pub fn embedding_dim(&self) -> usize {
-        self.cell.initial_state().len()
+        self.cell.hidden_dim()
     }
 
     /// The coordinate normalizer in use.
@@ -307,42 +311,50 @@ impl Measure for T2Vec {
 
 /// Incremental t2vec evaluator: caches the query embedding once
 /// (amortized, per Section 3.2) and extends the data-side hidden state one
-/// GRU step per point — `Φini = Φinc = O(1)` in the trajectory length.
+/// GRU step per point — `Φini = Φinc = O(1)` in the trajectory length,
+/// on activations it owns, so neither allocates.
 pub struct T2VecEvaluator<'a> {
     measure: &'a T2Vec,
     /// Pre-computed query embedding.
     query_embedding: Vec<f64>,
     /// Hidden state of the current subtrajectory.
     h: Vec<f64>,
+    scratch: GruScratch,
     initialized: bool,
 }
 
 impl<'a> T2VecEvaluator<'a> {
     /// Creates an evaluator, paying the `O(m)` query encoding once.
     pub fn new(measure: &'a T2Vec, query: &[Point]) -> Self {
-        assert!(!query.is_empty(), "query must be non-empty");
-        Self {
+        let mut eval = Self {
             measure,
-            query_embedding: measure.encode(query),
+            query_embedding: measure.cell.initial_state(),
             h: measure.cell.initial_state(),
+            scratch: GruScratch::default(),
             initialized: false,
-        }
+        };
+        eval.reset(query);
+        eval
+    }
+
+    /// Appends `p` to the current subtrajectory.
+    fn advance(&mut self, p: Point) {
+        self.measure
+            .encode_into(&[p], &mut self.h, &mut self.scratch);
     }
 }
 
 impl PrefixEvaluator for T2VecEvaluator<'_> {
     fn init(&mut self, p: Point) -> f64 {
-        self.h.iter_mut().for_each(|v| *v = 0.0);
-        let f = self.measure.norm.features(p);
-        self.measure.cell.step(&mut self.h, &f);
+        self.h.fill(0.0);
+        self.advance(p);
         self.initialized = true;
         self.similarity()
     }
 
     fn extend(&mut self, p: Point) -> f64 {
         assert!(self.initialized, "extend before init");
-        let f = self.measure.norm.features(p);
-        self.measure.cell.step(&mut self.h, &f);
+        self.advance(p);
         self.similarity()
     }
 
@@ -361,12 +373,10 @@ impl PrefixEvaluator for T2VecEvaluator<'_> {
     fn reset(&mut self, query: &[Point]) {
         assert!(!query.is_empty(), "query must be non-empty");
         // Re-encode the new query into the existing embedding buffer.
-        self.query_embedding.iter_mut().for_each(|v| *v = 0.0);
-        for &p in query {
-            let f = self.measure.norm.features(p);
-            self.measure.cell.step(&mut self.query_embedding, &f);
-        }
-        self.h.iter_mut().for_each(|v| *v = 0.0);
+        self.query_embedding.fill(0.0);
+        self.measure
+            .encode_into(query, &mut self.query_embedding, &mut self.scratch);
+        self.h.fill(0.0);
         self.initialized = false;
     }
 
@@ -380,8 +390,7 @@ impl PrefixEvaluator for T2VecEvaluator<'_> {
         assert!(self.initialized, "extend_run before init");
         debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
         for i in 0..xs.len() {
-            let f = self.measure.norm.features(Point::new(xs[i], ys[i], ts[i]));
-            self.measure.cell.step(&mut self.h, &f);
+            self.advance(Point::new(xs[i], ys[i], ts[i]));
         }
         self.similarity()
     }
@@ -393,8 +402,7 @@ impl PrefixEvaluator for T2VecEvaluator<'_> {
         assert!(self.initialized, "extend_run before init");
         debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
         for i in 0..xs.len() {
-            let f = self.measure.norm.features(Point::new(xs[i], ys[i], ts[i]));
-            self.measure.cell.step(&mut self.h, &f);
+            self.advance(Point::new(xs[i], ys[i], ts[i]));
             sims[i] = self.similarity();
         }
         self.similarity()

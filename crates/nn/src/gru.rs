@@ -1,6 +1,6 @@
 use crate::adam::Adam;
 use crate::init::xavier_uniform;
-use crate::math::{add_outer, matvec, matvec_transpose};
+use crate::math::{add_outer, matvec_columns, matvec_transpose};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -16,32 +16,53 @@ use serde::{Deserialize, Serialize};
 ///
 /// The incremental property the SimSub paper exploits (`Φinc = O(1)` for
 /// t2vec, Table 1) falls directly out of this recurrence: extending a
-/// subtrajectory by one point is a single [`GruCell::step`] from the cached
-/// hidden state.
+/// subtrajectory by one point is a single [`GruCell::step_with`] from the
+/// cached hidden state.
+///
+/// The nine parameter tensors are row-major (`(hidden_dim, in_dim)` input
+/// weights `W`, `(hidden_dim, hidden_dim)` recurrent weights `U`, biases
+/// `b`): the layout BPTT, Adam and [`GruCell::flat_params`] — hence the
+/// on-disk format — work in. The forward pass reads a column-major,
+/// gate-stacked mirror of the six matrices; every field is private so the
+/// two can only change together ([`GruCell::apply_grads`],
+/// [`GruCell::set_flat_params`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GruCell {
-    /// Input dimensionality.
-    pub in_dim: usize,
-    /// Hidden-state dimensionality (= embedding size).
-    pub hidden_dim: usize,
-    /// Update-gate input weights, row-major `(hidden_dim, in_dim)`.
-    pub wz: Vec<f64>,
-    /// Reset-gate input weights.
-    pub wr: Vec<f64>,
-    /// Candidate input weights.
-    pub wh: Vec<f64>,
-    /// Update-gate recurrent weights, row-major `(hidden_dim, hidden_dim)`.
-    pub uz: Vec<f64>,
-    /// Reset-gate recurrent weights.
-    pub ur: Vec<f64>,
-    /// Candidate recurrent weights.
-    pub uh: Vec<f64>,
-    /// Update-gate bias.
-    pub bz: Vec<f64>,
-    /// Reset-gate bias.
-    pub br: Vec<f64>,
-    /// Candidate bias.
-    pub bh: Vec<f64>,
+    in_dim: usize,
+    hidden_dim: usize,
+    wz: Vec<f64>,
+    wr: Vec<f64>,
+    wh: Vec<f64>,
+    uz: Vec<f64>,
+    ur: Vec<f64>,
+    uh: Vec<f64>,
+    bz: Vec<f64>,
+    br: Vec<f64>,
+    bh: Vec<f64>,
+    packed: PackedGates,
+}
+
+/// The forward pass's view of the weights: transposed, so that `W x` is a
+/// sum of columns scaled by `x[c]` whose output lanes sit side by side, and
+/// stacked, so that gates sharing an input share one such sum.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct PackedGates {
+    /// `[in_dim][3d]`: column `c` of `W_z | W_r | W_h`.
+    wx: Vec<f64>,
+    /// `[d][2d]`: column `c` of `U_z | U_r`.
+    uzr: Vec<f64>,
+    /// `[d][d]`: column `c` of `U_h`.
+    uh: Vec<f64>,
+}
+
+/// Caller-owned activations of one forward step; sized on first use and
+/// reusable across steps and cells of the same shape without reallocating.
+#[derive(Debug, Clone, Default)]
+pub struct GruScratch {
+    /// `W x` stacked `z | r | ĥ`, turned into the gate values in place.
+    gates: Vec<f64>,
+    /// `U_z h | U_r h`, then `U_h (r ⊙ h) | r ⊙ h`.
+    rec: Vec<f64>,
 }
 
 /// Saved intermediates of one forward step, needed by BPTT.
@@ -49,15 +70,15 @@ pub struct GruCell {
 struct StepCache {
     x: Vec<f64>,
     h_prev: Vec<f64>,
-    z: Vec<f64>,
-    r: Vec<f64>,
-    hhat: Vec<f64>,
+    /// Gate values `z | r | ĥ`.
+    gates: Vec<f64>,
 }
 
 /// Forward-pass cache for a whole sequence.
 #[derive(Debug, Clone, Default)]
 pub struct GruCache {
     steps: Vec<StepCache>,
+    scratch: GruScratch,
 }
 
 impl GruCache {
@@ -80,23 +101,23 @@ impl GruCache {
 /// Gradient accumulator matching a [`GruCell`].
 #[derive(Debug, Clone, Default)]
 pub struct GruGrads {
-    /// Gradient of [`GruCell::wz`].
+    /// Gradient of the update-gate input weights.
     pub wz: Vec<f64>,
-    /// Gradient of [`GruCell::wr`].
+    /// Gradient of the reset-gate input weights.
     pub wr: Vec<f64>,
-    /// Gradient of [`GruCell::wh`].
+    /// Gradient of the candidate input weights.
     pub wh: Vec<f64>,
-    /// Gradient of [`GruCell::uz`].
+    /// Gradient of the update-gate recurrent weights.
     pub uz: Vec<f64>,
-    /// Gradient of [`GruCell::ur`].
+    /// Gradient of the reset-gate recurrent weights.
     pub ur: Vec<f64>,
-    /// Gradient of [`GruCell::uh`].
+    /// Gradient of the candidate recurrent weights.
     pub uh: Vec<f64>,
-    /// Gradient of [`GruCell::bz`].
+    /// Gradient of the update-gate bias.
     pub bz: Vec<f64>,
-    /// Gradient of [`GruCell::br`].
+    /// Gradient of the reset-gate bias.
     pub br: Vec<f64>,
-    /// Gradient of [`GruCell::bh`].
+    /// Gradient of the candidate bias.
     pub bh: Vec<f64>,
 }
 
@@ -110,7 +131,7 @@ impl GruCell {
     pub fn new<R: Rng>(rng: &mut R, in_dim: usize, hidden_dim: usize) -> Self {
         let wi = |rng: &mut R| xavier_uniform(rng, in_dim, hidden_dim, hidden_dim * in_dim);
         let wu = |rng: &mut R| xavier_uniform(rng, hidden_dim, hidden_dim, hidden_dim * hidden_dim);
-        Self {
+        let mut cell = Self {
             in_dim,
             hidden_dim,
             wz: wi(rng),
@@ -122,6 +143,40 @@ impl GruCell {
             bz: vec![0.0; hidden_dim],
             br: vec![0.0; hidden_dim],
             bh: vec![0.0; hidden_dim],
+            packed: PackedGates::default(),
+        };
+        cell.repack();
+        cell
+    }
+
+    /// Input dimensionality.
+    pub fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    /// Hidden-state dimensionality (= embedding size).
+    pub fn hidden_dim(&self) -> usize {
+        self.hidden_dim
+    }
+
+    /// Rebuilds the forward pass's mirror from the row-major tensors.
+    fn repack(&mut self) {
+        let (d, n) = (self.hidden_dim, self.in_dim);
+        let p = &mut self.packed;
+        p.wx.resize(n * 3 * d, 0.0);
+        p.uzr.resize(d * 2 * d, 0.0);
+        p.uh.resize(d * d, 0.0);
+        for r in 0..d {
+            for c in 0..n {
+                p.wx[c * 3 * d + r] = self.wz[r * n + c];
+                p.wx[c * 3 * d + d + r] = self.wr[r * n + c];
+                p.wx[c * 3 * d + 2 * d + r] = self.wh[r * n + c];
+            }
+            for c in 0..d {
+                p.uzr[c * 2 * d + r] = self.uz[r * d + c];
+                p.uzr[c * 2 * d + d + r] = self.ur[r * d + c];
+                p.uh[c * d + r] = self.uh[r * d + c];
+            }
         }
     }
 
@@ -130,68 +185,71 @@ impl GruCell {
         vec![0.0; self.hidden_dim]
     }
 
-    /// One recurrence step: writes `h_t` into `h` (in place over `h_{t-1}`).
-    /// This is the O(1)-per-point incremental primitive (constant in the
-    /// trajectory length; the constant is `O(hidden_dim²)`).
+    /// One recurrence step on freshly allocated scratch: writes `h_t` into
+    /// `h` (in place over `h_{t-1}`). Loops should own a [`GruScratch`] and
+    /// call [`GruCell::step_with`].
     pub fn step(&self, h: &mut [f64], x: &[f64]) {
+        self.step_with(h, x, &mut GruScratch::default());
+    }
+
+    /// One recurrence step: writes `h_t` into `h` (in place over
+    /// `h_{t-1}`), leaving the gate values in `scratch`. This is the
+    /// O(1)-per-point incremental primitive (constant in the trajectory
+    /// length; the constant is `O(hidden_dim²)`), and it does not allocate
+    /// once `scratch` has seen this cell's shape.
+    pub fn step_with(&self, h: &mut [f64], x: &[f64], scratch: &mut GruScratch) {
         let d = self.hidden_dim;
-        debug_assert_eq!(h.len(), d);
-        debug_assert_eq!(x.len(), self.in_dim);
-        let mut z = vec![0.0; d];
-        let mut r = vec![0.0; d];
-        let mut hhat = vec![0.0; d];
-        self.gates(h, x, &mut z, &mut r, &mut hhat);
+        self.gates(h, x, scratch);
+        let (z, hhat) = (&scratch.gates[..d], &scratch.gates[2 * d..]);
         for i in 0..d {
             h[i] = (1.0 - z[i]) * h[i] + z[i] * hhat[i];
         }
     }
 
-    fn gates(&self, h_prev: &[f64], x: &[f64], z: &mut [f64], r: &mut [f64], hhat: &mut [f64]) {
+    /// The one forward body: fills `s.gates` with `z | r | ĥ` for
+    /// `(h_prev, x)`. Each pre-activation is `(W x + U h) + b` with both
+    /// products summed left to right from `f64::sum`'s `-0.0` seed, as a
+    /// row-by-row dot product would — only across output lanes at once.
+    fn gates(&self, h_prev: &[f64], x: &[f64], s: &mut GruScratch) {
         let d = self.hidden_dim;
-        let mut tmp = vec![0.0; d];
-
-        matvec(&self.wz, d, self.in_dim, x, z);
-        matvec(&self.uz, d, d, h_prev, &mut tmp);
+        debug_assert_eq!(h_prev.len(), d);
+        debug_assert_eq!(x.len(), self.in_dim);
+        s.gates.resize(3 * d, 0.0);
+        s.rec.resize(2 * d, 0.0);
+        matvec_columns(&self.packed.wx, x, &mut s.gates);
+        matvec_columns(&self.packed.uzr, h_prev, &mut s.rec);
+        let (z, rest) = s.gates.split_at_mut(d);
+        let (r, hhat) = rest.split_at_mut(d);
+        // `uz_h` becomes `U_h (r ⊙ h)` and `ur_h` becomes `r ⊙ h` below.
+        let (uz_h, ur_h) = s.rec.split_at_mut(d);
         for i in 0..d {
-            z[i] = sigmoid(z[i] + tmp[i] + self.bz[i]);
+            z[i] = sigmoid(z[i] + uz_h[i] + self.bz[i]);
+            r[i] = sigmoid(r[i] + ur_h[i] + self.br[i]);
+            ur_h[i] = r[i] * h_prev[i];
         }
-
-        matvec(&self.wr, d, self.in_dim, x, r);
-        matvec(&self.ur, d, d, h_prev, &mut tmp);
+        matvec_columns(&self.packed.uh, ur_h, uz_h);
         for i in 0..d {
-            r[i] = sigmoid(r[i] + tmp[i] + self.br[i]);
-        }
-
-        let rh: Vec<f64> = (0..d).map(|i| r[i] * h_prev[i]).collect();
-        matvec(&self.wh, d, self.in_dim, x, hhat);
-        matvec(&self.uh, d, d, &rh, &mut tmp);
-        for i in 0..d {
-            hhat[i] = (hhat[i] + tmp[i] + self.bh[i]).tanh();
+            hhat[i] = (hhat[i] + uz_h[i] + self.bh[i]).tanh();
         }
     }
 
     /// Forward step that records intermediates for BPTT into `cache`.
     pub fn step_cached(&self, h: &mut [f64], x: &[f64], cache: &mut GruCache) {
-        let d = self.hidden_dim;
-        let mut step = StepCache {
+        let h_prev = h.to_vec();
+        self.step_with(h, x, &mut cache.scratch);
+        cache.steps.push(StepCache {
             x: x.to_vec(),
-            h_prev: h.to_vec(),
-            z: vec![0.0; d],
-            r: vec![0.0; d],
-            hhat: vec![0.0; d],
-        };
-        self.gates(&step.h_prev, x, &mut step.z, &mut step.r, &mut step.hhat);
-        for i in 0..d {
-            h[i] = (1.0 - step.z[i]) * step.h_prev[i] + step.z[i] * step.hhat[i];
-        }
-        cache.steps.push(step);
+            h_prev,
+            gates: cache.scratch.gates.clone(),
+        });
     }
 
     /// Encodes a full sequence, returning the final hidden state.
     pub fn encode(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         let mut h = self.initial_state();
+        let mut scratch = GruScratch::default();
         for x in xs {
-            self.step(&mut h, x);
+            self.step_with(&mut h, x, &mut scratch);
         }
         h
     }
@@ -213,7 +271,9 @@ impl GruCell {
         let mut dz_pre = vec![0.0; d];
 
         for step in cache.steps.iter().rev() {
-            let (x, h_prev, z, r, hhat) = (&step.x, &step.h_prev, &step.z, &step.r, &step.hhat);
+            let (x, h_prev) = (&step.x, &step.h_prev);
+            let (z, rest) = step.gates.split_at(d);
+            let (r, hhat) = rest.split_at(d);
             let mut dh_prev = vec![0.0; d];
 
             for i in 0..d {
@@ -274,6 +334,7 @@ impl GruCell {
         adam.update(&mut self.bz, &grads.bz);
         adam.update(&mut self.br, &grads.br);
         adam.update(&mut self.bh, &grads.bh);
+        self.repack();
     }
 
     /// Total number of scalar parameters.
@@ -314,6 +375,7 @@ impl GruCell {
             t.copy_from_slice(&flat[off..off + len]);
             off += len;
         }
+        self.repack();
     }
 }
 
@@ -336,7 +398,10 @@ impl GruGrads {
     }
 
     fn ensure_shape(&mut self, cell: &GruCell) {
-        if self.wz.len() != cell.hidden_dim * cell.in_dim {
+        // All three: `wz` alone cannot tell (in 4, hidden 2) from
+        // (in 2, hidden 4).
+        let (d, n) = (cell.hidden_dim, cell.in_dim);
+        if self.wz.len() != d * n || self.uz.len() != d * d || self.bz.len() != d {
             *self = Self::zeros(cell);
         }
     }
@@ -419,6 +484,31 @@ mod tests {
         assert_eq!(h1, h2);
         assert_eq!(cache.len(), 12);
         assert_eq!(h1, cell.encode(&xs));
+    }
+
+    #[test]
+    fn grads_are_reshaped_when_only_the_products_of_the_dims_agree() {
+        // (in 4, hidden 2) and (in 2, hidden 4) share `wz.len() == 8`;
+        // accumulators left over from one must not be fed to the other.
+        let mut rng = StdRng::seed_from_u64(29);
+        let wide_in = GruCell::new(&mut rng, 4, 2);
+        let wide_hidden = GruCell::new(&mut rng, 2, 4);
+        for (stale, cell) in [(&wide_in, &wide_hidden), (&wide_hidden, &wide_in)] {
+            let xs = seq(&mut rng, 3, cell.in_dim());
+            let mut h = cell.initial_state();
+            let mut cache = GruCache::default();
+            for x in &xs {
+                cell.step_cached(&mut h, x, &mut cache);
+            }
+            let dh = vec![1.0; cell.hidden_dim()];
+            let mut fresh = GruGrads::zeros(cell);
+            cell.backward(&cache, &dh, &mut fresh);
+            let mut reused = GruGrads::zeros(stale);
+            cell.backward(&cache, &dh, &mut reused);
+            assert_eq!(reused.flat(), fresh.flat());
+            assert_eq!(reused.uz.len(), cell.hidden_dim() * cell.hidden_dim());
+            assert_eq!(reused.bz.len(), cell.hidden_dim());
+        }
     }
 
     #[test]

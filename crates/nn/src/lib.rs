@@ -27,10 +27,10 @@ mod mlp;
 mod persist;
 
 pub use adam::{Adam, KeyedAdam};
-pub use gru::{GruCache, GruCell, GruGrads};
+pub use gru::{GruCache, GruCell, GruGrads, GruScratch};
 pub use init::xavier_uniform;
 pub use linear::{Linear, LinearGrads};
-pub use math::{add_outer, axpy, dot, matvec, matvec_transpose, squared_distance};
+pub use math::{add_outer, axpy, dot, matvec, matvec_columns, matvec_transpose, squared_distance};
 pub use mlp::{Activation, Mlp, MlpCache, MlpGrads};
 pub use persist::{BinaryCodec, CodecError, Decoder, Encoder};
 

@@ -31,6 +31,43 @@ pub fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// `y = W x` for *column-major* `W` of shape `(y.len(), x.len())`:
+/// `wt[c * rows + r]` is `W[r][c]`. Output lane `r` receives
+/// `W[r][0] x[0]`, `W[r][1] x[1]`, … in that order on top of the `-0.0`
+/// that `f64::sum` starts from — bit for bit what [`matvec`] gives for the
+/// row-major transpose — but the lanes of a column sit side by side and do
+/// not depend on each other, so a block of them accumulates in vector
+/// registers across all columns.
+#[inline]
+pub fn matvec_columns(wt: &[f64], x: &[f64], y: &mut [f64]) {
+    /// Output lanes per register-resident block.
+    const LANES: usize = 16;
+    let rows = y.len();
+    assert_eq!(wt.len(), rows * x.len());
+    // (`max`: an empty `y` has no columns to chunk.)
+    let columns = || wt.chunks_exact(rows.max(1)).zip(x);
+    let (blocks, tail) = y.as_chunks_mut::<LANES>();
+    for (b, out) in blocks.iter_mut().enumerate() {
+        let mut acc = [-0.0; LANES];
+        for (col, &xc) in columns() {
+            let col: &[f64; LANES] = col[b * LANES..]
+                .first_chunk()
+                .expect("a block lies inside its column");
+            for l in 0..LANES {
+                acc[l] += col[l] * xc;
+            }
+        }
+        *out = acc;
+    }
+    let at = rows - tail.len();
+    tail.fill(-0.0);
+    for (col, &xc) in columns() {
+        for (yr, w) in tail.iter_mut().zip(&col[at..]) {
+            *yr += w * xc;
+        }
+    }
+}
+
 /// `y += Wᵀ g` for row-major `W` of shape `(rows, cols)`: propagates a
 /// gradient `g` (length `rows`) back through `W`, accumulating into `y`
 /// (length `cols`).
@@ -76,6 +113,29 @@ mod tests {
         let mut y = [0.0; 3];
         matvec(&w, 3, 2, &x, &mut y);
         assert_eq!(y, [-1.0, -1.0, -1.0]);
+    }
+
+    #[test]
+    fn matvec_columns_matches_matvec_bitwise() {
+        // 19 × 3 (one lane block and a tail), entries chosen so that
+        // summation order shows in the bits.
+        let (rows, cols) = (19, 3);
+        let w: Vec<f64> = (0..rows * cols)
+            .map(|i| 0.1 + (i as f64 * 0.37).sin() * 1e3)
+            .collect();
+        let wt: Vec<f64> = (0..rows * cols)
+            .map(|i| w[(i % rows) * cols + i / rows])
+            .collect();
+        for x in [[0.3, -1e-9, 7.7], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]] {
+            let (mut by_rows, mut by_cols) = ([0.0; 19], [1.0; 19]);
+            matvec(&w, rows, cols, &x, &mut by_rows);
+            matvec_columns(&wt, &x, &mut by_cols);
+            assert_eq!(
+                by_rows.map(f64::to_bits),
+                by_cols.map(f64::to_bits),
+                "x = {x:?}"
+            );
+        }
     }
 
     #[test]

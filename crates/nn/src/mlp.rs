@@ -117,18 +117,15 @@ impl Mlp {
     /// returns the final output slice.
     pub fn forward_cached<'c>(&self, x: &[f64], cache: &'c mut MlpCache) -> &'c [f64] {
         cache.outputs.resize(self.layers.len(), Vec::new());
-        let mut input: &[f64] = x;
         // Split borrows: walk layer by layer writing into cache.outputs[l].
         for l in 0..self.layers.len() {
             let (done, rest) = cache.outputs.split_at_mut(l);
             let out = &mut rest[0];
-            let layer_in: &[f64] = if l == 0 { input } else { &done[l - 1] };
+            let layer_in: &[f64] = if l == 0 { x } else { &done[l - 1] };
             self.layers[l].forward(layer_in, out);
             for v in out.iter_mut() {
                 *v = self.activations[l].apply(*v);
             }
-            input = &[]; // silence unused after first iteration
-            let _ = input;
         }
         cache.outputs.last().map(Vec::as_slice).unwrap_or(&[])
     }

@@ -273,8 +273,8 @@ impl BinaryCodec for Mlp {
 
 impl BinaryCodec for GruCell {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.in_dim as u64);
-        enc.put_u64(self.hidden_dim as u64);
+        enc.put_u64(self.in_dim() as u64);
+        enc.put_u64(self.hidden_dim() as u64);
         enc.put_f64_slice(&self.flat_params());
     }
 

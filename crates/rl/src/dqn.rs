@@ -74,9 +74,10 @@ impl simsub_nn::BinaryCodec for Policy {
 }
 
 impl Policy {
-    /// Greedy action `argmax_a Q(s, a)`.
-    pub fn greedy_action(&self, state: &[f64]) -> usize {
-        argmax(&self.net.forward(state))
+    /// Greedy action `argmax_a Q(s, a)`, evaluated on caller-owned
+    /// activations so a walk of many states allocates once.
+    pub fn greedy_action(&self, state: &[f64], scratch: &mut MlpCache) -> usize {
+        argmax(self.net.forward_cached(state, scratch))
     }
 
     /// Raw Q-values for inspection.
@@ -313,10 +314,11 @@ mod tests {
             agent.decay_epsilon();
         }
         let policy = agent.policy();
+        let mut scratch = MlpCache::default();
         let mut correct = 0;
         for i in 0..100 {
             let x = i as f64 / 100.0;
-            if policy.greedy_action(&[x]) == usize::from(x >= 0.5) {
+            if policy.greedy_action(&[x], &mut scratch) == usize::from(x >= 0.5) {
                 correct += 1;
             }
         }
@@ -364,8 +366,17 @@ mod tests {
             agent.decay_epsilon();
         }
         let policy = agent.policy();
-        assert_eq!(policy.greedy_action(&[0.0]), 1, "state 0 action");
-        assert_eq!(policy.greedy_action(&[1.0]), 1, "state 1 action");
+        let mut scratch = MlpCache::default();
+        assert_eq!(
+            policy.greedy_action(&[0.0], &mut scratch),
+            1,
+            "state 0 action"
+        );
+        assert_eq!(
+            policy.greedy_action(&[1.0], &mut scratch),
+            1,
+            "state 1 action"
+        );
         // Q(s0, 1) should reflect discounted future reward ≈ γ·1.
         let q0 = policy.q_values(&[0.0])[1];
         assert!(q0 > 0.5, "bootstrapped value too low: {q0}");

@@ -1,7 +1,11 @@
 //! Scalar reference implementations of the five scan algorithms — the
 //! paper's definitions spelled point by point (Algorithm 1 ExactS, §4.2
 //! SizeS, Algorithm 2 PSS, §4.3 POS / POS-D), written only against the
-//! public `Measure::prefix_evaluator` / `init` / `extend` API.
+//! public `Measure::prefix_evaluator` / `init` / `extend` API — plus the
+//! learned path's two: the greedy splitting-MDP walk of RLS / RLS-Skip
+//! ([`rls_walk`], §5.1 and §5.4) and the row-major GRU step
+//! ([`ScalarGru`]) that `crates/nn` computed before its forward pass was
+//! gate-stacked.
 //!
 //! `crates/core` keeps exactly one scan body per algorithm (the view
 //! body behind `SubtrajSearch::search_with`; `search(&[Point])` is an
@@ -15,22 +19,30 @@
 #![allow(clippy::needless_range_loop)]
 
 use simsub::core::{
-    sort_hits_and_truncate, ExactS, Pos, PosD, Pss, SearchResult, SizeS, SubtrajSearch, TopKResult,
+    sort_hits_and_truncate, ExactS, MdpConfig, Pos, PosD, Pss, Rls, ScanStats, SearchResult, SizeS,
+    SubtrajSearch, TopKResult,
 };
 use simsub::measures::{distance_from_similarity, Measure};
+use simsub::rl::Policy;
 use simsub::trajectory::{Point, SubtrajRange, Trajectory};
 
-/// One of the five scan algorithms, by its scalar definition.
+/// One of the scan algorithms, by its scalar definition.
 #[derive(Debug, Clone, Copy)]
-pub enum Scalar {
+pub enum Scalar<'a> {
     ExactS,
-    SizeS { xi: usize },
+    SizeS {
+        xi: usize,
+    },
     Pss,
     Pos,
-    PosD { delay: usize },
+    PosD {
+        delay: usize,
+    },
+    /// The learned walk under this instance's policy and MDP.
+    Rls(&'a Rls),
 }
 
-impl Scalar {
+impl Scalar<'_> {
     /// The product algorithm this oracle pins.
     pub fn product(self) -> Box<dyn SubtrajSearch + Sync> {
         match self {
@@ -39,6 +51,7 @@ impl Scalar {
             Scalar::Pss => Box::new(Pss),
             Scalar::Pos => Box::new(Pos),
             Scalar::PosD { delay } => Box::new(PosD::new(delay)),
+            Scalar::Rls(rls) => Box::new(rls.clone()),
         }
     }
 
@@ -50,6 +63,9 @@ impl Scalar {
             Scalar::Pss => pss_scan(measure, data, query),
             Scalar::Pos => pos_d_scan(0, measure, data, query),
             Scalar::PosD { delay } => pos_d_scan(delay, measure, data, query),
+            Scalar::Rls(rls) => {
+                return rls_walk(rls.policy(), rls.config(), measure, data, query).0;
+            }
         };
         SearchResult {
             range,
@@ -63,7 +79,7 @@ impl Scalar {
 /// the shared comparator. Touches neither the arena, the workspace
 /// reuse, the bulk kernels, nor the bound cascade.
 pub fn reference_top_k(
-    which: Scalar,
+    which: Scalar<'_>,
     measure: &dyn Measure,
     corpus: &[Trajectory],
     query: &[Point],
@@ -137,11 +153,9 @@ fn sizes_scan(
     best
 }
 
-/// Algorithm 2: one backward pass of a reversed-query evaluator fills
-/// the suffix similarities, then the forward walk splits whenever the
-/// running prefix or the suffix at `i` beats the best so far (the prefix
-/// wins only when strictly better than the suffix).
-fn pss_scan(measure: &dyn Measure, data: &[Point], query: &[Point]) -> (SubtrajRange, f64) {
+/// `Θ(T[t, n]ᴿ, Tqᴿ)` for every `t`: one backward pass of a fresh
+/// reversed-query evaluator (Algorithm 2, lines 2-3).
+fn suffix_pass(measure: &dyn Measure, data: &[Point], query: &[Point]) -> Vec<f64> {
     let n = data.len();
     let reversed_query: Vec<Point> = query.iter().rev().copied().collect();
     let mut suffix_eval = measure.prefix_evaluator(&reversed_query);
@@ -150,7 +164,16 @@ fn pss_scan(measure: &dyn Measure, data: &[Point], query: &[Point]) -> (SubtrajR
     for t in (0..n - 1).rev() {
         suffix[t] = suffix_eval.extend(data[t]);
     }
+    suffix
+}
 
+/// Algorithm 2: one backward pass of a reversed-query evaluator fills
+/// the suffix similarities, then the forward walk splits whenever the
+/// running prefix or the suffix at `i` beats the best so far (the prefix
+/// wins only when strictly better than the suffix).
+fn pss_scan(measure: &dyn Measure, data: &[Point], query: &[Point]) -> (SubtrajRange, f64) {
+    let n = data.len();
+    let suffix = suffix_pass(measure, data, query);
     let mut eval = measure.prefix_evaluator(query);
     let mut best: Option<SubtrajRange> = None;
     let mut best_sim = 0.0f64;
@@ -213,4 +236,152 @@ fn pos_d_scan(
         }
     }
     (best.expect("similarities are positive"), best_sim)
+}
+
+/// §5.1 / §5.4: the splitting MDP walked under a frozen policy's greedy
+/// actions, on a fresh evaluator and a fresh suffix pass. State
+/// `(Θbest, Θpre[, Θsuf])`; action 0 continues, 1 splits after the
+/// current point, `1 + j` skips the next `j` points, which then never
+/// reach the prefix evaluator. Shares nothing with `SplitEnv`, the
+/// workspace or `Policy::greedy_action` (it reads `q_values` and takes the
+/// first maximum itself).
+pub fn rls_walk(
+    policy: &Policy,
+    cfg: MdpConfig,
+    measure: &dyn Measure,
+    data: &[Point],
+    query: &[Point],
+) -> (SearchResult, ScanStats) {
+    let n = data.len();
+    let suffix = if cfg.use_suffix {
+        suffix_pass(measure, data, query)
+    } else {
+        Vec::new()
+    };
+    let mut eval = measure.prefix_evaluator(query);
+    let (mut t, mut h) = (0, 0);
+    let mut pre = eval.init(data[0]);
+    let mut best: Option<SubtrajRange> = None;
+    let mut best_sim = 0.0f64;
+    let mut stats = ScanStats {
+        scanned: 1,
+        ..ScanStats::default()
+    };
+    loop {
+        let mut state = vec![best_sim, pre];
+        if cfg.use_suffix {
+            state.push(suffix[t]);
+        }
+        let q = policy.q_values(&state);
+        let mut action = 0;
+        for a in 1..q.len() {
+            if q[a] > q[action] {
+                action = a;
+            }
+        }
+
+        let prefix_start = h;
+        if action == 1 {
+            h = t + 1;
+            stats.splits += 1;
+        }
+        if pre > best_sim {
+            best_sim = pre;
+            best = Some(SubtrajRange::new(prefix_start, t));
+        }
+        if cfg.use_suffix && suffix[t] > best_sim {
+            best_sim = suffix[t];
+            best = Some(SubtrajRange::new(t, n - 1));
+        }
+        if t == n - 1 {
+            break;
+        }
+        let next = (t + 1 + action.saturating_sub(1)).min(n - 1);
+        stats.skipped += next - t - 1;
+        stats.scanned += 1;
+        t = next;
+        pre = if t == h {
+            eval.init(data[t])
+        } else {
+            eval.extend(data[t])
+        };
+    }
+    let result = SearchResult {
+        range: best.expect("similarities are positive"),
+        similarity: best_sim,
+        distance: distance_from_similarity(best_sim),
+    };
+    (result, stats)
+}
+
+/// The GRU step as three row-major matvec pairs: every pre-activation is
+/// `(W x + U h) + b` with each product a strict left-to-right dot product
+/// (`f64::sum`, so seeded with `-0.0`). Built from
+/// `GruCell::flat_params` — `W_z W_r W_h U_z U_r U_h b_z b_r b_h`, the
+/// on-disk order — so it reads the cell's parameters, not its layout.
+pub struct ScalarGru {
+    in_dim: usize,
+    hidden_dim: usize,
+    /// `[W_z, W_r, W_h]`, each row-major `(hidden_dim, in_dim)`.
+    w: [Vec<f64>; 3],
+    /// `[U_z, U_r, U_h]`, each row-major `(hidden_dim, hidden_dim)`.
+    u: [Vec<f64>; 3],
+    /// `[b_z, b_r, b_h]`.
+    b: [Vec<f64>; 3],
+}
+
+impl ScalarGru {
+    pub fn from_flat(in_dim: usize, hidden_dim: usize, flat: &[f64]) -> Self {
+        let (wi, wu) = (hidden_dim * in_dim, hidden_dim * hidden_dim);
+        assert_eq!(flat.len(), 3 * (wi + wu + hidden_dim));
+        let mut rest = flat;
+        let mut take = |len: usize| {
+            let (head, tail) = rest.split_at(len);
+            rest = tail;
+            head.to_vec()
+        };
+        Self {
+            in_dim,
+            hidden_dim,
+            w: [take(wi), take(wi), take(wi)],
+            u: [take(wu), take(wu), take(wu)],
+            b: [take(hidden_dim), take(hidden_dim), take(hidden_dim)],
+        }
+    }
+
+    /// `h ← (1 − z) ⊙ h + z ⊙ ĥ`.
+    pub fn step(&self, h: &mut [f64], x: &[f64]) {
+        let d = self.hidden_dim;
+        let sigmoid = |v: f64| 1.0 / (1.0 + (-v).exp());
+        let wx = |g: usize| matvec(&self.w[g], d, self.in_dim, x);
+        let uh = |g: usize, v: &[f64]| matvec(&self.u[g], d, d, v);
+
+        let (zx, zh) = (wx(0), uh(0, h));
+        let z: Vec<f64> = (0..d)
+            .map(|i| sigmoid(zx[i] + zh[i] + self.b[0][i]))
+            .collect();
+        let (rx, rh) = (wx(1), uh(1, h));
+        let r: Vec<f64> = (0..d)
+            .map(|i| sigmoid(rx[i] + rh[i] + self.b[1][i]))
+            .collect();
+        let gated: Vec<f64> = (0..d).map(|i| r[i] * h[i]).collect();
+        let (cx, ch) = (wx(2), uh(2, &gated));
+        for i in 0..d {
+            let hhat = (cx[i] + ch[i] + self.b[2][i]).tanh();
+            h[i] = (1.0 - z[i]) * h[i] + z[i] * hhat;
+        }
+    }
+}
+
+/// `W x` for row-major `W` of shape `(rows, cols)`, one dot product a row.
+pub fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {
+    (0..rows)
+        .map(|r| {
+            w[r * cols..(r + 1) * cols]
+                .iter()
+                .zip(x)
+                .map(|(a, b)| a * b)
+                .sum()
+        })
+        .collect()
 }

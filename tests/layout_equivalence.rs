@@ -6,20 +6,24 @@
 //! AoS points, ranked through `sort_hits_and_truncate`), across measures
 //! on the search path (DTW, discrete Frechet, a trained t2vec model),
 //! both service-default algorithms (ExactS, PSS), shard counts 1..4, and
-//! prune on/off. The packed binary corpus format must round-trip the
-//! arena bit-exactly and reject corrupt or truncated files.
+//! prune on/off. The learned walks (RLS, RLS-Skip, RLS+, RLS-Skip+) join
+//! through one workspace reused across every candidate and re-targeted
+//! across queries, against a fresh scalar walk per candidate. The packed
+//! binary corpus format must round-trip the arena bit-exactly and reject
+//! corrupt or truncated files.
 
 mod common;
 
 use common::assert_bitwise_topk;
-use common::scalar::{reference_top_k, Scalar};
+use common::scalar::{reference_top_k, rls_walk, Scalar};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simsub::core::{ExactS, TopKResult};
+use simsub::core::{ExactS, MdpConfig, Rls, ScanStats, SearchWorkspace, TopKResult};
 use simsub::data::{read_bin, read_csv, write_bin, write_csv, BinCorpusError};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
+use simsub::rl::{DqnAgent, DqnConfig};
 use simsub::trajectory::{CorpusArena, Point, Trajectory};
 
 const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=4;
@@ -57,7 +61,7 @@ fn random_corpus(seed: u64, count: usize) -> Vec<Trajectory> {
 /// reference bit for bit.
 fn check_layout_equivalence(
     corpus: &[Trajectory],
-    which: Scalar,
+    which: Scalar<'_>,
     measure: &dyn Measure,
     query: &[Point],
     k: usize,
@@ -231,6 +235,88 @@ fn t2vec_arena_scans_match_prearena_path() {
     let query = walk(0xfeed, 7, (0.0, 0.0));
     check_layout_equivalence(&corpus, Scalar::ExactS, &model, &query, 3);
     check_layout_equivalence(&corpus, Scalar::Pss, &model, &query, 3);
+}
+
+/// The learned walks borrow what the scan's workspace holds — the prefix
+/// evaluator targeted at the query once, the bulk suffix buffer, the
+/// Q-network scratch — so one workspace is walked over every candidate and
+/// `reset` across queries, and each walk must equal, in range, similarity
+/// bits and `ScanStats`, a scalar walk on a fresh evaluator and a fresh
+/// suffix pass. Untrained policies from several seeds stand in for a
+/// trained one: between them every action of every MDP is taken.
+#[test]
+fn rls_workspace_walks_match_fresh_scalar_walks() {
+    let corpus = random_corpus(33, 12);
+    let arena = CorpusArena::from_trajectories(&corpus);
+    let cfg = T2VecConfig {
+        steps: 30,
+        hidden_dim: 8,
+        seed: 9,
+        ..Default::default()
+    };
+    let (t2vec, _sep) = T2Vec::train(&corpus, &cfg);
+    let queries = [
+        walk(0xa11, 7, (0.0, 0.0)),
+        walk(0xa12, 3, (20.0, -10.0)),
+        walk(0xa13, 11, (-5.0, 5.0)),
+    ];
+    let no_suffix = |skip_actions| MdpConfig {
+        skip_actions,
+        use_suffix: false,
+    };
+    for measure in [&Dtw as &dyn Measure, &Frechet, &t2vec] {
+        for mdp in [
+            MdpConfig::rls(),
+            MdpConfig::rls_skip(3),
+            no_suffix(0),
+            no_suffix(3),
+        ] {
+            let mut total = ScanStats::default();
+            for seed in 0..6 {
+                let mut dqn = DqnConfig::paper(mdp.state_dim(), mdp.n_actions());
+                dqn.seed = seed;
+                let rls = Rls::new(DqnAgent::new(dqn).policy(), mdp);
+                let mut ws = SearchWorkspace::new(measure, &queries[0]);
+                for query in &queries {
+                    ws.reset(query);
+                    for (slot, t) in corpus.iter().enumerate() {
+                        let context = format!(
+                            "{} {} seed {seed} |q| {} trajectory {}",
+                            measure.name(),
+                            mdp.algorithm_name(),
+                            query.len(),
+                            t.id
+                        );
+                        let (want, want_stats) =
+                            rls_walk(rls.policy(), mdp, measure, t.points(), query);
+                        let walks = [
+                            rls.scan_with_stats(&mut ws, arena.view(slot)),
+                            rls.search_with_stats(measure, t.points(), query),
+                        ];
+                        for (got, got_stats) in walks {
+                            assert_eq!(got.range, want.range, "{context}");
+                            assert_eq!(
+                                got.similarity.to_bits(),
+                                want.similarity.to_bits(),
+                                "{context}"
+                            );
+                            assert_eq!(got_stats, want_stats, "{context}");
+                        }
+                        total.scanned += want_stats.scanned;
+                        total.skipped += want_stats.skipped;
+                        total.splits += want_stats.splits;
+                    }
+                    check_layout_equivalence(&corpus, Scalar::Rls(&rls), measure, query, 3);
+                }
+            }
+            let context = format!("{} {}: {total:?}", measure.name(), mdp.algorithm_name());
+            assert!(
+                total.splits > 0 && total.splits < total.scanned,
+                "{context}"
+            );
+            assert_eq!(total.skipped > 0, mdp.skip_actions > 0, "{context}");
+        }
+    }
 }
 
 /// Bad magic and trailing garbage are typed errors, not panics.

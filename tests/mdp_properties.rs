@@ -3,7 +3,7 @@
 //! learned policy can only be as good as the environment is correct.
 
 use proptest::prelude::*;
-use simsub::core::{ExactS, MdpConfig, SplitEnv, SubtrajSearch};
+use simsub::core::{episode_parts, ExactS, MdpConfig, SplitEnv, SubtrajSearch};
 use simsub::data::{generate, DatasetSpec};
 use simsub::measures::{Dtw, Measure};
 use simsub::trajectory::Trajectory;
@@ -30,7 +30,8 @@ proptest! {
     fn rewards_telescope(seed in 0u64..2000, k in 0usize..4, actions in proptest::collection::vec(0usize..6, 1..64)) {
         let (data, query) = fixture(seed);
         let cfg = MdpConfig { skip_actions: k, use_suffix: true };
-        let mut env = SplitEnv::new(&Dtw, data.points(), query.points(), cfg);
+        let (mut eval, suffix) = episode_parts(&Dtw, data.points(), query.points(), cfg);
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, data.points(), cfg);
         let mut total = 0.0;
         let mut i = 0;
         loop {
@@ -53,7 +54,8 @@ proptest! {
     fn episodes_terminate_and_are_sound(seed in 0u64..2000, k in 0usize..4, actions in proptest::collection::vec(0usize..6, 1..64)) {
         let (data, query) = fixture(seed);
         let cfg = MdpConfig { skip_actions: k, use_suffix: false };
-        let mut env = SplitEnv::new(&Dtw, data.points(), query.points(), cfg);
+        let (mut eval, suffix) = episode_parts(&Dtw, data.points(), query.points(), cfg);
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, data.points(), cfg);
         let mut steps = 0;
         loop {
             let a = actions[steps % actions.len()] % cfg.n_actions();
@@ -79,7 +81,8 @@ proptest! {
     #[test]
     fn stats_are_consistent(seed in 0u64..2000, actions in proptest::collection::vec(0usize..2, 1..64)) {
         let (data, query) = fixture(seed);
-        let mut env = SplitEnv::new(&Dtw, data.points(), query.points(), MdpConfig::rls());
+        let (mut eval, suffix) = episode_parts(&Dtw, data.points(), query.points(), MdpConfig::rls());
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, data.points(), MdpConfig::rls());
         let mut i = 0;
         loop {
             if env.step(actions[i % actions.len()]).done {
@@ -98,7 +101,8 @@ proptest! {
     fn skip_accounting(seed in 0u64..2000, actions in proptest::collection::vec(0usize..5, 1..64)) {
         let (data, query) = fixture(seed);
         let cfg = MdpConfig::rls_skip(3);
-        let mut env = SplitEnv::new(&Dtw, data.points(), query.points(), cfg);
+        let (mut eval, suffix) = episode_parts(&Dtw, data.points(), query.points(), cfg);
+        let mut env = SplitEnv::new(eval.as_mut(), &suffix, data.points(), cfg);
         let mut i = 0;
         loop {
             if env.step(actions[i % actions.len()]).done {
