@@ -44,8 +44,10 @@ pub fn matvec_columns(wt: &[f64], x: &[f64], y: &mut [f64]) {
     const LANES: usize = 16;
     let rows = y.len();
     assert_eq!(wt.len(), rows * x.len());
-    // (`max`: an empty `y` has no columns to chunk.)
-    let columns = || wt.chunks_exact(rows.max(1)).zip(x);
+    if rows == 0 {
+        return;
+    }
+    let columns = || wt.chunks_exact(rows).zip(x);
     let (blocks, tail) = y.as_chunks_mut::<LANES>();
     for (b, out) in blocks.iter_mut().enumerate() {
         let mut acc = [-0.0; LANES];
