@@ -556,48 +556,22 @@ impl PendingQuery {
 
 /// A completion to run with a job's answer. Runs on the worker thread
 /// that finished the job, so it must be quick and must not panic —
-/// the reactor's completion pushes onto a queue and wakes the poller.
+/// the reactor's completion pushes onto a queue and wakes the poller,
+/// [`QueryEngine::submit`]'s sends into its [`PendingQuery`] channel.
 pub type CompletionFn = Box<dyn FnOnce(Result<QueryResponse, ServiceError>) + Send + 'static>;
 
-enum ReplySink {
-    /// The blocking channel a [`PendingQuery`] waits on.
-    Channel(Sender<Result<QueryResponse, ServiceError>>),
-    /// A callback invoked on the worker thread (reactor serving).
-    Callback(CompletionFn),
-}
-
-/// How a job's answer gets back to its requester. Delivery is
-/// guaranteed: a `Reply` dropped unused — a worker died holding the
-/// job, a fault ate the response, shutdown lost a drained batch —
-/// delivers [`ServiceError::Canceled`] from `Drop`, so a callback
-/// requester (the reactor, which must retire every in-flight id to
-/// drain its connections) always hears back exactly once.
-struct Reply {
-    sink: Option<ReplySink>,
-}
+/// How a job's answer gets back to its requester: its completion, run
+/// at most once. Delivery is guaranteed: a `Reply` dropped unused — a
+/// worker died holding the job, a fault ate the response, shutdown lost
+/// a drained batch — delivers [`ServiceError::Canceled`] from `Drop`,
+/// so every requester (the reactor must retire every in-flight id to
+/// drain its connections) hears back exactly once.
+struct Reply(Option<CompletionFn>);
 
 impl Reply {
-    fn channel(tx: Sender<Result<QueryResponse, ServiceError>>) -> Reply {
-        Reply {
-            sink: Some(ReplySink::Channel(tx)),
-        }
-    }
-
-    fn callback(f: CompletionFn) -> Reply {
-        Reply {
-            sink: Some(ReplySink::Callback(f)),
-        }
-    }
-
-    /// Delivers the answer. Best-effort on the channel path (the
-    /// requester may have given up and dropped the receiver).
     fn deliver(mut self, result: Result<QueryResponse, ServiceError>) {
-        match self.sink.take() {
-            Some(ReplySink::Channel(tx)) => {
-                let _ = tx.send(result);
-            }
-            Some(ReplySink::Callback(f)) => f(result),
-            None => {}
+        if let Some(completion) = self.0.take() {
+            completion(result);
         }
     }
 
@@ -606,30 +580,15 @@ impl Reply {
     /// the `Result` return instead (a completion must never fire for a
     /// request whose submit returned `Err`).
     fn disarm(&mut self) {
-        self.sink = None;
+        self.0 = None;
     }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
-        match self.sink.take() {
-            Some(ReplySink::Channel(tx)) => {
-                let _ = tx.send(Err(ServiceError::Canceled));
-            }
-            Some(ReplySink::Callback(f)) => f(Err(ServiceError::Canceled)),
-            None => {}
+        if let Some(completion) = self.0.take() {
+            completion(Err(ServiceError::Canceled));
         }
-    }
-}
-
-impl std::fmt::Debug for Reply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.sink {
-            Some(ReplySink::Channel(_)) => "channel",
-            Some(ReplySink::Callback(_)) => "callback",
-            None => "delivered",
-        };
-        f.debug_tuple("Reply").field(&kind).finish()
     }
 }
 
@@ -888,42 +847,43 @@ impl QueryEngine {
     /// concurrent [`QueryEngine::swap_snapshot`] does not change what an
     /// already-admitted request computes against.
     pub fn submit(&self, request: QueryRequest) -> Result<PendingQuery, ServiceError> {
-        self.submit_with_deadline(request, false, None)
+        let (tx, rx) = channel();
+        self.submit_with_completion(
+            request,
+            false,
+            None,
+            // Best-effort: the requester may have given up and dropped
+            // the receiver.
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        )?;
+        Ok(PendingQuery { rx })
     }
 
-    /// [`QueryEngine::submit`] with an explicit trace flag and deadline
-    /// budget. A traced request's answer carries a per-stage timing
-    /// breakdown ([`QueryResponse::trace`]), including the in-scan
-    /// bound/kernel split measured for its dispatch group. If no worker
-    /// has *started* scanning the request once `deadline` elapses, the
-    /// job is dropped and answered with
-    /// [`ServiceError::DeadlineExceeded`] (checked at dequeue and again
-    /// between dispatch groups). `None` falls back to the engine's
-    /// `default_deadline_ms` (no deadline when that is 0 too). A
-    /// deadline never changes an answer — only whether the work runs —
-    /// so it does not enter the cache key.
-    pub fn submit_with_deadline(
-        &self,
-        request: QueryRequest,
-        trace: bool,
-        deadline: Option<Duration>,
-    ) -> Result<PendingQuery, ServiceError> {
-        let (reply_tx, reply_rx) = channel();
-        self.admit(request, trace, deadline, Reply::channel(reply_tx))?;
-        Ok(PendingQuery { rx: reply_rx })
-    }
-
-    /// [`QueryEngine::submit_with_deadline`] for callers that cannot
-    /// block — the reactor serve path. Instead of returning a handle to
-    /// `wait` on, the engine runs `completion` with the answer on the
-    /// worker thread that finishes the job. The completion fires
-    /// **exactly once** for every admitted request, no matter how the
-    /// job ends (answered, deadline-expired, worker panic, fault-eaten
-    /// response, shutdown drain — the last three deliver
-    /// [`ServiceError::Canceled`]); it must be quick and panic-free. A
-    /// submit that returns `Err` was *not* admitted and the completion
-    /// is dropped without running — synchronous errors travel on the
-    /// return value only.
+    /// Validates and enqueues a request whose answer `completion`
+    /// receives, on the worker thread that finishes the job — the path
+    /// every admitted request takes (the reactor's directly,
+    /// [`QueryEngine::submit`]'s through a channel). Validation, snapshot
+    /// pinning and the admission gate run here, synchronously.
+    ///
+    /// The completion fires **exactly once** for every admitted request,
+    /// no matter how the job ends (answered, deadline-expired, worker
+    /// panic, fault-eaten response, shutdown drain — the last three
+    /// deliver [`ServiceError::Canceled`]); it must be quick and
+    /// panic-free. A submit that returns `Err` was *not* admitted and
+    /// the completion is dropped without running — synchronous errors
+    /// travel on the return value only.
+    ///
+    /// A `trace`d request's answer carries a per-stage timing breakdown
+    /// ([`QueryResponse::trace`]), including the in-scan bound/kernel
+    /// split measured for its dispatch group. If no worker has *started*
+    /// scanning the request once `deadline` elapses, the job is dropped
+    /// and answered with [`ServiceError::DeadlineExceeded`] (checked at
+    /// dequeue and again between dispatch groups). `None` falls back to
+    /// the engine's `default_deadline_ms` (no deadline when that is 0
+    /// too). A deadline never changes an answer — only whether the work
+    /// runs — so it does not enter the cache key.
     pub fn submit_with_completion(
         &self,
         request: QueryRequest,
@@ -931,20 +891,7 @@ impl QueryEngine {
         deadline: Option<Duration>,
         completion: CompletionFn,
     ) -> Result<(), ServiceError> {
-        self.admit(request, trace, deadline, Reply::callback(completion))
-    }
-
-    /// Shared admission path: validation, snapshot pinning, the
-    /// admission gate, and the enqueue. On `Err` the reply is disarmed —
-    /// never delivered — so the error surfaces exactly once, through the
-    /// return value.
-    fn admit(
-        &self,
-        request: QueryRequest,
-        trace: bool,
-        deadline: Option<Duration>,
-        mut reply: Reply,
-    ) -> Result<(), ServiceError> {
+        let mut reply = Reply(Some(completion));
         let admit_start = Instant::now();
         let admitted = match self.preflight(&request) {
             Ok(snapshot) => snapshot,
@@ -991,8 +938,9 @@ impl QueryEngine {
     }
 
     /// The synchronous half of admission: request validation, snapshot
-    /// pinning, and the shed gate. Factored out of [`Self::admit`] so
-    /// the error paths stay `?`-shaped without touching the reply guard.
+    /// pinning, and the shed gate. Factored out of
+    /// [`Self::submit_with_completion`] so the error paths stay
+    /// `?`-shaped without touching the reply guard.
     fn preflight(&self, request: &QueryRequest) -> Result<Arc<EpochSnapshot>, ServiceError> {
         if request.query.is_empty() {
             return Err(ServiceError::InvalidRequest("empty query".into()));

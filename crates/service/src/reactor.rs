@@ -1,4 +1,4 @@
-//! The `reactor` io-model: one readiness-polled thread owns every
+//! The server's front end: one readiness-polled thread owns every
 //! connection.
 //!
 //! Epoll (via the vendored `polling` shim) drives nonblocking sockets:
@@ -31,7 +31,7 @@
 
 use crate::engine::{QueryEngine, ServiceError};
 use crate::query::QueryResponse;
-use crate::server::{self, LineJob, LineOutcome, EMFILE, ENFILE, MAX_LINE_BYTES};
+use crate::server::{self, LineJob, LineOutcome, MAX_LINE_BYTES};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use crate::sync::Arc;
@@ -65,9 +65,9 @@ const READ_QUANTUM: usize = 1 << 20;
 /// stop reading *from* it until the backlog flushes (backpressure).
 const WRITE_BACKPRESSURE: usize = 4 << 20;
 
-/// The poller and its waker, created eagerly in [`crate::server::Server::bind_with`]
-/// so reactor availability is known before the serve thread spawns (and
-/// the `Server` can keep a waker handle for prompt stops).
+/// The poller and its waker, created eagerly in [`crate::server::Server::bind`]
+/// so a platform without epoll fails the bind before the serve thread
+/// spawns (and the `Server` can keep a waker handle for prompt stops).
 pub(crate) struct ReactorParts {
     pub(crate) poller: Poller,
     pub(crate) waker: Arc<Waker>,
@@ -147,7 +147,7 @@ struct Reactor<'a> {
 
 /// Serve-loop entry point: runs until the stop flag is set and every
 /// connection has drained. Errors (poller failure) are reported, not
-/// propagated — matching the legacy accept loop's containment.
+/// propagated: the serve thread has no caller to hand them to.
 pub(crate) fn run(
     parts: ReactorParts,
     listener: TcpListener,
@@ -257,15 +257,12 @@ impl Reactor<'_> {
                     // The peer died between readiness and accept().
                     self.engine.serve_stats().record_accept_error();
                 }
-                Err(e) => {
-                    // EMFILE/ENFILE (and anything else persistent): park
-                    // the listener briefly and keep serving established
-                    // connections — closing ones will free fds.
+                Err(_) => {
+                    // EMFILE/ENFILE, or one of the pending network errors
+                    // accept(2) says to retry (ENETDOWN, EPROTO, ...):
+                    // park the listener briefly and keep serving
+                    // established connections — closing ones free fds.
                     self.engine.serve_stats().record_accept_error();
-                    debug_assert!(
-                        matches!(e.raw_os_error(), Some(EMFILE | ENFILE)),
-                        "unexpected accept error: {e}"
-                    );
                     self.park_listener();
                     return;
                 }
@@ -400,8 +397,7 @@ impl Reactor<'_> {
         }
     }
 
-    /// EOF: a trailing partial line (no newline) is still a request —
-    /// the blocking model behaves the same way.
+    /// EOF: a trailing partial line (no newline) is still a request.
     fn finish_read(&mut self, conn: &mut Conn) {
         let raw = std::mem::take(&mut conn.read_buf);
         conn.scanned = 0;
@@ -459,8 +455,8 @@ impl Reactor<'_> {
     }
 
     fn too_large(&mut self, conn: &mut Conn) {
-        // Oversized lines are answered like the blocking model: an
-        // unenveloped (v1) structured error on the ordered lane.
+        // Oversized lines get an unenveloped (v1) structured error on
+        // the ordered lane: the line's envelope was never parsed.
         let seq = conn.next_ordered;
         conn.next_ordered += 1;
         Self::deliver(conn, true, seq, server::request_too_large_body().dump());
@@ -507,8 +503,8 @@ impl Reactor<'_> {
                     .envelope(body, id.as_ref(), self.engine.epoch())
                     .dump();
                 Self::deliver(conn, ordered, seq, line);
-                // Like the blocking model, input after `shutdown` on this
-                // connection is not processed.
+                // Input after `shutdown` on this connection is not
+                // processed.
                 conn.read_closed = true;
                 conn.read_buf.clear();
                 conn.scanned = 0;

@@ -34,21 +34,17 @@
 //! Structured errors follow the envelope rules of the request's version
 //! like any other response (v2 lines get `"v"`/`"id"`/`"epoch"`).
 //!
-//! ## Connection models & response ordering
+//! ## Connections & response ordering
 //!
-//! The server runs one of two io-models (`simsub serve --io-model`, env
-//! `SIMSUB_IO_MODEL`, default `reactor`):
+//! One readiness-polled thread (epoll via the vendored `polling` shim,
+//! see `crate::reactor`) owns every connection: nonblocking sockets,
+//! per-connection buffers, newline framing across partial reads,
+//! write-interest re-arming on partial writes. Idle connections cost a
+//! descriptor, not a thread, and a pipelined connection can have many
+//! queries in flight at once. Where the shim has no epoll (its non-Linux
+//! stub) [`Server::bind`] fails; there is no other front end.
 //!
-//! - **`reactor`** — one readiness-polled thread (epoll via the vendored
-//!   `polling` shim) owns every connection: nonblocking sockets,
-//!   per-connection buffers, newline framing across partial reads,
-//!   write-interest re-arming on partial writes. Scales to tens of
-//!   thousands of idle connections without per-connection threads, and
-//!   a pipelined connection can have many queries in flight at once.
-//! - **`threads`** — the legacy thread-per-connection loop (blocking
-//!   reads, one OS thread per client). Byte-identical responses.
-//!
-//! **Ordering contract (normative for both models):**
+//! **Ordering contract (normative):**
 //!
 //! - A response to a request that carried an `"id"` (wire v2) is matched
 //!   to its request *by the echoed `"id"`, never by arrival order*. A
@@ -58,12 +54,8 @@
 //!   response.
 //! - Requests *without* an `"id"` — every v1 line, and v2 lines that
 //!   omit it — are answered **strictly in submission order** relative to
-//!   each other, on both io-models, forever. Clients that never send
-//!   ids keep matching responses by counting lines, exactly as before
-//!   v2 existed.
-//!
-//! The `threads` model happens to never reorder anything (it is strictly
-//! sequential); the contract above is what clients may *rely* on.
+//!   each other, forever. Clients that never send ids keep matching
+//!   responses by counting lines, exactly as before v2 existed.
 //!
 //! ## Versioning (protocol v2)
 //!
@@ -198,80 +190,27 @@
 //!   search, only cache identity.
 
 use crate::engine::{ConfigUpdate, CorpusSnapshot, QueryEngine, ServiceError};
-use crate::fault::lock_recover;
 use crate::json::{obj, Json, ProtocolVersion};
 use crate::query::{QueryRequest, QueryResponse};
 use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::{Arc, Mutex};
+use crate::sync::Arc;
 use simsub_core::MdpConfig;
 use simsub_index::PartitionerKind;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How the server multiplexes connections; see the module docs
-/// ("Connection models & response ordering"). Responses are
-/// byte-identical across models — only scheduling differs.
+/// How the server multiplexes connections: one readiness-polled thread
+/// owns every connection (see the module docs). A single variant, kept
+/// only because `benchmark/src/workloads.rs` names `IoModel::Reactor`
+/// and the perf ledger's sources stay fixed while the library changes
+/// (parent and change must run identical benchmark code). Delete it with
+/// that call site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoModel {
-    /// One readiness-polled thread owns every connection (epoll via the
-    /// vendored `polling` shim). The default: 10k+ connections without
-    /// per-connection threads, pipelined out-of-order responses.
+    /// Epoll via the vendored `polling` shim.
     Reactor,
-    /// The legacy blocking loop: one OS thread per connection.
-    Threads,
-}
-
-impl IoModel {
-    /// Reads `SIMSUB_IO_MODEL` (`reactor` / `threads`). Unset or empty
-    /// means the hatch is off (reactor), as for the other `SIMSUB_*`
-    /// hatches; an unrecognized value falls back to the reactor with a
-    /// warning.
-    pub fn from_env() -> IoModel {
-        let (io_model, warning) =
-            Self::from_env_value(std::env::var("SIMSUB_IO_MODEL").ok().as_deref());
-        if let Some(warning) = warning {
-            eprintln!("simsub: {warning}");
-        }
-        io_model
-    }
-
-    /// [`IoModel::from_env`] minus the process environment: the model
-    /// for an optional `SIMSUB_IO_MODEL` value, and the warning to print.
-    fn from_env_value(value: Option<&str>) -> (IoModel, Option<String>) {
-        match value.filter(|v| !v.is_empty()).map(str::parse::<IoModel>) {
-            None => (IoModel::Reactor, None),
-            Some(Ok(io_model)) => (io_model, None),
-            Some(Err(e)) => (
-                IoModel::Reactor,
-                Some(format!("{e}; serving with the reactor")),
-            ),
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "reactor" => Ok(IoModel::Reactor),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!(
-                "unknown io model {other:?} (expected \"reactor\" or \"threads\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoModel::Reactor => "reactor",
-            IoModel::Threads => "threads",
-        })
-    }
 }
 
 /// A running TCP server wrapping a [`QueryEngine`].
@@ -280,86 +219,51 @@ pub struct Server {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     serve_thread: Option<JoinHandle<()>>,
-    io_model: IoModel,
     /// Kicks the reactor out of its poll wait when `stop` flips, so
     /// [`Server::stop`] takes effect immediately instead of at the next
-    /// poll timeout. `None` under the threads model.
-    waker: Option<Arc<polling::Waker>>,
+    /// poll timeout.
+    waker: Arc<polling::Waker>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:7878"`; port 0 picks a free port)
-    /// and starts accepting connections under the io-model selected by
-    /// `SIMSUB_IO_MODEL` (default: [`IoModel::Reactor`]).
+    /// and starts the reactor serving it. Fails, rather than serving
+    /// some other way, where the `polling` shim has no epoll (its
+    /// non-Linux stub).
     pub fn bind(engine: Arc<QueryEngine>, addr: &str) -> std::io::Result<Server> {
-        Server::bind_with(engine, addr, IoModel::from_env())
-    }
-
-    /// Binds `addr` under an explicit io-model. Asking for the reactor
-    /// on a platform without readiness polling falls back to the
-    /// threads model (with a warning) rather than failing the bind.
-    pub fn bind_with(
-        engine: Arc<QueryEngine>,
-        addr: &str,
-        io_model: IoModel,
-    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking accept in both models: the reactor polls for
-        // readiness, the legacy loop polls the stop flag.
         listener.set_nonblocking(true)?;
+        let parts = crate::reactor::ReactorParts::new()?;
+        let waker = Arc::clone(&parts.waker);
         let stop = Arc::new(AtomicBool::new(false));
-        let parts = match io_model {
-            IoModel::Reactor => match crate::reactor::ReactorParts::new() {
-                Ok(parts) => Some(parts),
-                Err(e) => {
-                    eprintln!(
-                        "simsub: readiness polling unavailable ({e}); \
-                         falling back to thread-per-connection"
-                    );
-                    None
-                }
-            },
-            IoModel::Threads => None,
-        };
-        let io_model = if parts.is_some() {
-            IoModel::Reactor
-        } else {
-            IoModel::Threads
-        };
-        let waker = parts.as_ref().map(|p| Arc::clone(&p.waker));
         let serve_thread = {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
-            match parts {
-                Some(parts) => std::thread::Builder::new()
-                    .name("simsub-reactor".into())
-                    .spawn(move || crate::reactor::run(parts, listener, &engine, &stop))
-                    .expect("spawning reactor thread"),
-                None => std::thread::Builder::new()
-                    .name("simsub-accept".into())
-                    .spawn(move || accept_loop(&listener, &engine, &stop))
-                    .expect("spawning accept thread"),
-            }
+            std::thread::Builder::new()
+                .name("simsub-reactor".into())
+                .spawn(move || crate::reactor::run(parts, listener, &engine, &stop))
+                .expect("spawning reactor thread")
         };
         Ok(Server {
             engine,
             local_addr,
             stop,
             serve_thread: Some(serve_thread),
-            io_model,
             waker,
         })
+    }
+
+    /// [`Server::bind`]. Kept only because `benchmark/src/workloads.rs`
+    /// calls it, for the same reason as [`IoModel`]; delete the two
+    /// together.
+    pub fn bind_with(engine: Arc<QueryEngine>, addr: &str, _: IoModel) -> std::io::Result<Server> {
+        Server::bind(engine, addr)
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.local_addr
-    }
-
-    /// The io-model actually serving (after any platform fallback).
-    pub fn io_model(&self) -> IoModel {
-        self.io_model
     }
 
     /// True once a `shutdown` command (or [`Server::stop`]) was seen.
@@ -372,9 +276,7 @@ impl Server {
     pub fn stop(&self) {
         // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            let _ = waker.wake();
-        }
+        let _ = self.waker.wake();
     }
 
     /// A clonable handle that can request (and observe) the stop from
@@ -427,173 +329,9 @@ impl StopHandle {
     }
 }
 
-/// `accept(2)` errno values that mean "file descriptors exhausted":
-/// transient starvation, not a dead listener — back off and keep serving.
-pub(crate) const ENFILE: i32 = 23;
-/// See [`ENFILE`].
-pub(crate) const EMFILE: i32 = 24;
-
-fn accept_loop(listener: &TcpListener, engine: &Arc<QueryEngine>, stop: &Arc<AtomicBool>) {
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-    // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let engine = Arc::clone(engine);
-                let stop = Arc::clone(stop);
-                let handle = std::thread::Builder::new()
-                    .name("simsub-conn".into())
-                    .spawn(move || {
-                        engine.serve_stats().open_connections().add(1);
-                        // Errors are per-connection: a broken client must
-                        // not take the server down.
-                        let _ = serve_connection(stream, &engine, &stop);
-                        engine.serve_stats().open_connections().add(-1);
-                    })
-                    .expect("spawning connection thread");
-                let mut connections = lock_recover(&connections);
-                // Reap finished connections so a long-lived server doesn't
-                // accumulate one handle per connection ever served.
-                connections.retain(|h| !h.is_finished());
-                connections.push(handle);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                engine.serve_stats().record_accept_error();
-                match e.raw_os_error() {
-                    // EMFILE/ENFILE: the process (or host) is out of fds.
-                    // Established connections closing will free some —
-                    // back off and keep serving instead of killing the
-                    // accept loop (and with it every future client).
-                    Some(EMFILE | ENFILE) => {
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    // A connection that died between accept readiness and
-                    // accept() is the peer's problem, not ours.
-                    _ if e.kind() == ErrorKind::ConnectionAborted => {}
-                    _ => {
-                        eprintln!("simsub: accept failed, stopping listener: {e}");
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    for handle in lock_recover(&connections).drain(..) {
-        // A connection thread that panicked already lost only its own
-        // client; the server's teardown must still join the rest.
-        if handle.join().is_err() {
-            eprintln!("simsub: connection thread panicked");
-        }
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    engine: &QueryEngine,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    // Periodic read timeouts let long-lived idle connections notice the
-    // stop flag instead of pinning the accept loop's join forever.
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        // Bounded read: `take` caps how much of the line is ever
-        // buffered (one byte past the limit, to tell "exactly at the
-        // cap" from "over it"), so one client cannot grow memory without
-        // bound. A timeout can fire mid-line with a prefix already
-        // consumed into `buf`, so the buffer is only cleared after a
-        // complete line is handled — partial reads accumulate.
-        let budget = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
-        let eof = match (&mut reader).take(budget).read_until(b'\n', &mut buf) {
-            // No bytes and no prior partial: the client closed cleanly.
-            // With a partial, EOF means a final line without newline.
-            Ok(0) if buf.is_empty() => return Ok(()),
-            Ok(0) => true,
-            Ok(_) if buf.last() == Some(&b'\n') => false,
-            Ok(_) => {
-                if buf.len() > MAX_LINE_BYTES {
-                    // Oversized: answer the structured error, discard the
-                    // rest of the line, and keep serving the connection.
-                    request_too_large_response(&mut writer)?;
-                    buf.clear();
-                    if drain_oversized_line(&mut reader, stop)? {
-                        continue;
-                    }
-                    return Ok(()); // EOF or stop while draining
-                }
-                // Under the cap with no newline: the reader hit real EOF
-                // (the take budget was not exhausted). Final line.
-                true
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let end = buf.len() - usize::from(buf.last() == Some(&b'\n'));
-        // Invalid UTF-8 is a per-line error, not a connection killer.
-        let response = match std::str::from_utf8(&buf[..end]) {
-            Ok(text) if text.trim().is_empty() => None,
-            Ok(text) => Some(handle_line(text.trim(), engine, stop)),
-            Err(_) => Some(error_response("request line is not valid UTF-8")),
-        };
-        if let Some(response) = response {
-            writer.write_all(response.dump().as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-        }
-        buf.clear();
-        // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-        if eof || stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-    }
-}
-
 /// Upper bound on one request line; a client streaming data without a
 /// newline must not be able to grow the buffer without limit.
 pub(crate) const MAX_LINE_BYTES: usize = 4 << 20;
-
-/// Discards the remainder of an oversized line in bounded chunks.
-/// `Ok(true)` once the terminating newline is consumed (the connection
-/// can keep serving); `Ok(false)` when the client hit EOF or the server
-/// is stopping.
-fn drain_oversized_line(
-    reader: &mut BufReader<TcpStream>,
-    stop: &AtomicBool,
-) -> std::io::Result<bool> {
-    let mut scratch: Vec<u8> = Vec::new();
-    loop {
-        // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-        if stop.load(Ordering::SeqCst) {
-            return Ok(false);
-        }
-        scratch.clear();
-        match (&mut *reader)
-            .take(64 * 1024)
-            .read_until(b'\n', &mut scratch)
-        {
-            Ok(0) => return Ok(false), // EOF mid-line
-            Ok(_) => {
-                if scratch.last() == Some(&b'\n') {
-                    return Ok(true);
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
 
 /// The structured `request_too_large` error body (see the module docs):
 /// sent in place of the oversized line's response; the connection stays
@@ -604,12 +342,6 @@ pub(crate) fn request_too_large_body() -> Json {
         ("error", Json::Str("request_too_large".into())),
         ("limit_bytes", Json::Num(MAX_LINE_BYTES as f64)),
     ])
-}
-
-fn request_too_large_response(writer: &mut TcpStream) -> std::io::Result<()> {
-    writer.write_all(request_too_large_body().dump().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 pub(crate) fn error_response(msg: &str) -> Json {
@@ -658,10 +390,10 @@ pub(crate) struct LineOutcome {
     pub(crate) job: LineJob,
 }
 
-/// The work a request line calls for. Splitting classification from
-/// execution lets the blocking loop and the reactor share one parser:
-/// the blocking loop executes each job inline, the reactor submits
-/// queries with a completion and runs `reload` off the polling thread.
+/// The work a request line calls for. Classification runs on the
+/// polling thread; the reactor then answers immediate jobs inline,
+/// submits queries with a completion, and runs `reload` off the polling
+/// thread.
 pub(crate) enum LineJob {
     /// The body is ready now (commands, validation errors). The caller
     /// wraps it in the version envelope with the current engine epoch.
@@ -769,35 +501,6 @@ pub(crate) fn render_query_outcome(
         }
         Err(e) => version.envelope(service_error_response(&e), id, error_epoch),
     }
-}
-
-fn handle_line(line: &str, engine: &QueryEngine, stop: &AtomicBool) -> Json {
-    let LineOutcome { version, id, job } = classify_line(line, engine);
-    let body = match job {
-        LineJob::Immediate(body) => body,
-        LineJob::Shutdown(body) => {
-            // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-            stop.store(true, Ordering::SeqCst);
-            body
-        }
-        LineJob::Reload(parsed) => admin_reload(engine, &parsed),
-        LineJob::Query {
-            request,
-            trace,
-            deadline,
-        } => {
-            return render_query_outcome(
-                engine
-                    .submit_with_deadline(request, trace, deadline)
-                    .and_then(crate::engine::PendingQuery::wait),
-                trace,
-                version,
-                id.as_ref(),
-                engine.epoch(),
-            );
-        }
-    };
-    version.envelope(body, id.as_ref(), engine.epoch())
 }
 
 /// Handles one parsed admin/introspection command (`stats`, `ping`,
@@ -1079,32 +782,5 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
             ("workers", Json::Num(view.workers as f64)),
         ]),
         Err(e) => error_response(&e.to_string()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::IoModel;
-
-    #[test]
-    fn io_model_env_hatch_treats_empty_as_unset() {
-        for off in [None, Some("")] {
-            assert_eq!(IoModel::from_env_value(off), (IoModel::Reactor, None));
-        }
-        assert_eq!(
-            IoModel::from_env_value(Some("threads")),
-            (IoModel::Threads, None)
-        );
-        let (io_model, warning) = IoModel::from_env_value(Some("bogus"));
-        assert_eq!(io_model, IoModel::Reactor);
-        assert_eq!(
-            warning.as_deref(),
-            Some(
-                "unknown io model \"bogus\" (expected \"reactor\" or \"threads\"); \
-                 serving with the reactor"
-            )
-        );
-        // The CLI flag is stricter: `--io-model ""` is an error, not "off".
-        assert!("".parse::<IoModel>().is_err());
     }
 }

@@ -16,8 +16,9 @@
 //!   stays readable until read).
 //!
 //! Non-Linux targets get a stub that fails with
-//! `io::ErrorKind::Unsupported`, mirroring how the other shims degrade;
-//! callers fall back to the thread-per-connection path.
+//! `io::ErrorKind::Unsupported`, mirroring how the other shims degrade.
+//! There is no fallback: `simsub_service::Server::bind` returns that
+//! error.
 
 #[cfg(target_os = "linux")]
 mod sys {

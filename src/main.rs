@@ -42,7 +42,7 @@ fn main() {
     // everything else is pure `--flag value` pairs.
     let result = if cmd == "admin" {
         match rest.split_first() {
-            Some((action, admin_rest)) => match Flags::parse(admin_rest) {
+            Some((action, admin_rest)) => match Flags::parse(admin_rest, cmd) {
                 Ok(flags) => cmd_admin(action, &flags),
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -53,7 +53,7 @@ fn main() {
         }
     } else if cmd == "corpus" {
         match rest.split_first() {
-            Some((action, corpus_rest)) => match Flags::parse(corpus_rest) {
+            Some((action, corpus_rest)) => match Flags::parse(corpus_rest, cmd) {
                 Ok(flags) => cmd_corpus(action, &flags),
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -63,7 +63,7 @@ fn main() {
             None => Err("corpus needs an action: pack|info".into()),
         }
     } else {
-        let flags = match Flags::parse(rest) {
+        let flags = match Flags::parse(rest, cmd) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -104,10 +104,9 @@ fn usage() {
          \x20              --algo exact|sizes|pss|pos|posd|spring|rls --measure ...\n\
          \x20              [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20 topk         (--corpus FILE.csv | --corpus-bin FILE.ssb) --query FILE.csv --k N\n\
-         \x20              --algo ... --measure ... [--index rtree|none] [--threads T]\n\
+         \x20              --algo ... --measure ... [--index rtree|none]\n\
          \x20              [--no-prune] [--shards N] [--partitioner hash|grid]\n\
          \x20 serve        (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
-         \x20              [--io-model reactor|threads]  # default reactor (epoll, 10k+ conns)\n\
          \x20              [--workers N] [--batch B] [--cache N] [--cache-quantize Q]\n\
          \x20              [--batch-window-us N]  # micro-batch coalescing window cap (0 = off)\n\
          \x20              [--default-k N] [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
@@ -134,6 +133,35 @@ fn usage() {
     );
 }
 
+/// The flags `cmd` reads, space-separated: its own plus those of the
+/// shared loaders it calls (`load_corpus*`, `load_measure`, `load_algo`,
+/// `mdp_from_flags`, `sharding_from_flags`). `admin` and `corpus` list
+/// every action's.
+fn accepted_flags(cmd: &str) -> &'static str {
+    match cmd {
+        "generate" => "dataset count seed out",
+        "corpus" => "corpus corpus-bin out",
+        "train-t2vec" => "corpus steps hidden seed out",
+        "train" => "corpus measure t2vec skip no-suffix episodes max-query-len seed out",
+        "search" => "corpus measure t2vec skip no-suffix algo xi delay policy data-id query",
+        "topk" => {
+            "corpus corpus-bin measure t2vec skip no-suffix algo xi delay policy query k index \
+             no-prune shards partitioner"
+        }
+        "serve" => {
+            "corpus corpus-bin addr workers batch batch-window-us cache cache-quantize default-k \
+             policy t2vec skip no-suffix no-prune shards partitioner reload-fifo slow-query-us \
+             audit-sample max-queue-depth default-deadline-ms faults"
+        }
+        "admin" => {
+            "addr watch count corpus corpus-bin shards partitioner policy t2vec skip no-suffix \
+             prune batch cache default-k quantize slow-query-us audit-sample max-queue-depth \
+             default-deadline-ms faults"
+        }
+        _ => "",
+    }
+}
+
 /// Minimal `--key value` / `--switch` parser.
 struct Flags {
     values: std::collections::HashMap<String, String>,
@@ -141,7 +169,10 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Rejects any flag `cmd` does not read ([`accepted_flags`]), so a
+    /// typo or a retired flag fails instead of running with a default.
+    fn parse(args: &[String], cmd: &str) -> Result<Self, String> {
+        let accepted = accepted_flags(cmd);
         let mut values = std::collections::HashMap::new();
         let mut switches = std::collections::HashSet::new();
         let mut i = 0;
@@ -150,6 +181,9 @@ impl Flags {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("expected flag, found '{arg}'"));
             };
+            if !accepted.split_whitespace().any(|name| name == key) {
+                return Err(format!("unknown flag --{key} for {cmd}"));
+            }
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 values.insert(key.to_string(), args[i + 1].clone());
                 i += 2;
@@ -502,14 +536,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         (c.len(), c.total_points(), c.shard_count())
     };
     let engine = Arc::new(QueryEngine::start(snapshot, config));
-    // `--io-model reactor|threads` wins; otherwise SIMSUB_IO_MODEL, and
-    // the reactor by default.
-    let io_model = match flags.get("io-model") {
-        Some(s) => s.parse().map_err(|e: String| format!("--io-model: {e}"))?,
-        None => simsub::service::IoModel::from_env(),
-    };
-    let server = Server::bind_with(Arc::clone(&engine), &addr, io_model)
-        .map_err(|e| format!("binding {addr}: {e}"))?;
+    let server =
+        Server::bind(Arc::clone(&engine), &addr).map_err(|e| format!("binding {addr}: {e}"))?;
     if let Some(fifo) = flags.get("reload-fifo") {
         spawn_reload_fifo(
             PathBuf::from(fifo),
@@ -518,15 +546,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         )?;
     }
     println!(
-        "serving {} trajectories / {} points in {} shard(s) on {} with {} workers, prune={}, \
-         io-model={} (newline-JSON, protocol v1+v2; send {{\"cmd\":\"shutdown\"}} to stop)",
+        "serving {} trajectories / {} points in {} shard(s) on {} with {} workers, prune={} \
+         (newline-JSON, protocol v1+v2; send {{\"cmd\":\"shutdown\"}} to stop)",
         corpus_len,
         corpus_points,
         shard_count,
         server.local_addr(),
         workers,
-        if prune { "on" } else { "off" },
-        server.io_model()
+        if prune { "on" } else { "off" }
     );
     server.wait();
     println!("server stopped");
@@ -941,4 +968,46 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
         stats.prune_ratio() * 100.0
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Flags;
+
+    fn parse(cmd: &str, line: &str) -> Result<Flags, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Flags::parse(&args, cmd)
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected() {
+        for (flag, value) in [("io-model", "threads"), ("worker", "4")] {
+            match parse("serve", &format!("--corpus c.csv --{flag} {value}")) {
+                Ok(_) => panic!("serve accepted --{flag}"),
+                Err(e) => assert_eq!(e, format!("unknown flag --{flag} for serve")),
+            }
+        }
+    }
+
+    /// Every invocation in CI's metrics-exposition smoke block.
+    #[test]
+    fn ci_smoke_flags_are_accepted() {
+        for (cmd, line) in [
+            (
+                "generate",
+                "--dataset porto --count 40 --out /tmp/obs_corpus.csv",
+            ),
+            (
+                "serve",
+                "--corpus /tmp/obs_corpus.csv --addr 127.0.0.1:7979 --workers 2 \
+                 --slow-query-us 250000 --audit-sample 0.25",
+            ),
+            ("admin", "--addr 127.0.0.1:7979"),
+            ("admin", "--watch 0.2 --count 2 --addr 127.0.0.1:7979"),
+        ] {
+            if let Err(e) = parse(cmd, line) {
+                panic!("{cmd} {line}: {e}");
+            }
+        }
+    }
 }

@@ -1,21 +1,22 @@
 //! Pipelining and response-ordering contract tests (the wire spec's
-//! "Connection models & response ordering" section).
+//! "Connections & response ordering" section).
 //!
 //! One connection sends many queries before reading anything back. A
 //! fault-injected `slow_scan` makes the head-of-line query the slow one
 //! (the later queries were pre-warmed into the result cache, and cache
 //! hits never reach the scan fault point), so head-of-line blocking is
-//! observable: under the reactor, id-carrying responses may overtake it
-//! (and the test demands they do); id-less responses must never
-//! reorder; and under the threads model everything stays strictly
-//! sequential. A last case holds the reactor's connection-scale claim:
-//! hundreds of idle connections cost descriptors, not threads, and do
-//! not get in a pipelined client's way.
+//! observable: id-carrying responses may overtake it (and the test
+//! demands they do); id-less responses must never reorder. One case
+//! holds the reactor's completion routing against connection close: a
+//! dead connection's late answer never reaches the connection that
+//! reuses its slot. A last case holds the reactor's connection-scale
+//! claim: hundreds of idle connections cost descriptors, not threads,
+//! and do not get in a pipelined client's way.
 
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
-use simsub::service::{CorpusSnapshot, EngineConfig, IoModel, QueryEngine, Server};
-use std::io::{BufRead, BufReader, Write};
+use simsub::service::{CorpusSnapshot, EngineConfig, QueryEngine, Server};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -105,9 +106,7 @@ fn pipeline(addr: std::net::SocketAddr, head: &str, rest: &[String]) -> Vec<Stri
 fn reactor_answers_pipelined_ids_out_of_order() {
     let db = shared_db(20);
     let engine = engine_two_workers(&db);
-    let server = Server::bind_with(Arc::clone(&engine), "127.0.0.1:0", IoModel::Reactor)
-        .expect("bind reactor");
-    assert_eq!(server.io_model(), IoModel::Reactor);
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
 
     let slow = query_json(&db, 0, 2, Some("slow"));
     let fast: Vec<String> = (0..4)
@@ -139,41 +138,10 @@ fn reactor_answers_pipelined_ids_out_of_order() {
 }
 
 #[test]
-fn threads_model_answers_strictly_in_order() {
-    let db = shared_db(20);
-    let engine = engine_two_workers(&db);
-    let server = Server::bind_with(Arc::clone(&engine), "127.0.0.1:0", IoModel::Threads)
-        .expect("bind threads");
-    assert_eq!(server.io_model(), IoModel::Threads);
-
-    let slow = query_json(&db, 0, 2, Some("slow"));
-    let fast: Vec<String> = (0..3)
-        .map(|i| query_json(&db, i + 1, 2, Some(&format!("fast-{i}"))))
-        .collect();
-    warm_then_arm(server.local_addr(), &fast, 300);
-    let responses = pipeline(server.local_addr(), &slow, &fast);
-
-    // The blocking loop handles one line at a time: submission order,
-    // slow head first, despite the pipelined burst behind it.
-    assert!(responses[0].contains("\"id\":\"slow\""), "{responses:?}");
-    for i in 0..3 {
-        assert!(
-            responses[i + 1].contains(&format!("\"id\":\"fast-{i}\"")),
-            "threads model reordered responses: {responses:?}"
-        );
-    }
-
-    server.stop();
-    server.wait();
-}
-
-#[test]
 fn reactor_keeps_idless_responses_in_submission_order() {
     let db = shared_db(20);
     let engine = engine_two_workers(&db);
-    let server = Server::bind_with(Arc::clone(&engine), "127.0.0.1:0", IoModel::Reactor)
-        .expect("bind reactor");
-    assert_eq!(server.io_model(), IoModel::Reactor);
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
 
     // No ids anywhere: the strict-order lane. Query i is a prefix of
     // trajectory i, so its top hit is trajectory i at distance 0 —
@@ -192,6 +160,81 @@ fn reactor_keeps_idless_responses_in_submission_order() {
             response.contains(&top),
             "id-less response {i} out of order (expected top hit {i}): {responses:?}"
         );
+    }
+
+    server.stop();
+    server.wait();
+}
+
+/// Completion routing vs connection close. A dies while its query is
+/// still scanning, with unread data in its receive buffer, so the kernel
+/// resets the connection and the reactor frees A's slot at once (a plain
+/// FIN would keep the slot until the answer arrives). B takes the slot
+/// over — the free list is LIFO and A's slot is the only one — and A's
+/// answer, when it lands, must be dropped, never written to B.
+#[test]
+fn recycled_slot_never_receives_a_dead_connections_answer() {
+    let timeout = Duration::from_secs(5);
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + timeout;
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let db = shared_db(20);
+    let engine = Arc::new(QueryEngine::start(
+        CorpusSnapshot::new(Arc::clone(&db)),
+        EngineConfig {
+            workers: 1,
+            faults: Some("slow_scan=n:1:400".into()),
+            ..EngineConfig::default()
+        },
+    ));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+
+    let mut a = TcpStream::connect(server.local_addr()).expect("connect A");
+    a.set_read_timeout(Some(timeout)).expect("read timeout");
+    let query = query_json(&db, 0, 2, Some("a"));
+    a.write_all(format!("{query}\n{{\"cmd\":\"ping\"}}\n").as_bytes())
+        .expect("write A");
+    // Blocks until A's pong sits unread in its receive buffer; closing
+    // over it sends RST instead of FIN.
+    assert_eq!(a.peek(&mut [0u8; 1]).expect("A's pong"), 1);
+    drop(a);
+    wait_for("the reactor to release A's slot", &|| {
+        engine.stats().open_connections == 0
+    });
+
+    let mut b = TcpStream::connect(server.local_addr()).expect("connect B");
+    let mut reader = BufReader::new(b.try_clone().expect("clone"));
+    wait_for("the reactor to register B", &|| {
+        engine.stats().open_connections == 1
+    });
+    assert_eq!(
+        engine.stats().requests,
+        0,
+        "A's query finished before B took its slot; nothing was tested"
+    );
+    wait_for("A's query to be answered", &|| engine.stats().requests == 1);
+    // The answer is counted just before its completion fires; let the
+    // reactor route it before B speaks.
+    std::thread::sleep(Duration::from_millis(50));
+
+    b.write_all(b"{\"cmd\":\"ping\"}\n").expect("write B");
+    b.set_read_timeout(Some(timeout)).expect("read timeout");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("B's pong");
+    assert_eq!(
+        line, "{\"ok\":true,\"pong\":true}\n",
+        "B read a line it never asked for"
+    );
+    b.set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("read timeout");
+    let mut extra = String::new();
+    match reader.read_line(&mut extra) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("B received more than its pong: {other:?} {extra:?}"),
     }
 
     server.stop();
@@ -219,9 +262,7 @@ fn reactor_holds_idle_connections_on_one_thread_and_keeps_answering() {
     let timeout = Duration::from_secs(3);
     let db = shared_db(20);
     let engine = engine_two_workers(&db);
-    let server = Server::bind_with(Arc::clone(&engine), "127.0.0.1:0", IoModel::Reactor)
-        .expect("bind reactor");
-    assert_eq!(server.io_model(), IoModel::Reactor);
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
     let threads_bound = resident_threads();
 

@@ -334,20 +334,27 @@ fn expired_deadlines_drop_queued_work() {
     // whose 1ms deadlines will be long gone by the time it frees up.
     let occupier = engine.submit(request(queries[0].clone(), 2)).unwrap();
     std::thread::sleep(Duration::from_millis(10));
-    let doomed: Vec<_> = (1..4)
-        .map(|i| {
-            engine
-                .submit_with_deadline(
-                    request(queries[i].clone(), 2),
-                    false,
-                    Some(Duration::from_millis(1)),
-                )
-                .unwrap()
-        })
-        .collect();
+    let (tx, doomed) = std::sync::mpsc::channel();
+    for query in &queries[1..4] {
+        let tx = tx.clone();
+        engine
+            .submit_with_completion(
+                request(query.clone(), 2),
+                false,
+                Some(Duration::from_millis(1)),
+                Box::new(move |outcome| {
+                    let _ = tx.send(outcome);
+                }),
+            )
+            .unwrap();
+    }
+    drop(tx);
     occupier.wait().expect("deadline-free request");
-    for p in doomed {
-        assert_eq!(p.wait().unwrap_err(), ServiceError::DeadlineExceeded);
+    // Ends once every completion has fired (and dropped its sender).
+    let outcomes: Vec<_> = doomed.iter().collect();
+    assert_eq!(outcomes.len(), 3);
+    for outcome in outcomes {
+        assert_eq!(outcome.unwrap_err(), ServiceError::DeadlineExceeded);
     }
     let scans_before_extra = engine.stats().deadline_expired;
     assert_eq!(scans_before_extra, 3);

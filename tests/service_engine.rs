@@ -260,7 +260,8 @@ fn tcp_server_handles_slow_and_newline_less_clients() {
     let addr = server.local_addr();
 
     // A request written in two chunks with a pause longer than the
-    // server's 200ms read timeout: the prefix must not be discarded.
+    // reactor's 200ms poll tick: the buffered prefix must not be
+    // discarded.
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     stream

@@ -21,7 +21,7 @@ pub const SCOPED_DIRS: &[&str] = &[
     "crates/service/src",
     "crates/core/src",
     "crates/measures/src",
-    // The vendored epoll shim backs the reactor io-model: it is leaf
+    // The vendored epoll shim backs the reactor front end: it is leaf
     // code below the sync facade (so std-sync-import does not apply),
     // but lock handling and atomics orderings in it are serve-path
     // concerns like any other.
