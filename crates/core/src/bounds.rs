@@ -36,11 +36,12 @@
 //! `n × m` point-distance matrix — and `dist(T', Tq) ≥ Σ_k min_r d(p_r,
 //! q_k)` (Sum) or `≥ max_k min_r d(p_r, q_k)` (Max). It is never looser
 //! than the envelope (`p_r ∈ R`) and it still fires when the MBRs
-//! intersect, which is every candidate an R-tree lookup returns. It costs
-//! the O(n·m) matrix, but that is the matrix the search itself starts
-//! from ([`crate::SearchWorkspace::prepare_cell_rows`]): a survivor's
-//! ExactS start groups and PSS walks read it instead of recomputing
-//! distances.
+//! intersect, which is every candidate an R-tree lookup returns. It reads
+//! the coordinates directly: column minima of squared distances, then one
+//! `sqrt` per query point, bit-identical to the minima of the `sqrt`
+//! matrix because `sqrt` is monotone. Only a survivor pays for that
+//! matrix ([`crate::SearchWorkspace::prepare_cell_rows`]), which its
+//! ExactS DP and PSS walks then read instead of recomputing distances.
 //!
 //! Distance lower bounds convert to similarity upper bounds through the
 //! monotone `Θ = 1/(1+dist)`. Measures with no aggregate (`None`, e.g.
@@ -70,9 +71,16 @@
 //! monotone operations, so `x ≥ τ ⇒ Θ(x) ≤ Θ(τ) < k-th`), nothing that
 //! start can still produce enters the top-k, and the kernel stops
 //! extending it. No slack is needed here: the comparison is between
-//! values the DP itself computed, not between two summation orders. What
-//! an abandoned search reports is a real subtrajectory's similarity below
-//! the k-th, which the heap rejects like the true best it stands in for.
+//! values the DP itself computed, not between two summation orders.
+//!
+//! In a pruning scan the kernel first runs the free-start DP over the
+//! survivor's point-distance matrix, which yields the best similarity of
+//! every start at once in O(n·m), bit for bit. A candidate whose best is
+//! below the k-th is settled there (`PruneStats::abandoned`); only the
+//! others run the per-start DP above, with their own best as the floor,
+//! to recover the range. What a settled search reports is a real
+//! subtrajectory's similarity below the k-th, which the heap rejects like
+//! the true best it stands in for.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::OnceLock;
@@ -97,9 +105,10 @@ pub struct PruneStats {
     pub pruned_by_points: u64,
     /// Ran the full subtrajectory search.
     pub searched: u64,
-    /// Searched candidates whose exact kernel left at least one start
-    /// group early against the running k-th similarity (a subset of
-    /// `searched`).
+    /// Searched candidates the exact kernel's free-start DP settled below
+    /// the running k-th similarity without range recovery (a subset of
+    /// `searched`). Range recoveries are `searched - abandoned` for an
+    /// ExactS scan under DTW or Frechet.
     pub abandoned: u64,
     /// Nominal DP size of the searched candidates, `Σ data_len ×
     /// query_len` — the cost-model unit behind ns-per-cell gauges, *not* a
@@ -202,7 +211,7 @@ const DIST_LB_SLACK: f64 = 1.0 - 1e-9;
 /// [`BoundCascade::envelope_bound`] is O(m) per trajectory, reading the
 /// trajectory's MBR from the corpus arena's precomputed table;
 /// [`BoundCascade::point_bound`] is O(n·m) over the trajectory's
-/// point-distance matrix.
+/// coordinates, with `m` square roots.
 ///
 /// The envelope stage is a slice kernel: the per-query-point
 /// rectangle distances are filled into a reused scratch buffer by a
@@ -266,26 +275,35 @@ impl BoundCascade {
         self.aggregated_bound(aggregate)
     }
 
-    /// O(n·m) upper bound from the trajectory's own points: per query
-    /// point the distance to its nearest data point, read as the column
-    /// minima of `cell_rows` — the point-distance matrix
-    /// [`crate::SearchWorkspace::prepare_cell_rows`] fills
-    /// (`cell_rows[r * m + k] = d(p_r, q_k)`). Tighter than the envelope
-    /// and able to reject a trajectory whose MBR contains the query.
+    /// O(n·m) upper bound from the trajectory's own points (coordinate
+    /// slabs `xs`, `ys`): per query point the distance to its nearest data
+    /// point — the column minima of the point-distance matrix
+    /// [`crate::SearchWorkspace::prepare_cell_rows`] fills, without
+    /// filling it. The minima are taken over `dx*dx + dy*dy`, the
+    /// expression `simsub_measures::fill_point_dists` evaluates before its
+    /// `sqrt`, and then one `sqrt` per query point: `sqrt` is correctly
+    /// rounded, hence monotone, so `sqrt(min_r s_r) = min_r sqrt(s_r)` and
+    /// the bound is the matrix's column-minimum bound bit for bit at
+    /// `m` square roots instead of `n·m`. Tighter than the envelope and
+    /// able to reject a trajectory whose MBR contains the query.
     /// `INFINITY` when inactive.
-    pub fn point_bound(&mut self, cell_rows: &[f64]) -> f64 {
+    pub fn point_bound(&mut self, xs: &[f64], ys: &[f64]) -> f64 {
         let Some(aggregate) = self.aggregate else {
             return f64::INFINITY;
         };
-        let m = self.qx.len();
-        debug_assert!(!cell_rows.is_empty() && cell_rows.len().is_multiple_of(m));
+        debug_assert!(!xs.is_empty() && xs.len() == ys.len());
         self.scratch.fill(f64::INFINITY);
-        for row in cell_rows.chunks_exact(m) {
-            // Distances are never NaN; the bare compare vectorizes where
-            // `f64::min` does not.
-            for (lo, &d) in self.scratch.iter_mut().zip(row) {
-                *lo = if d < *lo { d } else { *lo };
+        for (&px, &py) in xs.iter().zip(ys) {
+            // Squared distances are never NaN; the bare compare vectorizes
+            // where `f64::min` does not.
+            for ((lo, &x), &y) in self.scratch.iter_mut().zip(&self.qx).zip(&self.qy) {
+                let (dx, dy) = (px - x, py - y);
+                let sq = dx * dx + dy * dy;
+                *lo = if sq < *lo { sq } else { *lo };
             }
+        }
+        for lo in &mut self.scratch {
+            *lo = lo.sqrt();
         }
         self.aggregated_bound(aggregate)
     }
@@ -423,43 +441,47 @@ mod tests {
         let mbr = Mbr::of_points(&walk(2, 6));
         assert_eq!(cascade.coarse_bound(&mbr), f64::INFINITY);
         assert_eq!(cascade.envelope_bound(&mbr), f64::INFINITY);
-        assert_eq!(cascade.point_bound(&[1.0; 5]), f64::INFINITY);
+        assert_eq!(cascade.point_bound(&[1.0], &[1.0]), f64::INFINITY);
     }
 
-    /// The point-distance matrix of `(data, query)`, filled the way the
-    /// scan fills it.
-    fn cell_rows(
-        measure: &dyn simsub_measures::Measure,
-        data: &[Point],
-        query: &[Point],
-    ) -> Vec<f64> {
-        let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
-        let ts = vec![0.0; data.len()];
-        let view = simsub_trajectory::TrajView::new(0, &xs, &ys, &ts);
-        let mut ws = crate::SearchWorkspace::new(measure, query);
-        assert!(ws.prepare_cell_rows(view));
-        ws.cell_rows().to_vec()
+    /// The coordinate slabs of `points`.
+    fn slabs(points: &[Point]) -> (Vec<f64>, Vec<f64>) {
+        points.iter().map(|p| (p.x, p.y)).unzip()
     }
 
     #[test]
     fn point_bound_is_the_column_minimum_fold() {
-        // Against the definition: per query point the distance to its
-        // nearest data point, summed (or maxed) in query order.
+        // Against the definition — per query point the distance to its
+        // nearest data point, summed (or maxed) in query order — taken
+        // over the `sqrt` matrix the scan fills for a survivor: one `sqrt`
+        // per column must give the same bits as `n` of them.
         for seed in 0..25u64 {
             let q = walk(seed, 7);
             let t = walk(seed + 40, 9);
+            let (xs, ys) = slabs(&t);
+            let ts = vec![0.0; t.len()];
+            let view = simsub_trajectory::TrajView::new(0, &xs, &ys, &ts);
             for measure in [&Dtw as &dyn simsub_measures::Measure, &Frechet] {
                 let mut cascade = BoundCascade::new(measure, &q);
-                let got = cascade.point_bound(&cell_rows(measure, &t, &q));
-                let nearest = q
-                    .iter()
-                    .map(|&qk| t.iter().map(|&p| p.dist(qk)).fold(f64::INFINITY, f64::min));
+                let got = cascade.point_bound(&xs, &ys);
+                let mut ws = crate::SearchWorkspace::new(measure, &q);
+                assert!(ws.prepare_cell_rows(view));
+                let matrix = ws.cell_rows();
+                let nearest = (0..q.len()).map(|k| {
+                    let column = matrix.iter().skip(k).step_by(q.len());
+                    column.copied().fold(f64::INFINITY, f64::min)
+                });
                 let dist_lb = match measure.distance_aggregate().unwrap() {
                     simsub_measures::DistanceAggregate::Sum => nearest.sum::<f64>(),
                     simsub_measures::DistanceAggregate::Max => nearest.fold(0.0, f64::max),
                 };
                 let want = similarity_from_distance(dist_lb * DIST_LB_SLACK);
                 assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}");
+                for (r, p) in t.iter().enumerate() {
+                    for (k, &qk) in q.iter().enumerate() {
+                        assert_eq!(matrix[r * q.len() + k].to_bits(), p.dist(qk).to_bits());
+                    }
+                }
             }
         }
     }
@@ -532,7 +554,8 @@ mod tests {
                 );
                 // The point-level stage is admissible without the
                 // tolerance and never looser than the envelope.
-                let points = cascade.point_bound(&cell_rows(measure, traj.points(), &q));
+                let (xs, ys) = slabs(traj.points());
+                let points = cascade.point_bound(&xs, &ys);
                 assert!(points >= best, "points seed {seed} {}", measure.name());
                 assert!(points <= cascade.envelope_bound(&traj.mbr()));
             }

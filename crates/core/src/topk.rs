@@ -7,11 +7,15 @@
 //!   before truncating); the heap's k-th element is the prune threshold.
 //! - **Prune-first.** Candidates are ordered best-bound-first and each
 //!   must pass the [`BoundCascade`] (O(1) Kim-style screen, the O(m) MBR
-//!   envelope, then the O(n·m) point-level bound) before the full
-//!   `Φini`/`Φinc` search runs, and the search itself is told the running
-//!   k-th similarity so the exact kernel abandons starts that cannot
-//!   reach it; see [`crate::bounds`] for why neither can change the
-//!   answer. [`PruneStats`] counts what happened.
+//!   envelope, then the O(n·m) point-level bound over coordinates, with
+//!   one `sqrt` per query point) before the full `Φini`/`Φinc` search
+//!   runs. Only a survivor fills its `sqrt` point-distance matrix, and its
+//!   search is told the running k-th similarity: ExactS under DTW and
+//!   Frechet then runs one O(n·m) free-start DP over the matrix, settles
+//!   the candidate if its best is below the k-th, and otherwise recovers
+//!   the range with the per-start kernel floored at that best. See
+//!   [`crate::bounds`] for why none of this can change the answer.
+//!   [`PruneStats`] counts what happened.
 //! - **Allocate-once.** One [`SearchWorkspace`] per (query, scan) serves
 //!   every trajectory; no per-trajectory evaluator boxing.
 //! - **Arena-backed.** The scan kernel walks a [`CorpusArena`]: data
@@ -208,12 +212,15 @@ fn timed<T>(timing: bool, ns: &mut u64, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs the full search on one candidate under the per-candidate hints
-/// `(sim_floor, rows_prepared)` (see [`SearchWorkspace::begin_candidate`];
-/// the reference path passes `(-∞, false)`), recording `searched`,
-/// `abandoned`, `searched_cells` (`data_len × query_len`, the nominal DP
-/// cost-model unit — it does not shrink when the kernel abandons), and —
-/// only when `timing` — the kernel's wall-clock nanoseconds.
+/// Runs the full search on one candidate under the floor `sim_floor`
+/// (see [`SearchWorkspace::begin_candidate`]; the reference path passes
+/// `-∞`), first filling the candidate's point-distance matrix for the
+/// search to read when `prepare_rows` (the pruning path: the matrix is
+/// what switches ExactS to its free-start DP, and PSS/POS then fill it
+/// once instead of themselves). Records `searched`, `abandoned`,
+/// `searched_cells` (`data_len × query_len`, the nominal DP cost-model
+/// unit — it does not shrink when the kernel settles early), and — only
+/// when `timing` — the fill's and the kernel's wall-clock nanoseconds.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
 fn search_and_push(
     algo: &dyn SubtrajSearch,
@@ -223,15 +230,17 @@ fn search_and_push(
     ws: &mut SearchWorkspace<'_>,
     floor: Option<&SharedSimFloor>,
     sim_floor: f64,
-    rows_prepared: bool,
+    prepare_rows: bool,
     timing: bool,
     stats: &mut PruneStats,
 ) {
+    let view = arena.view(slot);
     stats.searched += 1;
-    stats.searched_cells += arena.view(slot).len() as u64 * ws.query().len() as u64;
-    ws.begin_candidate(sim_floor, rows_prepared);
+    stats.searched_cells += view.len() as u64 * ws.query().len() as u64;
     let result = timed(timing, &mut stats.kernel_ns, || {
-        algo.search_with(ws, arena.view(slot))
+        let rows_prepared = prepare_rows && ws.prepare_cell_rows(view);
+        ws.begin_candidate(sim_floor, rows_prepared);
+        algo.search_with(ws, view)
     });
     stats.abandoned += u64::from(ws.end_candidate());
     heap.push(TopKResult {
@@ -284,7 +293,8 @@ pub fn scan_top_k_into(
     let mut cascade = BoundCascade::new(ws.measure(), query);
     let active = prune && cascade.is_active() && algo.reported_similarity_is_admissible();
     if !active {
-        // The reference path: no floor, no prepared rows.
+        // The reference path: no floor, no prepared rows — ExactS stays
+        // the paper's multi-start enumeration.
         for &slot in candidates {
             stats.scanned += 1;
             search_and_push(
@@ -330,31 +340,23 @@ pub fn scan_top_k_into(
             stats.pruned_by_mbr += 1;
             continue;
         }
-        // The point-level stage fills the candidate's point-distance
-        // matrix; a survivor's search reads it back (`rows_prepared`).
-        let (rows_prepared, points) = timed(timing, &mut stats.bound_ns, || {
-            if ws.prepare_cell_rows(arena.view(slot)) {
-                (true, cascade.point_bound(ws.cell_rows()))
-            } else {
-                (false, f64::INFINITY)
-            }
-        });
+        // The point-level stage reads coordinates; only measures whose
+        // search reads a point-distance matrix (DTW, Frechet) run it.
+        let points = if ws.factors_cell_rows() {
+            let view = arena.view(slot);
+            timed(timing, &mut stats.bound_ns, || {
+                cascade.point_bound(view.xs(), view.ys())
+            })
+        } else {
+            f64::INFINITY
+        };
         if !admits(heap, floor, points, id) {
             stats.pruned_by_points += 1;
             continue;
         }
         let sim_floor = sim_floor(heap, floor);
         search_and_push(
-            algo,
-            arena,
-            slot,
-            heap,
-            ws,
-            floor,
-            sim_floor,
-            rows_prepared,
-            timing,
-            stats,
+            algo, arena, slot, heap, ws, floor, sim_floor, true, timing, stats,
         );
     }
 }

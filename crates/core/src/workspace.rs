@@ -84,14 +84,16 @@ pub struct SearchWorkspace<'m> {
     rev_cell_rows: Vec<f64>,
     /// Row stride of `cell_rows` (the query length), 0 when inactive.
     cell_stride: usize,
+    /// Whether the measure's evaluator factors cell rows at all.
+    factors_cell_rows: bool,
     /// The scan's similarity floor for the candidate being searched
     /// (`-∞` outside [`SearchWorkspace::begin_candidate`] /
     /// [`SearchWorkspace::end_candidate`]).
     sim_floor: f64,
     /// True while `cell_rows` holds the matrix of the candidate being
-    /// searched (the scan's point-level bound filled it).
+    /// searched (the scan filled it for a survivor of its bounds).
     rows_prepared: bool,
-    /// Set when the candidate's exact kernel left a start group early.
+    /// Set when the candidate's exact kernel settled below the floor.
     abandoned: bool,
     /// Q-network activations behind the learned walk ([`crate::Rls`]).
     policy_scratch: MlpCache,
@@ -102,10 +104,16 @@ impl<'m> SearchWorkspace<'m> {
     /// the one place a scan pays `Φ`-side allocation.
     pub fn new(measure: &'m dyn Measure, query: &[Point]) -> Self {
         assert!(!query.is_empty(), "query must be non-empty");
+        let prefix = measure.make_workspace(query);
+        // An empty run answers the factoring question without filling.
+        let mut cell_rows = Vec::new();
+        let factors_cell_rows = prefix
+            .fill_cell_rows(&[], &[], &[], &mut cell_rows)
+            .is_some();
         Self {
             measure,
             query: query.to_vec(),
-            prefix: measure.make_workspace(query),
+            prefix,
             reversed_query: Vec::new(),
             suffix_eval: None,
             suffix: Vec::new(),
@@ -115,9 +123,10 @@ impl<'m> SearchWorkspace<'m> {
             rev_xs: Vec::new(),
             rev_ys: Vec::new(),
             rev_ts: Vec::new(),
-            cell_rows: Vec::new(),
+            cell_rows,
             rev_cell_rows: Vec::new(),
             cell_stride: 0,
+            factors_cell_rows,
             sim_floor: f64::NEG_INFINITY,
             rows_prepared: false,
             abandoned: false,
@@ -161,7 +170,8 @@ impl<'m> SearchWorkspace<'m> {
     }
 
     /// Clears the per-candidate hints and reports whether the search
-    /// between the two calls abandoned any of its DP against the floor.
+    /// between the two calls settled below the floor without recovering
+    /// its best range (see [`simsub_measures::ExactBest::abandoned`]).
     pub fn end_candidate(&mut self) -> bool {
         self.sim_floor = f64::NEG_INFINITY;
         self.rows_prepared = false;
@@ -177,8 +187,9 @@ impl<'m> SearchWorkspace<'m> {
     /// The measure's exhaustive-best slice kernel over columnar data
     /// (`Measure::exact_best_above`), run through this workspace's reused
     /// scratch buffers under the candidate's floor and, when the scan
-    /// prepared it, over the candidate's cell-row matrix. `None` when the
-    /// measure has no kernel; outside a pruning scan the result is
+    /// prepared it, over the candidate's cell-row matrix — which is what
+    /// switches DTW and Frechet to the O(n·m) free-start DP. `None` when
+    /// the measure has no kernel; outside a pruning scan the result is
     /// bit-identical to the scalar `init`/`extend` sweep of Algorithm 1,
     /// inside one whenever it reaches the floor (the kernel contract).
     pub fn exact_best(&mut self, data: TrajView<'_>) -> Option<SearchResult> {
@@ -279,6 +290,14 @@ impl<'m> SearchWorkspace<'m> {
                 false
             }
         }
+    }
+
+    /// Whether [`SearchWorkspace::prepare_cell_rows`] can succeed under
+    /// this workspace's measure (DTW and Frechet factor their cells; the
+    /// rest do not). Probed once, on an empty run, when the workspace is
+    /// built.
+    pub fn factors_cell_rows(&self) -> bool {
+        self.factors_cell_rows
     }
 
     /// [`SearchWorkspace::prepare_cell_rows`] unless the scan already
@@ -427,30 +446,42 @@ mod tests {
         let view = TrajView::new(0, &xs, &ys, &ts);
         for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
             let mut ws = SearchWorkspace::new(measure, &q);
+            assert!(ws.factors_cell_rows());
             let plain = ws.exact_best(view).expect("kernel measure");
-            assert!(!ws.end_candidate(), "no floor, nothing to abandon");
-            // A floor the best reaches, over the prepared matrix: same
-            // answer, and the kernel found starts to give up on.
+            assert!(!ws.end_candidate(), "no floor, nothing to settle");
+            // A floor the best reaches, over the prepared matrix: the DP
+            // cannot settle below it, so the range is recovered — the
+            // same answer, not abandoned.
             assert!(ws.prepare_cell_rows(view));
             ws.begin_candidate(plain.similarity, true);
             assert_eq!(ws.sim_floor(), plain.similarity);
             assert!(ws.ensure_cell_rows(view));
             assert_eq!(ws.exact_best(view), Some(plain));
             assert!(
-                ws.end_candidate(),
-                "{}: a tight floor abandons",
+                !ws.end_candidate(),
+                "{}: a reachable floor recovers",
                 measure.name()
             );
             // The hints are gone: the next search is the plain one again.
             assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
             assert_eq!(ws.exact_best(view), Some(plain));
             assert!(!ws.end_candidate());
-            // A floor out of reach yields some real, lower similarity.
-            ws.begin_candidate(plain.similarity.next_up(), false);
-            let missed = ws.exact_best(view).expect("kernel measure");
-            assert!(missed.similarity <= plain.similarity);
-            ws.end_candidate();
+            // A floor out of reach, with or without the matrix, yields
+            // some real, lower similarity and says so.
+            for rows_prepared in [true, false] {
+                ws.begin_candidate(plain.similarity.next_up(), rows_prepared);
+                let missed = ws.exact_best(view).expect("kernel measure");
+                assert!(missed.similarity <= plain.similarity);
+                assert!(
+                    ws.end_candidate(),
+                    "{}: an unreachable floor settles (rows {rows_prepared})",
+                    measure.name()
+                );
+            }
         }
+        // Measures that do not factor their cells never claim to.
+        let lcss = simsub_measures::Lcss::new(0.5);
+        assert!(!SearchWorkspace::new(&lcss, &q).factors_cell_rows());
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl Measure for Dtw {
         cell_rows: Option<&[f64]>,
         scratch: &mut DpScratch,
     ) -> Option<ExactBest> {
-        Some(kernel::exact_best_multi_start::<kernel::SumOp>(
+        Some(kernel::exact_best_above::<kernel::SumOp>(
             data.xs(),
             data.ys(),
             query,
@@ -309,7 +309,7 @@ impl PrefixEvaluator for DtwEvaluator {
             return self.similarity();
         }
         assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront_rows::<kernel::SumOp>(&mut self.row, rows, |i, d| {
+        kernel::extend_run_wavefront_rows::<kernel::SumOp, false>(&mut self.row, rows, |i, d| {
             sims[i] = similarity_from_distance(d)
         });
         self.similarity()

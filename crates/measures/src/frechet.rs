@@ -56,7 +56,7 @@ impl Measure for Frechet {
         cell_rows: Option<&[f64]>,
         scratch: &mut DpScratch,
     ) -> Option<ExactBest> {
-        Some(kernel::exact_best_multi_start::<kernel::MaxOp>(
+        Some(kernel::exact_best_above::<kernel::MaxOp>(
             data.xs(),
             data.ys(),
             query,
@@ -210,7 +210,7 @@ impl PrefixEvaluator for FrechetEvaluator {
             return self.similarity();
         }
         assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront_rows::<kernel::MaxOp>(&mut self.row, rows, |i, d| {
+        kernel::extend_run_wavefront_rows::<kernel::MaxOp, false>(&mut self.row, rows, |i, d| {
             sims[i] = similarity_from_distance(d)
         });
         self.similarity()

@@ -1,7 +1,7 @@
 //! Slice-based DP kernels shared by the row-rolling measures (DTW,
 //! discrete Frechet).
 //!
-//! Two ideas, both **bit-identical** to the scalar evaluators they
+//! Three ideas, all **bit-identical** to the scalar evaluators they
 //! accelerate (property-tested in `dtw.rs`/`frechet.rs`):
 //!
 //! 1. **Hoisted distance rows.** The data point is lifted out of the DP
@@ -30,6 +30,23 @@
 //!    — and leaves a start group once no lane can reach the floor; the
 //!    answer is then bit-for-bit the scalar one whenever it reaches the
 //!    floor.
+//!
+//! 3. **Free-start DP (the scan's ExactS kernel).** Given the candidate's
+//!    `n × m` point-distance matrix, one DP over it finds the best
+//!    similarity Θ* of *every* start at once (Sakurai et al.'s Spring
+//!    construction): the row wavefront runs from a row of `+∞` with
+//!    column 0 reading `up = 0.0`, so every data point may open a match,
+//!    and cell `F(j, c)` becomes the best distance of any range ending at
+//!    `j` against `Tq[1, c]`. It is bit-identical to the minimum over
+//!    starts of the per-start cells, because rounding is monotone —
+//!    `fl(d + min_s x_s) = min_s fl(d + x_s)` — and `min`/`max` are
+//!    exact, so by induction over the cells `F(j, c) = min_s D_s(j, c)`
+//!    bit for bit, and Θ* is the sweep's Θ. The DP cannot tell *which*
+//!    start won, and among equal Θ the sweep keeps the first `(start,
+//!    end)`; so the multi-start kernel still runs, but only for a
+//!    candidate whose Θ* reaches the floor, with Θ* itself as the floor
+//!    and over the prefix that ends at the last end reaching Θ*
+//!    ([`exact_best_free_start`]).
 
 use crate::similarity_from_distance;
 use simsub_trajectory::Point;
@@ -144,11 +161,15 @@ pub struct DpScratch {
     /// Lane-interleaved DP rows: `rows[jj * LANES + l]` is row cell `jj`
     /// of lane `l`.
     rows: Vec<f64>,
+    /// The free-start DP's rolling row (length `m`).
+    free_row: Vec<f64>,
+    /// The free-start DP's last column: `ends[j]` is the best distance of
+    /// any range ending at data point `j`.
+    ends: Vec<f64>,
 }
 
 /// What `Measure::exact_best_above` found: the winning range, its
-/// similarity, and whether the similarity floor let the kernel leave any
-/// start group before the end of the data.
+/// similarity, and whether the kernel settled below the floor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactBest {
     /// First point of the best subtrajectory (0-based, inclusive).
@@ -157,7 +178,8 @@ pub struct ExactBest {
     pub end: usize,
     /// `Θ(T[start, end], query)`.
     pub similarity: f64,
-    /// True when at least one start group was left early.
+    /// True when the result is below the floor: the kernel proved nothing
+    /// reaches it and returned a stand-in instead of the best range.
     pub abandoned: bool,
 }
 
@@ -227,7 +249,6 @@ pub(crate) fn exact_best_multi_start<Op: DpOp>(
 
     let mut best_sim = f64::NEG_INFINITY;
     let mut best = (0usize, 0usize);
-    let mut abandoned = false;
     for group in (0..n).step_by(LANES) {
         let lanes = LANES.min(n - group);
         let mut lane_best_sim = [f64::NEG_INFINITY; LANES];
@@ -278,7 +299,6 @@ pub(crate) fn exact_best_multi_start<Op: DpOp>(
             }
             let dead = |l: usize| l >= lanes || row_min[l] >= tau;
             if active == lanes && j + 1 < n && (0..LANES).all(dead) {
-                abandoned = true;
                 break;
             }
         }
@@ -295,8 +315,103 @@ pub(crate) fn exact_best_multi_start<Op: DpOp>(
         start: best.0,
         end: best.1,
         similarity: best_sim,
-        abandoned,
+        abandoned: best_sim < floor,
     }
+}
+
+/// `Measure::exact_best_above` for a [`DpOp`] measure: the free-start
+/// path when the caller hands over the cell-row matrix (a pruning scan
+/// always does), else the multi-start sweep alone — the paper's
+/// enumeration, which `ExactS::search` keeps timing.
+pub(crate) fn exact_best_above<Op: DpOp>(
+    xs: &[f64],
+    ys: &[f64],
+    query: &[Point],
+    floor: f64,
+    cell_rows: Option<&[f64]>,
+    scratch: &mut DpScratch,
+) -> ExactBest {
+    match cell_rows {
+        Some(rows) => exact_best_free_start::<Op>(xs, ys, query, floor, rows, scratch),
+        None => exact_best_multi_start::<Op>(xs, ys, query, floor, None, scratch),
+    }
+}
+
+/// [`exact_best_multi_start`]'s contract over the cell-row matrix, in
+/// O(n·m) for every candidate whose best misses the floor.
+///
+/// The free-start DP (module docs, idea 3) yields Θ*, the best similarity
+/// of any range, bit for bit. If `Θ* < floor` every range is below the
+/// floor too, and the result is `T[0, 0]` with the value of the DP's first
+/// row — a real subtrajectory below the floor — and no further DP.
+/// Otherwise the multi-start kernel recovers the sweep's `(start, end)`
+/// with `floor = Θ*`, so each start is left as soon as it cannot tie, and
+/// only over `T[0, j_last]`, where `j_last` is the last end whose best
+/// reaches Θ*: no range ending later can, so the first range to reach Θ*
+/// in the sweep's order — its answer, ties included — lies inside.
+fn exact_best_free_start<Op: DpOp>(
+    xs: &[f64],
+    ys: &[f64],
+    query: &[Point],
+    floor: f64,
+    cell_rows: &[f64],
+    scratch: &mut DpScratch,
+) -> ExactBest {
+    let m = query.len();
+    assert_eq!(
+        cell_rows.len(),
+        xs.len() * m,
+        "cell rows must cover data × query"
+    );
+    let (best_sim, j_last) = free_start_best::<Op>(cell_rows, m, scratch);
+    if best_sim < floor {
+        return ExactBest {
+            start: 0,
+            end: 0,
+            similarity: similarity_from_distance(scratch.ends[0]),
+            abandoned: true,
+        };
+    }
+    let prefix = j_last + 1;
+    let best = exact_best_multi_start::<Op>(
+        &xs[..prefix],
+        &ys[..prefix],
+        query,
+        best_sim,
+        Some(&cell_rows[..prefix * m]),
+        scratch,
+    );
+    debug_assert_eq!(best.similarity.to_bits(), best_sim.to_bits());
+    best
+}
+
+/// The free-start DP over `cell_rows` (`n × m`, as [`exact_best_multi_start`]
+/// reads it): returns Θ*, the best similarity of any subtrajectory, and
+/// `j_last`, the last data point some range reaching Θ* ends at. Leaves the
+/// per-end best distances in `scratch.ends`.
+pub(crate) fn free_start_best<Op: DpOp>(
+    cell_rows: &[f64],
+    m: usize,
+    scratch: &mut DpScratch,
+) -> (f64, usize) {
+    assert!(m > 0 && !cell_rows.is_empty(), "inputs must be non-empty");
+    assert!(
+        cell_rows.len().is_multiple_of(m),
+        "cell rows must cover data × query"
+    );
+    let n = cell_rows.len() / m;
+    scratch.free_row.clear();
+    scratch.free_row.resize(m, f64::INFINITY);
+    scratch.ends.clear();
+    scratch.ends.resize(n, 0.0);
+    let ends = &mut scratch.ends;
+    extend_run_wavefront_rows::<Op, true>(&mut scratch.free_row, cell_rows, |j, v| ends[j] = v);
+    let best_sim = similarity_from_distance(ends.iter().fold(f64::INFINITY, |a, &d| fmin(a, d)));
+    let j_last = ends
+        .iter()
+        .rposition(|&d| similarity_from_distance(d) >= best_sim)
+        .expect("Θ* is some end's similarity");
+    (best_sim, j_last)
 }
 
 /// Φini for lane `l`: the boundary recurrence over the distance row.
@@ -428,8 +543,20 @@ pub(crate) fn extend_run_wavefront<Op: DpOp>(
                 &mut dist[l * m..(l + 1) * m],
             );
         }
-        diagonal_tile::<Op>(row, dist, m, lanes, |l, v| sink(base + l, v));
+        diagonal_tile::<Op, false>(row, dist, m, lanes, |l, v| sink(base + l, v));
         base += lanes;
+    }
+}
+
+/// Column 0's `up` input: the row above under the per-start recurrence,
+/// `0.0` under the free-start one, where every data point may open a
+/// match (`Op::cell(d, 0.0)` is `d` for both ops).
+#[inline(always)]
+fn col0_up<const FREE: bool>(up: f64) -> f64 {
+    if FREE {
+        0.0
+    } else {
+        up
     }
 }
 
@@ -440,7 +567,11 @@ pub(crate) fn extend_run_wavefront<Op: DpOp>(
 /// and readout are exactly the coordinate entry's, so given bitwise-equal
 /// rows the results are bitwise equal — this is the second-walk half of
 /// sharing one distance matrix between PSS's prefix and suffix passes.
-pub(crate) fn extend_run_wavefront_rows<Op: DpOp>(
+///
+/// With `FREE` the same body runs the free-start recurrence (module docs,
+/// idea 3): column 0 reads `up = 0.0` instead of the row above, and
+/// nothing else changes.
+pub(crate) fn extend_run_wavefront_rows<Op: DpOp, const FREE: bool>(
     row: &mut [f64],
     rows: &[f64],
     mut sink: impl FnMut(usize, f64),
@@ -451,7 +582,7 @@ pub(crate) fn extend_run_wavefront_rows<Op: DpOp>(
     if m < WAVEFRONT_MIN_M {
         for (i, dist) in rows.chunks_exact(m).enumerate() {
             let mut diag = row[0];
-            let mut left = Op::cell(dist[0], row[0]);
+            let mut left = Op::cell(dist[0], col0_up::<FREE>(row[0]));
             row[0] = left;
             for (r, &d) in row[1..].iter_mut().zip(&dist[1..]) {
                 let up = *r;
@@ -466,7 +597,7 @@ pub(crate) fn extend_run_wavefront_rows<Op: DpOp>(
     let mut base = 0usize;
     while base < n {
         let lanes = LANES.min(n - base);
-        diagonal_tile::<Op>(
+        diagonal_tile::<Op, FREE>(
             row,
             &rows[base * m..(base + lanes) * m],
             m,
@@ -480,8 +611,8 @@ pub(crate) fn extend_run_wavefront_rows<Op: DpOp>(
 /// One tile of [`extend_run_wavefront`]: dispatches on the (run-tail)
 /// lane count so each variant monomorphizes with fully unrolled inner
 /// loops. Requires `m > LANES` (shorter queries take the scalar fallback
-/// above).
-fn diagonal_tile<Op: DpOp>(
+/// above). `FREE` selects column 0's `up` ([`col0_up`]).
+fn diagonal_tile<Op: DpOp, const FREE: bool>(
     row: &mut [f64],
     dist: &[f64],
     m: usize,
@@ -489,10 +620,10 @@ fn diagonal_tile<Op: DpOp>(
     sink: impl FnMut(usize, f64),
 ) {
     match lanes {
-        4 => diagonal_tile_4::<Op>(row, dist, m, sink),
-        3 => diagonal_tile_l::<Op, 3>(row, dist, m, sink),
-        2 => diagonal_tile_l::<Op, 2>(row, dist, m, sink),
-        _ => diagonal_tile_l::<Op, 1>(row, dist, m, sink),
+        4 => diagonal_tile_4::<Op, FREE>(row, dist, m, sink),
+        3 => diagonal_tile_l::<Op, FREE, 3>(row, dist, m, sink),
+        2 => diagonal_tile_l::<Op, FREE, 2>(row, dist, m, sink),
+        _ => diagonal_tile_l::<Op, FREE, 1>(row, dist, m, sink),
     }
 }
 
@@ -503,7 +634,7 @@ fn diagonal_tile<Op: DpOp>(
 /// recurrence. Same wavefront schedule and cell expressions as the
 /// generic tile; the generic version (kept for the 1–3 lane run tail)
 /// doubles as its cross-checked reference.
-fn diagonal_tile_4<Op: DpOp>(
+fn diagonal_tile_4<Op: DpOp, const FREE: bool>(
     row: &mut [f64],
     dist: &[f64],
     m: usize,
@@ -516,22 +647,22 @@ fn diagonal_tile_4<Op: DpOp>(
     // Ramp-up, steps s = 0..4: lane `l` enters at `s == l` on its
     // boundary cell; lane 3's first cell (column 0) is final.
     let mut u0 = row[0];
-    let mut v0 = Op::cell(r0[0], u0);
+    let mut v0 = Op::cell(r0[0], col0_up::<FREE>(u0));
     let (mut dg0, mut lf0, mut up1) = (u0, v0, v0);
     u0 = row[1];
-    let mut v1 = Op::cell(r1[0], up1);
+    let mut v1 = Op::cell(r1[0], col0_up::<FREE>(up1));
     v0 = Op::cell(r0[1], fmin(fmin(dg0, u0), lf0));
     let (mut dg1, mut lf1, mut up2) = (up1, v1, v1);
     (dg0, lf0, up1) = (u0, v0, v0);
     u0 = row[2];
-    let mut v2 = Op::cell(r2[0], up2);
+    let mut v2 = Op::cell(r2[0], col0_up::<FREE>(up2));
     v1 = Op::cell(r1[1], fmin(fmin(dg1, up1), lf1));
     v0 = Op::cell(r0[2], fmin(fmin(dg0, u0), lf0));
     let (mut dg2, mut lf2, up3) = (up2, v2, v2);
     (dg1, lf1, up2) = (up1, v1, v1);
     (dg0, lf0, up1) = (u0, v0, v0);
     u0 = row[3];
-    let mut v3 = Op::cell(r3[0], up3);
+    let mut v3 = Op::cell(r3[0], col0_up::<FREE>(up3));
     v2 = Op::cell(r2[1], fmin(fmin(dg2, up2), lf2));
     v1 = Op::cell(r1[2], fmin(fmin(dg1, up1), lf1));
     v0 = Op::cell(r0[3], fmin(fmin(dg0, u0), lf0));
@@ -600,7 +731,7 @@ fn diagonal_tile_4<Op: DpOp>(
 /// with per-lane views pre-shifted by the lane's diagonal offset
 /// (`rows[l][s] == dist[l * m + s - l]`), which lets the compiler prove
 /// every index in bounds and drop the checks.
-fn diagonal_tile_l<Op: DpOp, const L: usize>(
+fn diagonal_tile_l<Op: DpOp, const FREE: bool, const L: usize>(
     row: &mut [f64],
     dist: &[f64],
     m: usize,
@@ -621,7 +752,7 @@ fn diagonal_tile_l<Op: DpOp, const L: usize>(
             let j = s - l;
             let d = dist[l * m + j];
             v[l] = if j == 0 {
-                Op::cell(d, up[l])
+                Op::cell(d, col0_up::<FREE>(up[l]))
             } else {
                 Op::cell(d, fmin(fmin(diag[l], up[l]), left[l]))
             };
@@ -726,12 +857,15 @@ pub(crate) fn scalar_exact_sweep(
 }
 
 /// Test support: the floor contract of `Measure::exact_best_above`,
-/// checked for one `(data, query)` pair with and without the cell-row
-/// matrix. At a floor the true best reaches (its own similarity, one ulp
+/// checked for one `(data, query)` pair without the cell-row matrix (the
+/// multi-start sweep) and with it (the free-start DP plus range recovery).
+/// At a floor the true best reaches (`-∞`, its own similarity, one ulp
 /// below, `probe` when it happens to be low enough) the result must be the
 /// unfloored one bit for bit; at a floor it misses (one ulp above, `probe`
 /// otherwise) the result must be a real subtrajectory's similarity below
-/// that floor.
+/// that floor, flagged `abandoned`. The DP itself is pinned too: every
+/// end's best similarity, Θ* and the last end reaching Θ* against the
+/// scalar sweep.
 #[cfg(test)]
 pub(crate) fn assert_floor_contract(
     measure: &dyn crate::Measure,
@@ -759,16 +893,44 @@ pub(crate) fn assert_floor_contract(
         .make_workspace(query)
         .fill_cell_rows(&xs, &ys, &ts, &mut matrix)
         .expect("measure factors cell rows");
+
+    // The free-start DP against the per-end maxima of the scalar sweep.
+    let mut end_best = vec![f64::NEG_INFINITY; data.len()];
+    let mut eval = measure.make_workspace(query);
+    for i in 0..data.len() {
+        end_best[i] = end_best[i].max(eval.init(data[i]));
+        for (j, &p) in data.iter().enumerate().skip(i + 1) {
+            end_best[j] = end_best[j].max(eval.extend(p));
+        }
+    }
+    let (dp_best, j_last) = match measure.name() {
+        "dtw" => free_start_best::<SumOp>(&matrix, query.len(), &mut scratch),
+        "frechet" => free_start_best::<MaxOp>(&matrix, query.len(), &mut scratch),
+        other => panic!("no free-start DP for {other}"),
+    };
+    let shape = format!("n {} m {}", data.len(), query.len());
+    for (j, (&d, &want)) in scratch.ends.iter().zip(&end_best).enumerate() {
+        let got = similarity_from_distance(d);
+        assert_eq!(got.to_bits(), want.to_bits(), "DP end {j}, {shape}");
+    }
+    assert_eq!(dp_best.to_bits(), sim.to_bits(), "DP Θ*, {shape}");
+    let want_last = end_best.iter().rposition(|&s| s == sim).expect("attained");
+    assert_eq!(j_last, want_last, "DP last end reaching Θ*, {shape}");
+
     for cell_rows in [None, Some(matrix.as_slice())] {
-        for floor in [sim, sim.next_down(), sim.next_up(), probe] {
+        for floor in [
+            f64::NEG_INFINITY,
+            sim,
+            sim.next_down(),
+            sim.next_up(),
+            probe,
+        ] {
             let got = measure
                 .exact_best_above(view, query, floor, cell_rows, &mut scratch)
                 .expect("measure has a kernel");
             let context = format!(
-                "floor {floor:e} best {sim:e} rows {} n {} m {}",
-                cell_rows.is_some(),
-                data.len(),
-                query.len()
+                "floor {floor:e} best {sim:e} rows {} {shape}",
+                cell_rows.is_some()
             );
             if sim >= floor {
                 assert_eq!(
@@ -776,8 +938,10 @@ pub(crate) fn assert_floor_contract(
                     (start, end, sim.to_bits()),
                     "{context}"
                 );
+                assert!(!got.abandoned, "{context}");
             } else {
                 assert!(got.similarity < floor, "{context}: {got:?}");
+                assert!(got.abandoned, "{context}");
                 let real = measure.similarity(&data[got.start..=got.end], query);
                 assert_eq!(got.similarity.to_bits(), real.to_bits(), "{context}");
             }
@@ -814,8 +978,9 @@ mod tests {
     #[test]
     fn floor_contract_on_degenerate_shapes() {
         // n = 1, ragged tail groups (n % 4 = 1, 2, 3), queries shorter
-        // than the wavefront minimum, and exact duplicates (best Θ = 1).
-        let walk = |seed: u64, len: usize| -> Vec<Point> {
+        // than the wavefront minimum, and exact duplicates (best Θ = 1),
+        // on walks and on the 3×3 grid, where ties are everywhere.
+        let walk: fn(u64, usize) -> Vec<Point> = |seed, len| {
             (0..len)
                 .map(|i| {
                     let t = (seed * 31 + i as u64) as f64;
@@ -826,19 +991,26 @@ mod tests {
                 })
                 .collect()
         };
-        for n in [1usize, 2, 3, 4, 5, 6, 7, 9, 13] {
-            for m in [1usize, 2, 4, 5, 8] {
-                let data = walk(n as u64, n);
-                let query = walk(100 + m as u64, m);
-                for measure in [&crate::Dtw as &dyn crate::Measure, &crate::Frechet] {
-                    assert_floor_contract(measure, &data, &query, 0.3);
+        let grid: fn(u64, usize) -> Vec<Point> = |seed, len| {
+            (0..len as u64)
+                .map(|i| Point::xy(((seed + 5 * i) % 3) as f64, ((seed * 7 + i * i) % 3) as f64))
+                .collect()
+        };
+        for shape in [walk, grid] {
+            for n in [1usize, 2, 3, 4, 5, 6, 7, 9, 13] {
+                for m in [1usize, 2, 4, 5, 8] {
+                    let data = shape(n as u64, n);
+                    let query = shape(100 + m as u64, m);
+                    for measure in [&crate::Dtw as &dyn crate::Measure, &crate::Frechet] {
+                        assert_floor_contract(measure, &data, &query, 0.3);
+                    }
                 }
             }
-        }
-        let data = walk(7, 11);
-        let query = data[3..8].to_vec();
-        for measure in [&crate::Dtw as &dyn crate::Measure, &crate::Frechet] {
-            assert_floor_contract(measure, &data, &query, 1.0);
+            let data = shape(7, 11);
+            let query = data[3..8].to_vec();
+            for measure in [&crate::Dtw as &dyn crate::Measure, &crate::Frechet] {
+                assert_floor_contract(measure, &data, &query, 1.0);
+            }
         }
     }
 

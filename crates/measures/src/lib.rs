@@ -155,12 +155,20 @@ pub trait Measure: Send + Sync {
     /// result is *bit-identical* to the scalar sweep — same similarity
     /// bits, same `(start, end)` under the sweep's tie-breaking (ascending
     /// start, then ascending end, strict improvement). Otherwise it is
-    /// the similarity of some real subtrajectory, `< floor`. With
-    /// `floor = -∞` the first case always applies. DTW and discrete
-    /// Frechet implement this through the multi-start lockstep kernel in
-    /// [`mod@self`]'s `kernel` module, which uses the floor to abandon
-    /// start groups early (property-tested per measure); measures that
-    /// cannot preserve the contract must stay with the default `None`.
+    /// the similarity of some real subtrajectory, `< floor`, flagged
+    /// [`ExactBest::abandoned`]. With `floor = -∞` the first case always
+    /// applies. Measures that cannot preserve the contract must stay with
+    /// the default `None`.
+    ///
+    /// DTW and discrete Frechet implement it in [`mod@self`]'s `kernel`
+    /// module (property-tested per measure). Without `cell_rows` they run
+    /// the multi-start lockstep sweep, which uses the floor to leave start
+    /// groups early but stays the paper's O(n²·m) enumeration. With
+    /// `cell_rows` (a pruning scan) they first run one free-start DP over
+    /// the matrix, O(n·m), whose best Θ* is the sweep's bit for bit: below
+    /// the floor the candidate is settled without more DP; otherwise the
+    /// multi-start sweep recovers the range under `floor = Θ*`, over the
+    /// data up to the last end reaching Θ*.
     fn exact_best_above(
         &self,
         data: TrajView<'_>,

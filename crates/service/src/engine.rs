@@ -240,13 +240,25 @@ impl CorpusSnapshot {
     /// algorithm. The scan gets the loaded [`Rls`] itself (every request
     /// shares one policy), so all of its trait overrides — columnar
     /// `search_with`, non-admissible similarities — apply when served.
-    fn algo(&self, spec: AlgoSpec) -> Result<Arc<dyn SubtrajSearch + Send + Sync>, ServiceError> {
+    /// Spring is DTW's DP whatever measure it is handed, so it serves
+    /// `"measure":"dtw"` only.
+    fn algo(
+        &self,
+        spec: AlgoSpec,
+        measure: MeasureSpec,
+    ) -> Result<Arc<dyn SubtrajSearch + Send + Sync>, ServiceError> {
         Ok(match spec {
             AlgoSpec::Exact => Arc::new(ExactS),
             AlgoSpec::SizeS { xi } => Arc::new(SizeS::new(xi)),
             AlgoSpec::Pss => Arc::new(Pss),
             AlgoSpec::Pos => Arc::new(Pos),
             AlgoSpec::PosD { delay } => Arc::new(PosD::new(delay)),
+            AlgoSpec::Spring if measure != MeasureSpec::Dtw => {
+                return Err(ServiceError::InvalidRequest(format!(
+                    "spring answers under dtw only, not {}",
+                    measure.wire_name()
+                )))
+            }
             AlgoSpec::Spring => Arc::new(Spring::new()),
             AlgoSpec::Rls => match &self.rls {
                 Some(rls) => Arc::clone(rls) as _,
@@ -951,7 +963,7 @@ impl QueryEngine {
         let admitted = self.inner.handle.load();
         // Resolve once now so "model not loaded" fails fast, synchronously
         // — against the same generation the job will run on.
-        admitted.snapshot.algo(request.algo)?;
+        admitted.snapshot.algo(request.algo, request.measure)?;
         admitted.snapshot.measure(request.measure)?;
 
         // Admission gate: shed instead of queueing unboundedly. Shed
@@ -1276,12 +1288,12 @@ impl QueryEngine {
         );
         b.counter(
             "simsub_scan_abandoned_total",
-            "Searched candidates whose exact kernel abandoned part of its DP against the k-th similarity.",
+            "Searched candidates the free-start DP settled below the k-th similarity without range recovery.",
             snap.scan_abandoned,
         );
         b.counter(
             "simsub_scan_searched_cells_total",
-            "Nominal DP size (data_len x query_len) of searched candidates; abandoning does not shrink it.",
+            "Nominal DP size (data_len x query_len) of searched candidates; settling early does not shrink it.",
             snap.scan_searched_cells,
         );
         b.counter(
@@ -1711,7 +1723,7 @@ fn process_batch(inner: &Inner, jobs: Vec<Job>, timing: &BatchTiming) {
             // generation; resolution cannot fail here.
             let algo = snapshot
                 .snapshot
-                .algo(algo_spec)
+                .algo(algo_spec, measure_spec)
                 .expect("algo validated at submit");
             let measure = snapshot
                 .snapshot

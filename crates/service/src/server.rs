@@ -79,8 +79,10 @@
 //!
 //! Points are `[x, y]` or `[x, y, t]`. `measure` defaults to `"dtw"`,
 //! `index` to `true`, and `k` to the engine's `default_k` knob (1 unless
-//! reconfigured). Answers are byte-identical to the offline
-//! `TrajectoryDb::top_k` for the same request against the same snapshot.
+//! reconfigured). `"spring"` is a DTW algorithm: with any other measure
+//! the request is rejected as invalid. Answers are byte-identical to the
+//! offline `TrajectoryDb::top_k` for the same request against the same
+//! snapshot.
 //!
 //! **Deadlines (v2 only):** a v2 query may add `"deadline_ms": N` (a
 //! positive integer). If no worker has *started* scanning the request
@@ -99,7 +101,9 @@
 //! "scanned":..,"pruned_by_kim":..,"pruned_by_mbr":..,
 //! "pruned_by_points":..,"searched":..,"abandoned":..,
 //! "searched_cells":..,"cached":..,"batch_size":..}` (see
-//! [`crate::trace::TraceReport`]). On a v1 line the flag is ignored: v1
+//! [`crate::trace::TraceReport`]; `"abandoned"` counts searched
+//! candidates the free-start DP settled below the k-th without recovering
+//! their range). On a v1 line the flag is ignored: v1
 //! responses never grow fields. Tracing turns on the per-candidate
 //! bound/kernel clocks for the traced query's dispatch group only;
 //! untraced traffic keeps the near-zero disabled path.

@@ -35,12 +35,12 @@ pub struct ServeStats {
     scan_pruned_points: Counter,
     /// Of those, fully searched.
     scan_searched: Counter,
-    /// Of the searched, those whose exact kernel abandoned part of its DP
-    /// against the running k-th similarity.
+    /// Of the searched, those the free-start DP settled below the running
+    /// k-th similarity without range recovery.
     scan_abandoned: Counter,
     /// Nominal DP size (`data_len × query_len`) of the searched
-    /// candidates — the denominator of the ns-per-cell gauge; abandoning
-    /// does not shrink it.
+    /// candidates — the denominator of the ns-per-cell gauge; settling
+    /// early does not shrink it.
     scan_searched_cells: Counter,
     /// Wall-clock nanoseconds spent inside corpus scans (measured by the
     /// engine around each batched scan call) — the ns-per-cell numerator.
@@ -468,10 +468,12 @@ pub struct StatsSnapshot {
     pub scan_pruned_mbr: u64,
     /// Scan candidates rejected by the O(n·m) point-level bound.
     pub scan_pruned_points: u64,
-    /// Searched candidates whose exact kernel abandoned part of its DP.
+    /// Searched candidates the free-start DP settled below the k-th
+    /// similarity without range recovery; recoveries are
+    /// `scan_searched - scan_abandoned` for ExactS under DTW or Frechet.
     pub scan_abandoned: u64,
     /// Nominal DP size (`data_len × query_len`) of the searched
-    /// candidates; not reduced by abandoning.
+    /// candidates; not reduced by settling early.
     pub scan_searched_cells: u64,
     /// Wall-clock nanoseconds spent inside corpus scans.
     pub scan_ns: u64,

@@ -957,7 +957,7 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
         );
     }
     println!(
-        "scan: {} scanned, {} pruned (kim {}, mbr {}, points {}), {} searched ({} abandoned) — prune ratio {:.1}%",
+        "scan: {} scanned, {} pruned (kim {}, mbr {}, points {}), {} searched ({} abandoned: settled below the k-th by the DP) — prune ratio {:.1}%",
         stats.scanned,
         stats.pruned(),
         stats.pruned_by_kim,

@@ -1,18 +1,19 @@
-//! Allocation gate for the learned scan: an RLS + t2vec `top_k` allocates
-//! for its query and its k — the workspace, the query embedding, the heap,
+//! Allocation gates for the scans: an RLS + t2vec `top_k` allocates for
+//! its query and its k — the workspace, the query embedding, the heap,
 //! the candidate list — and for nothing it scans. Twice the trajectories,
 //! or trajectories twice as long, must cost exactly the same number of
 //! allocations; one allocation per candidate or per point would show as a
-//! difference of dozens or thousands. The count is exact, so any runner
-//! can hold it.
+//! difference of dozens or thousands. The exact scan is held the same way
+//! over twice the trajectories: its point-distance matrix and DP buffers
+//! live in the workspace. The count is exact, so any runner can hold it.
 //!
-//! One test only: the counter is per thread, and the scan runs on the
-//! thread that reads it.
+//! The counter is per thread, and each scan runs on the thread that reads
+//! it, so the tests may run in parallel.
 
-use simsub::core::{MdpConfig, Rls};
+use simsub::core::{ExactS, MdpConfig, Rls};
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
-use simsub::measures::{CoordNormalizer, T2Vec};
+use simsub::measures::{CoordNormalizer, Dtw, T2Vec};
 use simsub::rl::{DqnAgent, DqnConfig};
 use simsub::trajectory::{Point, Trajectory};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,4 +110,26 @@ fn learned_scan_allocations_do_not_depend_on_what_is_scanned() {
         .collect();
     assert_eq!(counts[1], counts[0], "twice the trajectories");
     assert_eq!(counts[2], counts[0], "trajectories twice as long");
+}
+
+#[test]
+fn exact_scan_allocations_do_not_depend_on_how_many_are_scanned() {
+    const N: usize = 40;
+    const K: usize = 5;
+    let twice_as_many = generate(&DatasetSpec::porto(), 2 * N, 21);
+    let base = twice_as_many[..N].to_vec();
+    let query = generate(&DatasetSpec::porto(), 1, 22)[0].points()[..16].to_vec();
+    let counts: Vec<u64> = [base, twice_as_many]
+        .into_iter()
+        .map(|corpus| {
+            let db = TrajectoryDb::build(corpus);
+            let warm = db.top_k(&ExactS, &Dtw, &query, K, false);
+            let (count, hits) = allocations_in(|| db.top_k(&ExactS, &Dtw, &query, K, false));
+            assert_eq!(hits.len(), K);
+            assert_eq!(hits, warm);
+            eprintln!("{} trajectories: {count} allocations", db.len());
+            count
+        })
+        .collect();
+    assert_eq!(counts[1], counts[0], "twice the trajectories");
 }

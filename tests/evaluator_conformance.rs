@@ -9,18 +9,24 @@
 //! bulk-kernel scan bodies of all five scan algorithms (ExactS's
 //! evaluator-driven sweep, SizeS, PSS, POS, POS-D) must pick the
 //! identical winner as the scalar oracle (`tests/common/scalar.rs`) on
-//! tie-heavy duplicated-point corpora.
+//! tie-heavy duplicated-point corpora. Finally, the scan's ExactS kernel
+//! under DTW and Fréchet — a free-start DP over the point-distance matrix
+//! plus range recovery — is held to the independent full-matrix oracle
+//! (`tests/common/oracle.rs`) at every floor that decides its path.
 
 mod common;
 
 use common::assert_bitwise_topk;
+use common::oracle::{self, OracleMeasure};
 use common::scalar::{reference_top_k, Scalar};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsub::index::TrajectoryDb;
-use simsub::measures::{Cdtw, CoordNormalizer, Dtw, Edr, Erp, Frechet, Lcss, Measure, T2Vec};
-use simsub::trajectory::{Point, Trajectory};
+use simsub::measures::{
+    Cdtw, CoordNormalizer, DpScratch, Dtw, Edr, Erp, Frechet, Lcss, Measure, T2Vec,
+};
+use simsub::trajectory::{Point, TrajView, Trajectory};
 
 /// All seven evaluator families under conformance. The t2vec instance is
 /// a deterministic untrained encoder — the kernel contract is about
@@ -348,5 +354,99 @@ proptest! {
         for algos in [&SPLITTERS_WITH_SUFFIX_OR_WINDOW[..], &PREFIX_ONLY_AND_EXACT[..]] {
             check_scan_winners(&corpus, &query, k, &scan_measures(), algos);
         }
+    }
+}
+
+/// The with-matrix path of `Measure::exact_best_above` (what a pruning
+/// scan runs) for DTW and Fréchet against the oracle, at floors `-∞`, the
+/// best itself, one ulp either side of it and `probe`. Reaching the floor,
+/// the answer is the oracle's `(start, end, Θ)` bit for bit — so the DP's
+/// Θ* and the prefix the range is recovered over are right, ties
+/// included; missing it, the kernel settles for a real subtrajectory
+/// below the floor and says so.
+fn check_free_start_kernel(data: &[Point], query: &[Point], probe: f64) {
+    let (xs, ys, ts) = soa(data);
+    let view = TrajView::new(0, &xs, &ys, &ts);
+    let mut scratch = DpScratch::default();
+    for (measure, which) in [
+        (&Dtw as &dyn Measure, OracleMeasure::Dtw),
+        (&Frechet, OracleMeasure::Frechet),
+    ] {
+        let (start, end, best) = oracle::best_subtrajectory(which, data, query);
+        let mut rows = Vec::new();
+        measure
+            .prefix_evaluator(query)
+            .fill_cell_rows(&xs, &ys, &ts, &mut rows)
+            .expect("DTW and Fréchet factor cell rows");
+        for floor in [
+            f64::NEG_INFINITY,
+            best,
+            best.next_down(),
+            best.next_up(),
+            probe,
+        ] {
+            let context = format!(
+                "{} floor {floor:e} best {best:e} n {} m {}",
+                measure.name(),
+                data.len(),
+                query.len()
+            );
+            let got = measure
+                .exact_best_above(view, query, floor, Some(&rows), &mut scratch)
+                .expect("kernel measure");
+            if best >= floor {
+                assert_eq!(
+                    (got.start, got.end, got.similarity.to_bits()),
+                    (start, end, best.to_bits()),
+                    "{context}"
+                );
+                assert!(!got.abandoned, "{context}");
+            } else {
+                assert!(
+                    got.abandoned && got.similarity < floor,
+                    "{context}: {got:?}"
+                );
+                let real = 1.0 / (1.0 + which.distance(&data[got.start..=got.end], query));
+                assert_eq!(got.similarity.to_bits(), real.to_bits(), "{context}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random walks: winners decided by low-order bits.
+    #[test]
+    fn free_start_kernel_matches_the_oracle_at_every_floor(
+        data in arb_traj(16),
+        query in arb_traj(8),
+        probe in 0.0..1.0f64,
+    ) {
+        check_free_start_kernel(&data, &query, probe);
+    }
+
+    /// The 3×3 grid: equal Θ everywhere, so the recovered range must be
+    /// the first in the sweep's order, not just any range reaching Θ*.
+    #[test]
+    fn free_start_kernel_matches_the_oracle_on_ties(
+        data in arb_grid_traj(16),
+        query in arb_grid_traj(8),
+        probe in 0.0..1.0f64,
+    ) {
+        check_free_start_kernel(&data, &query, probe);
+    }
+
+    /// Queries cut from the data: Θ = 1, the top of the floor range.
+    #[test]
+    fn free_start_kernel_matches_the_oracle_on_exact_matches(
+        data in arb_traj(16),
+        from in 0usize..16,
+        len in 1usize..8,
+        probe in 0.0..1.0f64,
+    ) {
+        let from = from % data.len();
+        let query = data[from..(from + len).min(data.len())].to_vec();
+        check_free_start_kernel(&data, &query, probe);
     }
 }

@@ -7,10 +7,10 @@
 mod common;
 
 use common::{assert_bitwise_topk, snapshot_for};
-use simsub::core::{ExactS, Pss, SubtrajSearch};
+use simsub::core::{ExactS, Pss, Spring, SubtrajSearch};
 use simsub::data::{generate, write_csv_file, DatasetSpec};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
-use simsub::measures::{Dtw, Frechet, Measure};
+use simsub::measures::{CoordNormalizer, Dtw, Frechet, Measure, T2Vec};
 use simsub::service::{
     AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest, Server,
     ServiceError,
@@ -250,6 +250,86 @@ fn invalid_requests_fail_fast() {
     let t2vec = engine.submit(request(query, AlgoSpec::Pss, MeasureSpec::T2Vec, 1));
     assert!(matches!(t2vec, Err(ServiceError::InvalidRequest(_))));
     engine.shutdown();
+}
+
+/// An engine that can serve every measure, t2vec included.
+fn engine_with_t2vec(db: &TrajectoryDb) -> Arc<QueryEngine> {
+    let model = T2Vec::random(5, 6, CoordNormalizer::identity());
+    Arc::new(QueryEngine::start(
+        snapshot_for(db).with_t2vec(model),
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+    ))
+}
+
+/// Spring is DTW's DP whatever measure it is handed: under Fréchet or
+/// t2vec it used to answer with DTW scores labelled as that measure. Such
+/// a request is now invalid, like one naming a model that is not loaded;
+/// under DTW it is served as before.
+#[test]
+fn spring_is_served_under_dtw_only() {
+    let db = shared_db(12);
+    let engine = engine_with_t2vec(&db);
+    let query = queries_from(&db, 1).remove(0);
+    for measure in [MeasureSpec::Frechet, MeasureSpec::T2Vec] {
+        match engine.submit(request(query.clone(), AlgoSpec::Spring, measure, 2)) {
+            Err(ServiceError::InvalidRequest(msg)) => {
+                assert!(msg.contains("spring"), "{}: {msg}", measure.wire_name())
+            }
+            Err(other) => panic!("{}: {other}", measure.wire_name()),
+            Ok(_) => panic!("{}: spring was served", measure.wire_name()),
+        }
+    }
+    let served = engine
+        .query(request(
+            query.clone(),
+            AlgoSpec::Spring,
+            MeasureSpec::Dtw,
+            2,
+        ))
+        .expect("spring under dtw");
+    assert_eq!(
+        *served.results,
+        db.top_k(&Spring::new(), &Dtw, &query, 2, true)
+    );
+    engine.shutdown();
+}
+
+/// The same rejection on the wire: a structured error line, and the
+/// connection stays open for the next request.
+#[test]
+fn spring_under_another_measure_is_rejected_on_the_wire() {
+    let db = shared_db(12);
+    let engine = engine_with_t2vec(&db);
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let query = queries_from(&db, 1).remove(0);
+    let points: Vec<String> = query.iter().map(|p| format!("[{},{}]", p.x, p.y)).collect();
+    let mut send = |measure: &str| -> String {
+        let line = format!(
+            "{{\"query\":[{}],\"algo\":\"spring\",\"measure\":\"{measure}\",\"k\":2}}\n",
+            points.join(",")
+        );
+        stream.write_all(line.as_bytes()).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response
+    };
+    for measure in ["frechet", "t2vec"] {
+        let response = send(measure);
+        assert!(
+            response.contains("\"ok\":false")
+                && response.contains("invalid request: spring answers under dtw only"),
+            "{measure}: {response}"
+        );
+    }
+    let response = send("dtw");
+    assert!(response.contains("\"ok\":true"), "dtw: {response}");
+    server.stop();
+    server.wait();
 }
 
 #[test]
