@@ -56,7 +56,7 @@ pub use splitting::{suffix_similarities, Pos, PosD, Pss};
 pub use spring::Spring;
 pub use topk::{scan_top_k_into, sort_hits_and_truncate, TopKHeap, TopKResult};
 pub use ucr::Ucr;
-pub use workspace::SearchWorkspace;
+pub use workspace::{SearchOutcome, SearchWorkspace};
 
 use simsub_measures::Measure;
 use simsub_trajectory::{Point, SubtrajRange, TrajView};

@@ -8,14 +8,18 @@
 //! - **Prune-first.** Candidates are ordered best-bound-first and each
 //!   must pass the [`BoundCascade`] (O(1) Kim-style screen, the O(m) MBR
 //!   envelope, then the O(n·m) point-level bound over coordinates, with
-//!   one `sqrt` per query point) before the full `Φini`/`Φinc` search
-//!   runs. Only a survivor fills its `sqrt` point-distance matrix, and its
-//!   search is told the running k-th similarity: ExactS under DTW and
-//!   Frechet then runs one O(n·m) free-start DP over the matrix, settles
-//!   the candidate if its best is below the k-th, and otherwise recovers
-//!   the range with the per-start kernel floored at that best. See
-//!   [`crate::bounds`] for why none of this can change the answer.
-//!   [`PruneStats`] counts what happened.
+//!   one `sqrt` per query point, which stops as soon as a prefix of the
+//!   query already rejects the candidate) before the full `Φini`/`Φinc`
+//!   search runs. Only a survivor fills its `sqrt` point-distance matrix,
+//!   and its search is told the running k-th similarity: ExactS under DTW
+//!   and Frechet then runs one O(n·m) free-start DP over the matrix and
+//!   settles the candidate if its best is below the k-th. Otherwise the
+//!   hit enters the heap with its exact similarity and its range pending;
+//!   the scan resolves the range only for the pending hits still in the
+//!   heap when it ends — at most `k` a call — with the per-start kernel
+//!   floored at each hit's own similarity. See [`crate::bounds`] for why
+//!   none of this can change the answer. [`PruneStats`] counts what
+//!   happened.
 //! - **Allocate-once.** One [`SearchWorkspace`] per (query, scan) serves
 //!   every trajectory; no per-trajectory evaluator boxing.
 //! - **Arena-backed.** The scan kernel walks a [`CorpusArena`]: data
@@ -32,7 +36,7 @@
 //! byte-invisible too (`tests/layout_equivalence.rs`).
 
 use crate::bounds::{BoundCascade, PruneStats, SharedSimFloor};
-use crate::{SearchResult, SearchWorkspace, SubtrajSearch};
+use crate::{SearchOutcome, SearchResult, SearchWorkspace, SubtrajSearch};
 use simsub_trajectory::{CorpusArena, Point};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -58,8 +62,15 @@ fn ranks_before(a_sim: f64, a_id: u64, b_sim: f64, b_id: u64) -> bool {
 }
 
 /// [`TopKResult`] wrapper whose `Ord` says "greater = ranks earlier".
+/// The order reads the similarity and the id only, never the range.
 #[derive(Debug, Clone, Copy)]
-struct HeapHit(TopKResult);
+struct HeapHit {
+    hit: TopKResult,
+    /// The arena slot of a hit whose range is still pending: its
+    /// similarity (and the distance derived from it) is exact, its range a
+    /// placeholder until [`TopKHeap::resolve_pending`].
+    pending: Option<usize>,
+}
 
 impl PartialEq for HeapHit {
     fn eq(&self, other: &Self) -> bool {
@@ -77,11 +88,11 @@ impl PartialOrd for HeapHit {
 
 impl Ord for HeapHit {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0
+        self.hit
             .result
             .similarity
-            .total_cmp(&other.0.result.similarity)
-            .then_with(|| other.0.trajectory_id.cmp(&self.0.trajectory_id))
+            .total_cmp(&other.hit.result.similarity)
+            .then_with(|| other.hit.trajectory_id.cmp(&self.hit.trajectory_id))
     }
 }
 
@@ -130,7 +141,7 @@ impl TopKHeap {
 
     /// The currently-worst retained hit (the running k-th once full).
     pub fn worst(&self) -> Option<&TopKResult> {
-        self.heap.peek().map(|std::cmp::Reverse(h)| &h.0)
+        self.heap.peek().map(|std::cmp::Reverse(h)| &h.hit)
     }
 
     /// The k-th hit's similarity once `k` hits are retained: the floor a
@@ -158,22 +169,52 @@ impl TopKHeap {
 
     /// Inserts a hit, evicting the worst retained one when full.
     pub fn push(&mut self, hit: TopKResult) {
+        self.insert(HeapHit { hit, pending: None });
+    }
+
+    fn insert(&mut self, entry: HeapHit) {
         if self.heap.len() < self.k {
-            self.heap.push(std::cmp::Reverse(HeapHit(hit)));
+            self.heap.push(std::cmp::Reverse(entry));
             self.peak_len = self.peak_len.max(self.heap.len());
-        } else if self.would_admit(hit.result.similarity, hit.trajectory_id) {
+        } else if self.would_admit(entry.hit.result.similarity, entry.hit.trajectory_id) {
             self.heap.pop();
-            self.heap.push(std::cmp::Reverse(HeapHit(hit)));
+            self.heap.push(std::cmp::Reverse(entry));
         }
+    }
+
+    /// Replaces the range of every retained pending hit with
+    /// `resolve(slot, similarity)`, whose similarity must be the hit's
+    /// bit for bit — so the order, which reads only similarity and id,
+    /// holds and the heap is rebuilt in place without allocating.
+    fn resolve_pending(&mut self, mut resolve: impl FnMut(usize, f64) -> SearchResult) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        for std::cmp::Reverse(entry) in &mut entries {
+            if let Some(slot) = entry.pending.take() {
+                let result = resolve(slot, entry.hit.result.similarity);
+                debug_assert_eq!(
+                    result.similarity.to_bits(),
+                    entry.hit.result.similarity.to_bits(),
+                    "a resolution must keep the hit's similarity"
+                );
+                entry.hit.result = result;
+            }
+        }
+        self.heap = BinaryHeap::from(entries);
     }
 
     /// The retained hits, best first — identical ordering to
     /// [`sort_hits_and_truncate`].
     pub fn into_sorted_hits(self) -> Vec<TopKResult> {
+        debug_assert!(
+            self.heap
+                .iter()
+                .all(|std::cmp::Reverse(e)| e.pending.is_none()),
+            "a pending range outlived its scan"
+        );
         self.heap
             .into_sorted_vec()
             .into_iter()
-            .map(|std::cmp::Reverse(h)| h.0)
+            .map(|std::cmp::Reverse(h)| h.hit)
             .collect()
     }
 }
@@ -217,10 +258,12 @@ fn timed<T>(timing: bool, ns: &mut u64, f: impl FnOnce() -> T) -> T {
 /// `-∞`), first filling the candidate's point-distance matrix for the
 /// search to read when `prepare_rows` (the pruning path: the matrix is
 /// what switches ExactS to its free-start DP, and PSS/POS then fill it
-/// once instead of themselves). Records `searched`, `abandoned`,
-/// `searched_cells` (`data_len × query_len`, the nominal DP cost-model
-/// unit — it does not shrink when the kernel settles early), and — only
-/// when `timing` — the fill's and the kernel's wall-clock nanoseconds.
+/// once instead of themselves). A hit whose range the search left pending
+/// enters the heap with its slot, for [`resolve_pending_ranges`]. Records
+/// `searched`, `abandoned`, `searched_cells` (`data_len × query_len`, the
+/// nominal DP cost-model unit — it does not shrink when the kernel
+/// settles early), and — only when `timing` — the fill's and the kernel's
+/// wall-clock nanoseconds.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
 fn search_and_push(
     algo: &dyn SubtrajSearch,
@@ -242,14 +285,44 @@ fn search_and_push(
         ws.begin_candidate(sim_floor, rows_prepared);
         algo.search_with(ws, view)
     });
-    stats.abandoned += u64::from(ws.end_candidate());
-    heap.push(TopKResult {
-        trajectory_id: arena.id(slot),
-        result,
+    let outcome = ws.end_candidate();
+    stats.abandoned += u64::from(outcome == SearchOutcome::Abandoned);
+    heap.insert(HeapHit {
+        hit: TopKResult {
+            trajectory_id: arena.id(slot),
+            result,
+        },
+        pending: (outcome == SearchOutcome::RangePending).then_some(slot),
     });
     if let (Some(floor), Some(kth)) = (floor, heap.full_floor()) {
         floor.raise(kth);
     }
+}
+
+/// Resolves the range of every pending hit still in the heap — the hits
+/// of this scan call only, since every call resolves its own before it
+/// returns, so each slot names a trajectory in `arena`. One search per
+/// hit, without the matrix and floored at the hit's own similarity: for
+/// ExactS the multi-start sweep, whose contract returns the sweep's range,
+/// ties included, with the same similarity bits. Its time counts as
+/// kernel time; it is not a search of its own in [`PruneStats`].
+fn resolve_pending_ranges(
+    algo: &dyn SubtrajSearch,
+    arena: &CorpusArena,
+    heap: &mut TopKHeap,
+    ws: &mut SearchWorkspace<'_>,
+    timing: bool,
+    stats: &mut PruneStats,
+) {
+    heap.resolve_pending(|slot, similarity| {
+        timed(timing, &mut stats.kernel_ns, || {
+            ws.begin_candidate(similarity, false);
+            let result = algo.search_with(ws, arena.view(slot));
+            let outcome = ws.end_candidate();
+            debug_assert_eq!(outcome, SearchOutcome::Complete);
+            result
+        })
+    });
 }
 
 /// The prune-first scan kernel every top-k path composes: runs `algo`
@@ -267,7 +340,9 @@ fn search_and_push(
 /// reference the pruned path is held to. The heap's final contents are
 /// identical for every `prune`/`floor`/visit order — bounds are
 /// admissible, a floored search differs from the full one only below the
-/// floor, and the hit order is total.
+/// floor or in a range it leaves pending, every pending range still in
+/// the heap is resolved before the call returns, and the hit order is
+/// total.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
 pub fn scan_top_k_into(
     algo: &dyn SubtrajSearch,
@@ -341,11 +416,15 @@ pub fn scan_top_k_into(
             continue;
         }
         // The point-level stage reads coordinates; only measures whose
-        // search reads a point-distance matrix (DTW, Frechet) run it.
+        // search reads a point-distance matrix (DTW, Frechet) run it. It
+        // stops at the first query prefix whose bound `admits` rejects,
+        // and that looser bound is rejected again here.
         let points = if ws.factors_cell_rows() {
             let view = arena.view(slot);
             timed(timing, &mut stats.bound_ns, || {
-                cascade.point_bound(view.xs(), view.ys())
+                cascade.point_bound(view.xs(), view.ys(), |partial| {
+                    admits(heap, floor, partial, id)
+                })
             })
         } else {
             f64::INFINITY
@@ -359,6 +438,7 @@ pub fn scan_top_k_into(
             algo, arena, slot, heap, ws, floor, sim_floor, true, timing, stats,
         );
     }
+    resolve_pending_ranges(algo, arena, heap, ws, timing, stats);
 }
 
 /// The single definition of hit ordering: descending similarity, ties
@@ -594,8 +674,16 @@ mod tests {
         }
     }
 
-    /// Records the floor each search is handed, then defers to ExactS.
-    struct FloorProbe(std::cell::RefCell<Vec<f64>>);
+    /// What one search was handed and what it returned.
+    #[derive(Debug, Clone, Copy)]
+    struct ProbeCall {
+        floor: f64,
+        rows_prepared: bool,
+        similarity: f64,
+    }
+
+    /// Records every search's [`ProbeCall`], then defers to ExactS.
+    struct FloorProbe(std::cell::RefCell<Vec<ProbeCall>>);
 
     impl SubtrajSearch for FloorProbe {
         fn name(&self) -> String {
@@ -607,52 +695,107 @@ mod tests {
         }
 
         fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-            self.0.borrow_mut().push(ws.sim_floor());
-            ExactS.search_with(ws, data)
+            let (floor, rows_prepared) = (ws.sim_floor(), ws.rows_prepared());
+            let result = ExactS.search_with(ws, data);
+            self.0.borrow_mut().push(ProbeCall {
+                floor,
+                rows_prepared,
+                similarity: result.similarity,
+            });
+            result
         }
+    }
+
+    /// Scans `parts` in turn into one heap (the sequential shard walk)
+    /// through a [`FloorProbe`]; returns the hits, the stats and, per
+    /// part, the calls its scan made.
+    fn probe_scan(
+        db: &[Trajectory],
+        q: &[Point],
+        k: usize,
+        parts: usize,
+        prune: bool,
+        floor: Option<&SharedSimFloor>,
+    ) -> (Vec<TopKResult>, PruneStats, Vec<Vec<ProbeCall>>) {
+        let probe = FloorProbe(Default::default());
+        let arena = CorpusArena::from_trajectories(db);
+        let slots: Vec<usize> = (0..arena.len()).collect();
+        let mut heap = TopKHeap::new(k);
+        let mut ws = SearchWorkspace::new(&Dtw, q);
+        let mut stats = PruneStats::default();
+        let mut calls = Vec::new();
+        for part in slots.chunks(slots.len().div_ceil(parts)) {
+            scan_top_k_into(
+                &probe, &arena, part, q, &mut heap, &mut ws, prune, floor, &mut stats,
+            );
+            calls.push(probe.0.take());
+            // Cleared once the scan is over.
+            assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
+            assert!(!ws.rows_prepared());
+        }
+        (heap.into_sorted_hits(), stats, calls)
     }
 
     #[test]
     fn only_the_pruning_path_hands_searches_a_floor() {
         let db = db(30, 12);
         let q = walk(55, 5);
-        // Reference path: no floor, no prepared rows, nothing abandoned —
-        // with and without a shared floor that already certifies a k-th.
+        // Reference path: no floor, no prepared rows, nothing abandoned,
+        // nothing left to resolve — with and without a shared floor that
+        // already certifies a k-th.
         let shared = SharedSimFloor::new();
         shared.raise(0.9);
         for floor in [None, Some(&shared)] {
-            let probe = FloorProbe(Default::default());
-            let arena = CorpusArena::from_trajectories(&db);
-            let slots: Vec<usize> = (0..arena.len()).collect();
-            let mut heap = TopKHeap::new(3);
-            let mut ws = SearchWorkspace::new(&Dtw, &q);
-            let mut stats = PruneStats::default();
-            scan_top_k_into(
-                &probe, &arena, &slots, &q, &mut heap, &mut ws, false, floor, &mut stats,
-            );
-            let seen = probe.0.into_inner();
+            let (_, stats, calls) = probe_scan(&db, &q, 3, 1, false, floor);
+            let seen = &calls[0];
             assert_eq!(seen.len(), db.len());
-            assert!(seen.iter().all(|&f| f == f64::NEG_INFINITY), "{seen:?}");
+            assert!(
+                seen.iter()
+                    .all(|c| c.floor == f64::NEG_INFINITY && !c.rows_prepared),
+                "{seen:?}"
+            );
             assert_eq!((stats.abandoned, stats.pruned()), (0, 0));
-            assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
         }
-        // Pruning path: -∞ until the heap fills, then the running k-th —
-        // non-decreasing, and cleared again once the scan is over.
-        let probe = FloorProbe(Default::default());
-        let arena = CorpusArena::from_trajectories(&db);
-        let slots: Vec<usize> = (0..arena.len()).collect();
-        let mut heap = TopKHeap::new(3);
-        let mut ws = SearchWorkspace::new(&Dtw, &q);
-        let mut stats = PruneStats::default();
-        scan_top_k_into(
-            &probe, &arena, &slots, &q, &mut heap, &mut ws, true, None, &mut stats,
-        );
-        let seen = probe.0.into_inner();
-        assert_eq!(seen.len() as u64, stats.searched);
-        assert!(seen[..3].iter().all(|&f| f == f64::NEG_INFINITY));
-        assert!(seen[3..].iter().all(|&f| f > 0.0), "{seen:?}");
-        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
-        assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
+        // Pruning path: every search runs over its prepared matrix under
+        // -∞ until the heap fills, then under the running k-th —
+        // non-decreasing. Then come the resolutions, one per pending hit
+        // still in the heap: probe calls = searched + resolutions, at most
+        // k a scan call, each without the matrix and floored at its hit's
+        // own Θ, which it returns bit for bit. Under DTW every hit the DP
+        // let in was pending, so the resolutions are the final hits.
+        let (want, _) = scan(&ExactS, &db, &q, 3, false);
+        for parts in [1, 3] {
+            let (hits, stats, calls) = probe_scan(&db, &q, 3, parts, true, None);
+            assert_eq!(hits, want, "parts {parts}");
+            let mut searches = Vec::new();
+            let mut resolutions = Vec::new();
+            for part in &calls {
+                let split = part.iter().position(|c| !c.rows_prepared);
+                let (searched, resolved) = part.split_at(split.unwrap_or(part.len()));
+                assert!(resolved.len() <= 3, "parts {parts}: {resolved:?}");
+                assert!(resolved.iter().all(|c| !c.rows_prepared), "{part:?}");
+                searches.extend_from_slice(searched);
+                resolutions.extend_from_slice(resolved);
+            }
+            assert_eq!(searches.len() as u64, stats.searched, "parts {parts}");
+            assert!(resolutions.len() <= 3 * parts, "parts {parts}");
+            assert!(searches[..3].iter().all(|c| c.floor == f64::NEG_INFINITY));
+            assert!(searches[3..].iter().all(|c| c.floor > 0.0), "{searches:?}");
+            assert!(searches.windows(2).all(|w| w[0].floor <= w[1].floor));
+            for c in &resolutions {
+                assert_eq!(c.floor.to_bits(), c.similarity.to_bits(), "{c:?}");
+            }
+            let mut resolved: Vec<u64> = resolutions.iter().map(|c| c.floor.to_bits()).collect();
+            let mut kept: Vec<u64> = hits.iter().map(|h| h.result.similarity.to_bits()).collect();
+            if parts == 1 {
+                resolved.sort_unstable();
+                kept.sort_unstable();
+                assert_eq!(resolved, kept);
+            } else {
+                // Each call resolves what it kept; later calls may evict.
+                assert!(kept.iter().all(|s| resolved.contains(s)));
+            }
+        }
     }
 
     #[test]

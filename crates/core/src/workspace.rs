@@ -20,7 +20,8 @@
 //!   ([`SearchWorkspace::begin_candidate`]): the similarity floor the hit
 //!   has to reach and whether the candidate's cell-row matrix is already
 //!   filled — live for exactly one search, so a search outside a scan
-//!   never sees either,
+//!   never sees either — and what the search left for the scan to do
+//!   ([`SearchOutcome`]),
 //! - the speculative-similarity and reversed-slab scratch behind the bulk
 //!   [`simsub_measures::PrefixEvaluator::extend_run`] scan paths (the
 //!   evaluator-driven algorithms feed the arena slabs to `extend_run`
@@ -45,6 +46,23 @@ use crate::SearchResult;
 use simsub_measures::{distance_from_similarity, DpScratch, Measure, PrefixEvaluator};
 use simsub_nn::MlpCache;
 use simsub_trajectory::{Point, PointSeq, SubtrajRange, TrajView};
+
+/// How a search inside a pruning scan left its result, as
+/// [`SearchWorkspace::end_candidate`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchOutcome {
+    /// The result is the search's full answer.
+    Complete,
+    /// The exact kernel settled below the floor: the result is a real
+    /// subtrajectory's similarity below it, standing in for a best the
+    /// heap rejects either way ([`simsub_measures::ExactBest::abandoned`]).
+    Abandoned,
+    /// The similarity is the exact best bit for bit, the range is a
+    /// placeholder ([`simsub_measures::ExactBest::range_pending`]): the
+    /// same search without the matrix, floored at that similarity, returns
+    /// the range.
+    RangePending,
+}
 
 /// Reusable evaluator state for one query under one measure. See the
 /// module docs; obtained via [`SearchWorkspace::new`] and passed to
@@ -93,8 +111,8 @@ pub struct SearchWorkspace<'m> {
     /// True while `cell_rows` holds the matrix of the candidate being
     /// searched (the scan filled it for a survivor of its bounds).
     rows_prepared: bool,
-    /// Set when the candidate's exact kernel settled below the floor.
-    abandoned: bool,
+    /// How the candidate's exact kernel left its result.
+    outcome: SearchOutcome,
     /// Q-network activations behind the learned walk ([`crate::Rls`]).
     policy_scratch: MlpCache,
 }
@@ -129,7 +147,7 @@ impl<'m> SearchWorkspace<'m> {
             factors_cell_rows,
             sim_floor: f64::NEG_INFINITY,
             rows_prepared: false,
-            abandoned: false,
+            outcome: SearchOutcome::Complete,
             policy_scratch: MlpCache::default(),
         }
     }
@@ -166,22 +184,27 @@ impl<'m> SearchWorkspace<'m> {
     pub fn begin_candidate(&mut self, sim_floor: f64, rows_prepared: bool) {
         self.sim_floor = sim_floor;
         self.rows_prepared = rows_prepared;
-        self.abandoned = false;
+        self.outcome = SearchOutcome::Complete;
     }
 
-    /// Clears the per-candidate hints and reports whether the search
-    /// between the two calls settled below the floor without recovering
-    /// its best range (see [`simsub_measures::ExactBest::abandoned`]).
-    pub fn end_candidate(&mut self) -> bool {
+    /// Clears the per-candidate hints and reports how the search between
+    /// the two calls left its result.
+    pub fn end_candidate(&mut self) -> SearchOutcome {
         self.sim_floor = f64::NEG_INFINITY;
         self.rows_prepared = false;
-        std::mem::take(&mut self.abandoned)
+        std::mem::replace(&mut self.outcome, SearchOutcome::Complete)
     }
 
     /// The similarity floor of the candidate being searched; `-∞` when no
     /// pruning scan set one.
     pub fn sim_floor(&self) -> f64 {
         self.sim_floor
+    }
+
+    /// Whether the scan prepared the cell-row matrix of the candidate being
+    /// searched (see [`SearchWorkspace::begin_candidate`]).
+    pub fn rows_prepared(&self) -> bool {
+        self.rows_prepared
     }
 
     /// The measure's exhaustive-best slice kernel over columnar data
@@ -191,7 +214,9 @@ impl<'m> SearchWorkspace<'m> {
     /// switches DTW and Frechet to the O(n·m) free-start DP. `None` when
     /// the measure has no kernel; outside a pruning scan the result is
     /// bit-identical to the scalar `init`/`extend` sweep of Algorithm 1,
-    /// inside one whenever it reaches the floor (the kernel contract).
+    /// inside one whenever it reaches the floor (the kernel contract) —
+    /// with the range left [`SearchOutcome::RangePending`] when the DP
+    /// found it.
     pub fn exact_best(&mut self, data: TrajView<'_>) -> Option<SearchResult> {
         let cell_rows = self.rows_prepared.then_some(self.cell_rows.as_slice());
         let best = self.measure.exact_best_above(
@@ -201,7 +226,11 @@ impl<'m> SearchWorkspace<'m> {
             cell_rows,
             &mut self.dp_scratch,
         )?;
-        self.abandoned |= best.abandoned;
+        if best.abandoned {
+            self.outcome = SearchOutcome::Abandoned;
+        } else if best.range_pending {
+            self.outcome = SearchOutcome::RangePending;
+        }
         Some(SearchResult {
             range: SubtrajRange::new(best.start, best.end),
             similarity: best.similarity,
@@ -448,32 +477,41 @@ mod tests {
             let mut ws = SearchWorkspace::new(measure, &q);
             assert!(ws.factors_cell_rows());
             let plain = ws.exact_best(view).expect("kernel measure");
-            assert!(!ws.end_candidate(), "no floor, nothing to settle");
+            assert_eq!(ws.end_candidate(), SearchOutcome::Complete);
             // A floor the best reaches, over the prepared matrix: the DP
-            // cannot settle below it, so the range is recovered — the
-            // same answer, not abandoned.
+            // cannot settle below it, so Θ* comes back bit for bit with
+            // its range pending.
             assert!(ws.prepare_cell_rows(view));
             ws.begin_candidate(plain.similarity, true);
             assert_eq!(ws.sim_floor(), plain.similarity);
-            assert!(ws.ensure_cell_rows(view));
-            assert_eq!(ws.exact_best(view), Some(plain));
-            assert!(
-                !ws.end_candidate(),
-                "{}: a reachable floor recovers",
+            assert!(ws.rows_prepared() && ws.ensure_cell_rows(view));
+            let found = ws.exact_best(view).expect("kernel measure");
+            assert_eq!(found.similarity.to_bits(), plain.similarity.to_bits());
+            assert_eq!(found.distance.to_bits(), plain.distance.to_bits());
+            assert_eq!(
+                ws.end_candidate(),
+                SearchOutcome::RangePending,
+                "{}: a reachable floor over the matrix defers the range",
                 measure.name()
             );
             // The hints are gone: the next search is the plain one again.
             assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
+            assert!(!ws.rows_prepared());
             assert_eq!(ws.exact_best(view), Some(plain));
-            assert!(!ws.end_candidate());
+            assert_eq!(ws.end_candidate(), SearchOutcome::Complete);
+            // The resolution: no matrix, floored at the hit's own Θ.
+            ws.begin_candidate(found.similarity, false);
+            assert_eq!(ws.exact_best(view), Some(plain));
+            assert_eq!(ws.end_candidate(), SearchOutcome::Complete);
             // A floor out of reach, with or without the matrix, yields
             // some real, lower similarity and says so.
             for rows_prepared in [true, false] {
                 ws.begin_candidate(plain.similarity.next_up(), rows_prepared);
                 let missed = ws.exact_best(view).expect("kernel measure");
                 assert!(missed.similarity <= plain.similarity);
-                assert!(
+                assert_eq!(
                     ws.end_candidate(),
+                    SearchOutcome::Abandoned,
                     "{}: an unreachable floor settles (rows {rows_prepared})",
                     measure.name()
                 );

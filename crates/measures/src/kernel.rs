@@ -24,12 +24,13 @@
 //!    Per-cell arithmetic and the tie-breaking scan order (ascending
 //!    start, then ascending end, strict improvement) are exactly those of
 //!    the scalar sweep, so the returned `(start, end, similarity)` is
-//!    bit-for-bit the scalar answer. Given a similarity floor (a top-k
-//!    scan's running k-th) the same body also tracks each lane's row
-//!    minimum — a lower bound on everything that start can still produce
-//!    — and leaves a start group once no lane can reach the floor; the
-//!    answer is then bit-for-bit the scalar one whenever it reaches the
-//!    floor.
+//!    bit-for-bit the scalar answer. Given a similarity floor (the Θ* of
+//!    a hit whose range a top-k scan resolves) the same body also tracks
+//!    each lane's row minimum — a lower bound on everything that start
+//!    can still produce — and leaves a start group once no lane can reach
+//!    the floor; the answer is then bit-for-bit the scalar one whenever it
+//!    reaches the floor. This is the paper's enumeration and the range
+//!    resolver; a pruning scan's per-candidate kernel is idea 3.
 //!
 //! 3. **Free-start DP (the scan's ExactS kernel).** Given the candidate's
 //!    `n × m` point-distance matrix, one DP over it finds the best
@@ -43,10 +44,10 @@
 //!    exact, so by induction over the cells `F(j, c) = min_s D_s(j, c)`
 //!    bit for bit, and Θ* is the sweep's Θ. The DP cannot tell *which*
 //!    start won, and among equal Θ the sweep keeps the first `(start,
-//!    end)`; so the multi-start kernel still runs, but only for a
-//!    candidate whose Θ* reaches the floor, with Θ* itself as the floor
-//!    and over the prefix that ends at the last end reaching Θ*
-//!    ([`exact_best_free_start`]).
+//!    end)`; so a candidate whose Θ* reaches the floor comes back with
+//!    its range pending ([`ExactBest::range_pending`]). A top-k scan
+//!    resolves the range only for the hits it keeps — at most `k` a scan
+//!    call — with the multi-start sweep floored at Θ* itself.
 
 use crate::similarity_from_distance;
 use simsub_trajectory::Point;
@@ -163,13 +164,11 @@ pub struct DpScratch {
     rows: Vec<f64>,
     /// The free-start DP's rolling row (length `m`).
     free_row: Vec<f64>,
-    /// The free-start DP's last column: `ends[j]` is the best distance of
-    /// any range ending at data point `j`.
-    ends: Vec<f64>,
 }
 
 /// What `Measure::exact_best_above` found: the winning range, its
-/// similarity, and whether the kernel settled below the floor.
+/// similarity, and whether the kernel settled below the floor or left the
+/// range for later.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactBest {
     /// First point of the best subtrajectory (0-based, inclusive).
@@ -181,6 +180,11 @@ pub struct ExactBest {
     /// True when the result is below the floor: the kernel proved nothing
     /// reaches it and returned a stand-in instead of the best range.
     pub abandoned: bool,
+    /// True when `similarity` is the best Θ* bit for bit but `start` and
+    /// `end` are placeholders: the free-start DP does not know which range
+    /// the sweep would pick. The same call without the cell-row matrix,
+    /// floored at Θ*, returns that range.
+    pub range_pending: bool,
 }
 
 /// The distance threshold `τ` of a similarity floor: every distance
@@ -220,28 +224,18 @@ fn abandon_threshold(floor: f64) -> f64 {
 /// reach the floor, and a start group whose lanes are all in that state is
 /// left. Skipped consults are strictly below the true best, so neither
 /// its value nor the strict-`>` tie-breaking among equal bests can change.
-///
-/// `cell_rows`, when given, is the data × query point-distance matrix
-/// (`cell_rows[j * m + c] = d(p_j, q_c)`, as `fill_cell_rows` lays it out
-/// with [`fill_point_dists`] bits); the kernel then reads row `j` instead
-/// of refilling it once per start group.
-pub(crate) fn exact_best_multi_start<Op: DpOp>(
+fn exact_best_multi_start<Op: DpOp>(
     xs: &[f64],
     ys: &[f64],
     query: &[Point],
     floor: f64,
-    cell_rows: Option<&[f64]>,
     scratch: &mut DpScratch,
 ) -> ExactBest {
     let n = xs.len();
     let m = query.len();
     assert!(n > 0 && m > 0, "inputs must be non-empty");
     assert_eq!(n, ys.len(), "coordinate slabs must agree");
-    if let Some(cell_rows) = cell_rows {
-        assert_eq!(cell_rows.len(), n * m, "cell rows must cover data × query");
-    } else {
-        load_query_soa(query, &mut scratch.qx, &mut scratch.qy);
-    }
+    load_query_soa(query, &mut scratch.qx, &mut scratch.qy);
     scratch.dist.resize(m, 0.0);
     scratch.rows.resize(m * LANES, 0.0);
     let rows = &mut scratch.rows[..m * LANES];
@@ -255,13 +249,8 @@ pub(crate) fn exact_best_multi_start<Op: DpOp>(
         let mut lane_best_end = [0usize; LANES];
         let mut lane_best_dist = [f64::INFINITY; LANES];
         for j in group..n {
-            let dist: &[f64] = match cell_rows {
-                Some(cell_rows) => &cell_rows[j * m..(j + 1) * m],
-                None => {
-                    fill_point_dists(&scratch.qx, &scratch.qy, xs[j], ys[j], &mut scratch.dist);
-                    &scratch.dist
-                }
-            };
+            fill_point_dists(&scratch.qx, &scratch.qy, xs[j], ys[j], &mut scratch.dist);
+            let dist = &scratch.dist[..m];
             // Lane `l` covers start `group + l`: it initializes its row at
             // j == group + l and extends on every later j. All lanes
             // extend in lockstep from the group's second point on; a lane
@@ -316,13 +305,23 @@ pub(crate) fn exact_best_multi_start<Op: DpOp>(
         end: best.1,
         similarity: best_sim,
         abandoned: best_sim < floor,
+        range_pending: false,
     }
 }
 
-/// `Measure::exact_best_above` for a [`DpOp`] measure: the free-start
-/// path when the caller hands over the cell-row matrix (a pruning scan
-/// always does), else the multi-start sweep alone — the paper's
-/// enumeration, which `ExactS::search` keeps timing.
+/// `Measure::exact_best_above` for a [`DpOp`] measure.
+///
+/// With the cell-row matrix (a pruning scan always hands it over) only
+/// the free-start DP runs (module docs, idea 3), O(n·m), and yields Θ*,
+/// the best similarity of any range, bit for bit. If `Θ* < floor` every
+/// range is below the floor too, and the result is `T[0, 0]` with the
+/// value of the DP's first row — a real subtrajectory below the floor.
+/// Otherwise the result is Θ* with its range pending.
+///
+/// Without the matrix it is the multi-start sweep — the paper's
+/// enumeration, which `ExactS::search` keeps timing, and the resolver of
+/// a pending range when floored at Θ*: each start is left as soon as it
+/// cannot tie, and the sweep's first range reaching Θ* comes back.
 pub(crate) fn exact_best_above<Op: DpOp>(
     xs: &[f64],
     ys: &[f64],
@@ -331,87 +330,54 @@ pub(crate) fn exact_best_above<Op: DpOp>(
     cell_rows: Option<&[f64]>,
     scratch: &mut DpScratch,
 ) -> ExactBest {
-    match cell_rows {
-        Some(rows) => exact_best_free_start::<Op>(xs, ys, query, floor, rows, scratch),
-        None => exact_best_multi_start::<Op>(xs, ys, query, floor, None, scratch),
-    }
-}
-
-/// [`exact_best_multi_start`]'s contract over the cell-row matrix, in
-/// O(n·m) for every candidate whose best misses the floor.
-///
-/// The free-start DP (module docs, idea 3) yields Θ*, the best similarity
-/// of any range, bit for bit. If `Θ* < floor` every range is below the
-/// floor too, and the result is `T[0, 0]` with the value of the DP's first
-/// row — a real subtrajectory below the floor — and no further DP.
-/// Otherwise the multi-start kernel recovers the sweep's `(start, end)`
-/// with `floor = Θ*`, so each start is left as soon as it cannot tie, and
-/// only over `T[0, j_last]`, where `j_last` is the last end whose best
-/// reaches Θ*: no range ending later can, so the first range to reach Θ*
-/// in the sweep's order — its answer, ties included — lies inside.
-fn exact_best_free_start<Op: DpOp>(
-    xs: &[f64],
-    ys: &[f64],
-    query: &[Point],
-    floor: f64,
-    cell_rows: &[f64],
-    scratch: &mut DpScratch,
-) -> ExactBest {
-    let m = query.len();
+    let Some(cell_rows) = cell_rows else {
+        return exact_best_multi_start::<Op>(xs, ys, query, floor, scratch);
+    };
     assert_eq!(
         cell_rows.len(),
-        xs.len() * m,
+        xs.len() * query.len(),
         "cell rows must cover data × query"
     );
-    let (best_sim, j_last) = free_start_best::<Op>(cell_rows, m, scratch);
+    let (best, first) = free_start_best::<Op>(cell_rows, query.len(), &mut scratch.free_row);
+    let best_sim = similarity_from_distance(best);
     if best_sim < floor {
         return ExactBest {
             start: 0,
             end: 0,
-            similarity: similarity_from_distance(scratch.ends[0]),
+            similarity: similarity_from_distance(first),
             abandoned: true,
+            range_pending: false,
         };
     }
-    let prefix = j_last + 1;
-    let best = exact_best_multi_start::<Op>(
-        &xs[..prefix],
-        &ys[..prefix],
-        query,
-        best_sim,
-        Some(&cell_rows[..prefix * m]),
-        scratch,
-    );
-    debug_assert_eq!(best.similarity.to_bits(), best_sim.to_bits());
-    best
+    ExactBest {
+        start: 0,
+        end: 0,
+        similarity: best_sim,
+        abandoned: false,
+        range_pending: true,
+    }
 }
 
-/// The free-start DP over `cell_rows` (`n × m`, as [`exact_best_multi_start`]
-/// reads it): returns Θ*, the best similarity of any subtrajectory, and
-/// `j_last`, the last data point some range reaching Θ* ends at. Leaves the
-/// per-end best distances in `scratch.ends`.
-pub(crate) fn free_start_best<Op: DpOp>(
-    cell_rows: &[f64],
-    m: usize,
-    scratch: &mut DpScratch,
-) -> (f64, usize) {
+/// The free-start DP over `cell_rows` (`n × m`, row `j` the distances of
+/// data point `j` to the query): returns the best distance of any
+/// subtrajectory and the distance of `T[0, 0]`. `free_row` is the DP's
+/// rolling row.
+fn free_start_best<Op: DpOp>(cell_rows: &[f64], m: usize, free_row: &mut Vec<f64>) -> (f64, f64) {
     assert!(m > 0 && !cell_rows.is_empty(), "inputs must be non-empty");
     assert!(
         cell_rows.len().is_multiple_of(m),
         "cell rows must cover data × query"
     );
-    let n = cell_rows.len() / m;
-    scratch.free_row.clear();
-    scratch.free_row.resize(m, f64::INFINITY);
-    scratch.ends.clear();
-    scratch.ends.resize(n, 0.0);
-    let ends = &mut scratch.ends;
-    extend_run_wavefront_rows::<Op, true>(&mut scratch.free_row, cell_rows, |j, v| ends[j] = v);
-    let best_sim = similarity_from_distance(ends.iter().fold(f64::INFINITY, |a, &d| fmin(a, d)));
-    let j_last = ends
-        .iter()
-        .rposition(|&d| similarity_from_distance(d) >= best_sim)
-        .expect("Θ* is some end's similarity");
-    (best_sim, j_last)
+    free_row.clear();
+    free_row.resize(m, f64::INFINITY);
+    let (mut best, mut first) = (f64::INFINITY, 0.0);
+    extend_run_wavefront_rows::<Op, true>(free_row, cell_rows, |j, d| {
+        if j == 0 {
+            first = d;
+        }
+        best = fmin(best, d);
+    });
+    (best, first)
 }
 
 /// Φini for lane `l`: the boundary recurrence over the distance row.
@@ -856,16 +822,28 @@ pub(crate) fn scalar_exact_sweep(
     (best.0, best.1, best_sim)
 }
 
+/// Test support: the free-start DP's last column — `ends[j]` is the best
+/// distance of any range ending at data point `j` — as the wavefront
+/// [`free_start_best`] folds produces it.
+#[cfg(test)]
+fn free_start_ends<Op: DpOp>(cell_rows: &[f64], m: usize) -> Vec<f64> {
+    let mut row = vec![f64::INFINITY; m];
+    let mut ends = vec![0.0; cell_rows.len() / m];
+    extend_run_wavefront_rows::<Op, true>(&mut row, cell_rows, |j, d| ends[j] = d);
+    ends
+}
+
 /// Test support: the floor contract of `Measure::exact_best_above`,
 /// checked for one `(data, query)` pair without the cell-row matrix (the
-/// multi-start sweep) and with it (the free-start DP plus range recovery).
-/// At a floor the true best reaches (`-∞`, its own similarity, one ulp
-/// below, `probe` when it happens to be low enough) the result must be the
-/// unfloored one bit for bit; at a floor it misses (one ulp above, `probe`
-/// otherwise) the result must be a real subtrajectory's similarity below
-/// that floor, flagged `abandoned`. The DP itself is pinned too: every
-/// end's best similarity, Θ* and the last end reaching Θ* against the
-/// scalar sweep.
+/// multi-start sweep) and with it (the free-start DP alone). At a floor
+/// the true best reaches (`-∞`, its own similarity, one ulp below, `probe`
+/// when it happens to be low enough) the sweep's result must be the
+/// unfloored one bit for bit, and the DP's must be Θ* bit for bit with its
+/// range pending — which the sweep floored at Θ* then resolves to the
+/// unfloored range. At a floor it misses (one ulp above, `probe`
+/// otherwise) either result must be a real subtrajectory's similarity
+/// below that floor, flagged `abandoned`. The DP itself is pinned too:
+/// every end's best similarity and Θ* against the scalar sweep.
 #[cfg(test)]
 pub(crate) fn assert_floor_contract(
     measure: &dyn crate::Measure,
@@ -903,19 +881,27 @@ pub(crate) fn assert_floor_contract(
             end_best[j] = end_best[j].max(eval.extend(p));
         }
     }
-    let (dp_best, j_last) = match measure.name() {
-        "dtw" => free_start_best::<SumOp>(&matrix, query.len(), &mut scratch),
-        "frechet" => free_start_best::<MaxOp>(&matrix, query.len(), &mut scratch),
+    let m = query.len();
+    let mut free_row = Vec::new();
+    let (ends, (dp_best, dp_first)) = match measure.name() {
+        "dtw" => (
+            free_start_ends::<SumOp>(&matrix, m),
+            free_start_best::<SumOp>(&matrix, m, &mut free_row),
+        ),
+        "frechet" => (
+            free_start_ends::<MaxOp>(&matrix, m),
+            free_start_best::<MaxOp>(&matrix, m, &mut free_row),
+        ),
         other => panic!("no free-start DP for {other}"),
     };
     let shape = format!("n {} m {}", data.len(), query.len());
-    for (j, (&d, &want)) in scratch.ends.iter().zip(&end_best).enumerate() {
+    for (j, (&d, &want)) in ends.iter().zip(&end_best).enumerate() {
         let got = similarity_from_distance(d);
         assert_eq!(got.to_bits(), want.to_bits(), "DP end {j}, {shape}");
     }
-    assert_eq!(dp_best.to_bits(), sim.to_bits(), "DP Θ*, {shape}");
-    let want_last = end_best.iter().rposition(|&s| s == sim).expect("attained");
-    assert_eq!(j_last, want_last, "DP last end reaching Θ*, {shape}");
+    let dp_sim = similarity_from_distance(dp_best);
+    assert_eq!(dp_sim.to_bits(), sim.to_bits(), "DP Θ*, {shape}");
+    assert_eq!(dp_first.to_bits(), ends[0].to_bits(), "DP T[0, 0], {shape}");
 
     for cell_rows in [None, Some(matrix.as_slice())] {
         for floor in [
@@ -933,15 +919,25 @@ pub(crate) fn assert_floor_contract(
                 cell_rows.is_some()
             );
             if sim >= floor {
+                assert_eq!(got.similarity.to_bits(), sim.to_bits(), "{context}");
+                assert!(!got.abandoned, "{context}");
+                assert_eq!(got.range_pending, cell_rows.is_some(), "{context}");
+                let resolved = if got.range_pending {
+                    measure
+                        .exact_best_above(view, query, got.similarity, None, &mut scratch)
+                        .expect("measure has a kernel")
+                } else {
+                    got
+                };
                 assert_eq!(
-                    (got.start, got.end, got.similarity.to_bits()),
+                    (resolved.start, resolved.end, resolved.similarity.to_bits()),
                     (start, end, sim.to_bits()),
                     "{context}"
                 );
-                assert!(!got.abandoned, "{context}");
+                assert!(!resolved.abandoned && !resolved.range_pending, "{context}");
             } else {
                 assert!(got.similarity < floor, "{context}: {got:?}");
-                assert!(got.abandoned, "{context}");
+                assert!(got.abandoned && !got.range_pending, "{context}");
                 let real = measure.similarity(&data[got.start..=got.end], query);
                 assert_eq!(got.similarity.to_bits(), real.to_bits(), "{context}");
             }

@@ -154,21 +154,23 @@ pub trait Measure: Send + Sync {
     /// **Contract:** whenever the true best similarity is `≥ floor` the
     /// result is *bit-identical* to the scalar sweep — same similarity
     /// bits, same `(start, end)` under the sweep's tie-breaking (ascending
-    /// start, then ascending end, strict improvement). Otherwise it is
-    /// the similarity of some real subtrajectory, `< floor`, flagged
-    /// [`ExactBest::abandoned`]. With `floor = -∞` the first case always
-    /// applies. Measures that cannot preserve the contract must stay with
-    /// the default `None`.
+    /// start, then ascending end, strict improvement) — except that with
+    /// `cell_rows` the range may be left [`ExactBest::range_pending`]: the
+    /// similarity bits are the sweep's and the same call without
+    /// `cell_rows`, floored at that similarity, returns the range.
+    /// Otherwise it is the similarity of some real subtrajectory,
+    /// `< floor`, flagged [`ExactBest::abandoned`]. With `floor = -∞` and
+    /// no `cell_rows` the first case always applies in full. Measures that
+    /// cannot preserve the contract must stay with the default `None`.
     ///
     /// DTW and discrete Frechet implement it in [`mod@self`]'s `kernel`
     /// module (property-tested per measure). Without `cell_rows` they run
     /// the multi-start lockstep sweep, which uses the floor to leave start
     /// groups early but stays the paper's O(n²·m) enumeration. With
-    /// `cell_rows` (a pruning scan) they first run one free-start DP over
+    /// `cell_rows` (a pruning scan) they run only one free-start DP over
     /// the matrix, O(n·m), whose best Θ* is the sweep's bit for bit: below
-    /// the floor the candidate is settled without more DP; otherwise the
-    /// multi-start sweep recovers the range under `floor = Θ*`, over the
-    /// data up to the last end reaching Θ*.
+    /// the floor the candidate is settled, otherwise Θ* comes back with its
+    /// range pending, and the scan resolves it only for the hits it keeps.
     fn exact_best_above(
         &self,
         data: TrajView<'_>,

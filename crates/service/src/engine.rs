@@ -1288,7 +1288,7 @@ impl QueryEngine {
         );
         b.counter(
             "simsub_scan_abandoned_total",
-            "Searched candidates the free-start DP settled below the k-th similarity without range recovery.",
+            "Searched candidates the free-start DP settled below the k-th similarity; range recoveries are at most k per scan, not searched minus abandoned.",
             snap.scan_abandoned,
         );
         b.counter(

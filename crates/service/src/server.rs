@@ -102,8 +102,9 @@
 //! "pruned_by_points":..,"searched":..,"abandoned":..,
 //! "searched_cells":..,"cached":..,"batch_size":..}` (see
 //! [`crate::trace::TraceReport`]; `"abandoned"` counts searched
-//! candidates the free-start DP settled below the k-th without recovering
-//! their range). On a v1 line the flag is ignored: v1
+//! candidates the free-start DP settled below the k-th; the rest entered
+//! the heap with their range pending, and at most `k` per scan recovered
+//! it). On a v1 line the flag is ignored: v1
 //! responses never grow fields. Tracing turns on the per-candidate
 //! bound/kernel clocks for the traced query's dispatch group only;
 //! untraced traffic keeps the near-zero disabled path.

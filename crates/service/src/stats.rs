@@ -36,7 +36,7 @@ pub struct ServeStats {
     /// Of those, fully searched.
     scan_searched: Counter,
     /// Of the searched, those the free-start DP settled below the running
-    /// k-th similarity without range recovery.
+    /// k-th similarity.
     scan_abandoned: Counter,
     /// Nominal DP size (`data_len × query_len`) of the searched
     /// candidates — the denominator of the ns-per-cell gauge; settling
@@ -469,8 +469,10 @@ pub struct StatsSnapshot {
     /// Scan candidates rejected by the O(n·m) point-level bound.
     pub scan_pruned_points: u64,
     /// Searched candidates the free-start DP settled below the k-th
-    /// similarity without range recovery; recoveries are
-    /// `scan_searched - scan_abandoned` for ExactS under DTW or Frechet.
+    /// similarity. The others entered the heap with their range pending,
+    /// and only those still in it when their scan ended recovered it, so
+    /// range recoveries under ExactS with DTW or Frechet are at most `k`
+    /// per scan, not `scan_searched - scan_abandoned`.
     pub scan_abandoned: u64,
     /// Nominal DP size (`data_len × query_len`) of the searched
     /// candidates; not reduced by settling early.

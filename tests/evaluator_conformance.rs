@@ -11,7 +11,8 @@
 //! identical winner as the scalar oracle (`tests/common/scalar.rs`) on
 //! tie-heavy duplicated-point corpora. Finally, the scan's ExactS kernel
 //! under DTW and Fréchet — a free-start DP over the point-distance matrix
-//! plus range recovery — is held to the independent full-matrix oracle
+//! that leaves the range pending, and the floored sweep that resolves it
+//! — is held to the independent full-matrix oracle
 //! (`tests/common/oracle.rs`) at every floor that decides its path.
 
 mod common;
@@ -360,8 +361,9 @@ proptest! {
 /// The with-matrix path of `Measure::exact_best_above` (what a pruning
 /// scan runs) for DTW and Fréchet against the oracle, at floors `-∞`, the
 /// best itself, one ulp either side of it and `probe`. Reaching the floor,
-/// the answer is the oracle's `(start, end, Θ)` bit for bit — so the DP's
-/// Θ* and the prefix the range is recovered over are right, ties
+/// the answer is the oracle's Θ bit for bit with the range pending, and
+/// the resolution a scan runs for a kept hit — the same call without the
+/// matrix, floored at that Θ — is the oracle's `(start, end, Θ)`, ties
 /// included; missing it, the kernel settles for a real subtrajectory
 /// below the floor and says so.
 fn check_free_start_kernel(data: &[Point], query: &[Point], probe: f64) {
@@ -395,15 +397,20 @@ fn check_free_start_kernel(data: &[Point], query: &[Point], probe: f64) {
                 .exact_best_above(view, query, floor, Some(&rows), &mut scratch)
                 .expect("kernel measure");
             if best >= floor {
+                assert_eq!(got.similarity.to_bits(), best.to_bits(), "{context}");
+                assert!(!got.abandoned && got.range_pending, "{context}: {got:?}");
+                let resolved = measure
+                    .exact_best_above(view, query, got.similarity, None, &mut scratch)
+                    .expect("kernel measure");
                 assert_eq!(
-                    (got.start, got.end, got.similarity.to_bits()),
+                    (resolved.start, resolved.end, resolved.similarity.to_bits()),
                     (start, end, best.to_bits()),
                     "{context}"
                 );
-                assert!(!got.abandoned, "{context}");
+                assert!(!resolved.abandoned && !resolved.range_pending, "{context}");
             } else {
                 assert!(
-                    got.abandoned && got.similarity < floor,
+                    got.abandoned && !got.range_pending && got.similarity < floor,
                     "{context}: {got:?}"
                 );
                 let real = 1.0 / (1.0 + which.distance(&data[got.start..=got.end], query));
@@ -426,7 +433,7 @@ proptest! {
         check_free_start_kernel(&data, &query, probe);
     }
 
-    /// The 3×3 grid: equal Θ everywhere, so the recovered range must be
+    /// The 3×3 grid: equal Θ everywhere, so the resolved range must be
     /// the first in the sweep's order, not just any range reaching Θ*.
     #[test]
     fn free_start_kernel_matches_the_oracle_on_ties(
