@@ -140,8 +140,10 @@
 //!   "cache_evicted":E,"trajectories":T,"points":P,"shards":S}`.
 //!   `corpus_bin` names a *packed* binary corpus (`simsub corpus pack`):
 //!   its payload is the columnar arena's slabs, so the reload is one
-//!   buffered read + validation instead of a CSV re-parse, and answers
-//!   are byte-identical to serving the CSV it was packed from. Exactly
+//!   streaming pass + validation instead of a CSV re-parse, and answers
+//!   are byte-identical to serving the CSV it was packed from. A file
+//!   in an older packed format fails with an error that names its
+//!   version and says to re-pack it. Exactly
 //!   one of `corpus`/`corpus_bin` must be present. In-flight queries
 //!   finish against the old snapshot; queries admitted after the swap
 //!   see the new one. Nothing restarts, no connection drops.

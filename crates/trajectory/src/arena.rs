@@ -15,8 +15,8 @@
 //! - makes per-trajectory MBRs an O(1) table read instead of an O(n)
 //!   recomputation per scan, and
 //! - is exactly the on-disk layout of the packed binary corpus format
-//!   (`simsub_data::bin_io`), so reloading a packed corpus is one buffered
-//!   read + validation instead of a CSV re-parse.
+//!   (`simsub_data::bin_io`), so reloading a packed corpus is one streaming
+//!   pass + validation instead of a CSV re-parse.
 //!
 //! A [`TrajView`] is the borrowed, zero-copy window into one trajectory
 //! (or any contiguous subrange of it) — the currency of the search hot

@@ -216,7 +216,7 @@ impl Flags {
 }
 
 /// Loads the corpus as a columnar arena from `--corpus FILE.csv` or
-/// `--corpus-bin FILE.ssb` (a packed binary corpus — one buffered read +
+/// `--corpus-bin FILE.ssb` (a packed binary corpus — one streaming pass +
 /// validation, no CSV parse). Exactly one of the two must be given.
 fn load_corpus_arena(flags: &Flags) -> Result<CorpusArena, String> {
     match (flags.get("corpus"), flags.get("corpus-bin")) {

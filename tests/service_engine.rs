@@ -8,7 +8,7 @@ mod common;
 
 use common::{assert_bitwise_topk, snapshot_for};
 use simsub::core::{ExactS, Pss, Spring, SubtrajSearch};
-use simsub::data::{generate, write_csv_file, DatasetSpec};
+use simsub::data::{generate, write_bin_file, write_csv_file, DatasetSpec};
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{CoordNormalizer, Dtw, Frechet, Measure, T2Vec};
 use simsub::service::{
@@ -1022,6 +1022,50 @@ fn live_reload_over_the_wire() {
     for client in v1_clients {
         let served = client.join().expect("v1 client panicked");
         assert!(served > 0, "v1 client never got a request through");
+    }
+
+    let bye = send("{\"cmd\":\"shutdown\"}");
+    assert!(bye.contains("\"bye\":true"), "bye: {bye}");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A packed corpus reloads over the wire; a file in the retired version 1
+/// format is refused with an error that names the version and says how
+/// to re-pack it, and the server keeps serving its current epoch.
+#[test]
+fn packed_reload_over_the_wire_refuses_old_versions() {
+    let db = shared_db(10);
+    let dir = std::env::temp_dir().join(format!("simsub-packed-reload-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let packed = dir.join("corpus.ssb");
+    let db_b = TrajectoryDb::build(generate(&DatasetSpec::porto(), 7, 5));
+    write_bin_file(&packed, db_b.arena()).unwrap();
+    let old = dir.join("old.ssb");
+    let mut v1 = b"SSUBARN1".to_vec();
+    v1.extend_from_slice(&[0u8; 40]);
+    std::fs::write(&old, &v1).unwrap();
+
+    let engine = Arc::new(engine_with(&db, 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+    let mut send = |line: &str| send_line(&mut stream, &mut reader, line);
+    let reload = |path: &std::path::Path| {
+        format!(
+            "{{\"cmd\":\"reload\",\"corpus_bin\":{}}}",
+            json_string(&path.display().to_string())
+        )
+    };
+
+    let refused = send(&reload(&old));
+    for needle in ["\"ok\":false", "version 1", "simsub corpus pack"] {
+        assert!(refused.contains(needle), "missing {needle}: {refused}");
+    }
+    assert_eq!(engine.epoch(), 1, "a refused reload swaps nothing");
+
+    let reloaded = send(&reload(&packed));
+    for needle in ["\"ok\":true", "\"epoch\":2", "\"trajectories\":7"] {
+        assert!(reloaded.contains(needle), "missing {needle}: {reloaded}");
     }
 
     let bye = send("{\"cmd\":\"shutdown\"}");
