@@ -143,8 +143,8 @@
 //!   streaming pass + validation instead of a CSV re-parse, and answers
 //!   are byte-identical to serving the CSV it was packed from. A file
 //!   in an older packed format fails with an error that names its
-//!   version and says to re-pack it. Exactly
-//!   one of `corpus`/`corpus_bin` must be present. In-flight queries
+//!   version and says to re-pack it. Exactly one of
+//!   `corpus`/`corpus_bin` must be present. In-flight queries
 //!   finish against the old snapshot; queries admitted after the swap
 //!   see the new one. Nothing restarts, no connection drops.
 //! - `{"cmd":"configure"}` with any of `"prune":bool`, `"max_batch":N`,
