@@ -224,32 +224,28 @@ pub fn train_rls(
 
     let mut transitions = 0usize;
     let mut recent_losses = std::collections::VecDeque::with_capacity(100);
+    // `s_t` while the environment steps to `s_{t+1}`.
+    let mut state = Vec::with_capacity(cfg.mdp.state_dim());
     for episode in 0..cfg.episodes {
         let t = &data[rng.gen_range(0..data.len())];
         let tq = &queries[rng.gen_range(0..queries.len())];
         let (mut eval, suffix) = episode_parts(measure, t.points(), tq.points(), cfg.mdp);
         let mut env = SplitEnv::new(eval.as_mut(), &suffix, t.points(), cfg.mdp);
-        let mut state = env.state().to_vec();
+        state.clear();
+        state.extend_from_slice(env.state());
         loop {
             let action = agent.act(&state);
-            let terminal_next = {
-                // The next state is terminal when the upcoming scan lands
-                // on the last point; capture before stepping.
-                env.at_last_point()
-            };
             let outcome = env.step(action);
             if outcome.done {
                 // Algorithm 3 breaks at the last point without storing an
                 // experience (lines 15-17).
-                let _ = terminal_next;
                 break;
             }
-            let next_state = env.state().to_vec();
             agent.remember(Transition {
-                state: std::mem::take(&mut state),
+                state: &state,
                 action,
                 reward: outcome.reward,
-                next_state: next_state.clone(),
+                next_state: env.state(),
                 terminal: env.at_last_point(),
             });
             transitions += 1;
@@ -259,7 +255,7 @@ pub fn train_rls(
                 }
                 recent_losses.push_back(loss);
             }
-            state = next_state;
+            state.copy_from_slice(env.state());
         }
         agent.sync_target();
         agent.decay_epsilon();

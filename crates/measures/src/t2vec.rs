@@ -179,6 +179,21 @@ impl T2Vec {
             .iter()
             .map(|t| t.points().iter().map(|&p| norm.features(p)).collect())
             .collect();
+        // Held across triplets and sized for the longest sequence up front,
+        // so a gradient step allocates nothing.
+        let longest = feats.iter().map(Vec::len).max().unwrap_or(0);
+        let mut positive = Vec::with_capacity(longest);
+        let mut caches: [GruCache; 3] = Default::default();
+        for cache in &mut caches {
+            cache.reserve(&cell, longest);
+        }
+        let [ca, cp, cn] = &mut caches;
+        let (mut ha, mut hp, mut hn) = (
+            cell.initial_state(),
+            cell.initial_state(),
+            cell.initial_state(),
+        );
+        let mut dh = cell.initial_state();
 
         let mut recent_ok = std::collections::VecDeque::with_capacity(100);
         for _ in 0..cfg.steps {
@@ -191,12 +206,12 @@ impl T2Vec {
                     ni = (ni + 1) % feats.len();
                 }
                 let anchor = &feats[ai];
-                let positive = distort(anchor, cfg, &mut rng);
+                distort_into(anchor, cfg, &mut rng, &mut positive);
                 let negative = &feats[ni];
 
-                let (ha, ca) = encode_cached(&cell, anchor.iter().copied());
-                let (hp, cp) = encode_cached(&cell, positive.iter().copied());
-                let (hn, cn) = encode_cached(&cell, negative.iter().copied());
+                encode_cached(&cell, anchor, &mut ha, ca);
+                encode_cached(&cell, &positive, &mut hp, cp);
+                encode_cached(&cell, negative, &mut hn, cn);
 
                 let d_ap = squared_distance(&ha, &hp);
                 let d_an = squared_distance(&ha, &hn);
@@ -210,12 +225,18 @@ impl T2Vec {
                 }
                 batch_used += 1;
                 // L = d_ap - d_an + margin (active branch).
-                let da: Vec<f64> = (0..ha.len()).map(|i| 2.0 * (hn[i] - hp[i])).collect();
-                let dp: Vec<f64> = (0..ha.len()).map(|i| -2.0 * (ha[i] - hp[i])).collect();
-                let dn: Vec<f64> = (0..ha.len()).map(|i| 2.0 * (ha[i] - hn[i])).collect();
-                cell.backward(&ca, &da, &mut grads);
-                cell.backward(&cp, &dp, &mut grads);
-                cell.backward(&cn, &dn, &mut grads);
+                for i in 0..dh.len() {
+                    dh[i] = 2.0 * (hn[i] - hp[i]);
+                }
+                cell.backward(ca, &dh, &mut grads);
+                for i in 0..dh.len() {
+                    dh[i] = -2.0 * (ha[i] - hp[i]);
+                }
+                cell.backward(cp, &dh, &mut grads);
+                for i in 0..dh.len() {
+                    dh[i] = 2.0 * (ha[i] - hn[i]);
+                }
+                cell.backward(cn, &dh, &mut grads);
             }
             if batch_used > 0 {
                 grads.scale(1.0 / batch_used as f64);
@@ -255,21 +276,22 @@ impl T2Vec {
     }
 }
 
-fn encode_cached(cell: &GruCell, feats: impl Iterator<Item = [f64; 2]>) -> (Vec<f64>, GruCache) {
-    let mut h = cell.initial_state();
-    let mut cache = GruCache::default();
+/// Rolls `h` from the zero state over `feats`, recording every step in
+/// `cache` (emptied first) for BPTT.
+fn encode_cached(cell: &GruCell, feats: &[[f64; 2]], h: &mut [f64], cache: &mut GruCache) {
+    h.fill(0.0);
+    cache.clear();
     for f in feats {
-        cell.step_cached(&mut h, &f, &mut cache);
+        cell.step_cached(h, f, cache);
     }
-    (h, cache)
 }
 
-/// Downsamples and perturbs a feature sequence: the "positive" variant of
-/// the triplet objective, mirroring t2vec's robustness-to-sampling-rate
-/// training signal. First and last points are always kept so the variant
-/// covers the same extent.
-fn distort(feats: &[[f64; 2]], cfg: &T2VecConfig, rng: &mut StdRng) -> Vec<[f64; 2]> {
-    let mut out = Vec::with_capacity(feats.len());
+/// Downsamples and perturbs a feature sequence into `out`: the "positive"
+/// variant of the triplet objective, mirroring t2vec's
+/// robustness-to-sampling-rate training signal. First and last points are
+/// always kept so the variant covers the same extent.
+fn distort_into(feats: &[[f64; 2]], cfg: &T2VecConfig, rng: &mut StdRng, out: &mut Vec<[f64; 2]>) {
+    out.clear();
     let last = feats.len() - 1;
     for (i, f) in feats.iter().enumerate() {
         let keep = i == 0 || i == last || rng.gen::<f64>() >= cfg.downsample_rate;
@@ -286,7 +308,6 @@ fn distort(feats: &[[f64; 2]], cfg: &T2VecConfig, rng: &mut StdRng) -> Vec<[f64;
             ]);
         }
     }
-    out
 }
 
 impl Measure for T2Vec {

@@ -1,5 +1,4 @@
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Adam optimizer (Kingma & Ba, 2015) — the paper trains both the DQN and
 /// the learned measure with "Adam stochastic gradient descent with an
@@ -25,6 +24,9 @@ pub struct Adam {
     /// Global step count `t` (shared across tensors, incremented once per
     /// optimizer step).
     t: u64,
+    /// Bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ` of the current step, set by
+    /// [`Adam::begin_step`] and shared by every tensor it updates.
+    bias_correction: (f64, f64),
     cursor: usize,
     moments: Vec<Moments>,
     #[serde(skip)]
@@ -46,6 +48,7 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
+            bias_correction: (0.0, 0.0),
             cursor: 0,
             moments: Vec::new(),
             _non_exhaustive: (),
@@ -53,9 +56,14 @@ impl Adam {
     }
 
     /// Marks the start of an optimizer step: increments the bias-correction
-    /// counter and rewinds the tensor cursor.
+    /// counter, computes this step's corrections and rewinds the tensor
+    /// cursor.
     pub fn begin_step(&mut self) {
         self.t += 1;
+        self.bias_correction = (
+            1.0 - self.beta1.powi(self.t as i32),
+            1.0 - self.beta2.powi(self.t as i32),
+        );
         self.cursor = 0;
     }
 
@@ -78,8 +86,7 @@ impl Adam {
         );
         self.cursor += 1;
 
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (bc1, bc2) = self.bias_correction;
         for i in 0..params.len() {
             let g = grads[i];
             mom.m[i] = self.beta1 * mom.m[i] + (1.0 - self.beta1) * g;
@@ -93,58 +100,6 @@ impl Adam {
     /// Number of optimizer steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
-    }
-}
-
-/// A tiny named-tensor variant for cases where update order is not stable.
-/// Keys are caller-chosen string identifiers.
-#[derive(Debug, Clone, Default)]
-pub struct KeyedAdam {
-    inner: HashMap<String, (Vec<f64>, Vec<f64>)>,
-    /// Step size α.
-    pub learning_rate: f64,
-    /// First-moment decay β₁.
-    pub beta1: f64,
-    /// Second-moment decay β₂.
-    pub beta2: f64,
-    /// Denominator fuzz ε.
-    pub eps: f64,
-    t: u64,
-}
-
-impl KeyedAdam {
-    /// Creates an optimizer with standard β/ε defaults.
-    pub fn new(learning_rate: f64) -> Self {
-        Self {
-            inner: HashMap::new(),
-            learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-        }
-    }
-
-    /// Marks the start of an optimizer step (bias-correction counter).
-    pub fn begin_step(&mut self) {
-        self.t += 1;
-    }
-
-    /// Applies one Adam update to the tensor registered under `key`.
-    pub fn update(&mut self, key: &str, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len());
-        let (m, v) = self
-            .inner
-            .entry(key.to_string())
-            .or_insert_with(|| (vec![0.0; params.len()], vec![0.0; params.len()]));
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-            params[i] -= self.learning_rate * (m[i] / bc1) / ((v[i] / bc2).sqrt() + self.eps);
-        }
     }
 }
 
@@ -186,17 +141,5 @@ mod tests {
         adam.update(&mut b, &[0.0; 5]);
         adam.begin_step();
         adam.update(&mut b, &[0.0; 5]); // wrong order
-    }
-
-    #[test]
-    fn keyed_adam_minimizes_quadratic() {
-        let mut adam = KeyedAdam::new(0.1);
-        let mut x = vec![-4.0];
-        for _ in 0..500 {
-            let g = vec![2.0 * (x[0] + 1.0)];
-            adam.begin_step();
-            adam.update("x", &mut x, &g);
-        }
-        assert!((x[0] + 1.0).abs() < 1e-3);
     }
 }

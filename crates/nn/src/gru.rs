@@ -65,36 +65,40 @@ pub struct GruScratch {
     rec: Vec<f64>,
 }
 
-/// Saved intermediates of one forward step, needed by BPTT.
-#[derive(Debug, Clone, Default)]
-struct StepCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    /// Gate values `z | r | ĥ`.
-    gates: Vec<f64>,
-}
-
-/// Forward-pass cache for a whole sequence.
+/// Forward-pass records of a sequence for BPTT. Step `t` is recorded as
+/// `x | h_prev | z r ĥ` at `[t * stride..(t + 1) * stride]` of one buffer,
+/// `stride = in_dim + 4 · hidden_dim`, so recording allocates only when
+/// the buffer grows, and never for a sequence no longer than one already
+/// recorded or reserved.
 #[derive(Debug, Clone, Default)]
 pub struct GruCache {
-    steps: Vec<StepCache>,
+    steps: usize,
+    records: Vec<f64>,
     scratch: GruScratch,
 }
 
 impl GruCache {
     /// Number of recorded steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.steps
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.steps == 0
     }
 
-    /// Clears recorded steps, keeping allocations.
+    /// Forgets the recorded steps and keeps their buffer, so the next
+    /// sequence records over it in place.
     pub fn clear(&mut self) {
-        self.steps.clear();
+        self.steps = 0;
+        self.records.clear();
+    }
+
+    /// Makes room for `steps` more steps of `cell` beyond those recorded,
+    /// so that recording them allocates nothing.
+    pub fn reserve(&mut self, cell: &GruCell, steps: usize) {
+        self.records.reserve(steps * cell.record_len());
     }
 }
 
@@ -119,6 +123,25 @@ pub struct GruGrads {
     pub br: Vec<f64>,
     /// Gradient of the candidate bias.
     pub bh: Vec<f64>,
+    bptt: BpttScratch,
+}
+
+/// The per-step vectors of [`GruCell::backward`], kept with the
+/// accumulator so that a backward pass allocates nothing once they are
+/// sized.
+#[derive(Debug, Clone, Default)]
+struct BpttScratch {
+    /// Gradient w.r.t. the hidden state after the step being pulled back,
+    /// and the one it yields for the state before it.
+    dh: Vec<f64>,
+    dh_prev: Vec<f64>,
+    dz: Vec<f64>,
+    dhhat_pre: Vec<f64>,
+    drh: Vec<f64>,
+    dr_pre: Vec<f64>,
+    dz_pre: Vec<f64>,
+    /// `r ⊙ h_prev`.
+    rh: Vec<f64>,
 }
 
 #[inline]
@@ -235,13 +258,16 @@ impl GruCell {
 
     /// Forward step that records intermediates for BPTT into `cache`.
     pub fn step_cached(&self, h: &mut [f64], x: &[f64], cache: &mut GruCache) {
-        let h_prev = h.to_vec();
+        cache.records.extend_from_slice(x);
+        cache.records.extend_from_slice(h);
         self.step_with(h, x, &mut cache.scratch);
-        cache.steps.push(StepCache {
-            x: x.to_vec(),
-            h_prev,
-            gates: cache.scratch.gates.clone(),
-        });
+        cache.records.extend_from_slice(&cache.scratch.gates);
+        cache.steps += 1;
+    }
+
+    /// Length of one step's record in a [`GruCache`]: `x | h_prev | z r ĥ`.
+    fn record_len(&self) -> usize {
+        self.in_dim + 4 * self.hidden_dim
     }
 
     /// Encodes a full sequence, returning the final hidden state.
@@ -259,22 +285,44 @@ impl GruCell {
     /// `dh_final` is the loss gradient w.r.t. the final hidden state.
     /// Parameter gradients are *accumulated* into `grads`; the function
     /// returns the gradient w.r.t. the initial hidden state (rarely needed,
-    /// but cheap to expose).
-    pub fn backward(&self, cache: &GruCache, dh_final: &[f64], grads: &mut GruGrads) -> Vec<f64> {
-        let d = self.hidden_dim;
+    /// but cheap to expose). Runs on buffers `grads` keeps, so it
+    /// allocates nothing once they are sized.
+    pub fn backward<'g>(
+        &self,
+        cache: &GruCache,
+        dh_final: &[f64],
+        grads: &'g mut GruGrads,
+    ) -> &'g [f64] {
+        let (d, n) = (self.hidden_dim, self.in_dim);
+        let stride = self.record_len();
+        assert_eq!(
+            cache.records.len(),
+            cache.steps * stride,
+            "cache recorded by a cell of another shape"
+        );
         grads.ensure_shape(self);
-        let mut dh: Vec<f64> = dh_final.to_vec();
-        let mut dz = vec![0.0; d];
-        let mut dhhat_pre = vec![0.0; d];
-        let mut drh = vec![0.0; d];
-        let mut dr_pre = vec![0.0; d];
-        let mut dz_pre = vec![0.0; d];
+        let BpttScratch {
+            dh,
+            dh_prev,
+            dz,
+            dhhat_pre,
+            drh,
+            dr_pre,
+            dz_pre,
+            rh,
+        } = &mut grads.bptt;
+        for v in [&mut *dh_prev, dz, dhhat_pre, drh, dr_pre, dz_pre, rh] {
+            v.resize(d, 0.0);
+        }
+        dh.clear();
+        dh.extend_from_slice(dh_final);
 
-        for step in cache.steps.iter().rev() {
-            let (x, h_prev) = (&step.x, &step.h_prev);
-            let (z, rest) = step.gates.split_at(d);
+        for t in (0..cache.steps).rev() {
+            let (x, rest) = cache.records[t * stride..(t + 1) * stride].split_at(n);
+            let (h_prev, rest) = rest.split_at(d);
+            let (z, rest) = rest.split_at(d);
             let (r, hhat) = rest.split_at(d);
-            let mut dh_prev = vec![0.0; d];
+            dh_prev.fill(0.0);
 
             for i in 0..d {
                 // h = (1 - z) ⊙ h_prev + z ⊙ ĥ
@@ -285,14 +333,16 @@ impl GruCell {
             }
 
             // ĥ branch: ĥ_pre = W_h x + U_h (r ⊙ h_prev) + b_h
-            add_outer(&mut grads.wh, d, self.in_dim, &dhhat_pre, x);
-            let rh: Vec<f64> = (0..d).map(|i| r[i] * h_prev[i]).collect();
-            add_outer(&mut grads.uh, d, d, &dhhat_pre, &rh);
+            add_outer(&mut grads.wh, d, n, dhhat_pre, x);
+            for i in 0..d {
+                rh[i] = r[i] * h_prev[i];
+            }
+            add_outer(&mut grads.uh, d, d, dhhat_pre, rh);
             for i in 0..d {
                 grads.bh[i] += dhhat_pre[i];
             }
             drh.iter_mut().for_each(|v| *v = 0.0);
-            matvec_transpose(&self.uh, d, d, &dhhat_pre, &mut drh);
+            matvec_transpose(&self.uh, d, d, dhhat_pre, drh);
             for i in 0..d {
                 dh_prev[i] += drh[i] * r[i];
                 // r gate: chained through sigmoid.
@@ -302,22 +352,22 @@ impl GruCell {
             }
 
             // r branch: r_pre = W_r x + U_r h_prev + b_r
-            add_outer(&mut grads.wr, d, self.in_dim, &dr_pre, x);
-            add_outer(&mut grads.ur, d, d, &dr_pre, h_prev);
+            add_outer(&mut grads.wr, d, n, dr_pre, x);
+            add_outer(&mut grads.ur, d, d, dr_pre, h_prev);
             for i in 0..d {
                 grads.br[i] += dr_pre[i];
             }
-            matvec_transpose(&self.ur, d, d, &dr_pre, &mut dh_prev);
+            matvec_transpose(&self.ur, d, d, dr_pre, dh_prev);
 
             // z branch: z_pre = W_z x + U_z h_prev + b_z
-            add_outer(&mut grads.wz, d, self.in_dim, &dz_pre, x);
-            add_outer(&mut grads.uz, d, d, &dz_pre, h_prev);
+            add_outer(&mut grads.wz, d, n, dz_pre, x);
+            add_outer(&mut grads.uz, d, d, dz_pre, h_prev);
             for i in 0..d {
                 grads.bz[i] += dz_pre[i];
             }
-            matvec_transpose(&self.uz, d, d, &dz_pre, &mut dh_prev);
+            matvec_transpose(&self.uz, d, d, dz_pre, dh_prev);
 
-            dh = dh_prev;
+            std::mem::swap(dh, dh_prev);
         }
         dh
     }
@@ -394,6 +444,7 @@ impl GruGrads {
             bz: vec![0.0; cell.hidden_dim],
             br: vec![0.0; cell.hidden_dim],
             bh: vec![0.0; cell.hidden_dim],
+            bptt: BpttScratch::default(),
         }
     }
 
@@ -487,6 +538,33 @@ mod tests {
     }
 
     #[test]
+    fn a_cleared_cache_records_over_its_buffer() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let cell = GruCell::new(&mut rng, 2, 6);
+        let (long, short) = (seq(&mut rng, 9, 2), seq(&mut rng, 4, 2));
+        let record = |xs: &[Vec<f64>], cache: &mut GruCache| {
+            let mut h = cell.initial_state();
+            cache.clear();
+            for x in xs {
+                cell.step_cached(&mut h, x, cache);
+            }
+        };
+        let (mut reused, mut fresh) = (GruCache::default(), GruCache::default());
+        record(&long, &mut reused);
+        let capacity = reused.records.capacity();
+        record(&short, &mut reused);
+        record(&short, &mut fresh);
+        assert_eq!(reused.len(), 4);
+        assert_eq!(reused.records.capacity(), capacity);
+
+        let dh = vec![0.5; 6];
+        let (mut a, mut b) = (GruGrads::zeros(&cell), GruGrads::zeros(&cell));
+        let dh0 = cell.backward(&reused, &dh, &mut a).to_vec();
+        assert_eq!(dh0, cell.backward(&fresh, &dh, &mut b));
+        assert_eq!(a.flat(), b.flat());
+    }
+
+    #[test]
     fn grads_are_reshaped_when_only_the_products_of_the_dims_agree() {
         // (in 4, hidden 2) and (in 2, hidden 4) share `wz.len() == 8`;
         // accumulators left over from one must not be fed to the other.
@@ -573,7 +651,7 @@ mod tests {
         let mut h0_probe = h0.clone();
         let err = crate::gradient_check(
             &mut h0_probe,
-            &dh0,
+            dh0,
             |p| {
                 let mut h = p.to_vec();
                 cell.step(&mut h, &x);

@@ -15,8 +15,9 @@
 //! backward passes validated against finite differences in the test suite.
 //!
 //! Everything is `f64` and allocation-conscious: forward/backward passes
-//! reuse caller-provided caches so the RL training loop does not allocate
-//! per step.
+//! reuse caller-provided caches, and the MLP trains a whole minibatch per
+//! pass (`Mlp::forward_batch` / `Mlp::backward_batch`), so neither the RL
+//! training loop nor t2vec's BPTT allocates per step.
 
 mod adam;
 mod gru;
@@ -26,12 +27,12 @@ mod math;
 mod mlp;
 mod persist;
 
-pub use adam::{Adam, KeyedAdam};
+pub use adam::Adam;
 pub use gru::{GruCache, GruCell, GruGrads, GruScratch};
 pub use init::xavier_uniform;
 pub use linear::{Linear, LinearGrads};
 pub use math::{add_outer, axpy, dot, matvec, matvec_columns, matvec_transpose, squared_distance};
-pub use mlp::{Activation, Mlp, MlpCache, MlpGrads};
+pub use mlp::{Activation, Mlp, MlpBatch, MlpCache, MlpGrads};
 pub use persist::{BinaryCodec, CodecError, Decoder, Encoder};
 
 /// Numerically checks an analytic gradient against central finite

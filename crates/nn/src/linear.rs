@@ -1,5 +1,5 @@
 use crate::init::xavier_uniform;
-use crate::math::{add_outer, dot, matvec, matvec_transpose};
+use crate::math::matvec;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -47,20 +47,6 @@ impl Linear {
         }
     }
 
-    /// Backward pass. `x` is the input the forward pass saw, `dy` the loss
-    /// gradient w.r.t. the output. Accumulates parameter gradients into
-    /// `grads` and, when `dx` is `Some`, accumulates the input gradient.
-    pub fn backward(&self, x: &[f64], dy: &[f64], grads: &mut LinearGrads, dx: Option<&mut [f64]>) {
-        grads.ensure_shape(self);
-        add_outer(&mut grads.gw, self.out_dim, self.in_dim, dy, x);
-        for (gb, d) in grads.gb.iter_mut().zip(dy) {
-            *gb += d;
-        }
-        if let Some(dx) = dx {
-            matvec_transpose(&self.w, self.out_dim, self.in_dim, dy, dx);
-        }
-    }
-
     /// Number of scalar parameters.
     pub fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
@@ -73,11 +59,6 @@ impl Linear {
         self.w.copy_from_slice(&other.w);
         self.b.copy_from_slice(&other.b);
     }
-
-    /// Single output coordinate, for tests.
-    pub fn output(&self, x: &[f64], row: usize) -> f64 {
-        dot(&self.w[row * self.in_dim..(row + 1) * self.in_dim], x) + self.b[row]
-    }
 }
 
 impl LinearGrads {
@@ -89,13 +70,10 @@ impl LinearGrads {
         }
     }
 
-    fn ensure_shape(&mut self, layer: &Linear) {
-        if self.gw.len() != layer.w.len() {
-            self.gw = vec![0.0; layer.w.len()];
-        }
-        if self.gb.len() != layer.b.len() {
-            self.gb = vec![0.0; layer.b.len()];
-        }
+    /// True when these accumulators are shaped like `layer`: `gb` fixes
+    /// the output count and then `gw` the input count.
+    pub(crate) fn fits(&self, layer: &Linear) -> bool {
+        self.gw.len() == layer.w.len() && self.gb.len() == layer.b.len()
     }
 
     /// Resets accumulated gradients to zero.
@@ -114,8 +92,6 @@ impl LinearGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn forward_known_values() {
@@ -128,68 +104,5 @@ mod tests {
         let mut y = Vec::new();
         layer.forward(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![3.5, 6.5]);
-    }
-
-    #[test]
-    fn backward_matches_finite_difference() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let layer = Linear::new(&mut rng, 4, 3);
-        let x: Vec<f64> = (0..4).map(|i| 0.3 * i as f64 - 0.5).collect();
-        // Loss = sum(c ⊙ y).
-        let c = [0.7, -1.3, 0.4];
-
-        let mut y = Vec::new();
-        layer.forward(&x, &mut y);
-        let mut grads = LinearGrads::zeros(&layer);
-        let mut dx = vec![0.0; 4];
-        layer.backward(&x, &c, &mut grads, Some(&mut dx));
-
-        // Check weight gradient numerically.
-        let mut params = layer.w.clone();
-        let err = crate::gradient_check(
-            &mut params,
-            &grads.gw,
-            |p| {
-                let probe = Linear {
-                    w: p.to_vec(),
-                    ..layer.clone()
-                };
-                let mut y = Vec::new();
-                probe.forward(&x, &mut y);
-                y.iter().zip(&c).map(|(a, b)| a * b).sum()
-            },
-            1e-5,
-        );
-        assert!(err < 1e-6, "weight gradient error {err}");
-
-        // Check input gradient numerically.
-        let mut xp = x.clone();
-        let err = crate::gradient_check(
-            &mut xp,
-            &dx,
-            |p| {
-                let mut y = Vec::new();
-                layer.forward(p, &mut y);
-                y.iter().zip(&c).map(|(a, b)| a * b).sum()
-            },
-            1e-5,
-        );
-        assert!(err < 1e-6, "input gradient error {err}");
-    }
-
-    #[test]
-    fn grads_accumulate_and_zero() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let layer = Linear::new(&mut rng, 2, 2);
-        let mut grads = LinearGrads::zeros(&layer);
-        layer.backward(&[1.0, 0.0], &[1.0, 1.0], &mut grads, None);
-        let snapshot = grads.gw.clone();
-        layer.backward(&[1.0, 0.0], &[1.0, 1.0], &mut grads, None);
-        for (a, b) in grads.gw.iter().zip(&snapshot) {
-            assert!((a - 2.0 * b).abs() < 1e-12);
-        }
-        grads.zero();
-        assert!(grads.gw.iter().all(|&g| g == 0.0));
-        assert!(grads.gb.iter().all(|&g| g == 0.0));
     }
 }

@@ -1,5 +1,6 @@
 use crate::adam::Adam;
 use crate::linear::{Linear, LinearGrads};
+use crate::math::matvec_columns;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -56,12 +57,28 @@ pub struct Mlp {
     activations: Vec<Activation>,
 }
 
-/// Per-layer post-activation values cached by [`Mlp::forward_cached`] for
-/// use by [`Mlp::backward`]. Reusable across calls without reallocating.
+/// Per-layer post-activation values of one sample, written by
+/// [`Mlp::forward_cached`]. Reusable across calls without reallocating.
 #[derive(Debug, Clone, Default)]
 pub struct MlpCache {
     /// `outputs[l]` is the post-activation output of layer `l`.
     outputs: Vec<Vec<f64>>,
+}
+
+/// Activations of a whole minibatch for [`Mlp::forward_batch`] and
+/// [`Mlp::backward_batch`], stored feature-major: value `r` of sample `s`
+/// sits at `[r * batch + s]`, so each weight meets a contiguous run of
+/// samples. Sized on first use and reusable across calls of one shape
+/// without reallocating.
+#[derive(Debug, Clone, Default)]
+pub struct MlpBatch {
+    batch: usize,
+    /// `outputs[l]` is the post-activation output of layer `l`.
+    outputs: Vec<Vec<f64>>,
+    /// The loss gradient being pulled back through a layer, and the one it
+    /// yields for the layer below.
+    delta: Vec<f64>,
+    dx: Vec<f64>,
 }
 
 /// Gradients for every layer of an [`Mlp`].
@@ -130,27 +147,127 @@ impl Mlp {
         cache.outputs.last().map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Backward pass: given the input `x` of the recorded forward pass and
-    /// the loss gradient w.r.t. the network output, accumulates parameter
-    /// gradients into `grads`.
-    pub fn backward(&self, x: &[f64], cache: &MlpCache, dloss_dout: &[f64], grads: &mut MlpGrads) {
+    /// Forward pass over a minibatch of `batch` samples: `x[c * batch + s]`
+    /// is input `c` of sample `s`, and the returned slice holds output `r`
+    /// of sample `s` at `[r * batch + s]`. Each `(sample, row)` sums its
+    /// products over the columns in ascending order from `f64::sum`'s
+    /// `-0.0` seed, then adds the bias and applies the activation — what
+    /// [`Mlp::forward`] computes for that sample, bit for bit — while the
+    /// samples of a row sit side by side and vectorise.
+    pub fn forward_batch<'c>(&self, x: &[f64], batch: usize, cache: &'c mut MlpBatch) -> &'c [f64] {
+        assert_eq!(
+            x.len(),
+            self.in_dim() * batch,
+            "one input column per sample"
+        );
+        cache.batch = batch;
+        cache.outputs.resize_with(self.layers.len(), Vec::new);
+        for (l, (layer, act)) in self.layers.iter().zip(&self.activations).enumerate() {
+            let (done, rest) = cache.outputs.split_at_mut(l);
+            let input: &[f64] = if l == 0 { x } else { &done[l - 1] };
+            let out = &mut rest[0];
+            out.resize(layer.out_dim * batch, 0.0);
+            for r in 0..layer.out_dim {
+                // The batch's samples are the output lanes: column `c` of
+                // the input times weight `c` of the row (a product's bits
+                // do not depend on its operands' order).
+                let row = &mut out[r * batch..(r + 1) * batch];
+                matvec_columns(
+                    input,
+                    &layer.w[r * layer.in_dim..(r + 1) * layer.in_dim],
+                    row,
+                );
+                for o in row.iter_mut() {
+                    *o = act.apply(*o + layer.b[r]);
+                }
+            }
+        }
+        cache.outputs.last().map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Backward pass over the minibatch of the last [`Mlp::forward_batch`]
+    /// on `cache`: `x` is that call's input and `dloss_dout[r * batch + s]`
+    /// the loss gradient w.r.t. output `r` of sample `s`. Accumulates
+    /// parameter gradients into `grads`. Every gradient element takes the
+    /// samples in batch order, and every pulled-back input gradient takes
+    /// the rows in order from `+0.0` — the sums one per-sample backward
+    /// pass after another would make.
+    pub fn backward_batch(
+        &self,
+        x: &[f64],
+        cache: &mut MlpBatch,
+        dloss_dout: &[f64],
+        grads: &mut MlpGrads,
+    ) {
+        let n = cache.batch;
         assert_eq!(cache.outputs.len(), self.layers.len(), "cache mismatch");
+        assert_eq!(x.len(), self.in_dim() * n, "one input column per sample");
+        assert_eq!(
+            dloss_dout.len(),
+            self.out_dim() * n,
+            "one output gradient column per sample"
+        );
         grads.ensure_shape(self);
-        let n = self.layers.len();
-        // delta starts at the output and is pulled back layer by layer.
-        let mut delta: Vec<f64> = dloss_dout.to_vec();
-        for l in (0..n).rev() {
+        let MlpBatch {
+            outputs, delta, dx, ..
+        } = cache;
+        delta.clear();
+        delta.extend_from_slice(dloss_dout);
+        for l in (0..self.layers.len()).rev() {
+            let layer = &self.layers[l];
             // Chain through the activation.
-            for (d, y) in delta.iter_mut().zip(&cache.outputs[l]) {
+            for (d, y) in delta.iter_mut().zip(&outputs[l]) {
                 *d *= self.activations[l].derivative_from_output(*y);
             }
-            let layer_in: &[f64] = if l == 0 { x } else { &cache.outputs[l - 1] };
-            if l == 0 {
-                self.layers[l].backward(layer_in, &delta, &mut grads.layers[l], None);
-            } else {
-                let mut dx = vec![0.0; self.layers[l].in_dim];
-                self.layers[l].backward(layer_in, &delta, &mut grads.layers[l], Some(&mut dx));
-                delta = dx;
+            let input: &[f64] = if l == 0 { x } else { &outputs[l - 1] };
+            let g = &mut grads.layers[l];
+            // Element `k` of `gw` is `(row k / cols, column k % cols)`; it
+            // sums its samples in batch order onto what it holds. Four
+            // elements at a time, so that their chains overlap.
+            let cols = layer.in_dim;
+            let operands = |k: usize| (&delta[k / cols * n..][..n], &input[k % cols * n..][..n]);
+            let tail = g.gw.len() / 4 * 4;
+            let mut blocks = g.gw.chunks_exact_mut(4);
+            for (k, block) in (0..).step_by(4).zip(&mut blocks) {
+                let [(d0, x0), (d1, x1), (d2, x2), (d3, x3)] = [
+                    operands(k),
+                    operands(k + 1),
+                    operands(k + 2),
+                    operands(k + 3),
+                ];
+                let [mut a0, mut a1, mut a2, mut a3] = [block[0], block[1], block[2], block[3]];
+                for s in 0..n {
+                    a0 += d0[s] * x0[s];
+                    a1 += d1[s] * x1[s];
+                    a2 += d2[s] * x2[s];
+                    a3 += d3[s] * x3[s];
+                }
+                block.copy_from_slice(&[a0, a1, a2, a3]);
+            }
+            for (k, gw) in (tail..).zip(blocks.into_remainder()) {
+                let (d_row, x_row) = operands(k);
+                for (&d, &xv) in d_row.iter().zip(x_row) {
+                    *gw += d * xv;
+                }
+            }
+            for (r, gb) in g.gb.iter_mut().enumerate() {
+                for &d in &delta[r * n..(r + 1) * n] {
+                    *gb += d;
+                }
+            }
+            if l > 0 {
+                dx.clear();
+                dx.resize(layer.in_dim * n, 0.0);
+                for r in 0..layer.out_dim {
+                    let d_row = &delta[r * n..(r + 1) * n];
+                    for c in 0..layer.in_dim {
+                        let w = layer.w[r * layer.in_dim + c];
+                        for (v, &d) in dx[c * n..(c + 1) * n].iter_mut().zip(d_row) {
+                            *v += d * w;
+                        }
+                    }
+                }
+                std::mem::swap(delta, dx);
             }
         }
     }
@@ -234,7 +351,11 @@ impl MlpGrads {
     }
 
     fn ensure_shape(&mut self, mlp: &Mlp) {
-        if self.layers.len() != mlp.layers.len() {
+        // Every layer's every dimension: a layer count, or `gw` alone,
+        // cannot tell (in 4, out 2) from (in 2, out 4).
+        let fits = self.layers.len() == mlp.layers.len()
+            && self.layers.iter().zip(&mlp.layers).all(|(g, l)| g.fits(l));
+        if !fits {
             *self = Self::zeros(mlp);
         }
     }
@@ -265,6 +386,22 @@ mod tests {
         )
     }
 
+    /// Sample-major rows to the feature-major layout of the batch passes.
+    fn feature_major(samples: &[Vec<f64>]) -> Vec<f64> {
+        let dim = samples.first().map_or(0, Vec::len);
+        (0..dim)
+            .flat_map(|c| samples.iter().map(move |x| x[c]))
+            .collect()
+    }
+
+    fn flat_grads(grads: &MlpGrads) -> Vec<f64> {
+        grads
+            .layers
+            .iter()
+            .flat_map(|g| g.gw.iter().chain(&g.gb).copied())
+            .collect()
+    }
+
     #[test]
     fn shapes_match_paper_qnet() {
         let net = paper_qnet(2);
@@ -287,36 +424,93 @@ mod tests {
     }
 
     #[test]
-    fn backward_matches_finite_difference() {
+    fn forward_batch_equals_forward_per_sample() {
         let net = paper_qnet(4);
-        let x = [0.25, -0.5, 0.75];
-        // Loss: weighted sum of outputs (covers all output coordinates).
-        let c = [1.0, -2.0, 0.5, 0.25];
-
-        let mut cache = MlpCache::default();
-        net.forward_cached(&x, &mut cache);
-        let mut grads = MlpGrads::zeros(&net);
-        net.backward(&x, &cache, &c, &mut grads);
-
-        // Flatten analytic grads in the same order as flat_params.
-        let mut analytic = Vec::new();
-        for g in &grads.layers {
-            analytic.extend_from_slice(&g.gw);
-            analytic.extend_from_slice(&g.gb);
+        let samples: Vec<Vec<f64>> = (0..5)
+            .map(|s| (0..3).map(|c| 0.3 * s as f64 - 0.2 * c as f64).collect())
+            .collect();
+        let mut batch = MlpBatch::default();
+        let out = net.forward_batch(&feature_major(&samples), samples.len(), &mut batch);
+        for (s, x) in samples.iter().enumerate() {
+            let want = net.forward(x);
+            let got: Vec<f64> = (0..4).map(|r| out[r * samples.len() + s]).collect();
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "sample {s}"
+            );
         }
+    }
+
+    #[test]
+    fn backward_batch_matches_finite_difference() {
+        let net = paper_qnet(4);
+        let samples = vec![vec![0.25, -0.5, 0.75], vec![-0.1, 0.6, 0.05]];
+        let x = feature_major(&samples);
+        // Loss: Σ over samples and outputs of c ⊙ y (covers every output).
+        let c = [1.0, -0.3, -2.0, 0.8, 0.5, 0.1, 0.25, -1.2];
+
+        let mut batch = MlpBatch::default();
+        net.forward_batch(&x, 2, &mut batch);
+        let mut grads = MlpGrads::zeros(&net);
+        net.backward_batch(&x, &mut batch, &c, &mut grads);
 
         let mut params = net.flat_params();
         let err = crate::gradient_check(
             &mut params,
-            &analytic,
+            &flat_grads(&grads),
             |p| {
                 let mut probe = net.clone();
                 probe.set_flat_params(p);
-                probe.forward(&x).iter().zip(&c).map(|(a, b)| a * b).sum()
+                let mut scratch = MlpBatch::default();
+                let y = probe.forward_batch(&x, 2, &mut scratch);
+                y.iter().zip(&c).map(|(a, b)| a * b).sum()
             },
             1e-5,
         );
         assert!(err < 1e-5, "MLP gradient error {err}");
+    }
+
+    #[test]
+    fn backward_batch_accumulates_until_zeroed() {
+        let net = paper_qnet(2);
+        let x = [0.3, -0.4, 0.9];
+        let mut batch = MlpBatch::default();
+        net.forward_batch(&x, 1, &mut batch);
+        let mut grads = MlpGrads::zeros(&net);
+        net.backward_batch(&x, &mut batch, &[1.0, -1.0], &mut grads);
+        let once = flat_grads(&grads);
+        net.backward_batch(&x, &mut batch, &[1.0, -1.0], &mut grads);
+        assert_eq!(
+            flat_grads(&grads),
+            once.iter().map(|g| g + g).collect::<Vec<_>>()
+        );
+        grads.zero();
+        assert!(flat_grads(&grads).iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn grads_are_reshaped_when_only_the_products_of_the_dims_agree() {
+        // (in 4, out 2) and (in 2, out 4) share `gw.len() == 8`; what one
+        // accumulated must not leak into the other's gradient.
+        let mut rng = StdRng::seed_from_u64(29);
+        let wide_in = Mlp::new(&mut rng, &[4, 2], &[Activation::Tanh]);
+        let wide_out = Mlp::new(&mut rng, &[2, 4], &[Activation::Tanh]);
+        let accumulate = |net: &Mlp, grads: &mut MlpGrads| {
+            let x: Vec<f64> = (0..net.in_dim()).map(|c| 0.5 - 0.3 * c as f64).collect();
+            let mut batch = MlpBatch::default();
+            net.forward_batch(&x, 1, &mut batch);
+            net.backward_batch(&x, &mut batch, &vec![1.0; net.out_dim()], grads);
+        };
+        for (stale, net) in [(&wide_in, &wide_out), (&wide_out, &wide_in)] {
+            let mut fresh = MlpGrads::zeros(net);
+            accumulate(net, &mut fresh);
+            let mut reused = MlpGrads::zeros(stale);
+            accumulate(stale, &mut reused);
+            accumulate(net, &mut reused);
+            assert_eq!(flat_grads(&reused), flat_grads(&fresh));
+            assert_eq!(reused.layers[0].gb.len(), net.out_dim());
+        }
     }
 
     #[test]
@@ -329,35 +523,40 @@ mod tests {
             &[Activation::Tanh, Activation::Sigmoid],
         );
         let mut adam = Adam::new(0.01);
-        let data: Vec<([f64; 2], f64)> = (0..128)
+        let (inputs, targets): (Vec<Vec<f64>>, Vec<f64>) = (0..128)
             .map(|i| {
                 let x0 = ((i * 37) % 64) as f64 / 32.0 - 1.0;
                 let x1 = ((i * 13) % 64) as f64 / 32.0 - 1.0;
-                ([x0, x1], 1.0 / (1.0 + (-(2.0 * x0 - x1)).exp()))
+                (vec![x0, x1], 1.0 / (1.0 + (-(2.0 * x0 - x1)).exp()))
             })
-            .collect();
+            .unzip();
+        let x = feature_major(&inputs);
+        let n = targets.len();
 
         let mse = |net: &Mlp| -> f64 {
-            data.iter()
+            inputs
+                .iter()
+                .zip(&targets)
                 .map(|(x, y)| {
                     let p = net.forward(x)[0];
                     (p - y) * (p - y)
                 })
                 .sum::<f64>()
-                / data.len() as f64
+                / n as f64
         };
 
         let before = mse(&net);
-        let mut cache = MlpCache::default();
+        let mut batch = MlpBatch::default();
         let mut grads = MlpGrads::zeros(&net);
+        let mut dout = vec![0.0; n];
         for _ in 0..300 {
             grads.zero();
-            for (x, y) in &data {
-                let out = net.forward_cached(x, &mut cache);
-                let d = [2.0 * (out[0] - y)];
-                net.backward(x, &cache, &d, &mut grads);
+            let out = net.forward_batch(&x, n, &mut batch);
+            for ((d, p), y) in dout.iter_mut().zip(out).zip(&targets) {
+                *d = 2.0 * (p - y);
             }
-            grads.scale(1.0 / data.len() as f64);
+            net.backward_batch(&x, &mut batch, &dout, &mut grads);
+            grads.scale(1.0 / n as f64);
             net.apply_grads(&grads, &mut adam);
         }
         let after = mse(&net);

@@ -2,7 +2,7 @@ use crate::replay::{ReplayMemory, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simsub_nn::{Activation, Adam, Mlp, MlpCache, MlpGrads};
+use simsub_nn::{Activation, Adam, Mlp, MlpBatch, MlpCache, MlpGrads};
 
 /// Hyperparameters of the DQN agent. Defaults are exactly the paper's
 /// Section 6.1 settings.
@@ -77,7 +77,7 @@ impl Policy {
     /// Greedy action `argmax_a Q(s, a)`, evaluated on caller-owned
     /// activations so a walk of many states allocates once.
     pub fn greedy_action(&self, state: &[f64], scratch: &mut MlpCache) -> usize {
-        argmax(self.net.forward_cached(state, scratch))
+        argmax(self.net.forward_cached(state, scratch).iter().copied())
     }
 
     /// Raw Q-values for inspection.
@@ -96,11 +96,16 @@ impl Policy {
     }
 }
 
-fn argmax(v: &[f64]) -> usize {
+/// Index of the first largest value (0 when there is none).
+fn argmax(values: impl IntoIterator<Item = f64>) -> usize {
+    let mut values = values.into_iter().enumerate();
+    let Some((_, mut top)) = values.next() else {
+        return 0;
+    };
     let mut best = 0;
-    for i in 1..v.len() {
-        if v[i] > v[best] {
-            best = i;
+    for (i, v) in values {
+        if v > top {
+            (best, top) = (i, v);
         }
     }
     best
@@ -116,9 +121,26 @@ pub struct DqnAgent {
     adam: Adam,
     epsilon: f64,
     rng: StdRng,
-    // Reused buffers to keep the hot training path allocation-light.
+    // Owned scratch: acting and training allocate nothing after the first
+    // gradient step.
     cache: MlpCache,
     grads: MlpGrads,
+    batch: Minibatch,
+}
+
+/// One gradient step's working set, feature-major like [`MlpBatch`]:
+/// value `c` of sample `s` at `[c * batch_size + s]`.
+#[derive(Default)]
+struct Minibatch {
+    /// Memory slot of each sample, in draw order.
+    slots: Vec<usize>,
+    states: Vec<f64>,
+    next_states: Vec<f64>,
+    /// TD target `y` of each sample.
+    targets: Vec<f64>,
+    /// Loss gradient w.r.t. the main network's outputs.
+    dout: Vec<f64>,
+    acts: MlpBatch,
 }
 
 impl DqnAgent {
@@ -133,11 +155,12 @@ impl DqnAgent {
         );
         let target = main.clone();
         Self {
-            memory: ReplayMemory::new(cfg.replay_capacity),
+            memory: ReplayMemory::new(cfg.replay_capacity, cfg.state_dim),
             adam: Adam::new(cfg.learning_rate),
             epsilon: cfg.epsilon_start,
             grads: MlpGrads::zeros(&main),
             cache: MlpCache::default(),
+            batch: Minibatch::default(),
             main,
             target,
             rng,
@@ -165,8 +188,13 @@ impl DqnAgent {
     }
 
     /// Greedy action from the main network.
-    pub fn act_greedy(&self, state: &[f64]) -> usize {
-        argmax(&self.main.forward(state))
+    pub fn act_greedy(&mut self, state: &[f64]) -> usize {
+        argmax(
+            self.main
+                .forward_cached(state, &mut self.cache)
+                .iter()
+                .copied(),
+        )
     }
 
     /// Q-values of the main network.
@@ -174,10 +202,9 @@ impl DqnAgent {
         self.main.forward(state)
     }
 
-    /// Stores an experience in the replay memory (Algorithm 3, line 21).
-    pub fn remember(&mut self, t: Transition) {
-        debug_assert_eq!(t.state.len(), self.cfg.state_dim);
-        debug_assert_eq!(t.next_state.len(), self.cfg.state_dim);
+    /// Stores an experience in the replay memory (Algorithm 3, line 21),
+    /// copying its states into the memory's ring.
+    pub fn remember(&mut self, t: Transition<'_>) {
         debug_assert!(t.action < self.cfg.n_actions);
         self.memory.push(t);
     }
@@ -185,37 +212,58 @@ impl DqnAgent {
     /// One gradient step on a uniformly sampled minibatch
     /// (Algorithm 3, lines 22-23). Returns the minibatch MSE loss, or
     /// `None` when the memory is still empty.
+    ///
+    /// The batch's states are gathered into agent-owned buffers and run
+    /// through each network once, layer by layer, for all samples at once;
+    /// the TD targets, the loss and every gradient element still take the
+    /// samples in draw order, so the step is bit for bit the per-sample
+    /// loop over the same draws.
     pub fn train_step(&mut self) -> Option<f64> {
         if self.memory.is_empty() {
             return None;
         }
-        // Compute TD targets first (immutable borrows of memory + target).
-        let batch: Vec<Transition> = self
-            .memory
-            .sample(&mut self.rng, self.cfg.batch_size)
-            .into_iter()
-            .cloned()
-            .collect();
-        let mut loss = 0.0;
-        self.grads.zero();
-        for t in &batch {
-            let y = if t.terminal {
+        let (n, dim) = (self.cfg.batch_size, self.cfg.state_dim);
+        let mb = &mut self.batch;
+        mb.slots.clear();
+        mb.states.resize(dim * n, 0.0);
+        mb.next_states.resize(dim * n, 0.0);
+        for s in 0..n {
+            let slot = self.rng.gen_range(0..self.memory.len());
+            let t = self.memory.get(slot);
+            for c in 0..dim {
+                mb.states[c * n + s] = t.state[c];
+                mb.next_states[c * n + s] = t.next_state[c];
+            }
+            mb.slots.push(slot);
+        }
+
+        let q_next = self.target.forward_batch(&mb.next_states, n, &mut mb.acts);
+        mb.targets.clear();
+        for (s, &slot) in mb.slots.iter().enumerate() {
+            let t = self.memory.get(slot);
+            mb.targets.push(if t.terminal {
                 t.reward
             } else {
-                let q_next = self.target.forward(&t.next_state);
-                t.reward + self.cfg.gamma * q_next[argmax(&q_next)]
-            };
-            let q = self.main.forward_cached(&t.state, &mut self.cache);
-            let q_sa = q[t.action];
-            let err = q_sa - y;
+                let best = argmax(q_next[s..].iter().step_by(n).copied());
+                t.reward + self.cfg.gamma * q_next[best * n + s]
+            });
+        }
+
+        let q = self.main.forward_batch(&mb.states, n, &mut mb.acts);
+        mb.dout.clear();
+        mb.dout.resize(self.cfg.n_actions * n, 0.0);
+        let mut loss = 0.0;
+        for (s, (&slot, &y)) in mb.slots.iter().zip(&mb.targets).enumerate() {
+            let a = self.memory.get(slot).action;
+            let err = q[a * n + s] - y;
             loss += err * err;
             // dL/dQ(s,a) = 2 (Q - y); zero elsewhere.
-            let mut dout = vec![0.0; self.cfg.n_actions];
-            dout[t.action] = 2.0 * err;
-            self.main
-                .backward(&t.state, &self.cache, &dout, &mut self.grads);
+            mb.dout[a * n + s] = 2.0 * err;
         }
-        let inv = 1.0 / batch.len() as f64;
+        self.grads.zero();
+        self.main
+            .backward_batch(&mb.states, &mut mb.acts, &mb.dout, &mut self.grads);
+        let inv = 1.0 / n as f64;
         self.grads.scale(inv);
         self.main.apply_grads(&self.grads, &mut self.adam);
         Some(loss * inv)
@@ -255,7 +303,7 @@ mod tests {
 
     #[test]
     fn greedy_action_matches_q_argmax() {
-        let agent = DqnAgent::new(DqnConfig::paper(3, 4));
+        let mut agent = DqnAgent::new(DqnConfig::paper(3, 4));
         let s = [0.3, 0.5, 0.1];
         let q = agent.q_values(&s);
         let a = agent.act_greedy(&s);
@@ -271,10 +319,10 @@ mod tests {
         // Train the agent; the frozen policy must not change.
         for i in 0..50 {
             agent.remember(Transition {
-                state: vec![0.2, 0.8],
+                state: &s,
                 action: i % 2,
                 reward: if i % 2 == 0 { 1.0 } else { 0.0 },
-                next_state: vec![0.2, 0.8],
+                next_state: &s,
                 terminal: true,
             });
         }
@@ -301,10 +349,10 @@ mod tests {
             let correct = usize::from(x >= 0.5);
             let r = if a == correct { 1.0 } else { 0.0 };
             agent.remember(Transition {
-                state: vec![x],
+                state: &[x],
                 action: a,
                 reward: r,
-                next_state: vec![x],
+                next_state: &[x],
                 terminal: true,
             });
             agent.train_step();
@@ -339,23 +387,22 @@ mod tests {
         // exploration stream, and the vendored StdRng (xoshiro256++) needs
         // a longer run than upstream's ChaCha12 did at 800.
         for episode in 0..2000 {
-            let s0 = vec![0.0];
+            let (s0, s1) = ([0.0], [1.0]);
             let a0 = agent.act(&s0);
-            let s1 = vec![1.0];
             let a1 = agent.act(&s1);
             let r = if a0 == 1 && a1 == 1 { 1.0 } else { 0.0 };
             agent.remember(Transition {
-                state: s0,
+                state: &s0,
                 action: a0,
                 reward: 0.0,
-                next_state: s1.clone(),
+                next_state: &s1,
                 terminal: false,
             });
             agent.remember(Transition {
-                state: s1,
+                state: &s1,
                 action: a1,
                 reward: r,
-                next_state: vec![2.0],
+                next_state: &[2.0],
                 terminal: true,
             });
             agent.train_step();
@@ -404,10 +451,10 @@ mod tests {
                 let x: f64 = rng.gen();
                 let a = agent.act(&[x]);
                 agent.remember(Transition {
-                    state: vec![x],
+                    state: &[x],
                     action: a,
                     reward: x,
-                    next_state: vec![x],
+                    next_state: &[x],
                     terminal: true,
                 });
                 agent.train_step();

@@ -9,7 +9,11 @@
 //! - **main network** `Q(s, a; θ)` and **target network** `Q̂(s, a; θ⁻)`;
 //!   the target is synced from the main network at the end of every
 //!   episode (Algorithm 3, line 25);
-//! - **replay memory** of capacity 2000 sampled uniformly (Section 6.1);
+//! - **replay memory** of capacity 2000 sampled uniformly (Section 6.1),
+//!   holding both states of every transition inline in one ring reserved
+//!   up front, so storing a transition copies and never allocates;
+//! - **minibatch gradient steps** that run each network once over the
+//!   whole batch on agent-owned buffers, bit for bit the per-sample loop;
 //! - **ε-greedy** exploration with ε floor 0.05 and decay 0.99;
 //! - network shape 3 → 20 (ReLU) → `2 + k` (sigmoid), Adam at 0.001,
 //!   discount γ = 0.95 (Section 6.1).

@@ -7,13 +7,19 @@
 //! over twice the trajectories: its point-distance matrix and DP buffers
 //! live in the workspace. The count is exact, so any runner can hold it.
 //!
+//! Training is held the same way: `train_rls` stores and learns from every
+//! transition on buffers the agent owns, and a t2vec gradient step records
+//! and back-propagates every GRU step on buffers sized once, so training
+//! on trajectories twice as long costs exactly the allocations of the
+//! originals, and so do three t2vec steps and one.
+//!
 //! The counter is per thread, and each scan runs on the thread that reads
 //! it, so the tests may run in parallel.
 
-use simsub::core::{ExactS, MdpConfig, Rls};
+use simsub::core::{train_rls, ExactS, MdpConfig, Rls, RlsTrainConfig};
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
-use simsub::measures::{CoordNormalizer, Dtw, T2Vec};
+use simsub::measures::{CoordNormalizer, Dtw, Measure, T2Vec, T2VecConfig};
 use simsub::rl::{DqnAgent, DqnConfig};
 use simsub::trajectory::{Point, Trajectory};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -132,4 +138,71 @@ fn exact_scan_allocations_do_not_depend_on_how_many_are_scanned() {
         })
         .collect();
     assert_eq!(counts[1], counts[0], "twice the trajectories");
+}
+
+#[test]
+fn rls_training_allocations_do_not_depend_on_trajectory_length() {
+    let corpus = generate(&DatasetSpec::porto(), 16, 31);
+    let twice_as_long = doubled(&corpus);
+    let queries: Vec<Trajectory> = generate(&DatasetSpec::porto(), 6, 32)
+        .into_iter()
+        .map(|t| Trajectory::new_unchecked(t.id, t.points()[..10].to_vec()))
+        .collect();
+    let t2vec = T2Vec::random(31, 16, CoordNormalizer::from_corpus(&twice_as_long));
+    let no_suffix = MdpConfig {
+        skip_actions: 0,
+        use_suffix: false,
+    };
+    let cases: [(&dyn Measure, MdpConfig); 2] = [(&t2vec, no_suffix), (&Dtw, MdpConfig::rls())];
+    for (measure, mdp) in cases {
+        let mut cfg = RlsTrainConfig::paper(mdp, 12);
+        cfg.validation_pairs = 4;
+        cfg.validate_every = 5;
+        let counts: Vec<(u64, usize)> = [&corpus, &twice_as_long]
+            .into_iter()
+            .map(|data| {
+                let (count, report) = allocations_in(|| train_rls(measure, data, &queries, &cfg));
+                eprintln!(
+                    "{} {}: {} transitions, {count} allocations",
+                    measure.name(),
+                    mdp.algorithm_name(),
+                    report.transitions
+                );
+                (count, report.transitions)
+            })
+            .collect();
+        assert!(counts[1].1 > counts[0].1, "longer episodes store more");
+        assert_eq!(
+            counts[1].0,
+            counts[0].0,
+            "{}: trajectories twice as long",
+            measure.name()
+        );
+    }
+}
+
+#[test]
+fn t2vec_training_allocations_do_not_depend_on_length_or_steps() {
+    let corpus = generate(&DatasetSpec::porto(), 12, 33);
+    let twice_as_long = doubled(&corpus);
+    let train = |corpus: &[Trajectory], steps: usize| {
+        let cfg = T2VecConfig {
+            steps,
+            seed: 33,
+            // Out of reach: no triplet separates, so every one is
+            // back-propagated and every step applies a gradient.
+            margin: 1e9,
+            ..T2VecConfig::default()
+        };
+        let (count, _) = allocations_in(|| T2Vec::train(corpus, &cfg));
+        eprintln!("{steps} t2vec steps: {count} allocations");
+        count
+    };
+    let one_step = train(&corpus, 1);
+    assert_eq!(
+        train(&twice_as_long, 1),
+        one_step,
+        "trajectories twice as long"
+    );
+    assert_eq!(train(&corpus, 3), one_step, "three steps");
 }

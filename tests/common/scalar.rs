@@ -2,10 +2,12 @@
 //! paper's definitions spelled point by point (Algorithm 1 ExactS, §4.2
 //! SizeS, Algorithm 2 PSS, §4.3 POS / POS-D), written only against the
 //! public `Measure::prefix_evaluator` / `init` / `extend` API — plus the
-//! learned path's two: the greedy splitting-MDP walk of RLS / RLS-Skip
-//! ([`rls_walk`], §5.1 and §5.4) and the row-major GRU step
-//! ([`ScalarGru`]) that `crates/nn` computed before its forward pass was
-//! gate-stacked.
+//! learned path's: the greedy splitting-MDP walk of RLS / RLS-Skip
+//! ([`rls_walk`], §5.1 and §5.4), the row-major GRU step ([`ScalarGru`])
+//! that `crates/nn` computed before its forward pass was gate-stacked, and
+//! the DQN training step of Algorithm 3 one transition at a time
+//! ([`ScalarDqn`], over [`mlp_layers`] and [`mlp_backward`]) as it ran
+//! before training went minibatch-major.
 //!
 //! `crates/core` keeps exactly one scan body per algorithm (the view
 //! body behind `SubtrajSearch::search_with`; `search(&[Point])` is an
@@ -18,12 +20,15 @@
 // walks positions `i`, `j`, `h`, not items.
 #![allow(clippy::needless_range_loop)]
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simsub::core::{
     sort_hits_and_truncate, ExactS, MdpConfig, Pos, PosD, Pss, Rls, ScanStats, SearchResult, SizeS,
     SubtrajSearch, TopKResult,
 };
 use simsub::measures::{distance_from_similarity, Measure};
-use simsub::rl::Policy;
+use simsub::nn::{Activation, Mlp, MlpGrads};
+use simsub::rl::{DqnConfig, Policy};
 use simsub::trajectory::{Point, SubtrajRange, Trajectory};
 
 /// One of the scan algorithms, by its scalar definition.
@@ -384,4 +389,244 @@ pub fn matvec(w: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {
                 .sum()
         })
         .collect()
+}
+
+/// The activation `Activation` names.
+fn activate(act: Activation, v: f64) -> f64 {
+    match act {
+        Activation::Relu => v.max(0.0),
+        Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+        Activation::Tanh => v.tanh(),
+        Activation::Identity => v,
+    }
+}
+
+/// The activation's derivative at the output `y` it produced.
+fn activation_slope(act: Activation, y: f64) -> f64 {
+    match act {
+        Activation::Relu => {
+            if y > 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        Activation::Sigmoid => y * (1.0 - y),
+        Activation::Tanh => 1.0 - y * y,
+        Activation::Identity => 1.0,
+    }
+}
+
+/// Every layer's output of `net` at `x`, from its public parts: each a
+/// left-to-right dot product (`f64::sum`, so seeded with `-0.0`) plus the
+/// bias, through the activation.
+pub fn mlp_layers(net: &Mlp, x: &[f64]) -> Vec<Vec<f64>> {
+    let (layers, activations) = net.parts();
+    let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(layers.len());
+    for (layer, &act) in layers.iter().zip(activations) {
+        let input = outputs.last().map_or(x, Vec::as_slice);
+        let out = matvec(&layer.w, layer.out_dim, layer.in_dim, input)
+            .into_iter()
+            .zip(&layer.b)
+            .map(|(v, b)| activate(act, v + b))
+            .collect();
+        outputs.push(out);
+    }
+    outputs
+}
+
+/// One sample's backward pass, accumulated into `grads`: the per-sample
+/// `Mlp::backward` of before the minibatch passes. `δ = dout ⊙ f'(y)`
+/// layer by layer; `gw[r][c] += δ[r] · x[c]`, `gb[r] += δ[r]`; the layer
+/// below receives `Wᵀ δ`, summed over the rows in order from `+0.0`.
+pub fn mlp_backward(
+    net: &Mlp,
+    x: &[f64],
+    outputs: &[Vec<f64>],
+    dout: &[f64],
+    grads: &mut MlpGrads,
+) {
+    let (layers, activations) = net.parts();
+    let mut delta = dout.to_vec();
+    for l in (0..layers.len()).rev() {
+        let layer = &layers[l];
+        let cols = layer.in_dim;
+        for (d, &y) in delta.iter_mut().zip(&outputs[l]) {
+            *d *= activation_slope(activations[l], y);
+        }
+        let input = if l == 0 { x } else { &outputs[l - 1] };
+        let g = &mut grads.layers[l];
+        let mut dx = vec![0.0; cols];
+        for r in 0..layer.out_dim {
+            for c in 0..cols {
+                g.gw[r * cols + c] += delta[r] * input[c];
+                dx[c] += delta[r] * layer.w[r * cols + c];
+            }
+            g.gb[r] += delta[r];
+        }
+        delta = dx;
+    }
+}
+
+/// First index of the largest value.
+fn first_argmax(v: &[f64]) -> usize {
+    let mut best = 0;
+    for i in 1..v.len() {
+        if v[i] > v[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+/// One stored experience, owned.
+#[derive(Clone)]
+struct OwnedTransition {
+    state: Vec<f64>,
+    action: usize,
+    reward: f64,
+    next_state: Vec<f64>,
+    terminal: bool,
+}
+
+/// Algorithm 3's DQN agent one transition at a time, as `DqnAgent` ran it
+/// before its minibatch pass: a ring of owned transitions, a batch drawn by
+/// cloning `batch_size` of them, then per sample a target-network forward,
+/// a main-network forward and one backward pass ([`mlp_layers`],
+/// [`mlp_backward`]), and Adam element by element over
+/// `Mlp::flat_params`. Uses `Mlp`'s public parts only.
+pub struct ScalarDqn {
+    cfg: DqnConfig,
+    main: Mlp,
+    target: Mlp,
+    memory: Vec<OwnedTransition>,
+    next: usize,
+    rng: StdRng,
+    epsilon: f64,
+    /// Adam's moments over `flat_params`, and its step count.
+    m: Vec<f64>,
+    v: Vec<f64>,
+    steps: i32,
+}
+
+impl ScalarDqn {
+    /// The network and the random stream `DqnAgent::new(cfg)` starts from.
+    pub fn new(cfg: DqnConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let main = Mlp::new(
+            &mut rng,
+            &[cfg.state_dim, cfg.hidden_dim, cfg.n_actions],
+            &[Activation::Relu, Activation::Sigmoid],
+        );
+        let params = main.param_count();
+        Self {
+            target: main.clone(),
+            main,
+            memory: Vec::new(),
+            next: 0,
+            rng,
+            epsilon: cfg.epsilon_start,
+            m: vec![0.0; params],
+            v: vec![0.0; params],
+            steps: 0,
+            cfg,
+        }
+    }
+
+    /// The main network.
+    pub fn main(&self) -> &Mlp {
+        &self.main
+    }
+
+    /// ε-greedy: one uniform draw against ε, then a uniform action or the
+    /// first best Q-value.
+    pub fn act(&mut self, state: &[f64]) -> usize {
+        if self.rng.gen::<f64>() < self.epsilon {
+            self.rng.gen_range(0..self.cfg.n_actions)
+        } else {
+            first_argmax(mlp_layers(&self.main, state).last().expect("a layer"))
+        }
+    }
+
+    /// Stores a transition, overwriting the oldest once `replay_capacity`
+    /// are held.
+    pub fn remember(
+        &mut self,
+        state: &[f64],
+        action: usize,
+        reward: f64,
+        next_state: &[f64],
+        terminal: bool,
+    ) {
+        let t = OwnedTransition {
+            state: state.to_vec(),
+            action,
+            reward,
+            next_state: next_state.to_vec(),
+            terminal,
+        };
+        if self.memory.len() < self.cfg.replay_capacity {
+            self.memory.push(t);
+        } else {
+            self.memory[self.next] = t;
+        }
+        self.next = (self.next + 1) % self.cfg.replay_capacity;
+    }
+
+    /// One gradient step; the minibatch MSE loss, or `None` on an empty
+    /// memory.
+    pub fn train_step(&mut self) -> Option<f64> {
+        if self.memory.is_empty() {
+            return None;
+        }
+        let batch: Vec<OwnedTransition> = (0..self.cfg.batch_size)
+            .map(|_| self.memory[self.rng.gen_range(0..self.memory.len())].clone())
+            .collect();
+        let mut grads = MlpGrads::zeros(&self.main);
+        let mut loss = 0.0;
+        for t in &batch {
+            let y = if t.terminal {
+                t.reward
+            } else {
+                let layers = mlp_layers(&self.target, &t.next_state);
+                let q_next = layers.last().expect("a layer");
+                t.reward + self.cfg.gamma * q_next[first_argmax(q_next)]
+            };
+            let outputs = mlp_layers(&self.main, &t.state);
+            let err = outputs.last().expect("a layer")[t.action] - y;
+            loss += err * err;
+            let mut dout = vec![0.0; self.cfg.n_actions];
+            dout[t.action] = 2.0 * err;
+            mlp_backward(&self.main, &t.state, &outputs, &dout, &mut grads);
+        }
+        let inv = 1.0 / batch.len() as f64;
+
+        // `Adam::new`'s β₁, β₂ and ε.
+        let (beta1, beta2, eps) = (0.9f64, 0.999f64, 1e-8);
+        self.steps += 1;
+        let bc1 = 1.0 - beta1.powi(self.steps);
+        let bc2 = 1.0 - beta2.powi(self.steps);
+        let mut params = self.main.flat_params();
+        let grads = grads.layers.iter().flat_map(|g| g.gw.iter().chain(&g.gb));
+        for (i, g) in grads.enumerate() {
+            let g = g * inv;
+            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
+            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
+            let m_hat = self.m[i] / bc1;
+            let v_hat = self.v[i] / bc2;
+            params[i] -= self.cfg.learning_rate * m_hat / (v_hat.sqrt() + eps);
+        }
+        self.main.set_flat_params(&params);
+        Some(loss * inv)
+    }
+
+    /// Copies the main network into the target network.
+    pub fn sync_target(&mut self) {
+        self.target = self.main.clone();
+    }
+
+    /// One multiplicative ε decay, floored.
+    pub fn decay_epsilon(&mut self) {
+        self.epsilon = (self.epsilon * self.cfg.epsilon_decay).max(self.cfg.epsilon_min);
+    }
 }
