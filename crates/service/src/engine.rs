@@ -28,10 +28,13 @@
 //!   Batch members with the same `(algo, measure, k, index)` signature are
 //!   answered by one [`ShardedDb::top_k`] call — a loop of single-query
 //!   scans sharing the resolved algorithm, measure and prune counters.
-//! - **Result cache.** Keyed by [`CorpusSnapshot::cache_key`] (the
-//!   canonical query hash mixed with the layout version); a hit
-//!   short-circuits before any search runs. Within a batch, duplicate
-//!   requests are computed once and fanned out.
+//! - **Result cache.** Keyed by [`EpochSnapshot::cache_key`] (the
+//!   canonical query hash mixed with the layout version and the epoch);
+//!   a hit short-circuits before any search runs. Admission looks first,
+//!   and a hit there is answered on the submitting thread without
+//!   touching the queue; a worker looks again at dequeue, for entries
+//!   that appeared meanwhile. Within a batch, duplicate requests are
+//!   computed once and fanned out.
 //! - **Graceful shutdown.** [`QueryEngine::shutdown`] stops admissions,
 //!   closes the queue, and joins the workers; already-queued requests are
 //!   drained and answered, never dropped. Worker or auditor panics during
@@ -52,7 +55,9 @@
 use crate::audit::AuditSample;
 use crate::batcher;
 use crate::cache::Cache;
-use crate::fault::{lock_recover, read_recover, write_recover, FaultPoint, FaultRegistry};
+use crate::fault::{
+    lock_recover, read_recover, try_lock_recover, write_recover, FaultPoint, FaultRegistry,
+};
 use crate::metrics_registry::ExpositionBuilder;
 use crate::query::{AlgoSpec, MeasureSpec, QueryRequest, QueryResponse};
 use crate::stats::{ServeStats, StatsSnapshot};
@@ -567,10 +572,32 @@ impl PendingQuery {
 }
 
 /// A completion to run with a job's answer. Runs on the worker thread
-/// that finished the job, so it must be quick and must not panic —
-/// the reactor's completion pushes onto a queue and wakes the poller,
-/// [`QueryEngine::submit`]'s sends into its [`PendingQuery`] channel.
+/// that finished the job — or, for a cache hit answered at admission,
+/// on the thread that called [`QueryEngine::submit_with_completion`],
+/// before that call returns — so it must be quick and must not panic.
+/// The reactor's completion hands its line back directly when it runs
+/// on the reactor thread and otherwise pushes onto a queue and wakes the
+/// poller; [`QueryEngine::submit`]'s sends into its [`PendingQuery`]
+/// channel.
 pub type CompletionFn = Box<dyn FnOnce(Result<QueryResponse, ServiceError>) + Send + 'static>;
+
+/// The per-request knobs of [`QueryEngine::submit_with_completion`]
+/// besides the request itself. The default is an untraced request with
+/// the engine's default deadline and no parse time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubmitOptions {
+    /// Return a per-stage timing breakdown with the answer
+    /// ([`QueryResponse::trace`]).
+    pub trace: bool,
+    /// Drop the job if no worker has started scanning it this long after
+    /// admission. `None` falls back to the engine's
+    /// `default_deadline_ms` (no deadline when that is 0 too).
+    pub deadline: Option<Duration>,
+    /// Time the caller spent turning its wire line into the request (JSON
+    /// parse plus request decode), reported as the trace's `parse_us`.
+    /// Zero for in-process callers.
+    pub parse: Duration,
+}
 
 /// How a job's answer gets back to its requester: its completion, run
 /// at most once. Delivery is guaranteed: a `Reply` dropped unused — a
@@ -612,9 +639,11 @@ struct Job {
     /// swap can land mid-queue without changing what this request sees.
     admitted: Arc<EpochSnapshot>,
     submitted: Instant,
-    /// Time `submit` spent validating, pinning, and keying this request
-    /// (the trace's admission stage).
+    /// Time `submit` spent validating, pinning, keying and looking up
+    /// this request (the trace's admission stage).
     admit_ns: u64,
+    /// The caller's line-to-request time ([`SubmitOptions::parse`]).
+    parse_ns: u64,
     /// True when the requester asked for a stage trace; enables the
     /// per-candidate scan clocks for this job's dispatch group.
     trace: bool,
@@ -640,6 +669,22 @@ impl Job {
 struct CachedAnswer {
     request: QueryRequest,
     results: Arc<Vec<TopKResult>>,
+}
+
+/// One result-cache lookup, as admission and a worker's pass 1 both make
+/// it: `key` (mixed with the admitted epoch) finds the entry, and the
+/// entry's own request must be canonically equal to `request` under
+/// `quantize`, or it is a miss.
+fn cached_answer(
+    cache: &mut Cache<u64, Arc<CachedAnswer>>,
+    key: u64,
+    request: &QueryRequest,
+    quantize: Option<f64>,
+) -> Option<Arc<Vec<TopKResult>>> {
+    cache
+        .get(&key)
+        .filter(|entry| entry.request.canonically_equal_under(request, quantize))
+        .map(|entry| Arc::clone(&entry.results))
 }
 
 /// The live-tunable knobs, on atomics so `configure` never blocks the
@@ -862,8 +907,7 @@ impl QueryEngine {
         let (tx, rx) = channel();
         self.submit_with_completion(
             request,
-            false,
-            None,
+            SubmitOptions::default(),
             // Best-effort: the requester may have given up and dropped
             // the receiver.
             Box::new(move |result| {
@@ -873,11 +917,21 @@ impl QueryEngine {
         Ok(PendingQuery { rx })
     }
 
-    /// Validates and enqueues a request whose answer `completion`
-    /// receives, on the worker thread that finishes the job — the path
-    /// every admitted request takes (the reactor's directly,
+    /// Validates and admits a request whose answer `completion` receives
+    /// — the path every admitted request takes (the reactor's directly,
     /// [`QueryEngine::submit`]'s through a channel). Validation, snapshot
-    /// pinning and the admission gate run here, synchronously.
+    /// pinning, the admission gate and a result-cache lookup run here,
+    /// synchronously, in that order.
+    ///
+    /// **Where the completion runs.** A cache hit at admission is
+    /// answered right here: the completion runs on the calling thread
+    /// *before this call returns*, and the request never enters the
+    /// queue, wakes a worker or waits on a deadline (nothing waits). It
+    /// answers `batch_size` 1, and leaves `queue_depth` and the batch
+    /// histogram alone. The lookup never blocks: a cache lock held
+    /// elsewhere reads as a miss. Every other request is queued and its
+    /// completion runs on the worker thread that finishes the job (whose
+    /// own cache lookup catches an entry that appeared meanwhile).
     ///
     /// The completion fires **exactly once** for every admitted request,
     /// no matter how the job ends (answered, deadline-expired, worker
@@ -887,20 +941,19 @@ impl QueryEngine {
     /// the completion is dropped without running — synchronous errors
     /// travel on the return value only.
     ///
-    /// A `trace`d request's answer carries a per-stage timing breakdown
-    /// ([`QueryResponse::trace`]), including the in-scan bound/kernel
-    /// split measured for its dispatch group. If no worker has *started*
-    /// scanning the request once `deadline` elapses, the job is dropped
-    /// and answered with [`ServiceError::DeadlineExceeded`] (checked at
-    /// dequeue and again between dispatch groups). `None` falls back to
-    /// the engine's `default_deadline_ms` (no deadline when that is 0
-    /// too). A deadline never changes an answer — only whether the work
-    /// runs — so it does not enter the cache key.
+    /// A [`SubmitOptions::trace`]d request's answer carries a per-stage
+    /// timing breakdown ([`QueryResponse::trace`]), including the in-scan
+    /// bound/kernel split measured for its dispatch group. If no worker
+    /// has *started* scanning a queued request once its
+    /// [`SubmitOptions::deadline`] elapses, the job is dropped and
+    /// answered with [`ServiceError::DeadlineExceeded`] (checked at
+    /// dequeue and again between dispatch groups). A deadline never
+    /// changes an answer — only whether the work runs — so it does not
+    /// enter the cache key.
     pub fn submit_with_completion(
         &self,
         request: QueryRequest,
-        trace: bool,
-        deadline: Option<Duration>,
+        options: SubmitOptions,
         completion: CompletionFn,
     ) -> Result<(), ServiceError> {
         let mut reply = Reply(Some(completion));
@@ -912,7 +965,34 @@ impl QueryEngine {
                 return Err(e);
             }
         };
-        let deadline = deadline.or_else(|| {
+        let quantize = self.inner.runtime.quantize();
+        let key = admitted.cache_key_under(&request, quantize);
+        let hit = self.admission_lookup(key, &request, quantize);
+        let mut job = Job {
+            key,
+            admitted,
+            request,
+            submitted: Instant::now(),
+            admit_ns: admit_start.elapsed().as_nanos() as u64,
+            parse_ns: options.parse.as_nanos() as u64,
+            trace: options.trace,
+            deadline: None,
+            reply,
+        };
+        if let Some(results) = hit {
+            // Admitted and answered in one step; `respond` releases the
+            // inflight slot it takes for the duration of the answer.
+            self.inner.stats.record_admitted();
+            self.inner.stats.inflight().add(1);
+            let timing = BatchTiming {
+                formed: job.submitted,
+                batch_us: 0,
+                size: 1,
+            };
+            respond(&self.inner, job, results, true, &timing, None);
+            return Ok(());
+        }
+        let deadline = options.deadline.or_else(|| {
             let ms = self
                 .inner
                 .runtime
@@ -920,16 +1000,7 @@ impl QueryEngine {
                 .load(Ordering::Relaxed); // ordering: relaxed config cell
             (ms > 0).then(|| Duration::from_millis(ms))
         });
-        let job = Job {
-            key: admitted.cache_key_under(&request, self.inner.runtime.quantize()),
-            admitted,
-            request,
-            submitted: Instant::now(),
-            admit_ns: admit_start.elapsed().as_nanos() as u64,
-            trace,
-            deadline: deadline.map(|d| Instant::now() + d),
-            reply,
-        };
+        job.deadline = deadline.map(|d| job.submitted + d);
         let guard = lock_recover(&self.sender);
         let Some(tx) = guard.as_ref() else {
             let mut job = job;
@@ -982,6 +1053,26 @@ impl QueryEngine {
             }
         }
         Ok(admitted)
+    }
+
+    /// The admission half of the result cache: the same lookup a
+    /// worker's pass 1 makes ([`cached_answer`]), taken only if the
+    /// cache lock is free. A held lock — a worker's pass 1 or insert, a
+    /// `cache_lock_stall` fault, a swap's purge — reads as a miss, so the
+    /// reactor thread never waits on it. Once shutdown has begun nothing
+    /// is answered here, so a late submit still meets the closed queue.
+    fn admission_lookup(
+        &self,
+        key: u64,
+        request: &QueryRequest,
+        quantize: Option<f64>,
+    ) -> Option<Arc<Vec<TopKResult>>> {
+        // ordering: SeqCst — pairs with shutdown()'s store, like supervise()'s check.
+        if self.inner.shutting_down.load(Ordering::SeqCst) {
+            return None;
+        }
+        let mut cache = try_lock_recover(&self.inner.cache)?;
+        cached_answer(&mut cache, key, request, quantize)
     }
 
     /// Back-off hint for shed requests: roughly how long the current
@@ -1608,13 +1699,7 @@ fn process_batch(inner: &Inner, jobs: Vec<Job>, timing: &BatchTiming) {
                 fail_job(inner, job, ServiceError::DeadlineExceeded);
                 continue;
             }
-            let hit = cache.get(&job.key).filter(|entry| {
-                entry
-                    .request
-                    .canonically_equal_under(&job.request, quantize)
-            });
-            if let Some(entry) = hit {
-                let results = Arc::clone(&entry.results);
+            if let Some(results) = cached_answer(&mut cache, job.key, &job.request, quantize) {
                 respond(inner, job, results, true, timing, None);
                 continue;
             }
@@ -1871,6 +1956,7 @@ fn respond(
     // The full report is only assembled for traced or slow requests; the
     // common path pays for a few Instant reads and nothing else.
     let trace = (job.trace || slow).then(|| TraceReport {
+        parse_us: job.parse_ns / 1_000,
         admit_us: job.admit_ns / 1_000,
         queue_us: timing
             .formed
@@ -1892,7 +1978,7 @@ fn respond(
             trace: trace.clone().expect("slow queries always build a trace"),
             epoch: job.admitted.epoch,
         };
-        eprintln!("{}", record.to_json().dump());
+        eprintln!("{}", record.to_line());
         {
             let mut log = lock_recover(&inner.slow_log);
             if log.len() == SLOW_LOG_CAPACITY {

@@ -37,7 +37,7 @@
 //! | `panic_in_scan` | panics inside the group scan (caught by the worker's `catch_unwind`; waiters get a structured `internal` error) | `process_batch` dispatch |
 //! | `slow_scan` | sleeps `ms` before the group scan | `process_batch` dispatch |
 //! | `drop_response` | drops an answer instead of sending it (the waiter observes a canceled request) | `respond` |
-//! | `cache_lock_stall` | sleeps `ms` while holding the result-cache lock | `process_batch` pass 1 |
+//! | `cache_lock_stall` | sleeps `ms` while holding the result-cache lock; admission's non-blocking lookup reads a miss meanwhile, so hits queue | `process_batch` pass 1 |
 //! | `panic_in_worker` | panics at the top of the worker loop, *outside* the dispatch `catch_unwind` — kills the thread so the supervisor's detect-and-respawn path is exercised; fires before the queue receive, so no job is lost | `worker_loop` |
 //!
 //! Probability triggers are deterministic: the decision hashes the
@@ -395,6 +395,17 @@ fn splitmix64(mut x: u64) -> u64 {
 pub(crate) fn lock_recover<T>(lock: &Mutex<T>) -> crate::sync::MutexGuard<'_, T> {
     lock.lock()
         .unwrap_or_else(crate::sync::PoisonError::into_inner)
+}
+
+/// Non-blocking [`lock_recover`]: `None` while another thread holds the
+/// lock, so a caller that must not wait (the reactor's admission cache
+/// lookup) treats a held lock as "not now".
+pub(crate) fn try_lock_recover<T>(lock: &Mutex<T>) -> Option<crate::sync::MutexGuard<'_, T>> {
+    match lock.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(crate::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(crate::sync::TryLockError::WouldBlock) => None,
+    }
 }
 
 /// Shared-mode [`lock_recover`] for `RwLock` (see above for why poison is

@@ -65,7 +65,9 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the single-line serialization to `out` ([`Json::dump`]
+    /// without the allocation).
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -221,7 +223,10 @@ impl ProtocolVersion {
     }
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// Appends one JSON number: shortest round-trip digits, and `null` for
+/// the non-finite values JSON cannot carry. Every number on the wire goes
+/// through here.
+pub(crate) fn write_num(n: f64, out: &mut String) {
     if n.is_finite() {
         // Rust's shortest-roundtrip Display: integers print without ".0",
         // which keeps ids and counts natural on the wire.

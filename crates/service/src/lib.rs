@@ -9,9 +9,9 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`engine`] | [`QueryEngine`]: worker pool, MPSC queue, micro-batching, graceful shutdown; [`CorpusSnapshot`]: one `ShardedDb` corpus (a single database is its 1-shard case) plus loaded models; [`EngineHandle`]: epoch-versioned hot-swap cell ([`QueryEngine::swap_snapshot`] = live reload); bulkheads: panic-isolated dispatch, worker supervision, bounded admission with deadlines; one completion-based admission path ([`QueryEngine::submit_with_completion`]) that answers every admitted request exactly once — [`QueryEngine::submit`] is it plus a channel |
+//! | [`engine`] | [`QueryEngine`]: worker pool, MPSC queue, micro-batching, graceful shutdown; [`CorpusSnapshot`]: one `ShardedDb` corpus (a single database is its 1-shard case) plus loaded models; [`EngineHandle`]: epoch-versioned hot-swap cell ([`QueryEngine::swap_snapshot`] = live reload); bulkheads: panic-isolated dispatch, worker supervision, bounded admission with deadlines; one completion-based admission path ([`QueryEngine::submit_with_completion`], knobs in [`SubmitOptions`]) that answers every admitted request exactly once, a cache hit at admission on the caller's thread — [`QueryEngine::submit`] is it plus a channel |
 //! | `batcher` (private) | the shared micro-batcher: windowed queue drain that recovers cold-path batching on multi-worker pools |
-//! | `reactor` (private) | the one connection front end: readiness-polled serve loop (epoll via the vendored `polling` shim): 10k+ connections on one thread, pipelined out-of-order responses by wire-v2 `"id"` |
+//! | `reactor` (private) | the one connection front end: readiness-polled serve loop (epoll via the vendored `polling` shim): 10k+ connections on one thread, pipelined out-of-order responses by wire-v2 `"id"`; admission cache hits answered in the same poll turn |
 //! | [`fault`] | named fault-injection points for chaos testing (`SIMSUB_FAULTS`, admin `configure`); zero-cost when disarmed |
 //! | [`query`] | request/response model, canonical query hash |
 //! | [`cache`] | O(1) LRU result cache with epoch-stamped entries |
@@ -72,7 +72,8 @@ pub mod trace;
 
 pub use engine::{
     CompletionFn, ConfigUpdate, ConfigView, CorpusSnapshot, EngineConfig, EngineHandle,
-    EpochSnapshot, PendingQuery, QueryEngine, ServiceError, ShutdownReport, SwapReport,
+    EpochSnapshot, PendingQuery, QueryEngine, ServiceError, ShutdownReport, SubmitOptions,
+    SwapReport,
 };
 pub use fault::{FaultPoint, FaultRegistry};
 pub use json::ProtocolVersion;

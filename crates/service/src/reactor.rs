@@ -5,11 +5,19 @@
 //! per-connection read/write buffers, newline framing across partial
 //! reads, write-interest re-arming on partial writes. Queries are
 //! submitted to the engine with a completion callback
-//! ([`QueryEngine::submit_with_completion`]); the callback renders the
-//! wire line on the worker thread and posts it back over an MPSC
-//! channel plus an eventfd wakeup, so the polling thread never blocks
-//! on engine work and one pipelined connection can have many queries in
-//! flight at once.
+//! ([`QueryEngine::submit_with_completion`]) that renders the wire line.
+//! Where it runs decides how the line comes back:
+//!
+//! - A **cache hit at admission** is answered inside the submit call, on
+//!   this thread: the completion leaves its line in a thread-local slot,
+//!   and the reactor writes it in the same turn, through the same
+//!   reorder buffer — no channel hop, no eventfd write, no extra poll
+//!   turn. The engine's lookup only `try_lock`s the cache, so the
+//!   polling thread never waits on a lock a worker or a fault holds.
+//! - **Everything else** completes on a worker thread, which posts the
+//!   line back over an MPSC channel plus an eventfd wakeup. The polling
+//!   thread never blocks on engine work, and one pipelined connection
+//!   can have many queries in flight at once.
 //!
 //! # Ordering (the wire contract, enforced here)
 //!
@@ -36,11 +44,23 @@ use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use crate::sync::Arc;
 use polling::{Event, Events, Interest, Poller, Waker};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// True on the reactor thread. A completion that finds it set is
+    /// running inside the reactor's own `submit_with_completion` call —
+    /// the engine answered a cache hit at admission — since the reactor
+    /// runs no other engine work.
+    static ON_REACTOR: Cell<bool> = const { Cell::new(false) };
+    /// The line such a completion rendered, taken by the reactor as soon
+    /// as the submit call returns.
+    static INLINE_LINE: Cell<Option<String>> = const { Cell::new(None) };
+}
 
 /// Registration key of the cross-thread waker.
 const KEY_WAKER: usize = usize::MAX - 1;
@@ -154,6 +174,7 @@ pub(crate) fn run(
     engine: &Arc<QueryEngine>,
     stop: &Arc<AtomicBool>,
 ) {
+    ON_REACTOR.set(true);
     let (tx, rx) = channel();
     let mut reactor = Reactor {
         engine,
@@ -542,11 +563,7 @@ impl Reactor<'_> {
                     }
                 }
             }
-            LineJob::Query {
-                request,
-                trace,
-                deadline,
-            } => {
+            LineJob::Query { request, options } => {
                 let tx = self.tx.clone();
                 let waker = Arc::clone(&self.waker);
                 let key = conn.key;
@@ -558,12 +575,18 @@ impl Reactor<'_> {
                 let completion = Box::new(move |outcome: Result<QueryResponse, ServiceError>| {
                     let line = server::render_query_outcome(
                         outcome,
-                        trace,
+                        options.trace,
                         version,
                         completion_id.as_ref(),
                         error_epoch,
-                    )
-                    .dump();
+                    );
+                    if ON_REACTOR.get() {
+                        // Answered inside the reactor's own submit call
+                        // (a cache hit at admission): hand the line back
+                        // without the channel hop or a self-wake.
+                        INLINE_LINE.set(Some(line));
+                        return;
+                    }
                     let _ = tx.send(Completed {
                         conn: key,
                         seq,
@@ -574,9 +597,13 @@ impl Reactor<'_> {
                 });
                 match self
                     .engine
-                    .submit_with_completion(request, trace, deadline, completion)
+                    .submit_with_completion(request, options, completion)
                 {
-                    Ok(()) => conn.pending += 1,
+                    Ok(()) => match INLINE_LINE.take() {
+                        // Written this turn, through the reorder buffer.
+                        Some(line) => Self::deliver(conn, ordered, seq, line),
+                        None => conn.pending += 1,
+                    },
                     Err(e) => {
                         // Rejected at admission: the completion never runs
                         // (dropped disarmed); answer synchronously.

@@ -84,6 +84,12 @@
 //! offline `TrajectoryDb::top_k` for the same request against the same
 //! snapshot.
 //!
+//! `"batch"` counts the requests that shared the answer's dispatch
+//! batch. A repeat found in the result cache at admission is answered on
+//! the spot, in the same poll turn that read it, without entering the
+//! queue: it reports `"cached":true,"batch":1`. A hit found later, by a
+//! worker's dequeue-time lookup, reports its batch like a miss does.
+//!
 //! **Deadlines (v2 only):** a v2 query may add `"deadline_ms": N` (a
 //! positive integer). If no worker has *started* scanning the request
 //! within `N` milliseconds of admission, it is dropped and answered with
@@ -91,8 +97,9 @@
 //! (checked at dequeue and between dispatch groups). A deadline never
 //! changes an answer — only whether the work runs — and does not affect
 //! cache identity. Engines started with `--default-deadline-ms` apply
-//! that budget to requests that carry none. On a v1 line the field is
-//! ignored, like `"trace"`: v1 semantics never change.
+//! that budget to requests that carry none. A cache hit answered at
+//! admission waits for nothing, so no deadline applies to it. On a v1
+//! line the field is ignored, like `"trace"`: v1 semantics never change.
 //!
 //! **Stage tracing (v2 only):** a v2 query may add `"trace": true`; its
 //! response then carries a `"trace"` object *appended after* the v1 body
@@ -100,11 +107,16 @@
 //! "bound_us":..,"kernel_us":..,"merge_us":..,"serialize_us":..,
 //! "scanned":..,"pruned_by_kim":..,"pruned_by_mbr":..,
 //! "pruned_by_points":..,"searched":..,"abandoned":..,
-//! "searched_cells":..,"cached":..,"batch_size":..}` (see
+//! "searched_cells":..,"cached":..,"batch_size":..,"parse_us":..}` (see
 //! [`crate::trace::TraceReport`]; `"abandoned"` counts searched
 //! candidates the free-start DP settled below the k-th; the rest entered
 //! the heap with their range pending, and at most `k` per scan recovered
-//! it). On a v1 line the flag is ignored: v1
+//! it). `"parse_us"`, appended last, is the server's JSON parse and
+//! request decode of the line; `"serialize_us"` is the time to write the
+//! response body. A hit answered at admission reports `"queue_us":0`
+//! and `"batch_us":0`: it goes from parse through admission (which
+//! includes its cache lookup) to serialize on one thread. Trace fields
+//! are only ever appended. On a v1 line the flag is ignored: v1
 //! responses never grow fields. Tracing turns on the per-candidate
 //! bound/kernel clocks for the traced query's dispatch group only;
 //! untraced traffic keeps the near-zero disabled path.
@@ -196,8 +208,8 @@
 //!   computed from the *actual* request — quantization never perturbs a
 //!   search, only cache identity.
 
-use crate::engine::{ConfigUpdate, CorpusSnapshot, QueryEngine, ServiceError};
-use crate::json::{obj, Json, ProtocolVersion};
+use crate::engine::{ConfigUpdate, CorpusSnapshot, QueryEngine, ServiceError, SubmitOptions};
+use crate::json::{obj, write_num, Json, ProtocolVersion};
 use crate::query::{QueryRequest, QueryResponse};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Arc;
@@ -206,7 +218,7 @@ use simsub_index::PartitionerKind;
 use std::net::TcpListener;
 use std::path::Path;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How the server multiplexes connections: one readiness-polled thread
 /// owns every connection (see the module docs). A single variant, kept
@@ -410,15 +422,16 @@ pub(crate) enum LineJob {
     /// `reload`, carrying the parsed command: heavy (file reads + index
     /// build), so the reactor must not run it on the polling thread.
     Reload(Json),
-    /// A query to submit to the engine.
+    /// A query to submit to the engine, with its trace flag, deadline
+    /// and the time classification took.
     Query {
         request: QueryRequest,
-        trace: bool,
-        deadline: Option<Duration>,
+        options: SubmitOptions,
     },
 }
 
 pub(crate) fn classify_line(line: &str, engine: &QueryEngine) -> LineOutcome {
+    let started = Instant::now();
     // Unparseable lines have no trustworthy envelope: answer in v1
     // (whose envelope is the identity, preserving the legacy bytes).
     let v1_error = |body: Json| LineOutcome {
@@ -473,41 +486,99 @@ pub(crate) fn classify_line(line: &str, engine: &QueryEngine) -> LineOutcome {
             (Ok(_), Err(e)) => LineJob::Immediate(error_response(e)),
             (Ok(request), Ok(deadline)) => LineJob::Query {
                 request,
-                trace: trace_requested,
-                deadline,
+                options: SubmitOptions {
+                    trace: trace_requested,
+                    deadline,
+                    parse: started.elapsed(),
+                },
             },
         }
     };
     LineOutcome { version, id, job }
 }
 
-/// Renders a finished query into its wire response. Queries echo the
-/// epoch they were *admitted* under (which a concurrent reload may have
-/// already left behind); errors echo `error_epoch` — the epoch current
-/// when the line was handled.
+/// Renders a finished query into its wire line. Queries echo the epoch
+/// they were *admitted* under (which a concurrent reload may have already
+/// left behind); errors echo `error_epoch` — the epoch current when the
+/// line was handled.
 pub(crate) fn render_query_outcome(
     outcome: Result<QueryResponse, ServiceError>,
     trace_requested: bool,
     version: ProtocolVersion,
     id: Option<&Json>,
     error_epoch: u64,
-) -> Json {
+) -> String {
     match outcome {
-        Ok(mut response) => {
-            let epoch = response.epoch;
-            // A slow-query outlier also carries a trace (for the log);
-            // only echo it when it was asked for.
-            let trace = response.trace.take().filter(|_| trace_requested);
-            let render_started = std::time::Instant::now();
-            let mut body = response.to_json();
-            if let (Some(mut trace), Json::Obj(pairs)) = (trace, &mut body) {
-                trace.serialize_us = render_started.elapsed().as_micros() as u64;
-                pairs.push(("trace".to_string(), trace.to_json()));
-            }
-            version.envelope(body, id, epoch)
-        }
-        Err(e) => version.envelope(service_error_response(&e), id, error_epoch),
+        Ok(response) => query_line(response, trace_requested, version, id),
+        Err(e) => version
+            .envelope(service_error_response(&e), id, error_epoch)
+            .dump(),
     }
+}
+
+/// The wire line (without its newline) of a successful query, written
+/// straight into one `String`: the v1 body, then the `"trace"` object if
+/// `trace_requested` and the response carries one, then the v2 envelope.
+/// Byte for byte it is what [`QueryResponse::to_json`], the trace object
+/// appended to it, [`ProtocolVersion::envelope`] and [`Json::dump`]
+/// render together (`tests/wire_writer.rs` holds the two to each other).
+/// The trace's `serialize_us` times the body write.
+pub fn query_line(
+    mut response: QueryResponse,
+    trace_requested: bool,
+    version: ProtocolVersion,
+    id: Option<&Json>,
+) -> String {
+    let started = Instant::now();
+    // A slow-query outlier also carries a trace (for the log); only echo
+    // it when it was asked for.
+    let trace = response.trace.take().filter(|_| trace_requested);
+    let mut line = String::with_capacity(160 + 112 * response.results.len());
+    line.push_str(if response.cached {
+        "{\"ok\":true,\"cached\":true,\"batch\":"
+    } else {
+        "{\"ok\":true,\"cached\":false,\"batch\":"
+    });
+    write_num(response.batch_size as f64, &mut line);
+    line.push_str(",\"latency_us\":");
+    write_num(response.latency.as_micros() as f64, &mut line);
+    line.push_str(",\"results\":[");
+    for (i, hit) in response.results.iter().enumerate() {
+        line.push_str(if i == 0 {
+            "{\"trajectory_id\":"
+        } else {
+            ",{\"trajectory_id\":"
+        });
+        write_num(hit.trajectory_id as f64, &mut line);
+        line.push_str(",\"start\":");
+        write_num(hit.result.range.start as f64, &mut line);
+        line.push_str(",\"end\":");
+        write_num(hit.result.range.end as f64, &mut line);
+        line.push_str(",\"distance\":");
+        write_num(hit.result.distance, &mut line);
+        line.push_str(",\"similarity\":");
+        write_num(hit.result.similarity, &mut line);
+        line.push('}');
+    }
+    line.push(']');
+    if let Some(mut trace) = trace {
+        trace.serialize_us = started.elapsed().as_micros() as u64;
+        line.push_str(",\"trace\":");
+        trace.write_json(&mut line);
+    }
+    if version == ProtocolVersion::V2 {
+        // The query body never carries an `"epoch"` of its own, so the
+        // envelope always appends the admitted one.
+        line.push_str(",\"v\":2");
+        if let Some(id) = id {
+            line.push_str(",\"id\":");
+            id.write(&mut line);
+        }
+        line.push_str(",\"epoch\":");
+        write_num(response.epoch as f64, &mut line);
+    }
+    line.push('}');
+    line
 }
 
 /// Handles one parsed admin/introspection command (`stats`, `ping`,

@@ -6,22 +6,30 @@
 //! path:
 //!
 //! ```text
-//! admission -> queue wait -> batch formation -> scan (bounds | DP kernel)
-//!           -> merge -> serialize
+//! parse -> admission -> queue wait -> batch formation
+//!       -> scan (bounds | DP kernel) -> merge -> serialize
 //! ```
 //!
-//! The service-level stages (admit/queue/batch/scan/merge) are measured
-//! from a handful of per-batch `Instant` reads the engine takes anyway,
-//! so they cost nothing extra per request; the in-scan split into bound
-//! evaluation vs DP kernel time needs per-candidate clocks and is only
-//! accumulated while a traced query's scan runs (see
+//! A cache hit answered at admission never leaves the thread that
+//! parsed it (the reactor): its stages are parse, admission (which then
+//! includes the cache lookup) and serialize, and it reports zero queue,
+//! batch, scan and merge time. A hit found later by a worker's pass 1
+//! reports its queue wait and batch formation as well.
+//!
+//! `parse_us` is the reactor's JSON parse plus request decode, handed to
+//! the engine in `SubmitOptions::parse`. The service-level stages
+//! (admit/queue/batch/scan/merge) are measured from a handful of
+//! per-batch `Instant` reads the engine takes anyway, so they cost
+//! nothing extra per request; the in-scan split into bound evaluation vs
+//! DP kernel time needs per-candidate clocks and is only accumulated
+//! while a traced query's scan runs (see
 //! [`simsub_core::scan_timing_scope`]). `serialize_us` is stamped by the
-//! server after rendering the response body. Scan-stage numbers describe
+//! server once the response body is written. Scan-stage numbers describe
 //! the *dispatch group* the query was answered in (a batched scan answers
 //! several deduplicated queries at once); cache hits report zero scan
 //! work and `cached: true`.
 
-use crate::json::{obj, Json};
+use crate::json::write_num;
 use simsub_core::PruneStats;
 
 /// Per-stage timing (microseconds) and prune accounting for one answered
@@ -29,11 +37,14 @@ use simsub_core::PruneStats;
 /// and logged for slow queries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
-    /// Admission: request validation, snapshot pinning, and cache-key
-    /// computation inside `submit`.
+    /// Wire line to request: the reactor's JSON parse and request decode
+    /// (0 for in-process submits).
+    pub parse_us: u64,
+    /// Admission: request validation, snapshot pinning, cache-key
+    /// computation and the admission cache lookup inside `submit`.
     pub admit_us: u64,
     /// Time between submission and the batch containing this job being
-    /// fully formed (queue wait).
+    /// fully formed (queue wait; 0 for hits answered at admission).
     pub queue_us: u64,
     /// Time the draining worker spent forming this job's batch.
     pub batch_us: u64,
@@ -49,7 +60,7 @@ pub struct TraceReport {
     /// Post-scan cache insertion and response fan-out until this job's
     /// reply was sent.
     pub merge_us: u64,
-    /// Response-body rendering time, stamped by the server.
+    /// Response-body writing time, stamped by the server.
     pub serialize_us: u64,
     /// Prune cascade counters of the dispatch group's scan (all zero for
     /// cache hits).
@@ -61,33 +72,46 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Wire form: the `"trace"` object appended to traced responses.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("admit_us", Json::Num(self.admit_us as f64)),
-            ("queue_us", Json::Num(self.queue_us as f64)),
-            ("batch_us", Json::Num(self.batch_us as f64)),
-            ("scan_us", Json::Num(self.scan_us as f64)),
-            ("bound_us", Json::Num(self.bound_us as f64)),
-            ("kernel_us", Json::Num(self.kernel_us as f64)),
-            ("merge_us", Json::Num(self.merge_us as f64)),
-            ("serialize_us", Json::Num(self.serialize_us as f64)),
-            ("scanned", Json::Num(self.prune.scanned as f64)),
-            ("pruned_by_kim", Json::Num(self.prune.pruned_by_kim as f64)),
-            ("pruned_by_mbr", Json::Num(self.prune.pruned_by_mbr as f64)),
-            (
-                "pruned_by_points",
-                Json::Num(self.prune.pruned_by_points as f64),
-            ),
-            ("searched", Json::Num(self.prune.searched as f64)),
-            ("abandoned", Json::Num(self.prune.abandoned as f64)),
-            (
-                "searched_cells",
-                Json::Num(self.prune.searched_cells as f64),
-            ),
-            ("cached", Json::Bool(self.cached)),
-            ("batch_size", Json::Num(self.batch_size as f64)),
-        ])
+    /// Appends the wire form — the `"trace"` object of traced responses —
+    /// to `out`. `parse_us` came last and stays last: fields are only
+    /// ever appended.
+    pub fn write_json(&self, out: &mut String) {
+        let prune = &self.prune;
+        for (i, (key, value)) in [
+            ("admit_us", self.admit_us),
+            ("queue_us", self.queue_us),
+            ("batch_us", self.batch_us),
+            ("scan_us", self.scan_us),
+            ("bound_us", self.bound_us),
+            ("kernel_us", self.kernel_us),
+            ("merge_us", self.merge_us),
+            ("serialize_us", self.serialize_us),
+            ("scanned", prune.scanned),
+            ("pruned_by_kim", prune.pruned_by_kim),
+            ("pruned_by_mbr", prune.pruned_by_mbr),
+            ("pruned_by_points", prune.pruned_by_points),
+            ("searched", prune.searched),
+            ("abandoned", prune.abandoned),
+            ("searched_cells", prune.searched_cells),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            out.push_str(if i == 0 { "{\"" } else { ",\"" });
+            out.push_str(key);
+            out.push_str("\":");
+            write_num(value as f64, out);
+        }
+        out.push_str(if self.cached {
+            ",\"cached\":true"
+        } else {
+            ",\"cached\":false"
+        });
+        out.push_str(",\"batch_size\":");
+        write_num(self.batch_size as f64, out);
+        out.push_str(",\"parse_us\":");
+        write_num(self.parse_us as f64, out);
+        out.push('}');
     }
 }
 
@@ -106,23 +130,27 @@ pub struct SlowQueryRecord {
 impl SlowQueryRecord {
     /// One-line JSON form, used both for the stderr slow-query log and
     /// the in-memory ring exposed to tests.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("slow_query", Json::Bool(true)),
-            ("latency_us", Json::Num(self.latency_us as f64)),
-            ("epoch", Json::Num(self.epoch as f64)),
-            ("trace", self.trace.to_json()),
-        ])
+    pub fn to_line(&self) -> String {
+        let mut out = String::from("{\"slow_query\":true,\"latency_us\":");
+        write_num(self.latency_us as f64, &mut out);
+        out.push_str(",\"epoch\":");
+        write_num(self.epoch as f64, &mut out);
+        out.push_str(",\"trace\":");
+        self.trace.write_json(&mut out);
+        out.push('}');
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn trace_report_serializes_every_stage() {
         let report = TraceReport {
+            parse_us: 9,
             admit_us: 1,
             queue_us: 2,
             batch_us: 3,
@@ -144,8 +172,10 @@ mod tests {
             cached: false,
             batch_size: 2,
         };
-        let json = report.to_json();
-        for (key, want) in [
+        let mut line = String::new();
+        report.write_json(&mut line);
+        let json = Json::parse(&line).expect("the trace is one JSON object");
+        let want = [
             ("admit_us", 1.0),
             ("queue_us", 2.0),
             ("batch_us", 3.0),
@@ -162,10 +192,21 @@ mod tests {
             ("abandoned", 2.0),
             ("searched_cells", 99.0),
             ("batch_size", 2.0),
-        ] {
-            assert_eq!(json.get(key).and_then(Json::as_f64), Some(want), "{key}");
+            ("parse_us", 9.0),
+        ];
+        for (key, value) in want {
+            assert_eq!(json.get(key).and_then(Json::as_f64), Some(value), "{key}");
         }
         assert_eq!(json.get("cached").and_then(Json::as_bool), Some(false));
+        // Wire order is append-only: today's keys in today's order, with
+        // `cached` before `batch_size` and `parse_us` last.
+        let Json::Obj(pairs) = json else {
+            unreachable!()
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        let mut expected: Vec<&str> = want[..15].iter().map(|(k, _)| *k).collect();
+        expected.extend(["cached", "batch_size", "parse_us"]);
+        assert_eq!(keys, expected);
     }
 
     #[test]
@@ -175,7 +216,7 @@ mod tests {
             trace: TraceReport::default(),
             epoch: 7,
         };
-        let json = record.to_json();
+        let json = Json::parse(&record.to_line()).expect("one JSON line");
         assert_eq!(json.get("slow_query").and_then(Json::as_bool), Some(true));
         assert_eq!(json.get("latency_us").and_then(Json::as_f64), Some(1234.0));
         assert_eq!(json.get("epoch").and_then(Json::as_f64), Some(7.0));

@@ -9,6 +9,9 @@
 //! `SharedSimFloor`); models 4–5 are faithful mirrors of the admission
 //! accounting and the supervisor/shutdown handshake (the real loops
 //! block on OS I/O and timers, which a model checker cannot schedule).
+//! Model 6 mirrors the admission-time cache lookup over the real handle,
+//! key, cache and stats types, racing a worker's insert and a swap's
+//! purge.
 //! A final self-test reverts the epoch-pinning discipline and asserts
 //! the checker *catches* the seeded race, so a green suite means the
 //! checker is alive, not just silent.
@@ -28,8 +31,9 @@ use simsub_index::TrajectoryDb;
 use simsub_service::cache::Cache;
 use simsub_service::stats::ServeStats;
 use simsub_service::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use simsub_service::sync::Mutex;
-use simsub_service::{CorpusSnapshot, EngineHandle};
+use simsub_service::sync::{Mutex, TryLockError};
+use simsub_service::{AlgoSpec, CorpusSnapshot, EngineHandle, MeasureSpec, QueryRequest};
+use simsub_trajectory::Point;
 
 /// Every model must clear this many interleavings (the issue's floor).
 const MIN_INTERLEAVINGS: usize = 1_000;
@@ -397,6 +401,131 @@ fn model_shutdown_vs_supervisor_respawn() {
 }
 
 // ---------------------------------------------------------------------------
+// Model 6: the admission cache lookup vs a worker's insert and a swap's purge.
+// ---------------------------------------------------------------------------
+
+/// Mirrors `QueryEngine::submit_with_completion`'s cache read against
+/// the cache's two writers. Admission pins its epoch with one `load()`,
+/// keys the request under it (the real `EpochSnapshot::cache_key`), and
+/// only `try_lock`s the cache: a held lock is a miss, and the request
+/// queues, where a worker's pass 1 looks again under the blocking lock.
+/// Concurrently a worker answers a request it pinned earlier and inserts
+/// the answer under its own epoch, and a swap bumps the epoch and purges.
+/// Each cached value is the epoch its answer was computed under. Every
+/// hit, at admission or in pass 1, must be an entry of the looking
+/// request's own admitted epoch, and with every request answered once the
+/// books must reconcile.
+fn run_admission_lookup() -> Report {
+    let db = shared_db();
+    let report = builder(Some(2)).check(move || {
+        let handle = Arc::new(EngineHandle::new(CorpusSnapshot::new(db.clone())));
+        let cache: Arc<Mutex<Cache<u64, u64>>> = Arc::new(Mutex::new(Cache::new(8)));
+        let stats = Arc::new(ServeStats::new());
+        let request = QueryRequest {
+            query: vec![Point::xy(0.5, 0.5), Point::xy(1.0, 0.5)],
+            algo: AlgoSpec::Pss,
+            measure: MeasureSpec::Dtw,
+            k: 1,
+            use_index: true,
+        };
+
+        let worker = {
+            let (h, c, s, r) = (
+                Arc::clone(&handle),
+                Arc::clone(&cache),
+                Arc::clone(&stats),
+                request.clone(),
+            );
+            thread::spawn(move || {
+                let pinned = h.load();
+                s.record_admitted();
+                let key = pinned.cache_key(&r);
+                c.lock()
+                    .unwrap()
+                    .insert(key, pinned.epoch(), pinned.epoch());
+                s.record_request(Duration::ZERO, false);
+            })
+        };
+        let swapper = {
+            let (h, c, s) = (Arc::clone(&handle), Arc::clone(&cache), Arc::clone(&stats));
+            let db = db.clone();
+            thread::spawn(move || {
+                let (_, new) = h.swap(CorpusSnapshot::new(Arc::clone(&db)));
+                let evicted = c.lock().unwrap().purge_below_epoch(new.epoch());
+                s.record_swap(evicted as u64);
+            })
+        };
+        let admission = {
+            let (h, c, s, r) = (
+                Arc::clone(&handle),
+                Arc::clone(&cache),
+                Arc::clone(&stats),
+                request.clone(),
+            );
+            thread::spawn(move || {
+                let pinned = h.load();
+                let key = pinned.cache_key(&r);
+                let hit = match c.try_lock() {
+                    Ok(mut cache) => cache.get(&key),
+                    Err(TryLockError::WouldBlock) => None,
+                    Err(TryLockError::Poisoned(_)) => unreachable!("nothing panics holding it"),
+                };
+                s.record_admitted();
+                match hit {
+                    Some(computed_under) => {
+                        assert_eq!(
+                            computed_under,
+                            pinned.epoch(),
+                            "admission served another epoch's entry"
+                        );
+                        s.record_request(Duration::ZERO, true);
+                        None
+                    }
+                    // A miss queues, still pinned to its admitted epoch.
+                    None => Some(pinned),
+                }
+            })
+        };
+
+        worker.join().unwrap();
+        swapper.join().unwrap();
+        if let Some(pinned) = admission.join().unwrap() {
+            // The queued miss in a worker's pass 1: the blocking lock, the
+            // key it was admitted with, then a scan and an insert on a miss.
+            let key = pinned.cache_key(&request);
+            let mut cache = cache.lock().unwrap();
+            match cache.get(&key) {
+                Some(computed_under) => {
+                    assert_eq!(computed_under, pinned.epoch(), "pass 1 crossed epochs");
+                    stats.record_request(Duration::ZERO, true);
+                }
+                None => {
+                    cache.insert(key, pinned.epoch(), pinned.epoch());
+                    stats.record_request(Duration::ZERO, false);
+                }
+            }
+        }
+
+        let snap = stats.snapshot();
+        assert_eq!(snap.admitted, 2);
+        assert_eq!(
+            snap.admitted,
+            snap.requests + snap.shed + snap.deadline_expired + snap.internal_errors,
+            "quiesced reconciliation identity broke"
+        );
+        assert!(snap.cache_hits <= 1, "only the admitted request can hit");
+        assert_eq!(handle.epoch(), 2);
+    });
+    assert_explored("admission_lookup", &report);
+    report
+}
+
+#[test]
+fn model_admission_lookup_vs_insert_and_purge() {
+    run_admission_lookup();
+}
+
+// ---------------------------------------------------------------------------
 // Self-test: the checker catches a seeded epoch-pinning race.
 // ---------------------------------------------------------------------------
 
@@ -454,7 +583,7 @@ fn export_bench_stats() {
     let Some(path) = std::env::var_os("SIMSUB_MODELCHECK_BENCH") else {
         return;
     };
-    let models: [(&str, &str, fn() -> Report); 5] = [
+    let models: [(&str, &str, fn() -> Report); 6] = [
         ("epoch_pinning_across_swaps", "3", run_epoch_pinning),
         ("purge_below_epoch_vs_insert", "3", run_purge_vs_insert),
         ("sim_floor_monotonic", "2", run_sim_floor_monotonic),
@@ -467,6 +596,11 @@ fn export_bench_stats() {
             "shutdown_vs_supervisor_respawn",
             "null",
             run_shutdown_vs_respawn,
+        ),
+        (
+            "admission_lookup_vs_insert_and_purge",
+            "2",
+            run_admission_lookup,
         ),
     ];
     let mut entries = Vec::new();

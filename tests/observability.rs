@@ -259,6 +259,7 @@ fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
         "kernel_us",
         "merge_us",
         "serialize_us",
+        "parse_us",
         "scanned",
         "pruned_by_points",
         "abandoned",
@@ -282,12 +283,17 @@ fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
     assert!(scanned >= 1.0, "cold scan counters: {cold}");
 
     // A cached replay still traces — with `cached:true` and no scan work.
+    // It was answered at admission, so it never queued or batched.
     let warm = send(&query_line(&query, ",\"v\":2,\"trace\":true"));
     assert!(
         warm.contains("\"trace\":{") && warm.contains("\"cached\":true"),
         "warm trace: {warm}"
     );
     assert!(warm.contains("\"scanned\":0"), "warm scan work: {warm}");
+    assert!(
+        warm.contains("\"queue_us\":0,\"batch_us\":0,") && warm.contains("\"batch_size\":1,"),
+        "admission hit trace: {warm}"
+    );
 
     server.stop();
     drop(stream);
@@ -319,7 +325,7 @@ fn slow_query_log_captures_outliers() {
         assert_eq!(record.epoch, 1);
         assert!(!record.trace.cached);
         assert!(record.trace.prune.scanned > 0);
-        let line = record.to_json().dump();
+        let line = record.to_line();
         assert!(
             line.contains("\"slow_query\":true") && line.contains("\"scan_us\":"),
             "log line: {line}"

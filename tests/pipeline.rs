@@ -2,16 +2,21 @@
 //! "Connections & response ordering" section).
 //!
 //! One connection sends many queries before reading anything back. A
-//! fault-injected `slow_scan` makes the head-of-line query the slow one
-//! (the later queries were pre-warmed into the result cache, and cache
-//! hits never reach the scan fault point), so head-of-line blocking is
-//! observable: id-carrying responses may overtake it (and the test
-//! demands they do); id-less responses must never reorder. One case
-//! holds the reactor's completion routing against connection close: a
-//! dead connection's late answer never reaches the connection that
-//! reuses its slot. A last case holds the reactor's connection-scale
-//! claim: hundreds of idle connections cost descriptors, not threads,
-//! and do not get in a pipelined client's way.
+//! fault-injected `slow_scan` makes the head-of-line query the slow one.
+//! The later queries were pre-warmed into the result cache, so each is
+//! answered at admission, on the reactor thread, in the poll turn that
+//! read it: the tests count dispatched batches to prove none of them
+//! queued. Head-of-line blocking is therefore observable: id-carrying
+//! responses may overtake it (and the test demands they do); id-less
+//! responses must never reorder, so the reorder buffer holds the hits
+//! until the slow head is written. A held cache lock must not stall the
+//! reactor either: with `cache_lock_stall` armed, a hit queues instead,
+//! and pings on other connections keep answering. One case holds the
+//! reactor's completion routing against connection close: a dead
+//! connection's late answer never reaches the connection that reuses its
+//! slot. A last case holds the reactor's connection-scale claim: hundreds
+//! of idle connections cost descriptors, not threads, and do not get in a
+//! pipelined client's way.
 
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
@@ -55,13 +60,13 @@ fn query_json(db: &TrajectoryDb, i: usize, k: usize, id: Option<&str>) -> String
 }
 
 /// Runs every line through a scratch connection to populate the result
-/// cache, then arms `slow_scan` so the next *cold* scan sleeps
-/// `slow_ms`. `n:1` fires on every scan occurrence, but the warmed
-/// queries are cache hits from here on and never reach the fault point.
-fn warm_then_arm(addr: std::net::SocketAddr, lines: &[String], slow_ms: u64) {
+/// cache, then arms `faults` over the wire. With `slow_scan=n:1:ms` the
+/// next *cold* scan sleeps; the warmed queries are cache hits from here
+/// on and never reach the scan fault point.
+fn warm_then_arm(addr: std::net::SocketAddr, lines: &[String], faults: &str) {
     let mut stream = TcpStream::connect(addr).expect("connect warm");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let arm = format!("{{\"cmd\":\"configure\",\"faults\":\"slow_scan=n:1:{slow_ms}\"}}");
+    let arm = format!("{{\"cmd\":\"configure\",\"faults\":\"{faults}\"}}");
     for line in lines.iter().chain(std::iter::once(&arm)) {
         stream.write_all(line.as_bytes()).expect("write warm");
         stream.write_all(b"\n").expect("write warm");
@@ -72,6 +77,12 @@ fn warm_then_arm(addr: std::net::SocketAddr, lines: &[String], slow_ms: u64) {
             "warm-up request failed: {response}"
         );
     }
+}
+
+/// Dispatched micro-batches so far: an answer that went through the queue
+/// formed one, a hit answered at admission did not.
+fn batches(engine: &QueryEngine) -> u64 {
+    engine.stats().batch_hist.count
 }
 
 /// Sends `lines` down one connection without reading, then collects one
@@ -112,11 +123,18 @@ fn reactor_answers_pipelined_ids_out_of_order() {
     let fast: Vec<String> = (0..4)
         .map(|i| query_json(&db, i + 1, 2, Some(&format!("fast-{i}"))))
         .collect();
-    warm_then_arm(server.local_addr(), &fast, 600);
+    warm_then_arm(server.local_addr(), &fast, "slow_scan=n:1:600");
+    let before = batches(&engine);
     let responses = pipeline(server.local_addr(), &slow, &fast);
 
-    // Every request got exactly one answer, matched by id.
+    // Every request got exactly one answer, matched by id, and only the
+    // slow head went through the queue: the hits were answered at
+    // admission, as batches of one.
     assert!(responses.iter().all(|r| r.contains("\"ok\":true")));
+    assert_eq!(batches(&engine) - before, 1, "a hit queued: {responses:?}");
+    assert!(responses[..4]
+        .iter()
+        .all(|r| r.contains("\"cached\":true,\"batch\":1,")));
     for i in 0..4 {
         let needle = format!("\"id\":\"fast-{i}\"");
         assert_eq!(
@@ -150,10 +168,12 @@ fn reactor_keeps_idless_responses_in_submission_order() {
     // until the slow head's response has been written.
     let slow = query_json(&db, 0, 2, None);
     let rest: Vec<String> = (0..3).map(|i| query_json(&db, i + 1, 2, None)).collect();
-    warm_then_arm(server.local_addr(), &rest, 400);
+    warm_then_arm(server.local_addr(), &rest, "slow_scan=n:1:400");
+    let before = batches(&engine);
     let responses = pipeline(server.local_addr(), &slow, &rest);
 
     assert!(responses.iter().all(|r| r.contains("\"ok\":true")));
+    assert_eq!(batches(&engine) - before, 1, "a hit queued: {responses:?}");
     for (i, response) in responses.iter().enumerate() {
         let top = format!("\"results\":[{{\"trajectory_id\":{i},");
         assert!(
@@ -161,6 +181,104 @@ fn reactor_keeps_idless_responses_in_submission_order() {
             "id-less response {i} out of order (expected top hit {i}): {responses:?}"
         );
     }
+
+    server.stop();
+    server.wait();
+}
+
+/// The reactor never waits on the result-cache lock. A worker holds it
+/// through an armed `cache_lock_stall` while a warmed repeat arrives on a
+/// second connection: admission reads the held lock as a miss, so the
+/// repeat queues and a worker's pass 1 answers it from the cache once the
+/// lock frees. Meanwhile a ping on a third connection answers at once.
+#[test]
+fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
+    const STALL: Duration = Duration::from_millis(600);
+    let db = shared_db(20);
+    let engine = Arc::new(QueryEngine::start(
+        CorpusSnapshot::new(Arc::clone(&db)),
+        EngineConfig {
+            workers: 1,
+            cache_capacity: 64,
+            faults: Some(String::new()),
+            ..EngineConfig::default()
+        },
+    ));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+    let send = |stream: &mut TcpStream, line: &str| {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+    };
+    let read = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        line
+    };
+
+    let repeat = query_json(&db, 1, 2, None);
+    warm_then_arm(
+        addr,
+        std::slice::from_ref(&repeat),
+        &format!("cache_lock_stall=n:1:{}", STALL.as_millis()),
+    );
+    let before = batches(&engine);
+    let admitted = engine.stats().admitted;
+    // Polls `done` every millisecond; false if `within` passes first.
+    let wait_for = |within: Duration, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + within;
+        while !done() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    };
+
+    // A cold miss: once its worker has drained it, the worker's pass 1
+    // takes the lock and stalls (the 20 ms covers the few instructions
+    // between the two).
+    let (mut miss, mut miss_reader) = connect();
+    send(&mut miss, &query_json(&db, 0, 2, None));
+    assert!(wait_for(Duration::from_secs(5), &|| engine
+        .stats()
+        .inflight
+        == 1));
+    std::thread::sleep(Duration::from_millis(20));
+    let stalled = Instant::now();
+    let (mut hit, mut hit_reader) = connect();
+    send(&mut hit, &repeat);
+    assert!(
+        wait_for(STALL / 3, &|| engine.stats().admitted == admitted + 2),
+        "the reactor did not admit the repeat while the lock was held"
+    );
+    let (mut ping, mut ping_reader) = connect();
+    send(&mut ping, "{\"cmd\":\"ping\"}");
+    assert_eq!(read(&mut ping_reader), "{\"ok\":true,\"pong\":true}\n");
+    let waited = stalled.elapsed();
+    assert!(
+        waited < STALL / 2,
+        "a ping waited {waited:?} behind the held cache lock"
+    );
+
+    let answer = read(&mut hit_reader);
+    assert!(answer.contains("\"cached\":true"), "{answer}");
+    assert!(read(&mut miss_reader).contains("\"cached\":false"));
+    assert_eq!(
+        batches(&engine) - before,
+        2,
+        "the repeat met a held lock, so it must have queued"
+    );
 
     server.stop();
     server.wait();

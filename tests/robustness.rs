@@ -24,7 +24,7 @@ use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::service::{
     json::Json, AlgoSpec, EngineConfig, MeasureSpec, QueryEngine, QueryRequest, Server,
-    ServiceError, StatsSnapshot,
+    ServiceError, StatsSnapshot, SubmitOptions,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -340,8 +340,10 @@ fn expired_deadlines_drop_queued_work() {
         engine
             .submit_with_completion(
                 request(query.clone(), 2),
-                false,
-                Some(Duration::from_millis(1)),
+                SubmitOptions {
+                    deadline: Some(Duration::from_millis(1)),
+                    ..SubmitOptions::default()
+                },
                 Box::new(move |outcome| {
                     let _ = tx.send(outcome);
                 }),

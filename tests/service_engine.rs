@@ -13,7 +13,7 @@ use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{CoordNormalizer, Dtw, Frechet, Measure, T2Vec};
 use simsub::service::{
     AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest, Server,
-    ServiceError,
+    ServiceError, SubmitOptions,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -152,6 +152,81 @@ fn duplicate_query_is_a_cache_hit() {
     let stats = engine.stats();
     assert_eq!(stats.requests, 5);
     assert_eq!(stats.cache_hits, 2);
+    engine.shutdown();
+}
+
+/// A cache hit is answered at admission: on the submitting thread before
+/// `submit_with_completion` returns, exactly once, as a batch of one that
+/// no deadline can expire. It forms no batch and never touches the queue,
+/// and the books still reconcile.
+#[test]
+fn admission_hit_answers_on_the_caller_without_a_batch() {
+    let db = shared_db(20);
+    let engine = QueryEngine::start(
+        snapshot_for(&db),
+        EngineConfig {
+            workers: 2,
+            max_batch: 8,
+            cache_capacity: 64,
+            faults: Some(String::new()),
+            ..EngineConfig::default()
+        },
+    );
+    let req = request(
+        queries_from(&db, 1).remove(0),
+        AlgoSpec::Exact,
+        MeasureSpec::Dtw,
+        3,
+    );
+    // A cold miss fills the cache (its worker answers after releasing
+    // the cache lock, so the next lookup finds it free).
+    let cold = engine.query(req.clone()).unwrap();
+    assert!(!cold.cached);
+    let before = engine.stats();
+
+    let caller = std::thread::current().id();
+    let (tx, rx) = std::sync::mpsc::channel();
+    engine
+        .submit_with_completion(
+            req,
+            SubmitOptions {
+                trace: true,
+                deadline: Some(std::time::Duration::from_nanos(1)),
+                ..SubmitOptions::default()
+            },
+            Box::new(move |outcome| {
+                tx.send((std::thread::current().id(), outcome)).unwrap();
+            }),
+        )
+        .unwrap();
+    let (ran_on, outcome) = rx
+        .try_recv()
+        .expect("an admission hit completes before submit returns");
+    assert!(rx.recv().is_err(), "the completion fired more than once");
+    assert_eq!(ran_on, caller, "the hit was answered on another thread");
+    let hit = outcome.expect("nothing waits, so a hit cannot expire");
+    assert!(hit.cached);
+    assert_eq!(hit.batch_size, 1);
+    assert_eq!(*hit.results, *cold.results);
+    let trace = hit.trace.expect("traced");
+    assert_eq!((trace.queue_us, trace.batch_us, trace.scan_us), (0, 0, 0));
+    assert!(trace.cached && trace.batch_size == 1);
+
+    let after = engine.stats();
+    assert_eq!(
+        after.batch_hist.count, before.batch_hist.count,
+        "an admission hit formed a batch"
+    );
+    assert_eq!(after.mean_batch, before.mean_batch);
+    assert_eq!((after.queue_depth, after.inflight), (0, 0));
+    assert_eq!(
+        (after.admitted, after.requests, after.cache_hits),
+        (2, 2, 1)
+    );
+    assert_eq!(
+        after.admitted,
+        after.requests + after.shed + after.deadline_expired + after.internal_errors
+    );
     engine.shutdown();
 }
 
