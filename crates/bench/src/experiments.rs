@@ -103,12 +103,18 @@ pub fn fig3(ctx: &mut Context) {
 }
 
 /// Figures 4 and 10: top-k query time vs database size, without and with
-/// the R-tree index.
+/// the R-tree index. Every row is wall time; a scan that cannot prune
+/// (RLS, t2vec, `SIMSUB_NO_PRUNE`) spreads its candidates over the
+/// process's cores, so its rows are wall time over those cores.
 pub fn efficiency(ctx: &mut Context, dataset: &'static str) {
     let scale = ctx.scale;
     println!(
         "\n=== Figure 4/10: efficiency on {dataset} (top-{}) ===",
         scale.top_k
+    );
+    println!(
+        "(wall time; unprunable rows run their candidates over {} cores)",
+        simsub_core::library_scan_threads()
     );
     let spec = Context::spec(dataset);
     let max_size = *scale.db_sizes.last().expect("non-empty sizes");

@@ -258,12 +258,6 @@ impl BoundCascade {
         }
     }
 
-    /// False when the measure admits no bound (the cascade then returns
-    /// `INFINITY` everywhere and the scan skips bound evaluation).
-    pub fn is_active(&self) -> bool {
-        self.aggregate.is_some() && !self.qx.is_empty()
-    }
-
     /// O(1) upper bound on the best-subtrajectory similarity from the
     /// rectangle-to-rectangle distance alone. `INFINITY` when inactive.
     pub fn coarse_bound(&self, trajectory_mbr: &Mbr) -> f64 {
@@ -481,10 +475,12 @@ mod tests {
 
     #[test]
     fn inactive_measure_never_bounds() {
-        // LCSS reports no aggregate: both bounds must be INFINITY.
+        // LCSS reports no aggregate: no scan under it prunes, and every
+        // bound is INFINITY.
         let q = walk(1, 5);
-        let mut cascade = BoundCascade::new(&simsub_measures::Lcss::new(0.5), &q);
-        assert!(!cascade.is_active());
+        let lcss = simsub_measures::Lcss::new(0.5);
+        assert!(!crate::scan_prunes(&ExactS, &lcss, true));
+        let mut cascade = BoundCascade::new(&lcss, &q);
         let mbr = Mbr::of_points(&walk(2, 6));
         assert_eq!(cascade.coarse_bound(&mbr), f64::INFINITY);
         assert_eq!(cascade.envelope_bound(&mbr), f64::INFINITY);

@@ -54,7 +54,10 @@ pub use simtra::SimTra;
 pub use sizes::SizeS;
 pub use splitting::{suffix_similarities, Pos, PosD, Pss};
 pub use spring::Spring;
-pub use topk::{scan_top_k_into, sort_hits_and_truncate, TopKHeap, TopKResult};
+pub use topk::{
+    library_scan_threads, scan_prunes, scan_top_k_into, sort_hits_and_truncate, TopKHeap,
+    TopKResult, MIN_CANDIDATES_PER_THREAD,
+};
 pub use ucr::Ucr;
 pub use workspace::{SearchOutcome, SearchWorkspace};
 
@@ -93,7 +96,10 @@ impl SearchResult {
 /// DTW-specific baselines ([`Spring`], [`Ucr`]) implement the trait for
 /// harness uniformity but ignore `measure` and always evaluate DTW; they
 /// are meaningful only in DTW experiments, as in the paper.
-pub trait SubtrajSearch {
+///
+/// `Sync`, because a reference scan spreads one algorithm's candidates
+/// over several threads ([`scan_top_k_into`]).
+pub trait SubtrajSearch: Sync {
     /// Stable display name, e.g. `"PSS"`, `"RLS-Skip"`.
     fn name(&self) -> String;
 

@@ -4,6 +4,10 @@
 //! accumulator, so its atomics are instrumented under
 //! `RUSTFLAGS="--cfg simsub_loom"` too (enforced by `cargo xtask lint`).
 
+#[cfg(simsub_loom)]
+pub use loom::sync::Mutex;
+#[cfg(not(simsub_loom))]
+pub use std::sync::Mutex;
 pub use std::sync::OnceLock;
 
 /// Atomic types, instrumented under `--cfg simsub_loom`.

@@ -20,8 +20,15 @@
 //!   floored at each hit's own similarity. See [`crate::bounds`] for why
 //!   none of this can change the answer. [`PruneStats`] counts what
 //!   happened.
-//! - **Allocate-once.** One [`SearchWorkspace`] per (query, scan) serves
-//!   every trajectory; no per-trajectory evaluator boxing.
+//! - **Unprunable scans use the idle cores.** When [`scan_prunes`] is
+//!   false (RLS, t2vec, `prune: false`) every candidate is searched in
+//!   full at floor `-∞`, so no candidate's search depends on another's.
+//!   That branch spreads the candidates over up to `threads` threads that
+//!   claim them from one cursor, each into its own heap, and merges the
+//!   heaps through the one total order: the hits and the counters are
+//!   those of a one-thread scan, bit for bit.
+//! - **Allocate-once.** One [`SearchWorkspace`] per (query, scan, thread)
+//!   serves every trajectory; no per-trajectory evaluator boxing.
 //! - **Arena-backed.** The scan kernel walks a [`CorpusArena`]: data
 //!   points come from contiguous SoA slabs through zero-copy
 //!   [`simsub_trajectory::TrajView`]s, and per-trajectory MBRs are O(1)
@@ -36,10 +43,52 @@
 //! byte-invisible too (`tests/layout_equivalence.rs`).
 
 use crate::bounds::{BoundCascade, PruneStats, SharedSimFloor};
+use crate::sync::atomic::{self, AtomicUsize};
+use crate::sync::OnceLock;
 use crate::{SearchOutcome, SearchResult, SearchWorkspace, SubtrajSearch};
+use simsub_measures::Measure;
 use simsub_trajectory::{CorpusArena, Point};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// Fewest candidates each thread of a split reference scan gets:
+/// [`scan_top_k_into`] runs an unprunable scan on at most
+/// `candidates / MIN_CANDIDATES_PER_THREAD` threads, so a scan of fewer
+/// than twice this many stays on the calling thread.
+///
+/// A helper costs a scoped spawn and join (15–25 µs on a 2-vCPU x86-64
+/// box) plus a [`SearchWorkspace`] and a [`TopKHeap`]; under t2vec the
+/// workspace encodes the query once more, one GRU step per query point
+/// (≈ 1 µs each). Against that, the unprunable traffic:
+/// - RLS under t2vec walks its candidate one GRU step and one Q-network
+///   decision a point, ≈ 630 ns a point, ≈ 40 µs for a 60-point
+///   candidate; PSS and ExactS under t2vec cost more (a second GRU pass
+///   for the suffix, or O(n²) steps);
+/// - RLS under DTW pays an O(m) DP row and the Q-network's ≈ 100 ns a
+///   point, ≈ 8 µs for a 60-point candidate;
+/// - the `SIMSUB_NO_PRUNE` reference runs ExactS's O(n²·m) enumeration
+///   (tens of µs a candidate) or PSS's O(n·m) walk (≈ 1 µs a candidate).
+///
+/// Eight learned candidates outweigh a helper's cost tenfold. Eight PSS
+/// candidates under DTW do not, but that pairing only splits on the
+/// reference path, which exists to be compared against, not served.
+pub const MIN_CANDIDATES_PER_THREAD: usize = 8;
+
+/// Whether a scan of `algo` under `measure` with the prune switch `prune`
+/// takes the pruning branch of [`scan_top_k_into`]: the measure must admit
+/// a bound cascade and the algorithm's reported similarity must be
+/// admissible. Callers that plan around the branch (the shard fan-out)
+/// ask this, so they and the kernel cannot disagree.
+pub fn scan_prunes(algo: &dyn SubtrajSearch, measure: &dyn Measure, prune: bool) -> bool {
+    prune && measure.distance_aggregate().is_some() && algo.reported_similarity_is_admissible()
+}
+
+/// The threads a library scan spreads an unprunable scan over: the
+/// process's available parallelism, read once.
+pub fn library_scan_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
 
 /// One database hit: the trajectory and the best subtrajectory inside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,6 +228,16 @@ impl TopKHeap {
         } else if self.would_admit(entry.hit.result.similarity, entry.hit.trajectory_id) {
             self.heap.pop();
             self.heap.push(std::cmp::Reverse(entry));
+        }
+    }
+
+    /// Moves every hit of `other`, a helper's heap of the same scan, into
+    /// this one through [`TopKHeap::push`]'s admission test, so the union
+    /// is ranked by the one total order and cut to `k`.
+    fn absorb(&mut self, other: TopKHeap) {
+        for std::cmp::Reverse(entry) in other.heap.into_vec() {
+            debug_assert!(entry.pending.is_none(), "helpers leave no range pending");
+            self.insert(entry);
         }
     }
 
@@ -325,6 +384,115 @@ fn resolve_pending_ranges(
     });
 }
 
+/// What every thread of a reference scan shares: the scan's inputs and
+/// the cursor the threads claim candidates from.
+struct ReferenceScan<'a> {
+    algo: &'a dyn SubtrajSearch,
+    arena: &'a CorpusArena,
+    candidates: &'a [usize],
+    floor: Option<&'a SharedSimFloor>,
+    timing: bool,
+    /// Index into `candidates` of the next unclaimed candidate.
+    cursor: AtomicUsize,
+}
+
+impl ReferenceScan<'_> {
+    /// Searches candidate `first`, then each candidate it claims from the
+    /// cursor until none is left, in full at floor `-∞` into one thread's
+    /// heap, workspace and counters. Thread `t` of `n` starts at `t` and
+    /// the cursor at `n`, so every thread searches at least one candidate
+    /// and pays its workspace's first-use allocations whatever the
+    /// scheduler does.
+    fn run(
+        &self,
+        first: usize,
+        heap: &mut TopKHeap,
+        ws: &mut SearchWorkspace<'_>,
+        stats: &mut PruneStats,
+    ) {
+        let mut next = first;
+        while let Some(&slot) = self.candidates.get(next) {
+            stats.scanned += 1;
+            search_and_push(
+                self.algo,
+                self.arena,
+                slot,
+                heap,
+                ws,
+                self.floor,
+                f64::NEG_INFINITY,
+                false,
+                self.timing,
+                stats,
+            );
+            // ordering: relaxed — the RMW alone keeps claimed indices
+            // distinct; results reach the caller through the scope's join.
+            next = self.cursor.fetch_add(1, atomic::Ordering::Relaxed);
+        }
+    }
+}
+
+/// The reference branch of [`scan_top_k_into`], split over up to
+/// `threads` threads (at least [`MIN_CANDIDATES_PER_THREAD`] candidates
+/// each). The calling thread works on `heap`, `ws` and `stats`; each
+/// scoped helper on a heap, a workspace and counters of its own, which
+/// are merged into the caller's when it finishes. A helper's panic is
+/// re-raised in the caller with its own payload.
+#[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
+fn scan_reference(
+    algo: &dyn SubtrajSearch,
+    arena: &CorpusArena,
+    candidates: &[usize],
+    query: &[Point],
+    heap: &mut TopKHeap,
+    ws: &mut SearchWorkspace<'_>,
+    floor: Option<&SharedSimFloor>,
+    threads: usize,
+    timing: bool,
+    stats: &mut PruneStats,
+) {
+    let threads = threads
+        .min(candidates.len() / MIN_CANDIDATES_PER_THREAD)
+        .max(1);
+    let scan = ReferenceScan {
+        algo,
+        arena,
+        candidates,
+        floor,
+        timing,
+        cursor: AtomicUsize::new(threads),
+    };
+    if threads == 1 {
+        scan.run(0, heap, ws, stats);
+        return;
+    }
+    let (measure, k) = (ws.measure(), heap.k());
+    let scan = &scan;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|first| {
+                scope.spawn(move || {
+                    let mut heap = TopKHeap::new(k);
+                    let mut ws = SearchWorkspace::new(measure, query);
+                    let mut stats = PruneStats::default();
+                    scan.run(first, &mut heap, &mut ws, &mut stats);
+                    (heap, stats)
+                })
+            })
+            .collect();
+        scan.run(0, heap, ws, stats);
+        for helper in helpers {
+            match helper.join() {
+                Ok((local, local_stats)) => {
+                    heap.absorb(local);
+                    stats.merge(&local_stats);
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+}
+
 /// The prune-first scan kernel every top-k path composes: runs `algo`
 /// over the arena slots in `candidates`, accumulating into a
 /// caller-owned heap/workspace so shard fan-outs share both the k-th
@@ -332,17 +500,28 @@ fn resolve_pending_ranges(
 /// target `query` under the scan's measure (the cascade is built from
 /// `query`, the searches run through `ws` — a mismatch would prune with
 /// one query's bounds against another query's scores, so it is
-/// debug-asserted). With `prune`, candidates are visited
-/// best-coarse-bound-first, must survive the [`BoundCascade`] before
-/// being searched, and are searched under the running k-th similarity;
-/// `floor` optionally shares a certified k-th similarity across workers.
-/// Without it every candidate is searched in full with no floor — the
-/// reference the pruned path is held to. The heap's final contents are
-/// identical for every `prune`/`floor`/visit order — bounds are
-/// admissible, a floored search differs from the full one only below the
-/// floor or in a range it leaves pending, every pending range still in
-/// the heap is resolved before the call returns, and the hit order is
-/// total.
+/// debug-asserted).
+///
+/// When [`scan_prunes`] holds, candidates are visited
+/// best-coarse-bound-first on the calling thread, must survive the
+/// [`BoundCascade`] before being searched, and are searched under the
+/// running k-th similarity; `floor` optionally shares a certified k-th
+/// similarity across workers. Otherwise every candidate is searched in
+/// full with no floor — the reference the pruned path is held to. No
+/// search there reads the heap, so that branch spreads the candidates
+/// over up to `threads` threads (the caller's and scoped helpers, each
+/// with at least [`MIN_CANDIDATES_PER_THREAD`] candidates), which claim
+/// them from a shared cursor into their own heaps; the helpers' heaps and
+/// [`PruneStats`] are merged into `heap` and `stats` before the call
+/// returns, and a helper's panic resumes in the caller. `kernel_ns` then
+/// sums every thread's time, so it can exceed the scan's wall time.
+///
+/// The heap's final contents are identical for every
+/// `prune`/`floor`/`threads`/visit order — bounds are admissible, a
+/// floored search differs from the full one only below the floor or in a
+/// range it leaves pending, every pending range still in the heap is
+/// resolved before the call returns, and the hit order is total — and so
+/// are the counters other than the timings.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
 pub fn scan_top_k_into(
     algo: &dyn SubtrajSearch,
@@ -353,6 +532,7 @@ pub fn scan_top_k_into(
     ws: &mut SearchWorkspace<'_>,
     prune: bool,
     floor: Option<&SharedSimFloor>,
+    threads: usize,
     stats: &mut PruneStats,
 ) {
     debug_assert!(
@@ -365,28 +545,15 @@ pub fn scan_top_k_into(
         "workspace targets a different query than the bound cascade"
     );
     let timing = crate::bounds::scan_timing_enabled();
-    let mut cascade = BoundCascade::new(ws.measure(), query);
-    let active = prune && cascade.is_active() && algo.reported_similarity_is_admissible();
-    if !active {
+    if !scan_prunes(algo, ws.measure(), prune) {
         // The reference path: no floor, no prepared rows — ExactS stays
         // the paper's multi-start enumeration.
-        for &slot in candidates {
-            stats.scanned += 1;
-            search_and_push(
-                algo,
-                arena,
-                slot,
-                heap,
-                ws,
-                floor,
-                f64::NEG_INFINITY,
-                false,
-                timing,
-                stats,
-            );
-        }
+        scan_reference(
+            algo, arena, candidates, query, heap, ws, floor, threads, timing, stats,
+        );
         return;
     }
+    let mut cascade = BoundCascade::new(ws.measure(), query);
     // Best-first: descending coarse bound (ties by ascending id) raises
     // the k-th similarity as early as possible, so later candidates die
     // at the O(1) screen instead of the O(m) envelope or the search.
@@ -458,6 +625,7 @@ pub fn sort_hits_and_truncate(hits: &mut Vec<TopKResult>, k: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::Mutex;
     use crate::test_util::{pts, walk};
     use crate::{ExactS, Pss};
     use simsub_measures::{Dtw, Measure};
@@ -483,7 +651,7 @@ mod tests {
         let mut ws = SearchWorkspace::new(&Dtw, query);
         let mut stats = PruneStats::default();
         scan_top_k_into(
-            algo, &arena, &slots, query, &mut heap, &mut ws, prune, None, &mut stats,
+            algo, &arena, &slots, query, &mut heap, &mut ws, prune, None, 1, &mut stats,
         );
         (heap.into_sorted_hits(), stats)
     }
@@ -584,6 +752,7 @@ mod tests {
                         &mut ws,
                         true,
                         Some(&floor),
+                        1,
                         &mut stats,
                     );
                     merged.extend(heap.into_sorted_hits());
@@ -645,7 +814,7 @@ mod tests {
             let mut stats = PruneStats::default();
             for part in [&late, &early] {
                 scan_top_k_into(
-                    &ExactS, &arena, part, &q, &mut heap, &mut ws, true, None, &mut stats,
+                    &ExactS, &arena, part, &q, &mut heap, &mut ws, true, None, 1, &mut stats,
                 );
             }
             assert_eq!(heap.into_sorted_hits(), want, "shared heap");
@@ -665,6 +834,7 @@ mod tests {
                     &mut ws,
                     true,
                     Some(&floor),
+                    1,
                     &mut stats,
                 );
                 merged.extend(heap.into_sorted_hits());
@@ -683,7 +853,7 @@ mod tests {
     }
 
     /// Records every search's [`ProbeCall`], then defers to ExactS.
-    struct FloorProbe(std::cell::RefCell<Vec<ProbeCall>>);
+    struct FloorProbe(Mutex<Vec<ProbeCall>>);
 
     impl SubtrajSearch for FloorProbe {
         fn name(&self) -> String {
@@ -697,7 +867,7 @@ mod tests {
         fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
             let (floor, rows_prepared) = (ws.sim_floor(), ws.rows_prepared());
             let result = ExactS.search_with(ws, data);
-            self.0.borrow_mut().push(ProbeCall {
+            self.0.lock().unwrap().push(ProbeCall {
                 floor,
                 rows_prepared,
                 similarity: result.similarity,
@@ -726,9 +896,9 @@ mod tests {
         let mut calls = Vec::new();
         for part in slots.chunks(slots.len().div_ceil(parts)) {
             scan_top_k_into(
-                &probe, &arena, part, q, &mut heap, &mut ws, prune, floor, &mut stats,
+                &probe, &arena, part, q, &mut heap, &mut ws, prune, floor, 1, &mut stats,
             );
-            calls.push(probe.0.take());
+            calls.push(std::mem::take(&mut *probe.0.lock().unwrap()));
             // Cleared once the scan is over.
             assert_eq!(ws.sim_floor(), f64::NEG_INFINITY);
             assert!(!ws.rows_prepared());
@@ -857,5 +1027,255 @@ mod tests {
         let mut want = all.clone();
         sort_hits_and_truncate(&mut want, 3);
         assert_eq!(heap.into_sorted_hits(), want);
+    }
+
+    /// An untrained but deterministic learned policy for `mdp`: what it
+    /// decides does not matter to the split, only that it decides the same
+    /// on every thread.
+    fn untrained_rls(mdp: crate::MdpConfig) -> crate::Rls {
+        let dqn = simsub_rl::DqnConfig::paper(mdp.state_dim(), mdp.n_actions());
+        crate::Rls::new(simsub_rl::DqnAgent::new(dqn).policy(), mdp)
+    }
+
+    /// A hit's every bit: id, range and both scores.
+    fn hit_bits(hits: &[TopKResult]) -> Vec<(u64, usize, usize, u64, u64)> {
+        hits.iter()
+            .map(|h| {
+                let r = &h.result;
+                (
+                    h.trajectory_id,
+                    r.range.start,
+                    r.range.end,
+                    r.similarity.to_bits(),
+                    r.distance.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// The counters an unprunable scan keeps; all four are sums, so a
+    /// split scan must reproduce them exactly.
+    fn counters(stats: &PruneStats) -> [u64; 4] {
+        [
+            stats.scanned,
+            stats.searched,
+            stats.searched_cells,
+            stats.abandoned,
+        ]
+    }
+
+    /// Scans the slot `rounds` in turn into one heap of `k` (a shard walk
+    /// when there are several), each round at `threads`.
+    #[allow(clippy::too_many_arguments)]
+    fn threaded_scan(
+        algo: &dyn SubtrajSearch,
+        measure: &dyn Measure,
+        arena: &CorpusArena,
+        rounds: &[&[usize]],
+        q: &[Point],
+        k: usize,
+        prune: bool,
+        threads: usize,
+    ) -> (Vec<TopKResult>, PruneStats) {
+        let mut heap = TopKHeap::new(k);
+        let mut ws = SearchWorkspace::new(measure, q);
+        let mut stats = PruneStats::default();
+        for round in rounds {
+            scan_top_k_into(
+                algo, arena, round, q, &mut heap, &mut ws, prune, None, threads, &mut stats,
+            );
+        }
+        (heap.into_sorted_hits(), stats)
+    }
+
+    /// Holds threads 2, 3 and 4 to the one-thread scan over `db`, for every
+    /// unprunable pairing the split serves, with `split_at` slots scanned
+    /// in a first round so the second finds the caller's heap already
+    /// holding hits (no first round when `split_at == 0`).
+    fn assert_split_matches_sequential(db: &[Trajectory], q: &[Point], k: usize, split_at: usize) {
+        let t2vec =
+            simsub_measures::T2Vec::random(5, 8, simsub_measures::CoordNormalizer::from_corpus(db));
+        let rls = untrained_rls(crate::MdpConfig::rls());
+        let skip = untrained_rls(crate::MdpConfig::rls_skip(2));
+        // RLS and t2vec never prune, so they scan with `prune: true`;
+        // ExactS and PSS under DTW take the reference path only without.
+        let cases: [(&dyn SubtrajSearch, &dyn Measure, bool); 8] = [
+            (&rls, &t2vec, true),
+            (&skip, &t2vec, true),
+            (&rls, &Dtw, true),
+            (&skip, &Dtw, true),
+            (&ExactS, &t2vec, true),
+            (&Pss, &t2vec, true),
+            (&ExactS, &Dtw, false),
+            (&Pss, &Dtw, false),
+        ];
+        let arena = CorpusArena::from_trajectories(db);
+        let slots: Vec<usize> = (0..arena.len()).collect();
+        let (first, second) = slots.split_at(split_at);
+        let rounds: Vec<&[usize]> = [first, second]
+            .into_iter()
+            .filter(|r| !r.is_empty())
+            .collect();
+        for (algo, measure, prune) in cases {
+            assert!(!scan_prunes(algo, measure, prune));
+            let name = format!("{} / {}", algo.name(), measure.name());
+            let (want, want_stats) = threaded_scan(algo, measure, &arena, &rounds, q, k, prune, 1);
+            assert_eq!(want.len(), k.min(db.len()), "{name}");
+            assert_eq!(want_stats.scanned, db.len() as u64, "{name}");
+            for threads in 2..=4 {
+                let (got, stats) =
+                    threaded_scan(algo, measure, &arena, &rounds, q, k, prune, threads);
+                let at = format!("{name}, {} candidates, k {k}, threads {threads}", db.len());
+                assert_eq!(hit_bits(&got), hit_bits(&want), "{at}");
+                assert_eq!(counters(&stats), counters(&want_stats), "{at}");
+                assert!(stats.is_consistent() && stats.pruned() == 0, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_reference_scans_match_one_thread_bit_for_bit() {
+        let q = walk(4_242, 5);
+        let min = MIN_CANDIDATES_PER_THREAD;
+        // Below the minimum (no split), exactly at it for one, two and
+        // three threads, and counts no thread count divides.
+        for count in [min - 1, min, 2 * min, 3 * min, 4 * min + 1, 37] {
+            let db = db(count, 11);
+            for k in [1, 4] {
+                assert_split_matches_sequential(&db, &q, k, 0);
+            }
+        }
+        // k beyond the candidate count keeps every hit.
+        assert_split_matches_sequential(&db(33, 11), &q, 50, 0);
+    }
+
+    #[test]
+    fn split_scan_into_a_heap_holding_hits_matches_one_thread() {
+        // The second round of a shard walk: the caller's heap is full
+        // before the split starts, and its helpers' hits must compete
+        // with what it holds.
+        let q = walk(77, 6);
+        for k in [1, 3, 9] {
+            assert_split_matches_sequential(&db(41, 12), &q, k, 9);
+        }
+    }
+
+    #[test]
+    fn split_scan_breaks_ties_by_id_across_threads() {
+        // Six copies of one trajectory under ids spread through the
+        // corpus: threads find copies in any order and into different
+        // heaps, and the merge must keep the smallest ids.
+        let twin = walk(901, 13);
+        let database: Vec<Trajectory> = (0..40u64)
+            .map(|id| {
+                let points = if id % 6 == 5 {
+                    twin.clone()
+                } else {
+                    walk(id + 300, 12)
+                };
+                Trajectory::new_unchecked(id, points)
+            })
+            .collect();
+        let q: Vec<Point> = twin[3..9].to_vec();
+        for k in [2, 5] {
+            assert_split_matches_sequential(&database, &q, k, 0);
+        }
+        let (hits, _) = scan(&ExactS, &database, &q, 2, false);
+        assert_eq!((hits[0].trajectory_id, hits[1].trajectory_id), (5, 11));
+    }
+
+    /// Records which thread searched which trajectory, then defers to
+    /// ExactS.
+    struct ThreadProbe(Mutex<Vec<(u64, std::thread::ThreadId)>>);
+
+    impl SubtrajSearch for ThreadProbe {
+        fn name(&self) -> String {
+            "ThreadProbe".to_string()
+        }
+
+        fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
+            ExactS.search(measure, data, query)
+        }
+
+        fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
+            let by = std::thread::current().id();
+            self.0.lock().unwrap().push((data.id, by));
+            ExactS.search_with(ws, data)
+        }
+    }
+
+    #[test]
+    fn split_uses_every_thread_it_starts_and_no_more() {
+        // Thread `t` searches candidate `t` before it claims any, so the
+        // threads a scan started are exactly the threads that searched:
+        // `threads`, capped at one per `MIN_CANDIDATES_PER_THREAD`.
+        let q = walk(12, 4);
+        let min = MIN_CANDIDATES_PER_THREAD;
+        for count in [1, min - 1, min, 2 * min - 1, 2 * min, 3 * min + 2] {
+            let arena = CorpusArena::from_trajectories(&db(count, 9));
+            let slots: Vec<usize> = (0..count).collect();
+            for threads in 1..=4 {
+                let probe = ThreadProbe(Mutex::new(Vec::new()));
+                let (hits, stats) =
+                    threaded_scan(&probe, &Dtw, &arena, &[&slots], &q, 3, false, threads);
+                assert_eq!((hits.len(), stats.scanned), (3.min(count), count as u64));
+                let mut seen = probe.0.into_inner().unwrap();
+                seen.sort_by_key(|&(id, _)| id);
+                let ids: Vec<u64> = seen.iter().map(|&(id, _)| id).collect();
+                assert_eq!(ids, (0..count as u64).collect::<Vec<_>>(), "each once");
+                let started = threads.min(count / min).max(1);
+                let by: std::collections::HashSet<_> = seen.iter().map(|&(_, t)| t).collect();
+                assert_eq!(by.len(), started, "{count} candidates at threads {threads}");
+                // The caller is thread 0; thread `t` took candidate `t`.
+                assert_eq!(seen[0].1, std::thread::current().id());
+                let firsts: std::collections::HashSet<_> =
+                    seen[..started].iter().map(|&(_, t)| t).collect();
+                assert_eq!(firsts, by);
+            }
+        }
+    }
+
+    mod split_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn split_reference_scan_matches_one_thread_on_walks(
+                seed in 0u64..10_000,
+                count in 1usize..50,
+                len in 2usize..14,
+                m in 1usize..7,
+                k in 1usize..12,
+                threads in 2usize..=4,
+                split_at in 0usize..50,
+            ) {
+                let database: Vec<Trajectory> = (0..count)
+                    .map(|i| Trajectory::new_unchecked(i as u64, walk(seed + i as u64, len)))
+                    .collect();
+                let arena = CorpusArena::from_trajectories(&database);
+                let slots: Vec<usize> = (0..count).collect();
+                let (first, second) = slots.split_at(split_at.min(count));
+                let q = walk(seed ^ 0x5eed, m);
+                let t2vec = simsub_measures::T2Vec::random(
+                    seed,
+                    6,
+                    simsub_measures::CoordNormalizer::from_corpus(&database),
+                );
+                let rls = untrained_rls(crate::MdpConfig::rls_skip(1));
+                let cases: [(&dyn SubtrajSearch, &dyn Measure); 3] =
+                    [(&ExactS, &Dtw), (&Pss, &Dtw), (&rls, &t2vec)];
+                for (algo, measure) in cases {
+                    let run = |threads| {
+                        threaded_scan(algo, measure, &arena, &[first, second], &q, k, false, threads)
+                    };
+                    let ((want, want_stats), (got, stats)) = (run(1), run(threads));
+                    prop_assert_eq!(hit_bits(&got), hit_bits(&want));
+                    prop_assert_eq!(counters(&stats), counters(&want_stats));
+                }
+            }
+        }
     }
 }

@@ -12,8 +12,8 @@
 
 use crate::rtree::RTree;
 use simsub_core::{
-    pruning_enabled, PruneStats, SearchWorkspace, SharedSimFloor, SubtrajSearch, TopKHeap,
-    TopKResult,
+    library_scan_threads, pruning_enabled, scan_prunes, PruneStats, SearchWorkspace,
+    SharedSimFloor, SubtrajSearch, TopKHeap, TopKResult,
 };
 use simsub_measures::Measure;
 use simsub_trajectory::{CorpusArena, Mbr, Point, TrajView, Trajectory};
@@ -144,7 +144,9 @@ impl TrajectoryDb {
     /// (rarely in practice — see §6.2(4)), which is the accepted trade-off
     /// this flag exposes. Independently, the scan itself is prune-first
     /// (see `simsub_core::bounds`) when [`pruning_enabled`] — admissible
-    /// bounds skip full searches without changing any answer.
+    /// bounds skip full searches without changing any answer. A scan that
+    /// cannot prune (RLS, t2vec) spreads its candidates over the process's
+    /// cores ([`library_scan_threads`]), with identical answers.
     pub fn top_k(
         &self,
         algo: &dyn SubtrajSearch,
@@ -159,7 +161,8 @@ impl TrajectoryDb {
 
     /// [`TrajectoryDb::top_k`] with an explicit prune switch and the
     /// scan's [`PruneStats`]. `prune: false` is the reference path with
-    /// identical answers.
+    /// identical answers; like every unprunable scan it runs on
+    /// [`library_scan_threads`] threads, so its `kernel_ns` sums theirs.
     pub fn top_k_with_stats(
         &self,
         algo: &dyn SubtrajSearch,
@@ -177,6 +180,12 @@ impl TrajectoryDb {
         }
         let mut heap = TopKHeap::new(k);
         let mut ws = SearchWorkspace::new(measure, query);
+        // Only an unprunable scan splits, so only it reads the core count.
+        let threads = if scan_prunes(algo, measure, prune) {
+            1
+        } else {
+            library_scan_threads()
+        };
         simsub_core::scan_top_k_into(
             algo,
             &self.arena,
@@ -186,6 +195,7 @@ impl TrajectoryDb {
             &mut ws,
             prune,
             None,
+            threads,
             &mut stats,
         );
         (heap.into_sorted_hits(), stats)
@@ -206,10 +216,10 @@ impl TrajectoryDb {
     }
 
     /// Low-level fan-out entry: scans this database into a caller-owned
-    /// heap/workspace (see `simsub_core::scan_top_k_into`). `ShardedDb`
-    /// threads one heap and one workspace through every shard, so the
-    /// running k-th similarity and the evaluator buffers carry across
-    /// shard rounds.
+    /// heap/workspace (see `simsub_core::scan_top_k_into`), an unprunable
+    /// scan over up to `threads` threads. `ShardedDb` threads one heap and
+    /// one workspace through every shard, so the running k-th similarity
+    /// and the evaluator buffers carry across shard rounds.
     #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
     pub(crate) fn scan_top_k_into(
         &self,
@@ -220,6 +230,7 @@ impl TrajectoryDb {
         ws: &mut SearchWorkspace<'_>,
         prune: bool,
         floor: Option<&SharedSimFloor>,
+        threads: usize,
         stats: &mut PruneStats,
     ) {
         let candidates = self.scan_candidate_slots(query, use_index);
@@ -232,6 +243,7 @@ impl TrajectoryDb {
             ws,
             prune,
             floor,
+            threads,
             stats,
         );
     }

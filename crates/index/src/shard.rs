@@ -4,7 +4,8 @@
 //! and one query entry, [`ShardedDb::top_k`].
 //!
 //! Sharding is the first step toward corpora that stop being one worker's
-//! problem: a query fans out across shards (optionally in parallel) and
+//! problem: a query fans out across shards (a pruning one optionally in
+//! parallel; an unprunable one splits each shard's candidates instead) and
 //! the per-worker top-k lists are merged through
 //! [`sort_hits_and_truncate`] — the same total order the scan heap uses —
 //! so results are byte-identical (ids, scores, order) to
@@ -35,8 +36,8 @@
 
 use crate::TrajectoryDb;
 use simsub_core::{
-    sort_hits_and_truncate, PruneStats, SearchWorkspace, SharedSimFloor, SubtrajSearch, TopKHeap,
-    TopKResult,
+    scan_prunes, sort_hits_and_truncate, PruneStats, SearchWorkspace, SharedSimFloor,
+    SubtrajSearch, TopKHeap, TopKResult,
 };
 use simsub_measures::Measure;
 use simsub_trajectory::{CorpusArena, Mbr, Point, TrajView, Trajectory};
@@ -269,19 +270,26 @@ impl ShardedDb {
     /// Each query visits its relevant shards through *one* heap and
     /// evaluator workspace: the running k-th similarity established by
     /// earlier shards prunes candidates in later ones, and the evaluator
-    /// buffers are allocated once per query. With `threads > 1` the
-    /// relevant shards are spread over up to `threads` scoped workers,
-    /// each with its own heap and workspace, which publish their k-th
-    /// similarity through a [`SharedSimFloor`] so one worker's progress
-    /// prunes the others; `threads <= 1` is sequential. `prune` switches
-    /// the admissible-bound cascade (see `simsub_core::bounds`). Answers
-    /// are byte-identical to [`TrajectoryDb::top_k`] over the same corpus
-    /// for every shard count, partitioner, `prune` and `threads` (see the
-    /// module docs).
+    /// buffers are allocated once per query. `threads` is how many
+    /// threads one query may use, and which scan it serves depends on
+    /// [`scan_prunes`]:
+    /// - a pruning scan spreads the relevant shards over up to `threads`
+    ///   scoped workers, each with its own heap and workspace, which
+    ///   publish their k-th similarity through a [`SharedSimFloor`] so one
+    ///   worker's progress prunes the others;
+    /// - an unprunable scan walks the shards in turn through the one heap
+    ///   and splits each shard's candidates over up to `threads` threads
+    ///   (`simsub_core::scan_top_k_into`), which needs no floor.
+    ///
+    /// `threads <= 1` is sequential either way. `prune` switches the
+    /// admissible-bound cascade (see `simsub_core::bounds`). Answers are
+    /// byte-identical to [`TrajectoryDb::top_k`] over the same corpus for
+    /// every shard count, partitioner, `prune` and `threads` (see the
+    /// module docs), and so are the counters other than the timings.
     #[allow(clippy::too_many_arguments)] // the whole scan plan, spelled once
     pub fn top_k(
         &self,
-        algo: &(dyn SubtrajSearch + Sync),
+        algo: &dyn SubtrajSearch,
         measure: &dyn Measure,
         queries: &[&[Point]],
         k: usize,
@@ -307,7 +315,7 @@ impl ShardedDb {
     #[allow(clippy::too_many_arguments)] // mirrors `top_k`
     fn fan_out(
         &self,
-        algo: &(dyn SubtrajSearch + Sync),
+        algo: &dyn SubtrajSearch,
         measure: &dyn Measure,
         query: &[Point],
         k: usize,
@@ -317,7 +325,13 @@ impl ShardedDb {
         stats: &mut PruneStats,
     ) -> Vec<TopKResult> {
         let relevant = self.relevant_shards(&Mbr::of_points(query), use_index);
-        let workers = threads.min(relevant.len()).max(1);
+        // An unprunable scan gives every thread to the candidate split;
+        // a pruning one to the shard split.
+        let (workers, candidate_threads) = if scan_prunes(algo, measure, prune) {
+            (threads.min(relevant.len()).max(1), 1)
+        } else {
+            (1, threads)
+        };
         let floor = SharedSimFloor::new();
         let floor = (workers > 1).then_some(&floor);
         // One heap/workspace per worker, threaded through its whole shard
@@ -329,7 +343,15 @@ impl ShardedDb {
                 let mut ws = SearchWorkspace::new(measure, query);
                 for &i in part {
                     self.shards[i].scan_top_k_into(
-                        algo, query, use_index, &mut heap, &mut ws, prune, floor, &mut stats,
+                        algo,
+                        query,
+                        use_index,
+                        &mut heap,
+                        &mut ws,
+                        prune,
+                        floor,
+                        candidate_threads,
+                        &mut stats,
                     );
                 }
             }
@@ -428,7 +450,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use simsub_core::ExactS;
+    use simsub_core::{ExactS, SearchResult};
     use simsub_measures::Dtw;
 
     fn walk(seed: u64, len: usize, origin: (f64, f64)) -> Vec<Point> {
@@ -526,6 +548,58 @@ mod tests {
                     assert!(stats.is_consistent());
                 }
             }
+        }
+    }
+
+    /// ExactS, except that searching trajectory `.0` panics and records
+    /// the thread that did.
+    struct PanicOn(u64, std::sync::Mutex<Option<std::thread::ThreadId>>);
+
+    impl SubtrajSearch for PanicOn {
+        fn name(&self) -> String {
+            "PanicOn".to_string()
+        }
+
+        fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
+            ExactS.search(measure, data, query)
+        }
+
+        fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
+            if data.id == self.0 {
+                *self.1.lock().unwrap() = Some(std::thread::current().id());
+                panic!("poisoned trajectory {}", data.id);
+            }
+            ExactS.search_with(ws, data)
+        }
+    }
+
+    #[test]
+    fn a_scan_helpers_panic_reaches_the_caller_with_its_message() {
+        // An unprunable scan at threads 2: the helper starts at the second
+        // candidate, so that is the trajectory that panics, off the caller's
+        // thread.
+        let corpus = ShardedDb::build(corpus(40), 1, PartitionerKind::Hash);
+        let query = walk(3, 6, (30.0, 30.0));
+        let poisoned = corpus.shards()[0].arena().id(1);
+        let algo = PanicOn(poisoned, Default::default());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            corpus.top_k(&algo, &Dtw, &[&query], 3, false, false, 2)
+        }));
+        let payload = outcome.expect_err("the helper's panic must reach the caller");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(message, &format!("poisoned trajectory {poisoned}"));
+        let panicked_on = algo.1.lock().unwrap().expect("the search ran");
+        assert_ne!(
+            panicked_on,
+            std::thread::current().id(),
+            "a helper panicked"
+        );
+        // The database is immutable; the next call answers normally.
+        let want = TrajectoryDb::build(corpus.shards()[0].to_trajectories())
+            .top_k(&ExactS, &Dtw, &query, 3, false);
+        for threads in [1, 2] {
+            let (got, _) = corpus.top_k(&ExactS, &Dtw, &[&query], 3, false, false, threads);
+            assert_eq!(got[0], want);
         }
     }
 

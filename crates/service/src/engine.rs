@@ -9,7 +9,8 @@
 //!   1-shard case; queries fan out across per-shard R-trees) plus the
 //!   loaded RLS policy and t2vec model (when present). On multi-core
 //!   hosts with spare cores beyond the worker pool, each worker spreads
-//!   a multi-shard fan-out across scoped threads.
+//!   one query's scan across scoped threads: a pruning scan's shards, or
+//!   an unprunable scan's candidates.
 //! - **Hot-swappable handle.** The snapshot lives behind an
 //!   [`EngineHandle`]: a swap cell pairing `Arc<CorpusSnapshot>` with a
 //!   monotonically increasing *epoch*. [`QueryEngine::swap_snapshot`]
@@ -251,7 +252,7 @@ impl CorpusSnapshot {
         &self,
         spec: AlgoSpec,
         measure: MeasureSpec,
-    ) -> Result<Arc<dyn SubtrajSearch + Send + Sync>, ServiceError> {
+    ) -> Result<Arc<dyn SubtrajSearch + Send>, ServiceError> {
         Ok(match spec {
             AlgoSpec::Exact => Arc::new(ExactS),
             AlgoSpec::SizeS { xi } => Arc::new(SizeS::new(xi)),
@@ -730,10 +731,12 @@ struct Inner {
     queue: Mutex<Receiver<Job>>,
     cache: Mutex<Cache<u64, Arc<CachedAnswer>>>,
     stats: ServeStats,
-    /// Threads each worker may spread a sharded fan-out over: the cores
-    /// left after the worker pool claims its share (1 on a fully
-    /// subscribed pool, so the default configuration never oversubscribes).
-    shard_threads: usize,
+    /// Threads each worker may spread one query's scan over — a pruning
+    /// scan's shards, or an unprunable scan's candidates: the cores left
+    /// after the worker pool claims its share (1 on a fully subscribed
+    /// pool, so the default configuration never oversubscribes and a
+    /// served query never competes with the next one for a core).
+    scan_threads: usize,
     /// Newest slow-query records (bounded ring; see `SLOW_LOG_CAPACITY`).
     slow_log: Mutex<VecDeque<SlowQueryRecord>>,
     /// Bounded feed into the auditor thread; `None` once shutdown has
@@ -822,7 +825,7 @@ impl QueryEngine {
         let (tx, rx) = channel();
         let (audit_tx, audit_rx) = sync_channel::<AuditSample>(AUDIT_QUEUE_CAPACITY);
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let shard_threads = (cores / config.workers).max(1);
+        let scan_threads = (cores / config.workers).max(1);
         let inner = Arc::new(Inner {
             cache: Mutex::new(Cache::new(config.cache_capacity)),
             stats: ServeStats::with_workers(config.workers),
@@ -842,7 +845,7 @@ impl QueryEngine {
             },
             workers: config.workers,
             queue: Mutex::new(rx),
-            shard_threads,
+            scan_threads,
             slow_log: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)),
             audit_tx: Mutex::new(Some(audit_tx)),
             audit_counter: AtomicU64::new(0),
@@ -1822,7 +1825,7 @@ fn process_batch(inner: &Inner, jobs: Vec<Job>, timing: &BatchTiming) {
                 k,
                 use_index,
                 prune,
-                inner.shard_threads,
+                inner.scan_threads,
             );
             drop(timing_guard);
             result

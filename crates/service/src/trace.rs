@@ -55,7 +55,9 @@ pub struct TraceReport {
     /// scan timing is enabled — i.e. for traced queries).
     pub bound_us: u64,
     /// Of the scan, time inside the DP search kernel (measured like
-    /// `bound_us`).
+    /// `bound_us`), summed over every thread that searched: an
+    /// unprunable scan split over several threads can report more
+    /// `kernel_us` than `scan_us`.
     pub kernel_us: u64,
     /// Post-scan cache insertion and response fan-out until this job's
     /// reply was sent.

@@ -288,7 +288,7 @@ fn mdp_from_flags(flags: &Flags) -> Result<MdpConfig, String> {
     })
 }
 
-fn load_algo(flags: &Flags, mdp: MdpConfig) -> Result<Box<dyn SubtrajSearch + Sync>, String> {
+fn load_algo(flags: &Flags, mdp: MdpConfig) -> Result<Box<dyn SubtrajSearch>, String> {
     Ok(match flags.require("algo")? {
         "exact" => Box::new(ExactS),
         "sizes" => Box::new(SizeS::new(flags.parse_or("xi", 5usize)?)),
@@ -920,7 +920,10 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
     // prune counters change.
     let prune = !flags.switch("no-prune") && simsub::core::pruning_enabled();
     // Every layout returns byte-identical hits; `--shards` exists on
-    // `topk` to exercise (and time) the fan-out offline.
+    // `topk` to exercise (and time) the fan-out offline. The scan uses the
+    // process's cores: an unprunable one splits its candidates (same
+    // counters as one thread), a pruning one its shards (whose workers'
+    // shared floor makes the prune counters depend on timing).
     let sharding = sharding_from_flags(flags)?;
     let layout = sharding.map_or("single".to_string(), |(shards, partitioner)| {
         format!("{}x{}", shards, partitioner.name())
@@ -934,7 +937,7 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
         k,
         use_index,
         prune,
-        1,
+        simsub::core::library_scan_threads(),
     );
     let hits = hits.remove(0);
     let corpus_len = db.len();

@@ -7,38 +7,51 @@
 //! over twice the trajectories: its point-distance matrix and DP buffers
 //! live in the workspace. The count is exact, so any runner can hold it.
 //!
+//! A scan that cannot prune splits its candidates over the process's
+//! cores, and each helper thread brings its own heap and workspace: the
+//! budget is nothing per candidate, a fixed amount per helper. Thread `t`
+//! of a split searches candidate `t` before it claims any from the shared
+//! cursor, so every helper pays its workspace's first-use allocations
+//! exactly once whichever candidates the cursor hands it, and the count
+//! does not depend on how the threads divided the work. The corpora hold
+//! at least `MIN_CANDIDATES_PER_THREAD` trajectories per core, so both
+//! sides of every comparison start the same number of helpers on any
+//! machine.
+//!
 //! Training is held the same way: `train_rls` stores and learns from every
 //! transition on buffers the agent owns, and a t2vec gradient step records
 //! and back-propagates every GRU step on buffers sized once, so training
 //! on trajectories twice as long costs exactly the allocations of the
 //! originals, and so do three t2vec steps and one.
 //!
-//! The counter is per thread, and each scan runs on the thread that reads
-//! it, so the tests may run in parallel.
+//! The counter sees every thread of the process, helpers included, so the
+//! tests run one at a time behind [`exclusive`].
 
-use simsub::core::{train_rls, ExactS, MdpConfig, Rls, RlsTrainConfig};
+use simsub::core::{
+    library_scan_threads, train_rls, ExactS, MdpConfig, Rls, RlsTrainConfig,
+    MIN_CANDIDATES_PER_THREAD,
+};
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::measures::{CoordNormalizer, Dtw, Measure, T2Vec, T2VecConfig};
 use simsub::rl::{DqnAgent, DqnConfig};
 use simsub::trajectory::{Point, Trajectory};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-thread_local! {
-    // Const-initialized and without a destructor, so touching it from
-    // inside the allocator can neither allocate nor run after teardown.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+/// Allocations and reallocations by every thread of the process.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the count only touches
-// a destructor-free const thread-local and never allocates.
+// unchanged, so `System`'s guarantees carry over; the count is one atomic
+// add, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` describe a live `System` block; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -56,11 +69,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations (and reallocations) this thread makes inside `f`.
+/// Runs the calling test alone, and only once the process has stopped
+/// allocating: the test harness reports the previous test and starts the
+/// next one's thread on threads of its own, and the counter would see
+/// that.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut last = ALLOCS.load(Ordering::Relaxed);
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = ALLOCS.load(Ordering::Relaxed);
+        if now == last {
+            return guard;
+        }
+        last = now;
+    }
+}
+
+/// Allocations (and reallocations) the process makes inside `f`.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
+    let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
+    (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
+/// Trajectories a scan corpus needs so that it, and any corpus with more,
+/// splits over every core: `MIN_CANDIDATES_PER_THREAD` a core, and at
+/// least `floor`.
+fn scan_corpus_len(floor: usize) -> usize {
+    floor.max(MIN_CANDIDATES_PER_THREAD * library_scan_threads())
 }
 
 /// Every trajectory followed by a displaced copy of itself.
@@ -81,10 +119,11 @@ fn doubled(corpus: &[Trajectory]) -> Vec<Trajectory> {
 
 #[test]
 fn learned_scan_allocations_do_not_depend_on_what_is_scanned() {
-    const N: usize = 40;
+    let _alone = exclusive();
     const K: usize = 5;
-    let twice_as_many = generate(&DatasetSpec::porto(), 2 * N, 11);
-    let base = twice_as_many[..N].to_vec();
+    let n = scan_corpus_len(40);
+    let twice_as_many = generate(&DatasetSpec::porto(), 2 * n, 11);
+    let base = twice_as_many[..n].to_vec();
     let twice_as_long = doubled(&base);
     let query = generate(&DatasetSpec::porto(), 1, 12)[0].points()[..16].to_vec();
 
@@ -120,10 +159,12 @@ fn learned_scan_allocations_do_not_depend_on_what_is_scanned() {
 
 #[test]
 fn exact_scan_allocations_do_not_depend_on_how_many_are_scanned() {
-    const N: usize = 40;
+    let _alone = exclusive();
     const K: usize = 5;
-    let twice_as_many = generate(&DatasetSpec::porto(), 2 * N, 21);
-    let base = twice_as_many[..N].to_vec();
+    // Pruned by default; split over the cores under `SIMSUB_NO_PRUNE`.
+    let n = scan_corpus_len(40);
+    let twice_as_many = generate(&DatasetSpec::porto(), 2 * n, 21);
+    let base = twice_as_many[..n].to_vec();
     let query = generate(&DatasetSpec::porto(), 1, 22)[0].points()[..16].to_vec();
     let counts: Vec<u64> = [base, twice_as_many]
         .into_iter()
@@ -142,6 +183,7 @@ fn exact_scan_allocations_do_not_depend_on_how_many_are_scanned() {
 
 #[test]
 fn rls_training_allocations_do_not_depend_on_trajectory_length() {
+    let _alone = exclusive();
     let corpus = generate(&DatasetSpec::porto(), 16, 31);
     let twice_as_long = doubled(&corpus);
     let queries: Vec<Trajectory> = generate(&DatasetSpec::porto(), 6, 32)
@@ -183,6 +225,7 @@ fn rls_training_allocations_do_not_depend_on_trajectory_length() {
 
 #[test]
 fn t2vec_training_allocations_do_not_depend_on_length_or_steps() {
+    let _alone = exclusive();
     let corpus = generate(&DatasetSpec::porto(), 12, 33);
     let twice_as_long = doubled(&corpus);
     let train = |corpus: &[Trajectory], steps: usize| {

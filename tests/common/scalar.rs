@@ -49,7 +49,7 @@ pub enum Scalar<'a> {
 
 impl Scalar<'_> {
     /// The product algorithm this oracle pins.
-    pub fn product(self) -> Box<dyn SubtrajSearch + Sync> {
+    pub fn product(self) -> Box<dyn SubtrajSearch> {
         match self {
             Scalar::ExactS => Box::new(ExactS),
             Scalar::SizeS { xi } => Box::new(SizeS::new(xi)),

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsub::core::{
-    BoundCascade, ExactS, PruneStats, Pss, SearchWorkspace, SubtrajSearch, TopKResult,
+    scan_prunes, BoundCascade, ExactS, PruneStats, Pss, SearchWorkspace, SubtrajSearch, TopKResult,
 };
 use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
@@ -110,7 +110,7 @@ fn full_scan(
 /// (sequential, parallel fan-out, batched entry) for one combination.
 fn check_prune_equivalence(
     corpus: &[Trajectory],
-    algo: &(dyn SubtrajSearch + Sync),
+    algo: &dyn SubtrajSearch,
     measure: &dyn Measure,
     query: &[Point],
     k: usize,
@@ -204,7 +204,7 @@ proptest! {
         let arena = CorpusArena::from_trajectories(&corpus);
         for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
             let mut cascade = BoundCascade::new(measure, &query);
-            prop_assert!(cascade.is_active());
+            prop_assert!(scan_prunes(&ExactS, measure, true));
             prop_assert!(SearchWorkspace::new(measure, &query).factors_cell_rows());
             for (slot, t) in corpus.iter().enumerate() {
                 let best = ExactS.search(measure, t.points(), &query).similarity;
@@ -246,7 +246,7 @@ proptest! {
             .collect();
         let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
         for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
-            for algo in [&ExactS as &(dyn SubtrajSearch + Sync), &Pss] {
+            for algo in [&ExactS as &dyn SubtrajSearch, &Pss] {
                 let wants: Vec<Vec<TopKResult>> = queries
                     .iter()
                     .map(|q| full_scan(algo, measure, &corpus, q, k, false).0)
@@ -282,7 +282,7 @@ fn t2vec_is_never_pruned_and_stays_identical() {
     };
     let (model, _sep) = T2Vec::train(&corpus, &cfg);
     let query = walk(0xabcd, 7, (0.0, 0.0));
-    for algo in [&ExactS as &(dyn SubtrajSearch + Sync), &Pss] {
+    for algo in [&ExactS as &dyn SubtrajSearch, &Pss] {
         let (want, _) = full_scan(algo, &model, &corpus, &query, 4, false);
         let (pruned, stats) = full_scan(algo, &model, &corpus, &query, 4, true);
         assert_bitwise_topk(&pruned, &want, "t2vec pruned vs unpruned");

@@ -77,7 +77,7 @@ fn assert_identical(got: &[TopKResult], want: &[TopKResult], context: &str) {
 /// combination across all shard counts and partitioners.
 fn check_equivalence(
     corpus: &[Trajectory],
-    algo: &(dyn SubtrajSearch + Sync),
+    algo: &dyn SubtrajSearch,
     measure: &dyn Measure,
     query: &[Point],
     k: usize,
