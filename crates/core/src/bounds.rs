@@ -153,7 +153,7 @@ impl PruneStats {
         self.scanned == self.pruned() + self.searched && self.abandoned <= self.searched
     }
 
-    /// Accumulates another scan's counters (shard fan-outs, batches).
+    /// Accumulates another scan's counters (split scans, batches).
     pub fn merge(&mut self, other: &PruneStats) {
         self.scanned += other.scanned;
         self.pruned_by_kim += other.pruned_by_kim;
@@ -373,56 +373,6 @@ fn fill_mbr_dists(qx: &[f64], qy: &[f64], mbr: &Mbr, out: &mut [f64]) {
         let dx = (min_x - x).max(0.0).max(x - max_x);
         let dy = (min_y - y).max(0.0).max(y - max_y);
         *o = (dx * dx + dy * dy).sqrt();
-    }
-}
-
-/// A monotonically rising similarity floor shared by parallel scan
-/// workers: a published value `v` certifies "the final k-th hit's
-/// similarity is at least `v`", so any worker may prune a trajectory
-/// whose bound is *strictly* below `v` — regardless of which worker
-/// established it. Purely an acceleration hint: results are identical
-/// with or without it (each worker still keeps its own exact top-k).
-#[derive(Debug)]
-pub struct SharedSimFloor {
-    bits: AtomicU64,
-}
-
-impl Default for SharedSimFloor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedSimFloor {
-    /// A floor that prunes nothing yet.
-    pub fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-
-    /// The current floor.
-    pub fn get(&self) -> f64 {
-        // ordering: relaxed — a stale floor only misses a prune, never an answer.
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Raises the floor to `v` if higher (CAS loop; relaxed ordering is
-    /// enough — a stale read only costs a missed prune, never an answer).
-    pub fn raise(&self, v: f64) {
-        // ordering: relaxed — CAS loop re-reads on failure; monotonic max.
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match self.bits.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed, // ordering: relaxed — the float payload is self-contained
-                Ordering::Relaxed, // ordering: relaxed — the failure value only feeds the retry
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
     }
 }
 
@@ -690,17 +640,5 @@ mod tests {
         assert!(scan_timing_enabled());
         drop(g2);
         assert!(!scan_timing_enabled());
-    }
-
-    #[test]
-    fn shared_floor_is_monotone() {
-        let floor = SharedSimFloor::new();
-        assert_eq!(floor.get(), f64::NEG_INFINITY);
-        floor.raise(0.5);
-        assert_eq!(floor.get(), 0.5);
-        floor.raise(0.25); // lower value must not win
-        assert_eq!(floor.get(), 0.5);
-        floor.raise(0.75);
-        assert_eq!(floor.get(), 0.75);
     }
 }

@@ -43,7 +43,7 @@ mod workspace;
 
 pub use bounds::{
     pruning_enabled, scan_timing_enabled, scan_timing_scope, BoundCascade, PruneStats,
-    ScanTimingGuard, SharedSimFloor,
+    ScanTimingGuard,
 };
 pub use exact::{exhaustive_ranking, ExactS, ExhaustiveRanking};
 pub use mdp::{episode_parts, MdpConfig, ScanStats, SplitEnv, StepOutcome};

@@ -1,7 +1,7 @@
 //! Synchronization facade for the core crate; see
 //! `crates/service/src/sync.rs` for the full story. Core shares state with
-//! concurrent scan workers through `SharedSimFloor` and the scan-timing
-//! accumulator, so its atomics are instrumented under
+//! concurrent scan threads through a split scan's candidate cursor and the
+//! scan-timing accumulator, so its atomics are instrumented under
 //! `RUSTFLAGS="--cfg simsub_loom"` too (enforced by `cargo xtask lint`).
 
 #[cfg(simsub_loom)]

@@ -34,15 +34,15 @@
 //!   [`simsub_trajectory::TrajView`]s, and per-trajectory MBRs are O(1)
 //!   reads from the arena's precomputed table.
 //!
-//! [`scan_top_k_into`] is the only scan kernel: a database scan, a shard
-//! fan-out, a parallel fan-out and a micro-batch (`simsub-index`) are all
-//! loops of it over caller-owned heaps. Every caller ranks through
+//! [`scan_top_k_into`] is the only scan kernel: a database scan and a
+//! micro-batch (`simsub-index`) are both loops of it over caller-owned
+//! heaps. Every caller ranks through
 //! [`sort_hits_and_truncate`]'s total order (or the identical
 //! [`TopKHeap`] order), so results stay interchangeable, pruning is
 //! byte-invisible (`tests/prune_equivalence.rs`), and the arena layout is
 //! byte-invisible too (`tests/layout_equivalence.rs`).
 
-use crate::bounds::{BoundCascade, PruneStats, SharedSimFloor};
+use crate::bounds::{BoundCascade, PruneStats};
 use crate::sync::atomic::{self, AtomicUsize};
 use crate::sync::OnceLock;
 use crate::{SearchOutcome, SearchResult, SearchWorkspace, SubtrajSearch};
@@ -77,8 +77,8 @@ pub const MIN_CANDIDATES_PER_THREAD: usize = 8;
 /// Whether a scan of `algo` under `measure` with the prune switch `prune`
 /// takes the pruning branch of [`scan_top_k_into`]: the measure must admit
 /// a bound cascade and the algorithm's reported similarity must be
-/// admissible. Callers that plan around the branch (the shard fan-out)
-/// ask this, so they and the kernel cannot disagree.
+/// admissible. Callers that plan around the branch (the library's thread
+/// count) ask this, so they and the kernel cannot disagree.
 pub fn scan_prunes(algo: &dyn SubtrajSearch, measure: &dyn Measure, prune: bool) -> bool {
     prune && measure.distance_aggregate().is_some() && algo.reported_similarity_is_admissible()
 }
@@ -278,30 +278,6 @@ impl TopKHeap {
     }
 }
 
-/// Combines the running-top-k threshold with an optional cross-worker
-/// floor: admit only candidates whose similarity upper `bound` could
-/// still place them in the final top-k.
-fn admits(heap: &TopKHeap, floor: Option<&SharedSimFloor>, bound: f64, id: u64) -> bool {
-    if let Some(floor) = floor {
-        // Strictly below a certified k-th similarity: hopeless anywhere.
-        if bound < floor.get() {
-            return false;
-        }
-    }
-    heap.would_admit(bound, id)
-}
-
-/// The similarity a hit must reach to matter — the higher of this heap's
-/// k-th and the cross-worker floor, `-∞` while neither exists. A hit
-/// strictly below it ranks behind `k` others whatever its id (this heap
-/// rejects it, or the heap that certified the shared floor outranks it at
-/// the merge), so a search may stop at "below this" without finding the
-/// value; a hit equal to it may still win on id and must be found exactly.
-fn sim_floor(heap: &TopKHeap, floor: Option<&SharedSimFloor>) -> f64 {
-    let own = heap.full_floor().unwrap_or(f64::NEG_INFINITY);
-    own.max(floor.map_or(f64::NEG_INFINITY, SharedSimFloor::get))
-}
-
 /// Runs `f`, adding its wall-clock nanoseconds to `ns` only when `timing`.
 fn timed<T>(timing: bool, ns: &mut u64, f: impl FnOnce() -> T) -> T {
     let start = timing.then(std::time::Instant::now);
@@ -330,7 +306,6 @@ fn search_and_push(
     slot: usize,
     heap: &mut TopKHeap,
     ws: &mut SearchWorkspace<'_>,
-    floor: Option<&SharedSimFloor>,
     sim_floor: f64,
     prepare_rows: bool,
     timing: bool,
@@ -353,9 +328,6 @@ fn search_and_push(
         },
         pending: (outcome == SearchOutcome::RangePending).then_some(slot),
     });
-    if let (Some(floor), Some(kth)) = (floor, heap.full_floor()) {
-        floor.raise(kth);
-    }
 }
 
 /// Resolves the range of every pending hit still in the heap — the hits
@@ -390,7 +362,6 @@ struct ReferenceScan<'a> {
     algo: &'a dyn SubtrajSearch,
     arena: &'a CorpusArena,
     candidates: &'a [usize],
-    floor: Option<&'a SharedSimFloor>,
     timing: bool,
     /// Index into `candidates` of the next unclaimed candidate.
     cursor: AtomicUsize,
@@ -419,7 +390,6 @@ impl ReferenceScan<'_> {
                 slot,
                 heap,
                 ws,
-                self.floor,
                 f64::NEG_INFINITY,
                 false,
                 self.timing,
@@ -446,7 +416,6 @@ fn scan_reference(
     query: &[Point],
     heap: &mut TopKHeap,
     ws: &mut SearchWorkspace<'_>,
-    floor: Option<&SharedSimFloor>,
     threads: usize,
     timing: bool,
     stats: &mut PruneStats,
@@ -458,7 +427,6 @@ fn scan_reference(
         algo,
         arena,
         candidates,
-        floor,
         timing,
         cursor: AtomicUsize::new(threads),
     };
@@ -495,8 +463,8 @@ fn scan_reference(
 
 /// The prune-first scan kernel every top-k path composes: runs `algo`
 /// over the arena slots in `candidates`, accumulating into a
-/// caller-owned heap/workspace so shard fan-outs share both the k-th
-/// threshold and the evaluator buffers across rounds. `ws` must already
+/// caller-owned heap/workspace, so consecutive calls share both the k-th
+/// threshold and the evaluator buffers. `ws` must already
 /// target `query` under the scan's measure (the cascade is built from
 /// `query`, the searches run through `ws` — a mismatch would prune with
 /// one query's bounds against another query's scores, so it is
@@ -505,8 +473,7 @@ fn scan_reference(
 /// When [`scan_prunes`] holds, candidates are visited
 /// best-coarse-bound-first on the calling thread, must survive the
 /// [`BoundCascade`] before being searched, and are searched under the
-/// running k-th similarity; `floor` optionally shares a certified k-th
-/// similarity across workers. Otherwise every candidate is searched in
+/// running k-th similarity. Otherwise every candidate is searched in
 /// full with no floor — the reference the pruned path is held to. No
 /// search there reads the heap, so that branch spreads the candidates
 /// over up to `threads` threads (the caller's and scoped helpers, each
@@ -517,7 +484,7 @@ fn scan_reference(
 /// sums every thread's time, so it can exceed the scan's wall time.
 ///
 /// The heap's final contents are identical for every
-/// `prune`/`floor`/`threads`/visit order — bounds are admissible, a
+/// `prune`/`threads`/visit order — bounds are admissible, a
 /// floored search differs from the full one only below the floor or in a
 /// range it leaves pending, every pending range still in the heap is
 /// resolved before the call returns, and the hit order is total — and so
@@ -531,7 +498,6 @@ pub fn scan_top_k_into(
     heap: &mut TopKHeap,
     ws: &mut SearchWorkspace<'_>,
     prune: bool,
-    floor: Option<&SharedSimFloor>,
     threads: usize,
     stats: &mut PruneStats,
 ) {
@@ -549,7 +515,7 @@ pub fn scan_top_k_into(
         // The reference path: no floor, no prepared rows — ExactS stays
         // the paper's multi-start enumeration.
         scan_reference(
-            algo, arena, candidates, query, heap, ws, floor, threads, timing, stats,
+            algo, arena, candidates, query, heap, ws, threads, timing, stats,
         );
         return;
     }
@@ -571,39 +537,42 @@ pub fn scan_top_k_into(
     for (coarse, slot) in order {
         let id = arena.id(slot);
         stats.scanned += 1;
-        if !admits(heap, floor, coarse, id) {
+        if !heap.would_admit(coarse, id) {
             stats.pruned_by_kim += 1;
             continue;
         }
         let envelope = timed(timing, &mut stats.bound_ns, || {
             cascade.envelope_bound(arena.mbr(slot))
         });
-        if !admits(heap, floor, envelope, id) {
+        if !heap.would_admit(envelope, id) {
             stats.pruned_by_mbr += 1;
             continue;
         }
         // The point-level stage reads coordinates; only measures whose
         // search reads a point-distance matrix (DTW, Frechet) run it. It
-        // stops at the first query prefix whose bound `admits` rejects,
+        // stops at the first query prefix whose bound the heap rejects,
         // and that looser bound is rejected again here.
         let points = if ws.factors_cell_rows() {
             let view = arena.view(slot);
             timed(timing, &mut stats.bound_ns, || {
                 cascade.point_bound(view.xs(), view.ys(), |partial| {
-                    admits(heap, floor, partial, id)
+                    heap.would_admit(partial, id)
                 })
             })
         } else {
             f64::INFINITY
         };
-        if !admits(heap, floor, points, id) {
+        if !heap.would_admit(points, id) {
             stats.pruned_by_points += 1;
             continue;
         }
-        let sim_floor = sim_floor(heap, floor);
-        search_and_push(
-            algo, arena, slot, heap, ws, floor, sim_floor, true, timing, stats,
-        );
+        // The similarity a hit must reach to matter: the heap's k-th, -∞
+        // until it is full. A hit strictly below it ranks behind `k`
+        // others whatever its id, so the search may stop at "below this"
+        // without finding the value; a hit equal to it may still win on
+        // id and must be found exactly.
+        let sim_floor = heap.full_floor().unwrap_or(f64::NEG_INFINITY);
+        search_and_push(algo, arena, slot, heap, ws, sim_floor, true, timing, stats);
     }
     resolve_pending_ranges(algo, arena, heap, ws, timing, stats);
 }
@@ -651,7 +620,7 @@ mod tests {
         let mut ws = SearchWorkspace::new(&Dtw, query);
         let mut stats = PruneStats::default();
         scan_top_k_into(
-            algo, &arena, &slots, query, &mut heap, &mut ws, prune, None, 1, &mut stats,
+            algo, &arena, &slots, query, &mut heap, &mut ws, prune, 1, &mut stats,
         );
         (heap.into_sorted_hits(), stats)
     }
@@ -726,10 +695,11 @@ mod tests {
     }
 
     #[test]
-    fn split_scans_sharing_a_floor_match_one_scan() {
-        // The shape every fan-out takes: disjoint slot ranges scanned into
-        // separate heaps that publish their k-th similarity through one
-        // `SharedSimFloor`, merged by `sort_hits_and_truncate`.
+    fn split_scans_merged_through_the_sort_match_one_scan() {
+        // Disjoint slot ranges scanned into separate heaps, each pruning
+        // against its own k-th only, then ranked by
+        // `sort_hits_and_truncate`: the merge contract every per-worker
+        // top-k list is held to.
         let db = db(37, 14);
         let q = walk(500, 5);
         let arena = CorpusArena::from_trajectories(&db);
@@ -737,23 +707,13 @@ mod tests {
         for k in [1, 5, 50] {
             let (want, _) = scan(&ExactS, &db, &q, k, true);
             for parts in [1, 2, 4, 8] {
-                let floor = SharedSimFloor::new();
                 let mut merged = Vec::new();
                 let mut stats = PruneStats::default();
                 for part in slots.chunks(slots.len().div_ceil(parts)) {
                     let mut heap = TopKHeap::new(k);
                     let mut ws = SearchWorkspace::new(&Dtw, &q);
                     scan_top_k_into(
-                        &ExactS,
-                        &arena,
-                        part,
-                        &q,
-                        &mut heap,
-                        &mut ws,
-                        true,
-                        Some(&floor),
-                        1,
-                        &mut stats,
+                        &ExactS, &arena, part, &q, &mut heap, &mut ws, true, 1, &mut stats,
                     );
                     merged.extend(heap.into_sorted_hits());
                 }
@@ -763,6 +723,61 @@ mod tests {
                 assert_eq!(stats.scanned, db.len() as u64);
             }
         }
+    }
+
+    #[test]
+    fn empty_candidate_list_leaves_heap_and_counters_untouched() {
+        let arena = CorpusArena::from_trajectories(&db(20, 8));
+        let q = walk(3, 4);
+        for (prune, threads) in [(true, 1), (false, 1), (false, 4)] {
+            let (hits, stats) = threaded_scan(&ExactS, &Dtw, &arena, &[&[]], &q, 3, prune, threads);
+            assert!(hits.is_empty(), "prune={prune} threads={threads}");
+            assert_eq!((counters(&stats), stats.pruned()), ([0; 4], 0));
+        }
+    }
+
+    fn hit(trajectory_id: u64, distance: f64) -> TopKResult {
+        let range = simsub_trajectory::SubtrajRange::new(0, 0);
+        let result = SearchResult::from_distance(range, distance);
+        TopKResult {
+            trajectory_id,
+            result,
+        }
+    }
+
+    #[test]
+    fn would_admit_takes_anything_until_full_then_ranks_against_the_worst() {
+        let mut heap = TopKHeap::new(2);
+        assert!(heap.would_admit(f64::NEG_INFINITY, u64::MAX));
+        heap.push(hit(4, 1.0));
+        assert!(heap.would_admit(f64::NEG_INFINITY, u64::MAX), "room left");
+        heap.push(hit(7, 3.0));
+        let worst = heap.worst().copied().unwrap();
+        assert_eq!(worst.trajectory_id, 7);
+        let floor = worst.result.similarity;
+        assert!(heap.would_admit(floor + 1e-9, u64::MAX), "strictly better");
+        assert!(!heap.would_admit(floor - 1e-9, 0), "strictly worse");
+        // An equal similarity ranks by id: only a smaller id displaces.
+        assert!(heap.would_admit(floor, 6));
+        assert!(!heap.would_admit(floor, 7));
+        assert!(!heap.would_admit(floor, 8));
+    }
+
+    #[test]
+    fn full_floor_appears_only_once_k_hits_are_held() {
+        let mut heap = TopKHeap::new(3);
+        for (id, distance) in [(0, 2.0), (1, 5.0)] {
+            heap.push(hit(id, distance));
+            assert_eq!(heap.full_floor(), None, "{} of 3 held", heap.len());
+        }
+        heap.push(hit(2, 0.5));
+        let worst = hit(1, 5.0).result.similarity;
+        assert_eq!(heap.full_floor(), Some(worst));
+        // A better hit evicts the worst and raises the floor.
+        heap.push(hit(3, 1.0));
+        assert_eq!(heap.full_floor(), Some(hit(0, 2.0).result.similarity));
+        assert!(heap.full_floor().unwrap() > worst);
+        assert_eq!(heap.len(), 3);
     }
 
     #[test]
@@ -808,39 +823,17 @@ mod tests {
         for q in [exact, near] {
             let (want, _) = scan(&ExactS, &database, &q, 2, false);
             assert_eq!((want[0].trajectory_id, want[1].trajectory_id), (0, 1));
-            // One heap carried across two scans (the sequential shard walk).
+            // One heap carried across two scans.
             let mut heap = TopKHeap::new(2);
             let mut ws = SearchWorkspace::new(&Dtw, &q);
             let mut stats = PruneStats::default();
             for part in [&late, &early] {
                 scan_top_k_into(
-                    &ExactS, &arena, part, &q, &mut heap, &mut ws, true, None, 1, &mut stats,
+                    &ExactS, &arena, part, &q, &mut heap, &mut ws, true, 1, &mut stats,
                 );
             }
             assert_eq!(heap.into_sorted_hits(), want, "shared heap");
             assert!(stats.is_consistent());
-            // Two heaps that only share the certified floor (the parallel
-            // fan-out): the second scan runs under the first one's k-th.
-            let floor = SharedSimFloor::new();
-            let mut merged = Vec::new();
-            for part in [&late, &early] {
-                let mut heap = TopKHeap::new(2);
-                scan_top_k_into(
-                    &ExactS,
-                    &arena,
-                    part,
-                    &q,
-                    &mut heap,
-                    &mut ws,
-                    true,
-                    Some(&floor),
-                    1,
-                    &mut stats,
-                );
-                merged.extend(heap.into_sorted_hits());
-            }
-            sort_hits_and_truncate(&mut merged, 2);
-            assert_eq!(merged, want, "shared floor");
         }
     }
 
@@ -876,16 +869,14 @@ mod tests {
         }
     }
 
-    /// Scans `parts` in turn into one heap (the sequential shard walk)
-    /// through a [`FloorProbe`]; returns the hits, the stats and, per
-    /// part, the calls its scan made.
+    /// Scans `parts` in turn into one heap through a [`FloorProbe`];
+    /// returns the hits, the stats and, per part, the calls its scan made.
     fn probe_scan(
         db: &[Trajectory],
         q: &[Point],
         k: usize,
         parts: usize,
         prune: bool,
-        floor: Option<&SharedSimFloor>,
     ) -> (Vec<TopKResult>, PruneStats, Vec<Vec<ProbeCall>>) {
         let probe = FloorProbe(Default::default());
         let arena = CorpusArena::from_trajectories(db);
@@ -896,7 +887,7 @@ mod tests {
         let mut calls = Vec::new();
         for part in slots.chunks(slots.len().div_ceil(parts)) {
             scan_top_k_into(
-                &probe, &arena, part, q, &mut heap, &mut ws, prune, floor, 1, &mut stats,
+                &probe, &arena, part, q, &mut heap, &mut ws, prune, 1, &mut stats,
             );
             calls.push(std::mem::take(&mut *probe.0.lock().unwrap()));
             // Cleared once the scan is over.
@@ -911,21 +902,16 @@ mod tests {
         let db = db(30, 12);
         let q = walk(55, 5);
         // Reference path: no floor, no prepared rows, nothing abandoned,
-        // nothing left to resolve — with and without a shared floor that
-        // already certifies a k-th.
-        let shared = SharedSimFloor::new();
-        shared.raise(0.9);
-        for floor in [None, Some(&shared)] {
-            let (_, stats, calls) = probe_scan(&db, &q, 3, 1, false, floor);
-            let seen = &calls[0];
-            assert_eq!(seen.len(), db.len());
-            assert!(
-                seen.iter()
-                    .all(|c| c.floor == f64::NEG_INFINITY && !c.rows_prepared),
-                "{seen:?}"
-            );
-            assert_eq!((stats.abandoned, stats.pruned()), (0, 0));
-        }
+        // nothing left to resolve.
+        let (_, stats, calls) = probe_scan(&db, &q, 3, 1, false);
+        let seen = &calls[0];
+        assert_eq!(seen.len(), db.len());
+        assert!(
+            seen.iter()
+                .all(|c| c.floor == f64::NEG_INFINITY && !c.rows_prepared),
+            "{seen:?}"
+        );
+        assert_eq!((stats.abandoned, stats.pruned()), (0, 0));
         // Pruning path: every search runs over its prepared matrix under
         // -∞ until the heap fills, then under the running k-th —
         // non-decreasing. Then come the resolutions, one per pending hit
@@ -935,7 +921,7 @@ mod tests {
         // let in was pending, so the resolutions are the final hits.
         let (want, _) = scan(&ExactS, &db, &q, 3, false);
         for parts in [1, 3] {
-            let (hits, stats, calls) = probe_scan(&db, &q, 3, parts, true, None);
+            let (hits, stats, calls) = probe_scan(&db, &q, 3, parts, true);
             assert_eq!(hits, want, "parts {parts}");
             let mut searches = Vec::new();
             let mut resolutions = Vec::new();
@@ -1064,8 +1050,8 @@ mod tests {
         ]
     }
 
-    /// Scans the slot `rounds` in turn into one heap of `k` (a shard walk
-    /// when there are several), each round at `threads`.
+    /// Scans the slot `rounds` in turn into one heap of `k`, each round at
+    /// `threads`.
     #[allow(clippy::too_many_arguments)]
     fn threaded_scan(
         algo: &dyn SubtrajSearch,
@@ -1082,7 +1068,7 @@ mod tests {
         let mut stats = PruneStats::default();
         for round in rounds {
             scan_top_k_into(
-                algo, arena, round, q, &mut heap, &mut ws, prune, None, threads, &mut stats,
+                algo, arena, round, q, &mut heap, &mut ws, prune, threads, &mut stats,
             );
         }
         (heap.into_sorted_hits(), stats)
@@ -1151,7 +1137,7 @@ mod tests {
 
     #[test]
     fn split_scan_into_a_heap_holding_hits_matches_one_thread() {
-        // The second round of a shard walk: the caller's heap is full
+        // A second scan into the same heap: the caller's heap is full
         // before the split starts, and its helpers' hits must compete
         // with what it holds.
         let q = walk(77, 6);

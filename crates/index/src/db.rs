@@ -12,8 +12,8 @@
 
 use crate::rtree::RTree;
 use simsub_core::{
-    library_scan_threads, pruning_enabled, scan_prunes, PruneStats, SearchWorkspace,
-    SharedSimFloor, SubtrajSearch, TopKHeap, TopKResult,
+    library_scan_threads, pruning_enabled, scan_prunes, PruneStats, SearchWorkspace, SubtrajSearch,
+    TopKHeap, TopKResult,
 };
 use simsub_measures::Measure;
 use simsub_trajectory::{CorpusArena, Mbr, Point, TrajView, Trajectory};
@@ -108,7 +108,7 @@ impl TrajectoryDb {
     }
 
     /// Materializes the corpus back into owned AoS trajectories
-    /// (bit-exact; for tooling, re-partitioning, and tests).
+    /// (bit-exact; for tooling and tests).
     pub fn to_trajectories(&self) -> Vec<Trajectory> {
         self.arena.to_trajectories()
     }
@@ -173,19 +173,79 @@ impl TrajectoryDb {
         prune: bool,
     ) -> (Vec<TopKResult>, PruneStats) {
         assert!(k > 0, "k must be positive");
-        let mut stats = PruneStats::default();
-        let candidates = self.scan_candidate_slots(query, use_index);
-        if candidates.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let mut heap = TopKHeap::new(k);
-        let mut ws = SearchWorkspace::new(measure, query);
         // Only an unprunable scan splits, so only it reads the core count.
         let threads = if scan_prunes(algo, measure, prune) {
             1
         } else {
             library_scan_threads()
         };
+        let mut stats = PruneStats::default();
+        let hits = self.scan(
+            algo, measure, query, k, use_index, prune, threads, &mut stats,
+        );
+        (hits, stats)
+    }
+
+    /// Top-k search for every query in `queries` — the batched entry the
+    /// serving layer answers a micro-batch with. Returns the hits per
+    /// query (same order) and the [`PruneStats`] summed over all of them.
+    /// A batch is a plain loop of single-query scans, one heap and one
+    /// workspace a query, so both are exactly what one call per query
+    /// would add up to.
+    ///
+    /// `threads` is how many threads one query may use: a pruning scan
+    /// (see [`scan_prunes`]) runs on the calling thread, because each of
+    /// its searches reads the running k-th similarity; an unprunable one
+    /// splits its candidates over up to `threads` threads
+    /// (`simsub_core::scan_top_k_into`). `prune` switches the
+    /// admissible-bound cascade (see `simsub_core::bounds`). The hits and
+    /// the counters other than the timings are identical for every
+    /// `prune` and `threads`, and equal [`TrajectoryDb::top_k_with_stats`]
+    /// query by query.
+    #[allow(clippy::too_many_arguments)] // the whole scan plan, spelled once
+    pub fn top_k_batch(
+        &self,
+        algo: &dyn SubtrajSearch,
+        measure: &dyn Measure,
+        queries: &[&[Point]],
+        k: usize,
+        use_index: bool,
+        prune: bool,
+        threads: usize,
+    ) -> (Vec<Vec<TopKResult>>, PruneStats) {
+        assert!(k > 0, "k must be positive");
+        let mut stats = PruneStats::default();
+        let hits = queries
+            .iter()
+            .map(|query| {
+                self.scan(
+                    algo, measure, query, k, use_index, prune, threads, &mut stats,
+                )
+            })
+            .collect();
+        (hits, stats)
+    }
+
+    /// One query's scan into a fresh heap and workspace, adding its
+    /// counters to `stats`.
+    #[allow(clippy::too_many_arguments)] // mirrors `top_k_batch`
+    fn scan(
+        &self,
+        algo: &dyn SubtrajSearch,
+        measure: &dyn Measure,
+        query: &[Point],
+        k: usize,
+        use_index: bool,
+        prune: bool,
+        threads: usize,
+        stats: &mut PruneStats,
+    ) -> Vec<TopKResult> {
+        let candidates = self.scan_candidate_slots(query, use_index);
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        let mut heap = TopKHeap::new(k);
+        let mut ws = SearchWorkspace::new(measure, query);
         simsub_core::scan_top_k_into(
             algo,
             &self.arena,
@@ -194,11 +254,10 @@ impl TrajectoryDb {
             &mut heap,
             &mut ws,
             prune,
-            None,
             threads,
-            &mut stats,
+            stats,
         );
-        (heap.into_sorted_hits(), stats)
+        heap.into_sorted_hits()
     }
 
     /// The candidate slots a scan visits: the R-tree intersection set
@@ -214,39 +273,6 @@ impl TrajectoryDb {
             (0..self.arena.len()).collect()
         }
     }
-
-    /// Low-level fan-out entry: scans this database into a caller-owned
-    /// heap/workspace (see `simsub_core::scan_top_k_into`), an unprunable
-    /// scan over up to `threads` threads. `ShardedDb` threads one heap and
-    /// one workspace through every shard, so the running k-th similarity
-    /// and the evaluator buffers carry across shard rounds.
-    #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
-    pub(crate) fn scan_top_k_into(
-        &self,
-        algo: &dyn SubtrajSearch,
-        query: &[Point],
-        use_index: bool,
-        heap: &mut TopKHeap,
-        ws: &mut SearchWorkspace<'_>,
-        prune: bool,
-        floor: Option<&SharedSimFloor>,
-        threads: usize,
-        stats: &mut PruneStats,
-    ) {
-        let candidates = self.scan_candidate_slots(query, use_index);
-        simsub_core::scan_top_k_into(
-            algo,
-            &self.arena,
-            &candidates,
-            query,
-            heap,
-            ws,
-            prune,
-            floor,
-            threads,
-            stats,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +280,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use simsub_core::ExactS;
+    use simsub_core::{ExactS, SearchResult};
     use simsub_measures::Dtw;
 
     fn walk(seed: u64, len: usize, origin: (f64, f64)) -> Vec<Point> {
@@ -305,10 +331,8 @@ mod tests {
         assert_eq!(a.to_trajectories(), trajs);
     }
 
-    /// Regression for the sharded fan-out: a grid partitioner can hand a
-    /// shard zero trajectories, so an *empty* database (empty R-tree)
-    /// must answer `candidate_ids` / `candidates` / `top_k` with empty
-    /// results instead of panicking.
+    /// An *empty* database (empty R-tree) answers `candidate_ids` /
+    /// `candidates` / `top_k` with empty results instead of panicking.
     #[test]
     fn empty_database_answers_queries_with_nothing() {
         let db = TrajectoryDb::build(Vec::new());
@@ -331,26 +355,65 @@ mod tests {
         let _ = TrajectoryDb::build(vec![t1, t2]);
     }
 
-    #[test]
-    fn candidates_match_linear_mbr_filter() {
-        let db = build_db(60);
-        // Anchor the query on trajectory 11's points so at least one MBR
-        // intersection is guaranteed.
-        let query: Vec<Point> = db.get(11).unwrap().to_points()[..8].to_vec();
-        let qmbr = Mbr::of_points(&query);
-        let mut got: Vec<u64> = db.candidates(&qmbr).iter().map(|v| v.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = db
-            .views()
-            .enumerate()
-            .filter(|(slot, _)| db.arena().mbr(*slot).intersects(&qmbr))
-            .map(|(_, v)| v.id)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        // The grid layout guarantees real pruning happens.
-        assert!(got.len() < db.len());
-        assert!(!got.is_empty());
+    /// A trajectory on a coarse integer lattice, so MBRs routinely share
+    /// edges and corners with each other and with the query's. `shape`
+    /// picks a walk (0, 1), a single repeated point (2), a horizontal
+    /// segment (3) or a vertical one (4).
+    fn lattice_points(rng: &mut StdRng, shape: u8) -> Vec<Point> {
+        let len = rng.gen_range(1..7);
+        let (x0, y0) = (rng.gen_range(-6..6) as f64, rng.gen_range(-6..6) as f64);
+        (0..len)
+            .map(|i| {
+                let (dx, dy) = match shape {
+                    2 => (0.0, 0.0),
+                    3 => (rng.gen_range(-3..4) as f64, 0.0),
+                    4 => (0.0, rng.gen_range(-3..4) as f64),
+                    _ => (rng.gen_range(-3..4) as f64, rng.gen_range(-3..4) as f64),
+                };
+                Point::new(x0 + dx, y0 + dy, i as f64)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The R-tree's candidate set equals, as a set, a plain pass over
+        /// the arena's MBR table that keeps every MBR intersecting the
+        /// query's — on random corpora (the empty one included) whose
+        /// MBRs and queries are often points or segments and often share
+        /// edges.
+        #[test]
+        fn candidates_match_linear_mbr_filter(
+            seed in 0u64..1_000_000,
+            count in 0usize..24,
+            query_shape in 0u8..5,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let trajs: Vec<Trajectory> = (0..count)
+                .map(|i| {
+                    let shape = rng.gen_range(0u8..5);
+                    Trajectory::new_unchecked(i as u64, lattice_points(&mut rng, shape))
+                })
+                .collect();
+            let db = TrajectoryDb::build(trajs);
+            let qmbr = Mbr::of_points(&lattice_points(&mut rng, query_shape));
+            let mut want: Vec<u64> = db
+                .arena()
+                .mbrs()
+                .iter()
+                .enumerate()
+                .filter(|(_, mbr)| mbr.intersects(&qmbr))
+                .map(|(slot, _)| db.arena().id(slot))
+                .collect();
+            want.sort_unstable();
+            let mut got = db.candidate_ids(&qmbr);
+            got.sort_unstable();
+            proptest::prop_assert_eq!(&got, &want);
+            let mut views: Vec<u64> = db.candidates(&qmbr).iter().map(|v| v.id).collect();
+            views.sort_unstable();
+            proptest::prop_assert_eq!(&views, &want);
+        }
     }
 
     #[test]
@@ -382,6 +445,57 @@ mod tests {
         }
     }
 
+    /// ExactS, except that searching trajectory `.0` panics and records
+    /// the thread that did.
+    struct PanicOn(u64, std::sync::Mutex<Option<std::thread::ThreadId>>);
+
+    impl SubtrajSearch for PanicOn {
+        fn name(&self) -> String {
+            "PanicOn".to_string()
+        }
+
+        fn search(&self, measure: &dyn Measure, data: &[Point], query: &[Point]) -> SearchResult {
+            ExactS.search(measure, data, query)
+        }
+
+        fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
+            if data.id == self.0 {
+                *self.1.lock().unwrap() = Some(std::thread::current().id());
+                panic!("poisoned trajectory {}", data.id);
+            }
+            ExactS.search_with(ws, data)
+        }
+    }
+
+    #[test]
+    fn a_scan_helpers_panic_reaches_the_caller_with_its_message() {
+        // An unprunable scan at threads 2: the helper starts at the second
+        // candidate, so that is the trajectory that panics, off the caller's
+        // thread.
+        let db = build_db(40);
+        let query = walk(3, 6, (30.0, 30.0));
+        let poisoned = db.arena().id(1);
+        let algo = PanicOn(poisoned, Default::default());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.top_k_batch(&algo, &Dtw, &[&query], 3, false, false, 2)
+        }));
+        let payload = outcome.expect_err("the helper's panic must reach the caller");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(message, &format!("poisoned trajectory {poisoned}"));
+        let panicked_on = algo.1.lock().unwrap().expect("the search ran");
+        assert_ne!(
+            panicked_on,
+            std::thread::current().id(),
+            "a helper panicked"
+        );
+        // The database is immutable; the next call answers normally.
+        let want = db.top_k(&ExactS, &Dtw, &query, 3, false);
+        for threads in [1, 2] {
+            let (got, _) = db.top_k_batch(&ExactS, &Dtw, &[&query], 3, false, false, threads);
+            assert_eq!(got[0], want);
+        }
+    }
+
     #[test]
     fn indexed_topk_is_subset_of_candidates() {
         let db = build_db(40);
@@ -392,5 +506,180 @@ mod tests {
         for hit in db.top_k(&ExactS, &Dtw, &query, 5, true) {
             assert!(candidate_ids.contains(&hit.trajectory_id));
         }
+    }
+
+    /// Queries spread over `build_db`'s 30-unit lattice of walks.
+    fn spread_queries(n: u64) -> Vec<Vec<Point>> {
+        (0..n)
+            .map(|i| walk(700 + i, 6, ((i % 5) as f64 * 30.0, (i / 5) as f64 * 30.0)))
+            .collect()
+    }
+
+    /// Points at the given coordinates, timestamped by position.
+    fn pts(coords: &[(f64, f64)]) -> Vec<Point> {
+        let stamp = |(i, &(x, y)): (usize, &(f64, f64))| Point::new(x, y, i as f64);
+        coords.iter().enumerate().map(stamp).collect()
+    }
+
+    #[test]
+    fn empty_corpus_batch_answers_every_query_with_nothing() {
+        let db = TrajectoryDb::build(Vec::new());
+        let queries = spread_queries(3);
+        let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
+        for (use_index, prune, threads) in [(false, false, 1), (true, true, 4), (false, true, 2)] {
+            let got = db.top_k_batch(&ExactS, &Dtw, &refs, 3, use_index, prune, threads);
+            assert_eq!(got, (vec![Vec::new(); 3], PruneStats::default()));
+        }
+    }
+
+    #[test]
+    fn empty_batch_returns_no_answers_and_no_counters() {
+        let got = build_db(20).top_k_batch(&ExactS, &Dtw, &[], 3, true, true, 4);
+        assert_eq!(got, (Vec::new(), PruneStats::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn batch_rejects_k_zero() {
+        let query = walk(1, 4, (0.0, 0.0));
+        let _ = build_db(5).top_k_batch(&ExactS, &Dtw, &[&query], 0, false, true, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn top_k_rejects_k_zero() {
+        let _ = build_db(5).top_k(&ExactS, &Dtw, &walk(1, 4, (0.0, 0.0)), 0, false);
+    }
+
+    #[test]
+    fn k_beyond_the_candidates_returns_each_candidate_once() {
+        let db = build_db(12);
+        let query = walk(5, 5, (30.0, 0.0));
+        for prune in [false, true] {
+            let (hits, stats) = db.top_k_with_stats(&ExactS, &Dtw, &query, 100, false, prune);
+            let mut ids: Vec<u64> = hits.iter().map(|h| h.trajectory_id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..12).collect::<Vec<_>>(), "prune={prune}");
+            // Nothing can be pruned while the heap has room.
+            assert_eq!((stats.scanned, stats.searched), (12, 12), "prune={prune}");
+        }
+    }
+
+    #[test]
+    fn scan_counters_follow_the_candidate_set() {
+        let db = build_db(40);
+        let query = walk(8, 6, (60.0, 60.0));
+        let candidates = db.candidate_ids(&Mbr::of_points(&query)).len() as u64;
+        assert!(0 < candidates && candidates < 40, "{candidates} candidates");
+        for (use_index, scanned) in [(true, candidates), (false, 40)] {
+            for prune in [false, true] {
+                let (_, stats) = db.top_k_with_stats(&ExactS, &Dtw, &query, 3, use_index, prune);
+                assert_eq!(stats.scanned, scanned, "index={use_index} prune={prune}");
+            }
+        }
+    }
+
+    #[test]
+    fn query_far_from_every_mbr_has_no_indexed_answer() {
+        let db = build_db(30);
+        let query = walk(3, 5, (10_000.0, -10_000.0));
+        assert!(db.candidate_ids(&Mbr::of_points(&query)).is_empty());
+        assert!(db.top_k(&ExactS, &Dtw, &query, 3, true).is_empty());
+        // The unindexed scan still ranks the whole corpus.
+        assert_eq!(db.top_k(&ExactS, &Dtw, &query, 3, false).len(), 3);
+    }
+
+    /// Ids whose MBR meets the MBR of `query`, sorted.
+    fn sorted_candidates(db: &TrajectoryDb, query: &[(f64, f64)]) -> Vec<u64> {
+        let mut ids = db.candidate_ids(&Mbr::of_points(&pts(query)));
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn point_query_on_a_shared_corner_finds_every_touching_mbr() {
+        // Four unit squares meeting at (1, 1), and one a hair beyond the
+        // far corner (2, 2) of the last.
+        let corners = [
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (0.0, 1.0),
+            (1.0, 1.0),
+            (2.0 + 1e-9, 2.0),
+        ];
+        let squares = corners.iter().enumerate().map(|(id, &(x, y))| {
+            Trajectory::new_unchecked(id as u64, pts(&[(x, y), (x + 1.0, y + 1.0)]))
+        });
+        let db = TrajectoryDb::build(squares.collect());
+        assert_eq!(sorted_candidates(&db, &[(1.0, 1.0)]), [0, 1, 2, 3]);
+        // A point on one shared edge touches the two squares along it.
+        assert_eq!(sorted_candidates(&db, &[(0.5, 1.0)]), [0, 2]);
+        assert_eq!(sorted_candidates(&db, &[(2.0, 2.0)]), [3]);
+    }
+
+    #[test]
+    fn zero_area_mbrs_are_found_by_a_crossing_query() {
+        // A horizontal segment, a vertical one and a single point.
+        let shapes = [
+            pts(&[(-2.0, 0.0), (2.0, 0.0)]),
+            pts(&[(5.0, -1.0), (5.0, 1.0)]),
+            pts(&[(3.0, 3.0); 3]),
+        ];
+        let trajs = shapes.into_iter().enumerate();
+        let db = TrajectoryDb::build(
+            trajs
+                .map(|(id, p)| Trajectory::new_unchecked(id as u64, p))
+                .collect(),
+        );
+        // A vertical segment crossing the horizontal one.
+        assert_eq!(sorted_candidates(&db, &[(0.0, -1.0), (0.0, 1.0)]), [0]);
+        // A horizontal segment ending on the vertical one.
+        assert_eq!(sorted_candidates(&db, &[(4.0, 0.5), (5.0, 0.5)]), [1]);
+        // The point itself, and a box around it.
+        assert_eq!(sorted_candidates(&db, &[(3.0, 3.0)]), [2]);
+        assert_eq!(sorted_candidates(&db, &[(2.0, 2.0), (6.0, 4.0)]), [2]);
+        // A parallel segment just off the horizontal one finds nothing.
+        assert!(sorted_candidates(&db, &[(-1.0, 0.5), (1.0, 0.5)]).is_empty());
+    }
+
+    #[test]
+    fn views_and_get_follow_the_build_order() {
+        let trajs: Vec<Trajectory> = [9u64, 3, 41, 0]
+            .iter()
+            .map(|&id| Trajectory::new_unchecked(id, walk(id, 4 + id as usize % 3, (0.0, 0.0))))
+            .collect();
+        let db = TrajectoryDb::build(trajs.clone());
+        assert_eq!(db.views().map(|v| v.id).collect::<Vec<_>>(), [9, 3, 41, 0]);
+        for (slot, t) in trajs.iter().enumerate() {
+            assert_eq!(db.view(slot).to_points(), t.points());
+            assert_eq!(db.get(t.id).unwrap().to_points(), t.points());
+        }
+    }
+
+    #[test]
+    fn threads_beyond_the_candidate_count_answer_identically() {
+        // Three candidates cannot feed a helper, whatever `threads` asks.
+        let db = build_db(3);
+        let query = walk(4, 5, (0.0, 0.0));
+        let want = db.top_k_batch(&ExactS, &Dtw, &[&query], 2, false, false, 1);
+        for threads in [2, 16, 64] {
+            let got = db.top_k_batch(&ExactS, &Dtw, &[&query], 2, false, false, threads);
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn duplicate_queries_in_a_batch_get_identical_answers() {
+        // Each query of a batch runs on a fresh heap and workspace, so a
+        // repeat neither inherits the first one's floor nor its counters.
+        let db = build_db(30);
+        let query = walk(11, 6, (30.0, 30.0));
+        let (single, single_stats) = db.top_k_with_stats(&ExactS, &Dtw, &query, 3, false, true);
+        let (mut summed, queries) = (PruneStats::default(), [&query[..]; 3]);
+        for _ in queries {
+            summed.merge(&single_stats);
+        }
+        let got = db.top_k_batch(&ExactS, &Dtw, &queries, 3, false, true, 2);
+        assert_eq!(got, (vec![single; 3], summed));
     }
 }

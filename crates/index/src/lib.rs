@@ -12,18 +12,13 @@
 //! t2vec, ~20-30% time saved). [`TrajectoryDb::top_k`] exposes both the
 //! indexed and the full-scan paths so the harness can reproduce Figure 4.
 //!
-//! [`ShardedDb`] is the corpus type the serving layer holds: N shards
-//! (hash or grid assignment, one R-tree each; a single database is the
-//! 1-shard case) answering `candidate_ids` and one batched `top_k` entry
-//! by per-shard fan-out plus a merge that reuses the single ranking
-//! function, so results are byte-identical to [`TrajectoryDb::top_k`].
+//! [`TrajectoryDb`] is also the corpus type the serving layer holds: one
+//! R-tree over the whole corpus, and one batched query entry,
+//! [`TrajectoryDb::top_k_batch`], whose answers are byte-identical to
+//! [`TrajectoryDb::top_k`] at every thread count.
 
 mod db;
-mod grid;
 mod rtree;
-mod shard;
 
 pub use db::TrajectoryDb;
-pub use grid::{build_grid_index, GridIndex};
 pub use rtree::RTree;
-pub use shard::{PartitionerKind, ShardedDb};

@@ -329,6 +329,27 @@ mod tests {
     }
 
     #[test]
+    fn identical_degenerate_mbrs_survive_splits_and_are_all_found() {
+        use simsub_trajectory::Point;
+        // Every split of a node full of one box must keep each id exactly
+        // once; a point and a segment are the degenerate boxes corpora
+        // produce.
+        let (x, y) = (3.0, -2.0);
+        for (min_x, max_x) in [(x, x), (x - 4.0, x)] {
+            let m = Mbr::of_points(&[Point::xy(min_x, y), Point::xy(max_x, y)]);
+            let mut tree = RTree::new();
+            (0..200u64).for_each(|id| tree.insert(m, id));
+            tree.check_invariants();
+            assert!(tree.height() >= 2, "tree should have split");
+            let mut got = tree.query_intersecting(&m);
+            got.sort_unstable();
+            assert_eq!(got, (0..200).collect::<Vec<_>>());
+            let beside = Mbr::of_points(&[Point::xy(x + 1e-9, y), Point::xy(x + 1.0, y)]);
+            assert!(tree.query_intersecting(&beside).is_empty());
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "cannot index an empty MBR")]
     fn empty_mbr_rejected() {
         let mut tree = RTree::new();

@@ -583,6 +583,32 @@ mod tests {
     }
 
     #[test]
+    fn model_file_with_a_hostile_gru_header_fails_to_load() {
+        use simsub_nn::BinaryCodec;
+        // A GRU header whose two in-range dimensions describe a cell of
+        // 2^44 parameters, none of them present, then a normalizer.
+        let mut enc = simsub_nn::Encoder::new();
+        enc.put_u64(1);
+        enc.put_u64(1 << 22);
+        enc.put_f64_slice(&[]);
+        for v in [0.0, 0.0, 1.0] {
+            enc.put_f64(v);
+        }
+        let bytes = enc.finish();
+        assert_eq!(
+            T2Vec::from_bytes(&bytes).err(),
+            Some(simsub_nn::CodecError::InvalidDimension(0))
+        );
+        let dir = std::env::temp_dir().join(format!("simsub-t2vec-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.t2v");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = T2Vec::load(&path).expect_err("a hostile header must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn empty_inputs_infinite_distance() {
         let m = T2Vec::random(1, 4, CoordNormalizer::identity());
         let a = traj(0, &[(0.0, 0.0)]);

@@ -282,12 +282,22 @@ impl BinaryCodec for GruCell {
         let in_dim = dec.get_dim()?;
         let hidden_dim = dec.get_dim()?;
         let params = dec.get_f64_vec()?;
+        // Each dimension passes `MAX_DIM` alone, but the cell they describe
+        // can still ask for terabytes: check the parameter count the header
+        // implies against the parameters actually present before anything
+        // is allocated.
+        let expected = hidden_dim
+            .checked_mul(in_dim)
+            .and_then(|n| n.checked_add(hidden_dim.checked_mul(hidden_dim)?))
+            .and_then(|n| n.checked_add(hidden_dim))
+            .and_then(|n| n.checked_mul(3));
+        if expected != Some(params.len()) {
+            return Err(CodecError::InvalidDimension(params.len() as u64));
+        }
         // Build a correctly-shaped zero cell, then load the parameters.
         let mut rng = rand::rngs::mock::StepRng::new(0, 0);
         let mut cell = GruCell::new(&mut rng, in_dim, hidden_dim);
-        if params.len() != cell.param_count() {
-            return Err(CodecError::InvalidDimension(params.len() as u64));
-        }
+        debug_assert_eq!(cell.param_count(), params.len());
         cell.set_flat_params(&params);
         Ok(cell)
     }
@@ -378,6 +388,102 @@ mod tests {
             Mlp::from_bytes(&bad),
             Err(CodecError::InvalidTag(200))
         ));
+    }
+
+    #[test]
+    fn hostile_gru_header_is_rejected_before_allocating() {
+        // A 30-byte file: two in-range dimensions whose cell would need
+        // 2^44 parameters, and no parameters at all.
+        let mut enc = Encoder::new();
+        enc.put_u64(1);
+        enc.put_u64(1 << 22);
+        enc.put_f64_slice(&[]);
+        let bytes = enc.finish();
+        assert_eq!(bytes.len(), 30);
+        assert!(matches!(
+            GruCell::from_bytes(&bytes),
+            Err(CodecError::InvalidDimension(0))
+        ));
+    }
+
+    /// A `GruCell` record with the given header and parameter list.
+    fn gru_record(in_dim: u64, hidden_dim: u64, params: &[f64]) -> Bytes {
+        let mut enc = Encoder::new();
+        enc.put_u64(in_dim);
+        enc.put_u64(hidden_dim);
+        enc.put_f64_slice(params);
+        enc.finish()
+    }
+
+    #[test]
+    fn gru_header_with_both_dimensions_at_the_bound_is_rejected() {
+        // 3·(2^48 + 2^48 + 2^24) parameters claimed, none present.
+        let bytes = gru_record(MAX_DIM, MAX_DIM, &[]);
+        assert!(matches!(
+            GruCell::from_bytes(&bytes),
+            Err(CodecError::InvalidDimension(0))
+        ));
+    }
+
+    #[test]
+    fn gru_dimension_above_the_plausibility_bound_is_rejected() {
+        for (in_dim, hidden_dim) in [(MAX_DIM + 1, 4), (2, MAX_DIM + 1)] {
+            assert_eq!(
+                GruCell::from_bytes(&gru_record(in_dim, hidden_dim, &[])).err(),
+                Some(CodecError::InvalidDimension(MAX_DIM + 1)),
+                "in_dim {in_dim}, hidden_dim {hidden_dim}"
+            );
+        }
+    }
+
+    #[test]
+    fn gru_parameter_count_off_by_one_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let cell = GruCell::new(&mut rng, 2, 5);
+        let params = cell.flat_params();
+        let (in_dim, hidden_dim) = (cell.in_dim() as u64, cell.hidden_dim() as u64);
+        let exact = GruCell::from_bytes(&gru_record(in_dim, hidden_dim, &params)).unwrap();
+        assert_eq!(exact.flat_params(), params);
+        let short = &params[..params.len() - 1];
+        let mut long = params.clone();
+        long.push(0.25);
+        for wrong in [short, &long[..]] {
+            assert_eq!(
+                GruCell::from_bytes(&gru_record(in_dim, hidden_dim, wrong)).err(),
+                Some(CodecError::InvalidDimension(wrong.len() as u64))
+            );
+        }
+        // The right count under swapped dimensions describes another cell.
+        assert!(GruCell::from_bytes(&gru_record(hidden_dim, in_dim, &params)).is_err());
+    }
+
+    #[test]
+    fn linear_shape_mismatch_is_rejected() {
+        let mut enc = Encoder::new();
+        enc.put_u64(3);
+        enc.put_u64(2);
+        enc.put_f64_slice(&[0.5; 5]);
+        enc.put_f64_slice(&[0.0; 2]);
+        assert_eq!(
+            Linear::from_bytes(&enc.finish()).err(),
+            Some(CodecError::InvalidDimension(5))
+        );
+    }
+
+    #[test]
+    fn mlp_whose_layers_do_not_chain_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (first, second) = (Linear::new(&mut rng, 2, 3), Linear::new(&mut rng, 4, 1));
+        let mut enc = Encoder::new();
+        enc.put_u64(2);
+        for layer in [&first, &second] {
+            enc.put_u8(Activation::Relu.tag());
+            layer.encode(&mut enc);
+        }
+        assert_eq!(
+            Mlp::from_bytes(&enc.finish()).err(),
+            Some(CodecError::InvalidDimension(2))
+        );
     }
 
     #[test]

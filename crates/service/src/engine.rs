@@ -5,12 +5,11 @@
 //! Design
 //! ------
 //! - **Snapshot ownership.** The engine serves from an immutable
-//!   [`CorpusSnapshot`]: one `Arc<ShardedDb>` (a single database is its
-//!   1-shard case; queries fan out across per-shard R-trees) plus the
-//!   loaded RLS policy and t2vec model (when present). On multi-core
-//!   hosts with spare cores beyond the worker pool, each worker spreads
-//!   one query's scan across scoped threads: a pruning scan's shards, or
-//!   an unprunable scan's candidates.
+//!   [`CorpusSnapshot`]: one `Arc<TrajectoryDb>` (one R-tree over the
+//!   whole corpus) plus the loaded RLS policy and t2vec model (when
+//!   present). On multi-core hosts with spare cores beyond the worker
+//!   pool, each worker spreads an unprunable scan's candidates across
+//!   scoped threads.
 //! - **Hot-swappable handle.** The snapshot lives behind an
 //!   [`EngineHandle`]: a swap cell pairing `Arc<CorpusSnapshot>` with a
 //!   monotonically increasing *epoch*. [`QueryEngine::swap_snapshot`]
@@ -19,18 +18,18 @@
 //!   complete against the epoch they were admitted under while new
 //!   requests see the new snapshot immediately. No restart, no dropped
 //!   connections.
-//! - **Epoch- and layout-versioned cache keys.** Cache keys mix the
-//!   canonical query hash with [`ShardedDb::layout_version`] *and* the
-//!   handle epoch, so entries computed under one shard layout — or one
-//!   snapshot generation — are never replayed under another; a swap also
-//!   purges stale-epoch entries eagerly ([`SwapReport::cache_evicted`]).
+//! - **Epoch-versioned cache keys.** Cache keys mix the canonical query
+//!   hash with the handle epoch, so entries computed under one snapshot
+//!   generation are never replayed under another; a swap also purges
+//!   stale-epoch entries eagerly ([`SwapReport::cache_evicted`]).
 //! - **Micro-batching.** Each worker blocks on the shared queue, then
 //!   drains up to `max_batch - 1` additional requests non-blockingly.
 //!   Batch members with the same `(algo, measure, k, index)` signature are
-//!   answered by one [`ShardedDb::top_k`] call — a loop of single-query
-//!   scans sharing the resolved algorithm, measure and prune counters.
+//!   answered by one [`TrajectoryDb::top_k_batch`] call — a loop of
+//!   single-query scans sharing the resolved algorithm, measure and prune
+//!   counters.
 //! - **Result cache.** Keyed by [`EpochSnapshot::cache_key`] (the
-//!   canonical query hash mixed with the layout version and the epoch);
+//!   canonical query hash mixed with the epoch);
 //!   a hit short-circuits before any search runs. Admission looks first,
 //!   and a hit there is answered on the submitting thread without
 //!   touching the queue; a worker looks again at dequeue, for entries
@@ -70,7 +69,7 @@ use crate::sync::{Arc, Mutex, RwLock};
 use crate::trace::{SlowQueryRecord, TraceReport};
 use simsub_core::ExactS;
 use simsub_core::{MdpConfig, Pos, PosD, Pss, Rls, SizeS, Spring, SubtrajSearch, TopKResult};
-use simsub_index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub_index::TrajectoryDb;
 use simsub_measures::{Dtw, Frechet, Measure, T2Vec};
 use simsub_nn::BinaryCodec;
 use simsub_rl::Policy;
@@ -136,21 +135,14 @@ impl std::error::Error for ServiceError {}
 /// builds a fresh one and swaps it in through the [`EngineHandle`].
 #[derive(Clone)]
 pub struct CorpusSnapshot {
-    corpus: Arc<ShardedDb>,
+    corpus: Arc<TrajectoryDb>,
     rls: Option<Arc<Rls>>,
     t2vec: Option<Arc<T2Vec>>,
 }
 
 impl CorpusSnapshot {
-    /// Snapshot over a single built database (the 1-shard corpus, taken
-    /// by move), with no learned models loaded.
+    /// Snapshot over a built database, with no learned models loaded.
     pub fn new(db: Arc<TrajectoryDb>) -> Self {
-        Self::sharded(ShardedDb::single(db).into_shared())
-    }
-
-    /// Snapshot over a corpus of any shard count; every query fans out
-    /// across the shards and answers are byte-identical for every layout.
-    pub fn sharded(db: Arc<ShardedDb>) -> Self {
         Self {
             corpus: db,
             rls: None,
@@ -158,22 +150,16 @@ impl CorpusSnapshot {
         }
     }
 
-    /// Assembles a snapshot from raw trajectories plus optional sharding
-    /// and model files — delegates to [`CorpusSnapshot::assemble_arena`]
+    /// Assembles a snapshot from raw trajectories plus optional model
+    /// files — delegates to [`CorpusSnapshot::assemble_arena`]
     /// through a bit-exact columnar copy, so CSV-served, reloaded, and
     /// packed-binary corpora of the same points can never diverge.
     pub fn assemble(
         trajectories: Vec<Trajectory>,
-        layout: Option<(usize, PartitionerKind)>,
         policy: Option<(&std::path::Path, MdpConfig)>,
         t2vec: Option<&std::path::Path>,
     ) -> Result<Self, String> {
-        Self::assemble_arena(
-            CorpusArena::from_trajectories(&trajectories),
-            layout,
-            policy,
-            t2vec,
-        )
+        Self::assemble_arena(CorpusArena::from_trajectories(&trajectories), policy, t2vec)
     }
 
     /// Assembles a snapshot straight from a columnar [`CorpusArena`] —
@@ -183,15 +169,10 @@ impl CorpusSnapshot {
     /// database storage with no per-trajectory materialization.
     pub fn assemble_arena(
         arena: CorpusArena,
-        layout: Option<(usize, PartitionerKind)>,
         policy: Option<(&std::path::Path, MdpConfig)>,
         t2vec: Option<&std::path::Path>,
     ) -> Result<Self, String> {
-        let (shards, partitioner) = layout
-            .filter(|&(shards, _)| shards >= 1)
-            .unwrap_or((1, PartitionerKind::Hash));
-        let mut snapshot =
-            Self::sharded(ShardedDb::from_arena(arena, shards, partitioner).into_shared());
+        let mut snapshot = Self::new(TrajectoryDb::from_arena(arena).into_shared());
         if let Some((path, mdp)) = policy {
             let policy =
                 Policy::load(path).map_err(|e| format!("loading {}: {e}", path.display()))?;
@@ -218,7 +199,7 @@ impl CorpusSnapshot {
     }
 
     /// The corpus this snapshot serves from.
-    pub fn corpus(&self) -> &Arc<ShardedDb> {
+    pub fn corpus(&self) -> &Arc<TrajectoryDb> {
         &self.corpus
     }
 
@@ -230,16 +211,6 @@ impl CorpusSnapshot {
     /// True when a t2vec model is loaded (`"measure":"t2vec"` servable).
     pub fn has_t2vec(&self) -> bool {
         self.t2vec.is_some()
-    }
-
-    /// The cache key for `request` under this snapshot: the request's
-    /// canonical hash mixed with [`ShardedDb::layout_version`]. Two engines
-    /// over different shard layouts therefore key the same request
-    /// differently — an entry never outlives the layout that computed it
-    /// — while within one layout the key is exactly as stable as the
-    /// canonical query hash.
-    pub fn cache_key(&self, request: &QueryRequest) -> u64 {
-        crate::query::mix_key(request.canonical_key(), self.corpus.layout_version())
     }
 
     /// Checks a request against the loaded models, then resolves its
@@ -313,27 +284,22 @@ impl EpochSnapshot {
         &self.snapshot
     }
 
-    /// The cache key for `request` under this epoch: the snapshot's
-    /// layout-versioned key (see [`CorpusSnapshot::cache_key`]) further
-    /// mixed with the epoch. Entries computed under an older snapshot
-    /// generation are therefore unreachable the moment a swap lands —
-    /// the same extension scheme layout versioning already uses.
+    /// The cache key for `request` under this epoch: the request's
+    /// canonical hash mixed with the epoch, `mix(canonical, epoch)`.
+    /// Entries computed under an older snapshot generation are therefore
+    /// unreachable the moment a swap lands, while within one generation
+    /// the key is exactly as stable as the canonical query hash.
     pub fn cache_key(&self, request: &QueryRequest) -> u64 {
         self.cache_key_under(request, None)
     }
 
     /// [`EpochSnapshot::cache_key`] with the opt-in quantized
-    /// canonical-hash layer: `mix(mix(canonical_under(q), layout),
-    /// epoch)`. Only the innermost canonical layer quantizes — the
-    /// layout and epoch mixes are byte-for-byte the exact mode's, so
-    /// quantized entries can never be replayed across a shard-layout
-    /// change or a snapshot swap (the PR 4 cache-key contract).
+    /// canonical-hash layer: `mix(canonical_under(q), epoch)`. Only the
+    /// canonical layer quantizes — the epoch mix is byte-for-byte the
+    /// exact mode's, so quantized entries can never be replayed across a
+    /// snapshot swap.
     pub fn cache_key_under(&self, request: &QueryRequest, quantize: Option<f64>) -> u64 {
-        let canonical = request.canonical_key_under(quantize);
-        crate::query::mix_key(
-            crate::query::mix_key(canonical, self.snapshot.corpus.layout_version()),
-            self.epoch,
-        )
+        crate::query::mix_key(request.canonical_key_under(quantize), self.epoch)
     }
 }
 
@@ -395,8 +361,6 @@ pub struct SwapReport {
     pub trajectories: usize,
     /// Total points in the new snapshot.
     pub points: usize,
-    /// Shards in the new snapshot's corpus layout (1 = single).
-    pub shards: usize,
 }
 
 /// Engine tuning knobs.
@@ -425,8 +389,8 @@ pub struct EngineConfig {
     /// an approximation**: a hit may return the answer computed for a
     /// query whose points each differ by up to ~`q/2` per axis — see the
     /// accuracy contract in the `server` module docs. Only the canonical
-    /// hash layer quantizes; the layout/epoch key mixes are untouched, so
-    /// reloads and re-sharding still invalidate as in exact mode. `None`
+    /// hash layer quantizes; the epoch key mix is untouched, so reloads
+    /// still invalidate as in exact mode. `None`
     /// (default) keeps byte-exact caching.
     pub cache_key_quantize: Option<f64>,
     /// Slow-query threshold in microseconds: a request whose engine
@@ -731,9 +695,8 @@ struct Inner {
     queue: Mutex<Receiver<Job>>,
     cache: Mutex<Cache<u64, Arc<CachedAnswer>>>,
     stats: ServeStats,
-    /// Threads each worker may spread one query's scan over — a pruning
-    /// scan's shards, or an unprunable scan's candidates: the cores left
-    /// after the worker pool claims its share (1 on a fully subscribed
+    /// Threads each worker may spread an unprunable scan's candidates
+    /// over: the cores left after the worker pool claims its share (1 on a fully subscribed
     /// pool, so the default configuration never oversubscribes and a
     /// served query never competes with the next one for a core).
     scan_threads: usize,
@@ -1153,7 +1116,6 @@ impl QueryEngine {
             cache_evicted,
             trajectories: corpus.len(),
             points: corpus.total_points(),
-            shards: corpus.shard_count(),
         }
     }
 
@@ -1818,7 +1780,7 @@ fn process_batch(inner: &Inner, jobs: Vec<Job>, timing: &BatchTiming) {
                 .measure(measure_spec)
                 .expect("measure validated at submit");
             let timing_guard = group_traced.then(simsub_core::scan_timing_scope);
-            let result = snapshot.snapshot.corpus.top_k(
+            let result = snapshot.snapshot.corpus.top_k_batch(
                 algo.as_ref(),
                 measure,
                 &queries,
@@ -2015,7 +1977,7 @@ mod tests {
 
     fn request(snapshot: &CorpusSnapshot) -> QueryRequest {
         QueryRequest {
-            query: snapshot.corpus().shards()[0].view(0).to_points()[..6].to_vec(),
+            query: snapshot.corpus().view(0).to_points()[..6].to_vec(),
             algo: AlgoSpec::Exact,
             measure: MeasureSpec::Dtw,
             k: 2,
@@ -2030,8 +1992,8 @@ mod tests {
         assert_eq!(first.epoch(), 1);
         let req = request(first.snapshot());
 
-        // Swapping in the *same corpus layout* still changes every cache
-        // key: the epoch alone retires stale entries.
+        // Swapping in the *same corpus* still changes every cache key:
+        // the epoch alone retires stale entries.
         let (old, new) = handle.swap(snapshot(6, 1));
         assert_eq!(old.epoch(), 1);
         assert_eq!(new.epoch(), 2);
@@ -2063,7 +2025,6 @@ mod tests {
         assert_eq!(report.epoch, 2);
         assert_eq!(report.cache_evicted, 1);
         assert_eq!(report.trajectories, 5);
-        assert_eq!(report.shards, 1);
         let stats = engine.stats();
         assert_eq!(stats.swaps, 1);
         assert_eq!(stats.cache_evicted_on_swap, 1);

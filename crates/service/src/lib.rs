@@ -9,7 +9,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`engine`] | [`QueryEngine`]: worker pool, MPSC queue, micro-batching, graceful shutdown; [`CorpusSnapshot`]: one `ShardedDb` corpus (a single database is its 1-shard case) plus loaded models; [`EngineHandle`]: epoch-versioned hot-swap cell ([`QueryEngine::swap_snapshot`] = live reload); bulkheads: panic-isolated dispatch, worker supervision, bounded admission with deadlines; one completion-based admission path ([`QueryEngine::submit_with_completion`], knobs in [`SubmitOptions`]) that answers every admitted request exactly once, a cache hit at admission on the caller's thread — [`QueryEngine::submit`] is it plus a channel |
+//! | [`engine`] | [`QueryEngine`]: worker pool, MPSC queue, micro-batching, graceful shutdown; [`CorpusSnapshot`]: one `TrajectoryDb` corpus plus loaded models; [`EngineHandle`]: epoch-versioned hot-swap cell ([`QueryEngine::swap_snapshot`] = live reload); bulkheads: panic-isolated dispatch, worker supervision, bounded admission with deadlines; one completion-based admission path ([`QueryEngine::submit_with_completion`], knobs in [`SubmitOptions`]) that answers every admitted request exactly once, a cache hit at admission on the caller's thread — [`QueryEngine::submit`] is it plus a channel |
 //! | `batcher` (private) | the shared micro-batcher: windowed queue drain that recovers cold-path batching on multi-worker pools |
 //! | `reactor` (private) | the one connection front end: readiness-polled serve loop (epoll via the vendored `polling` shim): 10k+ connections on one thread, pipelined out-of-order responses by wire-v2 `"id"`; admission cache hits answered in the same poll turn |
 //! | [`fault`] | named fault-injection points for chaos testing (`SIMSUB_FAULTS`, admin `configure`); zero-cost when disarmed |
@@ -25,7 +25,7 @@
 //! Answers are bit-identical to the offline paths: a cache hit replays a
 //! previously computed `TrajectoryDb::top_k` answer for a canonically
 //! equal request, and a miss runs the same algorithms through
-//! `ShardedDb::top_k` (asserted equivalent by tests).
+//! `TrajectoryDb::top_k_batch` (asserted equivalent by tests).
 //!
 //! ```
 //! use simsub_core::ExactS;

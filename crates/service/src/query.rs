@@ -142,10 +142,9 @@ impl QueryRequest {
     /// cache-key mode. With `Some(q)`, each coordinate hashes as its
     /// `q`-sized cell index instead of its exact bits, so
     /// distinct-but-near queries land on the same key. Everything the
-    /// engine mixes *on top* of this layer (corpus layout version, engine
-    /// epoch — see `EpochSnapshot::cache_key`) is untouched by
-    /// quantization, preserving the PR 4 cache-key contract: quantized
-    /// entries still die with their shard layout and snapshot generation.
+    /// engine mixes *on top* of this layer (the engine epoch — see
+    /// `EpochSnapshot::cache_key`) is untouched by quantization, so
+    /// quantized entries still die with their snapshot generation.
     pub fn canonical_key_under(&self, quantize: Option<f64>) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(match self.algo {
@@ -358,10 +357,9 @@ pub(crate) fn quantize_coord(v: f64, q: f64) -> u64 {
 }
 
 /// Folds `extra` into `key` through the same FNV-1a stream the canonical
-/// key uses. The engine mixes the corpus layout version *and* the engine
-/// epoch into every cache key this way (see `EpochSnapshot::cache_key`),
-/// so entries die with the shard layout — and the snapshot — that
-/// computed them.
+/// key uses. The engine mixes the engine epoch into every cache key this
+/// way (see `EpochSnapshot::cache_key`), so entries die with the snapshot
+/// that computed them.
 pub(crate) fn mix_key(key: u64, extra: u64) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(key);

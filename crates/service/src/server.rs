@@ -138,18 +138,18 @@
 //! The typed admin namespace (introduced with v2, accepted on any
 //! version — the response envelope follows the request's version):
 //!
-//! - `{"cmd":"info"}` → `{"ok":true,"epoch":N,"layout_version":L,
-//!   "shards":S,"trajectories":T,"points":P,"workers":W,"prune":B,
+//! - `{"cmd":"info"}` → `{"ok":true,"epoch":N,"trajectories":T,
+//!   "points":P,"workers":W,"prune":B,
 //!   "max_batch":M,"cache_capacity":C,"cache_len":E,"default_k":K,
 //!   "rls_loaded":B,"t2vec_loaded":B,"swaps":N,"build":"x.y.z",
 //!   "protocol":[1,2]}` — what is serving right now.
 //! - `{"cmd":"reload","corpus":"/path/to.csv"}` **or**
 //!   `{"cmd":"reload","corpus_bin":"/path/to.ssb"}` (optional:
-//!   `"shards":N`, `"partitioner":"hash|grid"`, `"policy":"/path"`,
-//!   `"t2vec":"/path"`, `"skip":N`, `"suffix":false`) → builds a fresh
-//!   snapshot server-side and atomically swaps it in:
+//!   `"policy":"/path"`, `"t2vec":"/path"`, `"skip":N`,
+//!   `"suffix":false`) → builds a fresh snapshot server-side and
+//!   atomically swaps it in:
 //!   `{"ok":true,"reloaded":true,"previous_epoch":N,"epoch":N+1,
-//!   "cache_evicted":E,"trajectories":T,"points":P,"shards":S}`.
+//!   "cache_evicted":E,"trajectories":T,"points":P}`.
 //!   `corpus_bin` names a *packed* binary corpus (`simsub corpus pack`):
 //!   its payload is the columnar arena's slabs, so the reload is one
 //!   streaming pass + validation instead of a CSV re-parse, and answers
@@ -201,10 +201,9 @@
 //!   the coordinate scale at which your application distinguishes
 //!   queries; `0` restores byte-exact answers.
 //! - **What never changes:** only the canonical-hash layer quantizes.
-//!   The layout-version and epoch mixes of every cache key (the PR 4
-//!   contract: `mix(mix(canonical, layout_version), epoch)`) stay exact,
-//!   so quantized entries are invalidated by re-sharding and live
-//!   reloads precisely like exact ones, and cold (uncached) scans are
+//!   The epoch mix of every cache key (`mix(canonical, epoch)`) stays
+//!   exact, so quantized entries are invalidated by live reloads
+//!   precisely like exact ones, and cold (uncached) scans are
 //!   computed from the *actual* request — quantization never perturbs a
 //!   search, only cache identity.
 
@@ -214,7 +213,6 @@ use crate::query::{QueryRequest, QueryResponse};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Arc;
 use simsub_core::MdpConfig;
-use simsub_index::PartitionerKind;
 use std::net::TcpListener;
 use std::path::Path;
 use std::thread::JoinHandle;
@@ -611,7 +609,7 @@ pub fn handle_admin_command(engine: &QueryEngine, parsed: &Json) -> Option<Json>
 }
 
 /// `{"cmd":"info"}`: everything an operator needs to know about what is
-/// serving right now — epoch, corpus layout, loaded models, live knobs,
+/// serving right now — epoch, corpus size, loaded models, live knobs,
 /// and the build.
 fn admin_info(engine: &QueryEngine) -> Json {
     let current = engine.current();
@@ -622,8 +620,6 @@ fn admin_info(engine: &QueryEngine) -> Json {
     obj(vec![
         ("ok", Json::Bool(true)),
         ("epoch", Json::Num(current.epoch() as f64)),
-        ("layout_version", Json::Num(corpus.layout_version() as f64)),
-        ("shards", Json::Num(corpus.shard_count() as f64)),
         ("trajectories", Json::Num(corpus.len() as f64)),
         ("points", Json::Num(corpus.total_points() as f64)),
         ("workers", Json::Num(config.workers as f64)),
@@ -668,7 +664,6 @@ pub(crate) fn admin_reload(engine: &QueryEngine, parsed: &Json) -> Json {
                 ("cache_evicted", Json::Num(report.cache_evicted as f64)),
                 ("trajectories", Json::Num(report.trajectories as f64)),
                 ("points", Json::Num(report.points as f64)),
-                ("shards", Json::Num(report.shards as f64)),
             ])
         }
         Err(e) => error_response(&e),
@@ -677,7 +672,7 @@ pub(crate) fn admin_reload(engine: &QueryEngine, parsed: &Json) -> Json {
 
 /// Decodes the snapshot a `reload` describes — a corpus (CSV via
 /// `"corpus"` or packed binary via `"corpus_bin"`, exactly one),
-/// optional sharding, optional RLS policy / t2vec model files — and
+/// optional RLS policy / t2vec model files — and
 /// hands assembly to [`CorpusSnapshot::assemble_arena`], the same
 /// builder `simsub serve` starts from.
 fn build_snapshot(parsed: &Json) -> Result<CorpusSnapshot, String> {
@@ -705,22 +700,6 @@ fn build_snapshot(parsed: &Json) -> Result<CorpusSnapshot, String> {
             simsub_data::read_bin_file(Path::new(bin)).map_err(|e| format!("reading {bin}: {e}"))?
         }
     };
-    let shards = match parsed.get("shards") {
-        None => 0,
-        Some(v) => v
-            .as_usize()
-            .ok_or("\"shards\" must be a non-negative integer")?,
-    };
-    let partitioner = match parsed.get("partitioner") {
-        None => PartitionerKind::Hash,
-        Some(v) => v
-            .as_str()
-            .ok_or("\"partitioner\" must be a string")?
-            .parse::<PartitionerKind>()?,
-    };
-    if shards == 0 && parsed.get("partitioner").is_some() {
-        return Err("\"partitioner\" requires \"shards\" >= 1".into());
-    }
     let mdp = MdpConfig {
         skip_actions: match parsed.get("skip") {
             None => 0,
@@ -746,7 +725,6 @@ fn build_snapshot(parsed: &Json) -> Result<CorpusSnapshot, String> {
     let t2vec = path_field("t2vec")?;
     CorpusSnapshot::assemble_arena(
         arena,
-        (shards >= 1).then_some((shards, partitioner)),
         policy.map(|p| (Path::new(p), mdp)),
         t2vec.map(Path::new),
     )

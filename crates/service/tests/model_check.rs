@@ -5,13 +5,12 @@
 //! and every test below explores the protocol under bounded-exhaustive
 //! thread interleavings with a vector-clock happens-before checker.
 //!
-//! Models 1–3 drive the *real* types (`EngineHandle`, `Cache`,
-//! `SharedSimFloor`); models 4–5 are faithful mirrors of the admission
-//! accounting and the supervisor/shutdown handshake (the real loops
-//! block on OS I/O and timers, which a model checker cannot schedule).
-//! Model 6 mirrors the admission-time cache lookup over the real handle,
-//! key, cache and stats types, racing a worker's insert and a swap's
-//! purge.
+//! Models 1–2 drive the *real* types (`EngineHandle`, `Cache`); models
+//! 3–4 are faithful mirrors of the admission accounting and the
+//! supervisor/shutdown handshake (the real loops block on OS I/O and
+//! timers, which a model checker cannot schedule). Model 5 mirrors the
+//! admission-time cache lookup over the real handle, key, cache and
+//! stats types, racing a worker's insert and a swap's purge.
 //! A final self-test reverts the epoch-pinning discipline and asserts
 //! the checker *catches* the seeded race, so a green suite means the
 //! checker is alive, not just silent.
@@ -25,7 +24,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use loom::{thread, Builder, Report};
-use simsub_core::SharedSimFloor;
 use simsub_data::{generate, DatasetSpec};
 use simsub_index::TrajectoryDb;
 use simsub_service::cache::Cache;
@@ -40,7 +38,7 @@ const MIN_INTERLEAVINGS: usize = 1_000;
 
 /// Per-model preemption bound: 2–3 preemptions finds every bug class
 /// these protocols can exhibit while keeping full exploration tractable;
-/// `None` (model 5) means unbounded — the model is small enough to
+/// `None` (model 4) means unbounded — the model is small enough to
 /// exhaust outright.
 fn builder(preemption_bound: Option<usize>) -> Builder {
     Builder {
@@ -208,58 +206,7 @@ fn model_purge_below_epoch_vs_insert() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: SharedSimFloor monotonicity under racing updaters.
-// ---------------------------------------------------------------------------
-
-fn run_sim_floor_monotonic() -> Report {
-    let report = builder(Some(2)).check(|| {
-        let floor = Arc::new(SharedSimFloor::new());
-
-        let raisers: Vec<_> = [[0.25, 0.75], [0.5, 1.0]]
-            .into_iter()
-            .map(|vals| {
-                let f = Arc::clone(&floor);
-                thread::spawn(move || {
-                    for v in vals {
-                        f.raise(v);
-                    }
-                })
-            })
-            .collect();
-
-        let reader = {
-            let f = Arc::clone(&floor);
-            thread::spawn(move || {
-                let a = f.get();
-                let b = f.get();
-                assert!(b >= a, "floor must never be observed decreasing");
-            })
-        };
-
-        for t in raisers {
-            t.join().unwrap();
-        }
-        reader.join().unwrap();
-        assert_eq!(floor.get(), 1.0, "final floor is the max of all raises");
-    });
-    assert_explored("sim_floor_monotonic", &report);
-    // The floor is intentionally Relaxed: the exploration must have
-    // leaned on at least one unordered cross-thread read, and the
-    // checker must have reported it.
-    assert!(
-        !report.relaxed.is_empty(),
-        "expected relaxed-reliance reports from SharedSimFloor"
-    );
-    report
-}
-
-#[test]
-fn model_sim_floor_monotonic_under_races() {
-    run_sim_floor_monotonic();
-}
-
-// ---------------------------------------------------------------------------
-// Model 4: admission-accounting reconciliation under shed/expire/panic.
+// Model 3: admission-accounting reconciliation under shed/expire/panic.
 // ---------------------------------------------------------------------------
 
 /// Mirrors the serve path's accounting discipline: every submit records
@@ -321,7 +268,7 @@ fn model_admission_reconciliation() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 5: shutdown vs supervisor respawn.
+// Model 4: shutdown vs supervisor respawn.
 // ---------------------------------------------------------------------------
 
 /// Mirrors `QueryEngine::shutdown` against `supervise`: the supervisor
@@ -401,7 +348,7 @@ fn model_shutdown_vs_supervisor_respawn() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 6: the admission cache lookup vs a worker's insert and a swap's purge.
+// Model 5: the admission cache lookup vs a worker's insert and a swap's purge.
 // ---------------------------------------------------------------------------
 
 /// Mirrors `QueryEngine::submit_with_completion`'s cache read against
@@ -583,10 +530,9 @@ fn export_bench_stats() {
     let Some(path) = std::env::var_os("SIMSUB_MODELCHECK_BENCH") else {
         return;
     };
-    let models: [(&str, &str, fn() -> Report); 6] = [
+    let models: [(&str, &str, fn() -> Report); 5] = [
         ("epoch_pinning_across_swaps", "3", run_epoch_pinning),
         ("purge_below_epoch_vs_insert", "3", run_purge_vs_insert),
-        ("sim_floor_monotonic", "2", run_sim_floor_monotonic),
         (
             "admission_reconciliation",
             "2",

@@ -263,7 +263,7 @@ fn condvar_handoff_works() {
 
 #[test]
 fn monotonic_cas_floor_converges() {
-    // Mirror of SharedSimFloor's raise(): a relaxed CAS-max loop must be
+    // A relaxed CAS-max loop, the classic monotone-floor idiom, must be
     // monotone under any schedule.
     let report = loom::model(|| {
         let floor = Arc::new(AtomicU64::new(0));

@@ -387,35 +387,6 @@ impl CorpusArena {
         (0..self.len()).map(|s| self.view(s))
     }
 
-    /// A new arena holding the listed slots (in the given order) — the
-    /// per-shard sub-arena builder. Slabs are copied contiguously, so
-    /// each shard keeps the full locality story.
-    pub fn gather(&self, slots: &[usize]) -> CorpusArena {
-        let total: usize = slots
-            .iter()
-            .map(|&s| self.offsets[s + 1] - self.offsets[s])
-            .sum();
-        let mut out = Self {
-            xs: Vec::with_capacity(total),
-            ys: Vec::with_capacity(total),
-            ts: Vec::with_capacity(total),
-            offsets: Vec::with_capacity(slots.len() + 1),
-            ids: Vec::with_capacity(slots.len()),
-            mbrs: Vec::with_capacity(slots.len()),
-        };
-        out.offsets.push(0);
-        for &s in slots {
-            let (a, b) = (self.offsets[s], self.offsets[s + 1]);
-            out.xs.extend_from_slice(&self.xs[a..b]);
-            out.ys.extend_from_slice(&self.ys[a..b]);
-            out.ts.extend_from_slice(&self.ts[a..b]);
-            out.offsets.push(out.xs.len());
-            out.ids.push(self.ids[s]);
-            out.mbrs.push(self.mbrs[s]);
-        }
-        out
-    }
-
     /// Materializes the arena back into owned AoS trajectories
     /// (bit-exact round trip; used by tooling and format converters).
     pub fn to_trajectories(&self) -> Vec<Trajectory> {
@@ -482,21 +453,6 @@ mod tests {
         for i in 0..pts.seq_len() {
             assert_eq!(pts.seq_point(i), v.seq_point(i));
         }
-    }
-
-    #[test]
-    fn gather_builds_sub_arenas() {
-        let arena = CorpusArena::from_trajectories(&corpus());
-        let sub = arena.gather(&[2, 0]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.id(0), 9);
-        assert_eq!(sub.id(1), 7);
-        assert_eq!(sub.total_points(), 5);
-        assert_eq!(sub.view(1).to_points(), arena.view(0).to_points());
-        assert_eq!(sub.mbr(0), arena.mbr(2));
-        let none = arena.gather(&[]);
-        assert!(none.is_empty());
-        assert_eq!(none.offsets(), &[0]);
     }
 
     #[test]

@@ -187,6 +187,25 @@ mod tests {
         assert!(!a.intersects(&c));
     }
 
+    #[test]
+    fn degenerate_boxes_intersect_what_they_touch() {
+        let point = Mbr::of_point(Point::xy(1.0, 1.0));
+        let horizontal = Mbr::of_points(&pts(&[(0.0, 1.0), (2.0, 1.0)]));
+        let vertical = Mbr::of_points(&pts(&[(1.0, 0.0), (1.0, 2.0)]));
+        let parallel = Mbr::of_points(&pts(&[(0.0, 1.5), (2.0, 1.5)]));
+        assert!(point.intersects(&point), "a point meets itself");
+        assert!(point.intersects(&horizontal) && horizontal.intersects(&point));
+        assert!(horizontal.intersects(&vertical), "crossing segments");
+        assert!(!horizontal.intersects(&parallel), "parallel segments");
+        // A segment ending on another's line meets it; one stopping short
+        // does not.
+        let reaching = Mbr::of_points(&pts(&[(1.5, 1.0), (1.5, 3.0)]));
+        let short = Mbr::of_points(&pts(&[(1.5, 1.0 + 1e-12), (1.5, 3.0)]));
+        assert!(horizontal.intersects(&reaching));
+        assert!(!horizontal.intersects(&short));
+        assert!(!point.intersects(&Mbr::EMPTY) && !Mbr::EMPTY.intersects(&point));
+    }
+
     proptest! {
         #[test]
         fn union_covers_both(

@@ -1,14 +1,13 @@
 //! Embedding the query-serving subsystem in-process: start a
-//! [`QueryEngine`] over a *sharded* corpus snapshot, fire a burst of
-//! concurrent queries, and read the serving stats. Answers are
-//! byte-identical to an unsharded snapshot (checked below against the
-//! offline single-database search).
+//! [`QueryEngine`] over a corpus snapshot, fire a burst of concurrent
+//! queries, and read the serving stats. Answers are byte-identical to the
+//! offline database search (checked below).
 //!
 //! Run with `cargo run --release --example query_service`.
 
 use simsub::core::Pss;
 use simsub::data::{generate, DatasetSpec};
-use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub::index::TrajectoryDb;
 use simsub::measures::Dtw;
 use simsub::service::{
     AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
@@ -16,14 +15,12 @@ use simsub::service::{
 use std::sync::Arc;
 
 fn main() {
-    // An immutable corpus snapshot shared by all workers — here split
-    // into 4 hash shards, each with its own R-tree; queries fan out
-    // across shards and merge through the shared ranking function.
+    // An immutable corpus snapshot shared by all workers: one database
+    // with one R-tree over the whole corpus.
     let corpus = generate(&DatasetSpec::porto(), 200, 7);
-    let db = TrajectoryDb::build(corpus.clone()).into_shared();
-    let sharded = ShardedDb::build(corpus, 4, PartitionerKind::Hash).into_shared();
+    let db = TrajectoryDb::build(corpus).into_shared();
     let engine = Arc::new(QueryEngine::start(
-        CorpusSnapshot::sharded(Arc::clone(&sharded)),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 4,
             max_batch: 16,
@@ -32,10 +29,9 @@ fn main() {
         },
     ));
     println!(
-        "engine up: {} trajectories, {} points, {} shards, 4 workers",
-        sharded.len(),
-        sharded.total_points(),
-        sharded.shard_count()
+        "engine up: {} trajectories, {} points, 4 workers",
+        db.len(),
+        db.total_points()
     );
 
     // A client burst: 32 threads, half of them asking the same question.
@@ -60,8 +56,7 @@ fn main() {
 
     for handle in handles {
         let (i, response) = handle.join().expect("client thread");
-        // The sharded engine's answer equals the offline single-database
-        // search, bit for bit.
+        // The engine's answer equals the offline search, bit for bit.
         let source = db.view(if i % 2 == 0 { 0 } else { i % db.len() });
         let offline = db.top_k(
             &Pss,
@@ -70,7 +65,7 @@ fn main() {
             5,
             true,
         );
-        assert_eq!(*response.results, offline, "sharded answer diverged");
+        assert_eq!(*response.results, offline, "served answer diverged");
         let best = response.results.first().expect("k >= 1");
         println!(
             "client {i:>2}: best trajectory {:>3} [{}..{}] dist {:.4} \
@@ -105,10 +100,8 @@ fn main() {
     // new snapshot — and the epoch-keyed result cache never replays a
     // stale answer.
     let fresh = generate(&DatasetSpec::porto(), 120, 8);
-    let fresh_db = TrajectoryDb::build(fresh.clone()).into_shared();
-    let report = engine.swap_snapshot(simsub::service::CorpusSnapshot::sharded(
-        ShardedDb::build(fresh, 4, PartitionerKind::Hash).into_shared(),
-    ));
+    let fresh_db = TrajectoryDb::build(fresh).into_shared();
+    let report = engine.swap_snapshot(CorpusSnapshot::new(Arc::clone(&fresh_db)));
     println!(
         "hot-swapped to {} trajectories: epoch {} -> {}, {} stale cache entries purged",
         report.trajectories, report.previous_epoch, report.epoch, report.cache_evicted

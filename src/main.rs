@@ -10,7 +10,7 @@
 //! simsub topk --corpus corpus.csv --query query.csv --k 10 --algo pss --index rtree
 //! simsub serve --corpus corpus.csv --addr 127.0.0.1:7878 --workers 8
 //! simsub admin info --addr 127.0.0.1:7878
-//! simsub admin reload --addr 127.0.0.1:7878 --corpus fresh.csv --shards 4
+//! simsub admin reload --addr 127.0.0.1:7878 --corpus fresh.csv
 //! ```
 
 use simsub::core::{
@@ -19,7 +19,7 @@ use simsub::core::{
 use simsub::data::{
     generate, read_bin_file, read_csv_file, write_bin_file, write_csv_file, DatasetSpec,
 };
-use simsub::index::{PartitionerKind, ShardedDb};
+use simsub::index::TrajectoryDb;
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::nn::BinaryCodec;
 use simsub::rl::Policy;
@@ -104,14 +104,12 @@ fn usage() {
          \x20              --algo exact|sizes|pss|pos|posd|spring|rls --measure ...\n\
          \x20              [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20 topk         (--corpus FILE.csv | --corpus-bin FILE.ssb) --query FILE.csv --k N\n\
-         \x20              --algo ... --measure ... [--index rtree|none]\n\
-         \x20              [--no-prune] [--shards N] [--partitioner hash|grid]\n\
+         \x20              --algo ... --measure ... [--index rtree|none] [--no-prune]\n\
          \x20 serve        (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
          \x20              [--workers N] [--batch B] [--cache N] [--cache-quantize Q]\n\
          \x20              [--batch-window-us N]  # micro-batch coalescing window cap (0 = off)\n\
          \x20              [--default-k N] [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20              [--skip K] [--no-suffix] [--no-prune]\n\
-         \x20              [--shards N] [--partitioner hash|grid]\n\
          \x20              [--reload-fifo PATH]   # named pipe accepting admin JSON lines\n\
          \x20              [--slow-query-us N]    # log traces of queries slower than N µs\n\
          \x20              [--audit-sample F]     # audit fraction F of cold answers (0..=1)\n\
@@ -123,8 +121,7 @@ fn usage() {
          \x20 admin        stats --watch SECS [--count M] [--addr HOST:PORT]\n\
          \x20              # one delta line per tick: qps, p99, hit rate, prune ratio\n\
          \x20 admin        reload (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
-         \x20              [--shards N] [--partitioner hash|grid] [--policy F] [--t2vec F]\n\
-         \x20              [--skip K] [--no-suffix]\n\
+         \x20              [--policy F] [--t2vec F] [--skip K] [--no-suffix]\n\
          \x20 admin        configure [--addr HOST:PORT] [--prune on|off] [--batch N]\n\
          \x20              [--cache N] [--default-k N] [--quantize Q]   # Q=0 exact keys\n\
          \x20              [--slow-query-us N] [--audit-sample F]\n\
@@ -135,7 +132,7 @@ fn usage() {
 
 /// The flags `cmd` reads, space-separated: its own plus those of the
 /// shared loaders it calls (`load_corpus*`, `load_measure`, `load_algo`,
-/// `mdp_from_flags`, `sharding_from_flags`). `admin` and `corpus` list
+/// `mdp_from_flags`). `admin` and `corpus` list
 /// every action's.
 fn accepted_flags(cmd: &str) -> &'static str {
     match cmd {
@@ -146,15 +143,15 @@ fn accepted_flags(cmd: &str) -> &'static str {
         "search" => "corpus measure t2vec skip no-suffix algo xi delay policy data-id query",
         "topk" => {
             "corpus corpus-bin measure t2vec skip no-suffix algo xi delay policy query k index \
-             no-prune shards partitioner"
+             no-prune"
         }
         "serve" => {
             "corpus corpus-bin addr workers batch batch-window-us cache cache-quantize default-k \
-             policy t2vec skip no-suffix no-prune shards partitioner reload-fifo slow-query-us \
+             policy t2vec skip no-suffix no-prune reload-fifo slow-query-us \
              audit-sample max-queue-depth default-deadline-ms faults"
         }
         "admin" => {
-            "addr watch count corpus corpus-bin shards partitioner policy t2vec skip no-suffix \
+            "addr watch count corpus corpus-bin policy t2vec skip no-suffix \
              prune batch cache default-k quantize slow-query-us audit-sample max-queue-depth \
              default-deadline-ms faults"
         }
@@ -265,20 +262,6 @@ fn load_measure(flags: &Flags) -> Result<Box<dyn Measure>, String> {
         }
         other => Err(format!("unknown measure '{other}' (dtw|frechet|t2vec)")),
     }
-}
-
-/// `--shards N [--partitioner hash|grid]`: `None` (unsharded) when
-/// `--shards` is absent or 0.
-fn sharding_from_flags(flags: &Flags) -> Result<Option<(usize, PartitionerKind)>, String> {
-    let shards: usize = flags.parse_or("shards", 0)?;
-    let partitioner: PartitionerKind = match flags.get("partitioner") {
-        None => PartitionerKind::Hash,
-        Some(name) => name.parse()?,
-    };
-    if shards == 0 && flags.get("partitioner").is_some() {
-        return Err("--partitioner requires --shards N".into());
-    }
-    Ok((shards > 0).then_some((shards, partitioner)))
 }
 
 fn mdp_from_flags(flags: &Flags) -> Result<MdpConfig, String> {
@@ -524,17 +507,13 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let mdp = mdp_from_flags(flags)?;
     let snapshot = CorpusSnapshot::assemble_arena(
         corpus,
-        sharding_from_flags(flags)?,
         policy_path.as_deref().map(|p| (p, mdp)),
         t2vec_path.as_deref(),
     )?;
 
     let workers = config.workers;
     let prune = config.prune;
-    let (corpus_len, corpus_points, shard_count) = {
-        let c = snapshot.corpus();
-        (c.len(), c.total_points(), c.shard_count())
-    };
+    let (corpus_len, corpus_points) = (snapshot.corpus().len(), snapshot.corpus().total_points());
     let engine = Arc::new(QueryEngine::start(snapshot, config));
     let server =
         Server::bind(Arc::clone(&engine), &addr).map_err(|e| format!("binding {addr}: {e}"))?;
@@ -546,11 +525,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         )?;
     }
     println!(
-        "serving {} trajectories / {} points in {} shard(s) on {} with {} workers, prune={} \
+        "serving {} trajectories / {} points on {} with {} workers, prune={} \
          (newline-JSON, protocol v1+v2; send {{\"cmd\":\"shutdown\"}} to stop)",
         corpus_len,
         corpus_points,
-        shard_count,
         server.local_addr(),
         workers,
         if prune { "on" } else { "off" }
@@ -687,10 +665,6 @@ fn cmd_admin(action: &str, flags: &Flags) -> Result<(), String> {
                 .display()
                 .to_string();
             field(key, Json::Str(path));
-            if let Some((shards, partitioner)) = sharding_from_flags(flags)? {
-                field("shards", Json::Num(shards as f64));
-                field("partitioner", Json::Str(partitioner.name().into()));
-            }
             for key in ["policy", "t2vec"] {
                 if let Some(path) = flags.get(key) {
                     let path = std::fs::canonicalize(path)
@@ -919,30 +893,20 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
     // answers are byte-identical either way — only the timing and the
     // prune counters change.
     let prune = !flags.switch("no-prune") && simsub::core::pruning_enabled();
-    // Every layout returns byte-identical hits; `--shards` exists on
-    // `topk` to exercise (and time) the fan-out offline. The scan uses the
-    // process's cores: an unprunable one splits its candidates (same
-    // counters as one thread), a pruning one its shards (whose workers'
-    // shared floor makes the prune counters depend on timing).
-    let sharding = sharding_from_flags(flags)?;
-    let layout = sharding.map_or("single".to_string(), |(shards, partitioner)| {
-        format!("{}x{}", shards, partitioner.name())
-    });
-    let (shards, partitioner) = sharding.unwrap_or((1, PartitionerKind::Hash));
-    let db = ShardedDb::from_arena(corpus, shards, partitioner);
-    let (mut hits, stats) = db.top_k(
+    // An unprunable scan splits its candidates over the process's cores,
+    // with the same hits and counters as one thread.
+    let db = TrajectoryDb::from_arena(corpus);
+    let (hits, stats) = db.top_k_with_stats(
         algo.as_ref(),
         measure.as_ref(),
-        &[query.points()],
+        query.points(),
         k,
         use_index,
         prune,
-        simsub::core::library_scan_threads(),
     );
-    let hits = hits.remove(0);
     let corpus_len = db.len();
     println!(
-        "top-{k} by {} over {} ({} trajectories, layout={layout}, index={}, prune={}):",
+        "top-{k} by {} over {} ({} trajectories, index={}, prune={}):",
         algo.name(),
         measure.name(),
         corpus_len,
@@ -988,6 +952,20 @@ mod tests {
             match parse("serve", &format!("--corpus c.csv --{flag} {value}")) {
                 Ok(_) => panic!("serve accepted --{flag}"),
                 Err(e) => assert_eq!(e, format!("unknown flag --{flag} for serve")),
+            }
+        }
+    }
+
+    /// The corpus is always one database: the old layout flags fail on
+    /// every command that once read them instead of being ignored.
+    #[test]
+    fn retired_layout_flags_are_rejected() {
+        for cmd in ["serve", "topk", "admin"] {
+            for (flag, value) in [("shards", "4"), ("partitioner", "grid")] {
+                match parse(cmd, &format!("--corpus c.csv --{flag} {value}")) {
+                    Ok(_) => panic!("{cmd} accepted --{flag}"),
+                    Err(e) => assert_eq!(e, format!("unknown flag --{flag} for {cmd}")),
+                }
             }
         }
     }

@@ -5,8 +5,7 @@
 //! (the scalar oracle of `tests/common/scalar.rs` per trajectory over
 //! AoS points, ranked through `sort_hits_and_truncate`), across measures
 //! on the search path (DTW, discrete Frechet, a trained t2vec model),
-//! both service-default algorithms (ExactS, PSS), shard counts 1..4, and
-//! prune on/off. The learned walks (RLS, RLS-Skip, RLS+, RLS-Skip+) join
+//! both service-default algorithms (ExactS, PSS), and prune on/off. The learned walks (RLS, RLS-Skip, RLS+, RLS-Skip+) join
 //! through one workspace reused across every candidate and re-targeted
 //! across queries, against a fresh scalar walk per candidate. The packed
 //! binary corpus format must round-trip the arena bit-exactly and reject
@@ -21,12 +20,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsub::core::{ExactS, MdpConfig, Rls, ScanStats, SearchWorkspace, TopKResult};
 use simsub::data::{read_bin, read_csv, write_bin, write_csv, BinCorpusError};
-use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub::index::TrajectoryDb;
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::rl::{DqnAgent, DqnConfig};
 use simsub::trajectory::{CorpusArena, Point, Trajectory};
-
-const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=4;
 
 fn walk(seed: u64, len: usize, origin: (f64, f64)) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -77,16 +74,6 @@ fn check_layout_equivalence(
         let (got, stats) = db.top_k_with_stats(algo, measure, query, k, false, prune);
         assert_bitwise_topk(&got, &want, &format!("db full scan {context}"));
         assert!(stats.is_consistent(), "db stats: {context}");
-
-        for shards in SHARD_COUNTS {
-            for kind in [PartitionerKind::Hash, PartitionerKind::Grid] {
-                let sharded = ShardedDb::build(corpus.to_vec(), shards, kind);
-                let context = format!("{context} shards={shards} kind={}", kind.name());
-                let (got, stats) = sharded.top_k(algo, measure, &[query], k, false, prune, 1);
-                assert_bitwise_topk(&got[0], &want, &format!("sharded {context}"));
-                assert!(stats.is_consistent(), "sharded stats: {context}");
-            }
-        }
     }
 
     // Indexed scans agree with the indexed pre-arena filter: reference
@@ -153,7 +140,7 @@ proptest! {
 
     /// The headline property: arena-backed scans are byte-identical to
     /// the pre-arena `Vec<Point>` path across DTW/Frechet × ExactS/PSS ×
-    /// shard counts 1..4 × prune on/off.
+    /// prune on/off.
     #[test]
     fn arena_scan_is_byte_identical_to_prearena_path(
         seed in 0u64..10_000,
@@ -214,6 +201,36 @@ proptest! {
                     "flipped byte {flip} loaded silently ({} trajectories)",
                     loaded.len()
                 );
+            }
+        }
+    }
+}
+
+/// A database loaded from a packed corpus answers batches like the one
+/// built from the trajectories it was packed from: same hits, same
+/// counters, at every thread count, pruned or not.
+#[test]
+fn packed_corpus_batches_answer_like_the_built_corpus() {
+    let corpus = random_corpus(77, 30);
+    let mut buf = Vec::new();
+    write_bin(&mut buf, &CorpusArena::from_trajectories(&corpus)).expect("pack");
+    let packed =
+        TrajectoryDb::from_arena(read_bin(std::io::Cursor::new(&buf)).expect("load packed corpus"));
+    let built = TrajectoryDb::build(corpus);
+    let queries: Vec<Vec<Point>> = (0..4).map(|i| walk(0xba7c + i, 6, (0.0, 0.0))).collect();
+    let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
+    for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
+        for prune in [false, true] {
+            for threads in 1..=4 {
+                let context = format!("{} prune={prune} threads={threads}", measure.name());
+                let (want, want_stats) =
+                    built.top_k_batch(&ExactS, measure, &refs, 3, false, prune, threads);
+                let (got, stats) =
+                    packed.top_k_batch(&ExactS, measure, &refs, 3, false, prune, threads);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_bitwise_topk(g, w, &context);
+                }
+                assert_eq!(stats, want_stats, "{context}");
             }
         }
     }

@@ -4,16 +4,13 @@
 //! slow-query log, and the sampled online quality auditor's AR contract.
 //!
 //! Like `service_engine.rs`, the whole file runs under the CI env matrix
-//! (`SIMSUB_SHARDS=4`, `SIMSUB_NO_PRUNE=1`), so nothing here may assume
-//! pruning happened or a particular corpus layout.
+//! (`SIMSUB_NO_PRUNE=1`), so nothing here may assume pruning happened.
 
-mod common;
-
-use common::snapshot_for;
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::service::{
-    AlgoSpec, ConfigUpdate, EngineConfig, Histogram, MeasureSpec, QueryEngine, QueryRequest, Server,
+    AlgoSpec, ConfigUpdate, CorpusSnapshot, EngineConfig, Histogram, MeasureSpec, QueryEngine,
+    QueryRequest, Server,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -149,7 +146,7 @@ fn histogram_merge_is_associative_and_exact() {
 fn metrics_exposition_over_the_wire() {
     let db = shared_db(16);
     let engine = Arc::new(QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             cache_capacity: 64,
@@ -235,7 +232,7 @@ fn metrics_exposition_over_the_wire() {
 fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
     let db = shared_db(16);
     let engine = Arc::new(QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             cache_capacity: 64,
@@ -307,7 +304,7 @@ fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
 fn slow_query_log_captures_outliers() {
     let db = shared_db(12);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             cache_capacity: 0,
@@ -355,7 +352,7 @@ fn slow_query_log_captures_outliers() {
 fn auditor_reports_ar_at_least_one_for_live_pss() {
     let db = shared_db(16);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             cache_capacity: 0, // every answer is cold, hence auditable

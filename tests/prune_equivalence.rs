@@ -1,15 +1,17 @@
 //! Property harness for the prune-first scan contract: for any corpus,
 //! any query, any measure on the search path (DTW, discrete Frechet, a
 //! trained t2vec model), either service-default algorithm (ExactS, PSS),
-//! shard counts 1..4 and sequential or parallel fan-out, the pruned scan
-//! must be **byte-identical** — same ids, same score bit patterns, same
-//! order — to the unpruned reference scan, with consistent [`PruneStats`]
+//! single queries and batches at 1..4 threads, the pruned scan must be
+//! **byte-identical** — same ids, same score bit patterns, same order —
+//! to the unpruned reference scan, with consistent [`PruneStats`]
 //! (`scanned == pruned + searched`) and admissible bounds
 //! (`bound >= true best subtrajectory similarity` for every trajectory).
 //! The reference never prunes, never abandons and never sees a floor; and
 //! because it still runs the library's own evaluators, ExactS under DTW
 //! and Frechet is additionally held — pruned and unpruned — to the
-//! independent full-matrix oracle of `tests/common/oracle.rs`.
+//! independent full-matrix oracle of `tests/common/oracle.rs`. A batch
+//! through `TrajectoryDb::top_k_batch` is exactly the sum of its
+//! single-query calls, hits and counters, at every thread count.
 
 mod common;
 
@@ -21,11 +23,9 @@ use rand::{Rng, SeedableRng};
 use simsub::core::{
     scan_prunes, BoundCascade, ExactS, PruneStats, Pss, SearchWorkspace, SubtrajSearch, TopKResult,
 };
-use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub::index::TrajectoryDb;
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::trajectory::{CorpusArena, Point, Trajectory};
-
-const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=4;
 
 fn walk(seed: u64, len: usize, origin: (f64, f64)) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -106,8 +106,48 @@ fn full_scan(
     TrajectoryDb::build(corpus.to_vec()).top_k_with_stats(algo, measure, query, k, false, prune)
 }
 
-/// Pruned == unpruned across the single-database and sharded scan paths
-/// (sequential, parallel fan-out, batched entry) for one combination.
+/// The batched entry's contract for one scan plan: at `threads` 1..=4 a
+/// batch's hits and [`PruneStats`] are exactly the sum of its
+/// single-query `top_k_with_stats` calls. Returns those calls' hits and
+/// summed counters.
+#[allow(clippy::too_many_arguments)] // the whole scan plan, spelled once
+fn check_batched_entry(
+    db: &TrajectoryDb,
+    algo: &dyn SubtrajSearch,
+    measure: &dyn Measure,
+    queries: &[&[Point]],
+    k: usize,
+    use_index: bool,
+    prune: bool,
+    context: &str,
+) -> (Vec<Vec<TopKResult>>, PruneStats) {
+    let mut summed = PruneStats::default();
+    let singles: Vec<Vec<TopKResult>> = queries
+        .iter()
+        .map(|query| {
+            let (hits, stats) = db.top_k_with_stats(algo, measure, query, k, use_index, prune);
+            summed.merge(&stats);
+            hits
+        })
+        .collect();
+    for threads in 1..=4 {
+        let context = format!("{context} index={use_index} prune={prune} threads={threads}");
+        let (batched, stats) = db.top_k_batch(algo, measure, queries, k, use_index, prune, threads);
+        assert_eq!(
+            batched.len(),
+            queries.len(),
+            "one answer a query: {context}"
+        );
+        for (got, want) in batched.iter().zip(&singles) {
+            assert_bitwise_topk(got, want, &format!("batch vs single calls: {context}"));
+        }
+        assert_eq!(stats, summed, "batch counters vs single calls: {context}");
+    }
+    (singles, summed)
+}
+
+/// Pruned == unpruned across the single-query and batched scan entries
+/// for one combination.
 fn check_prune_equivalence(
     corpus: &[Trajectory],
     algo: &dyn SubtrajSearch,
@@ -137,7 +177,7 @@ fn check_prune_equivalence(
         assert_matches_oracle(&pruned, oracle_hits, &format!("pruned {context_base}"));
     }
 
-    // Indexed database and sharded layouts, both index modes.
+    // Indexed database and the batched entry, both index modes.
     let db = TrajectoryDb::build(corpus.to_vec());
     for use_index in [false, true] {
         let (want_db, _) = db.top_k_with_stats(algo, measure, query, k, use_index, false);
@@ -145,25 +185,17 @@ fn check_prune_equivalence(
         let context = format!("{context_base} index={use_index}");
         assert_bitwise_topk(&got_db, &want_db, &format!("db {context}"));
         assert!(db_stats.is_consistent(), "db stats: {context}");
-        for shards in SHARD_COUNTS {
-            for kind in [PartitionerKind::Hash, PartitionerKind::Grid] {
-                let sharded = ShardedDb::build(corpus.to_vec(), shards, kind);
-                for threads in [1, 4] {
-                    let context = format!(
-                        "{context} shards={shards} kind={} threads={threads}",
-                        kind.name()
-                    );
-                    let (got, stats) =
-                        sharded.top_k(algo, measure, &[query], k, use_index, true, threads);
-                    assert_bitwise_topk(&got[0], &want_db, &format!("sharded {context}"));
-                    if let (Some(oracle_hits), false) = (&exact_oracle, use_index) {
-                        assert_matches_oracle(&got[0], oracle_hits, &format!("sharded {context}"));
-                    }
-                    assert!(stats.is_consistent(), "sharded stats: {context}");
-                    if !use_index {
-                        assert_stats(&stats, n, &format!("sharded {context}"));
-                    }
-                }
+        for prune in [false, true] {
+            let (got, stats) =
+                check_batched_entry(&db, algo, measure, &[query], k, use_index, prune, &context);
+            let context = format!("{context} prune={prune}");
+            assert_bitwise_topk(&got[0], &want_db, &format!("batched {context}"));
+            if let (Some(oracle_hits), false) = (&exact_oracle, use_index) {
+                assert_matches_oracle(&got[0], oracle_hits, &format!("batched {context}"));
+            }
+            assert!(stats.is_consistent(), "batched stats: {context}");
+            if !use_index {
+                assert_stats(&stats, n, &format!("batched {context}"));
             }
         }
     }
@@ -173,8 +205,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The headline property: pruned scans are byte-identical to the
-    /// unpruned reference across measures × algorithms × shard counts
-    /// 1..4 × partitioners × index modes, with consistent counters.
+    /// unpruned reference across measures × algorithms × index modes ×
+    /// single-query and batched entries at 1..4 threads, with consistent
+    /// counters.
     #[test]
     fn pruned_scan_is_byte_identical(
         seed in 0u64..10_000,
@@ -229,11 +262,10 @@ proptest! {
         }
     }
 
-    /// Multi-query batches: pruned batched scans match the unpruned
-    /// per-query reference under both measures and both algorithms, on
-    /// one shard and on three — where `threads = 4` scans them in
-    /// parallel against one `SharedSimFloor`, so the floor an ExactS
-    /// search abandons against may come from another worker's heap.
+    /// Multi-query batches, queries of different lengths in one call:
+    /// pruned and unpruned batches match the unpruned per-query reference
+    /// under both measures and both algorithms, and at `threads` 1..4
+    /// equal the sum of their single-query calls, hits and counters.
     #[test]
     fn pruned_batch_matches_per_query(
         seed in 0u64..10_000,
@@ -251,16 +283,20 @@ proptest! {
                     .iter()
                     .map(|q| full_scan(algo, measure, &corpus, q, k, false).0)
                     .collect();
-                for (shards, threads) in [(1, 1), (3, 1), (3, 4)] {
-                    let (batched, stats) =
-                        ShardedDb::build(corpus.clone(), shards, PartitionerKind::Hash)
-                            .top_k(algo, measure, &refs, k, false, true, threads);
+                let db = TrajectoryDb::build(corpus.clone());
+                let context = format!("{} {}", measure.name(), algo.name());
+                for (use_index, prune) in [(false, true), (false, false), (true, true)] {
+                    let (batched, stats) = check_batched_entry(
+                        &db, algo, measure, &refs, k, use_index, prune, &context,
+                    );
                     prop_assert!(stats.is_consistent());
+                    if use_index {
+                        continue;
+                    }
                     prop_assert_eq!(stats.scanned, (corpus.len() * queries.len()) as u64);
                     for (got, want) in batched.iter().zip(&wants) {
                         assert_bitwise_topk(got, want, &format!(
-                            "pruned batch vs unpruned per-query: {} {} shards={shards} threads={threads}",
-                            measure.name(), algo.name()));
+                            "batch vs unpruned per-query: {context} prune={prune}"));
                     }
                 }
             }
@@ -291,7 +327,8 @@ fn t2vec_is_never_pruned_and_stays_identical() {
         assert_eq!(stats.abandoned, 0, "no floor reaches a t2vec search");
         assert_eq!(stats.searched, corpus.len() as u64);
     }
-    // And the full layout sweep for one algorithm.
+    // And the single-query and batched entries for both algorithms.
+    check_prune_equivalence(&corpus, &ExactS, &model, &query, 3);
     check_prune_equivalence(&corpus, &Pss, &model, &query, 3);
 }
 
@@ -373,5 +410,68 @@ fn overlapping_corpus_prunes_on_points_and_abandons() {
             "{}: {stats:?}",
             measure.name()
         );
+    }
+}
+
+/// Batches over a clustered corpus large enough that the reference path
+/// splits at every thread count up to 4: ExactS and PSS under DTW and
+/// Frechet, several queries in different clusters, with and without the
+/// index. Hits and counters equal the single-query calls, and the pruned
+/// batch equals the unpruned one.
+#[test]
+fn clustered_batches_match_single_calls_at_every_thread_count() {
+    let corpus: Vec<Trajectory> = (0..40u64)
+        .map(|i| {
+            let origin = ((i % 5) as f64 * 40.0, (i / 5) as f64 * 40.0);
+            Trajectory::new_unchecked(i, walk(i + 60, 12, origin))
+        })
+        .collect();
+    let db = TrajectoryDb::build(corpus.clone());
+    let queries: Vec<Vec<Point>> = [0usize, 7, 13, 26, 39]
+        .iter()
+        .map(|&i| corpus[i].points()[3..9].to_vec())
+        .collect();
+    let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
+    for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
+        for algo in [&ExactS as &dyn SubtrajSearch, &Pss] {
+            for use_index in [false, true] {
+                let context = format!("{} / {}", algo.name(), measure.name());
+                let (want, want_stats) =
+                    check_batched_entry(&db, algo, measure, &refs, 4, use_index, false, &context);
+                let (got, stats) =
+                    check_batched_entry(&db, algo, measure, &refs, 4, use_index, true, &context);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_bitwise_topk(g, w, &format!("pruned batch: {context}"));
+                }
+                assert_eq!(stats.scanned, want_stats.scanned, "{context}");
+                if !use_index {
+                    assert_eq!(stats.scanned, (corpus.len() * queries.len()) as u64);
+                }
+            }
+        }
+    }
+}
+
+/// RLS never prunes, so every batch of it takes the split reference path:
+/// a batch at 1..4 threads equals its single-query calls, for a policy
+/// with and without skip actions.
+#[test]
+fn rls_batches_match_single_calls_at_every_thread_count() {
+    use simsub::core::{MdpConfig, Rls};
+    use simsub::rl::{DqnAgent, DqnConfig};
+    let corpus = random_corpus(23, 36);
+    let db = TrajectoryDb::build(corpus);
+    let queries: Vec<Vec<Point>> = (0..3).map(|i| walk(0x5151 + i, 6, (0.0, 0.0))).collect();
+    let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
+    for mdp in [MdpConfig::rls(), MdpConfig::rls_skip(2)] {
+        let dqn = DqnConfig::paper(mdp.state_dim(), mdp.n_actions());
+        let rls = Rls::new(DqnAgent::new(dqn).policy(), mdp);
+        assert!(!scan_prunes(&rls, &Dtw, true));
+        for use_index in [false, true] {
+            let (_, stats) =
+                check_batched_entry(&db, &rls, &Dtw, &refs, 3, use_index, true, &rls.name());
+            assert_eq!(stats.pruned(), 0, "RLS never prunes");
+            assert_eq!(stats.scanned, stats.searched);
+        }
     }
 }

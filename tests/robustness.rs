@@ -13,18 +13,14 @@
 //! (`Some(spec)`, with `Some("")` meaning *forced disarmed*), so the
 //! assertions stay deterministic even when the CI matrix arms a global
 //! `SIMSUB_FAULTS`. Like `service_engine.rs`, the file also runs under
-//! `SIMSUB_SHARDS=4` and `SIMSUB_NO_PRUNE=1`, so nothing here assumes a
-//! particular corpus layout or that pruning happened.
+//! `SIMSUB_NO_PRUNE=1`, so nothing here assumes that pruning happened.
 
-mod common;
-
-use common::snapshot_for;
 use proptest::prelude::*;
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::service::{
-    json::Json, AlgoSpec, EngineConfig, MeasureSpec, QueryEngine, QueryRequest, Server,
-    ServiceError, StatsSnapshot, SubmitOptions,
+    json::Json, AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
+    Server, ServiceError, StatsSnapshot, SubmitOptions,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -127,7 +123,7 @@ fn scan_panics_are_isolated_to_their_requests() {
     quiet_injected_panics();
     let db = shared_db(16);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             max_batch: 1,
@@ -169,7 +165,7 @@ fn chaos_answers_match_the_fault_free_baseline() {
     quiet_injected_panics();
     let db = shared_db(24);
     let baseline = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             faults: Some(String::new()), // forced disarmed
@@ -177,7 +173,7 @@ fn chaos_answers_match_the_fault_free_baseline() {
         },
     );
     let chaos = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             max_batch: 4,
@@ -224,7 +220,7 @@ fn every_connection_survives_wire_chaos() {
     quiet_injected_panics();
     let db = shared_db(16);
     let engine = Arc::new(QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             max_batch: 2,
@@ -279,7 +275,7 @@ fn every_connection_survives_wire_chaos() {
 fn overload_sheds_instead_of_queueing_unboundedly() {
     let db = shared_db(12);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             max_batch: 1,
@@ -320,7 +316,7 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
 fn expired_deadlines_drop_queued_work() {
     let db = shared_db(12);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             max_batch: 1,
@@ -375,7 +371,7 @@ fn supervisor_respawns_dead_workers() {
     quiet_injected_panics();
     let db = shared_db(12);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             max_batch: 1,
@@ -408,7 +404,7 @@ fn shutdown_collects_panics_into_a_report() {
     quiet_injected_panics();
     let db = shared_db(8);
     let healthy = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             faults: Some(String::new()),
@@ -421,7 +417,7 @@ fn shutdown_collects_panics_into_a_report() {
     assert!(healthy.shutdown().clean());
 
     let dying = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             // Workers die at every loop top; the supervisor respawns
@@ -454,7 +450,7 @@ fn wire_internal_errors_and_live_fault_control() {
     quiet_injected_panics();
     let db = shared_db(12);
     let engine = Arc::new(QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             max_batch: 1,
@@ -517,7 +513,7 @@ fn wire_internal_errors_and_live_fault_control() {
 fn wire_deadlines_are_v2_only() {
     let db = shared_db(12);
     let engine = Arc::new(QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             faults: Some(String::new()),
@@ -570,7 +566,7 @@ fn wire_deadlines_are_v2_only() {
 fn oversized_and_non_utf8_lines_keep_the_connection_alive() {
     let db = shared_db(8);
     let engine = Arc::new(QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
             faults: Some(String::new()),
@@ -628,7 +624,7 @@ fn fuzz_server_addr() -> std::net::SocketAddr {
     *ADDR.get_or_init(|| {
         let db = shared_db(8);
         let engine = Arc::new(QueryEngine::start(
-            snapshot_for(&db),
+            CorpusSnapshot::new(Arc::clone(&db)),
             EngineConfig {
                 workers: 2,
                 faults: Some(String::new()),

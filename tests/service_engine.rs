@@ -6,14 +6,14 @@
 
 mod common;
 
-use common::{assert_bitwise_topk, snapshot_for};
+use common::assert_bitwise_topk;
 use simsub::core::{ExactS, Pss, Spring, SubtrajSearch};
 use simsub::data::{generate, write_bin_file, write_csv_file, DatasetSpec};
-use simsub::index::{PartitionerKind, ShardedDb, TrajectoryDb};
+use simsub::index::TrajectoryDb;
 use simsub::measures::{CoordNormalizer, Dtw, Frechet, Measure, T2Vec};
 use simsub::service::{
-    AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest, Server,
-    ServiceError, SubmitOptions,
+    AlgoSpec, CorpusSnapshot, EngineConfig, EngineHandle, MeasureSpec, QueryEngine, QueryRequest,
+    Server, ServiceError, SubmitOptions,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -26,7 +26,7 @@ fn shared_db(count: usize) -> Arc<TrajectoryDb> {
 
 fn engine_with(db: &Arc<TrajectoryDb>, workers: usize) -> QueryEngine {
     QueryEngine::start(
-        snapshot_for(db),
+        CorpusSnapshot::new(Arc::clone(db)),
         EngineConfig {
             workers,
             max_batch: 8,
@@ -163,7 +163,7 @@ fn duplicate_query_is_a_cache_hit() {
 fn admission_hit_answers_on_the_caller_without_a_batch() {
     let db = shared_db(20);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             max_batch: 8,
@@ -277,7 +277,7 @@ fn two_workers_still_batch_a_cold_burst() {
     const BURST: usize = 64;
     let db = shared_db(BURST);
     let engine = QueryEngine::start(
-        snapshot_for(&db),
+        CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             max_batch: 8,
@@ -328,10 +328,10 @@ fn invalid_requests_fail_fast() {
 }
 
 /// An engine that can serve every measure, t2vec included.
-fn engine_with_t2vec(db: &TrajectoryDb) -> Arc<QueryEngine> {
+fn engine_with_t2vec(db: &Arc<TrajectoryDb>) -> Arc<QueryEngine> {
     let model = T2Vec::random(5, 6, CoordNormalizer::identity());
     Arc::new(QueryEngine::start(
-        snapshot_for(db).with_t2vec(model),
+        CorpusSnapshot::new(Arc::clone(db)).with_t2vec(model),
         EngineConfig {
             workers: 1,
             ..EngineConfig::default()
@@ -507,93 +507,6 @@ fn tcp_server_round_trip() {
     server.wait();
 }
 
-/// A sharded engine is indistinguishable on the wire from the unsharded
-/// one: the same JSON request lines produce byte-identical `results`
-/// payloads through both TCP servers (only latency/batch metadata may
-/// differ).
-#[test]
-fn sharded_engine_matches_unsharded_on_the_wire() {
-    let db = shared_db(30);
-    let corpus = db.to_trajectories();
-    let single = Arc::new(QueryEngine::start(
-        CorpusSnapshot::new(Arc::clone(&db)),
-        EngineConfig {
-            workers: 2,
-            max_batch: 8,
-            cache_capacity: 64,
-            ..EngineConfig::default()
-        },
-    ));
-    let mut engines = vec![("single", single)];
-    for (name, kind) in [
-        ("hash3", PartitionerKind::Hash),
-        ("grid5", PartitionerKind::Grid),
-    ] {
-        let shards = if kind == PartitionerKind::Hash { 3 } else { 5 };
-        let sharded = ShardedDb::build(corpus.clone(), shards, kind).into_shared();
-        engines.push((
-            name,
-            Arc::new(QueryEngine::start(
-                CorpusSnapshot::sharded(sharded),
-                EngineConfig {
-                    workers: 2,
-                    max_batch: 8,
-                    cache_capacity: 64,
-                    ..EngineConfig::default()
-                },
-            )),
-        ));
-    }
-
-    // Engine-level equality across a mixed workload first.
-    for (i, q) in queries_from(&db, 9).into_iter().enumerate() {
-        let (algo, measure): (AlgoSpec, MeasureSpec) = match i % 3 {
-            0 => (AlgoSpec::Exact, MeasureSpec::Dtw),
-            1 => (AlgoSpec::Pss, MeasureSpec::Dtw),
-            _ => (AlgoSpec::Pss, MeasureSpec::Frechet),
-        };
-        let req = request(q, algo, measure, 3);
-        let want = engines[0].1.query(req.clone()).unwrap();
-        for (name, engine) in &engines[1..] {
-            let got = engine.query(req.clone()).unwrap();
-            assert_eq!(*got.results, *want.results, "layout {name}, query {i}");
-        }
-    }
-
-    // Then the wire: identical request line, identical "results" text.
-    let query = queries_from(&db, 1).remove(0);
-    let points: Vec<String> = query.iter().map(|p| format!("[{},{}]", p.x, p.y)).collect();
-    let line = format!(
-        "{{\"query\":[{}],\"algo\":\"exact\",\"measure\":\"dtw\",\"k\":4}}",
-        points.join(",")
-    );
-    let results_part = |response: &str| {
-        let start = response.find("\"results\":").expect("results field");
-        response[start..].trim_end().to_string()
-    };
-    let mut wire_answers = Vec::new();
-    for (name, engine) in &engines {
-        let server = Server::bind(Arc::clone(engine), "127.0.0.1:0").expect("bind");
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        assert!(response.contains("\"ok\":true"), "{name}: {response}");
-        wire_answers.push((*name, results_part(&response)));
-        server.stop();
-        drop(stream);
-        server.wait();
-    }
-    for (name, answer) in &wire_answers[1..] {
-        assert_eq!(
-            answer, &wire_answers[0].1,
-            "wire answer of {name} differs from single"
-        );
-    }
-}
-
 /// A served `"algo":"rls"` scan gets the loaded [`Rls`] itself, so its
 /// trait overrides apply: RLS reports non-admissible similarities, hence
 /// the bound cascade must stay off (no candidate pruned) even on a
@@ -630,7 +543,7 @@ fn served_rls_never_prunes_and_matches_the_offline_scan() {
     let (want, _) = db.top_k_with_stats(&rls, &Dtw, &query, 3, false, false);
 
     let engine = QueryEngine::start(
-        snapshot_for(&db).with_rls(Rls::new(policy, mdp)),
+        CorpusSnapshot::new(Arc::clone(&db)).with_rls(Rls::new(policy, mdp)),
         EngineConfig {
             workers: 1,
             prune: true,
@@ -657,61 +570,39 @@ fn served_rls_never_prunes_and_matches_the_offline_scan() {
     engine.shutdown();
 }
 
-/// Cache keys are layout-versioned: the same request keys differently
-/// under different shard layouts (entries die with their layout, the
-/// invariant snapshot hot-swap will rely on), and identically within one
-/// layout exactly when the canonical query hash matches.
+/// Cache keys mix the canonical query hash with the epoch: within one
+/// snapshot generation a key is exactly as stable as the canonical hash,
+/// and a swap — even to the same corpus — changes every key, so entries
+/// die with the snapshot that computed them.
 #[test]
-fn cache_keys_include_shard_layout_version() {
+fn cache_keys_mix_the_canonical_hash_and_the_epoch() {
     let db = shared_db(12);
-    let corpus = db.to_trajectories();
     let req = request(
         queries_from(&db, 1).remove(0),
         AlgoSpec::Pss,
         MeasureSpec::Dtw,
         3,
     );
+    let handle = EngineHandle::new(CorpusSnapshot::new(Arc::clone(&db)));
+    let first = handle.load();
 
-    let snap = |layout: Option<(usize, PartitionerKind)>| match layout {
-        None => CorpusSnapshot::new(Arc::clone(&db)),
-        Some((n, kind)) => {
-            CorpusSnapshot::sharded(ShardedDb::build(corpus.clone(), n, kind).into_shared())
-        }
-    };
-    let single = snap(None);
-    let hash2 = snap(Some((2, PartitionerKind::Hash)));
-    let hash4 = snap(Some((4, PartitionerKind::Hash)));
-    let hash4_again = snap(Some((4, PartitionerKind::Hash)));
-    let grid4 = snap(Some((4, PartitionerKind::Grid)));
-
-    // Same layout: key survives rebuilds and equals across snapshots...
-    assert_eq!(single.cache_key(&req), single.cache_key(&req.clone()));
-    assert_eq!(hash4.cache_key(&req), hash4_again.cache_key(&req));
-    // ...including for a canonically equal request (timestamps ignored).
+    // Same generation: the key survives reloads of the handle...
+    assert_eq!(first.cache_key(&req), handle.load().cache_key(&req.clone()));
+    // ...and equals for a canonically equal request (timestamps ignored).
     let mut shifted = req.clone();
     for p in &mut shifted.query {
         p.t += 500.0;
     }
-    assert_eq!(hash4.cache_key(&req), hash4.cache_key(&shifted));
-
-    // Different layouts: same request, different key — a shard count or
-    // partitioner change invalidates every cached answer.
-    let keys = [
-        single.cache_key(&req),
-        hash2.cache_key(&req),
-        hash4.cache_key(&req),
-        grid4.cache_key(&req),
-    ];
-    for i in 0..keys.len() {
-        for j in i + 1..keys.len() {
-            assert_ne!(keys[i], keys[j], "layouts {i} and {j} share a cache key");
-        }
-    }
-
-    // Different canonical hash: different key even within one layout.
+    assert_eq!(first.cache_key(&req), first.cache_key(&shifted));
+    // Different canonical hash: different key within one generation.
     let mut different = req.clone();
     different.k = 4;
-    assert_ne!(hash4.cache_key(&req), hash4.cache_key(&different));
+    assert_ne!(first.cache_key(&req), first.cache_key(&different));
+
+    // Same corpus, next epoch: same request, different key.
+    let (_, second) = handle.swap(CorpusSnapshot::new(Arc::clone(&db)));
+    assert_eq!(second.epoch(), first.epoch() + 1);
+    assert_ne!(first.cache_key(&req), second.cache_key(&req));
 }
 
 // ---------------------------------------------------------------------
@@ -785,7 +676,7 @@ fn preswap_admissions_answer_from_their_epoch() {
     let db_a = shared_db(40);
     let db_b = TrajectoryDb::build(generate(&DatasetSpec::porto(), 25, 777)).into_shared();
     let engine = QueryEngine::start(
-        snapshot_for(&db_a),
+        CorpusSnapshot::new(Arc::clone(&db_a)),
         EngineConfig {
             workers: 1,
             max_batch: 4,
@@ -816,7 +707,7 @@ fn preswap_admissions_answer_from_their_epoch() {
         })
         .collect();
 
-    let report = engine.swap_snapshot(snapshot_for(&db_b));
+    let report = engine.swap_snapshot(CorpusSnapshot::new(Arc::clone(&db_b)));
     assert_eq!((report.previous_epoch, report.epoch), (1, 2));
     assert_eq!(report.trajectories, 25);
 
@@ -835,7 +726,7 @@ fn preswap_admissions_answer_from_their_epoch() {
     // Swap semantics (b): post-swap answers are byte-identical to a cold
     // engine started directly on the new snapshot.
     let cold = QueryEngine::start(
-        snapshot_for(&db_b),
+        CorpusSnapshot::new(Arc::clone(&db_b)),
         EngineConfig {
             workers: 1,
             ..EngineConfig::default()
@@ -866,7 +757,7 @@ fn swap_purges_stale_cache_and_is_observable() {
     assert!(engine.query(req.clone()).unwrap().cached);
 
     let rebuilt = TrajectoryDb::build(db.to_trajectories()).into_shared();
-    let report = engine.swap_snapshot(snapshot_for(&rebuilt));
+    let report = engine.swap_snapshot(CorpusSnapshot::new(Arc::clone(&rebuilt)));
     assert!(report.cache_evicted >= 1, "swap purged nothing");
     let stats = engine.stats();
     assert_eq!(stats.swaps, 1);
@@ -1142,6 +1033,98 @@ fn packed_reload_over_the_wire_refuses_old_versions() {
     for needle in ["\"ok\":true", "\"epoch\":2", "\"trajectories\":7"] {
         assert!(reloaded.contains(needle), "missing {needle}: {reloaded}");
     }
+
+    let bye = send("{\"cmd\":\"shutdown\"}");
+    assert!(bye.contains("\"bye\":true"), "bye: {bye}");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The keys of a one-object JSON reply, in order.
+fn reply_keys(response: &str) -> Vec<String> {
+    match simsub::service::json::Json::parse(response.trim()).expect("valid response json") {
+        simsub::service::json::Json::Obj(pairs) => pairs.into_iter().map(|(k, _)| k).collect(),
+        other => panic!("not an object: {}", other.dump()),
+    }
+}
+
+/// The corpus is one database whatever a client asks: a `reload` that
+/// still carries the old layout keys swaps like any other (they are
+/// ignored like every key `reload` does not read), and neither its reply
+/// nor `info` names a layout — both carry exactly their documented
+/// fields.
+#[test]
+fn reload_ignores_retired_layout_keys_and_replies_name_no_layout() {
+    let db = shared_db(10);
+    let dir = std::env::temp_dir().join(format!("simsub-layout-keys-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path_b = dir.join("corpus_b.csv");
+    write_csv_file(&path_b, &generate(&DatasetSpec::porto(), 8, 17)).unwrap();
+
+    let engine = Arc::new(engine_with(&db, 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+    let mut send = |line: &str| send_line(&mut stream, &mut reader, line);
+
+    let reloaded = send(&format!(
+        "{{\"cmd\":\"reload\",\"corpus\":{},\"shards\":4,\"partitioner\":\"grid\"}}",
+        json_string(&path_b.display().to_string())
+    ));
+    assert_eq!(
+        reply_keys(&reloaded).join(","),
+        "ok,reloaded,previous_epoch,epoch,cache_evicted,trajectories,points",
+        "{reloaded}"
+    );
+
+    let info = send("{\"cmd\":\"info\"}");
+    let documented = "ok,epoch,trajectories,points,workers,prune,max_batch,batch_window_us,\
+                      cache_capacity,cache_len,default_k,cache_key_quantize,slow_query_us,\
+                      audit_sample,max_queue_depth,default_deadline_ms,faults,rls_loaded,\
+                      t2vec_loaded,swaps,build,protocol";
+    assert_eq!(reply_keys(&info).join(","), documented, "{info}");
+    for needle in ["\"epoch\":2", "\"trajectories\":8", "\"swaps\":1"] {
+        assert!(info.contains(needle), "missing {needle}: {info}");
+    }
+
+    let bye = send("{\"cmd\":\"shutdown\"}");
+    assert!(bye.contains("\"bye\":true"), "bye: {bye}");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A t2vec model file whose GRU header describes a cell of 2^44
+/// parameters is refused with an error, not a failed allocation that
+/// takes the process down: the server keeps serving its current epoch.
+#[test]
+fn reload_with_a_hostile_t2vec_model_fails_and_keeps_serving() {
+    let db = shared_db(10);
+    let dir = std::env::temp_dir().join(format!("simsub-hostile-t2vec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = dir.join("corpus.csv");
+    write_csv_file(&corpus, &db.to_trajectories()).unwrap();
+    let model = dir.join("model.t2v");
+    let mut enc = simsub::nn::Encoder::new();
+    enc.put_u64(1);
+    enc.put_u64(1 << 22);
+    enc.put_f64_slice(&[]);
+    std::fs::write(&model, enc.finish()).unwrap();
+
+    let engine = Arc::new(engine_with(&db, 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+    let mut send = |line: &str| send_line(&mut stream, &mut reader, line);
+
+    let refused = send(&format!(
+        "{{\"cmd\":\"reload\",\"corpus\":{},\"t2vec\":{}}}",
+        json_string(&corpus.display().to_string()),
+        json_string(&model.display().to_string())
+    ));
+    for needle in ["\"ok\":false", "implausible dimension"] {
+        assert!(refused.contains(needle), "missing {needle}: {refused}");
+    }
+    assert_eq!(engine.epoch(), 1, "a refused reload swaps nothing");
+    let answered = send("{\"query\":[[1,2],[2,3],[3,1]],\"algo\":\"pss\",\"k\":2}");
+    assert!(answered.contains("\"ok\":true"), "answered: {answered}");
 
     let bye = send("{\"cmd\":\"shutdown\"}");
     assert!(bye.contains("\"bye\":true"), "bye: {bye}");
