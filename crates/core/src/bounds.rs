@@ -100,8 +100,8 @@ use simsub_trajectory::{Mbr, Point};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Candidate evaluations considered by the scan — one per
-    /// trajectory for single-query scans, one per (trajectory, query)
-    /// pair for batched scans.
+    /// candidate trajectory; summed counters count one per (trajectory,
+    /// query) pair.
     pub scanned: u64,
     /// Rejected by the O(1) closest-point (Kim-style) screen.
     pub pruned_by_kim: u64,

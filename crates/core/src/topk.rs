@@ -34,9 +34,9 @@
 //!   [`simsub_trajectory::TrajView`]s, and per-trajectory MBRs are O(1)
 //!   reads from the arena's precomputed table.
 //!
-//! [`scan_top_k_into`] is the only scan kernel: a database scan and a
-//! micro-batch (`simsub-index`) are both loops of it over caller-owned
-//! heaps. Every caller ranks through
+//! [`scan_top_k_into`] is the only scan kernel: every database scan
+//! (`simsub-index`) is one call of it over a caller-owned heap. Every
+//! caller ranks through
 //! [`sort_hits_and_truncate`]'s total order (or the identical
 //! [`TopKHeap`] order), so results stay interchangeable, pruning is
 //! byte-invisible (`tests/prune_equivalence.rs`), and the arena layout is

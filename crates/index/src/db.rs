@@ -172,64 +172,29 @@ impl TrajectoryDb {
         use_index: bool,
         prune: bool,
     ) -> (Vec<TopKResult>, PruneStats) {
-        assert!(k > 0, "k must be positive");
         // Only an unprunable scan splits, so only it reads the core count.
         let threads = if scan_prunes(algo, measure, prune) {
             1
         } else {
             library_scan_threads()
         };
-        let mut stats = PruneStats::default();
-        let hits = self.scan(
-            algo, measure, query, k, use_index, prune, threads, &mut stats,
-        );
-        (hits, stats)
+        self.top_k_with_threads(algo, measure, query, k, use_index, prune, threads)
     }
 
-    /// Top-k search for every query in `queries` — the batched entry the
-    /// serving layer answers a micro-batch with. Returns the hits per
-    /// query (same order) and the [`PruneStats`] summed over all of them.
-    /// A batch is a plain loop of single-query scans, one heap and one
-    /// workspace a query, so both are exactly what one call per query
-    /// would add up to.
+    /// [`TrajectoryDb::top_k_with_stats`] with an explicit thread budget
+    /// — the entry the serving layer answers each query with. One fresh
+    /// heap and workspace a call.
     ///
-    /// `threads` is how many threads one query may use: a pruning scan
+    /// `threads` is how many threads the query may use: a pruning scan
     /// (see [`scan_prunes`]) runs on the calling thread, because each of
     /// its searches reads the running k-th similarity; an unprunable one
     /// splits its candidates over up to `threads` threads
     /// (`simsub_core::scan_top_k_into`). `prune` switches the
-    /// admissible-bound cascade (see `simsub_core::bounds`). The hits and
-    /// the counters other than the timings are identical for every
-    /// `prune` and `threads`, and equal [`TrajectoryDb::top_k_with_stats`]
-    /// query by query.
+    /// admissible-bound cascade (see `simsub_core::bounds`). The hits are
+    /// identical for every `prune` and `threads`, and the counters other
+    /// than the timings for every `threads`.
     #[allow(clippy::too_many_arguments)] // the whole scan plan, spelled once
-    pub fn top_k_batch(
-        &self,
-        algo: &dyn SubtrajSearch,
-        measure: &dyn Measure,
-        queries: &[&[Point]],
-        k: usize,
-        use_index: bool,
-        prune: bool,
-        threads: usize,
-    ) -> (Vec<Vec<TopKResult>>, PruneStats) {
-        assert!(k > 0, "k must be positive");
-        let mut stats = PruneStats::default();
-        let hits = queries
-            .iter()
-            .map(|query| {
-                self.scan(
-                    algo, measure, query, k, use_index, prune, threads, &mut stats,
-                )
-            })
-            .collect();
-        (hits, stats)
-    }
-
-    /// One query's scan into a fresh heap and workspace, adding its
-    /// counters to `stats`.
-    #[allow(clippy::too_many_arguments)] // mirrors `top_k_batch`
-    fn scan(
+    pub fn top_k_with_threads(
         &self,
         algo: &dyn SubtrajSearch,
         measure: &dyn Measure,
@@ -238,11 +203,12 @@ impl TrajectoryDb {
         use_index: bool,
         prune: bool,
         threads: usize,
-        stats: &mut PruneStats,
-    ) -> Vec<TopKResult> {
+    ) -> (Vec<TopKResult>, PruneStats) {
+        assert!(k > 0, "k must be positive");
+        let mut stats = PruneStats::default();
         let candidates = self.scan_candidate_slots(query, use_index);
         if candidates.is_empty() {
-            return Vec::new();
+            return (Vec::new(), stats);
         }
         let mut heap = TopKHeap::new(k);
         let mut ws = SearchWorkspace::new(measure, query);
@@ -255,9 +221,9 @@ impl TrajectoryDb {
             &mut ws,
             prune,
             threads,
-            stats,
+            &mut stats,
         );
-        heap.into_sorted_hits()
+        (heap.into_sorted_hits(), stats)
     }
 
     /// The candidate slots a scan visits: the R-tree intersection set
@@ -477,7 +443,7 @@ mod tests {
         let poisoned = db.arena().id(1);
         let algo = PanicOn(poisoned, Default::default());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            db.top_k_batch(&algo, &Dtw, &[&query], 3, false, false, 2)
+            db.top_k_with_threads(&algo, &Dtw, &query, 3, false, false, 2)
         }));
         let payload = outcome.expect_err("the helper's panic must reach the caller");
         let message = payload.downcast_ref::<String>().expect("a formatted panic");
@@ -491,8 +457,8 @@ mod tests {
         // The database is immutable; the next call answers normally.
         let want = db.top_k(&ExactS, &Dtw, &query, 3, false);
         for threads in [1, 2] {
-            let (got, _) = db.top_k_batch(&ExactS, &Dtw, &[&query], 3, false, false, threads);
-            assert_eq!(got[0], want);
+            let (got, _) = db.top_k_with_threads(&ExactS, &Dtw, &query, 3, false, false, threads);
+            assert_eq!(got, want);
         }
     }
 
@@ -522,27 +488,24 @@ mod tests {
     }
 
     #[test]
-    fn empty_corpus_batch_answers_every_query_with_nothing() {
+    fn empty_corpus_answers_every_query_with_nothing() {
         let db = TrajectoryDb::build(Vec::new());
-        let queries = spread_queries(3);
-        let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
-        for (use_index, prune, threads) in [(false, false, 1), (true, true, 4), (false, true, 2)] {
-            let got = db.top_k_batch(&ExactS, &Dtw, &refs, 3, use_index, prune, threads);
-            assert_eq!(got, (vec![Vec::new(); 3], PruneStats::default()));
+        for query in spread_queries(3) {
+            for (use_index, prune, threads) in
+                [(false, false, 1), (true, true, 4), (false, true, 2)]
+            {
+                let got =
+                    db.top_k_with_threads(&ExactS, &Dtw, &query, 3, use_index, prune, threads);
+                assert_eq!(got, (Vec::new(), PruneStats::default()));
+            }
         }
     }
 
     #[test]
-    fn empty_batch_returns_no_answers_and_no_counters() {
-        let got = build_db(20).top_k_batch(&ExactS, &Dtw, &[], 3, true, true, 4);
-        assert_eq!(got, (Vec::new(), PruneStats::default()));
-    }
-
-    #[test]
     #[should_panic(expected = "k must be positive")]
-    fn batch_rejects_k_zero() {
+    fn threaded_entry_rejects_k_zero() {
         let query = walk(1, 4, (0.0, 0.0));
-        let _ = build_db(5).top_k_batch(&ExactS, &Dtw, &[&query], 0, false, true, 1);
+        let _ = build_db(5).top_k_with_threads(&ExactS, &Dtw, &query, 0, false, true, 1);
     }
 
     #[test]
@@ -661,25 +624,43 @@ mod tests {
         // Three candidates cannot feed a helper, whatever `threads` asks.
         let db = build_db(3);
         let query = walk(4, 5, (0.0, 0.0));
-        let want = db.top_k_batch(&ExactS, &Dtw, &[&query], 2, false, false, 1);
+        let want = db.top_k_with_threads(&ExactS, &Dtw, &query, 2, false, false, 1);
         for threads in [2, 16, 64] {
-            let got = db.top_k_batch(&ExactS, &Dtw, &[&query], 2, false, false, threads);
+            let got = db.top_k_with_threads(&ExactS, &Dtw, &query, 2, false, false, threads);
             assert_eq!(got, want, "threads={threads}");
         }
     }
 
     #[test]
-    fn duplicate_queries_in_a_batch_get_identical_answers() {
-        // Each query of a batch runs on a fresh heap and workspace, so a
-        // repeat neither inherits the first one's floor nor its counters.
+    fn threaded_entry_matches_the_library_call_in_every_mode() {
+        let db = build_db(40);
+        let query = walk(9, 6, (30.0, 30.0));
+        for use_index in [false, true] {
+            for prune in [false, true] {
+                let want = db.top_k_with_stats(&ExactS, &Dtw, &query, 4, use_index, prune);
+                for threads in [1, 3] {
+                    let got =
+                        db.top_k_with_threads(&ExactS, &Dtw, &query, 4, use_index, prune, threads);
+                    assert_eq!(
+                        got, want,
+                        "index={use_index} prune={prune} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_calls_get_identical_answers_and_counters() {
+        // Each call runs on a fresh heap and workspace, so a repeat
+        // neither inherits the first one's floor nor its counters.
         let db = build_db(30);
         let query = walk(11, 6, (30.0, 30.0));
-        let (single, single_stats) = db.top_k_with_stats(&ExactS, &Dtw, &query, 3, false, true);
-        let (mut summed, queries) = (PruneStats::default(), [&query[..]; 3]);
-        for _ in queries {
-            summed.merge(&single_stats);
+        let (want, want_stats) = db.top_k_with_stats(&ExactS, &Dtw, &query, 3, false, true);
+        for _ in 0..3 {
+            let (got, stats) = db.top_k_with_threads(&ExactS, &Dtw, &query, 3, false, true, 2);
+            assert_eq!(got, want);
+            assert_eq!(stats, want_stats);
         }
-        let got = db.top_k_batch(&ExactS, &Dtw, &queries, 3, false, true, 2);
-        assert_eq!(got, (vec![single; 3], summed));
     }
 }

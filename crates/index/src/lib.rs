@@ -13,9 +13,9 @@
 //! indexed and the full-scan paths so the harness can reproduce Figure 4.
 //!
 //! [`TrajectoryDb`] is also the corpus type the serving layer holds: one
-//! R-tree over the whole corpus, and one batched query entry,
-//! [`TrajectoryDb::top_k_batch`], whose answers are byte-identical to
-//! [`TrajectoryDb::top_k`] at every thread count.
+//! R-tree over the whole corpus, and one query entry with an explicit
+//! thread budget, [`TrajectoryDb::top_k_with_threads`], whose answers are
+//! byte-identical to [`TrajectoryDb::top_k`] at every thread count.
 
 mod db;
 mod rtree;

@@ -1,6 +1,6 @@
 //! The concurrent query engine: a fixed pool of worker threads fed by an
-//! MPSC queue, request micro-batching, and an LRU result cache in front
-//! of the search algorithms.
+//! MPSC queue, one job at a time, and an LRU result cache in front of the
+//! search algorithms.
 //!
 //! Design
 //! ------
@@ -21,39 +21,38 @@
 //! - **Epoch-versioned cache keys.** Cache keys mix the canonical query
 //!   hash with the handle epoch, so entries computed under one snapshot
 //!   generation are never replayed under another; a swap also purges
-//!   stale-epoch entries eagerly ([`SwapReport::cache_evicted`]).
-//! - **Micro-batching.** Each worker blocks on the shared queue, then
-//!   drains up to `max_batch - 1` additional requests non-blockingly.
-//!   Batch members with the same `(algo, measure, k, index)` signature are
-//!   answered by one [`TrajectoryDb::top_k_batch`] call — a loop of
-//!   single-query scans sharing the resolved algorithm, measure and prune
-//!   counters.
+//!   stale-epoch entries eagerly ([`SwapReport::cache_evicted`]), and a
+//!   scan that finishes after the swap does not re-insert its answer.
+//! - **One job per dispatch.** Each worker takes one job off the shared
+//!   queue and finishes it before taking the next: it drops the job if
+//!   its deadline has passed, answers it from the cache if an entry
+//!   appeared since admission, and otherwise scans it through
+//!   [`TrajectoryDb::top_k_with_threads`], caches the answer and replies.
+//!   An answer leaves as soon as its own scan ends.
 //! - **Result cache.** Keyed by [`EpochSnapshot::cache_key`] (the
 //!   canonical query hash mixed with the epoch);
 //!   a hit short-circuits before any search runs. Admission looks first,
 //!   and a hit there is answered on the submitting thread without
-//!   touching the queue; a worker looks again at dequeue, for entries
-//!   that appeared meanwhile. Within a batch, duplicate requests are
-//!   computed once and fanned out.
+//!   touching the queue; a worker looks again at dequeue, so a repeat
+//!   queued behind its own miss is answered from the cache.
 //! - **Graceful shutdown.** [`QueryEngine::shutdown`] stops admissions,
 //!   closes the queue, and joins the workers; already-queued requests are
 //!   drained and answered, never dropped. Worker or auditor panics during
 //!   the drain are collected into the returned [`ShutdownReport`] instead
 //!   of re-panicking mid-join.
 //! - **Bulkheads.** The serve path fails partially, never totally: each
-//!   dispatch group's scan runs under `catch_unwind`, so a panicking
-//!   query answers its waiters with [`ServiceError::Internal`] and the
-//!   worker keeps serving; a supervisor thread respawns any worker that
-//!   dies anyway; every lock recovers from poisoning. An admission gate
+//!   job's scan runs under `catch_unwind`, so a panicking query answers
+//!   its waiter with [`ServiceError::Internal`] and the worker keeps
+//!   serving; a supervisor thread respawns any worker that dies anyway;
+//!   every lock recovers from poisoning. An admission gate
 //!   (`max_queue_depth`) sheds load with [`ServiceError::Overloaded`]
 //!   instead of queueing unboundedly, and per-request deadlines drop
-//!   expired work ([`ServiceError::DeadlineExceeded`]) at dequeue and
-//!   between dispatch groups rather than scanning it. The
-//!   [`crate::fault`] registry injects panics/stalls/drops at named
-//!   points so all of this is testable (`tests/robustness.rs`).
+//!   expired work ([`ServiceError::DeadlineExceeded`]) at dequeue rather
+//!   than scanning it. The [`crate::fault`] registry injects
+//!   panics/stalls/drops at named points so all of this is testable
+//!   (`tests/robustness.rs`).
 
 use crate::audit::AuditSample;
-use crate::batcher;
 use crate::cache::Cache;
 use crate::fault::{
     lock_recover, read_recover, try_lock_recover, write_recover, FaultPoint, FaultRegistry,
@@ -68,13 +67,15 @@ use crate::sync::mpsc::{
 use crate::sync::{Arc, Mutex, RwLock};
 use crate::trace::{SlowQueryRecord, TraceReport};
 use simsub_core::ExactS;
-use simsub_core::{MdpConfig, Pos, PosD, Pss, Rls, SizeS, Spring, SubtrajSearch, TopKResult};
+use simsub_core::{
+    MdpConfig, Pos, PosD, PruneStats, Pss, Rls, SizeS, Spring, SubtrajSearch, TopKResult,
+};
 use simsub_index::TrajectoryDb;
 use simsub_measures::{Dtw, Frechet, Measure, T2Vec};
 use simsub_nn::BinaryCodec;
 use simsub_rl::Policy;
-use simsub_trajectory::{CorpusArena, Point, Trajectory};
-use std::collections::{HashMap, VecDeque};
+use simsub_trajectory::{CorpusArena, Trajectory};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -368,8 +369,6 @@ pub struct SwapReport {
 pub struct EngineConfig {
     /// Worker threads (≥ 1).
     pub workers: usize,
-    /// Maximum requests coalesced into one dispatch (≥ 1).
-    pub max_batch: usize,
     /// Result-cache entries; 0 disables caching.
     pub cache_capacity: usize,
     /// Whether cold-path corpus scans use the lower-bound cascade
@@ -419,25 +418,12 @@ pub struct EngineConfig {
     /// environment hatch; `Some("")` forces a disarmed registry
     /// regardless of the environment. Tunable live via `configure`.
     pub faults: Option<String>,
-    /// Upper bound, microseconds, on how long a worker that already
-    /// holds at least one job may wait for more arrivals before
-    /// dispatching (the shared micro-batcher window; see
-    /// [`crate::batcher`]). The wait actually used adapts to load —
-    /// `min(batch_window_us, latency_p50 / 8)`, further capped by the
-    /// first job's deadline — so an idle engine dispatches immediately
-    /// and only a busy one pays a small coalescing delay to recover
-    /// cold-path batching across many workers. 0 disables holding
-    /// (PR 9 behavior: drain-what's-queued only). Only engines with
-    /// ≥ 2 workers hold — a single worker batches naturally via its
-    /// own backlog. Tunable live through [`QueryEngine::configure`].
-    pub batch_window_us: u64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism().map_or(4, usize::from),
-            max_batch: 16,
             cache_capacity: 4096,
             prune: simsub_core::pruning_enabled(),
             default_k: 1,
@@ -447,7 +433,6 @@ impl Default for EngineConfig {
             max_queue_depth: 0,
             default_deadline_ms: 0,
             faults: None,
-            batch_window_us: 2_000,
         }
     }
 }
@@ -460,8 +445,6 @@ pub struct ConfigUpdate {
     /// Toggle the lower-bound cascade on cold scans (answers are
     /// byte-identical either way).
     pub prune: Option<bool>,
-    /// Maximum requests coalesced per dispatch (≥ 1).
-    pub max_batch: Option<usize>,
     /// Result-cache capacity; shrinking evicts LRU entries immediately,
     /// 0 disables caching.
     pub cache_capacity: Option<usize>,
@@ -485,8 +468,6 @@ pub struct ConfigUpdate {
     /// [`crate::fault`] for the grammar). Invalid specs are rejected
     /// without changing anything.
     pub faults: Option<String>,
-    /// Micro-batcher hold window cap, microseconds (0 disables holding).
-    pub batch_window_us: Option<u64>,
 }
 
 /// Point-in-time view of the live engine configuration.
@@ -494,8 +475,6 @@ pub struct ConfigUpdate {
 pub struct ConfigView {
     /// Worker threads (fixed at start).
     pub workers: usize,
-    /// Current dispatch batch cap.
-    pub max_batch: usize,
     /// Current result-cache capacity.
     pub cache_capacity: usize,
     /// Entries currently cached.
@@ -516,8 +495,6 @@ pub struct ConfigView {
     pub default_deadline_ms: u64,
     /// The fault-injection spec currently armed (empty = disarmed).
     pub faults: String,
-    /// Micro-batcher hold window cap, microseconds (0 = disabled).
-    pub batch_window_us: u64,
 }
 
 /// A submitted request's pending answer.
@@ -554,7 +531,7 @@ pub struct SubmitOptions {
     /// Return a per-stage timing breakdown with the answer
     /// ([`QueryResponse::trace`]).
     pub trace: bool,
-    /// Drop the job if no worker has started scanning it this long after
+    /// Drop the job if no worker has dequeued it this long after
     /// admission. `None` falls back to the engine's
     /// `default_deadline_ms` (no deadline when that is 0 too).
     pub deadline: Option<Duration>,
@@ -566,10 +543,10 @@ pub struct SubmitOptions {
 
 /// How a job's answer gets back to its requester: its completion, run
 /// at most once. Delivery is guaranteed: a `Reply` dropped unused — a
-/// worker died holding the job, a fault ate the response, shutdown lost
-/// a drained batch — delivers [`ServiceError::Canceled`] from `Drop`,
-/// so every requester (the reactor must retire every in-flight id to
-/// drain its connections) hears back exactly once.
+/// worker died holding the job, a fault ate the response — delivers
+/// [`ServiceError::Canceled`] from `Drop`, so every requester (the
+/// reactor must retire every in-flight id to drain its connections)
+/// hears back exactly once.
 struct Reply(Option<CompletionFn>);
 
 impl Reply {
@@ -610,13 +587,12 @@ struct Job {
     /// The caller's line-to-request time ([`SubmitOptions::parse`]).
     parse_ns: u64,
     /// True when the requester asked for a stage trace; enables the
-    /// per-candidate scan clocks for this job's dispatch group.
+    /// per-candidate scan clocks for this job's scan.
     trace: bool,
-    /// Drop-dead time: a worker that picks this job up (or reaches it
-    /// between dispatch groups) after this instant fails it with
-    /// `DeadlineExceeded` instead of scanning. Deadlines deliberately do
-    /// NOT enter the cache key — a deadline changes *whether* work runs,
-    /// never its answer.
+    /// Drop-dead time: a worker that picks this job up after this
+    /// instant fails it with `DeadlineExceeded` instead of scanning.
+    /// Deadlines deliberately do NOT enter the cache key — a deadline
+    /// changes *whether* work runs, never its answer.
     deadline: Option<Instant>,
     reply: Reply,
 }
@@ -636,7 +612,7 @@ struct CachedAnswer {
     results: Arc<Vec<TopKResult>>,
 }
 
-/// One result-cache lookup, as admission and a worker's pass 1 both make
+/// One result-cache lookup, as admission and a dequeuing worker both make
 /// it: `key` (mixed with the admitted epoch) finds the entry, and the
 /// entry's own request must be canonically equal to `request` under
 /// `quantize`, or it is a miss.
@@ -656,7 +632,6 @@ fn cached_answer(
 /// dispatch path.
 struct Runtime {
     prune: AtomicBool,
-    max_batch: AtomicUsize,
     default_k: AtomicUsize,
     /// Quantized cache-key quantum as f64 bits; `0.0` (bit pattern 0)
     /// means exact keys.
@@ -669,8 +644,6 @@ struct Runtime {
     max_queue_depth: AtomicUsize,
     /// Default per-request deadline, milliseconds; 0 means none.
     default_deadline_ms: AtomicU64,
-    /// Micro-batcher hold window cap, microseconds; 0 disables holding.
-    batch_window_us: AtomicU64,
 }
 
 impl Runtime {
@@ -773,7 +746,6 @@ impl QueryEngine {
     /// `snapshot` as epoch 1.
     pub fn start(snapshot: CorpusSnapshot, config: EngineConfig) -> Self {
         assert!(config.workers >= 1, "need at least one worker");
-        assert!(config.max_batch >= 1, "max_batch must be positive");
         assert!(config.default_k >= 1, "default_k must be positive");
         if let Some(q) = config.cache_key_quantize {
             assert!(
@@ -795,7 +767,6 @@ impl QueryEngine {
             handle: EngineHandle::new(snapshot),
             runtime: Runtime {
                 prune: AtomicBool::new(config.prune),
-                max_batch: AtomicUsize::new(config.max_batch),
                 default_k: AtomicUsize::new(config.default_k),
                 cache_key_quantize: AtomicU64::new(
                     config.cache_key_quantize.unwrap_or(0.0).to_bits(),
@@ -804,7 +775,6 @@ impl QueryEngine {
                 audit_sample: AtomicU64::new(config.audit_sample.to_bits()),
                 max_queue_depth: AtomicUsize::new(config.max_queue_depth),
                 default_deadline_ms: AtomicU64::new(config.default_deadline_ms),
-                batch_window_us: AtomicU64::new(config.batch_window_us),
             },
             workers: config.workers,
             queue: Mutex::new(rx),
@@ -892,10 +862,9 @@ impl QueryEngine {
     /// **Where the completion runs.** A cache hit at admission is
     /// answered right here: the completion runs on the calling thread
     /// *before this call returns*, and the request never enters the
-    /// queue, wakes a worker or waits on a deadline (nothing waits). It
-    /// answers `batch_size` 1, and leaves `queue_depth` and the batch
-    /// histogram alone. The lookup never blocks: a cache lock held
-    /// elsewhere reads as a miss. Every other request is queued and its
+    /// queue, wakes a worker or waits on a deadline (nothing waits), and
+    /// leaves `queue_depth` alone. The lookup never blocks: a cache lock
+    /// held elsewhere reads as a miss. Every other request is queued and its
     /// completion runs on the worker thread that finishes the job (whose
     /// own cache lookup catches an entry that appeared meanwhile).
     ///
@@ -909,13 +878,12 @@ impl QueryEngine {
     ///
     /// A [`SubmitOptions::trace`]d request's answer carries a per-stage
     /// timing breakdown ([`QueryResponse::trace`]), including the in-scan
-    /// bound/kernel split measured for its dispatch group. If no worker
-    /// has *started* scanning a queued request once its
-    /// [`SubmitOptions::deadline`] elapses, the job is dropped and
-    /// answered with [`ServiceError::DeadlineExceeded`] (checked at
-    /// dequeue and again between dispatch groups). A deadline never
-    /// changes an answer — only whether the work runs — so it does not
-    /// enter the cache key.
+    /// bound/kernel split measured for its own scan. If no worker has
+    /// dequeued a queued request once its [`SubmitOptions::deadline`]
+    /// elapses, the job is dropped and answered with
+    /// [`ServiceError::DeadlineExceeded`] (checked at dequeue only). A
+    /// deadline never changes an answer — only whether the work runs — so
+    /// it does not enter the cache key.
     pub fn submit_with_completion(
         &self,
         request: QueryRequest,
@@ -950,12 +918,8 @@ impl QueryEngine {
             // inflight slot it takes for the duration of the answer.
             self.inner.stats.record_admitted();
             self.inner.stats.inflight().add(1);
-            let timing = BatchTiming {
-                formed: job.submitted,
-                batch_us: 0,
-                size: 1,
-            };
-            respond(&self.inner, job, results, true, &timing, None);
+            let dequeued = job.submitted;
+            respond(&self.inner, job, results, dequeued, None);
             return Ok(());
         }
         let deadline = options.deadline.or_else(|| {
@@ -1022,8 +986,8 @@ impl QueryEngine {
     }
 
     /// The admission half of the result cache: the same lookup a
-    /// worker's pass 1 makes ([`cached_answer`]), taken only if the
-    /// cache lock is free. A held lock — a worker's pass 1 or insert, a
+    /// dequeuing worker makes ([`cached_answer`]), taken only if the
+    /// cache lock is free. A held lock — a worker's lookup or insert, a
     /// `cache_lock_stall` fault, a swap's purge — reads as a miss, so the
     /// reactor thread never waits on it. Once shutdown has begun nothing
     /// is answered here, so a late submit still meets the closed queue.
@@ -1099,9 +1063,10 @@ impl QueryEngine {
     /// when the last such request drops its pin. Stale-epoch result
     /// cache entries are purged eagerly (they are unreachable anyway —
     /// keys mix in the epoch) and counted in
-    /// [`StatsSnapshot::cache_evicted_on_swap`]. Note a worker finishing
-    /// an old-epoch scan just after the purge may briefly re-insert an
-    /// old-epoch entry; it is equally unreachable and ages out via LRU.
+    /// [`StatsSnapshot::cache_evicted_on_swap`]. The new epoch is
+    /// published before the purge takes the cache lock, so a worker
+    /// finishing an old-epoch scan afterwards sees it under that lock and
+    /// skips its insert: no unreachable entry outlives the purge.
     pub fn swap_snapshot(&self, snapshot: CorpusSnapshot) -> SwapReport {
         let (old, new) = self.inner.handle.swap(snapshot);
         let cache_evicted = {
@@ -1120,14 +1085,9 @@ impl QueryEngine {
     }
 
     /// Applies a partial update to the live-tunable knobs and returns
-    /// the resulting configuration. Rejects zero `max_batch`/`default_k`
-    /// without changing anything.
+    /// the resulting configuration. Rejects a zero `default_k` without
+    /// changing anything.
     pub fn configure(&self, update: ConfigUpdate) -> Result<ConfigView, ServiceError> {
-        if update.max_batch == Some(0) {
-            return Err(ServiceError::InvalidRequest(
-                "max_batch must be positive".into(),
-            ));
-        }
         if update.default_k == Some(0) {
             return Err(ServiceError::InvalidRequest(
                 "default_k must be positive".into(),
@@ -1153,12 +1113,6 @@ impl QueryEngine {
         }
         if let Some(prune) = update.prune {
             self.inner.runtime.prune.store(prune, Ordering::Relaxed); // ordering: relaxed config cell
-        }
-        if let Some(max_batch) = update.max_batch {
-            self.inner
-                .runtime
-                .max_batch
-                .store(max_batch, Ordering::Relaxed); // ordering: relaxed config cell
         }
         if let Some(default_k) = update.default_k {
             self.inner
@@ -1196,12 +1150,6 @@ impl QueryEngine {
                 .default_deadline_ms
                 .store(ms, Ordering::Relaxed); // ordering: relaxed config cell
         }
-        if let Some(us) = update.batch_window_us {
-            self.inner
-                .runtime
-                .batch_window_us
-                .store(us, Ordering::Relaxed); // ordering: relaxed config cell
-        }
         if let Some(spec) = &update.faults {
             self.inner
                 .faults
@@ -1227,7 +1175,6 @@ impl QueryEngine {
         };
         ConfigView {
             workers: self.inner.workers,
-            max_batch: self.inner.runtime.max_batch.load(Ordering::Relaxed), // ordering: relaxed config read
             cache_capacity,
             cache_len,
             prune: self.inner.runtime.prune.load(Ordering::Relaxed), // ordering: relaxed config read
@@ -1242,7 +1189,6 @@ impl QueryEngine {
                 .default_deadline_ms
                 .load(Ordering::Relaxed), // ordering: relaxed config read
             faults: self.inner.faults.spec(),
-            batch_window_us: self.inner.runtime.batch_window_us.load(Ordering::Relaxed), // ordering: relaxed config read
         }
     }
 
@@ -1298,18 +1244,13 @@ impl QueryEngine {
         );
         b.gauge(
             "simsub_inflight",
-            "Jobs drained into a batch but not yet answered.",
+            "Jobs a worker has dequeued but not yet answered.",
             snap.inflight as f64,
         );
         b.histogram(
             "simsub_request_latency_us",
             "Engine latency per answered request, microseconds.",
             &snap.latency_hist,
-        );
-        b.histogram(
-            "simsub_batch_size",
-            "Requests coalesced per dispatched micro-batch.",
-            &snap.batch_hist,
         );
         b.counter_per_label(
             "simsub_worker_busy_ns_total",
@@ -1519,8 +1460,8 @@ fn spawn_worker(inner: &Arc<Inner>, worker: usize) -> JoinHandle<()> {
 
 /// The supervisor loop: polls the worker slots and respawns any worker
 /// that died from a panic (a clean exit only happens during shutdown and
-/// is left alone). Jobs the dead worker had already drained are lost —
-/// their waiters observe [`ServiceError::Canceled`] — but the pool's
+/// is left alone). A job the dead worker held is lost — its waiter
+/// observes [`ServiceError::Canceled`] — but the pool's
 /// capacity is restored, so one poisoned query cannot shrink the engine
 /// forever.
 fn supervise(inner: &Arc<Inner>, pool: &WorkerPool) {
@@ -1557,294 +1498,138 @@ fn worker_loop(inner: &Inner, worker: usize) {
         // any job is held, so the supervisor's respawn path is exercised
         // without losing work.
         inner.faults.maybe_panic(FaultPoint::PanicInWorker);
-        // Block for one job, then coalesce more into the batch: whatever
-        // is already queued, and — on multi-worker engines — arrivals
-        // within a short adaptive hold window (the shared micro-batcher;
-        // see `crate::batcher` for why N idle workers destroy batching
-        // without it). The queue lock is held while draining and holding
-        // — that is what makes the batcher *shared*: the holding worker
-        // collects the burst instead of N peers splitting it into
-        // singletons — but never during search work.
-        let mut jobs: Vec<Job> = Vec::new();
-        // ordering: relaxed — config cell; a racing configure applies to the next batch.
-        let max_batch = inner.runtime.max_batch.load(Ordering::Relaxed).max(1);
-        let busy_start;
-        {
-            let rx = lock_recover(&inner.queue);
-            match rx.recv() {
-                Ok(job) => {
-                    busy_start = Instant::now();
-                    jobs.push(job);
-                }
-                Err(_) => return, // channel closed and drained: shutdown
-            }
-            let hold_until = if inner.workers > 1 {
-                // ordering: relaxed — config cell; a racing configure applies to the next batch.
-                let cap_us = inner.runtime.batch_window_us.load(Ordering::Relaxed);
-                batcher::hold_until(
-                    busy_start,
-                    cap_us,
-                    inner.stats.latency_p50_us(),
-                    jobs[0].deadline,
-                )
-            } else {
-                None
-            };
-            batcher::fill(&rx, &mut jobs, max_batch, hold_until);
-        }
-        let batch_size = jobs.len();
-        inner.stats.queue_depth().add(-(batch_size as i64));
-        inner.stats.inflight().add(batch_size as i64);
-        inner.stats.record_batch(batch_size);
-        let timing = BatchTiming {
-            formed: Instant::now(),
-            batch_us: busy_start.elapsed().as_micros() as u64,
-            size: batch_size,
+        // Block for one job. The queue lock is held for the receive
+        // only, never during search work.
+        let received = lock_recover(&inner.queue).recv();
+        let Ok(job) = received else {
+            return; // channel closed and drained: shutdown
         };
-        process_batch(inner, jobs, &timing);
+        let dequeued = Instant::now();
+        inner.stats.queue_depth().add(-1);
+        inner.stats.inflight().add(1);
+        process_job(inner, job, dequeued);
         inner
             .stats
-            .record_worker_busy(worker, busy_start.elapsed().as_nanos() as u64);
+            .record_worker_busy(worker, dequeued.elapsed().as_nanos() as u64);
     }
 }
 
-/// Timing shared by every response of one drained micro-batch.
-struct BatchTiming {
-    /// When the batch was fully formed — a job's queue wait ends here.
-    formed: Instant,
-    /// Time the worker spent draining/forming the batch, microseconds.
-    batch_us: u64,
-    /// Requests in the batch.
-    size: usize,
-}
-
-/// Scan-stage timing and prune counters shared by every cold response of
-/// one dispatch group.
-struct ScanTiming {
-    /// Wall-clock time of the group's corpus scan, microseconds.
-    scan_us: u64,
-    /// In-scan bound-cascade time (0 unless the group was traced).
-    bound_us: u64,
-    /// In-scan DP-kernel time (0 unless the group was traced).
-    kernel_us: u64,
-    /// The scan's prune counters.
-    prune: simsub_core::PruneStats,
-    /// When post-scan merge (cache insert + fan-out) began.
+/// What a cold answer's trace reports about its own scan.
+struct JobScan {
+    /// The scan's prune counters and in-scan stage timings.
+    stats: PruneStats,
+    /// Wall-clock time of the scan, nanoseconds.
+    scan_ns: u64,
+    /// When the post-scan merge (cache insert, audit) began.
     merge_started: Instant,
 }
 
-/// One deduplicated dispatch entry of a micro-batch: the cache key, the
-/// representative request, the snapshot generation it was admitted
-/// under, and every job awaiting this answer.
-struct UniqueEntry {
-    key: u64,
-    request: QueryRequest,
-    admitted: Arc<EpochSnapshot>,
-    jobs: Vec<Job>,
-}
-
-fn process_batch(inner: &Inner, jobs: Vec<Job>, timing: &BatchTiming) {
-    // Pass 1: answer cache hits, dedupe identical misses. Key matches are
-    // never trusted alone — the stored/deduped request must also be
-    // canonically equal under the current quantization mode (and, for
-    // dedup, admitted under the same epoch), or the entry is treated as
-    // a miss (hash collisions must not cross-contaminate answers, not
-    // even across a swap boundary).
+/// Answers one dequeued job: drops it if its deadline has passed,
+/// answers it from the cache if an entry appeared since admission, and
+/// otherwise scans it, caches the answer and replies.
+fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
+    // A key match is never trusted alone: the stored request must also be
+    // canonically equal under the current quantization mode, or the entry
+    // is a miss (a hash collision must not cross-contaminate answers).
     let quantize = inner.runtime.quantize();
-    let mut unique: Vec<UniqueEntry> = Vec::new();
-    let mut slot_of_key: HashMap<u64, usize> = HashMap::new();
-    {
+    let hit = {
         let mut cache = lock_recover(&inner.cache);
         inner.faults.sleep_if(FaultPoint::CacheLockStall);
-        let dequeued = Instant::now();
-        for job in jobs {
-            // Deadline check at dequeue: work already expired is dropped
-            // before any lookup or scan.
-            if job.expired(dequeued) {
-                fail_job(inner, job, ServiceError::DeadlineExceeded);
-                continue;
-            }
-            if let Some(results) = cached_answer(&mut cache, job.key, &job.request, quantize) {
-                respond(inner, job, results, true, timing, None);
-                continue;
-            }
-            match slot_of_key.get(&job.key) {
-                Some(&slot)
-                    if unique[slot]
-                        .request
-                        .canonically_equal_under(&job.request, quantize)
-                        && unique[slot].admitted.epoch == job.admitted.epoch =>
-                {
-                    unique[slot].jobs.push(job);
-                }
-                Some(_) => {
-                    // Colliding but different request: keep it as its own
-                    // dispatch entry (unregistered — collisions are rare
-                    // enough that losing dedup for the loser is fine).
-                    unique.push(UniqueEntry {
-                        key: job.key,
-                        request: job.request.clone(),
-                        admitted: Arc::clone(&job.admitted),
-                        jobs: vec![job],
-                    });
-                }
-                None => {
-                    slot_of_key.insert(job.key, unique.len());
-                    unique.push(UniqueEntry {
-                        key: job.key,
-                        request: job.request.clone(),
-                        admitted: Arc::clone(&job.admitted),
-                        jobs: vec![job],
-                    });
-                }
-            }
+        // Deadline check at dequeue: work already expired is dropped
+        // before any lookup or scan.
+        if job.expired(Instant::now()) {
+            drop(cache);
+            fail_job(inner, job, ServiceError::DeadlineExceeded);
+            return;
         }
-    }
-    if unique.is_empty() {
+        cached_answer(&mut cache, job.key, &job.request, quantize)
+    };
+    if let Some(results) = hit {
+        respond(inner, job, results, dequeued, None);
         return;
     }
 
-    // Pass 2: group misses by dispatch signature — *including the
-    // admitted epoch*, so a batch straddling a swap runs one scan per
-    // generation, each against its own pinned snapshot — and run each
-    // group through one batched database scan.
-    let mut groups: HashMap<(u64, AlgoSpec, MeasureSpec, usize, bool), Vec<usize>> = HashMap::new();
-    for (slot, entry) in unique.iter().enumerate() {
-        let request = &entry.request;
-        groups
-            .entry((
-                entry.admitted.epoch,
-                request.algo,
-                request.measure,
-                request.k,
-                request.use_index,
-            ))
-            .or_default()
-            .push(slot);
-    }
-
-    // ordering: relaxed — config cell; a racing configure applies to the next drain.
+    // ordering: relaxed — config cell; a racing configure applies to the next job.
     let prune = inner.runtime.prune.load(Ordering::Relaxed);
-    for ((epoch, algo_spec, measure_spec, k, use_index), slots) in groups {
-        // Deadline check between dispatch groups: a slow earlier group
-        // may have expired jobs waiting in this one — drop them before
-        // scanning. A slot whose waiters all expired is not scanned.
-        let group_started = Instant::now();
-        let mut live_slots: Vec<usize> = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let waiting = std::mem::take(&mut unique[slot].jobs);
-            let (kept, expired): (Vec<Job>, Vec<Job>) = waiting
-                .into_iter()
-                .partition(|job| !job.expired(group_started));
-            for job in expired {
-                fail_job(inner, job, ServiceError::DeadlineExceeded);
-            }
-            if !kept.is_empty() {
-                unique[slot].jobs = kept;
-                live_slots.push(slot);
-            }
-        }
-        if live_slots.is_empty() {
-            continue;
-        }
-        // All slots in a group share one generation (the epoch is in the
-        // group key, and epochs uniquely name generations).
-        let snapshot = Arc::clone(&unique[live_slots[0]].admitted);
-        debug_assert_eq!(snapshot.epoch, epoch);
-        let queries: Vec<&[Point]> = live_slots
-            .iter()
-            .map(|&slot| unique[slot].request.query.as_slice())
-            .collect();
-        // A traced member turns on the in-scan per-candidate clocks for
-        // the whole group (they share one scan); untraced groups keep the
-        // near-zero disabled path.
-        let group_traced = live_slots
-            .iter()
-            .any(|&slot| unique[slot].jobs.iter().any(|job| job.trace));
-        inner.faults.sleep_if(FaultPoint::SlowScan);
-        let scan_started = Instant::now();
-        // The scan is the bulkhead boundary: a panic anywhere inside it
-        // (the chaos hook, the algorithm, the measure, the index) is
-        // caught here, every waiter of this group gets a structured
-        // `internal` error, and the worker moves on to the next group.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            inner.faults.maybe_panic(FaultPoint::PanicInScan);
-            // Specs were validated at submit time against this same
-            // generation; resolution cannot fail here.
-            let algo = snapshot
-                .snapshot
-                .algo(algo_spec, measure_spec)
-                .expect("algo validated at submit");
-            let measure = snapshot
-                .snapshot
-                .measure(measure_spec)
-                .expect("measure validated at submit");
-            let timing_guard = group_traced.then(simsub_core::scan_timing_scope);
-            let result = snapshot.snapshot.corpus.top_k_batch(
-                algo.as_ref(),
-                measure,
-                &queries,
-                k,
-                use_index,
-                prune,
-                inner.scan_threads,
+    let snapshot = &job.admitted.snapshot;
+    let request = &job.request;
+    inner.faults.sleep_if(FaultPoint::SlowScan);
+    let scan_started = Instant::now();
+    // The scan is the bulkhead boundary: a panic anywhere inside it (the
+    // chaos hook, the algorithm, the measure, the index) is caught here,
+    // the waiter gets a structured `internal` error, and the worker moves
+    // on to the next job.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        inner.faults.maybe_panic(FaultPoint::PanicInScan);
+        // Specs were validated at submit time against this same
+        // generation; resolution cannot fail here.
+        let algo = snapshot
+            .algo(request.algo, request.measure)
+            .expect("algo validated at submit");
+        let measure = snapshot
+            .measure(request.measure)
+            .expect("measure validated at submit");
+        // A traced job turns on the in-scan per-candidate clocks; an
+        // untraced one keeps the near-zero disabled path.
+        let _timing = job.trace.then(simsub_core::scan_timing_scope);
+        snapshot.corpus.top_k_with_threads(
+            algo.as_ref(),
+            measure,
+            &request.query,
+            request.k,
+            request.use_index,
+            prune,
+            inner.scan_threads,
+        )
+    }));
+    let scan_ns = scan_started.elapsed().as_nanos() as u64;
+    let (results, stats) = match outcome {
+        Ok(answer) => answer,
+        Err(payload) => {
+            inner.stats.record_worker_panic();
+            let msg = panic_message(payload);
+            fail_job(
+                inner,
+                job,
+                ServiceError::Internal(format!("scan panicked: {msg}")),
             );
-            drop(timing_guard);
-            result
-        }));
-        let scan_ns = scan_started.elapsed().as_nanos() as u64;
-        let (all_results, scan_stats) = match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                inner.stats.record_worker_panic();
-                let msg = panic_message(payload);
-                for &slot in &live_slots {
-                    for job in unique[slot].jobs.drain(..) {
-                        fail_job(
-                            inner,
-                            job,
-                            ServiceError::Internal(format!("scan panicked: {msg}")),
-                        );
-                    }
-                }
-                continue;
-            }
-        };
-        inner.stats.record_scan(&scan_stats, scan_ns);
-        debug_assert_eq!(all_results.len(), live_slots.len());
-        let scan = ScanTiming {
-            scan_us: scan_ns / 1_000,
-            bound_us: scan_stats.bound_ns / 1_000,
-            kernel_us: scan_stats.kernel_ns / 1_000,
-            prune: scan_stats,
-            merge_started: Instant::now(),
-        };
-
-        for (&slot, results) in live_slots.iter().zip(all_results) {
-            let results = Arc::new(results);
-            let evicted = {
-                let mut cache = lock_recover(&inner.cache);
-                cache.insert(
-                    unique[slot].key,
-                    Arc::new(CachedAnswer {
-                        request: unique[slot].request.clone(),
-                        results: Arc::clone(&results),
-                    }),
-                    epoch,
-                )
-            };
-            inner.stats.record_cache_evictions(evicted as u64);
-            maybe_audit(inner, &unique[slot], &results);
-            // Fan the shared answer out to every requester that asked for
-            // this exact query in this batch.
-            for job in unique[slot].jobs.drain(..) {
-                respond(inner, job, Arc::clone(&results), false, timing, Some(&scan));
-            }
+            return;
         }
-    }
+    };
+    inner.stats.record_scan(&stats, scan_ns);
+    let scan = JobScan {
+        stats,
+        scan_ns,
+        merge_started: Instant::now(),
+    };
+
+    let results = Arc::new(results);
+    let evicted = {
+        let mut cache = lock_recover(&inner.cache);
+        // A swap publishes its epoch before it takes this lock to purge,
+        // so an answer of an older epoch either lands before the purge,
+        // which removes it, or sees the newer epoch here and stays out:
+        // its key mixes in an epoch no lookup uses any more. The answer
+        // itself is still delivered.
+        if job.admitted.epoch < inner.handle.epoch() {
+            0
+        } else {
+            cache.insert(
+                job.key,
+                Arc::new(CachedAnswer {
+                    request: request.clone(),
+                    results: Arc::clone(&results),
+                }),
+                job.admitted.epoch,
+            )
+        }
+    };
+    inner.stats.record_cache_evictions(evicted as u64);
+    maybe_audit(inner, &job, &results);
+    respond(inner, job, results, dequeued, Some(&scan));
 }
 
-/// Fails one drained job with a structured error: counts it, releases
+/// Fails one dequeued job with a structured error: counts it, releases
 /// its inflight slot, and answers its waiter.
 fn fail_job(inner: &Inner, job: Job, err: ServiceError) {
     match &err {
@@ -1861,7 +1646,7 @@ fn fail_job(inner: &Inner, job: Job, err: ServiceError) {
 /// (a deterministic cadence — reproducible, and free of RNG state on the
 /// hot path). The send never blocks; a full queue drops the sample and
 /// counts it in `audit_dropped`.
-fn maybe_audit(inner: &Inner, entry: &UniqueEntry, results: &[TopKResult]) {
+fn maybe_audit(inner: &Inner, job: &Job, results: &[TopKResult]) {
     let fraction = inner.runtime.audit_sample();
     if fraction <= 0.0 {
         return;
@@ -1878,11 +1663,11 @@ fn maybe_audit(inner: &Inner, entry: &UniqueEntry, results: &[TopKResult]) {
         return;
     };
     let sample = AuditSample {
-        query: entry.request.query.clone(),
-        measure: entry.request.measure,
+        query: job.request.query.clone(),
+        measure: job.request.measure,
         trajectory_id: top.trajectory_id,
         range: top.result.range,
-        snapshot: Arc::clone(&entry.admitted),
+        snapshot: Arc::clone(&job.admitted),
     };
     let guard = lock_recover(&inner.audit_tx);
     if let Some(tx) = guard.as_ref() {
@@ -1894,14 +1679,17 @@ fn maybe_audit(inner: &Inner, entry: &UniqueEntry, results: &[TopKResult]) {
     }
 }
 
+/// Answers `job` with `results`: from the cache when `scan` is `None`,
+/// otherwise from the scan it describes. `dequeued` ends the job's queue
+/// wait (its submit instant for a hit answered at admission).
 fn respond(
     inner: &Inner,
     job: Job,
     results: Arc<Vec<TopKResult>>,
-    cached: bool,
-    timing: &BatchTiming,
-    scan: Option<&ScanTiming>,
+    dequeued: Instant,
+    scan: Option<&JobScan>,
 ) {
+    let cached = scan.is_none();
     // Chaos hook: lose the answer instead of sending it. The waiter
     // observes a canceled request (mapped to `internal` on the wire —
     // `Reply`'s drop guard converts the discarded job into a `Canceled`
@@ -1923,19 +1711,18 @@ fn respond(
     let trace = (job.trace || slow).then(|| TraceReport {
         parse_us: job.parse_ns / 1_000,
         admit_us: job.admit_ns / 1_000,
-        queue_us: timing
-            .formed
+        queue_us: dequeued
             .saturating_duration_since(job.submitted)
             .as_micros() as u64,
-        batch_us: timing.batch_us,
-        scan_us: scan.map_or(0, |s| s.scan_us),
-        bound_us: scan.map_or(0, |s| s.bound_us),
-        kernel_us: scan.map_or(0, |s| s.kernel_us),
+        batch_us: 0,
+        scan_us: scan.map_or(0, |s| s.scan_ns / 1_000),
+        bound_us: scan.map_or(0, |s| s.stats.bound_ns / 1_000),
+        kernel_us: scan.map_or(0, |s| s.stats.kernel_ns / 1_000),
         merge_us: scan.map_or(0, |s| s.merge_started.elapsed().as_micros() as u64),
         serialize_us: 0, // stamped by the server after rendering
-        prune: scan.map_or_else(Default::default, |s| s.prune),
+        prune: scan.map_or_else(Default::default, |s| s.stats),
         cached,
-        batch_size: timing.size,
+        batch_size: 1,
     });
     if slow {
         let record = SlowQueryRecord {
@@ -1958,7 +1745,7 @@ fn respond(
         results,
         cached,
         latency,
-        batch_size: timing.size,
+        batch_size: 1,
         epoch,
         trace,
     }));
@@ -2072,12 +1859,33 @@ mod tests {
     }
 
     #[test]
+    fn a_key_match_for_another_request_is_a_miss() {
+        let snap = snapshot(6, 2);
+        let asked = request(&snap);
+        let mut other = asked.clone();
+        other.query[0].x += 1e-3;
+        let results = Arc::new(snap.corpus().top_k(&ExactS, &Dtw, &asked.query, 2, true));
+        let mut cache = Cache::new(4);
+        // Both requests under one key, as a hash collision would put them.
+        let key = 7;
+        let entry = CachedAnswer {
+            request: asked.clone(),
+            results: Arc::clone(&results),
+        };
+        cache.insert(key, Arc::new(entry), 1);
+        assert_eq!(cached_answer(&mut cache, key, &asked, None), Some(results));
+        assert_eq!(cached_answer(&mut cache, key, &other, None), None);
+        // Under a quantum coarser than the difference they are one query.
+        assert!(cached_answer(&mut cache, key, &other, Some(0.5)).is_some());
+        assert_eq!(cached_answer(&mut cache, key + 1, &asked, None), None);
+    }
+
+    #[test]
     fn configure_applies_and_validates() {
         let engine = QueryEngine::start(
             snapshot(6, 5),
             EngineConfig {
                 workers: 1,
-                max_batch: 16,
                 cache_capacity: 64,
                 default_k: 1,
                 ..EngineConfig::default()
@@ -2086,8 +1894,6 @@ mod tests {
         let view = engine
             .configure(ConfigUpdate {
                 prune: Some(false),
-                max_batch: Some(4),
-                batch_window_us: Some(1_500),
                 cache_capacity: Some(2),
                 default_k: Some(7),
                 cache_key_quantize: Some(0.25),
@@ -2099,10 +1905,8 @@ mod tests {
             })
             .unwrap();
         assert!(!view.prune);
-        assert_eq!(view.max_batch, 4);
         assert_eq!(view.cache_capacity, 2);
         assert_eq!(view.default_k, 7);
-        assert_eq!(view.batch_window_us, 1_500);
         assert_eq!(view.cache_key_quantize, Some(0.25));
         assert_eq!(view.slow_query_us, 5000);
         assert_eq!(view.audit_sample, 0.5);
@@ -2130,10 +1934,6 @@ mod tests {
         assert_eq!(view.cache_key_quantize, None);
 
         for bad in [
-            ConfigUpdate {
-                max_batch: Some(0),
-                ..ConfigUpdate::default()
-            },
             ConfigUpdate {
                 default_k: Some(0),
                 ..ConfigUpdate::default()
@@ -2165,7 +1965,7 @@ mod tests {
             ));
         }
         // Rejected updates changed nothing.
-        assert_eq!(engine.config_view().max_batch, 4);
+        assert_eq!(engine.config_view().default_k, 7);
         engine.shutdown();
     }
 }

@@ -34,10 +34,10 @@
 //!
 //! | point | effect | where |
 //! |-------|--------|-------|
-//! | `panic_in_scan` | panics inside the group scan (caught by the worker's `catch_unwind`; waiters get a structured `internal` error) | `process_batch` dispatch |
-//! | `slow_scan` | sleeps `ms` before the group scan | `process_batch` dispatch |
+//! | `panic_in_scan` | panics inside a job's scan (caught by the worker's `catch_unwind`; the waiter gets a structured `internal` error) | `process_job` scan |
+//! | `slow_scan` | sleeps `ms` before a job's scan | `process_job` scan |
 //! | `drop_response` | drops an answer instead of sending it (the waiter observes a canceled request) | `respond` |
-//! | `cache_lock_stall` | sleeps `ms` while holding the result-cache lock; admission's non-blocking lookup reads a miss meanwhile, so hits queue | `process_batch` pass 1 |
+//! | `cache_lock_stall` | sleeps `ms` while holding the result-cache lock; admission's non-blocking lookup reads a miss meanwhile, so hits queue | `process_job` dequeue-time lookup |
 //! | `panic_in_worker` | panics at the top of the worker loop, *outside* the dispatch `catch_unwind` — kills the thread so the supervisor's detect-and-respawn path is exercised; fires before the queue receive, so no job is lost | `worker_loop` |
 //!
 //! Probability triggers are deterministic: the decision hashes the
@@ -60,9 +60,9 @@ const MAX_SLEEP_MS: u64 = 60_000;
 /// and where it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Panic inside the group scan (caught; waiters get `internal`).
+    /// Panic inside a job's scan (caught; the waiter gets `internal`).
     PanicInScan,
-    /// Sleep before the group scan.
+    /// Sleep before a job's scan.
     SlowScan,
     /// Drop an answer instead of sending it.
     DropResponse,

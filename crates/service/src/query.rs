@@ -289,7 +289,8 @@ pub struct QueryResponse {
     pub cached: bool,
     /// End-to-end latency inside the engine (submit → response).
     pub latency: std::time::Duration,
-    /// How many requests shared this request's dispatch batch.
+    /// Always 1 for an engine answer: a worker answers one request at a
+    /// time. Kept so the wire body keeps its `"batch"` field.
     pub batch_size: usize,
     /// Engine epoch the request was *admitted* under: the snapshot that
     /// answered it, even if a hot swap landed while it was queued.

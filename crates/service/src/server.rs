@@ -84,17 +84,16 @@
 //! offline `TrajectoryDb::top_k` for the same request against the same
 //! snapshot.
 //!
-//! `"batch"` counts the requests that shared the answer's dispatch
-//! batch. A repeat found in the result cache at admission is answered on
-//! the spot, in the same poll turn that read it, without entering the
-//! queue: it reports `"cached":true,"batch":1`. A hit found later, by a
-//! worker's dequeue-time lookup, reports its batch like a miss does.
+//! `"batch"` is always 1: a worker answers one request at a time. The
+//! field is kept so the body's shape does not change. A repeat found in
+//! the result cache at admission is answered on the spot, in the same
+//! poll turn that read it, without entering the queue.
 //!
 //! **Deadlines (v2 only):** a v2 query may add `"deadline_ms": N` (a
-//! positive integer). If no worker has *started* scanning the request
-//! within `N` milliseconds of admission, it is dropped and answered with
-//! the structured `deadline_exceeded` error instead of queueing further
-//! (checked at dequeue and between dispatch groups). A deadline never
+//! positive integer). If no worker has dequeued the request within `N`
+//! milliseconds of admission, it is dropped and answered with the
+//! structured `deadline_exceeded` error instead of being scanned
+//! (checked at dequeue only). A deadline never
 //! changes an answer — only whether the work runs — and does not affect
 //! cache identity. Engines started with `--default-deadline-ms` apply
 //! that budget to requests that carry none. A cache hit answered at
@@ -113,23 +112,24 @@
 //! the heap with their range pending, and at most `k` per scan recovered
 //! it). `"parse_us"`, appended last, is the server's JSON parse and
 //! request decode of the line; `"serialize_us"` is the time to write the
-//! response body. A hit answered at admission reports `"queue_us":0`
-//! and `"batch_us":0`: it goes from parse through admission (which
-//! includes its cache lookup) to serialize on one thread. Trace fields
-//! are only ever appended. On a v1 line the flag is ignored: v1
+//! response body. `"batch_us"` is always 0 and `"batch_size"` always 1
+//! (no batching; both are kept for shape). A hit answered at admission
+//! also reports `"queue_us":0`: it goes from parse through admission
+//! (which includes its cache lookup) to serialize on one thread. Trace
+//! fields are only ever appended. On a v1 line the flag is ignored: v1
 //! responses never grow fields. Tracing turns on the per-candidate
-//! bound/kernel clocks for the traced query's dispatch group only;
-//! untraced traffic keeps the near-zero disabled path.
+//! bound/kernel clocks for the traced query's own scan only; untraced
+//! traffic keeps the near-zero disabled path.
 //!
 //! ## Commands
 //!
 //! v1 commands (unchanged):
 //!
-//! - `{"cmd":"stats"}` → `{"ok":true,"stats":{...}}`. The first fourteen
+//! - `{"cmd":"stats"}` → `{"ok":true,"stats":{...}}`. The first thirteen
 //!   stats fields (through `cache_evicted_on_swap`) are frozen; later
-//!   fields are additive and keep growing (histogram-backed percentiles,
+//!   fields are additive (histogram-backed percentiles,
 //!   queue/inflight gauges, prune/cache/audit counters,
-//!   `latency_buckets`/`batch_buckets` — see
+//!   `latency_buckets` — see
 //!   [`crate::stats::StatsSnapshot::to_json`]).
 //! - `{"cmd":"ping"}` → `{"ok":true,"pong":true}`
 //! - `{"cmd":"shutdown"}` → `{"ok":true,"bye":true}`, then the server
@@ -140,7 +140,7 @@
 //!
 //! - `{"cmd":"info"}` → `{"ok":true,"epoch":N,"trajectories":T,
 //!   "points":P,"workers":W,"prune":B,
-//!   "max_batch":M,"cache_capacity":C,"cache_len":E,"default_k":K,
+//!   "cache_capacity":C,"cache_len":E,"default_k":K,
 //!   "rls_loaded":B,"t2vec_loaded":B,"swaps":N,"build":"x.y.z",
 //!   "protocol":[1,2]}` — what is serving right now.
 //! - `{"cmd":"reload","corpus":"/path/to.csv"}` **or**
@@ -159,9 +159,7 @@
 //!   `corpus`/`corpus_bin` must be present. In-flight queries
 //!   finish against the old snapshot; queries admitted after the swap
 //!   see the new one. Nothing restarts, no connection drops.
-//! - `{"cmd":"configure"}` with any of `"prune":bool`, `"max_batch":N`,
-//!   `"batch_window_us":N` (shared micro-batcher coalescing window cap
-//!   in µs; 0 disables holding, see `crate::batcher`),
+//! - `{"cmd":"configure"}` with any of `"prune":bool`,
 //!   `"cache_capacity":N`, `"default_k":N`, `"cache_key_quantize":Q`,
 //!   `"slow_query_us":N` (0 disables the slow-query log),
 //!   `"audit_sample":F` (fraction in `[0,1]`, 0 disables auditing),
@@ -175,7 +173,7 @@
 //!   `<text>` is the full Prometheus-style exposition
 //!   ([`QueryEngine::metrics_exposition`]): `# HELP`/`# TYPE` headers,
 //!   `simsub_*` counter/gauge series, and cumulative `_bucket{le=...}`
-//!   histograms for request latency and batch size. `simsub admin
+//!   histograms for request latency. `simsub admin
 //!   metrics` prints it verbatim for scraping.
 //!
 //! Unknown `"cmd"` values are errors, so clients can feature-probe.
@@ -624,8 +622,6 @@ fn admin_info(engine: &QueryEngine) -> Json {
         ("points", Json::Num(corpus.total_points() as f64)),
         ("workers", Json::Num(config.workers as f64)),
         ("prune", Json::Bool(config.prune)),
-        ("max_batch", Json::Num(config.max_batch as f64)),
-        ("batch_window_us", Json::Num(config.batch_window_us as f64)),
         ("cache_capacity", Json::Num(config.cache_capacity as f64)),
         ("cache_len", Json::Num(config.cache_len as f64)),
         ("default_k", Json::Num(config.default_k as f64)),
@@ -765,14 +761,6 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
     };
     let update = ConfigUpdate {
         prune,
-        max_batch: match field_usize("max_batch") {
-            Ok(v) => v,
-            Err(e) => return error_response(&e),
-        },
-        batch_window_us: match field_usize("batch_window_us") {
-            Ok(v) => v.map(|us| us as u64),
-            Err(e) => return error_response(&e),
-        },
         cache_capacity: match field_usize("cache_capacity") {
             Ok(v) => v,
             Err(e) => return error_response(&e),
@@ -807,10 +795,9 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
     };
     if update == ConfigUpdate::default() {
         return error_response(
-            "configure needs at least one of \"prune\", \"max_batch\", \
-             \"batch_window_us\", \"cache_capacity\", \"default_k\", \
-             \"cache_key_quantize\", \"slow_query_us\", \"audit_sample\", \
-             \"max_queue_depth\", \"default_deadline_ms\", \"faults\"",
+            "configure needs at least one of \"prune\", \"cache_capacity\", \
+             \"default_k\", \"cache_key_quantize\", \"slow_query_us\", \
+             \"audit_sample\", \"max_queue_depth\", \"default_deadline_ms\", \"faults\"",
         );
     }
     match engine.configure(update) {
@@ -818,8 +805,6 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
             ("ok", Json::Bool(true)),
             ("configured", Json::Bool(true)),
             ("prune", Json::Bool(view.prune)),
-            ("max_batch", Json::Num(view.max_batch as f64)),
-            ("batch_window_us", Json::Num(view.batch_window_us as f64)),
             ("cache_capacity", Json::Num(view.cache_capacity as f64)),
             ("cache_len", Json::Num(view.cache_len as f64)),
             ("default_k", Json::Num(view.default_k as f64)),

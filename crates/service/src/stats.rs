@@ -1,8 +1,8 @@
 //! Aggregate serving statistics — the engine's metrics registry.
 //!
 //! Every hot-path record is lock-free: counters and gauges are single
-//! relaxed atomics, and latency/batch-size distributions live in the
-//! log-bucketed [`Histogram`]s of [`crate::metrics_registry`] (which
+//! relaxed atomics, and the latency distribution lives in a
+//! log-bucketed [`Histogram`] of [`crate::metrics_registry`] (which
 //! replaced the old mutex-guarded latency reservoir), so p50/p99/p999
 //! come from mergeable power-of-two buckets with at most one bucket (2x)
 //! of error. [`ServeStats::snapshot`] takes the point-in-time
@@ -21,11 +21,8 @@ pub struct ServeStats {
     started: Instant,
     requests: Counter,
     cache_hits: Counter,
-    batches: Counter,
-    batched_requests: Counter,
     /// Candidate (trajectory, query) evaluations considered by
-    /// cold-path corpus scans (a batched scan counts each trajectory
-    /// once per query it is a candidate for).
+    /// cold-path corpus scans.
     scan_candidates: Counter,
     /// Of those, skipped by the O(1) Kim-style coarse screen.
     scan_pruned_kim: Counter,
@@ -43,7 +40,7 @@ pub struct ServeStats {
     /// early does not shrink it.
     scan_searched_cells: Counter,
     /// Wall-clock nanoseconds spent inside corpus scans (measured by the
-    /// engine around each batched scan call) — the ns-per-cell numerator.
+    /// engine around each scan call) — the ns-per-cell numerator.
     scan_ns: Counter,
     /// Snapshot hot-swaps performed (`QueryEngine::swap_snapshot`).
     swaps: Counter,
@@ -59,8 +56,8 @@ pub struct ServeStats {
     admitted: Counter,
     /// Requests rejected by the admission gate (queue full).
     shed: Counter,
-    /// Jobs dropped because their deadline expired before (or between)
-    /// scans.
+    /// Jobs dropped because their deadline expired before a worker
+    /// dequeued them.
     deadline_expired: Counter,
     /// Jobs answered with a structured internal error (scan panicked, or
     /// the response was lost before reaching the waiter).
@@ -78,12 +75,10 @@ pub struct ServeStats {
     open_connections: Gauge,
     /// Jobs accepted by `submit` but not yet drained by a worker.
     queue_depth: Gauge,
-    /// Jobs drained into a batch but not yet answered.
+    /// Jobs a worker has dequeued but not yet answered.
     inflight: Gauge,
     /// Engine latency distribution, microseconds.
     latencies_us: Histogram,
-    /// Dispatched micro-batch size distribution.
-    batch_sizes: Histogram,
     /// Per-worker nanoseconds spent outside the blocking queue receive.
     worker_busy_ns: Vec<Counter>,
     /// Quality-audit samples folded in so far.
@@ -129,8 +124,6 @@ impl ServeStats {
             started: Instant::now(),
             requests: Counter::new(),
             cache_hits: Counter::new(),
-            batches: Counter::new(),
-            batched_requests: Counter::new(),
             scan_candidates: Counter::new(),
             scan_pruned_kim: Counter::new(),
             scan_pruned_mbr: Counter::new(),
@@ -154,7 +147,6 @@ impl ServeStats {
             queue_depth: Gauge::new(),
             inflight: Gauge::new(),
             latencies_us: Histogram::new(),
-            batch_sizes: Histogram::new(),
             worker_busy_ns: (0..workers).map(|_| Counter::new()).collect(),
             audit_samples: Counter::new(),
             audit_dropped: Counter::new(),
@@ -172,13 +164,6 @@ impl ServeStats {
         }
         self.latencies_us
             .record(latency.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Records one dispatched batch of `size` requests.
-    pub fn record_batch(&self, size: usize) {
-        self.batches.inc();
-        self.batched_requests.add(size as u64);
-        self.batch_sizes.record(size as u64);
     }
 
     /// Folds one cold-path corpus scan's prune counters into the totals.
@@ -277,7 +262,7 @@ impl ServeStats {
         &self.queue_depth
     }
 
-    /// Jobs drained into a batch but not yet answered.
+    /// Jobs a worker has dequeued but not yet answered.
     pub fn inflight(&self) -> &Gauge {
         &self.inflight
     }
@@ -302,8 +287,6 @@ impl ServeStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let requests = self.requests.get();
         let cache_hits = self.cache_hits.get();
-        let batches = self.batches.get();
-        let batched_requests = self.batched_requests.get();
         let scan_pruned_kim = self.scan_pruned_kim.get();
         let scan_pruned_mbr = self.scan_pruned_mbr.get();
         let scan_pruned_points = self.scan_pruned_points.get();
@@ -314,7 +297,6 @@ impl ServeStats {
         let scan_ns = self.scan_ns.get();
         let uptime = self.started.elapsed();
         let latency_hist = self.latencies_us.snapshot();
-        let batch_hist = self.batch_sizes.snapshot();
         let audit_samples = self.audit_samples.get();
         let audit_mean = |sum: &AtomicU64| {
             if audit_samples == 0 {
@@ -335,7 +317,6 @@ impl ServeStats {
             },
             p50_us: latency_hist.quantile(0.50),
             p99_us: latency_hist.quantile(0.99),
-            mean_batch: ratio(batched_requests, batches),
             scan_candidates,
             scan_pruned,
             scan_searched,
@@ -343,8 +324,6 @@ impl ServeStats {
             swaps: self.swaps.get(),
             cache_evicted_on_swap: self.cache_evicted_on_swap.get(),
             p999_us: latency_hist.quantile(0.999),
-            batch_p50: batch_hist.quantile(0.50),
-            batch_p99: batch_hist.quantile(0.99),
             queue_depth: self.queue_depth.get(),
             inflight: self.inflight.get(),
             cache_evictions: self.cache_evictions.get(),
@@ -378,7 +357,6 @@ impl ServeStats {
             audit_rr: audit_mean(&self.audit_rr_sum),
             worker_busy_ns: self.worker_busy_ns.iter().map(Counter::get).collect(),
             latency_hist,
-            batch_hist,
         }
     }
 }
@@ -393,10 +371,10 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// Point-in-time view of [`ServeStats`].
 ///
-/// Wire-compat contract: the first fourteen fields of
+/// Wire-compat contract: the first thirteen fields of
 /// [`StatsSnapshot::to_json`] (through `cache_evicted_on_swap`) are the
 /// pre-observability `stats` object and keep their names, order, and
-/// meaning forever; everything after is additive.
+/// meaning; everything after is additive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
     /// Requests answered so far.
@@ -414,11 +392,8 @@ pub struct StatsSnapshot {
     pub p50_us: u64,
     /// 99th-percentile engine latency (bucketed), microseconds.
     pub p99_us: u64,
-    /// Mean micro-batch size across dispatches.
-    pub mean_batch: f64,
     /// Candidate (trajectory, query) evaluations considered by
-    /// cold-path corpus scans (a batched scan counts each trajectory
-    /// once per query it is a candidate for).
+    /// cold-path corpus scans.
     pub scan_candidates: u64,
     /// Of those, skipped by the lower-bound cascade before any search.
     pub scan_pruned: u64,
@@ -432,13 +407,9 @@ pub struct StatsSnapshot {
     pub cache_evicted_on_swap: u64,
     /// 99.9th-percentile engine latency (bucketed), microseconds.
     pub p999_us: u64,
-    /// Median dispatched batch size (bucketed).
-    pub batch_p50: u64,
-    /// 99th-percentile dispatched batch size (bucketed).
-    pub batch_p99: u64,
     /// Jobs accepted but not yet drained by a worker.
     pub queue_depth: i64,
-    /// Jobs drained into a batch but not yet answered.
+    /// Jobs a worker has dequeued but not yet answered.
     pub inflight: i64,
     /// Cache entries evicted by LRU capacity pressure.
     pub cache_evictions: u64,
@@ -496,8 +467,6 @@ pub struct StatsSnapshot {
     pub worker_busy_ns: Vec<u64>,
     /// Engine latency distribution, microseconds.
     pub latency_hist: HistogramSnapshot,
-    /// Dispatched batch size distribution.
-    pub batch_hist: HistogramSnapshot,
 }
 
 /// `[[le, count], ...]` pairs for the non-empty buckets of a histogram —
@@ -513,7 +482,7 @@ fn buckets_json(hist: &HistogramSnapshot) -> Json {
 
 impl StatsSnapshot {
     /// Wire form for the `{"cmd":"stats"}` protocol request. The first
-    /// fourteen fields are frozen (see the struct docs); later fields are
+    /// thirteen fields are frozen (see the struct docs); later fields are
     /// additive and may keep growing.
     pub fn to_json(&self) -> Json {
         obj(vec![
@@ -524,7 +493,6 @@ impl StatsSnapshot {
             ("qps", Json::Num(self.qps)),
             ("p50_us", Json::Num(self.p50_us as f64)),
             ("p99_us", Json::Num(self.p99_us as f64)),
-            ("mean_batch", Json::Num(self.mean_batch)),
             ("scan_candidates", Json::Num(self.scan_candidates as f64)),
             ("scan_pruned", Json::Num(self.scan_pruned as f64)),
             ("scan_searched", Json::Num(self.scan_searched as f64)),
@@ -536,8 +504,6 @@ impl StatsSnapshot {
             ),
             // -- additive observability fields below this line --
             ("p999_us", Json::Num(self.p999_us as f64)),
-            ("batch_p50", Json::Num(self.batch_p50 as f64)),
-            ("batch_p99", Json::Num(self.batch_p99 as f64)),
             ("queue_depth", Json::Num(self.queue_depth as f64)),
             ("inflight", Json::Num(self.inflight as f64)),
             ("cache_evictions", Json::Num(self.cache_evictions as f64)),
@@ -563,7 +529,6 @@ impl StatsSnapshot {
             ("accept_errors", Json::Num(self.accept_errors as f64)),
             ("open_connections", Json::Num(self.open_connections as f64)),
             ("latency_buckets", buckets_json(&self.latency_hist)),
-            ("batch_buckets", buckets_json(&self.batch_hist)),
             (
                 "scan_pruned_points",
                 Json::Num(self.scan_pruned_points as f64),
@@ -583,8 +548,6 @@ mod tests {
         for i in 1..=100u64 {
             stats.record_request(Duration::from_micros(i), i % 4 == 0);
         }
-        stats.record_batch(3);
-        stats.record_batch(1);
         let snap = stats.snapshot();
         assert_eq!(snap.requests, 100);
         assert_eq!(snap.cache_hits, 25);
@@ -594,12 +557,8 @@ mod tests {
         assert!(snap.p50_us >= 50 && snap.p50_us < 100, "{}", snap.p50_us);
         assert!(snap.p99_us >= 99 && snap.p99_us < 198, "{}", snap.p99_us);
         assert!(snap.p999_us >= snap.p99_us);
-        assert!((snap.mean_batch - 2.0).abs() < 1e-12);
-        assert_eq!(snap.batch_p50, 1); // batches 1 and 3: p50 bucket bound 1
-        assert!(snap.batch_p99 >= 3);
         assert!(snap.qps > 0.0);
         assert_eq!(snap.latency_hist.count, 100);
-        assert_eq!(snap.batch_hist.count, 2);
     }
 
     #[test]
@@ -724,7 +683,6 @@ mod tests {
             "qps",
             "p50_us",
             "p99_us",
-            "mean_batch",
             "scan_candidates",
             "scan_pruned",
             "scan_searched",

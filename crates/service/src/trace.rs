@@ -6,28 +6,28 @@
 //! path:
 //!
 //! ```text
-//! parse -> admission -> queue wait -> batch formation
+//! parse -> admission -> queue wait
 //!       -> scan (bounds | DP kernel) -> merge -> serialize
 //! ```
 //!
 //! A cache hit answered at admission never leaves the thread that
 //! parsed it (the reactor): its stages are parse, admission (which then
 //! includes the cache lookup) and serialize, and it reports zero queue,
-//! batch, scan and merge time. A hit found later by a worker's pass 1
-//! reports its queue wait and batch formation as well.
+//! scan and merge time. A hit found later by a worker's dequeue-time
+//! lookup reports its queue wait as well. `batch_us` (always 0) and
+//! `batch_size` (always 1) are kept so the wire object keeps its shape.
 //!
 //! `parse_us` is the reactor's JSON parse plus request decode, handed to
 //! the engine in `SubmitOptions::parse`. The service-level stages
-//! (admit/queue/batch/scan/merge) are measured from a handful of
-//! per-batch `Instant` reads the engine takes anyway, so they cost
+//! (admit/queue/scan/merge) are measured from a handful of
+//! per-job `Instant` reads the engine takes anyway, so they cost
 //! nothing extra per request; the in-scan split into bound evaluation vs
 //! DP kernel time needs per-candidate clocks and is only accumulated
 //! while a traced query's scan runs (see
 //! [`simsub_core::scan_timing_scope`]). `serialize_us` is stamped by the
 //! server once the response body is written. Scan-stage numbers describe
-//! the *dispatch group* the query was answered in (a batched scan answers
-//! several deduplicated queries at once); cache hits report zero scan
-//! work and `cached: true`.
+//! the query's own scan; cache hits report zero scan work and
+//! `cached: true`.
 
 use crate::json::write_num;
 use simsub_core::PruneStats;
@@ -43,13 +43,13 @@ pub struct TraceReport {
     /// Admission: request validation, snapshot pinning, cache-key
     /// computation and the admission cache lookup inside `submit`.
     pub admit_us: u64,
-    /// Time between submission and the batch containing this job being
-    /// fully formed (queue wait; 0 for hits answered at admission).
+    /// Time between submission and a worker dequeuing this job (0 for
+    /// hits answered at admission).
     pub queue_us: u64,
-    /// Time the draining worker spent forming this job's batch.
+    /// Always 0 for an engine answer (no batch is formed); kept for the
+    /// wire shape.
     pub batch_us: u64,
-    /// Wall-clock time of the dispatch group's corpus scan (0 for cache
-    /// hits).
+    /// Wall-clock time of the job's corpus scan (0 for cache hits).
     pub scan_us: u64,
     /// Of the scan, time evaluating bound cascades (only measured while
     /// scan timing is enabled — i.e. for traced queries).
@@ -59,17 +59,16 @@ pub struct TraceReport {
     /// unprunable scan split over several threads can report more
     /// `kernel_us` than `scan_us`.
     pub kernel_us: u64,
-    /// Post-scan cache insertion and response fan-out until this job's
-    /// reply was sent.
+    /// Post-scan cache insertion until this job's reply was sent.
     pub merge_us: u64,
     /// Response-body writing time, stamped by the server.
     pub serialize_us: u64,
-    /// Prune cascade counters of the dispatch group's scan (all zero for
-    /// cache hits).
+    /// Prune cascade counters of the job's scan (all zero for cache
+    /// hits).
     pub prune: PruneStats,
     /// True when the answer came from the result cache.
     pub cached: bool,
-    /// How many requests shared this job's dispatch batch.
+    /// Always 1 for an engine answer; kept for the wire shape.
     pub batch_size: usize,
 }
 

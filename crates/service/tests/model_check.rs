@@ -128,40 +128,27 @@ fn model_epoch_pinning_across_swaps() {
 // Model 2: purge_below_epoch vs concurrent cache insert.
 // ---------------------------------------------------------------------------
 
-/// Everything the cache knows, guarded by one mutex — mirrors the
-/// engine's `Mutex<Cache<..>>` plus the bookkeeping the test needs to
-/// decide, per interleaving, which stale entries are *legitimately*
-/// present (inserted by a still-pinned worker after the purge ran).
-struct CacheWorld {
-    cache: Cache<u64, u64>,
-    /// Epoch the swap's purge ran with (0 = purge not yet run).
-    purged_to: u64,
-    /// Stale-epoch inserts that landed after the purge — the documented
-    /// unreachable-entry case.
-    stale_after_purge: u64,
-}
-
+/// Mirrors a worker's insert against a swap's purge over the real handle
+/// and cache. Each inserter pins an epoch, then — under the cache lock,
+/// like the engine — skips its insert when the handle has moved past that
+/// epoch. The swap publishes its epoch before it takes the lock to purge,
+/// so no interleaving may leave a stale entry behind.
 fn run_purge_vs_insert() -> Report {
     let db = shared_db();
     let report = builder(Some(3)).check(move || {
         let handle = Arc::new(EngineHandle::new(CorpusSnapshot::new(db.clone())));
-        let world = Arc::new(Mutex::new(CacheWorld {
-            cache: Cache::new(8),
-            purged_to: 0,
-            stale_after_purge: 0,
-        }));
+        let cache: Arc<Mutex<Cache<u64, u64>>> = Arc::new(Mutex::new(Cache::new(8)));
 
         let inserters: Vec<_> = (0..2)
             .map(|i| {
                 let h = Arc::clone(&handle);
-                let w = Arc::clone(&world);
+                let c = Arc::clone(&cache);
                 thread::spawn(move || {
                     let snap = h.load();
                     let epoch = snap.epoch();
-                    let mut g = w.lock().unwrap();
-                    g.cache.insert(100 + i, i, epoch);
-                    if g.purged_to != 0 && epoch < g.purged_to {
-                        g.stale_after_purge += 1;
+                    let mut cache = c.lock().unwrap();
+                    if epoch >= h.epoch() {
+                        cache.insert(100 + i, i, epoch);
                     }
                 })
             })
@@ -169,14 +156,11 @@ fn run_purge_vs_insert() -> Report {
 
         let swapper = {
             let h = Arc::clone(&handle);
-            let w = Arc::clone(&world);
+            let c = Arc::clone(&cache);
             let db = db.clone();
             thread::spawn(move || {
                 let (_, new) = h.swap(CorpusSnapshot::new(Arc::clone(&db)));
-                let mut g = w.lock().unwrap();
-                let epoch = new.epoch();
-                g.cache.purge_below_epoch(epoch);
-                g.purged_to = epoch;
+                c.lock().unwrap().purge_below_epoch(new.epoch());
             })
         };
 
@@ -185,16 +169,10 @@ fn run_purge_vs_insert() -> Report {
         }
         swapper.join().unwrap();
 
-        // The swap's purge removed every pre-purge stale entry, so the
-        // stale entries left now are exactly the post-purge inserts by
-        // still-pinned workers (unreachable by key, tolerated by design).
-        let mut g = world.lock().unwrap();
-        let purged_to = g.purged_to;
-        let survivors_stale = g.cache.purge_below_epoch(purged_to) as u64;
-        assert_eq!(
-            survivors_stale, g.stale_after_purge,
-            "purge missed entries or mutual exclusion broke"
-        );
+        // The purge removed every entry inserted before it, and every
+        // insert after it saw the new epoch and stepped aside.
+        let stale = cache.lock().unwrap().purge_below_epoch(handle.epoch());
+        assert_eq!(stale, 0, "a stale-epoch entry survived the purge");
     });
     assert_explored("purge_vs_insert", &report);
     report
@@ -355,11 +333,11 @@ fn model_shutdown_vs_supervisor_respawn() {
 /// the cache's two writers. Admission pins its epoch with one `load()`,
 /// keys the request under it (the real `EpochSnapshot::cache_key`), and
 /// only `try_lock`s the cache: a held lock is a miss, and the request
-/// queues, where a worker's pass 1 looks again under the blocking lock.
+/// queues, where its worker looks again under the blocking lock.
 /// Concurrently a worker answers a request it pinned earlier and inserts
 /// the answer under its own epoch, and a swap bumps the epoch and purges.
 /// Each cached value is the epoch its answer was computed under. Every
-/// hit, at admission or in pass 1, must be an entry of the looking
+/// hit, at admission or at dequeue, must be an entry of the looking
 /// request's own admitted epoch, and with every request answered once the
 /// books must reconcile.
 fn run_admission_lookup() -> Report {
@@ -437,13 +415,17 @@ fn run_admission_lookup() -> Report {
         worker.join().unwrap();
         swapper.join().unwrap();
         if let Some(pinned) = admission.join().unwrap() {
-            // The queued miss in a worker's pass 1: the blocking lock, the
-            // key it was admitted with, then a scan and an insert on a miss.
+            // The queued miss at dequeue: the blocking lock, the key it
+            // was admitted with, then a scan and an insert on a miss.
             let key = pinned.cache_key(&request);
             let mut cache = cache.lock().unwrap();
             match cache.get(&key) {
                 Some(computed_under) => {
-                    assert_eq!(computed_under, pinned.epoch(), "pass 1 crossed epochs");
+                    assert_eq!(
+                        computed_under,
+                        pinned.epoch(),
+                        "dequeue lookup crossed epochs"
+                    );
                     stats.record_request(Duration::ZERO, true);
                 }
                 None => {

@@ -23,7 +23,6 @@ fn main() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 4,
-            max_batch: 16,
             cache_capacity: 1024,
             ..EngineConfig::default()
         },
@@ -69,24 +68,22 @@ fn main() {
         let best = response.results.first().expect("k >= 1");
         println!(
             "client {i:>2}: best trajectory {:>3} [{}..{}] dist {:.4} \
-             (cached: {}, batch of {}, {} µs)",
+             (cached: {}, {} µs)",
             best.trajectory_id,
             best.result.range.start,
             best.result.range.end,
             best.result.distance,
             response.cached,
-            response.batch_size,
             response.latency.as_micros()
         );
     }
 
     let stats = engine.stats();
     println!(
-        "served {} requests — hit rate {:.0}%, mean batch {:.1}, p50 {} µs, p99 {} µs; \
+        "served {} requests — hit rate {:.0}%, p50 {} µs, p99 {} µs; \
          cold scans pruned {}/{} candidate evaluations ({:.0}%) via the bound cascade",
         stats.requests,
         stats.hit_rate * 100.0,
-        stats.mean_batch,
         stats.p50_us,
         stats.p99_us,
         stats.scan_pruned,

@@ -17,7 +17,7 @@
 //! | [`core`] | ExactS, SizeS, PSS/POS/POS-D, RLS, RLS-Skip, Spring, UCR, Random-S, SimTra, metrics, top-k |
 //! | [`index`] | R-tree over trajectory MBRs, indexed database |
 //! | [`data`] | seeded synthetic Porto/Harbin/Sports-like generators |
-//! | [`service`] | concurrent query engine: worker pool, micro-batching, LRU result cache, newline-JSON server (`simsub serve`) |
+//! | [`service`] | concurrent query engine: worker pool, LRU result cache, newline-JSON server (`simsub serve`) |
 //!
 //! ## Quickstart
 //!

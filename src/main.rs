@@ -106,8 +106,7 @@ fn usage() {
          \x20 topk         (--corpus FILE.csv | --corpus-bin FILE.ssb) --query FILE.csv --k N\n\
          \x20              --algo ... --measure ... [--index rtree|none] [--no-prune]\n\
          \x20 serve        (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
-         \x20              [--workers N] [--batch B] [--cache N] [--cache-quantize Q]\n\
-         \x20              [--batch-window-us N]  # micro-batch coalescing window cap (0 = off)\n\
+         \x20              [--workers N] [--cache N] [--cache-quantize Q]\n\
          \x20              [--default-k N] [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20              [--skip K] [--no-suffix] [--no-prune]\n\
          \x20              [--reload-fifo PATH]   # named pipe accepting admin JSON lines\n\
@@ -122,7 +121,7 @@ fn usage() {
          \x20              # one delta line per tick: qps, p99, hit rate, prune ratio\n\
          \x20 admin        reload (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
          \x20              [--policy F] [--t2vec F] [--skip K] [--no-suffix]\n\
-         \x20 admin        configure [--addr HOST:PORT] [--prune on|off] [--batch N]\n\
+         \x20 admin        configure [--addr HOST:PORT] [--prune on|off]\n\
          \x20              [--cache N] [--default-k N] [--quantize Q]   # Q=0 exact keys\n\
          \x20              [--slow-query-us N] [--audit-sample F]\n\
          \x20              [--max-queue-depth N] [--default-deadline-ms N]\n\
@@ -146,13 +145,13 @@ fn accepted_flags(cmd: &str) -> &'static str {
              no-prune"
         }
         "serve" => {
-            "corpus corpus-bin addr workers batch batch-window-us cache cache-quantize default-k \
-             policy t2vec skip no-suffix no-prune reload-fifo slow-query-us \
-             audit-sample max-queue-depth default-deadline-ms faults"
+            "corpus corpus-bin addr workers cache cache-quantize default-k policy t2vec skip \
+             no-suffix no-prune reload-fifo slow-query-us audit-sample max-queue-depth \
+             default-deadline-ms faults"
         }
         "admin" => {
             "addr watch count corpus corpus-bin policy t2vec skip no-suffix \
-             prune batch cache default-k quantize slow-query-us audit-sample max-queue-depth \
+             prune cache default-k quantize slow-query-us audit-sample max-queue-depth \
              default-deadline-ms faults"
         }
         _ => "",
@@ -465,9 +464,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     let config = EngineConfig {
         workers: flags.parse_or("workers", EngineConfig::default().workers)?,
-        max_batch: flags.parse_or("batch", EngineConfig::default().max_batch)?,
-        batch_window_us: flags
-            .parse_or("batch-window-us", EngineConfig::default().batch_window_us)?,
         cache_capacity: flags.parse_or("cache", EngineConfig::default().cache_capacity)?,
         // `--no-prune` forces the reference scan; otherwise the
         // SIMSUB_NO_PRUNE environment hatch decides (answers are
@@ -491,9 +487,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
     if config.workers == 0 {
         return Err("--workers must be at least 1".into());
-    }
-    if config.max_batch == 0 {
-        return Err("--batch must be at least 1".into());
     }
     if config.default_k == 0 {
         return Err("--default-k must be at least 1".into());
@@ -692,11 +685,7 @@ fn cmd_admin(action: &str, flags: &Flags) -> Result<(), String> {
                     }),
                 );
             }
-            for (flag, key) in [
-                ("batch", "max_batch"),
-                ("cache", "cache_capacity"),
-                ("default-k", "default_k"),
-            ] {
+            for (flag, key) in [("cache", "cache_capacity"), ("default-k", "default_k")] {
                 if let Some(value) = flags.get(flag) {
                     let value: usize = value
                         .parse()
@@ -966,6 +955,20 @@ mod tests {
                     Ok(_) => panic!("{cmd} accepted --{flag}"),
                     Err(e) => assert_eq!(e, format!("unknown flag --{flag} for {cmd}")),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn retired_batching_flags_are_rejected() {
+        for (cmd, flag) in [
+            ("serve", "batch"),
+            ("serve", "batch-window-us"),
+            ("admin", "batch"),
+        ] {
+            match parse(cmd, &format!("--corpus c.csv --{flag} 4")) {
+                Ok(_) => panic!("{cmd} accepted --{flag}"),
+                Err(e) => assert_eq!(e, format!("unknown flag --{flag} for {cmd}")),
             }
         }
     }

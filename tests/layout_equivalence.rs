@@ -206,11 +206,11 @@ proptest! {
     }
 }
 
-/// A database loaded from a packed corpus answers batches like the one
-/// built from the trajectories it was packed from: same hits, same
-/// counters, at every thread count, pruned or not.
+/// A database loaded from a packed corpus answers like the one built
+/// from the trajectories it was packed from: same hits, same counters, at
+/// every thread count, pruned or not.
 #[test]
-fn packed_corpus_batches_answer_like_the_built_corpus() {
+fn packed_corpus_answers_like_the_built_corpus() {
     let corpus = random_corpus(77, 30);
     let mut buf = Vec::new();
     write_bin(&mut buf, &CorpusArena::from_trajectories(&corpus)).expect("pack");
@@ -218,19 +218,21 @@ fn packed_corpus_batches_answer_like_the_built_corpus() {
         TrajectoryDb::from_arena(read_bin(std::io::Cursor::new(&buf)).expect("load packed corpus"));
     let built = TrajectoryDb::build(corpus);
     let queries: Vec<Vec<Point>> = (0..4).map(|i| walk(0xba7c + i, 6, (0.0, 0.0))).collect();
-    let refs: Vec<&[Point]> = queries.iter().map(Vec::as_slice).collect();
     for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
         for prune in [false, true] {
             for threads in 1..=4 {
-                let context = format!("{} prune={prune} threads={threads}", measure.name());
-                let (want, want_stats) =
-                    built.top_k_batch(&ExactS, measure, &refs, 3, false, prune, threads);
-                let (got, stats) =
-                    packed.top_k_batch(&ExactS, measure, &refs, 3, false, prune, threads);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_bitwise_topk(g, w, &context);
+                for (q, query) in queries.iter().enumerate() {
+                    let context = format!(
+                        "{} prune={prune} threads={threads} query={q}",
+                        measure.name()
+                    );
+                    let (want, want_stats) =
+                        built.top_k_with_threads(&ExactS, measure, query, 3, false, prune, threads);
+                    let (got, stats) = packed
+                        .top_k_with_threads(&ExactS, measure, query, 3, false, prune, threads);
+                    assert_bitwise_topk(&got, &want, &context);
+                    assert_eq!(stats, want_stats, "{context}");
                 }
-                assert_eq!(stats, want_stats, "{context}");
             }
         }
     }

@@ -176,7 +176,6 @@ fn metrics_exposition_over_the_wire() {
         "simsub_queue_depth",
         "simsub_inflight",
         "simsub_request_latency_us",
-        "simsub_batch_size",
         "simsub_worker_busy_ns_total",
         "simsub_scan_candidates_total",
         "simsub_scan_pruned_kim_total",
@@ -269,6 +268,11 @@ fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
         );
     }
     assert!(cold.contains("\"cached\":false"), "cold trace: {cold}");
+    // No batch is formed: the batch fields are constants kept for shape.
+    assert!(
+        cold.contains("\"batch_us\":0,") && cold.contains("\"batch_size\":1,"),
+        "cold trace batch fields: {cold}"
+    );
     // The cold scan did real work: at least one index-surviving candidate
     // was considered (the r-tree prefilter may retire the rest).
     let scanned: f64 = cold
@@ -280,7 +284,7 @@ fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
     assert!(scanned >= 1.0, "cold scan counters: {cold}");
 
     // A cached replay still traces — with `cached:true` and no scan work.
-    // It was answered at admission, so it never queued or batched.
+    // It was answered at admission, so it never queued.
     let warm = send(&query_line(&query, ",\"v\":2,\"trace\":true"));
     assert!(
         warm.contains("\"trace\":{") && warm.contains("\"cached\":true"),

@@ -5,7 +5,7 @@
 //! fault-injected `slow_scan` makes the head-of-line query the slow one.
 //! The later queries were pre-warmed into the result cache, so each is
 //! answered at admission, on the reactor thread, in the poll turn that
-//! read it: the tests count dispatched batches to prove none of them
+//! read it: their traces show no queue wait, which proves none of them
 //! queued. Head-of-line blocking is therefore observable: id-carrying
 //! responses may overtake it (and the test demands they do); id-less
 //! responses must never reorder, so the reorder buffer holds the hits
@@ -38,7 +38,6 @@ fn engine_two_workers(db: &Arc<TrajectoryDb>) -> Arc<QueryEngine> {
         CorpusSnapshot::new(Arc::clone(db)),
         EngineConfig {
             workers: 2,
-            max_batch: 8,
             cache_capacity: 64,
             ..EngineConfig::default()
         },
@@ -79,10 +78,15 @@ fn warm_then_arm(addr: std::net::SocketAddr, lines: &[String], faults: &str) {
     }
 }
 
-/// Dispatched micro-batches so far: an answer that went through the queue
-/// formed one, a hit answered at admission did not.
-fn batches(engine: &QueryEngine) -> u64 {
-    engine.stats().batch_hist.count
+/// `line` as a traced v2 request: its answer then reports `"queue_us":0`
+/// only if it was answered at admission, without entering the queue.
+fn traced(line: &str) -> String {
+    line.replacen('{', "{\"v\":2,\"trace\":true,", 1)
+}
+
+/// True when a traced answer never waited in the queue.
+fn unqueued(response: &str) -> bool {
+    response.contains("\"queue_us\":0,")
 }
 
 /// Sends `lines` down one connection without reading, then collects one
@@ -121,20 +125,21 @@ fn reactor_answers_pipelined_ids_out_of_order() {
 
     let slow = query_json(&db, 0, 2, Some("slow"));
     let fast: Vec<String> = (0..4)
-        .map(|i| query_json(&db, i + 1, 2, Some(&format!("fast-{i}"))))
+        .map(|i| traced(&query_json(&db, i + 1, 2, Some(&format!("fast-{i}")))))
         .collect();
     warm_then_arm(server.local_addr(), &fast, "slow_scan=n:1:600");
-    let before = batches(&engine);
     let responses = pipeline(server.local_addr(), &slow, &fast);
 
     // Every request got exactly one answer, matched by id, and only the
     // slow head went through the queue: the hits were answered at
-    // admission, as batches of one.
+    // admission.
     assert!(responses.iter().all(|r| r.contains("\"ok\":true")));
-    assert_eq!(batches(&engine) - before, 1, "a hit queued: {responses:?}");
-    assert!(responses[..4]
-        .iter()
-        .all(|r| r.contains("\"cached\":true,\"batch\":1,")));
+    assert!(
+        responses[..4]
+            .iter()
+            .all(|r| r.contains("\"cached\":true,\"batch\":1,") && unqueued(r)),
+        "a hit queued: {responses:?}"
+    );
     for i in 0..4 {
         let needle = format!("\"id\":\"fast-{i}\"");
         assert_eq!(
@@ -167,13 +172,17 @@ fn reactor_keeps_idless_responses_in_submission_order() {
     // queries finish first (cache hits) but the reactor must hold them
     // until the slow head's response has been written.
     let slow = query_json(&db, 0, 2, None);
-    let rest: Vec<String> = (0..3).map(|i| query_json(&db, i + 1, 2, None)).collect();
+    let rest: Vec<String> = (0..3)
+        .map(|i| traced(&query_json(&db, i + 1, 2, None)))
+        .collect();
     warm_then_arm(server.local_addr(), &rest, "slow_scan=n:1:400");
-    let before = batches(&engine);
     let responses = pipeline(server.local_addr(), &slow, &rest);
 
     assert!(responses.iter().all(|r| r.contains("\"ok\":true")));
-    assert_eq!(batches(&engine) - before, 1, "a hit queued: {responses:?}");
+    assert!(
+        responses[1..].iter().all(|r| unqueued(r)),
+        "a hit queued: {responses:?}"
+    );
     for (i, response) in responses.iter().enumerate() {
         let top = format!("\"results\":[{{\"trajectory_id\":{i},");
         assert!(
@@ -189,8 +198,8 @@ fn reactor_keeps_idless_responses_in_submission_order() {
 /// The reactor never waits on the result-cache lock. A worker holds it
 /// through an armed `cache_lock_stall` while a warmed repeat arrives on a
 /// second connection: admission reads the held lock as a miss, so the
-/// repeat queues and a worker's pass 1 answers it from the cache once the
-/// lock frees. Meanwhile a ping on a third connection answers at once.
+/// repeat queues and its worker's dequeue-time lookup answers it from the
+/// cache once the lock frees. Meanwhile a ping on a third connection answers at once.
 #[test]
 fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
     const STALL: Duration = Duration::from_millis(600);
@@ -231,7 +240,6 @@ fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
         std::slice::from_ref(&repeat),
         &format!("cache_lock_stall=n:1:{}", STALL.as_millis()),
     );
-    let before = batches(&engine);
     let admitted = engine.stats().admitted;
     // Polls `done` every millisecond; false if `within` passes first.
     let wait_for = |within: Duration, done: &dyn Fn() -> bool| {
@@ -245,7 +253,7 @@ fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
         true
     };
 
-    // A cold miss: once its worker has drained it, the worker's pass 1
+    // A cold miss: once its worker has dequeued it, the worker's lookup
     // takes the lock and stalls (the 20 ms covers the few instructions
     // between the two).
     let (mut miss, mut miss_reader) = connect();
@@ -273,12 +281,13 @@ fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
 
     let answer = read(&mut hit_reader);
     assert!(answer.contains("\"cached\":true"), "{answer}");
-    assert!(read(&mut miss_reader).contains("\"cached\":false"));
-    assert_eq!(
-        batches(&engine) - before,
-        2,
-        "the repeat met a held lock, so it must have queued"
+    let waited = stalled.elapsed();
+    assert!(
+        waited >= STALL / 2,
+        "the repeat met a held lock, so it must have queued behind the stall, \
+         yet it was answered after {waited:?}"
     );
+    assert!(read(&mut miss_reader).contains("\"cached\":false"));
 
     server.stop();
     server.wait();

@@ -1,7 +1,8 @@
 //! Property harness for the prune-first scan contract: for any corpus,
 //! any query, any measure on the search path (DTW, discrete Frechet, a
 //! trained t2vec model), either service-default algorithm (ExactS, PSS),
-//! single queries and batches at 1..4 threads, the pruned scan must be
+//! the library entry and the threaded entry at 1..4 threads, the pruned
+//! scan must be
 //! **byte-identical** — same ids, same score bit patterns, same order —
 //! to the unpruned reference scan, with consistent [`PruneStats`]
 //! (`scanned == pruned + searched`) and admissible bounds
@@ -9,9 +10,9 @@
 //! The reference never prunes, never abandons and never sees a floor; and
 //! because it still runs the library's own evaluators, ExactS under DTW
 //! and Frechet is additionally held — pruned and unpruned — to the
-//! independent full-matrix oracle of `tests/common/oracle.rs`. A batch
-//! through `TrajectoryDb::top_k_batch` is exactly the sum of its
-//! single-query calls, hits and counters, at every thread count.
+//! independent full-matrix oracle of `tests/common/oracle.rs`. The
+//! threaded entry, `TrajectoryDb::top_k_with_threads`, answers exactly
+//! like the library call, hits and counters, at every thread count.
 
 mod common;
 
@@ -106,12 +107,12 @@ fn full_scan(
     TrajectoryDb::build(corpus.to_vec()).top_k_with_stats(algo, measure, query, k, false, prune)
 }
 
-/// The batched entry's contract for one scan plan: at `threads` 1..=4 a
-/// batch's hits and [`PruneStats`] are exactly the sum of its
-/// single-query `top_k_with_stats` calls. Returns those calls' hits and
-/// summed counters.
+/// The threaded entry's contract for each query of one scan plan: at
+/// `threads` 1..=4 its hits and [`PruneStats`] equal the query's
+/// `top_k_with_stats` call. Returns those calls' hits and their summed
+/// counters.
 #[allow(clippy::too_many_arguments)] // the whole scan plan, spelled once
-fn check_batched_entry(
+fn check_threaded_entry(
     db: &TrajectoryDb,
     algo: &dyn SubtrajSearch,
     measure: &dyn Measure,
@@ -122,32 +123,25 @@ fn check_batched_entry(
     context: &str,
 ) -> (Vec<Vec<TopKResult>>, PruneStats) {
     let mut summed = PruneStats::default();
-    let singles: Vec<Vec<TopKResult>> = queries
-        .iter()
-        .map(|query| {
-            let (hits, stats) = db.top_k_with_stats(algo, measure, query, k, use_index, prune);
-            summed.merge(&stats);
-            hits
-        })
-        .collect();
-    for threads in 1..=4 {
-        let context = format!("{context} index={use_index} prune={prune} threads={threads}");
-        let (batched, stats) = db.top_k_batch(algo, measure, queries, k, use_index, prune, threads);
-        assert_eq!(
-            batched.len(),
-            queries.len(),
-            "one answer a query: {context}"
-        );
-        for (got, want) in batched.iter().zip(&singles) {
-            assert_bitwise_topk(got, want, &format!("batch vs single calls: {context}"));
+    let mut singles = Vec::with_capacity(queries.len());
+    for (q, query) in queries.iter().enumerate() {
+        let (want, want_stats) = db.top_k_with_stats(algo, measure, query, k, use_index, prune);
+        for threads in 1..=4 {
+            let context =
+                format!("{context} query={q} index={use_index} prune={prune} threads={threads}");
+            let (got, stats) =
+                db.top_k_with_threads(algo, measure, query, k, use_index, prune, threads);
+            assert_bitwise_topk(&got, &want, &format!("threads vs library call: {context}"));
+            assert_eq!(stats, want_stats, "counters vs library call: {context}");
         }
-        assert_eq!(stats, summed, "batch counters vs single calls: {context}");
+        summed.merge(&want_stats);
+        singles.push(want);
     }
     (singles, summed)
 }
 
-/// Pruned == unpruned across the single-query and batched scan entries
-/// for one combination.
+/// Pruned == unpruned across the library and threaded scan entries for
+/// one combination.
 fn check_prune_equivalence(
     corpus: &[Trajectory],
     algo: &dyn SubtrajSearch,
@@ -177,7 +171,7 @@ fn check_prune_equivalence(
         assert_matches_oracle(&pruned, oracle_hits, &format!("pruned {context_base}"));
     }
 
-    // Indexed database and the batched entry, both index modes.
+    // Indexed database and the threaded entry, both index modes.
     let db = TrajectoryDb::build(corpus.to_vec());
     for use_index in [false, true] {
         let (want_db, _) = db.top_k_with_stats(algo, measure, query, k, use_index, false);
@@ -187,15 +181,15 @@ fn check_prune_equivalence(
         assert!(db_stats.is_consistent(), "db stats: {context}");
         for prune in [false, true] {
             let (got, stats) =
-                check_batched_entry(&db, algo, measure, &[query], k, use_index, prune, &context);
+                check_threaded_entry(&db, algo, measure, &[query], k, use_index, prune, &context);
             let context = format!("{context} prune={prune}");
-            assert_bitwise_topk(&got[0], &want_db, &format!("batched {context}"));
+            assert_bitwise_topk(&got[0], &want_db, &format!("threaded {context}"));
             if let (Some(oracle_hits), false) = (&exact_oracle, use_index) {
-                assert_matches_oracle(&got[0], oracle_hits, &format!("batched {context}"));
+                assert_matches_oracle(&got[0], oracle_hits, &format!("threaded {context}"));
             }
-            assert!(stats.is_consistent(), "batched stats: {context}");
+            assert!(stats.is_consistent(), "threaded stats: {context}");
             if !use_index {
-                assert_stats(&stats, n, &format!("batched {context}"));
+                assert_stats(&stats, n, &format!("threaded {context}"));
             }
         }
     }
@@ -206,7 +200,7 @@ proptest! {
 
     /// The headline property: pruned scans are byte-identical to the
     /// unpruned reference across measures × algorithms × index modes ×
-    /// single-query and batched entries at 1..4 threads, with consistent
+    /// the library and threaded entries at 1..4 threads, with consistent
     /// counters.
     #[test]
     fn pruned_scan_is_byte_identical(
@@ -262,12 +256,12 @@ proptest! {
         }
     }
 
-    /// Multi-query batches, queries of different lengths in one call:
-    /// pruned and unpruned batches match the unpruned per-query reference
-    /// under both measures and both algorithms, and at `threads` 1..4
-    /// equal the sum of their single-query calls, hits and counters.
+    /// Queries of different lengths over one database: pruned and
+    /// unpruned answers match the unpruned full-scan reference under both
+    /// measures and both algorithms, and at `threads` 1..4 equal the
+    /// library call, hits and counters.
     #[test]
-    fn pruned_batch_matches_per_query(
+    fn pruned_queries_of_several_lengths_match_the_reference(
         seed in 0u64..10_000,
         count in 2usize..24,
         k in 1usize..5,
@@ -286,7 +280,7 @@ proptest! {
                 let db = TrajectoryDb::build(corpus.clone());
                 let context = format!("{} {}", measure.name(), algo.name());
                 for (use_index, prune) in [(false, true), (false, false), (true, true)] {
-                    let (batched, stats) = check_batched_entry(
+                    let (answers, stats) = check_threaded_entry(
                         &db, algo, measure, &refs, k, use_index, prune, &context,
                     );
                     prop_assert!(stats.is_consistent());
@@ -294,9 +288,9 @@ proptest! {
                         continue;
                     }
                     prop_assert_eq!(stats.scanned, (corpus.len() * queries.len()) as u64);
-                    for (got, want) in batched.iter().zip(&wants) {
+                    for (got, want) in answers.iter().zip(&wants) {
                         assert_bitwise_topk(got, want, &format!(
-                            "batch vs unpruned per-query: {context} prune={prune}"));
+                            "db vs unpruned full scan: {context} prune={prune}"));
                     }
                 }
             }
@@ -327,7 +321,7 @@ fn t2vec_is_never_pruned_and_stays_identical() {
         assert_eq!(stats.abandoned, 0, "no floor reaches a t2vec search");
         assert_eq!(stats.searched, corpus.len() as u64);
     }
-    // And the single-query and batched entries for both algorithms.
+    // And the library and threaded entries for both algorithms.
     check_prune_equivalence(&corpus, &ExactS, &model, &query, 3);
     check_prune_equivalence(&corpus, &Pss, &model, &query, 3);
 }
@@ -413,13 +407,13 @@ fn overlapping_corpus_prunes_on_points_and_abandons() {
     }
 }
 
-/// Batches over a clustered corpus large enough that the reference path
-/// splits at every thread count up to 4: ExactS and PSS under DTW and
-/// Frechet, several queries in different clusters, with and without the
-/// index. Hits and counters equal the single-query calls, and the pruned
-/// batch equals the unpruned one.
+/// A clustered corpus large enough that the reference path splits at
+/// every thread count up to 4: ExactS and PSS under DTW and Frechet,
+/// several queries in different clusters, with and without the index.
+/// Hits and counters equal the library calls, and the pruned answers
+/// equal the unpruned ones.
 #[test]
-fn clustered_batches_match_single_calls_at_every_thread_count() {
+fn clustered_queries_answer_identically_at_every_thread_count() {
     let corpus: Vec<Trajectory> = (0..40u64)
         .map(|i| {
             let origin = ((i % 5) as f64 * 40.0, (i / 5) as f64 * 40.0);
@@ -437,11 +431,11 @@ fn clustered_batches_match_single_calls_at_every_thread_count() {
             for use_index in [false, true] {
                 let context = format!("{} / {}", algo.name(), measure.name());
                 let (want, want_stats) =
-                    check_batched_entry(&db, algo, measure, &refs, 4, use_index, false, &context);
+                    check_threaded_entry(&db, algo, measure, &refs, 4, use_index, false, &context);
                 let (got, stats) =
-                    check_batched_entry(&db, algo, measure, &refs, 4, use_index, true, &context);
+                    check_threaded_entry(&db, algo, measure, &refs, 4, use_index, true, &context);
                 for (g, w) in got.iter().zip(&want) {
-                    assert_bitwise_topk(g, w, &format!("pruned batch: {context}"));
+                    assert_bitwise_topk(g, w, &format!("pruned: {context}"));
                 }
                 assert_eq!(stats.scanned, want_stats.scanned, "{context}");
                 if !use_index {
@@ -452,11 +446,11 @@ fn clustered_batches_match_single_calls_at_every_thread_count() {
     }
 }
 
-/// RLS never prunes, so every batch of it takes the split reference path:
-/// a batch at 1..4 threads equals its single-query calls, for a policy
-/// with and without skip actions.
+/// RLS never prunes, so every scan of it takes the split reference path:
+/// at 1..4 threads it answers like the library call, for a policy with
+/// and without skip actions.
 #[test]
-fn rls_batches_match_single_calls_at_every_thread_count() {
+fn rls_answers_identically_at_every_thread_count() {
     use simsub::core::{MdpConfig, Rls};
     use simsub::rl::{DqnAgent, DqnConfig};
     let corpus = random_corpus(23, 36);
@@ -469,7 +463,7 @@ fn rls_batches_match_single_calls_at_every_thread_count() {
         assert!(!scan_prunes(&rls, &Dtw, true));
         for use_index in [false, true] {
             let (_, stats) =
-                check_batched_entry(&db, &rls, &Dtw, &refs, 3, use_index, true, &rls.name());
+                check_threaded_entry(&db, &rls, &Dtw, &refs, 3, use_index, true, &rls.name());
             assert_eq!(stats.pruned(), 0, "RLS never prunes");
             assert_eq!(stats.scanned, stats.searched);
         }

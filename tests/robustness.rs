@@ -126,7 +126,6 @@ fn scan_panics_are_isolated_to_their_requests() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            max_batch: 1,
             cache_capacity: 0,
             // Deterministic: every 2nd scan dispatch panics.
             faults: Some("panic_in_scan=n:2".into()),
@@ -134,7 +133,7 @@ fn scan_panics_are_isolated_to_their_requests() {
         },
     );
     for (i, q) in queries_from(&db, 8).into_iter().enumerate() {
-        // Sequential + max_batch 1 + no cache: query i is scan i+1, so
+        // Sequential + one job per dispatch + no cache: query i is scan i+1, so
         // odd indices (scans 2, 4, ...) are exactly the injected ones.
         match engine.query(request(q, 2)) {
             Ok(_) if i % 2 == 0 => {}
@@ -176,7 +175,6 @@ fn chaos_answers_match_the_fault_free_baseline() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
-            max_batch: 4,
             faults: Some(
                 "panic_in_scan=p:0.3,slow_scan=p:0.4:2,drop_response=p:0.2,cache_lock_stall=p:0.2:1"
                     .into(),
@@ -223,7 +221,6 @@ fn every_connection_survives_wire_chaos() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
-            max_batch: 2,
             faults: Some("panic_in_scan=p:0.25,slow_scan=p:0.5:2,drop_response=p:0.2".into()),
             ..EngineConfig::default()
         },
@@ -278,7 +275,6 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            max_batch: 1,
             cache_capacity: 0,
             max_queue_depth: 4,
             // Every scan sleeps 15ms, so a burst of 32 instant
@@ -319,7 +315,6 @@ fn expired_deadlines_drop_queued_work() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            max_batch: 1,
             cache_capacity: 0,
             faults: Some("slow_scan=n:1:30".into()),
             ..EngineConfig::default()
@@ -374,7 +369,6 @@ fn supervisor_respawns_dead_workers() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
-            max_batch: 1,
             cache_capacity: 0,
             // Every 3rd pass through a worker's loop top kills the
             // thread (before it picks up a job, so nothing is lost).
@@ -453,7 +447,6 @@ fn wire_internal_errors_and_live_fault_control() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            max_batch: 1,
             cache_capacity: 0,
             faults: Some("panic_in_scan=n:1".into()),
             ..EngineConfig::default()
