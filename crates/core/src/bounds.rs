@@ -57,6 +57,34 @@
 //! [`PruneStats`] counts what each stage rejected so serving layers can
 //! report prune ratios.
 //!
+//! Visit order: an estimate that only orders
+//! ------------------------------------------
+//! Behind the R-tree every candidate's MBR meets the query's, so every
+//! coarse bound is 1.0 and descending coarse bound says nothing. The scan
+//! therefore orders the candidates tied at the top coarse bound by
+//! [`BoundCascade::order_estimate`]: the point bound's distance sampled
+//! at 4 spread query points against every 8th data point, folded like
+//! the bound. It is not a bound — a sample of data points can only
+//! overestimate a column minimum — so it never prunes; it only puts the
+//! candidates likely to hold the best hits first, which raises the k-th
+//! similarity early and lets the point bound stop sooner on the rest.
+//! The heap's final contents do not depend on the visit order (see
+//! [`crate::scan_top_k_into`]), so no answer can move; the counters do.
+//!
+//! Dispatch: one body, two instances
+//! ---------------------------------
+//! The point bound's column-minimum loop is one `#[inline(always)]`
+//! body compiled twice: once for the baseline target and once under
+//! `#[target_feature(enable = "avx2")]` (without `fma`), where its four
+//! query columns fill one 256-bit register. `is_x86_feature_detected!`
+//! picks the instance once per process. Both instances evaluate the same
+//! expressions — Rust never contracts `dx * dx + dy * dy` into a fused
+//! multiply-add, and `fma` is not enabled — and take the minimum, which
+//! is exact and, over values that are never NaN or `-0.0`, the same
+//! whatever order the points are compared in. So the even/odd
+//! accumulators the body keeps, and the instance that runs, cannot
+//! change a bit of the bound.
+//!
 //! Inside a survivor: the row-minimum argument
 //! ------------------------------------------
 //! The same running k-th similarity also bounds the work *inside* an
@@ -88,10 +116,11 @@
 //! subtrajectory's similarity below the k-th, which the heap rejects like
 //! the true best it stands in for.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::OnceLock;
 use simsub_measures::{similarity_from_distance, DistanceAggregate, Measure};
 use simsub_trajectory::{Mbr, Point};
+use std::cell::Cell;
+use std::marker::PhantomData;
 
 /// Counters describing one (or many merged) pruned corpus scans.
 /// Invariant: `scanned == pruned_by_kim + pruned_by_mbr +
@@ -167,39 +196,42 @@ impl PruneStats {
     }
 }
 
-/// Live count of [`scan_timing_scope`] guards. Scan kernels read this once
-/// per scan; per-candidate timers run only while it is non-zero.
-static SCAN_TIMING: AtomicU64 = AtomicU64::new(0);
-
-/// Enables per-candidate bound/kernel wall-clock accounting
-/// ([`PruneStats::bound_ns`] / [`PruneStats::kernel_ns`]) for the guard's
-/// lifetime. The flag is process-global and counted, so overlapping traced
-/// scans compose; scans started by *other* threads while a guard is live
-/// also record timings, which only makes their merged aggregates more
-/// complete. With no guard live, kernels skip every clock read — the
-/// disabled path costs one relaxed load per scan.
-pub fn scan_timing_scope() -> ScanTimingGuard {
-    // ordering: relaxed — the guard count only gates instrumentation.
-    SCAN_TIMING.fetch_add(1, Ordering::Relaxed);
-    ScanTimingGuard(())
+thread_local! {
+    /// Live count of this thread's [`scan_timing_scope`] guards. A scan
+    /// reads it once, on the thread that runs the scan; per-candidate
+    /// timers run only while it is non-zero.
+    static SCAN_TIMING: Cell<u64> = const { Cell::new(0) };
 }
 
-/// True while at least one [`scan_timing_scope`] guard is live.
+/// Enables per-candidate bound/kernel wall-clock accounting
+/// ([`PruneStats::bound_ns`] / [`PruneStats::kernel_ns`]) for the scans
+/// the calling thread starts during the guard's lifetime. The count is
+/// per thread, so nested guards compose and one traced request never
+/// switches on the clocks of scans other threads run beside it; a split
+/// scan's helper threads are handed the caller's switch. With no guard
+/// live, kernels skip every clock read — the disabled path costs one
+/// thread-local read per scan.
+pub fn scan_timing_scope() -> ScanTimingGuard {
+    SCAN_TIMING.with(|live| live.set(live.get() + 1));
+    ScanTimingGuard(PhantomData)
+}
+
+/// True while at least one [`scan_timing_scope`] guard is live on the
+/// calling thread.
 #[inline]
 pub fn scan_timing_enabled() -> bool {
-    // ordering: relaxed — a stale view widens or narrows timing, nothing else.
-    SCAN_TIMING.load(Ordering::Relaxed) != 0
+    SCAN_TIMING.with(|live| live.get() != 0)
 }
 
 /// RAII guard returned by [`scan_timing_scope`]; dropping it re-disables
-/// timing once every overlapping guard is gone.
+/// timing on its thread once every overlapping guard there is gone. It
+/// is neither `Send` nor `Sync`: it must drop on the thread it counts on.
 #[derive(Debug)]
-pub struct ScanTimingGuard(());
+pub struct ScanTimingGuard(PhantomData<*const ()>);
 
 impl Drop for ScanTimingGuard {
     fn drop(&mut self) {
-        // ordering: relaxed — matching decrement of scan_timing_scope.
-        SCAN_TIMING.fetch_sub(1, Ordering::Relaxed);
+        SCAN_TIMING.with(|live| live.set(live.get() - 1));
     }
 }
 
@@ -235,13 +267,28 @@ pub struct BoundCascade {
     qmbr: Mbr,
     aggregate: Option<DistanceAggregate>,
     scratch: Vec<f64>,
+    /// The query columns [`BoundCascade::order_estimate`] samples.
+    sample_x: [f64; POINT_BLOCK],
+    sample_y: [f64; POINT_BLOCK],
+    /// The instance of the point bound's block loop this process runs.
+    minima: BlockMinima,
 }
 
 /// Query columns [`BoundCascade::point_bound`] takes per pass over the
 /// data points, and between two checks of its bound. On a 2-vCPU x86-64
 /// box, an ExactS + DTW top-10 scan of 6,000 Porto-like trajectories with
-/// 16-point queries ran ≈ 15 % slower with 2 and no faster with 8.
+/// 16-point queries ran ≈ 15 % slower with 2 and no faster with 8. Also
+/// the number of query columns [`BoundCascade::order_estimate`] samples.
 const POINT_BLOCK: usize = 4;
+
+/// [`BoundCascade::order_estimate`] reads every this-many-th data point.
+const ORDER_STRIDE: usize = 8;
+
+/// One instance of the point bound's block loop: the squared-distance
+/// column minima of one block of query columns (`bx`, `by`) over the data
+/// points (`xs`, `ys`).
+type BlockMinima =
+    fn(&[f64], &[f64], &[f64; POINT_BLOCK], &[f64; POINT_BLOCK]) -> [f64; POINT_BLOCK];
 
 impl BoundCascade {
     /// Builds the cascade for `query` under `measure`.
@@ -249,12 +296,21 @@ impl BoundCascade {
         let (mut qx, mut qy) = (Vec::new(), Vec::new());
         simsub_measures::load_query_soa(query, &mut qx, &mut qy);
         let scratch = vec![0.0; query.len()];
+        // Query columns ⌊l·(m−1)/3⌋ for l = 0..4: the first, the last and
+        // two spread between (repeats when m < 4).
+        let spread = |l: usize| l * query.len().saturating_sub(1) / (POINT_BLOCK - 1);
+        let sample = |column: &[f64]| -> [f64; POINT_BLOCK] {
+            std::array::from_fn(|l| column.get(spread(l)).copied().unwrap_or(0.0))
+        };
         Self {
+            sample_x: sample(&qx),
+            sample_y: sample(&qy),
             qx,
             qy,
             qmbr: Mbr::of_points(query),
             aggregate: measure.distance_aggregate(),
             scratch,
+            minima: block_minima(),
         }
     }
 
@@ -321,16 +377,7 @@ impl BoundCascade {
             let width = bx.len();
             let bx: [f64; POINT_BLOCK] = std::array::from_fn(|l| bx[l.min(width - 1)]);
             let by: [f64; POINT_BLOCK] = std::array::from_fn(|l| by[l.min(width - 1)]);
-            let mut lo = [f64::INFINITY; POINT_BLOCK];
-            for (&px, &py) in xs.iter().zip(ys) {
-                // Squared distances are never NaN; the bare compare
-                // vectorizes where `f64::min` does not.
-                for l in 0..POINT_BLOCK {
-                    let (dx, dy) = (px - bx[l], py - by[l]);
-                    let sq = dx * dx + dy * dy;
-                    lo[l] = if sq < lo[l] { sq } else { lo[l] };
-                }
-            }
+            let lo = (self.minima)(xs, ys, &bx, &by);
             for &sq in &lo[..width] {
                 let d = sq.sqrt();
                 dist_lb = match aggregate {
@@ -348,6 +395,29 @@ impl BoundCascade {
         similarity_from_distance(dist_lb * DIST_LB_SLACK)
     }
 
+    /// The visit-order estimate of a trajectory with coordinate slabs
+    /// `xs`, `ys`: per sampled query column (4, spread over the query) the
+    /// distance to the nearest of every [`ORDER_STRIDE`]-th data point,
+    /// folded like [`BoundCascade::point_bound`] — summed under Sum, maxed
+    /// under Max. Smaller means more promising. It samples the data
+    /// points, so it can exceed the point bound's distance: it orders
+    /// candidates and must never prune one. 0 when inactive.
+    pub fn order_estimate(&self, xs: &[f64], ys: &[f64]) -> f64 {
+        let Some(aggregate) = self.aggregate else {
+            return 0.0;
+        };
+        let mut lo = [f64::INFINITY; POINT_BLOCK];
+        let sampled = xs.iter().zip(ys).step_by(ORDER_STRIDE);
+        for (&px, &py) in sampled {
+            fold_point(&mut lo, px, py, &self.sample_x, &self.sample_y);
+        }
+        let nearest = lo.iter().map(|sq| sq.sqrt());
+        match aggregate {
+            DistanceAggregate::Sum => nearest.sum(),
+            DistanceAggregate::Max => nearest.fold(0.0, f64::max),
+        }
+    }
+
     /// Folds the per-query-point lower bounds in `scratch` into one
     /// similarity upper bound. `sum()` folds left-to-right from 0.0 and
     /// the max fold starts at 0.0 — the scalar formulation's fold order.
@@ -358,6 +428,94 @@ impl BoundCascade {
         };
         similarity_from_distance(dist_lb * DIST_LB_SLACK)
     }
+}
+
+/// Lowers each lane of `lo` to the squared distance from data point
+/// `(px, py)` to query column `(bx[l], by[l])` where that is smaller.
+/// Squared distances are never NaN; the bare compare vectorizes where
+/// `f64::min` does not.
+#[inline(always)]
+fn fold_point(
+    lo: &mut [f64; POINT_BLOCK],
+    px: f64,
+    py: f64,
+    bx: &[f64; POINT_BLOCK],
+    by: &[f64; POINT_BLOCK],
+) {
+    for l in 0..POINT_BLOCK {
+        let (dx, dy) = (px - bx[l], py - by[l]);
+        let sq = dx * dx + dy * dy;
+        lo[l] = if sq < lo[l] { sq } else { lo[l] };
+    }
+}
+
+/// The body of every [`BlockMinima`] instance. Even and odd data points
+/// lower two accumulator sets, so two compare-select chains run side by
+/// side, merged at the end by the same compare-select. A minimum is
+/// exact and these values are never NaN or `-0.0`, so the split returns
+/// the bits of one sequential pass.
+#[inline(always)]
+fn block_minima_body(
+    xs: &[f64],
+    ys: &[f64],
+    bx: &[f64; POINT_BLOCK],
+    by: &[f64; POINT_BLOCK],
+) -> [f64; POINT_BLOCK] {
+    let mut even = [f64::INFINITY; POINT_BLOCK];
+    let mut odd = [f64::INFINITY; POINT_BLOCK];
+    let (x_pairs, x_tail) = xs.as_chunks::<2>();
+    let (y_pairs, y_tail) = ys.as_chunks::<2>();
+    for (px, py) in x_pairs.iter().zip(y_pairs) {
+        fold_point(&mut even, px[0], py[0], bx, by);
+        fold_point(&mut odd, px[1], py[1], bx, by);
+    }
+    if let (Some(&px), Some(&py)) = (x_tail.first(), y_tail.first()) {
+        fold_point(&mut even, px, py, bx, by);
+    }
+    std::array::from_fn(|l| if odd[l] < even[l] { odd[l] } else { even[l] })
+}
+
+/// The baseline instance, compiled for the build's target features.
+fn block_minima_baseline(
+    xs: &[f64],
+    ys: &[f64],
+    bx: &[f64; POINT_BLOCK],
+    by: &[f64; POINT_BLOCK],
+) -> [f64; POINT_BLOCK] {
+    block_minima_body(xs, ys, bx, by)
+}
+
+/// The AVX2 instance: the same body, one query block a 256-bit register.
+/// `fma` stays off, so no multiply and add fuse.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_minima_avx2(
+    xs: &[f64],
+    ys: &[f64],
+    bx: &[f64; POINT_BLOCK],
+    by: &[f64; POINT_BLOCK],
+) -> [f64; POINT_BLOCK] {
+    block_minima_body(xs, ys, bx, by)
+}
+
+/// The AVX2 instance, when this CPU has AVX2.
+fn avx2_block_minima() -> Option<BlockMinima> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return Some(|xs, ys, bx, by| {
+            // Safety: this instance is only handed out after the CPU
+            // reported AVX2, the one feature `block_minima_avx2` enables.
+            unsafe { block_minima_avx2(xs, ys, bx, by) }
+        });
+    }
+    None
+}
+
+/// The block-loop instance every [`BoundCascade`] runs: AVX2 where the
+/// CPU has it, the baseline otherwise; picked once per process.
+fn block_minima() -> BlockMinima {
+    static PICKED: OnceLock<BlockMinima> = OnceLock::new();
+    *PICKED.get_or_init(|| avx2_block_minima().unwrap_or(block_minima_baseline))
 }
 
 /// Fills `out[j]` with the shortest distance from query point `j` to the
@@ -469,17 +627,49 @@ mod tests {
         similarity_from_distance(dist_lb * DIST_LB_SLACK)
     }
 
+    /// Every instance of the block loop this CPU can run, named: the
+    /// baseline always, the AVX2 one when the CPU has AVX2 (the skip is
+    /// reported once a process).
+    fn instances() -> Vec<(&'static str, BlockMinima)> {
+        let mut all: Vec<(&'static str, BlockMinima)> = vec![("baseline", block_minima_baseline)];
+        match avx2_block_minima() {
+            Some(avx2) => all.push(("avx2", avx2)),
+            None => {
+                static REPORTED: OnceLock<()> = OnceLock::new();
+                REPORTED.get_or_init(|| eprintln!("AVX2 instance skipped: this CPU lacks AVX2"));
+            }
+        }
+        all
+    }
+
+    /// The cascade for `query` under `measure`, running `minima`.
+    fn cascade_with(measure: &dyn Measure, query: &[Point], minima: BlockMinima) -> BoundCascade {
+        BoundCascade {
+            minima,
+            ..BoundCascade::new(measure, query)
+        }
+    }
+
+    #[test]
+    fn the_dispatch_picks_avx2_exactly_when_the_cpu_has_it() {
+        let baseline = std::ptr::fn_addr_eq(block_minima(), block_minima_baseline as BlockMinima);
+        assert_eq!(baseline, avx2_block_minima().is_none());
+    }
+
     #[test]
     fn point_bound_is_the_column_minimum_fold() {
-        // One `sqrt` per column must give the same bits as `n` of them.
+        // One `sqrt` per column must give the same bits as `n` of them,
+        // in every instance, over odd and even point counts.
         for seed in 0..25u64 {
             let q = walk(seed, 7);
-            let t = walk(seed + 40, 9);
+            let t = walk(seed + 40, 9 + seed as usize % 2);
             let (xs, ys) = slabs(&t);
             for measure in [&Dtw as &dyn Measure, &Frechet] {
-                let got = BoundCascade::new(measure, &q).point_bound(&xs, &ys, |_| true);
                 let want = column_minimum_bound(measure, &t, &q);
-                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}");
+                for (name, minima) in instances() {
+                    let got = cascade_with(measure, &q, minima).point_bound(&xs, &ys, |_| true);
+                    assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} {name}");
+                }
             }
         }
     }
@@ -492,17 +682,28 @@ mod tests {
     /// every prefix bound, one ulp above each, the full bound and `probe`,
     /// the result fails the test exactly when the full bound does; it
     /// stops only then, and a bound that does not stop is the full bits.
+    ///
+    /// Every instance of the block loop is held to this, so the baseline
+    /// and the AVX2 instance return identical bits.
     fn check_point_bound_stop(data: &[Point], query: &[Point], probe: f64) {
         let (xs, ys) = slabs(data);
-        for measure in [&Dtw as &dyn Measure, &Frechet] {
-            let cascade = BoundCascade::new(measure, query);
+        for (measure, (name, minima)) in [&Dtw as &dyn Measure, &Frechet]
+            .into_iter()
+            .flat_map(|m| instances().into_iter().map(move |i| (m, i)))
+        {
+            let cascade = cascade_with(measure, query, minima);
             let want = column_minimum_bound(measure, data, query);
             let mut prefixes = Vec::new();
             let full = cascade.point_bound(&xs, &ys, |b| {
                 prefixes.push(b);
                 true
             });
-            let context = format!("{} n {} m {}", measure.name(), data.len(), query.len());
+            let context = format!(
+                "{} {name} n {} m {}",
+                measure.name(),
+                data.len(),
+                query.len()
+            );
             assert_eq!(full.to_bits(), want.to_bits(), "{context}");
             assert_eq!(prefixes.len(), query.len().div_ceil(4) - 1, "{context}");
             assert!(prefixes.windows(2).all(|w| w[0] >= w[1]), "{context}");
@@ -630,8 +831,37 @@ mod tests {
     }
 
     #[test]
+    fn order_estimate_samples_spread_columns_and_every_eighth_point() {
+        // A 7-point query samples columns 0, 2, 4 and 6; 17 data points
+        // sample points 0, 8 and 16. Only sampled points count.
+        let q: Vec<Point> = (0..7).map(|k| Point::xy(k as f64, 0.0)).collect();
+        let mut xs = vec![100.0; 17];
+        let ys = vec![0.0; 17];
+        (xs[0], xs[8], xs[16]) = (0.0, 4.0, 6.0);
+        // Point 1 would be nearest to column 2, but it is not sampled:
+        // the nearest sampled point per sampled column is 0, 2, 0 and 0
+        // away.
+        xs[1] = 2.0;
+        assert_eq!(BoundCascade::new(&Dtw, &q).order_estimate(&xs, &ys), 2.0);
+        assert_eq!(
+            BoundCascade::new(&Frechet, &q).order_estimate(&xs, &ys),
+            2.0
+        );
+        xs[16] = 9.0;
+        assert_eq!(BoundCascade::new(&Dtw, &q).order_estimate(&xs, &ys), 4.0);
+        assert_eq!(
+            BoundCascade::new(&Frechet, &q).order_estimate(&xs, &ys),
+            2.0
+        );
+        // A one-point query samples its only column four times.
+        let one = BoundCascade::new(&Dtw, &q[3..4]);
+        assert_eq!(one.order_estimate(&[3.0], &[1.5]), 6.0);
+        let lcss = simsub_measures::Lcss::new(0.5);
+        assert_eq!(BoundCascade::new(&lcss, &q).order_estimate(&xs, &ys), 0.0);
+    }
+
+    #[test]
     fn scan_timing_guards_nest_and_release() {
-        // No other core test takes a guard, so the flag is ours here.
         assert!(!scan_timing_enabled());
         let g1 = scan_timing_scope();
         let g2 = scan_timing_scope();

@@ -5,8 +5,17 @@
 //! - **Bounded memory.** Hits live in a [`TopKHeap`] capped at `k`
 //!   entries (the scan used to collect one hit per database trajectory
 //!   before truncating); the heap's k-th element is the prune threshold.
-//! - **Prune-first.** Candidates are ordered best-bound-first and each
-//!   must pass the [`BoundCascade`] (O(1) Kim-style screen, the O(m) MBR
+//! - **Nearest-first.** Candidates are visited in descending coarse
+//!   (Kim-style) bound, and those tied at the top coarse bound — behind
+//!   the R-tree, every candidate — in ascending
+//!   [`BoundCascade::order_estimate`], a sampled estimate of the point
+//!   bound's distance; remaining ties by ascending id. The candidates
+//!   likely to hold the best hits come first, so the k-th similarity
+//!   rises early and the cascade rejects more of the rest, sooner. The
+//!   estimate only orders; the heap's final contents do not depend on
+//!   the order, so no answer moves.
+//! - **Prune-first.** Each candidate must pass the [`BoundCascade`]
+//!   (O(1) Kim-style screen, the O(m) MBR
 //!   envelope, then the O(n·m) point-level bound over coordinates, with
 //!   one `sqrt` per query point, which stops as soon as a prefix of the
 //!   query already rejects the candidate) before the full `Φini`/`Φinc`
@@ -461,6 +470,50 @@ fn scan_reference(
     });
 }
 
+/// One candidate of a pruning scan, keyed for [`visit_order`].
+struct Visit {
+    /// The candidate's coarse bound.
+    coarse: f64,
+    /// Its [`BoundCascade::order_estimate`] when `coarse` is the top
+    /// coarse bound of the scan call, 0 otherwise.
+    estimate: f64,
+    id: u64,
+    slot: usize,
+}
+
+/// The order a pruning scan visits `candidates` in: descending coarse
+/// bound; among the candidates tied at the top coarse bound, ascending
+/// [`BoundCascade::order_estimate`]; then ascending id. Only the top tie
+/// pays for the estimate — behind the R-tree that is every candidate,
+/// without it the few whose MBR meets the query's, while the rest stay
+/// in coarse order for the O(1) screen to reject without reading their
+/// points. Raising the k-th early is the point; no order changes the
+/// answer.
+fn visit_order(cascade: &BoundCascade, arena: &CorpusArena, candidates: &[usize]) -> Vec<Visit> {
+    let mut order: Vec<Visit> = candidates
+        .iter()
+        .map(|&slot| Visit {
+            coarse: cascade.coarse_bound(arena.mbr(slot)),
+            estimate: 0.0,
+            id: arena.id(slot),
+            slot,
+        })
+        .collect();
+    if let Some(top) = order.iter().map(|v| v.coarse).max_by(f64::total_cmp) {
+        for visit in order.iter_mut().filter(|v| v.coarse == top) {
+            let view = arena.view(visit.slot);
+            visit.estimate = cascade.order_estimate(view.xs(), view.ys());
+        }
+    }
+    order.sort_unstable_by(|a, b| {
+        b.coarse
+            .total_cmp(&a.coarse)
+            .then(a.estimate.total_cmp(&b.estimate))
+            .then(a.id.cmp(&b.id))
+    });
+    order
+}
+
 /// The prune-first scan kernel every top-k path composes: runs `algo`
 /// over the arena slots in `candidates`, accumulating into a
 /// caller-owned heap/workspace, so consecutive calls share both the k-th
@@ -470,9 +523,9 @@ fn scan_reference(
 /// one query's bounds against another query's scores, so it is
 /// debug-asserted).
 ///
-/// When [`scan_prunes`] holds, candidates are visited
-/// best-coarse-bound-first on the calling thread, must survive the
-/// [`BoundCascade`] before being searched, and are searched under the
+/// When [`scan_prunes`] holds, candidates are visited nearest-first (see
+/// the module docs) on the calling thread, must survive the [`BoundCascade`] before being
+/// searched, and are searched under the
 /// running k-th similarity. Otherwise every candidate is searched in
 /// full with no floor — the reference the pruned path is held to. No
 /// search there reads the heap, so that branch spreads the candidates
@@ -487,8 +540,9 @@ fn scan_reference(
 /// `prune`/`threads`/visit order — bounds are admissible, a
 /// floored search differs from the full one only below the floor or in a
 /// range it leaves pending, every pending range still in the heap is
-/// resolved before the call returns, and the hit order is total — and so
-/// are the counters other than the timings.
+/// resolved before the call returns, and the hit order is total. The
+/// counters other than the timings are identical for every `threads`;
+/// a different visit order would move them, never a hit.
 #[allow(clippy::too_many_arguments)] // scan state is deliberately caller-owned
 pub fn scan_top_k_into(
     algo: &dyn SubtrajSearch,
@@ -520,22 +574,16 @@ pub fn scan_top_k_into(
         return;
     }
     let mut cascade = BoundCascade::new(ws.measure(), query);
-    // Best-first: descending coarse bound (ties by ascending id) raises
-    // the k-th similarity as early as possible, so later candidates die
-    // at the O(1) screen instead of the O(m) envelope or the search.
     let order = timed(timing, &mut stats.bound_ns, || {
-        let mut order: Vec<(f64, usize)> = candidates
-            .iter()
-            .map(|&slot| (cascade.coarse_bound(arena.mbr(slot)), slot))
-            .collect();
-        order.sort_unstable_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then_with(|| arena.id(a.1).cmp(&arena.id(b.1)))
-        });
-        order
+        visit_order(&cascade, arena, candidates)
     });
-    for (coarse, slot) in order {
-        let id = arena.id(slot);
+    // One matrix allocation at most, whatever order the searches run in.
+    let longest = candidates.iter().map(|&slot| arena.view(slot).len());
+    ws.reserve_cell_rows(longest.max().unwrap_or(0));
+    for Visit {
+        coarse, id, slot, ..
+    } in order
+    {
         stats.scanned += 1;
         if !heap.would_admit(coarse, id) {
             stats.pruned_by_kim += 1;
@@ -952,6 +1000,52 @@ mod tests {
                 assert!(kept.iter().all(|s| resolved.contains(s)));
             }
         }
+    }
+
+    #[test]
+    fn a_near_copy_of_the_query_is_searched_first_behind_the_index() {
+        // Walks from one origin, so most MBRs meet the query's and those
+        // that do tie at the top coarse bound, as behind the R-tree. The
+        // query is a small walk at that origin; a near-copy of it planted
+        // under the largest id must be the first candidate searched,
+        // though id order would search it last.
+        let q: Vec<Point> = walk(2_024, 16)
+            .iter()
+            .map(|p| Point::xy(p.x * 0.1, p.y * 0.1))
+            .collect();
+        let mut database = db(30, 40);
+        let planted: Vec<Point> = q.iter().map(|p| Point::xy(p.x + 1e-3, p.y)).collect();
+        database.push(Trajectory::new_unchecked(1_000, planted));
+        let arena = CorpusArena::from_trajectories(&database);
+        let qmbr = simsub_trajectory::Mbr::of_points(&q);
+        let behind_index: Vec<usize> = (0..arena.len())
+            .filter(|&slot| arena.mbr(slot).intersects(&qmbr))
+            .collect();
+        assert!(behind_index.len() > 10, "{} candidates", behind_index.len());
+        let cascade = BoundCascade::new(&Dtw, &q);
+        assert!(behind_index
+            .iter()
+            .all(|&slot| cascade.coarse_bound(arena.mbr(slot)) == 1.0));
+        let probe = ThreadProbe(Mutex::new(Vec::new()));
+        let (hits, _) = threaded_scan(&probe, &Dtw, &arena, &[&behind_index], &q, 3, true, 1);
+        assert_eq!(hits[0].trajectory_id, 1_000);
+        let searched = probe.0.into_inner().unwrap();
+        assert_eq!(searched[0].0, 1_000, "{searched:?}");
+    }
+
+    #[test]
+    fn a_timing_guard_times_only_the_scans_of_its_own_thread() {
+        let db = db(40, 12);
+        let q = walk(606, 6);
+        let _guard = crate::bounds::scan_timing_scope();
+        let (_, own) = scan(&ExactS, &db, &q, 3, true);
+        assert!(own.bound_ns > 0 && own.kernel_ns > 0, "{own:?}");
+        let (want, _) = scan(&ExactS, &db, &q, 3, true);
+        let (hits, other) =
+            std::thread::scope(|s| s.spawn(|| scan(&ExactS, &db, &q, 3, true)).join().unwrap());
+        assert_eq!(hits, want);
+        assert_eq!((other.bound_ns, other.kernel_ns), (0, 0), "{other:?}");
+        assert!(other.searched > 0);
     }
 
     #[test]

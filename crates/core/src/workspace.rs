@@ -321,6 +321,19 @@ impl<'m> SearchWorkspace<'m> {
         }
     }
 
+    /// Grows the matrix buffer to hold a candidate of `len` points, so no
+    /// later [`SearchWorkspace::prepare_cell_rows`] of a candidate that
+    /// short reallocates. A pruning scan calls it once with its longest
+    /// candidate, so what it allocates does not depend on the order it
+    /// searches in.
+    pub fn reserve_cell_rows(&mut self, len: usize) {
+        if self.factors_cell_rows {
+            let cells = len * self.query.len();
+            self.cell_rows
+                .reserve(cells.saturating_sub(self.cell_rows.len()));
+        }
+    }
+
     /// Whether [`SearchWorkspace::prepare_cell_rows`] can succeed under
     /// this workspace's measure (DTW and Frechet factor their cells; the
     /// rest do not). Probed once, on an empty run, when the workspace is

@@ -32,7 +32,10 @@ const _: fn() = || {
 #[derive(Debug, Clone)]
 pub struct TrajectoryDb {
     arena: CorpusArena,
+    /// Arena slot of each trajectory id, for [`TrajectoryDb::get`].
     by_id: HashMap<u64, usize>,
+    /// The arena's MBRs, each stored with its arena slot, so a candidate
+    /// set needs no id lookup.
     rtree: RTree,
 }
 
@@ -61,7 +64,7 @@ impl TrajectoryDb {
                 by_id.insert(id, slot).is_none(),
                 "duplicate trajectory id {id}"
             );
-            rtree.insert(*arena.mbr(slot), id);
+            rtree.insert(*arena.mbr(slot), slot as u64);
         }
         Self {
             arena,
@@ -119,7 +122,7 @@ impl TrajectoryDb {
         self.rtree
             .query_intersecting(query_mbr)
             .into_iter()
-            .map(|id| self.arena.view(self.by_id[&id]))
+            .map(|slot| self.arena.view(slot as usize))
             .collect()
     }
 
@@ -134,7 +137,11 @@ impl TrajectoryDb {
     /// Ids of trajectories whose MBR intersects `query_mbr` (the pruning
     /// set of [`TrajectoryDb::candidates`], without materializing views).
     pub fn candidate_ids(&self, query_mbr: &Mbr) -> Vec<u64> {
-        self.rtree.query_intersecting(query_mbr)
+        self.rtree
+            .query_intersecting(query_mbr)
+            .into_iter()
+            .map(|slot| self.arena.id(slot as usize))
+            .collect()
     }
 
     /// Top-k most similar subtrajectory search across the database.
@@ -233,7 +240,7 @@ impl TrajectoryDb {
             self.rtree
                 .query_intersecting(&Mbr::of_points(query))
                 .into_iter()
-                .map(|id| self.by_id[&id])
+                .map(|slot| slot as usize)
                 .collect()
         } else {
             (0..self.arena.len()).collect()

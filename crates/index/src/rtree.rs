@@ -38,7 +38,8 @@ impl Node {
     }
 }
 
-/// An R-tree over 2-D rectangles with `u64` payloads (trajectory ids).
+/// An R-tree over 2-D rectangles with `u64` payloads ([`crate::TrajectoryDb`]
+/// stores arena slots).
 #[derive(Debug, Clone)]
 pub struct RTree {
     root: Node,
@@ -85,7 +86,7 @@ impl RTree {
         self.len += 1;
     }
 
-    /// Ids of all entries whose MBR intersects `query`
+    /// Payloads of all entries whose MBR intersects `query`
     /// (boundary contact counts).
     pub fn query_intersecting(&self, query: &Mbr) -> Vec<u64> {
         let mut out = Vec::new();

@@ -23,8 +23,9 @@
 //! per-job `Instant` reads the engine takes anyway, so they cost
 //! nothing extra per request; the in-scan split into bound evaluation vs
 //! DP kernel time needs per-candidate clocks and is only accumulated
-//! while a traced query's scan runs (see
-//! [`simsub_core::scan_timing_scope`]). `serialize_us` is stamped by the
+//! in a traced query's own scan: the worker takes the per-thread switch
+//! ([`simsub_core::scan_timing_scope`]) around it, so scans on other
+//! workers stay untimed. `serialize_us` is stamped by the
 //! server once the response body is written. Scan-stage numbers describe
 //! the query's own scan; cache hits report zero scan work and
 //! `cached: true`.

@@ -15,6 +15,9 @@
 //!   `Ordering::Relaxed` use carries a `// ordering:` justification within
 //!   two lines, so atomics-ordering decisions are documented at the site
 //!   the model checker's relaxed-reliance report points at.
+//! - [`rules::UNSAFE_COMMENT`]: every `unsafe` token (block, fn, impl)
+//!   carries a `// Safety:` or `// SAFETY:` justification within two
+//!   lines, so each unsafe site states why it is sound.
 //!
 //! False positives are suppressed via `xtask/lint-allow.txt`; every entry
 //! names the rule, a path suffix, and (optionally) a substring of the

@@ -13,6 +13,8 @@ pub const LOCK_UNWRAP: &str = "lock-unwrap";
 pub const KERNEL_CLOCK: &str = "kernel-clock";
 /// Rule id: atomics orderings need a `// ordering:` justification.
 pub const ORDERING_COMMENT: &str = "ordering-comment";
+/// Rule id: every `unsafe` needs a `// Safety:` justification.
+pub const UNSAFE_COMMENT: &str = "unsafe-comment";
 
 /// Directories scanned by `lint_root`, relative to the repo root. Scoping
 /// the walk (rather than walking the whole tree) keeps fixture files and
@@ -59,6 +61,11 @@ pub const ALL: &[Rule] = &[
         id: ORDERING_COMMENT,
         applies: applies_ordering,
         check: check_ordering,
+    },
+    Rule {
+        id: UNSAFE_COMMENT,
+        applies: applies_unsafe,
+        check: check_unsafe,
     },
 ];
 
@@ -139,8 +146,18 @@ fn applies_ordering(path: &Path) -> bool {
     in_dirs(path, &["crates/service/src", "crates/core/src"])
 }
 
-/// How far above the use an `// ordering:` comment may sit (in lines).
-const ORDERING_COMMENT_REACH: usize = 2;
+/// How far above the use an `// ordering:` or `// Safety:` comment may
+/// sit (in lines).
+const JUSTIFICATION_REACH: usize = 2;
+
+/// Whether a line comment within [`JUSTIFICATION_REACH`] lines above
+/// line `idx` (or on it) contains one of `markers`.
+fn justified(views: &[crate::scan::LineView<'_>], idx: usize, markers: &[&str]) -> bool {
+    let lo = idx.saturating_sub(JUSTIFICATION_REACH);
+    views[lo..=idx]
+        .iter()
+        .any(|v| markers.iter().any(|m| v.comment.contains(m)))
+}
 
 fn check_ordering(path: &Path, content: &str, out: &mut Vec<Violation>) {
     let (_, views) = scan(content);
@@ -148,13 +165,38 @@ fn check_ordering(path: &Path, content: &str, out: &mut Vec<Violation>) {
         if !(view.code.contains("Ordering::SeqCst") || view.code.contains("Ordering::Relaxed")) {
             continue;
         }
-        let lo = idx.saturating_sub(ORDERING_COMMENT_REACH);
-        let justified = views[lo..=idx]
-            .iter()
-            .any(|v| v.comment.contains("ordering:"));
-        if !justified {
+        if !justified(&views, idx, &["ordering:"]) {
             push(out, ORDERING_COMMENT, path, idx + 1, &views,
                 "SeqCst/Relaxed use without a `// ordering:` justification within 2 lines; say why this ordering is (in)sufficient");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// unsafe-comment
+// ---------------------------------------------------------------------------
+
+fn applies_unsafe(path: &Path) -> bool {
+    in_dirs(path, SCOPED_DIRS)
+}
+
+/// Whether `code` holds the keyword `unsafe` as a whole token (not
+/// `unsafe_code` or `is_unsafe`).
+fn has_unsafe_token(code: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices("unsafe").any(|(at, word)| {
+        let before = code[..at].chars().next_back();
+        let after = code[at + word.len()..].chars().next();
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
+
+fn check_unsafe(path: &Path, content: &str, out: &mut Vec<Violation>) {
+    let (_, views) = scan(content);
+    for (idx, view) in views.iter().enumerate() {
+        if has_unsafe_token(&view.code) && !justified(&views, idx, &["Safety:", "SAFETY:"]) {
+            push(out, UNSAFE_COMMENT, path, idx + 1, &views,
+                "`unsafe` without a `// Safety:` (or `// SAFETY:`) justification within 2 lines; say what makes the unsafe operation sound");
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::rules::{KERNEL_CLOCK, LOCK_UNWRAP, ORDERING_COMMENT, STD_SYNC_IMPORT};
+use xtask::rules::{KERNEL_CLOCK, LOCK_UNWRAP, ORDERING_COMMENT, STD_SYNC_IMPORT, UNSAFE_COMMENT};
 use xtask::{is_allowed, lint_root, parse_allowlist, AllowEntry, Violation};
 
 fn fixtures_root() -> PathBuf {
@@ -42,6 +42,9 @@ fn expected() -> Vec<(String, String, usize)> {
         (KERNEL_CLOCK, "crates/core/src/kernel.rs", 3),
         (KERNEL_CLOCK, "crates/measures/src/clocked.rs", 3),
         (KERNEL_CLOCK, "crates/measures/src/clocked.rs", 4),
+        (UNSAFE_COMMENT, "crates/core/src/unsafety.rs", 5),
+        (UNSAFE_COMMENT, "crates/core/src/unsafety.rs", 12),
+        (UNSAFE_COMMENT, "crates/core/src/unsafety.rs", 15),
     ]
     .into_iter()
     .map(|(r, p, l)| (r.to_string(), p.to_string(), l))
