@@ -291,16 +291,7 @@ impl EpochSnapshot {
     /// unreachable the moment a swap lands, while within one generation
     /// the key is exactly as stable as the canonical query hash.
     pub fn cache_key(&self, request: &QueryRequest) -> u64 {
-        self.cache_key_under(request, None)
-    }
-
-    /// [`EpochSnapshot::cache_key`] with the opt-in quantized
-    /// canonical-hash layer: `mix(canonical_under(q), epoch)`. Only the
-    /// canonical layer quantizes — the epoch mix is byte-for-byte the
-    /// exact mode's, so quantized entries can never be replayed across a
-    /// snapshot swap.
-    pub fn cache_key_under(&self, request: &QueryRequest, quantize: Option<f64>) -> u64 {
-        crate::query::mix_key(request.canonical_key_under(quantize), self.epoch)
+        crate::query::mix_key(request.canonical_key(), self.epoch)
     }
 }
 
@@ -381,17 +372,6 @@ pub struct EngineConfig {
     /// through [`QueryEngine::configure`] / the admin `configure`
     /// command.
     pub default_k: usize,
-    /// Opt-in quantized result-cache keys: with `Some(q)` (a quantum in
-    /// corpus coordinate units, finite and > 0), query coordinates hash
-    /// and compare by their `q`-sized quantization cell instead of exact
-    /// bits, so distinct-but-near queries share cache entries. **This is
-    /// an approximation**: a hit may return the answer computed for a
-    /// query whose points each differ by up to ~`q/2` per axis — see the
-    /// accuracy contract in the `server` module docs. Only the canonical
-    /// hash layer quantizes; the epoch key mix is untouched, so reloads
-    /// still invalidate as in exact mode. `None`
-    /// (default) keeps byte-exact caching.
-    pub cache_key_quantize: Option<f64>,
     /// Slow-query threshold in microseconds: a request whose engine
     /// latency reaches it is counted, ring-logged with its full stage
     /// trace ([`QueryEngine::slow_queries`]), and written as one JSON
@@ -427,7 +407,6 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             prune: simsub_core::pruning_enabled(),
             default_k: 1,
-            cache_key_quantize: None,
             slow_query_us: 0,
             audit_sample: 0.0,
             max_queue_depth: 0,
@@ -450,11 +429,6 @@ pub struct ConfigUpdate {
     pub cache_capacity: Option<usize>,
     /// Default `k` for wire requests that omit it (≥ 1).
     pub default_k: Option<usize>,
-    /// Quantized cache-key quantum: `Some(q)` with `q > 0` enables,
-    /// `Some(0.0)` disables (back to exact keys), `None` leaves
-    /// unchanged. Changing the quantum reshapes every key, so existing
-    /// entries simply stop being reachable (they age out via LRU).
-    pub cache_key_quantize: Option<f64>,
     /// Slow-query threshold, microseconds (0 disables the slow-query
     /// log).
     pub slow_query_us: Option<u64>,
@@ -483,8 +457,6 @@ pub struct ConfigView {
     pub prune: bool,
     /// Default `k` for wire requests that omit it.
     pub default_k: usize,
-    /// The quantized cache-key quantum, `None` when keys are exact.
-    pub cache_key_quantize: Option<f64>,
     /// Slow-query threshold, microseconds (0 = disabled).
     pub slow_query_us: u64,
     /// Quality-audit sampling fraction (0 = disabled).
@@ -614,17 +586,16 @@ struct CachedAnswer {
 
 /// One result-cache lookup, as admission and a dequeuing worker both make
 /// it: `key` (mixed with the admitted epoch) finds the entry, and the
-/// entry's own request must be canonically equal to `request` under
-/// `quantize`, or it is a miss.
+/// entry's own request must be canonically equal to `request`, or it is
+/// a miss.
 fn cached_answer(
     cache: &mut Cache<u64, Arc<CachedAnswer>>,
     key: u64,
     request: &QueryRequest,
-    quantize: Option<f64>,
 ) -> Option<Arc<Vec<TopKResult>>> {
     cache
         .get(&key)
-        .filter(|entry| entry.request.canonically_equal_under(request, quantize))
+        .filter(|entry| entry.request.canonically_equal(request))
         .map(|entry| Arc::clone(&entry.results))
 }
 
@@ -633,9 +604,6 @@ fn cached_answer(
 struct Runtime {
     prune: AtomicBool,
     default_k: AtomicUsize,
-    /// Quantized cache-key quantum as f64 bits; `0.0` (bit pattern 0)
-    /// means exact keys.
-    cache_key_quantize: AtomicU64,
     /// Slow-query threshold, microseconds; 0 disables the slow log.
     slow_query_us: AtomicU64,
     /// Audit sampling fraction as f64 bits; `0.0` disables auditing.
@@ -647,13 +615,6 @@ struct Runtime {
 }
 
 impl Runtime {
-    /// The current quantized-key quantum, `None` for exact keys.
-    fn quantize(&self) -> Option<f64> {
-        // ordering: relaxed — independent config cell; readers may lag a configure.
-        let q = f64::from_bits(self.cache_key_quantize.load(Ordering::Relaxed));
-        (q > 0.0).then_some(q)
-    }
-
     /// The current audit sampling fraction (0.0 = auditing off).
     fn audit_sample(&self) -> f64 {
         // ordering: relaxed — independent config cell; readers may lag a configure.
@@ -747,12 +708,6 @@ impl QueryEngine {
     pub fn start(snapshot: CorpusSnapshot, config: EngineConfig) -> Self {
         assert!(config.workers >= 1, "need at least one worker");
         assert!(config.default_k >= 1, "default_k must be positive");
-        if let Some(q) = config.cache_key_quantize {
-            assert!(
-                q.is_finite() && q > 0.0,
-                "cache_key_quantize must be finite and positive"
-            );
-        }
         assert!(
             config.audit_sample.is_finite() && (0.0..=1.0).contains(&config.audit_sample),
             "audit_sample must be a fraction in [0, 1]"
@@ -768,9 +723,6 @@ impl QueryEngine {
             runtime: Runtime {
                 prune: AtomicBool::new(config.prune),
                 default_k: AtomicUsize::new(config.default_k),
-                cache_key_quantize: AtomicU64::new(
-                    config.cache_key_quantize.unwrap_or(0.0).to_bits(),
-                ),
                 slow_query_us: AtomicU64::new(config.slow_query_us),
                 audit_sample: AtomicU64::new(config.audit_sample.to_bits()),
                 max_queue_depth: AtomicUsize::new(config.max_queue_depth),
@@ -899,9 +851,8 @@ impl QueryEngine {
                 return Err(e);
             }
         };
-        let quantize = self.inner.runtime.quantize();
-        let key = admitted.cache_key_under(&request, quantize);
-        let hit = self.admission_lookup(key, &request, quantize);
+        let key = admitted.cache_key(&request);
+        let hit = self.admission_lookup(key, &request);
         let mut job = Job {
             key,
             admitted,
@@ -991,18 +942,13 @@ impl QueryEngine {
     /// `cache_lock_stall` fault, a swap's purge — reads as a miss, so the
     /// reactor thread never waits on it. Once shutdown has begun nothing
     /// is answered here, so a late submit still meets the closed queue.
-    fn admission_lookup(
-        &self,
-        key: u64,
-        request: &QueryRequest,
-        quantize: Option<f64>,
-    ) -> Option<Arc<Vec<TopKResult>>> {
+    fn admission_lookup(&self, key: u64, request: &QueryRequest) -> Option<Arc<Vec<TopKResult>>> {
         // ordering: SeqCst — pairs with shutdown()'s store, like supervise()'s check.
         if self.inner.shutting_down.load(Ordering::SeqCst) {
             return None;
         }
         let mut cache = try_lock_recover(&self.inner.cache)?;
-        cached_answer(&mut cache, key, request, quantize)
+        cached_answer(&mut cache, key, request)
     }
 
     /// Back-off hint for shed requests: roughly how long the current
@@ -1093,13 +1039,6 @@ impl QueryEngine {
                 "default_k must be positive".into(),
             ));
         }
-        if let Some(q) = update.cache_key_quantize {
-            if !q.is_finite() || q < 0.0 {
-                return Err(ServiceError::InvalidRequest(
-                    "cache_key_quantize must be finite and >= 0 (0 disables)".into(),
-                ));
-            }
-        }
         if let Some(f) = update.audit_sample {
             if !f.is_finite() || !(0.0..=1.0).contains(&f) {
                 return Err(ServiceError::InvalidRequest(
@@ -1119,12 +1058,6 @@ impl QueryEngine {
                 .runtime
                 .default_k
                 .store(default_k, Ordering::Relaxed); // ordering: relaxed config cell
-        }
-        if let Some(q) = update.cache_key_quantize {
-            self.inner
-                .runtime
-                .cache_key_quantize
-                .store(q.to_bits(), Ordering::Relaxed); // ordering: relaxed config cell
         }
         if let Some(us) = update.slow_query_us {
             self.inner
@@ -1179,7 +1112,6 @@ impl QueryEngine {
             cache_len,
             prune: self.inner.runtime.prune.load(Ordering::Relaxed), // ordering: relaxed config read
             default_k: self.inner.runtime.default_k.load(Ordering::Relaxed), // ordering: relaxed config read
-            cache_key_quantize: self.inner.runtime.quantize(),
             slow_query_us: self.inner.runtime.slow_query_us.load(Ordering::Relaxed), // ordering: relaxed config read
             audit_sample: self.inner.runtime.audit_sample(),
             max_queue_depth: self.inner.runtime.max_queue_depth.load(Ordering::Relaxed), // ordering: relaxed config read
@@ -1529,9 +1461,8 @@ struct JobScan {
 /// otherwise scans it, caches the answer and replies.
 fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
     // A key match is never trusted alone: the stored request must also be
-    // canonically equal under the current quantization mode, or the entry
-    // is a miss (a hash collision must not cross-contaminate answers).
-    let quantize = inner.runtime.quantize();
+    // canonically equal, or the entry is a miss (a hash collision must
+    // not cross-contaminate answers).
     let hit = {
         let mut cache = lock_recover(&inner.cache);
         inner.faults.sleep_if(FaultPoint::CacheLockStall);
@@ -1542,7 +1473,7 @@ fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
             fail_job(inner, job, ServiceError::DeadlineExceeded);
             return;
         }
-        cached_answer(&mut cache, job.key, &job.request, quantize)
+        cached_answer(&mut cache, job.key, &job.request)
     };
     if let Some(results) = hit {
         respond(inner, job, results, dequeued, None);
@@ -1824,41 +1755,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_keys_hit_near_queries_but_never_cross_epochs() {
-        let engine = QueryEngine::start(
-            snapshot(8, 11),
-            EngineConfig {
-                workers: 1,
-                cache_key_quantize: Some(0.05),
-                ..EngineConfig::default()
-            },
-        );
-        let base = request(engine.current().snapshot());
-        assert!(!engine.query(base.clone()).unwrap().cached);
-
-        // A distinct-but-near query (well inside the quantum) hits the
-        // cached answer...
-        let mut near = base.clone();
-        near.query[0].x += 1e-6;
-        assert_ne!(near.canonical_key(), base.canonical_key());
-        let hit = engine.query(near.clone()).unwrap();
-        assert!(hit.cached, "near query must share the quantized entry");
-
-        // ...while a far query (different cell) computes cold.
-        let mut far = base.clone();
-        far.query[0].x += 10.0;
-        assert!(!engine.query(far).unwrap().cached);
-
-        // A swap bumps the epoch layer (untouched by quantization): the
-        // same near query can never replay the old epoch's entry.
-        engine.swap_snapshot(snapshot(8, 11));
-        let post_swap = engine.query(near).unwrap();
-        assert!(!post_swap.cached, "quantized entries die with their epoch");
-        assert_eq!(post_swap.epoch, 2);
-        engine.shutdown();
-    }
-
-    #[test]
     fn a_key_match_for_another_request_is_a_miss() {
         let snap = snapshot(6, 2);
         let asked = request(&snap);
@@ -1873,11 +1769,9 @@ mod tests {
             results: Arc::clone(&results),
         };
         cache.insert(key, Arc::new(entry), 1);
-        assert_eq!(cached_answer(&mut cache, key, &asked, None), Some(results));
-        assert_eq!(cached_answer(&mut cache, key, &other, None), None);
-        // Under a quantum coarser than the difference they are one query.
-        assert!(cached_answer(&mut cache, key, &other, Some(0.5)).is_some());
-        assert_eq!(cached_answer(&mut cache, key + 1, &asked, None), None);
+        assert_eq!(cached_answer(&mut cache, key, &asked), Some(results));
+        assert_eq!(cached_answer(&mut cache, key, &other), None);
+        assert_eq!(cached_answer(&mut cache, key + 1, &asked), None);
     }
 
     #[test]
@@ -1896,7 +1790,6 @@ mod tests {
                 prune: Some(false),
                 cache_capacity: Some(2),
                 default_k: Some(7),
-                cache_key_quantize: Some(0.25),
                 slow_query_us: Some(5000),
                 audit_sample: Some(0.5),
                 max_queue_depth: Some(32),
@@ -1907,7 +1800,6 @@ mod tests {
         assert!(!view.prune);
         assert_eq!(view.cache_capacity, 2);
         assert_eq!(view.default_k, 7);
-        assert_eq!(view.cache_key_quantize, Some(0.25));
         assert_eq!(view.slow_query_us, 5000);
         assert_eq!(view.audit_sample, 0.5);
         assert_eq!(view.max_queue_depth, 32);
@@ -1924,26 +1816,9 @@ mod tests {
             .unwrap();
         assert_eq!(view.faults, "");
 
-        // Quantum 0 switches back to exact keys.
-        let view = engine
-            .configure(ConfigUpdate {
-                cache_key_quantize: Some(0.0),
-                ..ConfigUpdate::default()
-            })
-            .unwrap();
-        assert_eq!(view.cache_key_quantize, None);
-
         for bad in [
             ConfigUpdate {
                 default_k: Some(0),
-                ..ConfigUpdate::default()
-            },
-            ConfigUpdate {
-                cache_key_quantize: Some(-1.0),
-                ..ConfigUpdate::default()
-            },
-            ConfigUpdate {
-                cache_key_quantize: Some(f64::NAN),
                 ..ConfigUpdate::default()
             },
             ConfigUpdate {

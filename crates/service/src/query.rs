@@ -99,22 +99,6 @@ impl QueryRequest {
     /// is the ground truth the cache verifies on every hit;
     /// [`QueryRequest::canonical_key`] is only the 64-bit index into it.
     pub fn canonically_equal(&self, other: &QueryRequest) -> bool {
-        self.canonically_equal_under(other, None)
-    }
-
-    /// [`QueryRequest::canonically_equal`] under an optional quantization
-    /// quantum: with `Some(q)`, coordinates compare equal when they fall
-    /// in the same `q`-sized cell ([`quantize_coord`]) — the equality the
-    /// opt-in quantized cache-key mode verifies hits with. `None` is the
-    /// exact bit-level comparison.
-    pub fn canonically_equal_under(&self, other: &QueryRequest, quantize: Option<f64>) -> bool {
-        let coords_equal = |a: &Point, b: &Point| match quantize {
-            None => a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
-            Some(q) => {
-                quantize_coord(a.x, q) == quantize_coord(b.x, q)
-                    && quantize_coord(a.y, q) == quantize_coord(b.y, q)
-            }
-        };
         self.algo == other.algo
             && self.measure == other.measure
             && self.k == other.k
@@ -124,7 +108,7 @@ impl QueryRequest {
                 .query
                 .iter()
                 .zip(&other.query)
-                .all(|(a, b)| coords_equal(a, b))
+                .all(|(a, b)| a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits())
     }
 
     /// Canonical cache key: FNV-1a over the algorithm, measure, `k`,
@@ -134,18 +118,6 @@ impl QueryRequest {
     /// requests as the same search (64-bit FNV collisions are
     /// constructible, and the cache is shared across clients).
     pub fn canonical_key(&self) -> u64 {
-        self.canonical_key_under(None)
-    }
-
-    /// [`QueryRequest::canonical_key`] under an optional quantization
-    /// quantum — the *canonical-hash layer* of the opt-in quantized
-    /// cache-key mode. With `Some(q)`, each coordinate hashes as its
-    /// `q`-sized cell index instead of its exact bits, so
-    /// distinct-but-near queries land on the same key. Everything the
-    /// engine mixes *on top* of this layer (the engine epoch — see
-    /// `EpochSnapshot::cache_key`) is untouched by quantization, so
-    /// quantized entries still die with their snapshot generation.
-    pub fn canonical_key_under(&self, quantize: Option<f64>) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(match self.algo {
             AlgoSpec::Exact => 1,
@@ -166,16 +138,8 @@ impl QueryRequest {
         h.write_u64(self.use_index as u64);
         h.write_u64(self.query.len() as u64);
         for p in &self.query {
-            match quantize {
-                None => {
-                    h.write_u64(p.x.to_bits());
-                    h.write_u64(p.y.to_bits());
-                }
-                Some(q) => {
-                    h.write_u64(quantize_coord(p.x, q));
-                    h.write_u64(quantize_coord(p.y, q));
-                }
-            }
+            h.write_u64(p.x.to_bits());
+            h.write_u64(p.y.to_bits());
             // Timestamps are deliberately excluded: no measure consults
             // them, so queries differing only in `t` are the same search.
         }
@@ -335,28 +299,6 @@ impl QueryResponse {
     }
 }
 
-/// The quantization cell index of one coordinate under quantum `q > 0`:
-/// `round(v / q)` as an integer (deterministic for any finite input).
-/// Two coordinates within `q/2` of the same cell center share a cell;
-/// cell boundaries are half-open at the rounding tie.
-///
-/// When the cell index magnitude reaches 2⁵³ — a quantum absurdly small
-/// for the coordinate's magnitude, where `f64` division can no longer
-/// resolve adjacent cells and an integer cast would saturate (collapsing
-/// *all* large coordinates into one cell and voiding the accuracy
-/// contract) — the coordinate degrades to its exact bit pattern: both
-/// the key and the equality check use this same function, so such
-/// coordinates simply never share entries with distinct values.
-pub(crate) fn quantize_coord(v: f64, q: f64) -> u64 {
-    const MAX_CELL: f64 = 9_007_199_254_740_992.0; // 2^53
-    let cell = (v / q).round();
-    // NaN/infinite quotients take the exact-bits branch too.
-    if cell.is_nan() || cell.abs() >= MAX_CELL {
-        return v.to_bits();
-    }
-    cell as i64 as u64
-}
-
 /// Folds `extra` into `key` through the same FNV-1a stream the canonical
 /// key uses. The engine mixes the engine epoch into every cache key this
 /// way (see `EpochSnapshot::cache_key`), so entries die with the snapshot
@@ -436,51 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn quantized_keys_collapse_near_queries_only() {
+    fn one_ulp_apart_is_another_search() {
         let a = base_request();
-        let mut near = base_request();
-        near.query[0] = Point::xy(1.0 + 0.001, 2.0 - 0.001);
-        let mut far = base_request();
-        far.query[0] = Point::xy(1.4, 2.0);
-
-        // Exact keys distinguish all three.
-        assert_ne!(a.canonical_key(), near.canonical_key());
-        assert_ne!(a.canonical_key(), far.canonical_key());
-        assert!(!a.canonically_equal(&near));
-
-        // Under a 0.01 quantum the near pair collapses, the far one not.
-        let q = Some(0.01);
-        assert_eq!(a.canonical_key_under(q), near.canonical_key_under(q));
-        assert!(a.canonically_equal_under(&near, q));
-        assert_ne!(a.canonical_key_under(q), far.canonical_key_under(q));
-        assert!(!a.canonically_equal_under(&far, q));
-
-        // Quantization never relaxes the non-coordinate fields.
-        let mut other_k = near.clone();
-        other_k.k = 9;
-        assert!(!a.canonically_equal_under(&other_k, q));
-        assert_ne!(a.canonical_key_under(q), other_k.canonical_key_under(q));
-    }
-
-    #[test]
-    fn absurdly_small_quanta_never_collapse_distinct_coordinates() {
-        // With q = 1e-30 and coordinates ~tens, (v / q) overflows the
-        // cell range; a saturating cast would map *every* large
-        // coordinate to one cell and serve one query's answer for
-        // arbitrarily different queries. The guard degrades such
-        // coordinates to exact-bit identity instead.
-        let q = Some(1e-30);
-        let a = base_request();
-        let mut far = base_request();
-        far.query[0] = Point::xy(500.0, 999.0);
-        assert!(!a.canonically_equal_under(&far, q));
-        assert_ne!(a.canonical_key_under(q), far.canonical_key_under(q));
-        // Identical queries still match under the degraded mode.
-        assert!(a.canonically_equal_under(&base_request(), q));
-        assert_eq!(
-            a.canonical_key_under(q),
-            base_request().canonical_key_under(q)
-        );
+        let mut b = base_request();
+        b.query[0].y = f64::from_bits(b.query[0].y.to_bits() + 1);
+        assert!(!a.canonically_equal(&b));
+        assert_ne!(a.canonical_key(), b.canonical_key());
+        assert!(a.canonically_equal(&base_request()));
     }
 
     #[test]

@@ -160,15 +160,16 @@
 //!   finish against the old snapshot; queries admitted after the swap
 //!   see the new one. Nothing restarts, no connection drops.
 //! - `{"cmd":"configure"}` with any of `"prune":bool`,
-//!   `"cache_capacity":N`, `"default_k":N`, `"cache_key_quantize":Q`,
-//!   `"slow_query_us":N` (0 disables the slow-query log),
+//!   `"cache_capacity":N`, `"default_k":N`, `"slow_query_us":N` (0
+//!   disables the slow-query log),
 //!   `"audit_sample":F` (fraction in `[0,1]`, 0 disables auditing),
 //!   `"max_queue_depth":N` (admission-gate bound; 0 = unbounded),
 //!   `"default_deadline_ms":N` (deadline for requests that carry none;
 //!   0 = none), `"faults":"spec"` (fault-injection spec, see
 //!   [`crate::fault`]; `""` disarms) → applies the knobs live and
 //!   answers `{"ok":true,"configured":true,...}` echoing the full
-//!   effective configuration.
+//!   effective configuration. Other keys are ignored; a `configure`
+//!   that names none of these knobs is an error.
 //! - `{"cmd":"metrics"}` → `{"ok":true,"metrics":"<text>"}` where
 //!   `<text>` is the full Prometheus-style exposition
 //!   ([`QueryEngine::metrics_exposition`]): `# HELP`/`# TYPE` headers,
@@ -177,35 +178,10 @@
 //!   metrics` prints it verbatim for scraping.
 //!
 //! Unknown `"cmd"` values are errors, so clients can feature-probe.
-//!
-//! ## Quantized cache keys — accuracy contract
-//!
-//! `"cache_key_quantize": Q` (finite, `Q > 0`; `0` reverts to exact)
-//! switches the result cache to **quantized keys**: query coordinates
-//! hash and verify by their `Q`-sized quantization cell
-//! (`round(coord / Q)`) instead of exact bit patterns, so
-//! distinct-but-near queries share one cache entry.
-//!
-//! - **What you gain:** repeat traffic that jitters by less than ~`Q/2`
-//!   per coordinate (GPS noise, re-sampled clients) stops paying cold
-//!   scans. The `stats` command's prune/cache counters quantify the
-//!   trade on live traffic.
-//! - **What you give up:** a hit may return the answer computed for a
-//!   *different* query whose points each lie in the same `Q`-cell —
-//!   i.e. per-point error up to `Q/√2` in the plane. Distances reported
-//!   by DTW-family measures over `m` query points then differ by at most
-//!   `m·Q·√2` from the exact answer (Frechet: `Q·√2`), and the returned
-//!   ranges/ids are those of the cell-mate query. Pick `Q` well below
-//!   the coordinate scale at which your application distinguishes
-//!   queries; `0` restores byte-exact answers.
-//! - **What never changes:** only the canonical-hash layer quantizes.
-//!   The epoch mix of every cache key (`mix(canonical, epoch)`) stays
-//!   exact, so quantized entries are invalidated by live reloads
-//!   precisely like exact ones, and cold (uncached) scans are
-//!   computed from the *actual* request — quantization never perturbs a
-//!   search, only cache identity.
 
-use crate::engine::{ConfigUpdate, CorpusSnapshot, QueryEngine, ServiceError, SubmitOptions};
+use crate::engine::{
+    ConfigUpdate, ConfigView, CorpusSnapshot, QueryEngine, ServiceError, SubmitOptions,
+};
 use crate::json::{obj, write_num, Json, ProtocolVersion};
 use crate::query::{QueryRequest, QueryResponse};
 use crate::sync::atomic::{AtomicBool, Ordering};
@@ -615,34 +591,41 @@ fn admin_info(engine: &QueryEngine) -> Json {
     let corpus = snapshot.corpus();
     let config = engine.config_view();
     let stats = engine.stats();
-    obj(vec![
+    let mut pairs = vec![
         ("ok", Json::Bool(true)),
         ("epoch", Json::Num(current.epoch() as f64)),
         ("trajectories", Json::Num(corpus.len() as f64)),
         ("points", Json::Num(corpus.total_points() as f64)),
         ("workers", Json::Num(config.workers as f64)),
-        ("prune", Json::Bool(config.prune)),
-        ("cache_capacity", Json::Num(config.cache_capacity as f64)),
-        ("cache_len", Json::Num(config.cache_len as f64)),
-        ("default_k", Json::Num(config.default_k as f64)),
-        (
-            "cache_key_quantize",
-            Json::Num(config.cache_key_quantize.unwrap_or(0.0)),
-        ),
-        ("slow_query_us", Json::Num(config.slow_query_us as f64)),
-        ("audit_sample", Json::Num(config.audit_sample)),
-        ("max_queue_depth", Json::Num(config.max_queue_depth as f64)),
-        (
-            "default_deadline_ms",
-            Json::Num(config.default_deadline_ms as f64),
-        ),
-        ("faults", Json::Str(config.faults.clone())),
+    ];
+    pairs.extend(config_echo(config));
+    pairs.extend([
         ("rls_loaded", Json::Bool(snapshot.has_rls())),
         ("t2vec_loaded", Json::Bool(snapshot.has_t2vec())),
         ("swaps", Json::Num(stats.swaps as f64)),
         ("build", Json::Str(env!("CARGO_PKG_VERSION").into())),
         ("protocol", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])),
-    ])
+    ]);
+    obj(pairs)
+}
+
+/// The live knobs as the `info` and `configure` replies both echo them,
+/// `prune` through `faults`, in wire order.
+fn config_echo(view: ConfigView) -> [(&'static str, Json); 9] {
+    [
+        ("prune", Json::Bool(view.prune)),
+        ("cache_capacity", Json::Num(view.cache_capacity as f64)),
+        ("cache_len", Json::Num(view.cache_len as f64)),
+        ("default_k", Json::Num(view.default_k as f64)),
+        ("slow_query_us", Json::Num(view.slow_query_us as f64)),
+        ("audit_sample", Json::Num(view.audit_sample)),
+        ("max_queue_depth", Json::Num(view.max_queue_depth as f64)),
+        (
+            "default_deadline_ms",
+            Json::Num(view.default_deadline_ms as f64),
+        ),
+        ("faults", Json::Str(view.faults)),
+    ]
 }
 
 /// `{"cmd":"reload",...}`: builds a fresh [`CorpusSnapshot`] from
@@ -745,13 +728,6 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
             None => return error_response("\"prune\" must be a boolean"),
         },
     };
-    let cache_key_quantize = match parsed.get("cache_key_quantize") {
-        None => None,
-        Some(v) => match v.as_f64() {
-            Some(q) => Some(q),
-            None => return error_response("\"cache_key_quantize\" must be a number (0 disables)"),
-        },
-    };
     let audit_sample = match parsed.get("audit_sample") {
         None => None,
         Some(v) => match v.as_f64() {
@@ -769,7 +745,6 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
             Ok(v) => v,
             Err(e) => return error_response(&e),
         },
-        cache_key_quantize,
         slow_query_us: match field_usize("slow_query_us") {
             Ok(v) => v.map(|us| us as u64),
             Err(e) => return error_response(&e),
@@ -796,32 +771,18 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
     if update == ConfigUpdate::default() {
         return error_response(
             "configure needs at least one of \"prune\", \"cache_capacity\", \
-             \"default_k\", \"cache_key_quantize\", \"slow_query_us\", \
-             \"audit_sample\", \"max_queue_depth\", \"default_deadline_ms\", \"faults\"",
+             \"default_k\", \"slow_query_us\", \"audit_sample\", \
+             \"max_queue_depth\", \"default_deadline_ms\", \"faults\"",
         );
     }
     match engine.configure(update) {
-        Ok(view) => obj(vec![
-            ("ok", Json::Bool(true)),
-            ("configured", Json::Bool(true)),
-            ("prune", Json::Bool(view.prune)),
-            ("cache_capacity", Json::Num(view.cache_capacity as f64)),
-            ("cache_len", Json::Num(view.cache_len as f64)),
-            ("default_k", Json::Num(view.default_k as f64)),
-            (
-                "cache_key_quantize",
-                Json::Num(view.cache_key_quantize.unwrap_or(0.0)),
-            ),
-            ("slow_query_us", Json::Num(view.slow_query_us as f64)),
-            ("audit_sample", Json::Num(view.audit_sample)),
-            ("max_queue_depth", Json::Num(view.max_queue_depth as f64)),
-            (
-                "default_deadline_ms",
-                Json::Num(view.default_deadline_ms as f64),
-            ),
-            ("faults", Json::Str(view.faults.clone())),
-            ("workers", Json::Num(view.workers as f64)),
-        ]),
+        Ok(view) => {
+            let workers = view.workers;
+            let mut pairs = vec![("ok", Json::Bool(true)), ("configured", Json::Bool(true))];
+            pairs.extend(config_echo(view));
+            pairs.push(("workers", Json::Num(workers as f64)));
+            obj(pairs)
+        }
         Err(e) => error_response(&e.to_string()),
     }
 }

