@@ -541,7 +541,7 @@ pub fn table2(ctx: &mut Context) {
 }
 
 /// The Figure 1 / Table 3 / Table 4 worked example: the toy instance where
-/// greedy PSS is provably suboptimal and the optimum is T[2,4] (1-based).
+/// greedy PSS is provably suboptimal and the optimum is `T[2,4]` (1-based).
 pub fn toy() {
     println!("\n=== Figure 1 / Tables 3-4: worked example ===");
     let t: Vec<Point> = [(0.0, 3.0), (0.0, 1.0), (2.0, 1.0), (4.0, 1.0), (4.0, 3.0)]

@@ -353,7 +353,7 @@ impl BoundCascade {
     /// able to reject a trajectory whose MBR contains the query.
     /// `INFINITY` when inactive.
     ///
-    /// The columns are taken [`POINT_BLOCK`] at a time, in query order, and
+    /// The columns are taken `POINT_BLOCK` at a time, in query order, and
     /// folded as they come, so after each block the fold is exactly a
     /// prefix of the full one. After every block but the last the bound of
     /// that prefix goes to `keep`, and a `false` answer stops the scan of
@@ -397,7 +397,7 @@ impl BoundCascade {
 
     /// The visit-order estimate of a trajectory with coordinate slabs
     /// `xs`, `ys`: per sampled query column (4, spread over the query) the
-    /// distance to the nearest of every [`ORDER_STRIDE`]-th data point,
+    /// distance to the nearest of every `ORDER_STRIDE`-th data point,
     /// folded like [`BoundCascade::point_bound`] — summed under Sum, maxed
     /// under Max. Smaller means more promising. It samples the data
     /// points, so it can exceed the point bound's distance: it orders

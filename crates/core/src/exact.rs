@@ -96,7 +96,7 @@ pub fn exhaustive_ranking(
     );
     let n = data.len();
     let mut entries = Vec::with_capacity(subtrajectory_count(n));
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     for i in 0..n {
         eval.init(data[i]);
         entries.push((SubtrajRange::new(i, i), eval.distance()));

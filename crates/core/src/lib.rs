@@ -18,7 +18,7 @@
 //! | [`SizeS`]  | §4.2 | approximate, size window ξ | `O(n·(Φini + (m+ξ)·Φinc))` |
 //! | [`Pss`] / [`Pos`] / [`PosD`] | §4.3 | splitting heuristics | `O(n1·Φini + n·Φinc)` |
 //! | [`Rls`] / RLS-Skip | §5 | learned splitting (DQN) | `O(n1·Φini + n·Φinc)` |
-//! | [`Spring`] | §6, [31] | DTW-specific baseline | `O(n·m)` |
+//! | [`Spring`] | §6, \[31\] | DTW-specific baseline | `O(n·m)` |
 //! | [`Ucr`] | §6, App. C | DTW-specific baseline | `O(n·m)` w/ pruning |
 //! | [`RandomS`] | §6 | sampling baseline | `O(s·Φ)` |
 //! | [`SimTra`] | §6.2(8) | whole-trajectory baseline | `O(Φ)` |

@@ -147,7 +147,7 @@ pub fn episode_parts<'m, S: PointSeq>(
     } else {
         Vec::new()
     };
-    (measure.prefix_evaluator(query), suffix)
+    (measure.make_workspace(query), suffix)
 }
 
 /// Positions of `Θbest`, `Θpre`, `Θsuf` in the state vector.

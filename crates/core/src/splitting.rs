@@ -29,7 +29,7 @@ pub fn suffix_similarities<S: PointSeq>(
     );
     let n = data.seq_len();
     let rq = reversed_points(query);
-    let mut eval = measure.prefix_evaluator(&rq);
+    let mut eval = measure.make_workspace(&rq);
     let mut out = vec![0.0; n];
     out[n - 1] = eval.init(data.seq_point(n - 1));
     for t in (0..n - 1).rev() {

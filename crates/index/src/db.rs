@@ -217,7 +217,11 @@ impl TrajectoryDb {
         if candidates.is_empty() {
             return (Vec::new(), stats);
         }
-        let mut heap = TopKHeap::new(k);
+        // The heap never holds more hits than there are candidates, and
+        // with `k` at least that many it never fills, so no bound prunes
+        // either way: capping `k` changes nothing but the allocation,
+        // which a wire `k` of 2^53 would otherwise make abort the process.
+        let mut heap = TopKHeap::new(k.min(candidates.len()));
         let mut ws = SearchWorkspace::new(measure, query);
         simsub_core::scan_top_k_into(
             algo,
@@ -532,6 +536,19 @@ mod tests {
             assert_eq!(ids, (0..12).collect::<Vec<_>>(), "prune={prune}");
             // Nothing can be pruned while the heap has room.
             assert_eq!((stats.scanned, stats.searched), (12, 12), "prune={prune}");
+        }
+    }
+
+    #[test]
+    fn the_largest_wire_k_answers_as_k_equal_to_the_corpus() {
+        // 2^53 is the largest `k` a JSON request can carry; a heap sized
+        // by it aborts on allocation.
+        let db = build_db(12);
+        let query = walk(5, 5, (30.0, 0.0));
+        for prune in [false, true] {
+            let want = db.top_k_with_stats(&ExactS, &Dtw, &query, db.len(), false, prune);
+            let got = db.top_k_with_stats(&ExactS, &Dtw, &query, 1 << 53, false, prune);
+            assert_eq!(got, want, "prune={prune}");
         }
     }
 

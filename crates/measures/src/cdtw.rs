@@ -66,7 +66,7 @@ impl Measure for Cdtw {
 /// `O(2w+1)` per point; the worst case matches full recomputation, which
 /// is still `Φ`.
 #[derive(Debug, Clone)]
-pub struct CdtwEvaluator {
+pub(crate) struct CdtwEvaluator {
     query: Vec<Point>,
     band: usize,
     /// All data points of the current subtrajectory.
@@ -82,7 +82,7 @@ pub struct CdtwEvaluator {
 
 impl CdtwEvaluator {
     /// Creates an evaluator for the given (non-empty) query.
-    pub fn new(query: &[Point], band: usize) -> Self {
+    pub(crate) fn new(query: &[Point], band: usize) -> Self {
         assert!(!query.is_empty(), "query must be non-empty");
         Self {
             query: query.to_vec(),
@@ -197,7 +197,7 @@ mod tests {
         fn evaluator_matches_batch(a in arb_traj(10), b in arb_traj(8), w in 0usize..6) {
             let c = Cdtw::new(w);
             for i in 0..a.len() {
-                let mut eval = c.prefix_evaluator(&b);
+                let mut eval = c.make_workspace(&b);
                 eval.init(a[i]);
                 for j in i..a.len() {
                     if j > i {

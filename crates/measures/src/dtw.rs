@@ -8,11 +8,12 @@
 //!         = d(p_i, q_j) + min(D_{i-1,j-1}, D_{i-1,j}, D_{i,j-1})  otherwise
 //! ```
 //!
-//! The incremental evaluator keeps the last DP row (length `m`), so
-//! `Φini = Φinc = O(m)` exactly as Table 1 requires.
+//! The incremental evaluator is the crate's row evaluator with cells
+//! combined by a sum (Frechet's takes a max). It keeps the last DP row
+//! (length `m`), so `Φini = Φinc = O(m)` exactly as Table 1 requires.
 
-use crate::kernel::{self, fill_point_dists, load_query_soa, DpScratch, ExactBest};
-use crate::{similarity_from_distance, DistanceAggregate, Measure, PrefixEvaluator};
+use crate::kernel::{self, DpScratch, ExactBest, RowEvaluator, SumOp};
+use crate::{DistanceAggregate, Measure, PrefixEvaluator};
 use simsub_trajectory::{Point, TrajView};
 
 /// The DTW measure. Stateless; one instance can serve any number of
@@ -23,15 +24,7 @@ pub struct Dtw;
 /// Full DTW distance via the row-rolling DP. `O(|a| · |b|)` time,
 /// `O(|b|)` space. Returns `INFINITY` when either input is empty.
 pub fn dtw_distance(a: &[Point], b: &[Point]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut eval = DtwEvaluator::new(b);
-    eval.init(a[0]);
-    for &p in &a[1..] {
-        eval.extend(p);
-    }
-    eval.distance()
+    kernel::row_distance::<SumOp>(a, b)
 }
 
 /// Banded (Sakoe-Chiba) DTW used by the UCR and Spring comparisons
@@ -135,7 +128,7 @@ impl Measure for Dtw {
     }
 
     fn make_workspace(&self, query: &[Point]) -> Box<dyn PrefixEvaluator + '_> {
-        Box::new(DtwEvaluator::new(query))
+        Box::new(RowEvaluator::<SumOp>::new(query))
     }
 
     fn distance_aggregate(&self) -> Option<DistanceAggregate> {
@@ -150,7 +143,7 @@ impl Measure for Dtw {
         cell_rows: Option<&[f64]>,
         scratch: &mut DpScratch,
     ) -> Option<ExactBest> {
-        Some(kernel::exact_best_above::<kernel::SumOp>(
+        Some(kernel::exact_best_above::<SumOp>(
             data.xs(),
             data.ys(),
             query,
@@ -161,164 +154,10 @@ impl Measure for Dtw {
     }
 }
 
-/// Incremental DTW row: after `init(p_i)` and `k` calls to `extend`, holds
-/// `D_{i+k, ·}` — the DP row for the subtrajectory `T[i, i+k]` against the
-/// full query.
-///
-/// The query is stored as SoA coordinate slices and every step first
-/// fills the point-distance vector `d[j] = d(p, q_j)` through the
-/// auto-vectorizable [`fill_point_dists`] kernel, then runs the serial DP
-/// recurrence over that buffer. Per-element arithmetic and the DP order
-/// match the scalar formulation exactly, so results are bit-identical
-/// (property-tested against a scalar reference below).
-#[derive(Debug, Clone)]
-pub struct DtwEvaluator {
-    qx: Vec<f64>,
-    qy: Vec<f64>,
-    row: Vec<f64>,
-    dist: Vec<f64>,
-    /// Scratch for the bulk wavefront kernel (`extend_run`): per-lane
-    /// precomputed distance rows; sized on first bulk call.
-    bulk_dist: Vec<f64>,
-    initialized: bool,
-}
-
-impl DtwEvaluator {
-    /// Creates an evaluator for the given (non-empty) query.
-    pub fn new(query: &[Point]) -> Self {
-        assert!(!query.is_empty(), "query must be non-empty");
-        let (mut qx, mut qy) = (Vec::new(), Vec::new());
-        load_query_soa(query, &mut qx, &mut qy);
-        Self {
-            qx,
-            qy,
-            row: vec![0.0; query.len()],
-            dist: vec![0.0; query.len()],
-            bulk_dist: Vec::new(),
-            initialized: false,
-        }
-    }
-}
-
-impl PrefixEvaluator for DtwEvaluator {
-    fn init(&mut self, p: Point) -> f64 {
-        // Boundary i = 1: D_{1,j} = Σ_{k<=j} d(p, q_k).
-        fill_point_dists(&self.qx, &self.qy, p.x, p.y, &mut self.dist);
-        let mut acc = 0.0;
-        for (r, &d) in self.row.iter_mut().zip(&self.dist) {
-            acc += d;
-            *r = acc;
-        }
-        self.initialized = true;
-        self.similarity()
-    }
-
-    fn extend(&mut self, p: Point) -> f64 {
-        assert!(self.initialized, "extend before init");
-        fill_point_dists(&self.qx, &self.qy, p.x, p.y, &mut self.dist);
-        // Boundary j = 1: D_{i,1} = Σ_{h<=i} d(p_h, q_1).
-        let mut diag = self.row[0]; // D_{i-1, j-1} for the next column
-        let mut left = self.row[0] + self.dist[0]; // D_{i, j-1}, register-carried
-        self.row[0] = left;
-        for (r, &d) in self.row[1..].iter_mut().zip(&self.dist[1..]) {
-            let up = *r; // D_{i-1, j}
-            *r = d + diag.min(up).min(left);
-            diag = up;
-            left = *r;
-        }
-        self.similarity()
-    }
-
-    fn similarity(&self) -> f64 {
-        similarity_from_distance(self.distance())
-    }
-
-    fn distance(&self) -> f64 {
-        if self.initialized {
-            *self.row.last().expect("non-empty query")
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn reset(&mut self, query: &[Point]) {
-        assert!(!query.is_empty(), "query must be non-empty");
-        load_query_soa(query, &mut self.qx, &mut self.qy);
-        self.row.clear();
-        self.row.resize(query.len(), 0.0);
-        self.dist.clear();
-        self.dist.resize(query.len(), 0.0);
-        self.initialized = false;
-    }
-
-    fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
-        let _ = ts; // point distances are planar; timestamps never enter the DP
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront::<kernel::SumOp>(
-            &mut self.row,
-            &self.qx,
-            &self.qy,
-            xs,
-            ys,
-            &mut self.bulk_dist,
-            |_, _| {},
-        );
-        self.similarity()
-    }
-
-    fn extend_run_into(&mut self, xs: &[f64], ys: &[f64], ts: &[f64], sims: &mut [f64]) -> f64 {
-        let _ = ts;
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront::<kernel::SumOp>(
-            &mut self.row,
-            &self.qx,
-            &self.qy,
-            xs,
-            ys,
-            &mut self.bulk_dist,
-            |i, d| sims[i] = similarity_from_distance(d),
-        );
-        self.similarity()
-    }
-
-    fn fill_cell_rows(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        ts: &[f64],
-        rows: &mut Vec<f64>,
-    ) -> Option<usize> {
-        let _ = ts;
-        let m = self.qx.len();
-        rows.clear();
-        rows.resize(xs.len() * m, 0.0);
-        for (k, out) in rows.chunks_exact_mut(m).enumerate() {
-            fill_point_dists(&self.qx, &self.qy, xs[k], ys[k], out);
-        }
-        Some(m)
-    }
-
-    fn extend_run_rows_into(&mut self, rows: &[f64], sims: &mut [f64]) -> f64 {
-        if rows.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront_rows::<kernel::SumOp, false>(&mut self.row, rows, |i, d| {
-            sims[i] = similarity_from_distance(d)
-        });
-        self.similarity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity_from_distance;
     use proptest::prelude::*;
 
     /// Naive full-matrix DTW, the reference for all tests.
@@ -469,7 +308,7 @@ mod tests {
         fn evaluator_matches_naive(a in arb_traj(12), b in arb_traj(10)) {
             // Incremental evaluation from every start index equals naive DP.
             for i in 0..a.len() {
-                let mut eval = DtwEvaluator::new(&b);
+                let mut eval = RowEvaluator::<SumOp>::new(&b);
                 eval.init(a[i]);
                 for j in i..a.len() {
                     if j > i {
@@ -505,10 +344,10 @@ mod tests {
         fn reset_equals_fresh_evaluator(a in arb_traj(12), b in arb_traj(10), c in arb_traj(10)) {
             // One evaluator reset from query c to query b must track a
             // fresh evaluator over b bit for bit.
-            let mut reused = DtwEvaluator::new(&c);
+            let mut reused = RowEvaluator::<SumOp>::new(&c);
             reused.init(a[0]);
             reused.reset(&b);
-            let mut fresh = DtwEvaluator::new(&b);
+            let mut fresh = RowEvaluator::<SumOp>::new(&b);
             prop_assert_eq!(reused.init(a[0]).to_bits(), fresh.init(a[0]).to_bits());
             for &p in &a[1..] {
                 prop_assert_eq!(reused.extend(p).to_bits(), fresh.extend(p).to_bits());
@@ -532,7 +371,7 @@ mod tests {
         fn vectorized_evaluator_is_bit_identical_to_scalar(a in arb_traj(14), b in arb_traj(12)) {
             // The slice-kernel evaluator (SoA query + hoisted distance
             // row) must track the scalar AoS formulation bit for bit.
-            let mut fast = DtwEvaluator::new(&b);
+            let mut fast = RowEvaluator::<SumOp>::new(&b);
             let mut slow = ScalarDtwReference::new(&b);
             prop_assert_eq!(fast.init(a[0]).to_bits(), slow.init(a[0]).to_bits());
             for &p in &a[1..] {
@@ -562,11 +401,11 @@ mod tests {
             let (xs, ys): (Vec<f64>, Vec<f64>) = a[1..].iter().map(|p| (p.x, p.y)).unzip();
             let ts = vec![0.0; xs.len()];
             // Stepwise reference.
-            let mut stepwise = DtwEvaluator::new(&b);
+            let mut stepwise = RowEvaluator::<SumOp>::new(&b);
             stepwise.init(a[0]);
             let want: Vec<f64> = a[1..].iter().map(|&p| stepwise.extend(p)).collect();
             // One bulk call with per-point readout.
-            let mut bulk = DtwEvaluator::new(&b);
+            let mut bulk = RowEvaluator::<SumOp>::new(&b);
             bulk.init(a[0]);
             let mut sims = vec![0.0; xs.len()];
             let last = bulk.extend_run_into(&xs, &ys, &ts, &mut sims);
@@ -576,7 +415,7 @@ mod tests {
             prop_assert_eq!(last.to_bits(), stepwise.similarity().to_bits());
             prop_assert_eq!(bulk.distance().to_bits(), stepwise.distance().to_bits());
             // Two chunked calls at an arbitrary split point.
-            let mut chunked = DtwEvaluator::new(&b);
+            let mut chunked = RowEvaluator::<SumOp>::new(&b);
             chunked.init(a[0]);
             let s = split.min(xs.len());
             chunked.extend_run(&xs[..s], &ys[..s], &ts[..s]);

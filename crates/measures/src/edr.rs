@@ -58,7 +58,7 @@ impl Measure for Edr {
 
 /// Incremental EDR row; `row[j] = D(i, j+1)`, virtual column `D(i,0) = i`.
 #[derive(Debug, Clone)]
-pub struct EdrEvaluator {
+pub(crate) struct EdrEvaluator {
     query: Vec<Point>,
     epsilon: f64,
     row: Vec<f64>,
@@ -69,7 +69,7 @@ pub struct EdrEvaluator {
 
 impl EdrEvaluator {
     /// Creates an evaluator for the given (non-empty) query.
-    pub fn new(query: &[Point], epsilon: f64) -> Self {
+    pub(crate) fn new(query: &[Point], epsilon: f64) -> Self {
         assert!(!query.is_empty(), "query must be non-empty");
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
         Self {
@@ -89,32 +89,15 @@ impl EdrEvaluator {
             1.0
         }
     }
-
-    /// The `extend` recurrence without the trait plumbing: the shared,
-    /// statically-dispatched inner step of both `extend` and the slice
-    /// `extend_run` kernels (identical by construction).
-    #[inline]
-    fn extend_step(&mut self, p: Point) {
-        self.i += 1;
-        let mut diag = (self.i - 1) as f64; // D(i-1, 0)
-        let mut left = self.i as f64; // D(i, 0)
-        for j in 0..self.query.len() {
-            let up = self.row[j]; // D(i-1, j+1)
-            let cell = (diag + self.subcost(p, j)).min(up + 1.0).min(left + 1.0);
-            self.row[j] = cell;
-            diag = up;
-            left = cell;
-        }
-    }
 }
 
 impl PrefixEvaluator for EdrEvaluator {
     fn init(&mut self, p: Point) -> f64 {
         self.i = 1;
         // Row above is D(0, j) = j; D(1, 0) = 1.
-        let mut left = 1.0; // D(1, j-1)
+        let mut left = 1.0; // D(1, j), starts at D(1, 0)
         for j in 0..self.query.len() {
-            let up = (j + 1) as f64; // D(0, j+1)... careful: D(0, j)=j
+            let up = (j + 1) as f64; // D(0, j+1)
             let diag = j as f64; // D(0, j)
             let cell = (diag + self.subcost(p, j)).min(up + 1.0).min(left + 1.0);
             self.row[j] = cell;
@@ -126,7 +109,16 @@ impl PrefixEvaluator for EdrEvaluator {
 
     fn extend(&mut self, p: Point) -> f64 {
         assert!(self.initialized, "extend before init");
-        self.extend_step(p);
+        self.i += 1;
+        let mut diag = (self.i - 1) as f64; // D(i-1, 0)
+        let mut left = self.i as f64; // D(i, 0)
+        for j in 0..self.query.len() {
+            let up = self.row[j]; // D(i-1, j+1)
+            let cell = (diag + self.subcost(p, j)).min(up + 1.0).min(left + 1.0);
+            self.row[j] = cell;
+            diag = up;
+            left = cell;
+        }
         self.similarity()
     }
 
@@ -150,34 +142,6 @@ impl PrefixEvaluator for EdrEvaluator {
         self.row.resize(query.len(), 0.0);
         self.i = 0;
         self.initialized = false;
-    }
-
-    fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
-        // Same point loop as the default, but over the statically
-        // dispatched step (one virtual call per run, not per point) and
-        // without the per-point similarity readout.
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.extend_step(Point::new(xs[i], ys[i], ts[i]));
-        }
-        self.similarity()
-    }
-
-    fn extend_run_into(&mut self, xs: &[f64], ys: &[f64], ts: &[f64], sims: &mut [f64]) -> f64 {
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.extend_step(Point::new(xs[i], ys[i], ts[i]));
-            sims[i] = self.similarity();
-        }
-        self.similarity()
     }
 }
 

@@ -78,7 +78,7 @@ impl Measure for Erp {
 /// Incremental ERP row. `row[j]` holds `D(i, j+1)`; the virtual column
 /// `D(i, 0)` (all-gaps prefix) is tracked separately in `col0`.
 #[derive(Debug, Clone)]
-pub struct ErpEvaluator {
+pub(crate) struct ErpEvaluator {
     query: Vec<Point>,
     /// Gap penalty per query point, precomputed.
     query_gap: Vec<f64>,
@@ -91,7 +91,7 @@ pub struct ErpEvaluator {
 
 impl ErpEvaluator {
     /// Creates an evaluator for the given (non-empty) query.
-    pub fn new(query: &[Point], gap: Point) -> Self {
+    pub(crate) fn new(query: &[Point], gap: Point) -> Self {
         assert!(!query.is_empty(), "query must be non-empty");
         Self {
             query_gap: query.iter().map(|q| q.dist(gap)).collect(),
@@ -100,26 +100,6 @@ impl ErpEvaluator {
             row: vec![0.0; query.len()],
             col0: 0.0,
             initialized: false,
-        }
-    }
-
-    /// The `extend` recurrence without the trait plumbing: the shared,
-    /// statically-dispatched inner step of both `extend` and the slice
-    /// `extend_run` kernels (identical by construction).
-    #[inline]
-    fn extend_step(&mut self, p: Point) {
-        let gap_cost = p.dist(self.gap);
-        let mut diag = self.col0; // D(i-1, 0)
-        self.col0 += gap_cost; // D(i, 0)
-        let mut left = self.col0;
-        for j in 0..self.query.len() {
-            let up = self.row[j]; // D(i-1, j)
-            let cell = (up + gap_cost)
-                .min(left + self.query_gap[j])
-                .min(diag + p.dist(self.query[j]));
-            self.row[j] = cell;
-            diag = up;
-            left = cell;
         }
     }
 }
@@ -148,7 +128,19 @@ impl PrefixEvaluator for ErpEvaluator {
 
     fn extend(&mut self, p: Point) -> f64 {
         assert!(self.initialized, "extend before init");
-        self.extend_step(p);
+        let gap_cost = p.dist(self.gap);
+        let mut diag = self.col0; // D(i-1, 0)
+        self.col0 += gap_cost; // D(i, 0)
+        let mut left = self.col0;
+        for j in 0..self.query.len() {
+            let up = self.row[j]; // D(i-1, j)
+            let cell = (up + gap_cost)
+                .min(left + self.query_gap[j])
+                .min(diag + p.dist(self.query[j]));
+            self.row[j] = cell;
+            diag = up;
+            left = cell;
+        }
         self.similarity()
     }
 
@@ -175,34 +167,6 @@ impl PrefixEvaluator for ErpEvaluator {
         self.row.resize(query.len(), 0.0);
         self.col0 = 0.0;
         self.initialized = false;
-    }
-
-    fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
-        // Same point loop as the default, but over the statically
-        // dispatched step (one virtual call per run, not per point) and
-        // without the per-point similarity readout.
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.extend_step(Point::new(xs[i], ys[i], ts[i]));
-        }
-        self.similarity()
-    }
-
-    fn extend_run_into(&mut self, xs: &[f64], ys: &[f64], ts: &[f64], sims: &mut [f64]) -> f64 {
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.extend_step(Point::new(xs[i], ys[i], ts[i]));
-            sims[i] = self.similarity();
-        }
-        self.similarity()
     }
 }
 

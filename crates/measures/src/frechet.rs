@@ -7,10 +7,11 @@
 //!         = max(d(p_i, q_j), min(F_{i-1,j-1}, F_{i-1,j}, F_{i,j-1}))
 //! ```
 //!
-//! Same row-rolling structure as DTW, so `Φini = Φinc = O(m)`.
+//! The same row evaluator as DTW with cells combined by a max instead of
+//! a sum, so `Φini = Φinc = O(m)`.
 
-use crate::kernel::{self, fill_point_dists, load_query_soa, DpScratch, ExactBest};
-use crate::{similarity_from_distance, DistanceAggregate, Measure, PrefixEvaluator};
+use crate::kernel::{self, DpScratch, ExactBest, MaxOp, RowEvaluator};
+use crate::{DistanceAggregate, Measure, PrefixEvaluator};
 use simsub_trajectory::{Point, TrajView};
 
 /// The discrete Frechet measure.
@@ -20,15 +21,7 @@ pub struct Frechet;
 /// Full discrete Frechet distance; `O(|a| · |b|)` time, `O(|b|)` space.
 /// Returns `INFINITY` when either input is empty.
 pub fn frechet_distance(a: &[Point], b: &[Point]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut eval = FrechetEvaluator::new(b);
-    eval.init(a[0]);
-    for &p in &a[1..] {
-        eval.extend(p);
-    }
-    eval.distance()
+    kernel::row_distance::<MaxOp>(a, b)
 }
 
 impl Measure for Frechet {
@@ -41,7 +34,7 @@ impl Measure for Frechet {
     }
 
     fn make_workspace(&self, query: &[Point]) -> Box<dyn PrefixEvaluator + '_> {
-        Box::new(FrechetEvaluator::new(query))
+        Box::new(RowEvaluator::<MaxOp>::new(query))
     }
 
     fn distance_aggregate(&self) -> Option<DistanceAggregate> {
@@ -56,7 +49,7 @@ impl Measure for Frechet {
         cell_rows: Option<&[f64]>,
         scratch: &mut DpScratch,
     ) -> Option<ExactBest> {
-        Some(kernel::exact_best_above::<kernel::MaxOp>(
+        Some(kernel::exact_best_above::<MaxOp>(
             data.xs(),
             data.ys(),
             query,
@@ -67,159 +60,10 @@ impl Measure for Frechet {
     }
 }
 
-/// Incremental Frechet row, mirroring [`crate::DtwEvaluator`]: SoA query
-/// slices, the point-distance row hoisted into a reused buffer through
-/// the auto-vectorizable [`fill_point_dists`] kernel, then the serial DP
-/// recurrence — bit-identical to the scalar formulation (property-tested
-/// below).
-#[derive(Debug, Clone)]
-pub struct FrechetEvaluator {
-    qx: Vec<f64>,
-    qy: Vec<f64>,
-    row: Vec<f64>,
-    dist: Vec<f64>,
-    /// Scratch for the bulk wavefront kernel (`extend_run`): per-lane
-    /// precomputed distance rows; sized on first bulk call.
-    bulk_dist: Vec<f64>,
-    initialized: bool,
-}
-
-impl FrechetEvaluator {
-    /// Creates an evaluator for the given (non-empty) query.
-    pub fn new(query: &[Point]) -> Self {
-        assert!(!query.is_empty(), "query must be non-empty");
-        let (mut qx, mut qy) = (Vec::new(), Vec::new());
-        load_query_soa(query, &mut qx, &mut qy);
-        Self {
-            qx,
-            qy,
-            row: vec![0.0; query.len()],
-            dist: vec![0.0; query.len()],
-            bulk_dist: Vec::new(),
-            initialized: false,
-        }
-    }
-}
-
-impl PrefixEvaluator for FrechetEvaluator {
-    fn init(&mut self, p: Point) -> f64 {
-        // Boundary i = 1: F_{1,j} = max_{k<=j} d(p, q_k).
-        fill_point_dists(&self.qx, &self.qy, p.x, p.y, &mut self.dist);
-        let mut acc: f64 = 0.0;
-        for (r, &d) in self.row.iter_mut().zip(&self.dist) {
-            acc = acc.max(d);
-            *r = acc;
-        }
-        self.initialized = true;
-        self.similarity()
-    }
-
-    fn extend(&mut self, p: Point) -> f64 {
-        assert!(self.initialized, "extend before init");
-        fill_point_dists(&self.qx, &self.qy, p.x, p.y, &mut self.dist);
-        // Boundary j = 1: F_{i,1} = max_{h<=i} d(p_h, q_1).
-        let mut diag = self.row[0];
-        let mut left = self.row[0].max(self.dist[0]); // register-carried
-        self.row[0] = left;
-        for (r, &d) in self.row[1..].iter_mut().zip(&self.dist[1..]) {
-            let up = *r;
-            *r = d.max(diag.min(up).min(left));
-            diag = up;
-            left = *r;
-        }
-        self.similarity()
-    }
-
-    fn similarity(&self) -> f64 {
-        similarity_from_distance(self.distance())
-    }
-
-    fn distance(&self) -> f64 {
-        if self.initialized {
-            *self.row.last().expect("non-empty query")
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn reset(&mut self, query: &[Point]) {
-        assert!(!query.is_empty(), "query must be non-empty");
-        load_query_soa(query, &mut self.qx, &mut self.qy);
-        self.row.clear();
-        self.row.resize(query.len(), 0.0);
-        self.dist.clear();
-        self.dist.resize(query.len(), 0.0);
-        self.initialized = false;
-    }
-
-    fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
-        let _ = ts; // point distances are planar; timestamps never enter the DP
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront::<kernel::MaxOp>(
-            &mut self.row,
-            &self.qx,
-            &self.qy,
-            xs,
-            ys,
-            &mut self.bulk_dist,
-            |_, _| {},
-        );
-        self.similarity()
-    }
-
-    fn extend_run_into(&mut self, xs: &[f64], ys: &[f64], ts: &[f64], sims: &mut [f64]) -> f64 {
-        let _ = ts;
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront::<kernel::MaxOp>(
-            &mut self.row,
-            &self.qx,
-            &self.qy,
-            xs,
-            ys,
-            &mut self.bulk_dist,
-            |i, d| sims[i] = similarity_from_distance(d),
-        );
-        self.similarity()
-    }
-
-    fn fill_cell_rows(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        ts: &[f64],
-        rows: &mut Vec<f64>,
-    ) -> Option<usize> {
-        let _ = ts;
-        let m = self.qx.len();
-        rows.clear();
-        rows.resize(xs.len() * m, 0.0);
-        for (k, out) in rows.chunks_exact_mut(m).enumerate() {
-            fill_point_dists(&self.qx, &self.qy, xs[k], ys[k], out);
-        }
-        Some(m)
-    }
-
-    fn extend_run_rows_into(&mut self, rows: &[f64], sims: &mut [f64]) -> f64 {
-        if rows.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        kernel::extend_run_wavefront_rows::<kernel::MaxOp, false>(&mut self.row, rows, |i, d| {
-            sims[i] = similarity_from_distance(d)
-        });
-        self.similarity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity_from_distance;
     use proptest::prelude::*;
 
     /// Naive full-matrix discrete Frechet, the reference for all tests.
@@ -343,7 +187,7 @@ mod tests {
         #[test]
         fn evaluator_matches_naive(a in arb_traj(12), b in arb_traj(10)) {
             for i in 0..a.len() {
-                let mut eval = FrechetEvaluator::new(&b);
+                let mut eval = RowEvaluator::<MaxOp>::new(&b);
                 eval.init(a[i]);
                 for j in i..a.len() {
                     if j > i {
@@ -378,7 +222,6 @@ mod tests {
             let f = frechet_distance(&a, &b);
             let first = a[0].dist(b[0]);
             let last = a[a.len() - 1].dist(b[b.len() - 1]);
-            prop_assert!(f + 1e-9 >= first.max(last) .min(f + 1.0));
             prop_assert!(f + 1e-9 >= first.max(last));
         }
 
@@ -392,7 +235,7 @@ mod tests {
         fn vectorized_evaluator_is_bit_identical_to_scalar(a in arb_traj(14), b in arb_traj(12)) {
             // The slice-kernel evaluator must track the scalar AoS
             // formulation bit for bit.
-            let mut fast = FrechetEvaluator::new(&b);
+            let mut fast = RowEvaluator::<MaxOp>::new(&b);
             let mut slow = ScalarFrechetReference::new(&b);
             prop_assert_eq!(fast.init(a[0]).to_bits(), slow.init(a[0]).to_bits());
             for &p in &a[1..] {
@@ -407,10 +250,10 @@ mod tests {
         ) {
             let (xs, ys): (Vec<f64>, Vec<f64>) = a[1..].iter().map(|p| (p.x, p.y)).unzip();
             let ts = vec![0.0; xs.len()];
-            let mut stepwise = FrechetEvaluator::new(&b);
+            let mut stepwise = RowEvaluator::<MaxOp>::new(&b);
             stepwise.init(a[0]);
             let want: Vec<f64> = a[1..].iter().map(|&p| stepwise.extend(p)).collect();
-            let mut bulk = FrechetEvaluator::new(&b);
+            let mut bulk = RowEvaluator::<MaxOp>::new(&b);
             bulk.init(a[0]);
             let mut sims = vec![0.0; xs.len()];
             let last = bulk.extend_run_into(&xs, &ys, &ts, &mut sims);
@@ -419,7 +262,7 @@ mod tests {
             }
             prop_assert_eq!(last.to_bits(), stepwise.similarity().to_bits());
             prop_assert_eq!(bulk.distance().to_bits(), stepwise.distance().to_bits());
-            let mut chunked = FrechetEvaluator::new(&b);
+            let mut chunked = RowEvaluator::<MaxOp>::new(&b);
             chunked.init(a[0]);
             let s = split.min(xs.len());
             chunked.extend_run(&xs[..s], &ys[..s], &ts[..s]);

@@ -1,17 +1,23 @@
 //! Slice-based DP kernels shared by the row-rolling measures (DTW,
 //! discrete Frechet).
 //!
-//! Three ideas, all **bit-identical** to the scalar evaluators they
-//! accelerate (property-tested in `dtw.rs`/`frechet.rs`):
+//! The two measures are one row recurrence that differs only in how a
+//! cell combines its point distance with its neighbourhood ([`DpOp`]: a
+//! sum for DTW, a max for Frechet), so everything here — the incremental
+//! [`RowEvaluator`] and the three kernels below — is written once over
+//! that choice. Three ideas, all **bit-identical** to the scalar
+//! references they accelerate (property-tested in `dtw.rs`/`frechet.rs`):
 //!
-//! 1. **Hoisted distance rows.** The data point is lifted out of the DP
-//!    inner loop: the per-row point-distance vector `d[j] = d(p, q_j)` is
-//!    filled first by [`fill_point_dists`] — a 4-wide unrolled loop over
-//!    the query's SoA coordinate slices that LLVM auto-vectorizes
-//!    (`sqrtpd`) — and the serial DP recurrence then reads the buffer.
-//!    Every element is computed by exactly the arithmetic `Point::dist`
-//!    performs (`dx = px - qx; dy = py - qy; sqrt(dx² + dy²)`), and the
-//!    DP consumes them in the original order, so results cannot drift.
+//! 1. **Hoisted distance rows.** [`RowEvaluator`] lifts the data point
+//!    out of the DP inner loop: the per-row point-distance vector
+//!    `d[j] = d(p, q_j)` is filled first by [`fill_point_dists`] — a
+//!    4-wide unrolled loop over the query's SoA coordinate slices that
+//!    LLVM auto-vectorizes (`sqrtpd`) — and the serial DP recurrence then
+//!    reads the buffer. Every element is computed by exactly the
+//!    arithmetic `Point::dist` performs (`dx = px - qx; dy = py - qy;
+//!    sqrt(dx² + dy²)`), and the DP consumes them in the original order,
+//!    so results cannot drift. Its bulk entry points advance four data
+//!    points at once along anti-diagonals ([`extend_run_wavefront`]).
 //!
 //! 2. **Multi-start lockstep (the ExactS kernel).** ExactS sweeps one DP
 //!    row per start index; rows for different starts are *independent*,
@@ -49,8 +55,9 @@
 //!    resolves the range only for the hits it keeps — at most `k` a scan
 //!    call — with the multi-start sweep floored at Θ* itself.
 
-use crate::similarity_from_distance;
+use crate::{similarity_from_distance, PrefixEvaluator};
 use simsub_trajectory::Point;
+use std::marker::PhantomData;
 
 /// Branchless `min` — compiles to a bare `minsd`/`minpd` instead of the
 /// NaN-propagating blend sequence `f64::min` lowers to (5 instructions
@@ -143,6 +150,165 @@ impl DpOp for MaxOp {
     #[inline]
     fn cell(d: f64, best: f64) -> f64 {
         fmax(d, best)
+    }
+}
+
+/// The distance of `a` against `b` under a [`DpOp`] measure: one
+/// [`RowEvaluator`] walked over `a`. `O(|a| · |b|)` time, `O(|b|)` space;
+/// `INFINITY` when either input is empty.
+pub(crate) fn row_distance<Op: DpOp>(a: &[Point], b: &[Point]) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return f64::INFINITY;
+    }
+    let mut eval = RowEvaluator::<Op>::new(b);
+    eval.init(a[0]);
+    for &p in &a[1..] {
+        eval.extend(p);
+    }
+    eval.distance()
+}
+
+/// The incremental evaluator of a row-rolling measure — DTW under
+/// [`SumOp`], discrete Frechet under [`MaxOp`]. After `init(p_i)` and `k`
+/// calls to `extend` it holds the DP row of `T[i, i+k]` against the whole
+/// query, so `Φini = Φinc = O(m)`.
+///
+/// The query is kept as SoA coordinate slices; a step fills its
+/// point-distance row first and then runs the serial recurrence over it
+/// (module docs, idea 1), and the bulk entry points run the wavefront
+/// ([`extend_run_wavefront`]). Every path evaluates the same cell
+/// expressions in the same dependency order, so they agree bit for bit
+/// with each other and with the scalar references in `dtw.rs`/`frechet.rs`
+/// (property-tested there and in `tests/evaluator_conformance.rs`).
+pub(crate) struct RowEvaluator<Op> {
+    qx: Vec<f64>,
+    qy: Vec<f64>,
+    /// `row[j]`: the distance of the current subtrajectory against
+    /// `Tq[1, j+1]`.
+    row: Vec<f64>,
+    /// `init`/`extend`'s point-distance row.
+    dist: Vec<f64>,
+    /// The wavefront's per-lane distance rows; sized on first bulk call.
+    bulk_dist: Vec<f64>,
+    initialized: bool,
+    op: PhantomData<Op>,
+}
+
+impl<Op: DpOp> RowEvaluator<Op> {
+    /// An evaluator for the given (non-empty) query.
+    pub(crate) fn new(query: &[Point]) -> Self {
+        let mut eval = Self {
+            qx: Vec::new(),
+            qy: Vec::new(),
+            row: Vec::new(),
+            dist: Vec::new(),
+            bulk_dist: Vec::new(),
+            initialized: false,
+            op: PhantomData,
+        };
+        eval.reset(query);
+        eval
+    }
+
+    /// The wavefront over a coordinate run, reading each point's distance
+    /// out through `sink`.
+    fn run(&mut self, xs: &[f64], ys: &[f64], sink: impl FnMut(usize, f64)) -> f64 {
+        if xs.is_empty() {
+            return self.similarity();
+        }
+        assert!(self.initialized, "extend_run before init");
+        extend_run_wavefront::<Op>(
+            &mut self.row,
+            &self.qx,
+            &self.qy,
+            xs,
+            ys,
+            &mut self.bulk_dist,
+            sink,
+        );
+        self.similarity()
+    }
+}
+
+impl<Op: DpOp> PrefixEvaluator for RowEvaluator<Op> {
+    fn init(&mut self, p: Point) -> f64 {
+        // The first data point's row: the boundary recurrence along the
+        // query (DTW: running sum, Frechet: running max).
+        fill_point_dists(&self.qx, &self.qy, p.x, p.y, &mut self.dist);
+        let mut acc = 0.0;
+        for (r, &d) in self.row.iter_mut().zip(&self.dist) {
+            acc = Op::boundary(acc, d);
+            *r = acc;
+        }
+        self.initialized = true;
+        self.similarity()
+    }
+
+    fn extend(&mut self, p: Point) -> f64 {
+        assert!(self.initialized, "extend before init");
+        fill_point_dists(&self.qx, &self.qy, p.x, p.y, &mut self.dist);
+        roll_row::<Op, false>(&mut self.row, &self.dist);
+        self.similarity()
+    }
+
+    fn similarity(&self) -> f64 {
+        similarity_from_distance(self.distance())
+    }
+
+    fn distance(&self) -> f64 {
+        if self.initialized {
+            *self.row.last().expect("non-empty query")
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    fn reset(&mut self, query: &[Point]) {
+        assert!(!query.is_empty(), "query must be non-empty");
+        load_query_soa(query, &mut self.qx, &mut self.qy);
+        self.row.clear();
+        self.row.resize(query.len(), 0.0);
+        self.dist.clear();
+        self.dist.resize(query.len(), 0.0);
+        self.initialized = false;
+    }
+
+    fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
+        let _ = ts; // point distances are planar; timestamps never enter the DP
+        self.run(xs, ys, |_, _| {})
+    }
+
+    fn extend_run_into(&mut self, xs: &[f64], ys: &[f64], ts: &[f64], sims: &mut [f64]) -> f64 {
+        let _ = ts;
+        self.run(xs, ys, |i, d| sims[i] = similarity_from_distance(d))
+    }
+
+    fn fill_cell_rows(
+        &self,
+        xs: &[f64],
+        ys: &[f64],
+        ts: &[f64],
+        rows: &mut Vec<f64>,
+    ) -> Option<usize> {
+        let _ = ts;
+        let m = self.qx.len();
+        rows.clear();
+        rows.resize(xs.len() * m, 0.0);
+        for (k, out) in rows.chunks_exact_mut(m).enumerate() {
+            fill_point_dists(&self.qx, &self.qy, xs[k], ys[k], out);
+        }
+        Some(m)
+    }
+
+    fn extend_run_rows_into(&mut self, rows: &[f64], sims: &mut [f64]) -> f64 {
+        if rows.is_empty() {
+            return self.similarity();
+        }
+        assert!(self.initialized, "extend_run before init");
+        extend_run_wavefront_rows::<Op, false>(&mut self.row, rows, |i, d| {
+            sims[i] = similarity_from_distance(d)
+        });
+        self.similarity()
     }
 }
 
@@ -478,15 +644,7 @@ pub(crate) fn extend_run_wavefront<Op: DpOp>(
         let dist = &mut scratch[..m];
         for i in 0..xs.len() {
             fill_point_dists(qx, qy, xs[i], ys[i], dist);
-            let mut diag = row[0];
-            let mut left = Op::cell(dist[0], row[0]);
-            row[0] = left;
-            for (r, &d) in row[1..].iter_mut().zip(&dist[1..]) {
-                let up = *r;
-                *r = Op::cell(d, fmin(fmin(diag, up), left));
-                diag = up;
-                left = *r;
-            }
+            roll_row::<Op, false>(row, dist);
             sink(i, row[m - 1]);
         }
         return;
@@ -526,6 +684,23 @@ fn col0_up<const FREE: bool>(up: f64) -> f64 {
     }
 }
 
+/// One Φinc step in column order: rolls `row` forward over the next data
+/// point's distance row `dist` (column 0 reads [`col0_up`]). The body of
+/// `RowEvaluator::extend` and of both wavefront entries' short-query
+/// fallback.
+#[inline]
+fn roll_row<Op: DpOp, const FREE: bool>(row: &mut [f64], dist: &[f64]) {
+    let mut diag = row[0];
+    let mut left = Op::cell(dist[0], col0_up::<FREE>(row[0]));
+    row[0] = left;
+    for (r, &d) in row[1..].iter_mut().zip(&dist[1..]) {
+        let up = *r;
+        *r = Op::cell(d, fmin(fmin(diag, up), left));
+        diag = up;
+        left = *r;
+    }
+}
+
 /// [`extend_run_wavefront`] minus the distance fills: advances the DP row
 /// over `rows.len() / m` run points whose per-point cell-input rows are
 /// already laid out contiguously (`rows[k * m + j]`, as produced by
@@ -547,15 +722,7 @@ pub(crate) fn extend_run_wavefront_rows<Op: DpOp, const FREE: bool>(
     let n = rows.len() / m;
     if m < WAVEFRONT_MIN_M {
         for (i, dist) in rows.chunks_exact(m).enumerate() {
-            let mut diag = row[0];
-            let mut left = Op::cell(dist[0], col0_up::<FREE>(row[0]));
-            row[0] = left;
-            for (r, &d) in row[1..].iter_mut().zip(&dist[1..]) {
-                let up = *r;
-                *r = Op::cell(d, fmin(fmin(diag, up), left));
-                diag = up;
-                left = *r;
-            }
+            roll_row::<Op, FREE>(row, dist);
             sink(i, row[m - 1]);
         }
         return;

@@ -67,7 +67,7 @@ impl Measure for Lcss {
 
 /// Incremental LCSS row: `row[j] = L(i, j+1)`.
 #[derive(Debug, Clone)]
-pub struct LcssEvaluator {
+pub(crate) struct LcssEvaluator {
     query: Vec<Point>,
     epsilon: f64,
     row: Vec<usize>,
@@ -78,7 +78,7 @@ pub struct LcssEvaluator {
 
 impl LcssEvaluator {
     /// Creates an evaluator for the given (non-empty) query.
-    pub fn new(query: &[Point], epsilon: f64) -> Self {
+    pub(crate) fn new(query: &[Point], epsilon: f64) -> Self {
         assert!(!query.is_empty(), "query must be non-empty");
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
         Self {
@@ -91,32 +91,11 @@ impl LcssEvaluator {
     }
 
     /// Current LCS length `L(i, m)`.
-    pub fn length(&self) -> usize {
+    pub(crate) fn length(&self) -> usize {
         if self.initialized {
             *self.row.last().expect("non-empty query")
         } else {
             0
-        }
-    }
-
-    /// The `extend` recurrence without the trait plumbing: the shared,
-    /// statically-dispatched inner step of both `extend` and the slice
-    /// `extend_run` kernels (identical by construction).
-    #[inline]
-    fn extend_step(&mut self, p: Point) {
-        self.i += 1;
-        let mut diag = 0usize; // L(i-1, j)
-        let mut left = 0usize; // L(i, j)
-        for j in 0..self.query.len() {
-            let up = self.row[j]; // L(i-1, j+1)
-            let cell = if p.dist(self.query[j]) <= self.epsilon {
-                diag + 1
-            } else {
-                up.max(left)
-            };
-            self.row[j] = cell;
-            diag = up;
-            left = cell;
         }
     }
 }
@@ -138,7 +117,20 @@ impl PrefixEvaluator for LcssEvaluator {
 
     fn extend(&mut self, p: Point) -> f64 {
         assert!(self.initialized, "extend before init");
-        self.extend_step(p);
+        self.i += 1;
+        let mut diag = 0usize; // L(i-1, j)
+        let mut left = 0usize; // L(i, j)
+        for j in 0..self.query.len() {
+            let up = self.row[j]; // L(i-1, j+1)
+            let cell = if p.dist(self.query[j]) <= self.epsilon {
+                diag + 1
+            } else {
+                up.max(left)
+            };
+            self.row[j] = cell;
+            diag = up;
+            left = cell;
+        }
         self.similarity()
     }
 
@@ -162,34 +154,6 @@ impl PrefixEvaluator for LcssEvaluator {
         self.row.resize(query.len(), 0);
         self.i = 0;
         self.initialized = false;
-    }
-
-    fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
-        // Same point loop as the default, but over the statically
-        // dispatched step (one virtual call per run, not per point) and
-        // without the per-point similarity readout.
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.extend_step(Point::new(xs[i], ys[i], ts[i]));
-        }
-        self.similarity()
-    }
-
-    fn extend_run_into(&mut self, xs: &[f64], ys: &[f64], ts: &[f64], sims: &mut [f64]) -> f64 {
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.extend_step(Point::new(xs[i], ys[i], ts[i]));
-            sims[i] = self.similarity();
-        }
-        self.similarity()
     }
 }
 

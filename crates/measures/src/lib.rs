@@ -39,14 +39,14 @@ mod kernel;
 mod lcss;
 mod t2vec;
 
-pub use cdtw::{Cdtw, CdtwEvaluator};
-pub use dtw::{dtw_distance, dtw_distance_banded, BandedDtwWorkspace, Dtw, DtwEvaluator};
-pub use edr::{edr_distance, Edr, EdrEvaluator};
-pub use erp::{erp_distance, Erp, ErpEvaluator};
-pub use frechet::{frechet_distance, Frechet, FrechetEvaluator};
+pub use cdtw::Cdtw;
+pub use dtw::{dtw_distance, dtw_distance_banded, BandedDtwWorkspace, Dtw};
+pub use edr::{edr_distance, Edr};
+pub use erp::{erp_distance, Erp};
+pub use frechet::{frechet_distance, Frechet};
 pub use kernel::{fill_point_dists, load_query_soa, DpScratch, ExactBest};
-pub use lcss::{lcss_distance, lcss_length, Lcss, LcssEvaluator};
-pub use t2vec::{CoordNormalizer, T2Vec, T2VecConfig, T2VecEvaluator};
+pub use lcss::{lcss_distance, lcss_length, Lcss};
+pub use t2vec::{CoordNormalizer, T2Vec, T2VecConfig};
 
 use simsub_trajectory::{Point, TrajView};
 
@@ -111,13 +111,6 @@ pub trait Measure: Send + Sync {
     /// point and [`PrefixEvaluator::reset`] re-targets it at a new query,
     /// both without further allocation (buffers are reused).
     fn make_workspace(&self, query: &[Point]) -> Box<dyn PrefixEvaluator + '_>;
-
-    /// Creates an incremental evaluator of `Θ(T[i..=j], query)` for fixed
-    /// `i` and growing `j` — the original boxed API, now a thin wrapper
-    /// over [`Measure::make_workspace`].
-    fn prefix_evaluator(&self, query: &[Point]) -> Box<dyn PrefixEvaluator + '_> {
-        self.make_workspace(query)
-    }
 
     /// How this measure aggregates pair distances along an alignment, or
     /// `None` when no admissible MBR-based lower bound is known (the
@@ -222,10 +215,10 @@ pub trait PrefixEvaluator {
     /// chunking-invariant: `extend_run(a); extend_run(b)` is bitwise
     /// equivalent to `extend_run(a ++ b)` for any split, including after a
     /// [`PrefixEvaluator::reset`]. The default is exactly that point loop,
-    /// so external implementations keep compiling; the built-in evaluators
-    /// override it with slice kernels (DTW/Frechet run a 4-lane wavefront
-    /// over the DP row, cDTW batches its recomputation, the edit-family
-    /// and t2vec devirtualize the inner step).
+    /// compiled per implementing type, so its `extend` calls are static.
+    /// Two evaluators override it: DTW/Frechet run a 4-lane wavefront
+    /// over the DP row, and cDTW recomputes its band once per run instead
+    /// of once per point.
     fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
         debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
         let mut sim = self.similarity();

@@ -334,7 +334,7 @@ impl Measure for T2Vec {
 /// (amortized, per Section 3.2) and extends the data-side hidden state one
 /// GRU step per point — `Φini = Φinc = O(1)` in the trajectory length,
 /// on activations it owns, so neither allocates.
-pub struct T2VecEvaluator<'a> {
+pub(crate) struct T2VecEvaluator<'a> {
     measure: &'a T2Vec,
     /// Pre-computed query embedding.
     query_embedding: Vec<f64>,
@@ -346,7 +346,7 @@ pub struct T2VecEvaluator<'a> {
 
 impl<'a> T2VecEvaluator<'a> {
     /// Creates an evaluator, paying the `O(m)` query encoding once.
-    pub fn new(measure: &'a T2Vec, query: &[Point]) -> Self {
+    pub(crate) fn new(measure: &'a T2Vec, query: &[Point]) -> Self {
         let mut eval = Self {
             measure,
             query_embedding: measure.cell.initial_state(),
@@ -399,34 +399,6 @@ impl PrefixEvaluator for T2VecEvaluator<'_> {
             .encode_into(query, &mut self.query_embedding, &mut self.scratch);
         self.h.fill(0.0);
         self.initialized = false;
-    }
-
-    fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
-        // One GRU step per point; `distance`/`similarity` are pure reads
-        // of the hidden state, so the intermediate per-point readouts of
-        // the default loop are dead work the bulk path skips.
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.advance(Point::new(xs[i], ys[i], ts[i]));
-        }
-        self.similarity()
-    }
-
-    fn extend_run_into(&mut self, xs: &[f64], ys: &[f64], ts: &[f64], sims: &mut [f64]) -> f64 {
-        if xs.is_empty() {
-            return self.similarity();
-        }
-        assert!(self.initialized, "extend_run before init");
-        debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
-        for i in 0..xs.len() {
-            self.advance(Point::new(xs[i], ys[i], ts[i]));
-            sims[i] = self.similarity();
-        }
-        self.similarity()
     }
 }
 

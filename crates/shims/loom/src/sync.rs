@@ -3,7 +3,7 @@
 //! Every type stores its value in the real `std` primitive, so behavior
 //! outside a model is byte-for-byte `std` (and constructors stay `const`).
 //! Inside a model, each visible operation first hands control to the
-//! scheduler in [`crate::rt`], which explores interleavings and maintains
+//! scheduler in `crate::rt`, which explores interleavings and maintains
 //! the vector clocks used for happens-before checking.
 
 use std::mem::ManuallyDrop;

@@ -1,7 +1,7 @@
 //! Offline shim for the subset of the `rand` 0.8 API this workspace uses.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors a minimal, deterministic reimplementation: [`StdRng`] is a
+//! vendors a minimal, deterministic reimplementation: [`StdRng`](rngs::StdRng) is a
 //! xoshiro256++ generator seeded via SplitMix64 (the same construction
 //! `rand` itself documents for `seed_from_u64`), [`rngs::mock::StepRng`]
 //! is the arithmetic-sequence mock, and the [`Rng`]/[`SeedableRng`]

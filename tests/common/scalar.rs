@@ -1,7 +1,7 @@
 //! Scalar reference implementations of the five scan algorithms — the
 //! paper's definitions spelled point by point (Algorithm 1 ExactS, §4.2
 //! SizeS, Algorithm 2 PSS, §4.3 POS / POS-D), written only against the
-//! public `Measure::prefix_evaluator` / `init` / `extend` API — plus the
+//! public `Measure::make_workspace` / `init` / `extend` API — plus the
 //! learned path's: the greedy splitting-MDP walk of RLS / RLS-Skip
 //! ([`rls_walk`], §5.1 and §5.4), the row-major GRU step ([`ScalarGru`])
 //! that `crates/nn` computed before its forward pass was gate-stacked, and
@@ -104,7 +104,7 @@ pub fn reference_top_k(
 /// Algorithm 1: every start point, `Φini` then `Φinc` along the tail;
 /// the first strictly better similarity wins.
 fn exact_sweep(measure: &dyn Measure, data: &[Point], query: &[Point]) -> (SubtrajRange, f64) {
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     let mut best = (SubtrajRange::new(0, 0), f64::NEG_INFINITY);
     for i in 0..data.len() {
         let mut sim = eval.init(data[i]);
@@ -134,7 +134,7 @@ fn sizes_scan(
     let n = data.len();
     let min_len = query.len().saturating_sub(xi).max(1);
     let max_len = (query.len() + xi).min(n);
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     let mut best = (SubtrajRange::new(0, 0), f64::NEG_INFINITY);
     for i in 0..n {
         let mut sim = eval.init(data[i]);
@@ -163,7 +163,7 @@ fn sizes_scan(
 fn suffix_pass(measure: &dyn Measure, data: &[Point], query: &[Point]) -> Vec<f64> {
     let n = data.len();
     let reversed_query: Vec<Point> = query.iter().rev().copied().collect();
-    let mut suffix_eval = measure.prefix_evaluator(&reversed_query);
+    let mut suffix_eval = measure.make_workspace(&reversed_query);
     let mut suffix = vec![0.0; n];
     suffix[n - 1] = suffix_eval.init(data[n - 1]);
     for t in (0..n - 1).rev() {
@@ -179,7 +179,7 @@ fn suffix_pass(measure: &dyn Measure, data: &[Point], query: &[Point]) -> Vec<f6
 fn pss_scan(measure: &dyn Measure, data: &[Point], query: &[Point]) -> (SubtrajRange, f64) {
     let n = data.len();
     let suffix = suffix_pass(measure, data, query);
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     let mut best: Option<SubtrajRange> = None;
     let mut best_sim = 0.0f64;
     let mut h = 0;
@@ -213,7 +213,7 @@ fn pos_d_scan(
     query: &[Point],
 ) -> (SubtrajRange, f64) {
     let n = data.len();
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     let mut best: Option<SubtrajRange> = None;
     let mut best_sim = 0.0f64;
     let mut h = 0;
@@ -263,7 +263,7 @@ pub fn rls_walk(
     } else {
         Vec::new()
     };
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     let (mut t, mut h) = (0, 0);
     let mut pre = eval.init(data[0]);
     let mut best: Option<SubtrajRange> = None;

@@ -81,7 +81,7 @@ fn arb_grid_traj(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
 fn check_conformance(measure: &dyn Measure, query: &[Point], data: &[Point], split: usize) {
     // Scalar reference: init at p0, then one virtual `extend` per point,
     // recording every intermediate similarity.
-    let mut reference = measure.prefix_evaluator(query);
+    let mut reference = measure.make_workspace(query);
     reference.init(data[0]);
     let mut ref_sims = Vec::with_capacity(data.len() - 1);
     for &p in &data[1..] {
@@ -93,7 +93,7 @@ fn check_conformance(measure: &dyn Measure, query: &[Point], data: &[Point], spl
     let (xs, ys, ts) = soa(data);
 
     // (a) One bulk run over the whole tail (empty when |data| = 1).
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     eval.init(data[0]);
     let got = eval.extend_run(&xs[1..], &ys[1..], &ts[1..]);
     assert_eq!(got.to_bits(), ref_final.to_bits(), "{name}: full-slab run");
@@ -104,7 +104,7 @@ fn check_conformance(measure: &dyn Measure, query: &[Point], data: &[Point], spl
     );
 
     // (b) Per-point readout variant.
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     eval.init(data[0]);
     let mut sims = vec![0.0; data.len() - 1];
     let got = eval.extend_run_into(&xs[1..], &ys[1..], &ts[1..], &mut sims);
@@ -116,7 +116,7 @@ fn check_conformance(measure: &dyn Measure, query: &[Point], data: &[Point], spl
     // (c) Chunking invariance: split the tail at an arbitrary cut (either
     // side may be empty) — two runs must equal the one-run chain.
     let cut = 1 + split % data.len();
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     eval.init(data[0]);
     eval.extend_run(&xs[1..cut], &ys[1..cut], &ts[1..cut]);
     let got = eval.extend_run(&xs[cut..], &ys[cut..], &ts[cut..]);
@@ -143,7 +143,7 @@ fn check_conformance(measure: &dyn Measure, query: &[Point], data: &[Point], spl
     // across an arbitrary chunk cut (the prefix stream refills in
     // chunks). Measures without the factoring return `None` and are
     // covered by (a)-(d) alone.
-    let mut eval = measure.prefix_evaluator(query);
+    let mut eval = measure.make_workspace(query);
     let mut rows = Vec::new();
     if let Some(m) = eval.fill_cell_rows(&xs, &ys, &ts, &mut rows) {
         assert_eq!(rows.len(), data.len() * m, "{name}: cell-rows shape");
@@ -377,7 +377,7 @@ fn check_free_start_kernel(data: &[Point], query: &[Point], probe: f64) {
         let (start, end, best) = oracle::best_subtrajectory(which, data, query);
         let mut rows = Vec::new();
         measure
-            .prefix_evaluator(query)
+            .make_workspace(query)
             .fill_cell_rows(&xs, &ys, &ts, &mut rows)
             .expect("DTW and Fréchet factor cell rows");
         for floor in [

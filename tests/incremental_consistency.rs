@@ -31,7 +31,7 @@ proptest! {
         let data = trajs[0].points();
         let query = &trajs[1].points()[..6];
         for measure in measures() {
-            let mut eval = measure.prefix_evaluator(query);
+            let mut eval = measure.make_workspace(query);
             for i in (0..data.len()).step_by(3) {
                 eval.init(data[i]);
                 for j in i..data.len() {

@@ -906,6 +906,33 @@ fn results_part(response: &str) -> String {
         .dump()
 }
 
+/// The largest `k` a wire request can carry (2^53) answers with the hits
+/// of `k` = corpus size, and the server keeps serving: a heap sized by
+/// that `k` once aborted the whole process on allocation.
+#[test]
+fn the_largest_wire_k_answers_and_keeps_serving() {
+    let db = shared_db(12);
+    let engine = Arc::new(engine_with(&db, 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+
+    let query = queries_from(&db, 1).remove(0);
+    let points: Vec<String> = query.iter().map(|p| format!("[{},{}]", p.x, p.y)).collect();
+    let points = points.join(",");
+    let line = |k: usize| format!("{{\"query\":[{points}],\"algo\":\"exact\",\"k\":{k}}}");
+    let huge = send_line(&mut stream, &mut reader, &line(1 << 53));
+    assert!(huge.contains("\"ok\":true"), "k = 2^53: {huge}");
+    let full = send_line(&mut stream, &mut reader, &line(db.len()));
+    assert!(full.contains("\"ok\":true"), "k = corpus size: {full}");
+    assert_eq!(results_part(&huge), results_part(&full));
+    assert!(full.contains("\"trajectory_id\""), "no hits: {full}");
+
+    let pong = send_line(&mut stream, &mut reader, "{\"cmd\":\"ping\"}");
+    assert!(pong.contains("\"ok\":true"), "ping: {pong}");
+    server.stop();
+    server.wait();
+}
+
 /// Satellite regression: connections sitting silently in `read_line`
 /// (idle, or stalled mid-request) must not stall `shutdown` — the read
 /// timeout lets every connection thread observe the stop flag.
