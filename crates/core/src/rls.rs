@@ -26,19 +26,31 @@ impl Rls {
     ///
     /// # Panics
     /// Panics if the policy's input/output dimensions do not match the
-    /// MDP configuration.
+    /// MDP configuration; [`Rls::try_new`] returns that as an error.
     pub fn new(policy: Policy, cfg: MdpConfig) -> Self {
-        assert_eq!(
-            policy.state_dim(),
-            cfg.state_dim(),
-            "policy state dim mismatch"
-        );
-        assert_eq!(
-            policy.n_actions(),
-            cfg.n_actions(),
-            "policy action count mismatch"
-        );
-        Self { policy, cfg }
+        Self::try_new(policy, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Wraps a trained policy, or says why it does not fit `cfg`: a
+    /// policy file loaded from outside the program may have been trained
+    /// for another skip count or without the suffix feature.
+    pub fn try_new(policy: Policy, cfg: MdpConfig) -> Result<Self, String> {
+        let name = cfg.algorithm_name();
+        if policy.state_dim() != cfg.state_dim() {
+            return Err(format!(
+                "policy state dim mismatch: the policy takes {} state features, {name} needs {}",
+                policy.state_dim(),
+                cfg.state_dim()
+            ));
+        }
+        if policy.n_actions() != cfg.n_actions() {
+            return Err(format!(
+                "policy action count mismatch: the policy has {} actions, {name} needs {}",
+                policy.n_actions(),
+                cfg.n_actions()
+            ));
+        }
+        Ok(Self { policy, cfg })
     }
 
     /// The MDP configuration.

@@ -59,7 +59,7 @@ use crate::fault::{
 };
 use crate::metrics_registry::ExpositionBuilder;
 use crate::query::{AlgoSpec, MeasureSpec, QueryRequest, QueryResponse};
-use crate::stats::{ServeStats, StatsSnapshot};
+use crate::stats::{Count, ServeStats, StatsSnapshot};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::mpsc::{
     channel, sync_channel, Receiver, SendError, Sender, SyncSender, TrySendError,
@@ -74,7 +74,7 @@ use simsub_index::TrajectoryDb;
 use simsub_measures::{Dtw, Frechet, Measure, T2Vec};
 use simsub_nn::BinaryCodec;
 use simsub_rl::Policy;
-use simsub_trajectory::{CorpusArena, Trajectory};
+use simsub_trajectory::CorpusArena;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
@@ -151,18 +151,6 @@ impl CorpusSnapshot {
         }
     }
 
-    /// Assembles a snapshot from raw trajectories plus optional model
-    /// files — delegates to [`CorpusSnapshot::assemble_arena`]
-    /// through a bit-exact columnar copy, so CSV-served, reloaded, and
-    /// packed-binary corpora of the same points can never diverge.
-    pub fn assemble(
-        trajectories: Vec<Trajectory>,
-        policy: Option<(&std::path::Path, MdpConfig)>,
-        t2vec: Option<&std::path::Path>,
-    ) -> Result<Self, String> {
-        Self::assemble_arena(CorpusArena::from_trajectories(&trajectories), policy, t2vec)
-    }
-
     /// Assembles a snapshot straight from a columnar [`CorpusArena`] —
     /// the *single* builder behind `simsub serve` startup, the admin
     /// `reload` command, and the packed-binary corpus path
@@ -177,7 +165,8 @@ impl CorpusSnapshot {
         if let Some((path, mdp)) = policy {
             let policy =
                 Policy::load(path).map_err(|e| format!("loading {}: {e}", path.display()))?;
-            snapshot = snapshot.with_rls(Rls::new(policy, mdp));
+            let rls = Rls::try_new(policy, mdp).map_err(|e| format!("{}: {e}", path.display()))?;
+            snapshot = snapshot.with_rls(rls);
         }
         if let Some(path) = t2vec {
             let model =
@@ -772,7 +761,7 @@ impl QueryEngine {
                         if let Some(metrics) = crate::audit::evaluate_sample(&sample) {
                             inner.stats.record_audit_sample(&metrics);
                         } else {
-                            inner.stats.record_audit_dropped();
+                            inner.stats.inc(Count::AuditDropped);
                         }
                     }
                 })
@@ -867,7 +856,7 @@ impl QueryEngine {
         if let Some(results) = hit {
             // Admitted and answered in one step; `respond` releases the
             // inflight slot it takes for the duration of the answer.
-            self.inner.stats.record_admitted();
+            self.inner.stats.inc(Count::Admitted);
             self.inner.stats.inflight().add(1);
             let dequeued = job.submitted;
             respond(&self.inner, job, results, dequeued, None);
@@ -890,7 +879,7 @@ impl QueryEngine {
         };
         match tx.send(job) {
             Ok(()) => {
-                self.inner.stats.record_admitted();
+                self.inner.stats.inc(Count::Admitted);
                 self.inner.stats.queue_depth().add(1);
                 Ok(())
             }
@@ -926,8 +915,8 @@ impl QueryEngine {
         if max_depth > 0 {
             let depth = self.inner.stats.queue_depth().get();
             if depth >= max_depth as i64 {
-                self.inner.stats.record_admitted();
-                self.inner.stats.record_shed();
+                self.inner.stats.inc(Count::Admitted);
+                self.inner.stats.inc(Count::Shed);
                 return Err(ServiceError::Overloaded {
                     retry_after_ms: self.retry_after_hint(depth),
                 });
@@ -1009,7 +998,7 @@ impl QueryEngine {
     /// when the last such request drops its pin. Stale-epoch result
     /// cache entries are purged eagerly (they are unreachable anyway —
     /// keys mix in the epoch) and counted in
-    /// [`StatsSnapshot::cache_evicted_on_swap`]. The new epoch is
+    /// [`Count::CacheEvictedOnSwap`]. The new epoch is
     /// published before the purge takes the cache lock, so a worker
     /// finishing an old-epoch scan afterwards sees it under that lock and
     /// skips its insert: no unreachable entry outlives the purge.
@@ -1094,7 +1083,7 @@ impl QueryEngine {
                 let mut cache = lock_recover(&self.inner.cache);
                 cache.set_capacity(capacity)
             };
-            self.inner.stats.record_cache_evictions(evicted as u64);
+            self.inner.stats.add(Count::CacheEvictions, evicted as u64);
         }
         Ok(self.config_view())
     }
@@ -1134,193 +1123,30 @@ impl QueryEngine {
     /// payload behind the admin `{"cmd":"metrics"}` command and
     /// `simsub admin metrics`. Names are stable; new series are additive.
     pub fn metrics_exposition(&self) -> String {
-        let snap = self.inner.stats.snapshot();
         let view = self.config_view();
-        let worker_busy: Vec<(String, u64)> = snap
-            .worker_busy_ns
-            .iter()
-            .enumerate()
-            .map(|(i, &ns)| (i.to_string(), ns))
-            .collect();
         let mut b = ExpositionBuilder::new();
-        b.counter("simsub_requests_total", "Requests answered.", snap.requests);
-        b.counter(
-            "simsub_cache_hits_total",
-            "Requests answered from the result cache.",
-            snap.cache_hits,
-        );
-        b.counter(
-            "simsub_cache_evictions_total",
-            "Result-cache entries evicted by LRU capacity pressure.",
-            snap.cache_evictions,
-        );
-        b.counter(
-            "simsub_cache_evicted_on_swap_total",
-            "Stale-epoch result-cache entries purged by snapshot swaps.",
-            snap.cache_evicted_on_swap,
-        );
+        self.inner.stats.snapshot().write_exposition(&mut b);
         b.gauge(
             "simsub_cache_entries",
             "Result-cache entries currently held.",
             view.cache_len as f64,
-        );
-        b.gauge(
+        )
+        .gauge(
             "simsub_cache_capacity",
             "Result-cache capacity (0 = caching disabled).",
             view.cache_capacity as f64,
-        );
-        b.gauge(
-            "simsub_queue_depth",
-            "Jobs accepted but not yet drained by a worker.",
-            snap.queue_depth as f64,
-        );
-        b.gauge(
-            "simsub_inflight",
-            "Jobs a worker has dequeued but not yet answered.",
-            snap.inflight as f64,
-        );
-        b.histogram(
-            "simsub_request_latency_us",
-            "Engine latency per answered request, microseconds.",
-            &snap.latency_hist,
-        );
-        b.counter_per_label(
-            "simsub_worker_busy_ns_total",
-            "Per-worker nanoseconds spent outside the blocking queue receive.",
-            "worker",
-            &worker_busy,
-        );
-        b.counter(
-            "simsub_scan_candidates_total",
-            "Candidate (trajectory, query) pairs considered by cold scans.",
-            snap.scan_candidates,
-        );
-        b.counter(
-            "simsub_scan_pruned_kim_total",
-            "Candidates rejected by the O(1) Kim-style coarse screen.",
-            snap.scan_pruned_kim,
-        );
-        b.counter(
-            "simsub_scan_pruned_mbr_total",
-            "Candidates rejected by the O(m) MBR-envelope bound.",
-            snap.scan_pruned_mbr,
-        );
-        b.counter(
-            "simsub_scan_pruned_points_total",
-            "Candidates rejected by the O(n*m) point-level bound.",
-            snap.scan_pruned_points,
-        );
-        b.counter(
-            "simsub_scan_searched_total",
-            "Candidates fully searched by the DP kernel.",
-            snap.scan_searched,
-        );
-        b.counter(
-            "simsub_scan_abandoned_total",
-            "Searched candidates the free-start DP settled below the k-th similarity; range recoveries are at most k per scan, not searched minus abandoned.",
-            snap.scan_abandoned,
-        );
-        b.counter(
-            "simsub_scan_searched_cells_total",
-            "Nominal DP size (data_len x query_len) of searched candidates; settling early does not shrink it.",
-            snap.scan_searched_cells,
-        );
-        b.counter(
-            "simsub_scan_ns_total",
-            "Wall-clock nanoseconds spent inside cold corpus scans.",
-            snap.scan_ns,
-        );
-        b.gauge(
-            "simsub_ns_per_cell",
-            "Mean scan nanoseconds per nominal DP cell (scan_ns / searched_cells).",
-            snap.ns_per_cell,
-        );
-        b.counter(
-            "simsub_swaps_total",
-            "Snapshot hot-swaps performed.",
-            snap.swaps,
-        );
-        b.gauge(
+        )
+        .gauge(
             "simsub_epoch",
             "Current engine epoch (bumps by 1 per snapshot swap).",
             self.epoch() as f64,
-        );
-        b.counter(
-            "simsub_slow_queries_total",
-            "Requests whose engine latency crossed the slow-query threshold.",
-            snap.slow_queries,
-        );
-        b.counter(
-            "simsub_audit_samples_total",
-            "Served answers re-checked against ExactS by the auditor.",
-            snap.audit_samples,
-        );
-        b.counter(
-            "simsub_audit_dropped_total",
-            "Audit candidates dropped (auditor queue full or unresolvable).",
-            snap.audit_dropped,
-        );
-        b.gauge(
-            "simsub_audit_ar",
-            "Mean approximation ratio of audited answers (1.0 = exact).",
-            snap.audit_ar,
-        );
-        b.gauge(
-            "simsub_audit_mr",
-            "Mean exhaustive-ranking rank of audited answers (1 = best).",
-            snap.audit_mr,
-        );
-        b.gauge(
-            "simsub_audit_rr",
-            "Mean relative rank of audited answers.",
-            snap.audit_rr,
-        );
-        b.counter(
-            "simsub_admitted_total",
-            "Requests that passed validation at submit (including shed).",
-            snap.admitted,
-        );
-        b.counter(
-            "simsub_shed_total",
-            "Requests rejected by the admission gate (queue full).",
-            snap.shed,
-        );
-        b.counter(
-            "simsub_deadline_expired_total",
-            "Jobs dropped because their deadline expired before scanning.",
-            snap.deadline_expired,
-        );
-        b.counter(
-            "simsub_internal_errors_total",
-            "Jobs answered with a structured internal error.",
-            snap.internal_errors,
-        );
-        b.counter(
-            "simsub_worker_panics_total",
-            "Worker-thread panics observed (caught or supervisor-detected).",
-            snap.worker_panics,
-        );
-        b.counter(
-            "simsub_worker_restarts_total",
-            "Worker threads respawned by the supervisor.",
-            snap.worker_restarts,
-        );
-        b.counter(
-            "simsub_accept_errors_total",
-            "Failed accept() calls the serving layer survived.",
-            snap.accept_errors,
-        );
-        b.gauge(
-            "simsub_open_connections",
-            "Connections the serving layer currently holds open.",
-            snap.open_connections as f64,
-        );
-        b.gauge(
+        )
+        .gauge(
             "simsub_faults_armed",
             "1 when at least one fault-injection point is armed.",
             if self.inner.faults.armed() { 1.0 } else { 0.0 },
-        );
-        b.counter_per_label(
+        )
+        .counter_per_label(
             "simsub_fault_injections_total",
             "Times each fault-injection point fired.",
             "point",
@@ -1355,7 +1181,7 @@ impl QueryEngine {
         for slot in slots.iter_mut() {
             if let Some(handle) = slot.take() {
                 if let Err(payload) = handle.join() {
-                    self.inner.stats.record_worker_panic();
+                    self.inner.stats.inc(Count::WorkerPanics);
                     report.worker_panics.push(panic_message(payload));
                 }
             }
@@ -1412,11 +1238,11 @@ fn supervise(inner: &Arc<Inner>, pool: &WorkerPool) {
                 // respawn into a closing engine.
                 Ok(()) => {}
                 Err(_payload) => {
-                    inner.stats.record_worker_panic();
+                    inner.stats.inc(Count::WorkerPanics);
                     // ordering: SeqCst — a shutdown store ordered before this load forbids the respawn.
                     if !inner.shutting_down.load(Ordering::SeqCst) {
                         *slot = Some(spawn_worker(inner, index));
-                        inner.stats.record_worker_restart();
+                        inner.stats.inc(Count::WorkerRestarts);
                     }
                 }
             }
@@ -1517,7 +1343,7 @@ fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
     let (results, stats) = match outcome {
         Ok(answer) => answer,
         Err(payload) => {
-            inner.stats.record_worker_panic();
+            inner.stats.inc(Count::WorkerPanics);
             let msg = panic_message(payload);
             fail_job(
                 inner,
@@ -1555,7 +1381,9 @@ fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
             )
         }
     };
-    inner.stats.record_cache_evictions(evicted as u64);
+    if evicted != 0 {
+        inner.stats.add(Count::CacheEvictions, evicted as u64);
+    }
     maybe_audit(inner, &job, &results);
     respond(inner, job, results, dequeued, Some(&scan));
 }
@@ -1564,8 +1392,8 @@ fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
 /// its inflight slot, and answers its waiter.
 fn fail_job(inner: &Inner, job: Job, err: ServiceError) {
     match &err {
-        ServiceError::DeadlineExceeded => inner.stats.record_deadline_expired(),
-        ServiceError::Internal(_) => inner.stats.record_internal_error(),
+        ServiceError::DeadlineExceeded => inner.stats.inc(Count::DeadlineExpired),
+        ServiceError::Internal(_) => inner.stats.inc(Count::InternalErrors),
         _ => {}
     }
     inner.stats.inflight().add(-1);
@@ -1605,7 +1433,7 @@ fn maybe_audit(inner: &Inner, job: &Job, results: &[TopKResult]) {
         match tx.try_send(sample) {
             // Disconnected can only race with shutdown; nothing to count.
             Ok(()) | Err(TrySendError::Disconnected(_)) => {}
-            Err(TrySendError::Full(_)) => inner.stats.record_audit_dropped(),
+            Err(TrySendError::Full(_)) => inner.stats.inc(Count::AuditDropped),
         }
     }
 }
@@ -1626,7 +1454,7 @@ fn respond(
     // `Reply`'s drop guard converts the discarded job into a `Canceled`
     // delivery), and the loss is counted so stats still reconcile.
     if inner.faults.fire(FaultPoint::DropResponse) {
-        inner.stats.record_internal_error();
+        inner.stats.inc(Count::InternalErrors);
         inner.stats.inflight().add(-1);
         return;
     }
@@ -1669,7 +1497,7 @@ fn respond(
             }
             log.push_back(record);
         }
-        inner.stats.record_slow_query();
+        inner.stats.inc(Count::SlowQueries);
     }
     let epoch = job.admitted.epoch;
     job.reply.deliver(Ok(QueryResponse {
@@ -1744,8 +1572,8 @@ mod tests {
         assert_eq!(report.cache_evicted, 1);
         assert_eq!(report.trajectories, 5);
         let stats = engine.stats();
-        assert_eq!(stats.swaps, 1);
-        assert_eq!(stats.cache_evicted_on_swap, 1);
+        assert_eq!(stats.get(Count::Swaps), 1);
+        assert_eq!(stats.get(Count::CacheEvictedOnSwap), 1);
 
         // Same request, new epoch: a cold answer from the new corpus.
         let response = engine.query(req).unwrap();

@@ -14,7 +14,7 @@
 //! | [`fault`] | named fault-injection points for chaos testing (`SIMSUB_FAULTS`, admin `configure`); zero-cost when disarmed |
 //! | [`query`] | request/response model, canonical query hash |
 //! | [`cache`] | O(1) LRU result cache with epoch-stamped entries |
-//! | [`stats`] | qps / p50 / p99 / hit-rate / swap / prune / audit accounting over [`metrics_registry`] primitives |
+//! | [`stats`] | the [`Count`] table (each engine count's `stats` key, exposition series and help text, declared once) and [`ServeStats`], which keeps one counter per row plus the gauges and latency histogram; its [`StatsSnapshot`] renders both the `stats` reply and the engine part of the `metrics` exposition, and derives qps / p50 / p99 / hit rate / prune ratio / audit means |
 //! | [`metrics_registry`] | dependency-free counters, gauges, mergeable power-of-two histograms, Prometheus-style text exposition |
 //! | [`trace`] | per-query stage traces (`"trace":true` on wire v2) and the slow-query log record |
 //! | `audit` (private) | sampled online quality auditor: re-runs ExactS on served answers, feeds the AR/MR/RR gauges |
@@ -78,6 +78,6 @@ pub use json::ProtocolVersion;
 pub use metrics_registry::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use polling::raise_nofile_limit;
 pub use query::{AlgoSpec, MeasureSpec, QueryRequest, QueryResponse};
-pub use server::{IoModel, Server, StopHandle};
-pub use stats::{ServeStats, StatsSnapshot};
+pub use server::{IoModel, Server};
+pub use stats::{Count, ServeStats, StatsSnapshot};
 pub use trace::{SlowQueryRecord, TraceReport};

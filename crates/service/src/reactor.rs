@@ -40,6 +40,7 @@
 use crate::engine::{QueryEngine, ServiceError};
 use crate::query::QueryResponse;
 use crate::server::{self, LineJob, LineOutcome, MAX_LINE_BYTES};
+use crate::stats::Count;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use crate::sync::Arc;
@@ -269,21 +270,21 @@ impl Reactor<'_> {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     if self.register(stream).is_err() {
-                        self.engine.serve_stats().record_accept_error();
+                        self.engine.serve_stats().inc(Count::AcceptErrors);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::ConnectionAborted => {
                     // The peer died between readiness and accept().
-                    self.engine.serve_stats().record_accept_error();
+                    self.engine.serve_stats().inc(Count::AcceptErrors);
                 }
                 Err(_) => {
                     // EMFILE/ENFILE, or one of the pending network errors
                     // accept(2) says to retry (ENETDOWN, EPROTO, ...):
                     // park the listener briefly and keep serving
                     // established connections — closing ones free fds.
-                    self.engine.serve_stats().record_accept_error();
+                    self.engine.serve_stats().inc(Count::AcceptErrors);
                     self.park_listener();
                     return;
                 }

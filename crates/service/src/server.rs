@@ -127,10 +127,11 @@
 //!
 //! - `{"cmd":"stats"}` → `{"ok":true,"stats":{...}}`. The first thirteen
 //!   stats fields (through `cache_evicted_on_swap`) are frozen; later
-//!   fields are additive (histogram-backed percentiles,
-//!   queue/inflight gauges, prune/cache/audit counters,
-//!   `latency_buckets` — see
-//!   [`crate::stats::StatsSnapshot::to_json`]).
+//!   fields are additive: every other [`crate::stats::Count`] under its
+//!   key (`scan_ns`, the scan time behind `ns_per_cell`, among them),
+//!   then histogram-backed `p999_us`, the queue/inflight/connection
+//!   gauges, `ns_per_cell`, the audit means and `latency_buckets` — see
+//!   [`crate::stats::StatsSnapshot::to_json`].
 //! - `{"cmd":"ping"}` → `{"ok":true,"pong":true}`
 //! - `{"cmd":"shutdown"}` → `{"ok":true,"bye":true}`, then the server
 //!   stops accepting, drains the engine, and exits.
@@ -184,6 +185,7 @@ use crate::engine::{
 };
 use crate::json::{obj, write_num, Json, ProtocolVersion};
 use crate::query::{QueryRequest, QueryResponse};
+use crate::stats::Count;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Arc;
 use simsub_core::MdpConfig;
@@ -257,24 +259,11 @@ impl Server {
         self.local_addr
     }
 
-    /// True once a `shutdown` command (or [`Server::stop`]) was seen.
-    pub fn is_stopped(&self) -> bool {
-        // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Requests a stop (same effect as the wire `shutdown` command).
     pub fn stop(&self) {
         // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.waker.wake();
-    }
-
-    /// A clonable handle that can request (and observe) the stop from
-    /// another thread — e.g. the `--reload-fifo` control thread — without
-    /// holding the `Server` itself.
-    pub fn stop_handle(&self) -> StopHandle {
-        StopHandle(Arc::clone(&self.stop))
     }
 
     /// Blocks until the server stops: joins the serve loop (which drains
@@ -299,24 +288,6 @@ impl Drop for Server {
                 eprintln!("simsub: serve thread panicked");
             }
         }
-    }
-}
-
-/// Detached stop switch for a [`Server`]; see [`Server::stop_handle`].
-#[derive(Clone)]
-pub struct StopHandle(Arc<AtomicBool>);
-
-impl StopHandle {
-    /// Requests the server stop (same effect as the wire `shutdown`).
-    pub fn stop(&self) {
-        // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// True once a stop was requested.
-    pub fn is_stopped(&self) -> bool {
-        // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
-        self.0.load(Ordering::SeqCst)
     }
 }
 
@@ -557,9 +528,7 @@ pub fn query_line(
 /// `info`, `reload`, `configure`), returning the response *body* (no
 /// version envelope — the caller owns that). `None` means the command is
 /// not part of this namespace (`shutdown` and queries are the server
-/// loop's business). Public so out-of-band control planes — the
-/// `--reload-fifo` thread in `simsub serve` — drive the same code path
-/// as the TCP front-end.
+/// loop's business).
 pub fn handle_admin_command(engine: &QueryEngine, parsed: &Json) -> Option<Json> {
     let cmd = parsed.get("cmd").and_then(Json::as_str)?;
     match cmd {
@@ -602,7 +571,7 @@ fn admin_info(engine: &QueryEngine) -> Json {
     pairs.extend([
         ("rls_loaded", Json::Bool(snapshot.has_rls())),
         ("t2vec_loaded", Json::Bool(snapshot.has_t2vec())),
-        ("swaps", Json::Num(stats.swaps as f64)),
+        ("swaps", Json::Num(stats.get(Count::Swaps) as f64)),
         ("build", Json::Str(env!("CARGO_PKG_VERSION").into())),
         ("protocol", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])),
     ]);

@@ -5,72 +5,127 @@
 //! log-bucketed [`Histogram`] of [`crate::metrics_registry`] (which
 //! replaced the old mutex-guarded latency reservoir), so p50/p99/p999
 //! come from mergeable power-of-two buckets with at most one bucket (2x)
-//! of error. [`ServeStats::snapshot`] takes the point-in-time
-//! [`StatsSnapshot`] that backs both the `stats` wire response and the
-//! Prometheus-style `metrics` exposition.
+//! of error.
+//!
+//! Each monotone count is declared once, in the [`Count`] table: its
+//! `stats` key, its exposition series and its help text. [`ServeStats`]
+//! keeps one counter per row, and the point-in-time [`StatsSnapshot`]
+//! renders both the `stats` wire reply ([`StatsSnapshot::to_json`]) and
+//! the engine's part of the Prometheus-style `metrics` exposition
+//! ([`StatsSnapshot::write_exposition`]) by walking that table, so the
+//! two can never name different counts.
 
 use crate::json::{obj, Json};
-use crate::metrics_registry::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics_registry::{Counter, ExpositionBuilder, Gauge, Histogram, HistogramSnapshot};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use simsub_core::{EffectivenessMetrics, PruneStats};
 use std::time::{Duration, Instant};
+
+/// Declares the [`Count`] enum and its table from one list of rows
+/// `Variant = "stats key", "exposition series", "help text";`. The help
+/// text is also the variant's first doc line.
+macro_rules! counts {
+    ($($(#[$note:meta])* $variant:ident = $key:literal, $series:literal, $help:literal;)+) => {
+        /// One monotone engine count: a row of the table that both the
+        /// `stats` reply and the `metrics` exposition are rendered from.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Count {
+            $(#[doc = $help] $(#[$note])* $variant,)+
+        }
+
+        impl Count {
+            /// Every count, in table order: the order of the additive
+            /// `stats` keys and of the exposition's counters.
+            pub const ALL: [Count; [$($key),+].len()] = [$(Count::$variant),+];
+
+            /// The count's key in the `stats` reply.
+            pub const fn key(self) -> &'static str {
+                match self {
+                    $(Count::$variant => $key,)+
+                }
+            }
+
+            /// The count's exposition series (a Prometheus counter).
+            pub const fn series(self) -> &'static str {
+                match self {
+                    $(Count::$variant => $series,)+
+                }
+            }
+
+            /// The series' `# HELP` text.
+            pub const fn help(self) -> &'static str {
+                match self {
+                    $(Count::$variant => $help,)+
+                }
+            }
+        }
+    };
+}
+
+counts! {
+    Requests = "requests", "simsub_requests_total", "Requests answered.";
+    CacheHits = "cache_hits", "simsub_cache_hits_total",
+        "Requests answered from the result cache.";
+    ScanCandidates = "scan_candidates", "simsub_scan_candidates_total",
+        "Candidate (trajectory, query) pairs considered by cold scans.";
+    ScanSearched = "scan_searched", "simsub_scan_searched_total",
+        "Candidates fully searched by the DP kernel.";
+    Swaps = "swaps", "simsub_swaps_total", "Snapshot hot-swaps performed.";
+    CacheEvictedOnSwap = "cache_evicted_on_swap", "simsub_cache_evicted_on_swap_total",
+        "Stale-epoch result-cache entries purged by snapshot swaps.";
+    CacheEvictions = "cache_evictions", "simsub_cache_evictions_total",
+        "Result-cache entries evicted by LRU capacity pressure.";
+    SlowQueries = "slow_queries", "simsub_slow_queries_total",
+        "Requests whose engine latency crossed the slow-query threshold.";
+    ScanPrunedKim = "scan_pruned_kim", "simsub_scan_pruned_kim_total",
+        "Candidates rejected by the O(1) Kim-style coarse screen.";
+    ScanPrunedMbr = "scan_pruned_mbr", "simsub_scan_pruned_mbr_total",
+        "Candidates rejected by the O(m) MBR-envelope bound.";
+    ScanPrunedPoints = "scan_pruned_points", "simsub_scan_pruned_points_total",
+        "Candidates rejected by the O(n*m) point-level bound.";
+    ScanAbandoned = "scan_abandoned", "simsub_scan_abandoned_total",
+        "Searched candidates the free-start DP settled below the k-th similarity; range recoveries are at most k per scan, not searched minus abandoned.";
+    /// The denominator of [`StatsSnapshot::ns_per_cell`].
+    ScanSearchedCells = "scan_searched_cells", "simsub_scan_searched_cells_total",
+        "Nominal DP size (data_len x query_len) of searched candidates; settling early does not shrink it.";
+    /// Measured by the engine around each scan call; the numerator of
+    /// [`StatsSnapshot::ns_per_cell`].
+    ScanNs = "scan_ns", "simsub_scan_ns_total",
+        "Wall-clock nanoseconds spent inside cold corpus scans.";
+    AuditSamples = "audit_samples", "simsub_audit_samples_total",
+        "Served answers re-checked against ExactS by the auditor.";
+    AuditDropped = "audit_dropped", "simsub_audit_dropped_total",
+        "Audit candidates dropped (auditor queue full or unresolvable).";
+    /// Reconciliation identity, once the engine is quiescent: `admitted
+    /// ==` [`StatsSnapshot::outcomes`].
+    Admitted = "admitted", "simsub_admitted_total",
+        "Requests that passed validation at submit (including shed).";
+    Shed = "shed", "simsub_shed_total",
+        "Requests rejected by the admission gate (queue full).";
+    DeadlineExpired = "deadline_expired", "simsub_deadline_expired_total",
+        "Jobs dropped because their deadline expired before scanning.";
+    /// A scan panicked, or the response was lost before reaching the
+    /// waiter.
+    InternalErrors = "internal_errors", "simsub_internal_errors_total",
+        "Jobs answered with a structured internal error.";
+    WorkerPanics = "worker_panics", "simsub_worker_panics_total",
+        "Worker-thread panics observed (caught or supervisor-detected).";
+    WorkerRestarts = "worker_restarts", "simsub_worker_restarts_total",
+        "Worker threads respawned by the supervisor.";
+    /// fd exhaustion or a transient socket error: serving continues and
+    /// the accept loop backs off.
+    AcceptErrors = "accept_errors", "simsub_accept_errors_total",
+        "Failed accept() calls the serving layer survived.";
+}
+
+const COUNTS: usize = Count::ALL.len();
 
 /// Live counters owned by the engine; cheap (lock-free) to update per
 /// request.
 pub struct ServeStats {
     started: Instant,
-    requests: Counter,
-    cache_hits: Counter,
-    /// Candidate (trajectory, query) evaluations considered by
-    /// cold-path corpus scans.
-    scan_candidates: Counter,
-    /// Of those, skipped by the O(1) Kim-style coarse screen.
-    scan_pruned_kim: Counter,
-    /// Of those, skipped by the O(m) MBR-envelope bound.
-    scan_pruned_mbr: Counter,
-    /// Of those, skipped by the O(n·m) point-level bound.
-    scan_pruned_points: Counter,
-    /// Of those, fully searched.
-    scan_searched: Counter,
-    /// Of the searched, those the free-start DP settled below the running
-    /// k-th similarity.
-    scan_abandoned: Counter,
-    /// Nominal DP size (`data_len × query_len`) of the searched
-    /// candidates — the denominator of the ns-per-cell gauge; settling
-    /// early does not shrink it.
-    scan_searched_cells: Counter,
-    /// Wall-clock nanoseconds spent inside corpus scans (measured by the
-    /// engine around each scan call) — the ns-per-cell numerator.
-    scan_ns: Counter,
-    /// Snapshot hot-swaps performed (`QueryEngine::swap_snapshot`).
-    swaps: Counter,
-    /// Cache entries purged by swaps (stale-epoch evictions), summed.
-    cache_evicted_on_swap: Counter,
-    /// Cache entries evicted by LRU capacity pressure.
-    cache_evictions: Counter,
-    /// Requests whose engine latency crossed the slow-query threshold.
-    slow_queries: Counter,
-    /// Requests that passed validation at `submit` (including those the
-    /// admission gate then shed). Reconciliation identity:
-    /// `admitted == requests + shed + deadline_expired + internal_errors`.
-    admitted: Counter,
-    /// Requests rejected by the admission gate (queue full).
-    shed: Counter,
-    /// Jobs dropped because their deadline expired before a worker
-    /// dequeued them.
-    deadline_expired: Counter,
-    /// Jobs answered with a structured internal error (scan panicked, or
-    /// the response was lost before reaching the waiter).
-    internal_errors: Counter,
-    /// Worker-thread panics observed (caught at dispatch or detected by
-    /// the supervisor).
-    worker_panics: Counter,
-    /// Worker threads respawned by the supervisor.
-    worker_restarts: Counter,
-    /// `accept` failures observed by the serving layer (fd exhaustion,
-    /// transient socket errors). Serving continues; the failure is
-    /// counted here and the accept loop backs off.
-    accept_errors: Counter,
+    /// One counter per [`Count`], indexed by the count.
+    counts: [Counter; COUNTS],
     /// Connections the serving layer currently holds open.
     open_connections: Gauge,
     /// Jobs accepted by `submit` but not yet drained by a worker.
@@ -81,15 +136,9 @@ pub struct ServeStats {
     latencies_us: Histogram,
     /// Per-worker nanoseconds spent outside the blocking queue receive.
     worker_busy_ns: Vec<Counter>,
-    /// Quality-audit samples folded in so far.
-    audit_samples: Counter,
-    /// Audit candidates dropped because the auditor's queue was full.
-    audit_dropped: Counter,
-    // Running sums for the audit means, stored as f64 bits. The auditor
-    // thread is the only writer; readers just need a coherent f64.
-    audit_ar_sum: AtomicU64,
-    audit_mr_sum: AtomicU64,
-    audit_rr_sum: AtomicU64,
+    // Running sums of the audited AR, MR and RR, stored as f64 bits. The
+    // auditor thread is the only writer; readers just need a coherent f64.
+    audit_sums: [AtomicU64; 3],
 }
 
 impl Default for ServeStats {
@@ -122,45 +171,33 @@ impl ServeStats {
     pub fn with_workers(workers: usize) -> Self {
         Self {
             started: Instant::now(),
-            requests: Counter::new(),
-            cache_hits: Counter::new(),
-            scan_candidates: Counter::new(),
-            scan_pruned_kim: Counter::new(),
-            scan_pruned_mbr: Counter::new(),
-            scan_pruned_points: Counter::new(),
-            scan_searched: Counter::new(),
-            scan_abandoned: Counter::new(),
-            scan_searched_cells: Counter::new(),
-            scan_ns: Counter::new(),
-            swaps: Counter::new(),
-            cache_evicted_on_swap: Counter::new(),
-            cache_evictions: Counter::new(),
-            slow_queries: Counter::new(),
-            admitted: Counter::new(),
-            shed: Counter::new(),
-            deadline_expired: Counter::new(),
-            internal_errors: Counter::new(),
-            worker_panics: Counter::new(),
-            worker_restarts: Counter::new(),
-            accept_errors: Counter::new(),
+            counts: std::array::from_fn(|_| Counter::new()),
             open_connections: Gauge::new(),
             queue_depth: Gauge::new(),
             inflight: Gauge::new(),
             latencies_us: Histogram::new(),
             worker_busy_ns: (0..workers).map(|_| Counter::new()).collect(),
-            audit_samples: Counter::new(),
-            audit_dropped: Counter::new(),
-            audit_ar_sum: AtomicU64::new(0f64.to_bits()),
-            audit_mr_sum: AtomicU64::new(0f64.to_bits()),
-            audit_rr_sum: AtomicU64::new(0f64.to_bits()),
+            audit_sums: std::array::from_fn(|_| AtomicU64::new(0f64.to_bits())),
         }
+    }
+
+    /// Adds one to `count`.
+    #[inline]
+    pub fn inc(&self, count: Count) {
+        self.counts[count as usize].inc();
+    }
+
+    /// Adds `n` to `count`.
+    #[inline]
+    pub fn add(&self, count: Count, n: u64) {
+        self.counts[count as usize].add(n);
     }
 
     /// Records one answered request.
     pub fn record_request(&self, latency: Duration, cache_hit: bool) {
-        self.requests.inc();
+        self.inc(Count::Requests);
         if cache_hit {
-            self.cache_hits.inc();
+            self.inc(Count::CacheHits);
         }
         self.latencies_us
             .record(latency.as_micros().min(u128::from(u64::MAX)) as u64);
@@ -170,73 +207,22 @@ impl ServeStats {
     /// `scan_ns` is the wall-clock time of the scan call (ns-per-cell
     /// numerator; pass 0 when unmeasured).
     pub fn record_scan(&self, scan: &PruneStats, scan_ns: u64) {
-        self.scan_candidates.add(scan.scanned);
-        self.scan_pruned_kim.add(scan.pruned_by_kim);
-        self.scan_pruned_mbr.add(scan.pruned_by_mbr);
-        self.scan_pruned_points.add(scan.pruned_by_points);
-        self.scan_searched.add(scan.searched);
-        self.scan_abandoned.add(scan.abandoned);
-        self.scan_searched_cells.add(scan.searched_cells);
-        self.scan_ns.add(scan_ns);
+        self.add(Count::ScanCandidates, scan.scanned);
+        self.add(Count::ScanPrunedKim, scan.pruned_by_kim);
+        self.add(Count::ScanPrunedMbr, scan.pruned_by_mbr);
+        self.add(Count::ScanPrunedPoints, scan.pruned_by_points);
+        self.add(Count::ScanSearched, scan.searched);
+        self.add(Count::ScanAbandoned, scan.abandoned);
+        self.add(Count::ScanSearchedCells, scan.searched_cells);
+        self.add(Count::ScanNs, scan_ns);
     }
 
     /// Records one snapshot hot-swap and how many stale-epoch cache
     /// entries it purged, so swaps are observable on the `stats` wire
     /// response.
     pub fn record_swap(&self, cache_evicted: u64) {
-        self.swaps.inc();
-        self.cache_evicted_on_swap.add(cache_evicted);
-    }
-
-    /// Records cache entries evicted by LRU capacity pressure.
-    pub fn record_cache_evictions(&self, n: u64) {
-        if n != 0 {
-            self.cache_evictions.add(n);
-        }
-    }
-
-    /// Records one request that crossed the slow-query threshold.
-    pub fn record_slow_query(&self) {
-        self.slow_queries.inc();
-    }
-
-    /// Records one request that passed validation at `submit` (counted
-    /// even when the admission gate then sheds it, so admitted
-    /// reconciles against answered + shed + expired + internal).
-    pub fn record_admitted(&self) {
-        self.admitted.inc();
-    }
-
-    /// Records one request rejected by the admission gate (queue full).
-    pub fn record_shed(&self) {
-        self.shed.inc();
-    }
-
-    /// Records one job dropped because its deadline expired before it
-    /// was scanned.
-    pub fn record_deadline_expired(&self) {
-        self.deadline_expired.inc();
-    }
-
-    /// Records one job answered with a structured internal error.
-    pub fn record_internal_error(&self) {
-        self.internal_errors.inc();
-    }
-
-    /// Records one observed worker-thread panic.
-    pub fn record_worker_panic(&self) {
-        self.worker_panics.inc();
-    }
-
-    /// Records one worker thread respawned by the supervisor.
-    pub fn record_worker_restart(&self) {
-        self.worker_restarts.inc();
-    }
-
-    /// Records one failed `accept` call (fd exhaustion, transient
-    /// socket error) the serving layer survived.
-    pub fn record_accept_error(&self) {
-        self.accept_errors.inc();
+        self.inc(Count::Swaps);
+        self.add(Count::CacheEvictedOnSwap, cache_evicted);
     }
 
     /// Connections the serving layer currently holds open.
@@ -271,92 +257,40 @@ impl ServeStats {
     /// re-checked against ExactS) into the running means. Single-writer:
     /// only the auditor thread calls this.
     pub fn record_audit_sample(&self, m: &EffectivenessMetrics) {
-        f64_add(&self.audit_ar_sum, m.ar);
-        f64_add(&self.audit_mr_sum, m.mr);
-        f64_add(&self.audit_rr_sum, m.rr);
-        self.audit_samples.inc();
-    }
-
-    /// Records an audit candidate dropped because the auditor's bounded
-    /// queue was full (serving never blocks on the auditor).
-    pub fn record_audit_dropped(&self) {
-        self.audit_dropped.inc();
+        for (sum, value) in self.audit_sums.iter().zip([m.ar, m.mr, m.rr]) {
+            f64_add(sum, value);
+        }
+        self.inc(Count::AuditSamples);
     }
 
     /// Takes a consistent-enough point-in-time snapshot.
+    ///
+    /// The counts are independent relaxed cells: a mid-flight snapshot
+    /// may transiently see an outcome before its admission (`admitted <
+    /// requests + shed + deadline_expired + internal_errors`). Upgrading
+    /// the loads to SeqCst would not close that window — the admission
+    /// and outcome increments are separate RMWs — so the identity is only
+    /// asserted on a quiesced engine and live exposition treats it as
+    /// eventually consistent.
+    ///
+    /// The counts load last row first, the reverse of the order in which
+    /// `record_scan` and `record_request` write them, so on a CPU that
+    /// keeps loads in order (x86) a live read never shows more pruned and
+    /// searched candidates than candidates, or more hits than requests.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let requests = self.requests.get();
-        let cache_hits = self.cache_hits.get();
-        let scan_pruned_kim = self.scan_pruned_kim.get();
-        let scan_pruned_mbr = self.scan_pruned_mbr.get();
-        let scan_pruned_points = self.scan_pruned_points.get();
-        let scan_pruned = scan_pruned_kim + scan_pruned_mbr + scan_pruned_points;
-        let scan_candidates = self.scan_candidates.get();
-        let scan_searched = self.scan_searched.get();
-        let scan_searched_cells = self.scan_searched_cells.get();
-        let scan_ns = self.scan_ns.get();
-        let uptime = self.started.elapsed();
-        let latency_hist = self.latencies_us.snapshot();
-        let audit_samples = self.audit_samples.get();
-        let audit_mean = |sum: &AtomicU64| {
-            if audit_samples == 0 {
-                0.0
-            } else {
-                f64_load(sum) / audit_samples as f64
-            }
-        };
+        let mut counts = [0; COUNTS];
+        for (value, counter) in counts.iter_mut().zip(&self.counts).rev() {
+            *value = counter.get();
+        }
         StatsSnapshot {
-            requests,
-            cache_hits,
-            hit_rate: ratio(cache_hits, requests),
-            uptime,
-            qps: if uptime.as_secs_f64() > 0.0 {
-                requests as f64 / uptime.as_secs_f64()
-            } else {
-                0.0
-            },
-            p50_us: latency_hist.quantile(0.50),
-            p99_us: latency_hist.quantile(0.99),
-            scan_candidates,
-            scan_pruned,
-            scan_searched,
-            prune_ratio: ratio(scan_pruned, scan_candidates),
-            swaps: self.swaps.get(),
-            cache_evicted_on_swap: self.cache_evicted_on_swap.get(),
-            p999_us: latency_hist.quantile(0.999),
+            counts,
+            uptime: self.started.elapsed(),
             queue_depth: self.queue_depth.get(),
             inflight: self.inflight.get(),
-            cache_evictions: self.cache_evictions.get(),
-            slow_queries: self.slow_queries.get(),
-            // The four reconciliation counters below are independent relaxed
-            // cells: a mid-flight snapshot may transiently see an outcome
-            // before its admission (`admitted < requests + shed + expired +
-            // internal`). Upgrading the loads to SeqCst would not close that
-            // window — the admission and outcome increments are separate RMWs
-            // — so the identity is only asserted on a quiesced engine and
-            // live exposition treats it as eventually consistent.
-            admitted: self.admitted.get(),
-            shed: self.shed.get(),
-            deadline_expired: self.deadline_expired.get(),
-            internal_errors: self.internal_errors.get(),
-            worker_panics: self.worker_panics.get(),
-            worker_restarts: self.worker_restarts.get(),
-            accept_errors: self.accept_errors.get(),
             open_connections: self.open_connections.get(),
-            scan_pruned_kim,
-            scan_pruned_mbr,
-            scan_pruned_points,
-            scan_abandoned: self.scan_abandoned.get(),
-            scan_searched_cells,
-            scan_ns,
-            ns_per_cell: ratio(scan_ns, scan_searched_cells),
-            audit_samples,
-            audit_dropped: self.audit_dropped.get(),
-            audit_ar: audit_mean(&self.audit_ar_sum),
-            audit_mr: audit_mean(&self.audit_mr_sum),
-            audit_rr: audit_mean(&self.audit_rr_sum),
             worker_busy_ns: self.worker_busy_ns.iter().map(Counter::get).collect(),
-            latency_hist,
+            latency_hist: self.latencies_us.snapshot(),
+            audit_sums: std::array::from_fn(|i| f64_load(&self.audit_sums[i])),
         }
     }
 }
@@ -369,7 +303,9 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Point-in-time view of [`ServeStats`].
+/// Point-in-time view of [`ServeStats`]: every [`Count`] (read with
+/// [`StatsSnapshot::get`]), the gauges and the latency histogram, plus
+/// the values derived from them as methods.
 ///
 /// Wire-compat contract: the first thirteen fields of
 /// [`StatsSnapshot::to_json`] (through `cache_evicted_on_swap`) are the
@@ -377,96 +313,20 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// meaning; everything after is additive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// Requests answered so far.
-    pub requests: u64,
-    /// Of those, answered from the result cache.
-    pub cache_hits: u64,
-    /// `cache_hits / requests` (0 when idle).
-    pub hit_rate: f64,
+    counts: [u64; COUNTS],
     /// Time since the engine started.
     pub uptime: Duration,
-    /// Requests per second over the whole uptime.
-    pub qps: f64,
-    /// Median engine latency from the histogram buckets, microseconds
-    /// (bucket upper bound: within 2x of the true median).
-    pub p50_us: u64,
-    /// 99th-percentile engine latency (bucketed), microseconds.
-    pub p99_us: u64,
-    /// Candidate (trajectory, query) evaluations considered by
-    /// cold-path corpus scans.
-    pub scan_candidates: u64,
-    /// Of those, skipped by the lower-bound cascade before any search.
-    pub scan_pruned: u64,
-    /// Of those, fully searched.
-    pub scan_searched: u64,
-    /// `scan_pruned / scan_candidates` (0 when no scans ran).
-    pub prune_ratio: f64,
-    /// Snapshot hot-swaps performed so far.
-    pub swaps: u64,
-    /// Cache entries purged across all swaps (stale-epoch evictions).
-    pub cache_evicted_on_swap: u64,
-    /// 99.9th-percentile engine latency (bucketed), microseconds.
-    pub p999_us: u64,
     /// Jobs accepted but not yet drained by a worker.
     pub queue_depth: i64,
     /// Jobs a worker has dequeued but not yet answered.
     pub inflight: i64,
-    /// Cache entries evicted by LRU capacity pressure.
-    pub cache_evictions: u64,
-    /// Requests that crossed the slow-query threshold.
-    pub slow_queries: u64,
-    /// Requests that passed validation at `submit` (including shed
-    /// ones). `admitted == requests + shed + deadline_expired +
-    /// internal_errors` once the engine is quiescent.
-    pub admitted: u64,
-    /// Requests rejected by the admission gate (queue full).
-    pub shed: u64,
-    /// Jobs dropped because their deadline expired before being scanned.
-    pub deadline_expired: u64,
-    /// Jobs answered with a structured internal error.
-    pub internal_errors: u64,
-    /// Worker-thread panics observed.
-    pub worker_panics: u64,
-    /// Worker threads respawned by the supervisor.
-    pub worker_restarts: u64,
-    /// `accept` failures the serving layer survived.
-    pub accept_errors: u64,
     /// Connections the serving layer currently holds open.
     pub open_connections: i64,
-    /// Scan candidates rejected by the O(1) Kim-style screen.
-    pub scan_pruned_kim: u64,
-    /// Scan candidates rejected by the O(m) MBR-envelope bound.
-    pub scan_pruned_mbr: u64,
-    /// Scan candidates rejected by the O(n·m) point-level bound.
-    pub scan_pruned_points: u64,
-    /// Searched candidates the free-start DP settled below the k-th
-    /// similarity. The others entered the heap with their range pending,
-    /// and only those still in it when their scan ended recovered it, so
-    /// range recoveries under ExactS with DTW or Frechet are at most `k`
-    /// per scan, not `scan_searched - scan_abandoned`.
-    pub scan_abandoned: u64,
-    /// Nominal DP size (`data_len × query_len`) of the searched
-    /// candidates; not reduced by settling early.
-    pub scan_searched_cells: u64,
-    /// Wall-clock nanoseconds spent inside corpus scans.
-    pub scan_ns: u64,
-    /// `scan_ns / scan_searched_cells` — mean DP kernel cost.
-    pub ns_per_cell: f64,
-    /// Quality-audit samples folded in so far.
-    pub audit_samples: u64,
-    /// Audit candidates dropped (auditor queue full).
-    pub audit_dropped: u64,
-    /// Mean approximation ratio of audited answers (1.0 = exact).
-    pub audit_ar: f64,
-    /// Mean rank of audited answers in the exhaustive ranking (1 = best).
-    pub audit_mr: f64,
-    /// Mean relative rank (`rank / total subtrajectories`) of audited
-    /// answers.
-    pub audit_rr: f64,
     /// Per-worker busy nanoseconds (time not blocked on the queue).
     pub worker_busy_ns: Vec<u64>,
     /// Engine latency distribution, microseconds.
     pub latency_hist: HistogramSnapshot,
+    audit_sums: [f64; 3],
 }
 
 /// `[[le, count], ...]` pairs for the non-empty buckets of a histogram —
@@ -481,60 +341,170 @@ fn buckets_json(hist: &HistogramSnapshot) -> Json {
 }
 
 impl StatsSnapshot {
+    /// The value of `count`.
+    pub fn get(&self, count: Count) -> u64 {
+        self.counts[count as usize]
+    }
+
+    /// Admitted requests that reached an outcome: `requests + shed +
+    /// deadline_expired + internal_errors`. Equals `admitted` once the
+    /// engine is quiescent.
+    pub fn outcomes(&self) -> u64 {
+        self.get(Count::Requests)
+            + self.get(Count::Shed)
+            + self.get(Count::DeadlineExpired)
+            + self.get(Count::InternalErrors)
+    }
+
+    /// `cache_hits / requests` (0 when idle).
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.get(Count::CacheHits), self.get(Count::Requests))
+    }
+
+    /// Requests per second over the whole uptime.
+    pub fn qps(&self) -> f64 {
+        let secs = self.uptime.as_secs_f64();
+        if secs > 0.0 {
+            self.get(Count::Requests) as f64 / secs
+        } else {
+            0.0
+        }
+    }
+
+    /// Scan candidates skipped by the lower-bound cascade before any
+    /// search (the three `scan_pruned_*` counts).
+    pub fn scan_pruned(&self) -> u64 {
+        self.get(Count::ScanPrunedKim)
+            + self.get(Count::ScanPrunedMbr)
+            + self.get(Count::ScanPrunedPoints)
+    }
+
+    /// `scan_pruned / scan_candidates` (0 when no scans ran).
+    pub fn prune_ratio(&self) -> f64 {
+        ratio(self.scan_pruned(), self.get(Count::ScanCandidates))
+    }
+
+    /// `scan_ns / scan_searched_cells` — mean DP kernel cost.
+    pub fn ns_per_cell(&self) -> f64 {
+        ratio(self.get(Count::ScanNs), self.get(Count::ScanSearchedCells))
+    }
+
+    /// Mean AR (1.0 = exact), MR (rank in the exhaustive ranking, 1 =
+    /// best) and RR (`rank / total subtrajectories`) of audited answers;
+    /// all 0 before the first sample.
+    pub fn audit_means(&self) -> EffectivenessMetrics {
+        let mean = |sum: f64| match self.get(Count::AuditSamples) {
+            0 => 0.0,
+            n => sum / n as f64,
+        };
+        let [ar, mr, rr] = self.audit_sums.map(mean);
+        EffectivenessMetrics { ar, mr, rr }
+    }
+
     /// Wire form for the `{"cmd":"stats"}` protocol request. The first
-    /// thirteen fields are frozen (see the struct docs); later fields are
-    /// additive and may keep growing.
+    /// thirteen fields are frozen (see the struct docs); after them come
+    /// the counts the prefix lacks, in [`Count::ALL`] order, then the
+    /// additive derived values and gauges.
     pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("requests", Json::Num(self.requests as f64)),
-            ("cache_hits", Json::Num(self.cache_hits as f64)),
-            ("hit_rate", Json::Num(self.hit_rate)),
+        let count = |c: Count| (c.key(), Json::Num(self.get(c) as f64));
+        let latency_us = |q: f64| Json::Num(self.latency_hist.quantile(q) as f64);
+        let audit = self.audit_means();
+        let mut pairs = vec![
+            count(Count::Requests),
+            count(Count::CacheHits),
+            ("hit_rate", Json::Num(self.hit_rate())),
             ("uptime_s", Json::Num(self.uptime.as_secs_f64())),
-            ("qps", Json::Num(self.qps)),
-            ("p50_us", Json::Num(self.p50_us as f64)),
-            ("p99_us", Json::Num(self.p99_us as f64)),
-            ("scan_candidates", Json::Num(self.scan_candidates as f64)),
-            ("scan_pruned", Json::Num(self.scan_pruned as f64)),
-            ("scan_searched", Json::Num(self.scan_searched as f64)),
-            ("prune_ratio", Json::Num(self.prune_ratio)),
-            ("swaps", Json::Num(self.swaps as f64)),
-            (
-                "cache_evicted_on_swap",
-                Json::Num(self.cache_evicted_on_swap as f64),
-            ),
-            // -- additive observability fields below this line --
-            ("p999_us", Json::Num(self.p999_us as f64)),
+            ("qps", Json::Num(self.qps())),
+            ("p50_us", latency_us(0.50)),
+            ("p99_us", latency_us(0.99)),
+            count(Count::ScanCandidates),
+            ("scan_pruned", Json::Num(self.scan_pruned() as f64)),
+            count(Count::ScanSearched),
+            ("prune_ratio", Json::Num(self.prune_ratio())),
+            count(Count::Swaps),
+            count(Count::CacheEvictedOnSwap),
+        ];
+        // -- additive fields below this line --
+        let rest: Vec<_> = Count::ALL
+            .into_iter()
+            .filter(|c| pairs.iter().all(|(key, _)| *key != c.key()))
+            .map(count)
+            .collect();
+        pairs.extend(rest);
+        pairs.extend([
+            ("p999_us", latency_us(0.999)),
             ("queue_depth", Json::Num(self.queue_depth as f64)),
             ("inflight", Json::Num(self.inflight as f64)),
-            ("cache_evictions", Json::Num(self.cache_evictions as f64)),
-            ("slow_queries", Json::Num(self.slow_queries as f64)),
-            ("scan_pruned_kim", Json::Num(self.scan_pruned_kim as f64)),
-            ("scan_pruned_mbr", Json::Num(self.scan_pruned_mbr as f64)),
-            (
-                "scan_searched_cells",
-                Json::Num(self.scan_searched_cells as f64),
-            ),
-            ("ns_per_cell", Json::Num(self.ns_per_cell)),
-            ("audit_samples", Json::Num(self.audit_samples as f64)),
-            ("audit_dropped", Json::Num(self.audit_dropped as f64)),
-            ("audit_ar", Json::Num(self.audit_ar)),
-            ("audit_mr", Json::Num(self.audit_mr)),
-            ("audit_rr", Json::Num(self.audit_rr)),
-            ("admitted", Json::Num(self.admitted as f64)),
-            ("shed", Json::Num(self.shed as f64)),
-            ("deadline_expired", Json::Num(self.deadline_expired as f64)),
-            ("internal_errors", Json::Num(self.internal_errors as f64)),
-            ("worker_panics", Json::Num(self.worker_panics as f64)),
-            ("worker_restarts", Json::Num(self.worker_restarts as f64)),
-            ("accept_errors", Json::Num(self.accept_errors as f64)),
             ("open_connections", Json::Num(self.open_connections as f64)),
+            ("ns_per_cell", Json::Num(self.ns_per_cell())),
+            ("audit_ar", Json::Num(audit.ar)),
+            ("audit_mr", Json::Num(audit.mr)),
+            ("audit_rr", Json::Num(audit.rr)),
             ("latency_buckets", buckets_json(&self.latency_hist)),
-            (
-                "scan_pruned_points",
-                Json::Num(self.scan_pruned_points as f64),
-            ),
-            ("scan_abandoned", Json::Num(self.scan_abandoned as f64)),
-        ])
+        ]);
+        obj(pairs)
+    }
+
+    /// Appends the engine-stats part of the `metrics` exposition: one
+    /// counter per [`Count`], then the gauges, the latency histogram,
+    /// per-worker busy time and the derived ns-per-cell and audit gauges.
+    pub fn write_exposition(&self, b: &mut ExpositionBuilder) {
+        for count in Count::ALL {
+            b.counter(count.series(), count.help(), self.get(count));
+        }
+        let worker_busy: Vec<(String, u64)> = self
+            .worker_busy_ns
+            .iter()
+            .enumerate()
+            .map(|(i, &ns)| (i.to_string(), ns))
+            .collect();
+        let audit = self.audit_means();
+        b.gauge(
+            "simsub_queue_depth",
+            "Jobs accepted but not yet drained by a worker.",
+            self.queue_depth as f64,
+        )
+        .gauge(
+            "simsub_inflight",
+            "Jobs a worker has dequeued but not yet answered.",
+            self.inflight as f64,
+        )
+        .gauge(
+            "simsub_open_connections",
+            "Connections the serving layer currently holds open.",
+            self.open_connections as f64,
+        )
+        .histogram(
+            "simsub_request_latency_us",
+            "Engine latency per answered request, microseconds.",
+            &self.latency_hist,
+        )
+        .counter_per_label(
+            "simsub_worker_busy_ns_total",
+            "Per-worker nanoseconds spent outside the blocking queue receive.",
+            "worker",
+            &worker_busy,
+        )
+        .gauge(
+            "simsub_ns_per_cell",
+            "Mean scan nanoseconds per nominal DP cell (scan_ns / searched_cells).",
+            self.ns_per_cell(),
+        )
+        .gauge(
+            "simsub_audit_ar",
+            "Mean approximation ratio of audited answers (1.0 = exact).",
+            audit.ar,
+        )
+        .gauge(
+            "simsub_audit_mr",
+            "Mean exhaustive-ranking rank of audited answers (1 = best).",
+            audit.mr,
+        )
+        .gauge(
+            "simsub_audit_rr",
+            "Mean relative rank of audited answers.",
+            audit.rr,
+        );
     }
 }
 
@@ -549,28 +519,32 @@ mod tests {
             stats.record_request(Duration::from_micros(i), i % 4 == 0);
         }
         let snap = stats.snapshot();
-        assert_eq!(snap.requests, 100);
-        assert_eq!(snap.cache_hits, 25);
-        assert!((snap.hit_rate - 0.25).abs() < 1e-12);
+        assert_eq!(snap.get(Count::Requests), 100);
+        assert_eq!(snap.get(Count::CacheHits), 25);
+        assert!((snap.hit_rate() - 0.25).abs() < 1e-12);
         // Histogram quantiles report the bucket upper bound: within one
         // power-of-two bucket (2x) of the true percentile.
-        assert!(snap.p50_us >= 50 && snap.p50_us < 100, "{}", snap.p50_us);
-        assert!(snap.p99_us >= 99 && snap.p99_us < 198, "{}", snap.p99_us);
-        assert!(snap.p999_us >= snap.p99_us);
-        assert!(snap.qps > 0.0);
+        let (p50, p99) = (
+            snap.latency_hist.quantile(0.50),
+            snap.latency_hist.quantile(0.99),
+        );
+        assert!((50..100).contains(&p50), "{p50}");
+        assert!((99..198).contains(&p99), "{p99}");
+        assert!(snap.latency_hist.quantile(0.999) >= p99);
+        assert!(snap.qps() > 0.0);
         assert_eq!(snap.latency_hist.count, 100);
     }
 
     #[test]
     fn empty_snapshot_is_all_zero() {
         let snap = ServeStats::new().snapshot();
-        assert_eq!(snap.requests, 0);
-        assert_eq!(snap.p50_us, 0);
-        assert_eq!(snap.p99_us, 0);
-        assert_eq!(snap.p999_us, 0);
-        assert_eq!(snap.hit_rate, 0.0);
-        assert_eq!(snap.audit_ar, 0.0);
-        assert_eq!(snap.ns_per_cell, 0.0);
+        assert_eq!(snap.get(Count::Requests), 0);
+        for q in [0.50, 0.99, 0.999] {
+            assert_eq!(snap.latency_hist.quantile(q), 0);
+        }
+        assert_eq!(snap.hit_rate(), 0.0);
+        assert_eq!(snap.audit_means().ar, 0.0);
+        assert_eq!(snap.ns_per_cell(), 0.0);
     }
 
     #[test]
@@ -601,31 +575,34 @@ mod tests {
             12000,
         );
         let snap = stats.snapshot();
-        assert_eq!(snap.scan_candidates, 200);
-        assert_eq!(snap.scan_pruned, 70);
-        assert_eq!(snap.scan_pruned_kim, 40);
-        assert_eq!(snap.scan_pruned_mbr, 20);
-        assert_eq!(snap.scan_pruned_points, 10);
-        assert_eq!(snap.scan_searched, 130);
-        assert_eq!(snap.scan_abandoned, 25);
-        assert_eq!(snap.scan_searched_cells, 10_000);
-        assert_eq!(snap.scan_ns, 20_000);
-        assert!((snap.ns_per_cell - 2.0).abs() < 1e-12);
-        assert!((snap.prune_ratio - 0.35).abs() < 1e-12);
-        assert_eq!(snap.scan_candidates, snap.scan_pruned + snap.scan_searched);
+        assert_eq!(snap.get(Count::ScanCandidates), 200);
+        assert_eq!(snap.scan_pruned(), 70);
+        assert_eq!(snap.get(Count::ScanPrunedKim), 40);
+        assert_eq!(snap.get(Count::ScanPrunedMbr), 20);
+        assert_eq!(snap.get(Count::ScanPrunedPoints), 10);
+        assert_eq!(snap.get(Count::ScanSearched), 130);
+        assert_eq!(snap.get(Count::ScanAbandoned), 25);
+        assert_eq!(snap.get(Count::ScanSearchedCells), 10_000);
+        assert_eq!(snap.get(Count::ScanNs), 20_000);
+        assert!((snap.ns_per_cell() - 2.0).abs() < 1e-12);
+        assert!((snap.prune_ratio() - 0.35).abs() < 1e-12);
+        assert_eq!(
+            snap.get(Count::ScanCandidates),
+            snap.scan_pruned() + snap.get(Count::ScanSearched)
+        );
     }
 
     #[test]
     fn swap_counters_accumulate() {
         let stats = ServeStats::new();
         let before = stats.snapshot();
-        assert_eq!(before.swaps, 0);
-        assert_eq!(before.cache_evicted_on_swap, 0);
+        assert_eq!(before.get(Count::Swaps), 0);
+        assert_eq!(before.get(Count::CacheEvictedOnSwap), 0);
         stats.record_swap(3);
         stats.record_swap(0);
         let snap = stats.snapshot();
-        assert_eq!(snap.swaps, 2);
-        assert_eq!(snap.cache_evicted_on_swap, 3);
+        assert_eq!(snap.get(Count::Swaps), 2);
+        assert_eq!(snap.get(Count::CacheEvictedOnSwap), 3);
     }
 
     #[test]
@@ -634,16 +611,16 @@ mod tests {
         stats.queue_depth().add(3);
         stats.queue_depth().add(-1);
         stats.inflight().add(5);
-        stats.record_cache_evictions(4);
-        stats.record_slow_query();
+        stats.add(Count::CacheEvictions, 4);
+        stats.inc(Count::SlowQueries);
         stats.record_worker_busy(0, 1000);
         stats.record_worker_busy(1, 500);
         stats.record_worker_busy(9, 999); // out of range: ignored
         let snap = stats.snapshot();
         assert_eq!(snap.queue_depth, 2);
         assert_eq!(snap.inflight, 5);
-        assert_eq!(snap.cache_evictions, 4);
-        assert_eq!(snap.slow_queries, 1);
+        assert_eq!(snap.get(Count::CacheEvictions), 4);
+        assert_eq!(snap.get(Count::SlowQueries), 1);
         assert_eq!(snap.worker_busy_ns, vec![1000, 500]);
     }
 
@@ -660,13 +637,14 @@ mod tests {
             mr: 3.0,
             rr: 0.3,
         });
-        stats.record_audit_dropped();
+        stats.inc(Count::AuditDropped);
         let snap = stats.snapshot();
-        assert_eq!(snap.audit_samples, 2);
-        assert_eq!(snap.audit_dropped, 1);
-        assert!((snap.audit_ar - 1.25).abs() < 1e-12);
-        assert!((snap.audit_mr - 2.0).abs() < 1e-12);
-        assert!((snap.audit_rr - 0.2).abs() < 1e-12);
+        assert_eq!(snap.get(Count::AuditSamples), 2);
+        assert_eq!(snap.get(Count::AuditDropped), 1);
+        let audit = snap.audit_means();
+        assert!((audit.ar - 1.25).abs() < 1e-12);
+        assert!((audit.mr - 2.0).abs() < 1e-12);
+        assert!((audit.rr - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -713,21 +691,22 @@ mod tests {
     #[test]
     fn robustness_counters_flow_to_snapshot() {
         let stats = ServeStats::new();
-        stats.record_admitted();
-        stats.record_admitted();
-        stats.record_admitted();
-        stats.record_shed();
-        stats.record_deadline_expired();
-        stats.record_internal_error();
-        stats.record_worker_panic();
-        stats.record_worker_restart();
+        stats.inc(Count::Admitted);
+        stats.inc(Count::Admitted);
+        stats.inc(Count::Admitted);
+        stats.inc(Count::Shed);
+        stats.inc(Count::DeadlineExpired);
+        stats.inc(Count::InternalErrors);
+        stats.inc(Count::WorkerPanics);
+        stats.inc(Count::WorkerRestarts);
         let snap = stats.snapshot();
-        assert_eq!(snap.admitted, 3);
-        assert_eq!(snap.shed, 1);
-        assert_eq!(snap.deadline_expired, 1);
-        assert_eq!(snap.internal_errors, 1);
-        assert_eq!(snap.worker_panics, 1);
-        assert_eq!(snap.worker_restarts, 1);
+        assert_eq!(snap.get(Count::Admitted), 3);
+        assert_eq!(snap.get(Count::Shed), 1);
+        assert_eq!(snap.get(Count::DeadlineExpired), 1);
+        assert_eq!(snap.get(Count::InternalErrors), 1);
+        assert_eq!(snap.get(Count::WorkerPanics), 1);
+        assert_eq!(snap.get(Count::WorkerRestarts), 1);
+        assert_eq!(snap.outcomes(), snap.get(Count::Admitted));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use loom::{thread, Builder, Report};
 use simsub_data::{generate, DatasetSpec};
 use simsub_index::TrajectoryDb;
 use simsub_service::cache::Cache;
-use simsub_service::stats::ServeStats;
+use simsub_service::stats::{Count, ServeStats};
 use simsub_service::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use simsub_service::sync::{Mutex, TryLockError};
 use simsub_service::{AlgoSpec, CorpusSnapshot, EngineHandle, MeasureSpec, QueryRequest};
@@ -198,28 +198,28 @@ fn run_admission_reconciliation() -> Report {
         let answered = {
             let s = Arc::clone(&stats);
             thread::spawn(move || {
-                s.record_admitted();
+                s.inc(Count::Admitted);
                 s.record_request(Duration::ZERO, false);
             })
         };
         let shed = {
             let s = Arc::clone(&stats);
             thread::spawn(move || {
-                s.record_admitted();
-                s.record_shed();
+                s.inc(Count::Admitted);
+                s.inc(Count::Shed);
             })
         };
         let expired_then_panicked = {
             let s = Arc::clone(&stats);
             thread::spawn(move || {
-                s.record_admitted();
-                s.record_deadline_expired();
+                s.inc(Count::Admitted);
+                s.inc(Count::DeadlineExpired);
                 // The same thread then hits the panic path: the job is
                 // answered with a structured internal error and the
                 // supervisor books the worker death.
-                s.record_admitted();
-                s.record_internal_error();
-                s.record_worker_panic();
+                s.inc(Count::Admitted);
+                s.inc(Count::InternalErrors);
+                s.inc(Count::WorkerPanics);
             })
         };
 
@@ -229,12 +229,12 @@ fn run_admission_reconciliation() -> Report {
 
         let snap = stats.snapshot();
         assert_eq!(
-            snap.admitted,
-            snap.requests + snap.shed + snap.deadline_expired + snap.internal_errors,
+            snap.get(Count::Admitted),
+            snap.outcomes(),
             "quiesced reconciliation identity broke"
         );
-        assert_eq!(snap.admitted, 4);
-        assert_eq!(snap.worker_panics, 1);
+        assert_eq!(snap.get(Count::Admitted), 4);
+        assert_eq!(snap.get(Count::WorkerPanics), 1);
     });
     assert_explored("admission_reconciliation", &report);
     report
@@ -363,7 +363,7 @@ fn run_admission_lookup() -> Report {
             );
             thread::spawn(move || {
                 let pinned = h.load();
-                s.record_admitted();
+                s.inc(Count::Admitted);
                 let key = pinned.cache_key(&r);
                 c.lock()
                     .unwrap()
@@ -395,7 +395,7 @@ fn run_admission_lookup() -> Report {
                     Err(TryLockError::WouldBlock) => None,
                     Err(TryLockError::Poisoned(_)) => unreachable!("nothing panics holding it"),
                 };
-                s.record_admitted();
+                s.inc(Count::Admitted);
                 match hit {
                     Some(computed_under) => {
                         assert_eq!(
@@ -436,13 +436,16 @@ fn run_admission_lookup() -> Report {
         }
 
         let snap = stats.snapshot();
-        assert_eq!(snap.admitted, 2);
+        assert_eq!(snap.get(Count::Admitted), 2);
         assert_eq!(
-            snap.admitted,
-            snap.requests + snap.shed + snap.deadline_expired + snap.internal_errors,
+            snap.get(Count::Admitted),
+            snap.outcomes(),
             "quiesced reconciliation identity broke"
         );
-        assert!(snap.cache_hits <= 1, "only the admitted request can hit");
+        assert!(
+            snap.get(Count::CacheHits) <= 1,
+            "only the admitted request can hit"
+        );
         assert_eq!(handle.epoch(), 2);
     });
     assert_explored("admission_lookup", &report);

@@ -10,7 +10,7 @@ use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::measures::Dtw;
 use simsub::service::{
-    AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
+    AlgoSpec, CorpusSnapshot, Count, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
 };
 use std::sync::Arc;
 
@@ -82,13 +82,13 @@ fn main() {
     println!(
         "served {} requests — hit rate {:.0}%, p50 {} µs, p99 {} µs; \
          cold scans pruned {}/{} candidate evaluations ({:.0}%) via the bound cascade",
-        stats.requests,
-        stats.hit_rate * 100.0,
-        stats.p50_us,
-        stats.p99_us,
-        stats.scan_pruned,
-        stats.scan_candidates,
-        stats.prune_ratio * 100.0
+        stats.get(Count::Requests),
+        stats.hit_rate() * 100.0,
+        stats.latency_hist.quantile(0.50),
+        stats.latency_hist.quantile(0.99),
+        stats.scan_pruned(),
+        stats.get(Count::ScanCandidates),
+        stats.prune_ratio() * 100.0
     );
 
     // Live reload: hot-swap the serving snapshot to a *fresh corpus*

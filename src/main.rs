@@ -23,10 +23,7 @@ use simsub::index::TrajectoryDb;
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::nn::BinaryCodec;
 use simsub::rl::Policy;
-use simsub::service::{
-    json::Json, server::handle_admin_command, CorpusSnapshot, EngineConfig, QueryEngine, Server,
-    StopHandle,
-};
+use simsub::service::{json::Json, CorpusSnapshot, EngineConfig, QueryEngine, Server};
 use simsub::trajectory::{CorpusArena, Trajectory};
 use std::path::PathBuf;
 use std::process::exit;
@@ -109,7 +106,6 @@ fn usage() {
          \x20              [--workers N] [--cache N] [--default-k N]\n\
          \x20              [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20              [--skip K] [--no-suffix] [--no-prune]\n\
-         \x20              [--reload-fifo PATH]   # named pipe accepting admin JSON lines\n\
          \x20              [--slow-query-us N]    # log traces of queries slower than N µs\n\
          \x20              [--audit-sample F]     # audit fraction F of cold answers (0..=1)\n\
          \x20              [--max-queue-depth N]  # shed queries past N queued (0 = unbounded)\n\
@@ -146,8 +142,8 @@ fn accepted_flags(cmd: &str) -> &'static str {
         }
         "serve" => {
             "corpus corpus-bin addr workers cache default-k policy t2vec skip no-suffix \
-             no-prune reload-fifo slow-query-us audit-sample max-queue-depth \
-             default-deadline-ms faults"
+             no-prune slow-query-us audit-sample max-queue-depth default-deadline-ms \
+             faults"
         }
         "admin" => {
             "addr watch count corpus corpus-bin policy t2vec skip no-suffix \
@@ -203,6 +199,14 @@ impl Flags {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
+        }
+    }
+
+    /// [`Flags::parse_or`] for a count that must be at least 1.
+    fn positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.parse_or(key, default)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
         }
     }
 
@@ -282,7 +286,7 @@ fn load_algo(flags: &Flags, mdp: MdpConfig) -> Result<Box<dyn SubtrajSearch>, St
             let path = PathBuf::from(flags.require("policy")?);
             let policy =
                 Policy::load(&path).map_err(|e| format!("loading {}: {e}", path.display()))?;
-            Box::new(Rls::new(policy, mdp))
+            Box::new(Rls::try_new(policy, mdp).map_err(|e| format!("{}: {e}", path.display()))?)
         }
         other => {
             return Err(format!(
@@ -379,11 +383,11 @@ fn cmd_train_t2vec(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
+    let max_q = flags.positive("max-query-len", 25)?;
     let corpus = load_corpus(flags)?;
     let measure = load_measure(flags)?;
     let mdp = mdp_from_flags(flags)?;
     let episodes: usize = flags.parse_or("episodes", 800)?;
-    let max_q: usize = flags.parse_or("max-query-len", 25)?;
     let out = PathBuf::from(flags.require("out")?);
 
     let queries: Vec<Trajectory> = corpus
@@ -458,39 +462,25 @@ fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
             Some(spec.to_string())
         }
     };
-    let config = EngineConfig {
-        workers: flags.parse_or("workers", EngineConfig::default().workers)?,
+    Ok(EngineConfig {
+        workers: flags.positive("workers", EngineConfig::default().workers)?,
         cache_capacity: flags.parse_or("cache", EngineConfig::default().cache_capacity)?,
         // `--no-prune` forces the reference scan; otherwise the
         // SIMSUB_NO_PRUNE environment hatch decides (answers are
         // byte-identical either way).
         prune: !flags.switch("no-prune") && simsub::core::pruning_enabled(),
-        default_k: flags.parse_or("default-k", EngineConfig::default().default_k)?,
+        default_k: flags.positive("default-k", EngineConfig::default().default_k)?,
         slow_query_us: flags.parse_or("slow-query-us", 0u64)?,
         audit_sample,
         max_queue_depth: flags.parse_or("max-queue-depth", 0usize)?,
         default_deadline_ms: flags.parse_or("default-deadline-ms", 0u64)?,
         faults,
-    };
-    if config.workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    if config.default_k == 0 {
-        return Err("--default-k must be at least 1".into());
-    }
-    Ok(config)
+    })
 }
 
 /// `simsub serve`: load a corpus (plus optional learned models), start the
 /// query engine, and answer newline-delimited JSON queries over TCP until
-/// a `{"cmd":"shutdown"}` arrives. With `--reload-fifo PATH`, a control
-/// thread also reads admin JSON lines (`reload`, `configure`, `info`,
-/// `stats`, `shutdown`) from a named pipe, so operators can hot-swap the
-/// corpus without speaking TCP:
-///
-/// ```text
-/// echo '{"cmd":"reload","corpus":"fresh.csv"}' > /tmp/simsub.fifo
-/// ```
+/// a `{"cmd":"shutdown"}` arrives; `simsub admin` drives it live.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = engine_config(flags)?;
     let corpus = load_corpus_arena(flags)?;
@@ -514,13 +504,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let engine = Arc::new(QueryEngine::start(snapshot, config));
     let server =
         Server::bind(Arc::clone(&engine), &addr).map_err(|e| format!("binding {addr}: {e}"))?;
-    if let Some(fifo) = flags.get("reload-fifo") {
-        spawn_reload_fifo(
-            PathBuf::from(fifo),
-            Arc::clone(&engine),
-            server.stop_handle(),
-        )?;
-    }
     println!(
         "serving {} trajectories / {} points on {} with {} workers, prune={} \
          (newline-JSON, protocol v1+v2; send {{\"cmd\":\"shutdown\"}} to stop)",
@@ -532,101 +515,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     );
     server.wait();
     println!("server stopped");
-    Ok(())
-}
-
-/// Control thread behind `serve --reload-fifo`: (re)opens the named pipe
-/// and feeds each line through the same admin handler the TCP front-end
-/// uses, printing the response to stdout. A `{"cmd":"shutdown"}` line
-/// stops the server. The open blocks until a writer appears, so a final
-/// write (or process exit) is needed for the thread to notice a stop —
-/// it is detached and dies with the process either way.
-fn spawn_reload_fifo(
-    path: PathBuf,
-    engine: Arc<QueryEngine>,
-    stop: StopHandle,
-) -> Result<(), String> {
-    use std::io::BufRead;
-    if !path.exists() {
-        // Best-effort: create the FIFO so `echo '...' > path` works out
-        // of the box (std has no mkfifo; a regular file would deliver
-        // each line only once per open, i.e. only the first round).
-        let created = std::process::Command::new("mkfifo")
-            .arg(&path)
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false);
-        if !created {
-            return Err(format!(
-                "--reload-fifo: {} does not exist and mkfifo failed",
-                path.display()
-            ));
-        }
-    }
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileTypeExt;
-        let meta = std::fs::metadata(&path)
-            .map_err(|e| format!("--reload-fifo: stat {}: {e}", path.display()))?;
-        if !meta.file_type().is_fifo() {
-            return Err(format!(
-                "--reload-fifo: {} is not a FIFO — a regular file would replay \
-                 its commands on every reopen",
-                path.display()
-            ));
-        }
-    }
-    println!("admin fifo: {}", path.display());
-    std::thread::Builder::new()
-        .name("simsub-reload-fifo".into())
-        .spawn(move || {
-            while !stop.is_stopped() {
-                // Blocks until a writer opens the pipe; EOF when the last
-                // writer closes, then reopen for the next command batch.
-                let Ok(file) = std::fs::File::open(&path) else {
-                    return;
-                };
-                for line in std::io::BufReader::new(file).lines() {
-                    let Ok(line) = line else { break };
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let response = match Json::parse(line) {
-                        Err(e) => Json::Obj(vec![
-                            ("ok".into(), Json::Bool(false)),
-                            ("error".into(), Json::Str(format!("bad json: {e}"))),
-                        ]),
-                        Ok(parsed) => {
-                            if parsed.get("cmd").and_then(Json::as_str) == Some("shutdown") {
-                                stop.stop();
-                                Json::Obj(vec![
-                                    ("ok".into(), Json::Bool(true)),
-                                    ("bye".into(), Json::Bool(true)),
-                                ])
-                            } else {
-                                handle_admin_command(&engine, &parsed).unwrap_or_else(|| {
-                                    Json::Obj(vec![
-                                        ("ok".into(), Json::Bool(false)),
-                                        (
-                                            "error".into(),
-                                            Json::Str(
-                                                "fifo accepts admin commands only \
-                                                 (reload|configure|info|stats|ping|shutdown)"
-                                                    .into(),
-                                            ),
-                                        ),
-                                    ])
-                                })
-                            }
-                        }
-                    };
-                    println!("reload-fifo: {}", response.dump());
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        })
-        .map_err(|e| format!("spawning fifo thread: {e}"))?;
     Ok(())
 }
 
@@ -777,15 +665,16 @@ fn cmd_admin(action: &str, flags: &Flags) -> Result<(), String> {
 /// until the connection drops or the process is killed.
 fn cmd_admin_stats_watch(flags: &Flags) -> Result<(), String> {
     use std::io::{BufRead, BufReader, Write};
-    let interval: f64 = match flags.get("watch") {
+    let secs: f64 = match flags.get("watch") {
         None => 2.0, // bare `--watch`
         Some(raw) => raw
             .parse()
             .map_err(|_| format!("bad value for --watch: {raw}"))?,
     };
-    if !interval.is_finite() || interval <= 0.0 {
-        return Err("--watch interval must be a positive number of seconds".into());
-    }
+    let interval = std::time::Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|d| !d.is_zero())
+        .ok_or("--watch must be a positive number of seconds below 1.8e19")?;
     let count: usize = flags.parse_or("count", 0)?; // 0 = run forever
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
     let stream =
@@ -825,7 +714,7 @@ fn cmd_admin_stats_watch(flags: &Flags) -> Result<(), String> {
         let requests = num("requests");
         match prev {
             None => println!(
-                "watching {addr} every {interval}s (qps = interval request delta; \
+                "watching {addr} every {secs}s (qps = interval request delta; \
                  --count N to stop after N lines)"
             ),
             Some((then, before)) => {
@@ -848,17 +737,17 @@ fn cmd_admin_stats_watch(flags: &Flags) -> Result<(), String> {
             }
         }
         prev = Some((now, requests));
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 
 fn cmd_topk(flags: &Flags) -> Result<(), String> {
+    let k = flags.positive("k", 10)?;
     let corpus = load_corpus_arena(flags)?;
     let measure = load_measure(flags)?;
     let mdp = mdp_from_flags(flags)?;
     let algo = load_algo(flags, mdp)?;
     let query = load_query(flags)?;
-    let k: usize = flags.parse_or("k", 10)?;
     let use_index = match flags.get("index").unwrap_or("rtree") {
         "rtree" => true,
         "none" => false,
@@ -914,7 +803,7 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{engine_config, Flags};
+    use super::{cmd_admin, cmd_topk, cmd_train, engine_config, Flags};
 
     fn parse(cmd: &str, line: &str) -> Result<Flags, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -955,6 +844,7 @@ mod tests {
             ("admin", "batch".to_string()),
             ("serve", ["cache", &quant].join("-")),
             ("admin", quant.clone()),
+            ("serve", "reload-fifo".to_string()),
         ] {
             match parse(cmd, &format!("--corpus c.csv --{flag} 4")) {
                 Ok(_) => panic!("{cmd} accepted --{flag}"),
@@ -979,6 +869,16 @@ mod tests {
             ("admin", "--addr 127.0.0.1:7979"),
             ("admin", "--default-k 3 --addr 127.0.0.1:7979"),
             ("admin", "--watch 0.2 --count 2 --addr 127.0.0.1:7979"),
+            (
+                "train",
+                "--corpus /tmp/obs_corpus.csv --measure dtw --episodes 2 \
+                 --out /tmp/obs_policy.ssub",
+            ),
+            (
+                "admin",
+                "--corpus /tmp/obs_corpus.csv --policy /tmp/obs_policy.ssub --skip 3 \
+                 --addr 127.0.0.1:7979",
+            ),
         ] {
             if let Err(e) = parse(cmd, line) {
                 panic!("{cmd} {line}: {e}");
@@ -1000,6 +900,40 @@ mod tests {
             match engine_config(&flags) {
                 Ok(_) => panic!("{line} was accepted"),
                 Err(e) => assert!(e.starts_with(needle), "{line}: {e}"),
+            }
+        }
+    }
+
+    /// Inputs that once reached an assertion or a panicking conversion
+    /// fail with a message instead, before any file or socket is opened.
+    #[test]
+    fn bad_command_inputs_are_errors_not_panics() {
+        for (cmd, line, needle) in [
+            (
+                "topk",
+                "--corpus missing.csv --k 0",
+                "--k must be at least 1",
+            ),
+            (
+                "train",
+                "--corpus missing.csv --max-query-len 0",
+                "--max-query-len must be at least 1",
+            ),
+            (
+                "admin",
+                "--watch 1e300 --addr 127.0.0.1:1",
+                "--watch must be",
+            ),
+        ] {
+            let flags = parse(cmd, line).unwrap();
+            let result = match cmd {
+                "topk" => cmd_topk(&flags),
+                "train" => cmd_train(&flags),
+                _ => cmd_admin("stats", &flags),
+            };
+            match result {
+                Ok(()) => panic!("{cmd} {line} was accepted"),
+                Err(e) => assert!(e.starts_with(needle), "{cmd} {line}: {e}"),
             }
         }
     }

@@ -9,8 +9,8 @@
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::service::{
-    AlgoSpec, ConfigUpdate, CorpusSnapshot, EngineConfig, Histogram, MeasureSpec, QueryEngine,
-    QueryRequest, Server,
+    json::Json, AlgoSpec, ConfigUpdate, CorpusSnapshot, Count, EngineConfig, Histogram,
+    MeasureSpec, QueryEngine, QueryRequest, Server, ServiceError, SubmitOptions,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -166,35 +166,23 @@ fn metrics_exposition_over_the_wire() {
 
     let response = send("{\"cmd\":\"metrics\",\"v\":2}");
     assert!(response.contains("\"ok\":true"), "metrics: {response}");
-    for series in [
-        "simsub_requests_total",
-        "simsub_cache_hits_total",
-        "simsub_cache_evictions_total",
-        "simsub_cache_evicted_on_swap_total",
+    let counts = Count::ALL.map(Count::series);
+    for series in counts.into_iter().chain([
         "simsub_cache_entries",
         "simsub_cache_capacity",
         "simsub_queue_depth",
         "simsub_inflight",
+        "simsub_open_connections",
         "simsub_request_latency_us",
         "simsub_worker_busy_ns_total",
-        "simsub_scan_candidates_total",
-        "simsub_scan_pruned_kim_total",
-        "simsub_scan_pruned_mbr_total",
-        "simsub_scan_pruned_points_total",
-        "simsub_scan_searched_total",
-        "simsub_scan_abandoned_total",
-        "simsub_scan_searched_cells_total",
-        "simsub_scan_ns_total",
         "simsub_ns_per_cell",
-        "simsub_swaps_total",
         "simsub_epoch",
-        "simsub_slow_queries_total",
-        "simsub_audit_samples_total",
-        "simsub_audit_dropped_total",
         "simsub_audit_ar",
         "simsub_audit_mr",
         "simsub_audit_rr",
-    ] {
+        "simsub_faults_armed",
+        "simsub_fault_injections_total",
+    ]) {
         assert!(
             response.contains(series),
             "exposition missing {series}: {response}"
@@ -332,7 +320,7 @@ fn slow_query_log_captures_outliers() {
             "log line: {line}"
         );
     }
-    assert_eq!(engine.stats().slow_queries, 4);
+    assert_eq!(engine.stats().get(Count::SlowQueries), 4);
 
     // Raising the threshold back live stops the logging.
     engine
@@ -344,7 +332,176 @@ fn slow_query_log_captures_outliers() {
     for q in queries_from(&db, 2) {
         engine.query(request(q, AlgoSpec::Pss, 2)).expect("query");
     }
-    assert_eq!(engine.stats().slow_queries, 4, "threshold raise ignored");
+    assert_eq!(
+        engine.stats().get(Count::SlowQueries),
+        4,
+        "threshold raise ignored"
+    );
+    engine.shutdown();
+}
+
+/// The `stats` key and exposition series of every count, in table order.
+/// Spelled out here so a renamed, added or dropped row fails a test.
+const COUNT_WIRE_NAMES: [(&str, &str); 23] = [
+    ("requests", "simsub_requests_total"),
+    ("cache_hits", "simsub_cache_hits_total"),
+    ("scan_candidates", "simsub_scan_candidates_total"),
+    ("scan_searched", "simsub_scan_searched_total"),
+    ("swaps", "simsub_swaps_total"),
+    (
+        "cache_evicted_on_swap",
+        "simsub_cache_evicted_on_swap_total",
+    ),
+    ("cache_evictions", "simsub_cache_evictions_total"),
+    ("slow_queries", "simsub_slow_queries_total"),
+    ("scan_pruned_kim", "simsub_scan_pruned_kim_total"),
+    ("scan_pruned_mbr", "simsub_scan_pruned_mbr_total"),
+    ("scan_pruned_points", "simsub_scan_pruned_points_total"),
+    ("scan_abandoned", "simsub_scan_abandoned_total"),
+    ("scan_searched_cells", "simsub_scan_searched_cells_total"),
+    ("scan_ns", "simsub_scan_ns_total"),
+    ("audit_samples", "simsub_audit_samples_total"),
+    ("audit_dropped", "simsub_audit_dropped_total"),
+    ("admitted", "simsub_admitted_total"),
+    ("shed", "simsub_shed_total"),
+    ("deadline_expired", "simsub_deadline_expired_total"),
+    ("internal_errors", "simsub_internal_errors_total"),
+    ("worker_panics", "simsub_worker_panics_total"),
+    ("worker_restarts", "simsub_worker_restarts_total"),
+    ("accept_errors", "simsub_accept_errors_total"),
+];
+
+#[test]
+fn every_count_keeps_its_wire_names() {
+    let table = Count::ALL.map(|c| (c.key(), c.series()));
+    assert_eq!(table, COUNT_WIRE_NAMES);
+}
+
+/// Every count reads the same in the `stats` reply and the `metrics`
+/// exposition, under exactly one `# HELP` line (the table's text) and one
+/// `# TYPE` line, after traffic that moves the counts: misses, a hit, an
+/// LRU eviction, an expired deadline, a shed, slow queries and a swap.
+#[test]
+fn every_count_reads_the_same_in_stats_and_metrics() {
+    let db = shared_db(12);
+    let engine = QueryEngine::start(
+        CorpusSnapshot::new(Arc::clone(&db)),
+        EngineConfig {
+            workers: 1,
+            cache_capacity: 2,
+            max_queue_depth: 2,
+            slow_query_us: 1,
+            // Every scan sleeps 20ms, so queued work can expire or be shed.
+            faults: Some("slow_scan=n:1:20".into()),
+            ..EngineConfig::default()
+        },
+    );
+    let queries = queries_from(&db, 8);
+    let ask = |i: usize| request(queries[i].clone(), AlgoSpec::Exact, 2);
+    // Three misses through a two-entry cache (one eviction), then a hit.
+    for i in [0, 1, 2, 2] {
+        engine.query(ask(i)).expect("query");
+    }
+    // Occupy the worker, queue one request whose deadline passes while it
+    // waits, then burst past the two-deep admission gate.
+    let occupier = engine.submit(ask(3)).expect("occupier");
+    std::thread::sleep(Duration::from_millis(5));
+    let (tx, expired) = std::sync::mpsc::channel();
+    engine
+        .submit_with_completion(
+            ask(4),
+            SubmitOptions {
+                deadline: Some(Duration::from_millis(1)),
+                ..SubmitOptions::default()
+            },
+            Box::new(move |outcome| {
+                let _ = tx.send(outcome);
+            }),
+        )
+        .expect("admitted");
+    let mut pending = Vec::new();
+    for i in 5..8 {
+        match engine.submit(ask(i)) {
+            Ok(p) => pending.push(p),
+            Err(ServiceError::Overloaded { .. }) => {}
+            Err(other) => panic!("submission {i}: {other:?}"),
+        }
+    }
+    occupier.wait().expect("occupier answered");
+    assert_eq!(
+        expired.recv().expect("completion").unwrap_err(),
+        ServiceError::DeadlineExceeded
+    );
+    for p in pending {
+        p.wait().expect("admitted requests are answered");
+    }
+    engine.swap_snapshot(CorpusSnapshot::new(Arc::clone(&db)));
+
+    let snap = engine.stats();
+    for count in [
+        Count::Requests,
+        Count::CacheHits,
+        Count::ScanCandidates,
+        Count::ScanNs,
+        Count::Swaps,
+        Count::CacheEvictedOnSwap,
+        Count::CacheEvictions,
+        Count::SlowQueries,
+        Count::Admitted,
+        Count::Shed,
+        Count::DeadlineExpired,
+    ] {
+        assert!(snap.get(count) > 0, "{count:?} did not move");
+    }
+    let Json::Obj(stats) = snap.to_json() else {
+        panic!("stats must serialize to an object")
+    };
+    let frozen = [
+        "requests",
+        "cache_hits",
+        "hit_rate",
+        "uptime_s",
+        "qps",
+        "p50_us",
+        "p99_us",
+        "scan_candidates",
+        "scan_pruned",
+        "scan_searched",
+        "prune_ratio",
+        "swaps",
+        "cache_evicted_on_swap",
+    ];
+    let keys: Vec<&str> = stats.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys[..frozen.len()], frozen, "frozen stats prefix moved");
+
+    let text = engine.metrics_exposition();
+    let lines: Vec<&str> = text.lines().collect();
+    let matching = |prefix: &str| -> Vec<&str> {
+        lines
+            .iter()
+            .copied()
+            .filter(|l| l.starts_with(prefix))
+            .collect()
+    };
+    for count in Count::ALL {
+        let series = count.series();
+        let in_stats: Vec<Option<f64>> = stats
+            .iter()
+            .filter(|(k, _)| k == count.key())
+            .map(|(_, v)| v.as_f64())
+            .collect();
+        assert_eq!(in_stats, [Some(snap.get(count) as f64)], "{count:?}");
+        let samples = matching(&format!("{series} "));
+        assert_eq!(samples, [format!("{series} {}", snap.get(count))]);
+        assert_eq!(
+            matching(&format!("# HELP {series} ")),
+            [format!("# HELP {series} {}", count.help())]
+        );
+        assert_eq!(
+            matching(&format!("# TYPE {series} ")),
+            [format!("# TYPE {series} counter")]
+        );
+    }
     engine.shutdown();
 }
 
@@ -376,33 +533,34 @@ fn auditor_reports_ar_at_least_one_for_live_pss() {
     let deadline = Instant::now() + Duration::from_secs(30);
     let stats = loop {
         let stats = engine.stats();
-        if stats.audit_samples + stats.audit_dropped >= queries.len() as u64 {
+        if stats.get(Count::AuditSamples) + stats.get(Count::AuditDropped) >= queries.len() as u64 {
             break stats;
         }
         assert!(
             Instant::now() < deadline,
             "auditor stalled: {} samples + {} dropped of {}",
-            stats.audit_samples,
-            stats.audit_dropped,
+            stats.get(Count::AuditSamples),
+            stats.get(Count::AuditDropped),
             queries.len()
         );
         std::thread::sleep(Duration::from_millis(10));
     };
     assert!(
-        stats.audit_samples >= 1,
+        stats.get(Count::AuditSamples) >= 1,
         "nothing audited: {stats:?}-ish ({} dropped)",
-        stats.audit_dropped
+        stats.get(Count::AuditDropped)
     );
+    let audit = stats.audit_means();
     assert!(
-        stats.audit_ar >= 1.0 - 1e-9,
+        audit.ar >= 1.0 - 1e-9,
         "AR below the approximation floor: {}",
-        stats.audit_ar
+        audit.ar
     );
-    assert!(stats.audit_mr >= 1.0 - 1e-9, "MR floor: {}", stats.audit_mr);
+    assert!(audit.mr >= 1.0 - 1e-9, "MR floor: {}", audit.mr);
     assert!(
-        stats.audit_rr > 0.0 && stats.audit_rr <= 1.0 + 1e-9,
+        audit.rr > 0.0 && audit.rr <= 1.0 + 1e-9,
         "RR out of range: {}",
-        stats.audit_rr
+        audit.rr
     );
     engine.shutdown();
 }

@@ -16,11 +16,15 @@
 //! connection's late answer never reaches the connection that reuses its
 //! slot. A last case holds the reactor's connection-scale claim: hundreds
 //! of idle connections cost descriptors, not threads, and do not get in a
-//! pipelined client's way.
+//! pipelined client's way. And an admin `reload` that fails is still
+//! answered, so the id-less lines behind it are not held forever.
 
-use simsub::data::{generate, DatasetSpec};
+use simsub::data::{generate, write_csv_file, DatasetSpec};
 use simsub::index::TrajectoryDb;
-use simsub::service::{CorpusSnapshot, EngineConfig, QueryEngine, Server};
+use simsub::nn::BinaryCodec;
+use simsub::rl::{DqnAgent, DqnConfig};
+use simsub::service::json::Json;
+use simsub::service::{CorpusSnapshot, Count, EngineConfig, QueryEngine, Server};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -240,7 +244,7 @@ fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
         std::slice::from_ref(&repeat),
         &format!("cache_lock_stall=n:1:{}", STALL.as_millis()),
     );
-    let admitted = engine.stats().admitted;
+    let admitted = engine.stats().get(Count::Admitted);
     // Polls `done` every millisecond; false if `within` passes first.
     let wait_for = |within: Duration, done: &dyn Fn() -> bool| {
         let deadline = Instant::now() + within;
@@ -267,7 +271,8 @@ fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
     let (mut hit, mut hit_reader) = connect();
     send(&mut hit, &repeat);
     assert!(
-        wait_for(STALL / 3, &|| engine.stats().admitted == admitted + 2),
+        wait_for(STALL / 3, &|| engine.stats().get(Count::Admitted)
+            == admitted + 2),
         "the reactor did not admit the repeat while the lock was held"
     );
     let (mut ping, mut ping_reader) = connect();
@@ -339,11 +344,13 @@ fn recycled_slot_never_receives_a_dead_connections_answer() {
         engine.stats().open_connections == 1
     });
     assert_eq!(
-        engine.stats().requests,
+        engine.stats().get(Count::Requests),
         0,
         "A's query finished before B took its slot; nothing was tested"
     );
-    wait_for("A's query to be answered", &|| engine.stats().requests == 1);
+    wait_for("A's query to be answered", &|| {
+        engine.stats().get(Count::Requests) == 1
+    });
     // The answer is counted just before its completion fires; let the
     // reactor route it before B speaks.
     std::thread::sleep(Duration::from_millis(50));
@@ -443,4 +450,57 @@ fn reactor_holds_idle_connections_on_one_thread_and_keeps_answering() {
     drop(idle);
     server.stop();
     server.wait();
+}
+
+/// A `reload` whose policy was trained for another action count (plain
+/// RLS: two actions; `"skip":3` needs five) is answered with an error
+/// that names both, swaps nothing, and releases the id-less `ping`
+/// queued behind it in the connection's reorder buffer.
+#[test]
+fn reload_with_a_mismatched_policy_is_answered_and_frees_the_next_line() {
+    let dir = std::env::temp_dir().join(format!("simsub-mismatched-policy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let corpus = dir.join("corpus.csv");
+    write_csv_file(&corpus, &generate(&DatasetSpec::porto(), 8, 42)).expect("corpus");
+    let policy = dir.join("policy.ssub");
+    DqnAgent::new(DqnConfig::paper(3, 2))
+        .policy()
+        .save(&policy)
+        .expect("policy");
+
+    let db = shared_db(8);
+    let engine = engine_two_workers(&db);
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let path = |p: &std::path::Path| Json::Str(p.display().to_string()).dump();
+    let reload = format!(
+        "{{\"cmd\":\"reload\",\"corpus\":{},\"policy\":{},\"skip\":3}}",
+        path(&corpus),
+        path(&policy)
+    );
+    stream
+        .write_all(format!("{reload}\n{{\"cmd\":\"ping\"}}\n").as_bytes())
+        .expect("write");
+    let mut answers = Vec::new();
+    for what in ["the reload's answer", "the ping's answer"] {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect(what);
+        answers.push(line);
+    }
+    assert!(
+        answers[0].contains("\"ok\":false")
+            && answers[0].contains("the policy has 2 actions, RLS-Skip(k=3) needs 5"),
+        "reload: {}",
+        answers[0]
+    );
+    assert_eq!(answers[1], "{\"ok\":true,\"pong\":true}\n");
+    assert_eq!(engine.epoch(), 1, "a failed reload swapped");
+
+    server.stop();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,8 +19,8 @@ use proptest::prelude::*;
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::service::{
-    json::Json, AlgoSpec, CorpusSnapshot, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
-    Server, ServiceError, StatsSnapshot, SubmitOptions,
+    json::Json, AlgoSpec, CorpusSnapshot, Count, EngineConfig, MeasureSpec, QueryEngine,
+    QueryRequest, Server, ServiceError, StatsSnapshot, SubmitOptions,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -83,8 +83,8 @@ fn queries_from(db: &TrajectoryDb, n: usize) -> Vec<Vec<Point>> {
 /// for exactly once — answered, shed, expired, or failed internally.
 fn assert_reconciles(stats: &StatsSnapshot) {
     assert_eq!(
-        stats.admitted,
-        stats.requests + stats.shed + stats.deadline_expired + stats.internal_errors,
+        stats.get(Count::Admitted),
+        stats.outcomes(),
         "admitted != answered + shed + expired + internal: {stats:?}"
     );
 }
@@ -145,9 +145,9 @@ fn scan_panics_are_isolated_to_their_requests() {
     }
     // The worker caught every panic in place: no deaths, no respawns.
     let stats = engine.stats();
-    assert_eq!(stats.worker_panics, 4);
-    assert_eq!(stats.worker_restarts, 0);
-    assert_eq!(stats.internal_errors, 4);
+    assert_eq!(stats.get(Count::WorkerPanics), 4);
+    assert_eq!(stats.get(Count::WorkerRestarts), 0);
+    assert_eq!(stats.get(Count::InternalErrors), 4);
     assert_reconciles(&stats);
     let report = engine.shutdown();
     assert!(
@@ -301,7 +301,7 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
         p.wait().expect("admitted requests still get answers");
     }
     let stats = engine.stats();
-    assert_eq!(stats.shed, shed);
+    assert_eq!(stats.get(Count::Shed), shed);
     assert_reconciles(&stats);
 }
 
@@ -349,7 +349,7 @@ fn expired_deadlines_drop_queued_work() {
     for outcome in outcomes {
         assert_eq!(outcome.unwrap_err(), ServiceError::DeadlineExceeded);
     }
-    let scans_before_extra = engine.stats().deadline_expired;
+    let scans_before_extra = engine.stats().get(Count::DeadlineExpired);
     assert_eq!(scans_before_extra, 3);
     // The engine is not wedged: a fresh deadline-free request works.
     engine
@@ -383,10 +383,13 @@ fn supervisor_respawns_dead_workers() {
     }
     let stats = engine.stats();
     assert!(
-        stats.worker_panics >= 1,
+        stats.get(Count::WorkerPanics) >= 1,
         "no worker death recorded: {stats:?}"
     );
-    assert!(stats.worker_restarts >= 1, "no respawn recorded: {stats:?}");
+    assert!(
+        stats.get(Count::WorkerRestarts) >= 1,
+        "no respawn recorded: {stats:?}"
+    );
     assert_reconciles(&stats);
 }
 
@@ -422,7 +425,7 @@ fn shutdown_collects_panics_into_a_report() {
         },
     );
     std::thread::sleep(Duration::from_millis(60));
-    let panics_seen = dying.stats().worker_panics;
+    let panics_seen = dying.stats().get(Count::WorkerPanics);
     let report = dying.shutdown();
     for msg in &report.worker_panics {
         assert!(

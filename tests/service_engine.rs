@@ -14,8 +14,8 @@ use simsub::measures::{CoordNormalizer, Dtw, Frechet, Measure, T2Vec};
 use simsub::service::json::Json;
 use simsub::service::server::handle_admin_command;
 use simsub::service::{
-    AlgoSpec, ConfigUpdate, CorpusSnapshot, EngineConfig, EngineHandle, MeasureSpec, QueryEngine,
-    QueryRequest, QueryResponse, Server, ServiceError, SubmitOptions,
+    AlgoSpec, ConfigUpdate, CorpusSnapshot, Count, EngineConfig, EngineHandle, MeasureSpec,
+    QueryEngine, QueryRequest, QueryResponse, Server, ServiceError, SubmitOptions,
 };
 use simsub::trajectory::Point;
 use std::io::{BufRead, BufReader, Write};
@@ -114,7 +114,7 @@ fn concurrent_queries_match_direct_search() {
         let want = db.top_k(*algo, *measure, &req.query, req.k, req.use_index);
         assert_eq!(*response.results, want);
     }
-    assert_eq!(engine.stats().requests, cases.len() as u64);
+    assert_eq!(engine.stats().get(Count::Requests), cases.len() as u64);
     engine.shutdown();
 }
 
@@ -152,8 +152,8 @@ fn duplicate_query_is_a_cache_hit() {
     assert!(!engine.query(different_measure).unwrap().cached);
 
     let stats = engine.stats();
-    assert_eq!(stats.requests, 5);
-    assert_eq!(stats.cache_hits, 2);
+    assert_eq!(stats.get(Count::Requests), 5);
+    assert_eq!(stats.get(Count::CacheHits), 2);
     engine.shutdown();
 }
 
@@ -214,13 +214,14 @@ fn admission_hit_answers_on_the_caller_without_queueing() {
     let after = engine.stats();
     assert_eq!((after.queue_depth, after.inflight), (0, 0));
     assert_eq!(
-        (after.admitted, after.requests, after.cache_hits),
+        (
+            after.get(Count::Admitted),
+            after.get(Count::Requests),
+            after.get(Count::CacheHits)
+        ),
         (2, 2, 1)
     );
-    assert_eq!(
-        after.admitted,
-        after.requests + after.shed + after.deadline_expired + after.internal_errors
-    );
+    assert_eq!(after.get(Count::Admitted), after.outcomes());
     engine.shutdown();
 }
 
@@ -480,7 +481,7 @@ fn identical_misses_on_two_workers_both_scan() {
         assert!(!response.cached, "the second miss waited for the first");
         assert_eq!(*response.results, hits);
     }
-    assert_eq!(engine.stats().scan_candidates, 2 * stats.scanned);
+    assert_eq!(engine.stats().get(Count::ScanCandidates), 2 * stats.scanned);
     engine.shutdown();
 }
 
@@ -568,8 +569,8 @@ fn a_cacheless_engine_scans_every_repeat() {
     }
     let stats = engine.stats();
     let books = (
-        stats.requests,
-        stats.cache_hits,
+        stats.get(Count::Requests),
+        stats.get(Count::CacheHits),
         stats.queue_depth,
         stats.inflight,
     );
@@ -826,10 +827,13 @@ fn served_rls_never_prunes_and_matches_the_offline_scan() {
     let got = engine.query(req.clone()).expect("served rls");
     assert_bitwise_topk(&got.results, &want, "served rls vs offline full scan");
     let stats = engine.stats();
-    assert_eq!(stats.scan_candidates, 40);
-    assert_eq!(stats.scan_pruned, 0, "RLS scores admit no bound pruning");
+    assert_eq!(stats.get(Count::ScanCandidates), 40);
+    assert_eq!(stats.scan_pruned(), 0, "RLS scores admit no bound pruning");
     assert_eq!(
-        (stats.scan_pruned_points, stats.scan_abandoned),
+        (
+            stats.get(Count::ScanPrunedPoints),
+            stats.get(Count::ScanAbandoned)
+        ),
         (0, 0),
         "neither the point-level stage nor a floor reaches an RLS search"
     );
@@ -837,7 +841,10 @@ fn served_rls_never_prunes_and_matches_the_offline_scan() {
     // The same engine does prune this corpus for an admissible algorithm.
     req.algo = AlgoSpec::Pss;
     engine.query(req).expect("served pss");
-    assert!(engine.stats().scan_pruned > 0, "PSS + DTW prunes clusters");
+    assert!(
+        engine.stats().scan_pruned() > 0,
+        "PSS + DTW prunes clusters"
+    );
     engine.shutdown();
 }
 
@@ -1057,8 +1064,8 @@ fn swap_purges_stale_cache_and_is_observable() {
     let report = engine.swap_snapshot(CorpusSnapshot::new(Arc::clone(&rebuilt)));
     assert!(report.cache_evicted >= 1, "swap purged nothing");
     let stats = engine.stats();
-    assert_eq!(stats.swaps, 1);
-    assert!(stats.cache_evicted_on_swap >= 1);
+    assert_eq!(stats.get(Count::Swaps), 1);
+    assert!(stats.get(Count::CacheEvictedOnSwap) >= 1);
 
     let after = engine.query(req.clone()).unwrap();
     assert!(
@@ -1485,23 +1492,16 @@ fn stats_wire_response_is_append_only_and_v1_stays_frozen() {
         cursor += at + needle.len();
     }
     // Additive observability fields land strictly after the prefix.
-    for key in [
+    let counts = Count::ALL.map(Count::key);
+    let additive_counts = counts.into_iter().filter(|k| !frozen.contains(k));
+    for key in additive_counts.chain([
         "p999_us",
         "queue_depth",
         "inflight",
-        "cache_evictions",
-        "slow_queries",
-        "scan_pruned_kim",
-        "scan_pruned_mbr",
-        "scan_searched_cells",
         "ns_per_cell",
-        "audit_samples",
-        "audit_dropped",
         "audit_ar",
         "latency_buckets",
-        "scan_pruned_points",
-        "scan_abandoned",
-    ] {
+    ]) {
         let needle = format!("\"{key}\":");
         assert!(
             stats[cursor..].contains(&needle),
