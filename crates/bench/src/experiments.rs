@@ -104,8 +104,8 @@ pub fn fig3(ctx: &mut Context) {
 
 /// Figures 4 and 10: top-k query time vs database size, without and with
 /// the R-tree index. Every row is wall time; a scan that cannot prune
-/// (RLS, t2vec, `SIMSUB_NO_PRUNE`) spreads its candidates over the
-/// process's cores, so its rows are wall time over those cores.
+/// (RLS, t2vec) spreads its candidates over the process's cores, so its
+/// rows are wall time over those cores.
 pub fn efficiency(ctx: &mut Context, dataset: &'static str) {
     let scale = ctx.scale;
     println!(

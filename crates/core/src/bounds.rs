@@ -534,17 +534,6 @@ fn fill_mbr_dists(qx: &[f64], qy: &[f64], mbr: &Mbr, out: &mut [f64]) {
     }
 }
 
-/// Whether corpus-scan pruning is enabled for paths that don't take an
-/// explicit flag: true unless the `SIMSUB_NO_PRUNE` environment variable
-/// is set to a non-empty value other than `0` (the escape hatch the CLI's
-/// `--no-prune` flips and CI's unpruned matrix leg exports). Read once
-/// per process.
-pub fn pruning_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    !*DISABLED
-        .get_or_init(|| std::env::var("SIMSUB_NO_PRUNE").is_ok_and(|v| !v.is_empty() && v != "0"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

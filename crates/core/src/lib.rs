@@ -42,8 +42,7 @@ mod ucr;
 mod workspace;
 
 pub use bounds::{
-    pruning_enabled, scan_timing_enabled, scan_timing_scope, BoundCascade, PruneStats,
-    ScanTimingGuard,
+    scan_timing_enabled, scan_timing_scope, BoundCascade, PruneStats, ScanTimingGuard,
 };
 pub use exact::{exhaustive_ranking, ExactS, ExhaustiveRanking};
 pub use mdp::{episode_parts, MdpConfig, ScanStats, SplitEnv, StepOutcome};

@@ -75,7 +75,7 @@ use std::collections::BinaryHeap;
 ///   for the suffix, or O(n²) steps);
 /// - RLS under DTW pays an O(m) DP row and the Q-network's ≈ 100 ns a
 ///   point, ≈ 8 µs for a 60-point candidate;
-/// - the `SIMSUB_NO_PRUNE` reference runs ExactS's O(n²·m) enumeration
+/// - the `prune: false` reference runs ExactS's O(n²·m) enumeration
 ///   (tens of µs a candidate) or PSS's O(n·m) walk (≈ 1 µs a candidate).
 ///
 /// Eight learned candidates outweigh a helper's cost tenfold. Eight PSS

@@ -12,8 +12,8 @@
 
 use crate::rtree::RTree;
 use simsub_core::{
-    library_scan_threads, pruning_enabled, scan_prunes, PruneStats, SearchWorkspace, SubtrajSearch,
-    TopKHeap, TopKResult,
+    library_scan_threads, scan_prunes, PruneStats, SearchWorkspace, SubtrajSearch, TopKHeap,
+    TopKResult,
 };
 use simsub_measures::Measure;
 use simsub_trajectory::{CorpusArena, Mbr, Point, TrajView, Trajectory};
@@ -150,10 +150,10 @@ impl TrajectoryDb {
     /// query's MBR are pruned first; exact answers can in theory be lost
     /// (rarely in practice — see §6.2(4)), which is the accepted trade-off
     /// this flag exposes. Independently, the scan itself is prune-first
-    /// (see `simsub_core::bounds`) when [`pruning_enabled`] — admissible
-    /// bounds skip full searches without changing any answer. A scan that
-    /// cannot prune (RLS, t2vec) spreads its candidates over the process's
-    /// cores ([`library_scan_threads`]), with identical answers.
+    /// (see `simsub_core::bounds`): admissible bounds skip full searches
+    /// without changing any answer. A scan that cannot prune (RLS, t2vec)
+    /// spreads its candidates over the process's cores
+    /// ([`library_scan_threads`]), with identical answers.
     pub fn top_k(
         &self,
         algo: &dyn SubtrajSearch,
@@ -162,13 +162,14 @@ impl TrajectoryDb {
         k: usize,
         use_index: bool,
     ) -> Vec<TopKResult> {
-        self.top_k_with_stats(algo, measure, query, k, use_index, pruning_enabled())
+        self.top_k_with_stats(algo, measure, query, k, use_index, true)
             .0
     }
 
     /// [`TrajectoryDb::top_k`] with an explicit prune switch and the
     /// scan's [`PruneStats`]. `prune: false` is the reference path with
-    /// identical answers; like every unprunable scan it runs on
+    /// identical answers, the one the equivalence tests and the benchmark
+    /// hold the pruned scan to; like every unprunable scan it runs on
     /// [`library_scan_threads`] threads, so its `kernel_ns` sums theirs.
     pub fn top_k_with_stats(
         &self,

@@ -139,6 +139,14 @@ impl simsub_nn::BinaryCodec for T2Vec {
 
     fn decode(dec: &mut simsub_nn::Decoder) -> Result<Self, simsub_nn::CodecError> {
         let cell = <GruCell as simsub_nn::BinaryCodec>::decode(dec)?;
+        // Every step feeds the cell one normalized (x, y) pair; a cell of
+        // another width would load, then fail its first embedding.
+        if cell.in_dim() != 2 {
+            return Err(simsub_nn::CodecError::DimensionMismatch {
+                expected: 2,
+                found: cell.in_dim() as u64,
+            });
+        }
         let norm = CoordNormalizer {
             center_x: dec.get_f64()?,
             center_y: dec.get_f64()?,
@@ -578,6 +586,21 @@ mod tests {
         let err = T2Vec::load(&path).expect_err("a hostile header must not load");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn model_file_whose_gru_is_not_two_wide_fails_to_load() {
+        use simsub_nn::{BinaryCodec, CodecError};
+        // Each step feeds the cell two features, (x, y).
+        let cell = GruCell::new(&mut StdRng::seed_from_u64(4), 3, 4);
+        let norm = CoordNormalizer::identity();
+        let err = T2Vec::from_bytes(&T2Vec { cell, norm }.to_bytes()).expect_err("3 inputs");
+        let mismatch = CodecError::DimensionMismatch {
+            expected: 2,
+            found: 3,
+        };
+        assert_eq!(err, mismatch);
+        assert_eq!(err.to_string(), "model has input dimension 3, expected 2");
     }
 
     #[test]

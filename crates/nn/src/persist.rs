@@ -30,6 +30,14 @@ pub enum CodecError {
     InvalidTag(u8),
     /// A declared dimension was implausible (corruption guard).
     InvalidDimension(u64),
+    /// A well-formed model whose input dimension does not fit its use:
+    /// the reader needs `expected` inputs where the file declares `found`.
+    DimensionMismatch {
+        /// The dimension the reader requires.
+        expected: u64,
+        /// The dimension the file declares.
+        found: u64,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -40,6 +48,9 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "model file truncated"),
             CodecError::InvalidTag(t) => write!(f, "invalid tag byte {t}"),
             CodecError::InvalidDimension(d) => write!(f, "implausible dimension {d}"),
+            CodecError::DimensionMismatch { expected, found } => {
+                write!(f, "model has input dimension {found}, expected {expected}")
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
-//! A plain O(1) LRU cache: `HashMap` from key to a slot in an
-//! arena-allocated doubly-linked recency list, plus the epoch-stamped
-//! [`Cache`] wrapper the engine fronts scans with. Values are
+//! The engine's result cache: an O(1) LRU — `HashMap` from key to a
+//! slot in an arena-allocated doubly-linked recency list — whose entries
+//! carry the engine epoch they were computed under. Values are
 //! cheap-to-clone `Arc`s.
 //!
 //! Epoch stamping exists for snapshot hot-swap: every entry records the
@@ -9,7 +9,7 @@
 //! `QueryEngine::swap_snapshot` bumps the epoch. Cache *keys* already
 //! mix in the epoch (stale entries are unreachable the moment the epoch
 //! moves); the purge reclaims their space eagerly and makes the swap
-//! observable (`ServeStats::cache_evicted_on_swap`).
+//! observable (`Count::CacheEvictedOnSwap`).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -19,15 +19,22 @@ const NIL: usize = usize::MAX;
 struct Node<K, V> {
     key: K,
     value: V,
+    /// The engine epoch the value was computed under.
+    epoch: u64,
     prev: usize,
     next: usize,
 }
 
-/// Least-recently-used cache with a fixed capacity. Arena slots are
-/// `Option`s so an evicted entry's key/value drop *immediately* — an
-/// eviction must actually release the (possibly large) cached answer,
-/// not park it until the slot is reused.
-pub struct LruCache<K, V> {
+/// Least-recently-used cache with a fixed capacity whose entries carry
+/// the engine epoch they were computed under. Keys are expected to mix
+/// in the epoch already (see `EpochSnapshot::cache_key`), so lookups
+/// never need an epoch argument — the stamp exists so a snapshot swap
+/// can purge everything computed before it in one sweep.
+///
+/// Arena slots are `Option`s so an evicted entry's key/value drop
+/// *immediately* — an eviction must actually release the (possibly
+/// large) cached answer, not park it until the slot is reused.
+pub struct Cache<K, V> {
     map: HashMap<K, usize>,
     arena: Vec<Option<Node<K, V>>>,
     free: Vec<usize>,
@@ -36,7 +43,7 @@ pub struct LruCache<K, V> {
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
     /// Creates a cache holding at most `capacity` entries. A capacity of
     /// zero disables caching (every `get` misses, `insert` is a no-op).
     pub fn new(capacity: usize) -> Self {
@@ -58,14 +65,14 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.len()
     }
 
-    /// Maximum number of entries (0 = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// Maximum number of entries (0 = caching disabled).
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Looks up `key`, marking it most-recently-used on a hit.
@@ -84,15 +91,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.arena[slot].as_mut().expect("slot in the recency list")
     }
 
-    /// Inserts or refreshes `key`, evicting the least-recently-used entry
-    /// when full. Returns how many entries were evicted (0 or 1), so
-    /// callers can count capacity-pressure evictions.
-    pub fn insert(&mut self, key: K, value: V) -> usize {
+    /// Inserts or refreshes `key` with a value computed under `epoch`,
+    /// evicting the least-recently-used entry when full. Returns how
+    /// many entries were evicted by capacity pressure (0 or 1).
+    pub fn insert(&mut self, key: K, value: V, epoch: u64) -> usize {
         if self.capacity == 0 {
             return 0;
         }
         if let Some(&slot) = self.map.get(&key) {
-            self.node_mut(slot).value = value;
+            let node = self.node_mut(slot);
+            node.value = value;
+            node.epoch = epoch;
             self.detach(slot);
             self.push_front(slot);
             return 0;
@@ -105,6 +114,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         let node = Some(Node {
             key: key.clone(),
             value,
+            epoch,
             prev: NIL,
             next: NIL,
         });
@@ -123,15 +133,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         evicted
     }
 
-    /// Drops every entry failing `keep`, preserving recency order of the
-    /// survivors. Returns how many entries were removed. O(len).
-    pub fn retain<F: FnMut(&K, &V) -> bool>(&mut self, mut keep: F) -> usize {
+    /// Drops every entry stamped with an epoch strictly below `epoch`,
+    /// preserving the recency order of the survivors, and returns how
+    /// many were evicted. Called on snapshot swap with the *new* epoch,
+    /// so all entries from older snapshots die at once. O(len).
+    pub fn purge_below_epoch(&mut self, epoch: u64) -> usize {
         let mut removed = 0;
         let mut cur = self.head;
         while cur != NIL {
             let node = self.node(cur);
             let next = node.next;
-            if !keep(&node.key, &node.value) {
+            if node.epoch < epoch {
                 self.detach(cur);
                 self.release(cur);
                 removed += 1;
@@ -204,82 +216,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// One epoch-stamped cache slot.
-#[derive(Clone)]
-struct Stamped<V> {
-    epoch: u64,
-    value: V,
-}
-
-/// The engine's result cache: an [`LruCache`] whose entries carry the
-/// engine epoch they were computed under. Keys are expected to mix in
-/// the epoch already (see `EpochSnapshot::cache_key`), so lookups never
-/// need an epoch argument — the stamp exists so a snapshot swap can
-/// purge everything computed before it in one sweep.
-pub struct Cache<K, V> {
-    lru: LruCache<K, Stamped<V>>,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
-    /// Creates a cache holding at most `capacity` entries (0 disables
-    /// caching).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            lru: LruCache::new(capacity),
-        }
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Maximum number of entries (0 = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.lru.capacity()
-    }
-
-    /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        self.lru.get(key).map(|stamped| stamped.value)
-    }
-
-    /// Inserts or refreshes `key` with a value computed under `epoch`.
-    /// Returns how many entries were evicted by capacity pressure (0/1).
-    pub fn insert(&mut self, key: K, value: V, epoch: u64) -> usize {
-        self.lru.insert(key, Stamped { epoch, value })
-    }
-
-    /// Drops every entry stamped with an epoch strictly below `epoch`,
-    /// returning how many were evicted. Called on snapshot swap with the
-    /// *new* epoch, so all entries from older snapshots die at once.
-    pub fn purge_below_epoch(&mut self, epoch: u64) -> usize {
-        self.lru.retain(|_, stamped| stamped.epoch >= epoch)
-    }
-
-    /// Changes the capacity in place (LRU entries are evicted if over
-    /// the new bound); returns how many entries were evicted.
-    pub fn set_capacity(&mut self, capacity: usize) -> usize {
-        self.lru.set_capacity(capacity)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hit_miss_and_eviction_order() {
-        let mut cache = LruCache::new(2);
-        assert_eq!(cache.insert(1, "a"), 0);
-        assert_eq!(cache.insert(2, "b"), 0);
+        let mut cache = Cache::new(2);
+        assert_eq!(cache.insert(1, "a", 1), 0);
+        assert_eq!(cache.insert(2, "b", 1), 0);
         assert_eq!(cache.get(&1), Some("a")); // 1 becomes MRU
-        assert_eq!(cache.insert(3, "c"), 1); // evicts 2 (LRU)
+        assert_eq!(cache.insert(3, "c", 1), 1); // evicts 2 (LRU)
         assert_eq!(cache.get(&2), None);
         assert_eq!(cache.get(&1), Some("a"));
         assert_eq!(cache.get(&3), Some("c"));
@@ -288,28 +235,37 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_value_and_recency() {
-        let mut cache = LruCache::new(2);
-        cache.insert(1, "a");
-        cache.insert(2, "b");
-        cache.insert(1, "a2"); // refresh: 2 is now LRU
-        cache.insert(3, "c"); // evicts 2
+        let mut cache = Cache::new(2);
+        cache.insert(1, "a", 1);
+        cache.insert(2, "b", 1);
+        cache.insert(1, "a2", 1); // refresh: 2 is now LRU
+        cache.insert(3, "c", 1); // evicts 2
         assert_eq!(cache.get(&1), Some("a2"));
         assert_eq!(cache.get(&2), None);
     }
 
     #[test]
+    fn reinsert_restamps_the_epoch() {
+        let mut cache = Cache::new(2);
+        cache.insert(1, "a", 1);
+        cache.insert(1, "a2", 2);
+        assert_eq!(cache.purge_below_epoch(2), 0);
+        assert_eq!(cache.get(&1), Some("a2"));
+    }
+
+    #[test]
     fn zero_capacity_disables_caching() {
-        let mut cache = LruCache::new(0);
-        cache.insert(1, "a");
+        let mut cache = Cache::new(0);
+        cache.insert(1, "a", 1);
         assert_eq!(cache.get(&1), None);
         assert!(cache.is_empty());
     }
 
     #[test]
     fn long_churn_stays_bounded_and_consistent() {
-        let mut cache = LruCache::new(8);
+        let mut cache = Cache::new(8);
         for i in 0..1000u64 {
-            cache.insert(i % 13, i);
+            cache.insert(i % 13, i, 1);
             assert!(cache.len() <= 8);
         }
         // The 8 most recently inserted distinct keys must all be present.
@@ -328,34 +284,35 @@ mod tests {
     }
 
     #[test]
-    fn retain_drops_only_failing_entries_and_keeps_order() {
-        let mut cache = LruCache::new(8);
+    fn purge_drops_only_older_entries_and_keeps_order() {
+        let mut cache = Cache::new(8);
+        // Even keys are stamped with the newer epoch.
         for i in 0..6 {
-            cache.insert(i, i * 10);
+            cache.insert(i, i * 10, 1 + (i % 2 == 0) as u64);
         }
-        let removed = cache.retain(|k, _| k % 2 == 0);
+        let removed = cache.purge_below_epoch(2);
         assert_eq!(removed, 3);
         assert_eq!(cache.len(), 3);
         for i in 0..6 {
             assert_eq!(cache.get(&i).is_some(), i % 2 == 0, "key {i}");
         }
         // Freed slots are reusable and eviction order still works.
-        cache.insert(7, 70);
-        cache.insert(9, 90);
-        cache.insert(11, 110);
-        cache.insert(13, 130);
-        cache.insert(15, 150);
+        cache.insert(7, 70, 2);
+        cache.insert(9, 90, 2);
+        cache.insert(11, 110, 2);
+        cache.insert(13, 130, 2);
+        cache.insert(15, 150, 2);
         assert_eq!(cache.len(), 8);
-        cache.insert(17, 170); // evicts LRU (key 0, untouched longest)
+        cache.insert(17, 170, 2); // evicts LRU (key 0, untouched longest)
         assert_eq!(cache.get(&0), None);
         assert_eq!(cache.len(), 8);
     }
 
     #[test]
     fn set_capacity_evicts_lru_down_to_bound() {
-        let mut cache = LruCache::new(8);
+        let mut cache = Cache::new(8);
         for i in 0..8 {
-            cache.insert(i, i);
+            cache.insert(i, i, 1);
         }
         assert_eq!(cache.get(&0), Some(0)); // 0 becomes MRU
         let evicted = cache.set_capacity(3);
@@ -366,7 +323,7 @@ mod tests {
             assert!(cache.get(&key).is_some(), "missing {key}");
         }
         assert_eq!(cache.set_capacity(0), 3);
-        cache.insert(1, 1);
+        cache.insert(1, 1, 1);
         assert!(cache.is_empty(), "capacity 0 must disable caching");
     }
 
@@ -374,21 +331,21 @@ mod tests {
     fn eviction_drops_values_immediately() {
         use crate::sync::Arc;
         let payload = Arc::new(vec![1u8; 16]);
-        let mut cache = LruCache::new(4);
-        cache.insert(1, Arc::clone(&payload));
-        cache.insert(2, Arc::clone(&payload));
+        let mut cache = Cache::new(4);
+        cache.insert(1, Arc::clone(&payload), 1);
+        cache.insert(2, Arc::clone(&payload), 2);
         assert_eq!(Arc::strong_count(&payload), 3);
-        // A retain-eviction releases the stored value now, not whenever
+        // A purge-eviction releases the stored value now, not whenever
         // the freed slot is next reused.
-        cache.retain(|k, _| *k != 1);
+        cache.purge_below_epoch(2);
         assert_eq!(Arc::strong_count(&payload), 2);
         // Capacity shrink releases too.
         cache.set_capacity(0);
         assert_eq!(Arc::strong_count(&payload), 1);
         // As does ordinary LRU eviction on insert.
         cache.set_capacity(1);
-        cache.insert(3, Arc::clone(&payload));
-        cache.insert(4, Arc::clone(&payload));
+        cache.insert(3, Arc::clone(&payload), 2);
+        cache.insert(4, Arc::clone(&payload), 2);
         assert_eq!(Arc::strong_count(&payload), 2);
     }
 

@@ -351,12 +351,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Result-cache entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Whether cold-path corpus scans use the lower-bound cascade
-    /// (`simsub_core::bounds`). Answers are byte-identical either way;
-    /// `false` is the reference path. Defaults to
-    /// [`simsub_core::pruning_enabled`] so the `SIMSUB_NO_PRUNE`
-    /// environment hatch still governs engines built with defaults.
-    pub prune: bool,
     /// `k` applied when a wire request omits `"k"` (≥ 1). Tunable live
     /// through [`QueryEngine::configure`] / the admin `configure`
     /// command.
@@ -394,7 +388,6 @@ impl Default for EngineConfig {
         Self {
             workers: std::thread::available_parallelism().map_or(4, usize::from),
             cache_capacity: 4096,
-            prune: simsub_core::pruning_enabled(),
             default_k: 1,
             slow_query_us: 0,
             audit_sample: 0.0,
@@ -410,9 +403,6 @@ impl Default for EngineConfig {
 /// `{"cmd":"configure",...}` wire command.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigUpdate {
-    /// Toggle the lower-bound cascade on cold scans (answers are
-    /// byte-identical either way).
-    pub prune: Option<bool>,
     /// Result-cache capacity; shrinking evicts LRU entries immediately,
     /// 0 disables caching.
     pub cache_capacity: Option<usize>,
@@ -442,8 +432,6 @@ pub struct ConfigView {
     pub cache_capacity: usize,
     /// Entries currently cached.
     pub cache_len: usize,
-    /// Whether cold scans use the lower-bound cascade.
-    pub prune: bool,
     /// Default `k` for wire requests that omit it.
     pub default_k: usize,
     /// Slow-query threshold, microseconds (0 = disabled).
@@ -591,7 +579,6 @@ fn cached_answer(
 /// The live-tunable knobs, on atomics so `configure` never blocks the
 /// dispatch path.
 struct Runtime {
-    prune: AtomicBool,
     default_k: AtomicUsize,
     /// Slow-query threshold, microseconds; 0 disables the slow log.
     slow_query_us: AtomicU64,
@@ -669,7 +656,7 @@ impl ShutdownReport {
 }
 
 /// Renders a caught panic payload for error messages.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -710,7 +697,6 @@ impl QueryEngine {
             stats: ServeStats::with_workers(config.workers),
             handle: EngineHandle::new(snapshot),
             runtime: Runtime {
-                prune: AtomicBool::new(config.prune),
                 default_k: AtomicUsize::new(config.default_k),
                 slow_query_us: AtomicU64::new(config.slow_query_us),
                 audit_sample: AtomicU64::new(config.audit_sample.to_bits()),
@@ -1039,9 +1025,6 @@ impl QueryEngine {
             crate::fault::validate_spec(spec)
                 .map_err(|e| ServiceError::InvalidRequest(format!("faults: {e}")))?;
         }
-        if let Some(prune) = update.prune {
-            self.inner.runtime.prune.store(prune, Ordering::Relaxed); // ordering: relaxed config cell
-        }
         if let Some(default_k) = update.default_k {
             self.inner
                 .runtime
@@ -1099,7 +1082,6 @@ impl QueryEngine {
             workers: self.inner.workers,
             cache_capacity,
             cache_len,
-            prune: self.inner.runtime.prune.load(Ordering::Relaxed), // ordering: relaxed config read
             default_k: self.inner.runtime.default_k.load(Ordering::Relaxed), // ordering: relaxed config read
             slow_query_us: self.inner.runtime.slow_query_us.load(Ordering::Relaxed), // ordering: relaxed config read
             audit_sample: self.inner.runtime.audit_sample(),
@@ -1306,8 +1288,6 @@ fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
         return;
     }
 
-    // ordering: relaxed — config cell; a racing configure applies to the next job.
-    let prune = inner.runtime.prune.load(Ordering::Relaxed);
     let snapshot = &job.admitted.snapshot;
     let request = &job.request;
     inner.faults.sleep_if(FaultPoint::SlowScan);
@@ -1335,7 +1315,7 @@ fn process_job(inner: &Inner, job: Job, dequeued: Instant) {
             &request.query,
             request.k,
             request.use_index,
-            prune,
+            true,
             inner.scan_threads,
         )
     }));
@@ -1615,7 +1595,6 @@ mod tests {
         );
         let view = engine
             .configure(ConfigUpdate {
-                prune: Some(false),
                 cache_capacity: Some(2),
                 default_k: Some(7),
                 slow_query_us: Some(5000),
@@ -1625,7 +1604,6 @@ mod tests {
                 faults: Some("slow_scan=n:100:1".into()),
             })
             .unwrap();
-        assert!(!view.prune);
         assert_eq!(view.cache_capacity, 2);
         assert_eq!(view.default_k, 7);
         assert_eq!(view.slow_query_us, 5000);

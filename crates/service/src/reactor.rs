@@ -37,7 +37,8 @@
 //! nothing pending and nothing buffered — bounded by a grace timeout
 //! for clients that stop reading.
 
-use crate::engine::{QueryEngine, ServiceError};
+use crate::engine::{panic_message, QueryEngine, ServiceError};
+use crate::json::{Json, ProtocolVersion};
 use crate::query::QueryResponse;
 use crate::server::{self, LineJob, LineOutcome, MAX_LINE_BYTES};
 use crate::stats::Count;
@@ -50,6 +51,7 @@ use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 thread_local! {
@@ -176,29 +178,38 @@ pub(crate) fn run(
     stop: &Arc<AtomicBool>,
 ) {
     ON_REACTOR.set(true);
-    let (tx, rx) = channel();
-    let mut reactor = Reactor {
-        engine,
-        stop,
-        poller: parts.poller,
-        waker: parts.waker,
-        tx,
-        rx,
-        listener,
-        listener_armed: false,
-        listener_resume: None,
-        slots: Vec::new(),
-        generations: Vec::new(),
-        free: Vec::new(),
-        open: 0,
-    };
+    let mut reactor = Reactor::new(parts, listener, engine, stop);
     if let Err(e) = reactor.serve() {
         eprintln!("simsub: reactor failed: {e}");
     }
     reactor.close_all();
 }
 
-impl Reactor<'_> {
+impl<'a> Reactor<'a> {
+    fn new(
+        parts: ReactorParts,
+        listener: TcpListener,
+        engine: &'a Arc<QueryEngine>,
+        stop: &'a AtomicBool,
+    ) -> Self {
+        let (tx, rx) = channel();
+        Reactor {
+            engine,
+            stop,
+            poller: parts.poller,
+            waker: parts.waker,
+            tx,
+            rx,
+            listener,
+            listener_armed: false,
+            listener_resume: None,
+            slots: Vec::new(),
+            generations: Vec::new(),
+            free: Vec::new(),
+            open: 0,
+        }
+    }
+
     fn serve(&mut self) -> io::Result<()> {
         self.arm_listener()?;
         let mut events = Events::with_capacity(1024);
@@ -536,33 +547,10 @@ impl Reactor<'_> {
             }
             LineJob::Reload(parsed) => {
                 // Reload rebuilds an index from files — far too heavy for
-                // the polling thread. Its response still lands at this
-                // line's slot in the ordered lane.
-                let engine = Arc::clone(self.engine);
-                let tx = self.tx.clone();
-                let waker = Arc::clone(&self.waker);
-                let key = conn.key;
-                let spawned = std::thread::Builder::new()
-                    .name("simsub-reload".into())
-                    .spawn(move || {
-                        let body = server::admin_reload(&engine, &parsed);
-                        let line = version.envelope(body, id.as_ref(), engine.epoch()).dump();
-                        let _ = tx.send(Completed {
-                            conn: key,
-                            seq,
-                            ordered,
-                            line,
-                        });
-                        let _ = waker.wake();
-                    });
-                match spawned {
-                    Ok(_) => conn.pending += 1,
-                    Err(_) => {
-                        let body = server::error_response("spawning the reload thread failed");
-                        let line = body.dump();
-                        Self::deliver(conn, ordered, seq, line);
-                    }
-                }
+                // the polling thread.
+                self.reload_off_thread(conn, ordered, seq, version, id, move |engine| {
+                    server::admin_reload(engine, &parsed)
+                });
             }
             LineJob::Query { request, options } => {
                 let tx = self.tx.clone();
@@ -618,6 +606,49 @@ impl Reactor<'_> {
                         Self::deliver(conn, ordered, seq, line);
                     }
                 }
+            }
+        }
+    }
+
+    /// Runs a reload's `work` on a `simsub-reload` thread. Its response
+    /// lands at the line's slot whatever happens: a panic in `work` is
+    /// answered `{"ok":false,"error":"internal",...}`, as a scan panic
+    /// is, so the id-less lines after it are never held behind a slot
+    /// that cannot fill.
+    fn reload_off_thread(
+        &mut self,
+        conn: &mut Conn,
+        ordered: bool,
+        seq: u64,
+        version: ProtocolVersion,
+        id: Option<Json>,
+        work: impl FnOnce(&QueryEngine) -> Json + Send + 'static,
+    ) {
+        let engine = Arc::clone(self.engine);
+        let tx = self.tx.clone();
+        let waker = Arc::clone(&self.waker);
+        let key = conn.key;
+        let spawned = std::thread::Builder::new()
+            .name("simsub-reload".into())
+            .spawn(move || {
+                let body = catch_unwind(AssertUnwindSafe(|| work(&engine))).unwrap_or_else(|p| {
+                    let msg = format!("reload panicked: {}", panic_message(p));
+                    server::service_error_response(&ServiceError::Internal(msg))
+                });
+                let line = version.envelope(body, id.as_ref(), engine.epoch()).dump();
+                let _ = tx.send(Completed {
+                    conn: key,
+                    seq,
+                    ordered,
+                    line,
+                });
+                let _ = waker.wake();
+            });
+        match spawned {
+            Ok(_) => conn.pending += 1,
+            Err(_) => {
+                let body = server::error_response("spawning the reload thread failed");
+                Self::deliver(conn, ordered, seq, body.dump());
             }
         }
     }
@@ -737,5 +768,56 @@ impl Reactor<'_> {
                 self.release(conn, idx);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{CorpusSnapshot, EngineConfig};
+    use simsub_index::TrajectoryDb;
+    use simsub_trajectory::{Point, Trajectory};
+    use std::io::{BufRead, BufReader};
+
+    /// A reload whose work panics is answered `internal` in its own slot
+    /// of the ordered lane, and the id-less line after it is answered
+    /// too instead of waiting behind it.
+    #[test]
+    fn a_panicking_reload_is_answered_and_the_next_line_follows() {
+        let points = vec![Point::new(0.0, 0.0, 0.0), Point::new(1.0, 1.0, 1.0)];
+        let db = TrajectoryDb::build(vec![Trajectory::new(7, points).unwrap()]).into_shared();
+        let config = EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let engine = Arc::new(QueryEngine::start(CorpusSnapshot::new(db), config));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        let stop = AtomicBool::new(false);
+        let parts = ReactorParts::new().unwrap();
+        let mut reactor = Reactor::new(parts, listener, &engine, &stop);
+        reactor.register(served).unwrap();
+        let key = reactor.slots[0].as_ref().expect("registered").key;
+        reactor.with_conn(key, |this, conn| {
+            let seq = conn.next_ordered;
+            conn.next_ordered += 1;
+            this.reload_off_thread(conn, true, seq, ProtocolVersion::V1, None, |_| {
+                panic!("reload body failed")
+            });
+            this.handle_raw_line(conn, b"{\"cmd\":\"ping\"}");
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.slots[0].as_ref().expect("open").pending > 0 {
+            assert!(Instant::now() < deadline, "the reload was never answered");
+            std::thread::sleep(Duration::from_millis(5));
+            reactor.drain_completions();
+        }
+        let mut lines = BufReader::new(client).lines().map(Result::unwrap);
+        let internal = "{\"ok\":false,\"error\":\"internal\",\
+                        \"detail\":\"reload panicked: reload body failed\"}";
+        assert_eq!(lines.next().as_deref(), Some(internal));
+        assert_eq!(lines.next().as_deref(), Some("{\"ok\":true,\"pong\":true}"));
+        engine.shutdown();
     }
 }

@@ -140,8 +140,7 @@
 //! version — the response envelope follows the request's version):
 //!
 //! - `{"cmd":"info"}` → `{"ok":true,"epoch":N,"trajectories":T,
-//!   "points":P,"workers":W,"prune":B,
-//!   "cache_capacity":C,"cache_len":E,"default_k":K,
+//!   "points":P,"workers":W,"cache_capacity":C,"cache_len":E,"default_k":K,
 //!   "rls_loaded":B,"t2vec_loaded":B,"swaps":N,"build":"x.y.z",
 //!   "protocol":[1,2]}` — what is serving right now.
 //! - `{"cmd":"reload","corpus":"/path/to.csv"}` **or**
@@ -160,9 +159,9 @@
 //!   `corpus`/`corpus_bin` must be present. In-flight queries
 //!   finish against the old snapshot; queries admitted after the swap
 //!   see the new one. Nothing restarts, no connection drops.
-//! - `{"cmd":"configure"}` with any of `"prune":bool`,
-//!   `"cache_capacity":N`, `"default_k":N`, `"slow_query_us":N` (0
-//!   disables the slow-query log),
+//! - `{"cmd":"configure"}` with any of `"cache_capacity":N`,
+//!   `"default_k":N`, `"slow_query_us":N` (0 disables the slow-query
+//!   log),
 //!   `"audit_sample":F` (fraction in `[0,1]`, 0 disables auditing),
 //!   `"max_queue_depth":N` (admission-gate bound; 0 = unbounded),
 //!   `"default_deadline_ms":N` (deadline for requests that carry none;
@@ -579,10 +578,9 @@ fn admin_info(engine: &QueryEngine) -> Json {
 }
 
 /// The live knobs as the `info` and `configure` replies both echo them,
-/// `prune` through `faults`, in wire order.
-fn config_echo(view: ConfigView) -> [(&'static str, Json); 9] {
+/// `cache_capacity` through `faults`, in wire order.
+fn config_echo(view: ConfigView) -> [(&'static str, Json); 8] {
     [
-        ("prune", Json::Bool(view.prune)),
         ("cache_capacity", Json::Num(view.cache_capacity as f64)),
         ("cache_len", Json::Num(view.cache_len as f64)),
         ("default_k", Json::Num(view.default_k as f64)),
@@ -690,13 +688,6 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
                 .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
         }
     };
-    let prune = match parsed.get("prune") {
-        None => None,
-        Some(v) => match v.as_bool() {
-            Some(b) => Some(b),
-            None => return error_response("\"prune\" must be a boolean"),
-        },
-    };
     let audit_sample = match parsed.get("audit_sample") {
         None => None,
         Some(v) => match v.as_f64() {
@@ -705,7 +696,6 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
         },
     };
     let update = ConfigUpdate {
-        prune,
         cache_capacity: match field_usize("cache_capacity") {
             Ok(v) => v,
             Err(e) => return error_response(&e),
@@ -739,9 +729,9 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
     };
     if update == ConfigUpdate::default() {
         return error_response(
-            "configure needs at least one of \"prune\", \"cache_capacity\", \
-             \"default_k\", \"slow_query_us\", \"audit_sample\", \
-             \"max_queue_depth\", \"default_deadline_ms\", \"faults\"",
+            "configure needs at least one of \"cache_capacity\", \"default_k\", \
+             \"slow_query_us\", \"audit_sample\", \"max_queue_depth\", \
+             \"default_deadline_ms\", \"faults\"",
         );
     }
     match engine.configure(update) {

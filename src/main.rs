@@ -101,11 +101,11 @@ fn usage() {
          \x20              --algo exact|sizes|pss|pos|posd|spring|rls --measure ...\n\
          \x20              [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20 topk         (--corpus FILE.csv | --corpus-bin FILE.ssb) --query FILE.csv --k N\n\
-         \x20              --algo ... --measure ... [--index rtree|none] [--no-prune]\n\
+         \x20              --algo ... --measure ... [--index rtree|none]\n\
          \x20 serve        (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
          \x20              [--workers N] [--cache N] [--default-k N]\n\
          \x20              [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
-         \x20              [--skip K] [--no-suffix] [--no-prune]\n\
+         \x20              [--skip K] [--no-suffix]\n\
          \x20              [--slow-query-us N]    # log traces of queries slower than N µs\n\
          \x20              [--audit-sample F]     # audit fraction F of cold answers (0..=1)\n\
          \x20              [--max-queue-depth N]  # shed queries past N queued (0 = unbounded)\n\
@@ -117,8 +117,7 @@ fn usage() {
          \x20              # one delta line per tick: qps, p99, hit rate, prune ratio\n\
          \x20 admin        reload (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
          \x20              [--policy F] [--t2vec F] [--skip K] [--no-suffix]\n\
-         \x20 admin        configure [--addr HOST:PORT] [--prune on|off]\n\
-         \x20              [--cache N] [--default-k N]\n\
+         \x20 admin        configure [--addr HOST:PORT] [--cache N] [--default-k N]\n\
          \x20              [--slow-query-us N] [--audit-sample F]\n\
          \x20              [--max-queue-depth N] [--default-deadline-ms N]\n\
          \x20              [--faults SPEC]   # SPEC like \"slow_scan=p:0.1:5\"; \"off\" disarms"
@@ -137,18 +136,16 @@ fn accepted_flags(cmd: &str) -> &'static str {
         "train" => "corpus measure t2vec skip no-suffix episodes max-query-len seed out",
         "search" => "corpus measure t2vec skip no-suffix algo xi delay policy data-id query",
         "topk" => {
-            "corpus corpus-bin measure t2vec skip no-suffix algo xi delay policy query k index \
-             no-prune"
+            "corpus corpus-bin measure t2vec skip no-suffix algo xi delay policy query k index"
         }
         "serve" => {
             "corpus corpus-bin addr workers cache default-k policy t2vec skip no-suffix \
-             no-prune slow-query-us audit-sample max-queue-depth default-deadline-ms \
-             faults"
+             slow-query-us audit-sample max-queue-depth default-deadline-ms faults"
         }
         "admin" => {
             "addr watch count corpus corpus-bin policy t2vec skip no-suffix \
-             prune cache default-k slow-query-us audit-sample max-queue-depth \
-             default-deadline-ms faults"
+             cache default-k slow-query-us audit-sample max-queue-depth default-deadline-ms \
+             faults"
         }
         _ => "",
     }
@@ -465,10 +462,6 @@ fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
     Ok(EngineConfig {
         workers: flags.positive("workers", EngineConfig::default().workers)?,
         cache_capacity: flags.parse_or("cache", EngineConfig::default().cache_capacity)?,
-        // `--no-prune` forces the reference scan; otherwise the
-        // SIMSUB_NO_PRUNE environment hatch decides (answers are
-        // byte-identical either way).
-        prune: !flags.switch("no-prune") && simsub::core::pruning_enabled(),
         default_k: flags.positive("default-k", EngineConfig::default().default_k)?,
         slow_query_us: flags.parse_or("slow-query-us", 0u64)?,
         audit_sample,
@@ -499,19 +492,17 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     )?;
 
     let workers = config.workers;
-    let prune = config.prune;
     let (corpus_len, corpus_points) = (snapshot.corpus().len(), snapshot.corpus().total_points());
     let engine = Arc::new(QueryEngine::start(snapshot, config));
     let server =
         Server::bind(Arc::clone(&engine), &addr).map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
-        "serving {} trajectories / {} points on {} with {} workers, prune={} \
+        "serving {} trajectories / {} points on {} with {} workers \
          (newline-JSON, protocol v1+v2; send {{\"cmd\":\"shutdown\"}} to stop)",
         corpus_len,
         corpus_points,
         server.local_addr(),
-        workers,
-        if prune { "on" } else { "off" }
+        workers
     );
     server.wait();
     println!("server stopped");
@@ -567,16 +558,6 @@ fn cmd_admin(action: &str, flags: &Flags) -> Result<(), String> {
         }
         "configure" => {
             field("cmd", Json::Str("configure".into()));
-            if let Some(prune) = flags.get("prune") {
-                field(
-                    "prune",
-                    Json::Bool(match prune {
-                        "on" | "true" => true,
-                        "off" | "false" => false,
-                        other => return Err(format!("bad --prune '{other}' (on|off)")),
-                    }),
-                );
-            }
             for (flag, key) in [
                 ("cache", "cache_capacity"),
                 ("default-k", "default_k"),
@@ -753,10 +734,6 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
         "none" => false,
         other => return Err(format!("unknown index '{other}' (rtree|none)")),
     };
-    // `--no-prune` forces the reference scan (every candidate searched);
-    // answers are byte-identical either way — only the timing and the
-    // prune counters change.
-    let prune = !flags.switch("no-prune") && simsub::core::pruning_enabled();
     // An unprunable scan splits its candidates over the process's cores,
     // with the same hits and counters as one thread.
     let db = TrajectoryDb::from_arena(corpus);
@@ -766,16 +743,15 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
         query.points(),
         k,
         use_index,
-        prune,
+        true,
     );
     let corpus_len = db.len();
     println!(
-        "top-{k} by {} over {} ({} trajectories, index={}, prune={}):",
+        "top-{k} by {} over {} ({} trajectories, index={}):",
         algo.name(),
         measure.name(),
         corpus_len,
-        if use_index { "rtree" } else { "none" },
-        if prune { "on" } else { "off" }
+        if use_index { "rtree" } else { "none" }
     );
     for (rank, hit) in hits.iter().enumerate() {
         println!(
@@ -838,6 +814,7 @@ mod tests {
     fn retired_batching_flags_are_rejected() {
         // Spelled in pieces so that the retired names appear nowhere else.
         let quant = ["quant", "ize"].concat();
+        let no_prune = ["no", "prune"].join("-");
         for (cmd, flag) in [
             ("serve", "batch".to_string()),
             ("serve", "batch-window-us".to_string()),
@@ -845,6 +822,9 @@ mod tests {
             ("serve", ["cache", &quant].join("-")),
             ("admin", quant.clone()),
             ("serve", "reload-fifo".to_string()),
+            ("serve", no_prune.clone()),
+            ("topk", no_prune.clone()),
+            ("admin", "prune".to_string()),
         ] {
             match parse(cmd, &format!("--corpus c.csv --{flag} 4")) {
                 Ok(_) => panic!("{cmd} accepted --{flag}"),

@@ -161,24 +161,37 @@ fn learned_scan_allocations_do_not_depend_on_what_is_scanned() {
 fn exact_scan_allocations_do_not_depend_on_how_many_are_scanned() {
     let _alone = exclusive();
     const K: usize = 5;
-    // Pruned by default; split over the cores under `SIMSUB_NO_PRUNE`.
     let n = scan_corpus_len(40);
     let twice_as_many = generate(&DatasetSpec::porto(), 2 * n, 21);
     let base = twice_as_many[..n].to_vec();
     let query = generate(&DatasetSpec::porto(), 1, 22)[0].points()[..16].to_vec();
-    let counts: Vec<u64> = [base, twice_as_many]
-        .into_iter()
-        .map(|corpus| {
-            let db = TrajectoryDb::build(corpus);
-            let warm = db.top_k(&ExactS, &Dtw, &query, K, false);
-            let (count, hits) = allocations_in(|| db.top_k(&ExactS, &Dtw, &query, K, false));
-            assert_eq!(hits.len(), K);
-            assert_eq!(hits, warm);
-            eprintln!("{} trajectories: {count} allocations", db.len());
-            count
-        })
-        .collect();
-    assert_eq!(counts[1], counts[0], "twice the trajectories");
+    let dbs = [base, twice_as_many].map(TrajectoryDb::build);
+    // The pruned scan runs on the calling thread; the `prune: false`
+    // reference splits its candidates over the cores.
+    for prune in [true, false] {
+        let counts: Vec<u64> = dbs
+            .iter()
+            .map(|db| {
+                let scan = || {
+                    db.top_k_with_stats(&ExactS, &Dtw, &query, K, false, prune)
+                        .0
+                };
+                let warm = scan();
+                let (count, hits) = allocations_in(scan);
+                assert_eq!(hits.len(), K);
+                assert_eq!(hits, warm);
+                eprintln!(
+                    "prune={prune} {} trajectories: {count} allocations",
+                    db.len()
+                );
+                count
+            })
+            .collect();
+        assert_eq!(
+            counts[1], counts[0],
+            "prune={prune}: twice the trajectories"
+        );
+    }
 }
 
 #[test]

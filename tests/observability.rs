@@ -2,9 +2,6 @@
 //! primitives under real concurrency, the Prometheus-style metrics
 //! exposition over the wire, stage tracing as a wire-v2 opt-in, the
 //! slow-query log, and the sampled online quality auditor's AR contract.
-//!
-//! Like `service_engine.rs`, the whole file runs under the CI env matrix
-//! (`SIMSUB_NO_PRUNE=1`), so nothing here may assume pruning happened.
 
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;

@@ -22,7 +22,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsub::core::{
-    scan_prunes, BoundCascade, ExactS, PruneStats, Pss, SearchWorkspace, SubtrajSearch, TopKResult,
+    scan_prunes, BoundCascade, ExactS, Pos, PosD, PruneStats, Pss, SearchWorkspace, SizeS, Spring,
+    SubtrajSearch, TopKResult,
 };
 use simsub::index::TrajectoryDb;
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
@@ -199,9 +200,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The headline property: pruned scans are byte-identical to the
-    /// unpruned reference across measures × algorithms × index modes ×
-    /// the library and threaded entries at 1..4 threads, with consistent
-    /// counters.
+    /// unpruned reference across measures × every algorithm the wire
+    /// serves through the pruning branch × index modes × the library and
+    /// threaded entries at 1..4 threads, with consistent counters. Spring
+    /// is DTW's DP whatever the measure, so it is served under DTW only.
     #[test]
     fn pruned_scan_is_byte_identical(
         seed in 0u64..10_000,
@@ -211,10 +213,13 @@ proptest! {
     ) {
         let corpus = random_corpus(seed, count);
         let query = walk(seed ^ 0x5eed, qlen, (0.0, 0.0));
+        let (pos_d, sizes) = (PosD::default(), SizeS::default());
         for measure in [&Dtw as &dyn Measure, &Frechet as &dyn Measure] {
-            check_prune_equivalence(&corpus, &ExactS, measure, &query, k);
-            check_prune_equivalence(&corpus, &Pss, measure, &query, k);
+            for algo in [&ExactS as &dyn SubtrajSearch, &Pss, &Pos, &pos_d, &sizes] {
+                check_prune_equivalence(&corpus, algo, measure, &query, k);
+            }
         }
+        check_prune_equivalence(&corpus, &Spring::new(), &Dtw, &query, k);
     }
 
     /// Admissibility: all three cascade stages upper-bound the true best

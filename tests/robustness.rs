@@ -11,9 +11,8 @@
 //!
 //! Every engine in this file pins `EngineConfig::faults` explicitly
 //! (`Some(spec)`, with `Some("")` meaning *forced disarmed*), so the
-//! assertions stay deterministic even when the CI matrix arms a global
-//! `SIMSUB_FAULTS`. Like `service_engine.rs`, the file also runs under
-//! `SIMSUB_NO_PRUNE=1`, so nothing here assumes that pruning happened.
+//! assertions stay deterministic even when CI's chaos job arms a global
+//! `SIMSUB_FAULTS`.
 
 use proptest::prelude::*;
 use simsub::data::{generate, DatasetSpec};

@@ -360,9 +360,9 @@ fn a_scan_finishing_after_a_swap_leaves_no_unreachable_entry() {
     engine.shutdown();
 }
 
-/// The retired batching and cache-key knobs are unknown `configure`
-/// keys: alone they are the no-knob error, beside a live knob they are
-/// ignored.
+/// The retired batching, cache-key and prune knobs are unknown
+/// `configure` keys: alone they are the no-knob error, beside a live
+/// knob they are ignored.
 #[test]
 fn configure_ignores_the_retired_knobs() {
     let engine = engine_with(&shared_db(8), 1);
@@ -376,24 +376,31 @@ fn configure_ignores_the_retired_knobs() {
         ["max", "batch"].join("_"),
         ["batch", "window", "us"].join("_"),
         ["cache", "key", &quant].join("_"),
+        "prune".to_string(),
     ] {
-        let refused = admin(&format!("{{\"cmd\":\"configure\",\"{key}\":4}}"));
-        assert!(
-            refused.contains("configure needs at least one of"),
-            "{refused}"
-        );
-        let applied = admin(&format!(
-            "{{\"cmd\":\"configure\",\"{key}\":4,\"default_k\":3}}"
-        ));
-        assert!(
-            applied.contains("\"default_k\":3")
-                && !applied.contains("batch")
-                && !applied.contains(&quant),
-            "{applied}"
-        );
+        for value in ["4", "false"] {
+            let refused = admin(&format!("{{\"cmd\":\"configure\",\"{key}\":{value}}}"));
+            assert!(
+                refused.contains("configure needs at least one of"),
+                "{refused}"
+            );
+            let applied = admin(&format!(
+                "{{\"cmd\":\"configure\",\"{key}\":{value},\"default_k\":3}}"
+            ));
+            assert!(
+                applied.contains("\"default_k\":3")
+                    && !applied.contains("batch")
+                    && !applied.contains(&quant)
+                    && !applied.contains("prune"),
+                "{applied}"
+            );
+        }
     }
     let info = admin("{\"cmd\":\"info\"}");
-    assert!(!info.contains("batch") && !info.contains(&quant), "{info}");
+    assert!(
+        !info.contains("batch") && !info.contains(&quant) && !info.contains("prune"),
+        "{info}"
+    );
     engine.shutdown();
 }
 
@@ -474,8 +481,7 @@ fn identical_misses_on_two_workers_both_scan() {
     let db = shared_db(20);
     let engine = armed_engine(&db, 2, 64, "slow_scan=n:1:100");
     let req = exact_requests(&db, 1, 3).remove(0);
-    let prune = engine.config_view().prune;
-    let (hits, stats) = db.top_k_with_stats(&ExactS, &Dtw, &req.query, 3, true, prune);
+    let (hits, stats) = db.top_k_with_stats(&ExactS, &Dtw, &req.query, 3, true, true);
     for (_, _, outcome) in run_all(&engine, vec![req.clone(), req], false) {
         let response = outcome.unwrap();
         assert!(!response.cached, "the second miss waited for the first");
@@ -493,7 +499,6 @@ fn a_traced_answer_reports_its_own_scan_and_queue_wait() {
     let db = shared_db(30);
     let engine = armed_engine(&db, 1, 64, "slow_scan=n:1:100");
     let requests = exact_requests(&db, 3, 2);
-    let prune = engine.config_view().prune;
     let untimed = |s: PruneStats| PruneStats {
         bound_ns: 0,
         kernel_ns: 0,
@@ -501,7 +506,7 @@ fn a_traced_answer_reports_its_own_scan_and_queue_wait() {
     };
     for (i, _, outcome) in run_all(&engine, requests.clone(), true) {
         let trace = outcome.unwrap().trace.expect("traced");
-        let (_, want) = db.top_k_with_stats(&ExactS, &Dtw, &requests[i].query, 2, true, prune);
+        let (_, want) = db.top_k_with_stats(&ExactS, &Dtw, &requests[i].query, 2, true, true);
         assert_eq!(untimed(trace.prune), untimed(want), "query {i}");
         assert_eq!(
             (trace.cached, trace.batch_us, trace.batch_size),
@@ -523,37 +528,6 @@ fn a_scan_panic_fails_only_its_own_job() {
     let outcomes: Vec<_> = done.iter().map(|(i, _, o)| (*i, o.is_ok())).collect();
     assert_eq!(outcomes, [(0, true), (1, false), (2, true)]);
     assert!(matches!(&done[1].2, Err(ServiceError::Internal(m)) if m.contains("injected")));
-    engine.shutdown();
-}
-
-/// The prune switch is read per job: after a `configure` the next scan
-/// takes the reference path, with the same answer.
-#[test]
-fn the_prune_switch_applies_from_the_next_job() {
-    let db = shared_db(40);
-    let engine = armed_engine(&db, 1, 0, "");
-    let mut req = exact_requests(&db, 1, 1).remove(0);
-    req.use_index = false;
-    let scan = |prune: bool| {
-        let update = ConfigUpdate {
-            prune: Some(prune),
-            ..ConfigUpdate::default()
-        };
-        engine.configure(update).unwrap();
-        let response = run_all(&engine, vec![req.clone()], true)
-            .remove(0)
-            .2
-            .unwrap();
-        (response.results, response.trace.expect("traced").prune)
-    };
-    let (pruned_hits, pruned) = scan(true);
-    let (reference_hits, reference) = scan(false);
-    assert!(pruned.pruned() > 0, "{pruned:?}");
-    assert_eq!(
-        (reference.pruned(), reference.searched),
-        (0, reference.scanned)
-    );
-    assert_eq!(*pruned_hits, *reference_hits);
     engine.shutdown();
 }
 
@@ -818,7 +792,6 @@ fn served_rls_never_prunes_and_matches_the_offline_scan() {
         CorpusSnapshot::new(Arc::clone(&db)).with_rls(Rls::new(policy, mdp)),
         EngineConfig {
             workers: 1,
-            prune: true,
             ..EngineConfig::default()
         },
     );
@@ -1381,7 +1354,7 @@ fn reload_ignores_retired_layout_keys_and_replies_name_no_layout() {
     );
 
     let info = send("{\"cmd\":\"info\"}");
-    let documented = "ok,epoch,trajectories,points,workers,prune,cache_capacity,cache_len,\
+    let documented = "ok,epoch,trajectories,points,workers,cache_capacity,cache_len,\
                       default_k,slow_query_us,audit_sample,max_queue_depth,\
                       default_deadline_ms,faults,rls_loaded,t2vec_loaded,swaps,build,protocol";
     assert_eq!(reply_keys(&info).join(","), documented, "{info}");
@@ -1390,7 +1363,7 @@ fn reload_ignores_retired_layout_keys_and_replies_name_no_layout() {
     }
 
     let configured = send("{\"cmd\":\"configure\",\"default_k\":2}");
-    let documented = "ok,configured,prune,cache_capacity,cache_len,default_k,slow_query_us,\
+    let documented = "ok,configured,cache_capacity,cache_len,default_k,slow_query_us,\
                       audit_sample,max_queue_depth,default_deadline_ms,faults,workers";
     assert_eq!(
         reply_keys(&configured).join(","),
@@ -1406,7 +1379,9 @@ fn reload_ignores_retired_layout_keys_and_replies_name_no_layout() {
 
 /// A t2vec model file whose GRU header describes a cell of 2^44
 /// parameters is refused with an error, not a failed allocation that
-/// takes the process down: the server keeps serving its current epoch.
+/// takes the process down; so is a well-formed model whose GRU does not
+/// take the two (x, y) features, which would otherwise load and then fail
+/// every t2vec query. The server keeps serving its current epoch.
 #[test]
 fn reload_with_a_hostile_t2vec_model_fails_and_keeps_serving() {
     let db = shared_db(10);
@@ -1415,26 +1390,46 @@ fn reload_with_a_hostile_t2vec_model_fails_and_keeps_serving() {
     let corpus = dir.join("corpus.csv");
     write_csv_file(&corpus, &db.to_trajectories()).unwrap();
     let model = dir.join("model.t2v");
-    let mut enc = simsub::nn::Encoder::new();
-    enc.put_u64(1);
-    enc.put_u64(1 << 22);
-    enc.put_f64_slice(&[]);
-    std::fs::write(&model, enc.finish()).unwrap();
+    let huge = {
+        let mut enc = simsub::nn::Encoder::new();
+        enc.put_u64(1);
+        enc.put_u64(1 << 22);
+        enc.put_f64_slice(&[]);
+        enc.finish()
+    };
+    // A 3-input, 1-unit cell: 3 gates of 3 input weights, 1 recurrent
+    // weight and 1 bias, then a normalizer.
+    let three_wide = {
+        let mut enc = simsub::nn::Encoder::new();
+        enc.put_u64(3);
+        enc.put_u64(1);
+        enc.put_f64_slice(&[0.0; 15]);
+        for v in [0.0, 0.0, 1.0] {
+            enc.put_f64(v);
+        }
+        enc.finish()
+    };
 
     let engine = Arc::new(engine_with(&db, 1));
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let (mut stream, mut reader) = wire(server.local_addr());
     let mut send = |line: &str| send_line(&mut stream, &mut reader, line);
 
-    let refused = send(&format!(
-        "{{\"cmd\":\"reload\",\"corpus\":{},\"t2vec\":{}}}",
-        json_string(&corpus.display().to_string()),
-        json_string(&model.display().to_string())
-    ));
-    for needle in ["\"ok\":false", "implausible dimension"] {
-        assert!(refused.contains(needle), "missing {needle}: {refused}");
+    for (bytes, reason) in [
+        (huge, "implausible dimension"),
+        (three_wide, "input dimension 3, expected 2"),
+    ] {
+        std::fs::write(&model, bytes).unwrap();
+        let refused = send(&format!(
+            "{{\"cmd\":\"reload\",\"corpus\":{},\"t2vec\":{}}}",
+            json_string(&corpus.display().to_string()),
+            json_string(&model.display().to_string())
+        ));
+        for needle in ["\"ok\":false", reason] {
+            assert!(refused.contains(needle), "missing {needle}: {refused}");
+        }
+        assert_eq!(engine.epoch(), 1, "a refused reload swaps nothing");
     }
-    assert_eq!(engine.epoch(), 1, "a refused reload swaps nothing");
     let answered = send("{\"query\":[[1,2],[2,3],[3,1]],\"algo\":\"pss\",\"k\":2}");
     assert!(answered.contains("\"ok\":true"), "answered: {answered}");
 

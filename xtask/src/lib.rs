@@ -18,6 +18,9 @@
 //! - [`rules::UNSAFE_COMMENT`]: every `unsafe` token (block, fn, impl)
 //!   carries a `// Safety:` or `// SAFETY:` justification within two
 //!   lines, so each unsafe site states why it is sound.
+//! - [`rules::ENV_READ`]: `std::env::var`/`var_os` appear only at
+//!   allowlisted sites, so no environment hatch switches behaviour
+//!   behind the callers' backs.
 //!
 //! False positives are suppressed via `xtask/lint-allow.txt`; every entry
 //! names the rule, a path suffix, and (optionally) a substring of the

@@ -15,6 +15,8 @@ pub const KERNEL_CLOCK: &str = "kernel-clock";
 pub const ORDERING_COMMENT: &str = "ordering-comment";
 /// Rule id: every `unsafe` needs a `// Safety:` justification.
 pub const UNSAFE_COMMENT: &str = "unsafe-comment";
+/// Rule id: environment variables are read only at allowlisted sites.
+pub const ENV_READ: &str = "env-read";
 
 /// Directories scanned by `lint_root`, relative to the repo root. Scoping
 /// the walk (rather than walking the whole tree) keeps fixture files and
@@ -66,6 +68,11 @@ pub const ALL: &[Rule] = &[
         id: UNSAFE_COMMENT,
         applies: applies_unsafe,
         check: check_unsafe,
+    },
+    Rule {
+        id: ENV_READ,
+        applies: applies_env_read,
+        check: check_env_read,
     },
 ];
 
@@ -198,6 +205,23 @@ fn check_unsafe(path: &Path, content: &str, out: &mut Vec<Violation>) {
             push(out, UNSAFE_COMMENT, path, idx + 1, &views,
                 "`unsafe` without a `// Safety:` (or `// SAFETY:`) justification within 2 lines; say what makes the unsafe operation sound");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// env-read
+// ---------------------------------------------------------------------------
+
+fn applies_env_read(path: &Path) -> bool {
+    in_dirs(path, SCOPED_DIRS)
+}
+
+fn check_env_read(path: &Path, content: &str, out: &mut Vec<Violation>) {
+    let (stream, views) = scan(content);
+    // `env::var` also prefixes `var_os`, `vars` and `vars_os`.
+    for line in stream.find_all("env::var") {
+        push(out, ENV_READ, path, line, &views,
+            "environment read outside the allowlist; a behaviour switch belongs in an explicit argument or config field, not a process-wide hatch");
     }
 }
 

@@ -8,7 +8,9 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::rules::{KERNEL_CLOCK, LOCK_UNWRAP, ORDERING_COMMENT, STD_SYNC_IMPORT, UNSAFE_COMMENT};
+use xtask::rules::{
+    ENV_READ, KERNEL_CLOCK, LOCK_UNWRAP, ORDERING_COMMENT, STD_SYNC_IMPORT, UNSAFE_COMMENT,
+};
 use xtask::{is_allowed, lint_root, parse_allowlist, AllowEntry, Violation};
 
 fn fixtures_root() -> PathBuf {
@@ -45,6 +47,8 @@ fn expected() -> Vec<(String, String, usize)> {
         (UNSAFE_COMMENT, "crates/core/src/unsafety.rs", 5),
         (UNSAFE_COMMENT, "crates/core/src/unsafety.rs", 12),
         (UNSAFE_COMMENT, "crates/core/src/unsafety.rs", 15),
+        (ENV_READ, "crates/core/src/env_hatch.rs", 4),
+        (ENV_READ, "crates/core/src/env_hatch.rs", 8),
     ]
     .into_iter()
     .map(|(r, p, l)| (r.to_string(), p.to_string(), l))
@@ -101,6 +105,21 @@ fn allowlist_substring_narrows_to_single_sites() {
         .map(|v| v.line)
         .collect();
     assert_eq!(ordering, vec![26]);
+}
+
+#[test]
+fn env_read_fires_on_a_decoy_and_stays_silent_on_the_allowlisted_line() {
+    let allow = parse_allowlist("env-read core/src/env_hatch.rs SIMSUB_ALLOWED\n");
+    let violations = lint_root(&fixtures_root(), &allow).unwrap();
+    let env_reads: Vec<(usize, &str)> = violations
+        .iter()
+        .filter(|v| v.rule == ENV_READ)
+        .map(|v| (v.line, v.text.as_str()))
+        .collect();
+    assert_eq!(
+        env_reads,
+        vec![(4, "std::env::var(\"SIMSUB_DECOY\").is_ok()")]
+    );
 }
 
 #[test]
