@@ -152,8 +152,8 @@ pub struct PruneStats {
     /// count of cells evaluated: it is the same whether a search runs
     /// `n(n+1)/2` prefixes over it or abandons most of them.
     pub searched_cells: u64,
-    /// Nanoseconds spent evaluating bound cascades, accumulated only
-    /// while a [`scan_timing_scope`] guard is live (zero otherwise).
+    /// Nanoseconds a pruning scan spent outside the kernel, accumulated
+    /// only while a [`scan_timing_scope`] guard is live (zero otherwise).
     pub bound_ns: u64,
     /// Nanoseconds spent inside the DP search kernel, accumulated only
     /// while a [`scan_timing_scope`] guard is live (zero otherwise).

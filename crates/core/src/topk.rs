@@ -573,10 +573,10 @@ pub fn scan_top_k_into(
         );
         return;
     }
+    // One clock for the branch: what its kernel time leaves is bound time.
+    let branch = timing.then(|| (std::time::Instant::now(), stats.kernel_ns));
     let mut cascade = BoundCascade::new(ws.measure(), query);
-    let order = timed(timing, &mut stats.bound_ns, || {
-        visit_order(&cascade, arena, candidates)
-    });
+    let order = visit_order(&cascade, arena, candidates);
     // One matrix allocation at most, whatever order the searches run in.
     let longest = candidates.iter().map(|&slot| arena.view(slot).len());
     ws.reserve_cell_rows(longest.max().unwrap_or(0));
@@ -589,9 +589,7 @@ pub fn scan_top_k_into(
             stats.pruned_by_kim += 1;
             continue;
         }
-        let envelope = timed(timing, &mut stats.bound_ns, || {
-            cascade.envelope_bound(arena.mbr(slot))
-        });
+        let envelope = cascade.envelope_bound(arena.mbr(slot));
         if !heap.would_admit(envelope, id) {
             stats.pruned_by_mbr += 1;
             continue;
@@ -602,10 +600,8 @@ pub fn scan_top_k_into(
         // and that looser bound is rejected again here.
         let points = if ws.factors_cell_rows() {
             let view = arena.view(slot);
-            timed(timing, &mut stats.bound_ns, || {
-                cascade.point_bound(view.xs(), view.ys(), |partial| {
-                    heap.would_admit(partial, id)
-                })
+            cascade.point_bound(view.xs(), view.ys(), |partial| {
+                heap.would_admit(partial, id)
             })
         } else {
             f64::INFINITY
@@ -623,6 +619,10 @@ pub fn scan_top_k_into(
         search_and_push(algo, arena, slot, heap, ws, sim_floor, true, timing, stats);
     }
     resolve_pending_ranges(algo, arena, heap, ws, timing, stats);
+    if let Some((start, kernel_before)) = branch {
+        let kernel = stats.kernel_ns - kernel_before;
+        stats.bound_ns += (start.elapsed().as_nanos() as u64).saturating_sub(kernel);
+    }
 }
 
 /// The single definition of hit ordering: descending similarity, ties

@@ -28,14 +28,6 @@ impl Node {
                 .fold(Mbr::EMPTY, |acc, (m, _)| acc.union(*m)),
         }
     }
-
-    #[allow(dead_code)]
-    fn len(&self) -> usize {
-        match self {
-            Node::Leaf(e) => e.len(),
-            Node::Internal(c) => c.len(),
-        }
-    }
 }
 
 /// An R-tree over 2-D rectangles with `u64` payloads ([`crate::TrajectoryDb`]

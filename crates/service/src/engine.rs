@@ -54,13 +54,14 @@
 
 use crate::audit::AuditSample;
 use crate::cache::Cache;
+use crate::config::{ConfigUpdate, ConfigView, EngineConfig, Knob, PerKnob, Runtime};
 use crate::fault::{
     lock_recover, read_recover, try_lock_recover, write_recover, FaultPoint, FaultRegistry,
 };
 use crate::metrics_registry::ExpositionBuilder;
 use crate::query::{AlgoSpec, MeasureSpec, QueryRequest, QueryResponse};
 use crate::stats::{Count, ServeStats, StatsSnapshot};
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::mpsc::{
     channel, sync_channel, Receiver, SendError, Sender, SyncSender, TrySendError,
 };
@@ -344,108 +345,6 @@ pub struct SwapReport {
     pub points: usize,
 }
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Worker threads (≥ 1).
-    pub workers: usize,
-    /// Result-cache entries; 0 disables caching.
-    pub cache_capacity: usize,
-    /// `k` applied when a wire request omits `"k"` (≥ 1). Tunable live
-    /// through [`QueryEngine::configure`] / the admin `configure`
-    /// command.
-    pub default_k: usize,
-    /// Slow-query threshold in microseconds: a request whose engine
-    /// latency reaches it is counted, ring-logged with its full stage
-    /// trace ([`QueryEngine::slow_queries`]), and written as one JSON
-    /// line to stderr. 0 (default) disables the slow-query log. Tunable
-    /// live through [`QueryEngine::configure`].
-    pub slow_query_us: u64,
-    /// Online quality-audit sampling fraction in `[0, 1]`: roughly this
-    /// fraction of cold (uncached) answers is re-checked against ExactS
-    /// by the background auditor, feeding the `audit_ar`/`audit_mr`/
-    /// `audit_rr` gauges. 0.0 (default) disables auditing. Tunable live.
-    pub audit_sample: f64,
-    /// Admission-gate bound on the queue: a submit that would make the
-    /// queue exceed this depth is shed with
-    /// [`ServiceError::Overloaded`] instead of enqueued. 0 (default)
-    /// keeps the queue unbounded. Tunable live.
-    pub max_queue_depth: usize,
-    /// Deadline applied to requests that carry none of their own,
-    /// milliseconds: a job whose deadline expires before a worker scans
-    /// it is dropped ([`ServiceError::DeadlineExceeded`]) rather than
-    /// computed. 0 (default) means no default deadline. Tunable live.
-    pub default_deadline_ms: u64,
-    /// Fault-injection spec applied at start (see [`crate::fault`] for
-    /// the grammar). `None` (default) reads the `SIMSUB_FAULTS`
-    /// environment hatch; `Some("")` forces a disarmed registry
-    /// regardless of the environment. Tunable live via `configure`.
-    pub faults: Option<String>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism().map_or(4, usize::from),
-            cache_capacity: 4096,
-            default_k: 1,
-            slow_query_us: 0,
-            audit_sample: 0.0,
-            max_queue_depth: 0,
-            default_deadline_ms: 0,
-            faults: None,
-        }
-    }
-}
-
-/// A partial update for the live-tunable engine knobs (`None` = leave
-/// unchanged); applied by [`QueryEngine::configure`] and the admin
-/// `{"cmd":"configure",...}` wire command.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ConfigUpdate {
-    /// Result-cache capacity; shrinking evicts LRU entries immediately,
-    /// 0 disables caching.
-    pub cache_capacity: Option<usize>,
-    /// Default `k` for wire requests that omit it (≥ 1).
-    pub default_k: Option<usize>,
-    /// Slow-query threshold, microseconds (0 disables the slow-query
-    /// log).
-    pub slow_query_us: Option<u64>,
-    /// Quality-audit sampling fraction, `[0, 1]` (0 disables auditing).
-    pub audit_sample: Option<f64>,
-    /// Admission-gate queue bound (0 = unbounded).
-    pub max_queue_depth: Option<usize>,
-    /// Default per-request deadline, milliseconds (0 = none).
-    pub default_deadline_ms: Option<u64>,
-    /// Fault-injection spec to apply (empty string disarms; see
-    /// [`crate::fault`] for the grammar). Invalid specs are rejected
-    /// without changing anything.
-    pub faults: Option<String>,
-}
-
-/// Point-in-time view of the live engine configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigView {
-    /// Worker threads (fixed at start).
-    pub workers: usize,
-    /// Current result-cache capacity.
-    pub cache_capacity: usize,
-    /// Entries currently cached.
-    pub cache_len: usize,
-    /// Default `k` for wire requests that omit it.
-    pub default_k: usize,
-    /// Slow-query threshold, microseconds (0 = disabled).
-    pub slow_query_us: u64,
-    /// Quality-audit sampling fraction (0 = disabled).
-    pub audit_sample: f64,
-    /// Admission-gate queue bound (0 = unbounded).
-    pub max_queue_depth: usize,
-    /// Default per-request deadline, milliseconds (0 = none).
-    pub default_deadline_ms: u64,
-    /// The fault-injection spec currently armed (empty = disarmed).
-    pub faults: String,
-}
-
 /// A submitted request's pending answer.
 #[derive(Debug)]
 pub struct PendingQuery {
@@ -482,7 +381,7 @@ pub struct SubmitOptions {
     pub trace: bool,
     /// Drop the job if no worker has dequeued it this long after
     /// admission. `None` falls back to the engine's
-    /// `default_deadline_ms` (no deadline when that is 0 too).
+    /// [`Knob::DefaultDeadlineMs`] (no deadline when that is 0 too).
     pub deadline: Option<Duration>,
     /// Time the caller spent turning its wire line into the request (JSON
     /// parse plus request decode), reported as the trace's `parse_us`.
@@ -576,28 +475,6 @@ fn cached_answer(
         .map(|entry| Arc::clone(&entry.results))
 }
 
-/// The live-tunable knobs, on atomics so `configure` never blocks the
-/// dispatch path.
-struct Runtime {
-    default_k: AtomicUsize,
-    /// Slow-query threshold, microseconds; 0 disables the slow log.
-    slow_query_us: AtomicU64,
-    /// Audit sampling fraction as f64 bits; `0.0` disables auditing.
-    audit_sample: AtomicU64,
-    /// Admission-gate queue bound; 0 keeps the queue unbounded.
-    max_queue_depth: AtomicUsize,
-    /// Default per-request deadline, milliseconds; 0 means none.
-    default_deadline_ms: AtomicU64,
-}
-
-impl Runtime {
-    /// The current audit sampling fraction (0.0 = auditing off).
-    fn audit_sample(&self) -> f64 {
-        // ordering: relaxed — independent config cell; readers may lag a configure.
-        f64::from_bits(self.audit_sample.load(Ordering::Relaxed))
-    }
-}
-
 struct Inner {
     handle: EngineHandle,
     runtime: Runtime,
@@ -683,26 +560,20 @@ impl QueryEngine {
     /// `snapshot` as epoch 1.
     pub fn start(snapshot: CorpusSnapshot, config: EngineConfig) -> Self {
         assert!(config.workers >= 1, "need at least one worker");
-        assert!(config.default_k >= 1, "default_k must be positive");
-        assert!(
-            config.audit_sample.is_finite() && (0.0..=1.0).contains(&config.audit_sample),
-            "audit_sample must be a fraction in [0, 1]"
-        );
+        for knob in Knob::ALL {
+            if let Err(rule) = knob.check(config.knobs[knob]) {
+                panic!("{} {rule}", knob.key());
+            }
+        }
         let (tx, rx) = channel();
         let (audit_tx, audit_rx) = sync_channel::<AuditSample>(AUDIT_QUEUE_CAPACITY);
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let scan_threads = (cores / config.workers).max(1);
         let inner = Arc::new(Inner {
-            cache: Mutex::new(Cache::new(config.cache_capacity)),
+            cache: Mutex::new(Cache::new(config.knobs[Knob::CacheCapacity] as usize)),
             stats: ServeStats::with_workers(config.workers),
             handle: EngineHandle::new(snapshot),
-            runtime: Runtime {
-                default_k: AtomicUsize::new(config.default_k),
-                slow_query_us: AtomicU64::new(config.slow_query_us),
-                audit_sample: AtomicU64::new(config.audit_sample.to_bits()),
-                max_queue_depth: AtomicUsize::new(config.max_queue_depth),
-                default_deadline_ms: AtomicU64::new(config.default_deadline_ms),
-            },
+            runtime: Runtime::new(&config.knobs),
             workers: config.workers,
             queue: Mutex::new(rx),
             scan_threads,
@@ -849,11 +720,7 @@ impl QueryEngine {
             return Ok(());
         }
         let deadline = options.deadline.or_else(|| {
-            let ms = self
-                .inner
-                .runtime
-                .default_deadline_ms
-                .load(Ordering::Relaxed); // ordering: relaxed config cell
+            let ms = self.knob(Knob::DefaultDeadlineMs) as u64;
             (ms > 0).then(|| Duration::from_millis(ms))
         });
         job.deadline = deadline.map(|d| job.submitted + d);
@@ -896,11 +763,11 @@ impl QueryEngine {
         // Admission gate: shed instead of queueing unboundedly. Shed
         // requests still count as admitted so the reconciliation identity
         // (admitted == answered + shed + expired + internal) holds.
-        // ordering: relaxed — config cell; a stale bound sheds or admits one request late.
-        let max_depth = self.inner.runtime.max_queue_depth.load(Ordering::Relaxed);
+        // A stale bound sheds or admits one request late.
+        let max_depth = self.knob(Knob::MaxQueueDepth) as i64;
         if max_depth > 0 {
             let depth = self.inner.stats.queue_depth().get();
-            if depth >= max_depth as i64 {
+            if depth >= max_depth {
                 self.inner.stats.inc(Count::Admitted);
                 self.inner.stats.inc(Count::Shed);
                 return Err(ServiceError::Overloaded {
@@ -969,10 +836,15 @@ impl QueryEngine {
         self.inner.handle.epoch()
     }
 
-    /// The `k` applied to wire requests that omit `"k"`.
-    pub fn default_k(&self) -> usize {
-        // ordering: relaxed — config cell; no cross-field consistency is promised.
-        self.inner.runtime.default_k.load(Ordering::Relaxed)
+    /// `knob`'s live value (each is read alone: a `configure` may land
+    /// between two reads).
+    #[inline]
+    pub fn knob(&self, knob: Knob) -> f64 {
+        match knob {
+            // The cache holds its own capacity, the value `configure` resizes.
+            Knob::CacheCapacity => lock_recover(&self.inner.cache).capacity() as f64,
+            _ => self.inner.runtime.get(knob),
+        }
     }
 
     /// Atomically replaces the serving snapshot — the live-reload
@@ -1005,68 +877,31 @@ impl QueryEngine {
         }
     }
 
-    /// Applies a partial update to the live-tunable knobs and returns
-    /// the resulting configuration. Rejects a zero `default_k` without
-    /// changing anything.
+    /// Applies a partial update and returns the resulting configuration.
+    /// A value its knob does not take ([`Knob::check`]) or an invalid
+    /// fault spec is rejected without changing anything.
     pub fn configure(&self, update: ConfigUpdate) -> Result<ConfigView, ServiceError> {
-        if update.default_k == Some(0) {
-            return Err(ServiceError::InvalidRequest(
-                "default_k must be positive".into(),
-            ));
-        }
-        if let Some(f) = update.audit_sample {
-            if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-                return Err(ServiceError::InvalidRequest(
-                    "audit_sample must be a fraction in [0, 1] (0 disables)".into(),
-                ));
-            }
+        let set = || {
+            Knob::ALL
+                .into_iter()
+                .filter_map(|k| Some((k, update.knobs[k]?)))
+        };
+        for (knob, value) in set() {
+            knob.check(value)
+                .map_err(|rule| ServiceError::InvalidRequest(format!("{} {rule}", knob.key())))?;
         }
         if let Some(spec) = &update.faults {
-            crate::fault::validate_spec(spec)
+            // Arms nothing unless the whole spec parses.
+            (self.inner.faults.set_spec(spec))
                 .map_err(|e| ServiceError::InvalidRequest(format!("faults: {e}")))?;
         }
-        if let Some(default_k) = update.default_k {
-            self.inner
-                .runtime
-                .default_k
-                .store(default_k, Ordering::Relaxed); // ordering: relaxed config cell
-        }
-        if let Some(us) = update.slow_query_us {
-            self.inner
-                .runtime
-                .slow_query_us
-                .store(us, Ordering::Relaxed); // ordering: relaxed config cell
-        }
-        if let Some(f) = update.audit_sample {
-            self.inner
-                .runtime
-                .audit_sample
-                .store(f.to_bits(), Ordering::Relaxed); // ordering: relaxed config cell
-        }
-        if let Some(depth) = update.max_queue_depth {
-            self.inner
-                .runtime
-                .max_queue_depth
-                .store(depth, Ordering::Relaxed); // ordering: relaxed config cell
-        }
-        if let Some(ms) = update.default_deadline_ms {
-            self.inner
-                .runtime
-                .default_deadline_ms
-                .store(ms, Ordering::Relaxed); // ordering: relaxed config cell
-        }
-        if let Some(spec) = &update.faults {
-            self.inner
-                .faults
-                .set_spec(spec)
-                .expect("fault spec validated above");
-        }
-        if let Some(capacity) = update.cache_capacity {
-            let evicted = {
-                let mut cache = lock_recover(&self.inner.cache);
-                cache.set_capacity(capacity)
-            };
-            self.inner.stats.add(Count::CacheEvictions, evicted as u64);
+        for (knob, value) in set() {
+            if knob == Knob::CacheCapacity {
+                let evicted = lock_recover(&self.inner.cache).set_capacity(value as usize);
+                self.inner.stats.add(Count::CacheEvictions, evicted as u64);
+            } else {
+                self.inner.runtime.set(knob, value);
+            }
         }
         Ok(self.config_view())
     }
@@ -1074,29 +909,18 @@ impl QueryEngine {
     /// The live configuration (worker count is fixed at start; the rest
     /// tracks [`QueryEngine::configure`]).
     pub fn config_view(&self) -> ConfigView {
-        let (cache_capacity, cache_len) = {
-            let cache = lock_recover(&self.inner.cache);
-            (cache.capacity(), cache.len())
-        };
+        let cache_len = lock_recover(&self.inner.cache).len();
         ConfigView {
             workers: self.inner.workers,
-            cache_capacity,
             cache_len,
-            default_k: self.inner.runtime.default_k.load(Ordering::Relaxed), // ordering: relaxed config read
-            slow_query_us: self.inner.runtime.slow_query_us.load(Ordering::Relaxed), // ordering: relaxed config read
-            audit_sample: self.inner.runtime.audit_sample(),
-            max_queue_depth: self.inner.runtime.max_queue_depth.load(Ordering::Relaxed), // ordering: relaxed config read
-            default_deadline_ms: self
-                .inner
-                .runtime
-                .default_deadline_ms
-                .load(Ordering::Relaxed), // ordering: relaxed config read
+            knobs: PerKnob::from_fn(|knob| self.knob(knob)),
             faults: self.inner.faults.spec(),
         }
     }
 
     /// The newest retained slow-query records (oldest first; bounded
-    /// ring). Empty unless `slow_query_us` is set and queries crossed it.
+    /// ring). Empty unless [`Knob::SlowQueryUs`] is set and queries
+    /// crossed it.
     pub fn slow_queries(&self) -> Vec<SlowQueryRecord> {
         lock_recover(&self.inner.slow_log).iter().cloned().collect()
     }
@@ -1116,7 +940,7 @@ impl QueryEngine {
         .gauge(
             "simsub_cache_capacity",
             "Result-cache capacity (0 = caching disabled).",
-            view.cache_capacity as f64,
+            view.knobs[Knob::CacheCapacity],
         )
         .gauge(
             "simsub_epoch",
@@ -1386,7 +1210,7 @@ fn fail_job(inner: &Inner, job: Job, err: ServiceError) {
 /// hot path). The send never blocks; a full queue drops the sample and
 /// counts it in `audit_dropped`.
 fn maybe_audit(inner: &Inner, job: &Job, results: &[TopKResult]) {
-    let fraction = inner.runtime.audit_sample();
+    let fraction = inner.runtime.get(Knob::AuditSample);
     if fraction <= 0.0 {
         return;
     }
@@ -1442,8 +1266,7 @@ fn respond(
     inner.stats.record_request(latency, cached);
     inner.stats.inflight().add(-1);
     let latency_us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-    // ordering: relaxed — config cell; the threshold may lag a configure.
-    let threshold = inner.runtime.slow_query_us.load(Ordering::Relaxed);
+    let threshold = inner.runtime.get(Knob::SlowQueryUs) as u64;
     let slow = threshold > 0 && latency_us >= threshold;
     // The full report is only assembled for traced or slow requests; the
     // common path pays for a few Instant reads and nothing else.
@@ -1588,30 +1411,28 @@ mod tests {
             snapshot(6, 5),
             EngineConfig {
                 workers: 1,
-                cache_capacity: 64,
-                default_k: 1,
                 ..EngineConfig::default()
-            },
+            }
+            .with(Knob::CacheCapacity, 64)
+            .with(Knob::DefaultK, 1),
         );
-        let view = engine
-            .configure(ConfigUpdate {
-                cache_capacity: Some(2),
-                default_k: Some(7),
-                slow_query_us: Some(5000),
-                audit_sample: Some(0.5),
-                max_queue_depth: Some(32),
-                default_deadline_ms: Some(750),
-                faults: Some("slow_scan=n:100:1".into()),
-            })
-            .unwrap();
-        assert_eq!(view.cache_capacity, 2);
-        assert_eq!(view.default_k, 7);
-        assert_eq!(view.slow_query_us, 5000);
-        assert_eq!(view.audit_sample, 0.5);
-        assert_eq!(view.max_queue_depth, 32);
-        assert_eq!(view.default_deadline_ms, 750);
+        let update = ConfigUpdate {
+            faults: Some("slow_scan=n:100:1".into()),
+            ..ConfigUpdate::default()
+        }
+        .with(Knob::CacheCapacity, 2)
+        .with(Knob::DefaultK, 7)
+        .with(Knob::SlowQueryUs, 5000)
+        .with(Knob::AuditSample, 0.5)
+        .with(Knob::MaxQueueDepth, 32)
+        .with(Knob::DefaultDeadlineMs, 750);
+        let view = engine.configure(update.clone()).unwrap();
+        for knob in Knob::ALL {
+            assert_eq!(Some(view.knobs[knob]), update.knobs[knob], "{knob:?}");
+        }
+        assert_eq!(view.knobs[Knob::AuditSample], 0.5);
         assert_eq!(view.faults, "slow_scan=n:100:1");
-        assert_eq!(engine.default_k(), 7);
+        assert_eq!(engine.knob(Knob::DefaultK), 7.0);
 
         // Empty spec disarms fault injection.
         let view = engine
@@ -1623,18 +1444,9 @@ mod tests {
         assert_eq!(view.faults, "");
 
         for bad in [
-            ConfigUpdate {
-                default_k: Some(0),
-                ..ConfigUpdate::default()
-            },
-            ConfigUpdate {
-                audit_sample: Some(1.5),
-                ..ConfigUpdate::default()
-            },
-            ConfigUpdate {
-                audit_sample: Some(f64::NAN),
-                ..ConfigUpdate::default()
-            },
+            ConfigUpdate::default().with(Knob::DefaultK, 0),
+            ConfigUpdate::default().with(Knob::AuditSample, 1.5),
+            ConfigUpdate::default().with(Knob::AuditSample, f64::NAN),
             ConfigUpdate {
                 faults: Some("not_a_point=n:1".into()),
                 ..ConfigUpdate::default()
@@ -1646,7 +1458,7 @@ mod tests {
             ));
         }
         // Rejected updates changed nothing.
-        assert_eq!(engine.config_view().default_k, 7);
+        assert_eq!(engine.config_view().knobs[Knob::DefaultK], 7.0);
         engine.shutdown();
     }
 }

@@ -11,6 +11,7 @@
 //! |--------|----------|
 //! | [`engine`] | [`QueryEngine`]: worker pool taking one job at a time off an MPSC queue, graceful shutdown; [`CorpusSnapshot`]: one `TrajectoryDb` corpus plus loaded models; [`EngineHandle`]: epoch-versioned hot-swap cell ([`QueryEngine::swap_snapshot`] = live reload); bulkheads: panic-isolated dispatch, worker supervision, bounded admission with deadlines; one completion-based admission path ([`QueryEngine::submit_with_completion`], knobs in [`SubmitOptions`]) that answers every admitted request exactly once, a cache hit at admission on the caller's thread — [`QueryEngine::submit`] is it plus a channel |
 //! | `reactor` (private) | the one connection front end: readiness-polled serve loop (epoll via the vendored `polling` shim): 10k+ connections on one thread, pipelined out-of-order responses by wire-v2 `"id"`; admission cache hits answered in the same poll turn |
+//! | [`config`] | the [`Knob`] table (each live knob's wire key, CLI flag, kind, default and help line, declared once) and the settings built from it: [`EngineConfig`], [`ConfigUpdate`], [`ConfigView`] |
 //! | [`fault`] | named fault-injection points for chaos testing (`SIMSUB_FAULTS`, admin `configure`); zero-cost when disarmed |
 //! | [`query`] | request/response model, canonical query hash |
 //! | [`cache`] | O(1) LRU result cache with epoch-stamped entries |
@@ -57,6 +58,7 @@
 
 mod audit;
 pub mod cache;
+pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod json;
@@ -68,10 +70,10 @@ pub mod stats;
 pub mod sync;
 pub mod trace;
 
+pub use config::{ConfigUpdate, ConfigView, EngineConfig, Knob, KnobKind, PerKnob};
 pub use engine::{
-    CompletionFn, ConfigUpdate, ConfigView, CorpusSnapshot, EngineConfig, EngineHandle,
-    EpochSnapshot, PendingQuery, QueryEngine, ServiceError, ShutdownReport, SubmitOptions,
-    SwapReport,
+    CompletionFn, CorpusSnapshot, EngineHandle, EpochSnapshot, PendingQuery, QueryEngine,
+    ServiceError, ShutdownReport, SubmitOptions, SwapReport,
 };
 pub use fault::{FaultPoint, FaultRegistry};
 pub use json::ProtocolVersion;

@@ -158,10 +158,10 @@ impl QueryRequest {
         Self::from_json_with(v, 1)
     }
 
-    /// [`QueryRequest::from_json`] with a configurable default for a
-    /// missing `"k"` (the `default_k` knob of the admin `configure`
-    /// command). `default_k` must be ≥ 1.
-    pub fn from_json_with(v: &Json, default_k: usize) -> Result<Self, String> {
+    /// [`QueryRequest::from_json`] with `fallback_k` as the default for a
+    /// missing `"k"` (the server passes its
+    /// [`crate::config::Knob::DefaultK`]). `fallback_k` must be ≥ 1.
+    pub fn from_json_with(v: &Json, fallback_k: usize) -> Result<Self, String> {
         let query_json = v.get("query").ok_or("missing \"query\"")?;
         let points = query_json.as_array().ok_or("\"query\" must be an array")?;
         if points.is_empty() {
@@ -224,7 +224,7 @@ impl QueryRequest {
             Some(Err(_)) => return Err("\"measure\" must be a string".into()),
         };
 
-        let k = int_field("k", default_k.max(1))?;
+        let k = int_field("k", fallback_k.max(1))?;
         if k == 0 {
             return Err("\"k\" must be positive".into());
         }

@@ -18,6 +18,8 @@
 //!   line back over an MPSC channel plus an eventfd wakeup. The polling
 //!   thread never blocks on engine work, and one pipelined connection
 //!   can have many queries in flight at once.
+//! - A **`reload`** runs on the one `simsub-reload` thread, in the order
+//!   read: reloads swap in the order sent, one corpus build at a time.
 //!
 //! # Ordering (the wire contract, enforced here)
 //!
@@ -96,6 +98,27 @@ pub(crate) struct ReactorParts {
     pub(crate) waker: Arc<Waker>,
 }
 
+/// A queued `reload`, its work and its answer. The reload thread passes
+/// `true` once the server is stopping, and the job answers unbuilt.
+pub(crate) type ReloadJob = Box<dyn FnOnce(bool) + Send>;
+
+/// Starts the `simsub-reload` thread, which runs queued reloads one at a
+/// time, in queue order, until the reactor drops the queue's sender.
+pub(crate) fn spawn_reload_thread(
+    stop: Arc<AtomicBool>,
+) -> io::Result<(Sender<ReloadJob>, std::thread::JoinHandle<()>)> {
+    let (reloads, jobs) = channel::<ReloadJob>();
+    let thread = std::thread::Builder::new()
+        .name("simsub-reload".into())
+        .spawn(move || {
+            for job in jobs {
+                // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
+                job(stop.load(Ordering::SeqCst));
+            }
+        })?;
+    Ok((reloads, thread))
+}
+
 impl ReactorParts {
     pub(crate) fn new() -> io::Result<ReactorParts> {
         // One descriptor per connection: lift the soft NOFILE limit to
@@ -158,6 +181,7 @@ struct Reactor<'a> {
     waker: Arc<Waker>,
     tx: Sender<Completed>,
     rx: Receiver<Completed>,
+    reloads: Sender<ReloadJob>,
     listener: TcpListener,
     listener_armed: bool,
     listener_resume: Option<Instant>,
@@ -176,9 +200,10 @@ pub(crate) fn run(
     listener: TcpListener,
     engine: &Arc<QueryEngine>,
     stop: &Arc<AtomicBool>,
+    reloads: Sender<ReloadJob>,
 ) {
     ON_REACTOR.set(true);
-    let mut reactor = Reactor::new(parts, listener, engine, stop);
+    let mut reactor = Reactor::new(parts, listener, engine, stop, reloads);
     if let Err(e) = reactor.serve() {
         eprintln!("simsub: reactor failed: {e}");
     }
@@ -191,6 +216,7 @@ impl<'a> Reactor<'a> {
         listener: TcpListener,
         engine: &'a Arc<QueryEngine>,
         stop: &'a AtomicBool,
+        reloads: Sender<ReloadJob>,
     ) -> Self {
         let (tx, rx) = channel();
         Reactor {
@@ -200,6 +226,7 @@ impl<'a> Reactor<'a> {
             waker: parts.waker,
             tx,
             rx,
+            reloads,
             listener,
             listener_armed: false,
             listener_resume: None,
@@ -546,9 +573,7 @@ impl<'a> Reactor<'a> {
                 let _ = self.waker.wake();
             }
             LineJob::Reload(parsed) => {
-                // Reload rebuilds an index from files — far too heavy for
-                // the polling thread.
-                self.reload_off_thread(conn, ordered, seq, version, id, move |engine| {
+                self.queue_reload(conn, ordered, seq, version, id, move |engine| {
                     server::admin_reload(engine, &parsed)
                 });
             }
@@ -610,12 +635,12 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Runs a reload's `work` on a `simsub-reload` thread. Its response
-    /// lands at the line's slot whatever happens: a panic in `work` is
-    /// answered `{"ok":false,"error":"internal",...}`, as a scan panic
-    /// is, so the id-less lines after it are never held behind a slot
-    /// that cannot fill.
-    fn reload_off_thread(
+    /// Queues a reload's `work` for the reload thread. Its response lands
+    /// at the line's slot whatever happens: a panic in `work` is answered
+    /// `{"ok":false,"error":"internal",...}`, as a scan panic is, so the
+    /// id-less lines after it are never held behind a slot that cannot
+    /// fill; after a stop it is "engine is shutting down", unbuilt.
+    fn queue_reload(
         &mut self,
         conn: &mut Conn,
         ordered: bool,
@@ -628,29 +653,28 @@ impl<'a> Reactor<'a> {
         let tx = self.tx.clone();
         let waker = Arc::clone(&self.waker);
         let key = conn.key;
-        let spawned = std::thread::Builder::new()
-            .name("simsub-reload".into())
-            .spawn(move || {
-                let body = catch_unwind(AssertUnwindSafe(|| work(&engine))).unwrap_or_else(|p| {
+        let job = move |stopping: bool| {
+            let body = if stopping {
+                server::service_error_response(&ServiceError::ShuttingDown)
+            } else {
+                catch_unwind(AssertUnwindSafe(|| work(&engine))).unwrap_or_else(|p| {
                     let msg = format!("reload panicked: {}", panic_message(p));
                     server::service_error_response(&ServiceError::Internal(msg))
-                });
-                let line = version.envelope(body, id.as_ref(), engine.epoch()).dump();
-                let _ = tx.send(Completed {
-                    conn: key,
-                    seq,
-                    ordered,
-                    line,
-                });
-                let _ = waker.wake();
+                })
+            };
+            let line = version.envelope(body, id.as_ref(), engine.epoch()).dump();
+            let _ = tx.send(Completed {
+                conn: key,
+                seq,
+                ordered,
+                line,
             });
-        match spawned {
-            Ok(_) => conn.pending += 1,
-            Err(_) => {
-                let body = server::error_response("spawning the reload thread failed");
-                Self::deliver(conn, ordered, seq, body.dump());
-            }
-        }
+            let _ = waker.wake();
+        };
+        self.reloads
+            .send(Box::new(job))
+            .expect("the reload thread outlives the reactor (it catches every panic)");
+        conn.pending += 1;
     }
 
     /// Routes one finished response into the connection: id-carrying
@@ -774,7 +798,8 @@ impl<'a> Reactor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CorpusSnapshot, EngineConfig};
+    use crate::config::EngineConfig;
+    use crate::engine::CorpusSnapshot;
     use simsub_index::TrajectoryDb;
     use simsub_trajectory::{Point, Trajectory};
     use std::io::{BufRead, BufReader};
@@ -794,30 +819,52 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (served, _) = listener.accept().unwrap();
-        let stop = AtomicBool::new(false);
+        let stop = Arc::new(AtomicBool::new(false));
         let parts = ReactorParts::new().unwrap();
-        let mut reactor = Reactor::new(parts, listener, &engine, &stop);
+        let (reloads, reload_thread) = spawn_reload_thread(Arc::clone(&stop)).unwrap();
+        let mut reactor = Reactor::new(parts, listener, &engine, &stop, reloads);
         reactor.register(served).unwrap();
         let key = reactor.slots[0].as_ref().expect("registered").key;
         reactor.with_conn(key, |this, conn| {
             let seq = conn.next_ordered;
             conn.next_ordered += 1;
-            this.reload_off_thread(conn, true, seq, ProtocolVersion::V1, None, |_| {
+            this.queue_reload(conn, true, seq, ProtocolVersion::V1, None, |_| {
                 panic!("reload body failed")
             });
             this.handle_raw_line(conn, b"{\"cmd\":\"ping\"}");
         });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while reactor.slots[0].as_ref().expect("open").pending > 0 {
-            assert!(Instant::now() < deadline, "the reload was never answered");
-            std::thread::sleep(Duration::from_millis(5));
-            reactor.drain_completions();
-        }
+        let wait_answered = |reactor: &mut Reactor| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while reactor.slots[0].as_ref().expect("open").pending > 0 {
+                assert!(Instant::now() < deadline, "the reload was never answered");
+                std::thread::sleep(Duration::from_millis(5));
+                reactor.drain_completions();
+            }
+        };
+        wait_answered(&mut reactor);
         let mut lines = BufReader::new(client).lines().map(Result::unwrap);
         let internal = "{\"ok\":false,\"error\":\"internal\",\
                         \"detail\":\"reload panicked: reload body failed\"}";
         assert_eq!(lines.next().as_deref(), Some(internal));
         assert_eq!(lines.next().as_deref(), Some("{\"ok\":true,\"pong\":true}"));
+
+        // Once the server stops, a queued reload is answered without its build.
+        // ordering: SeqCst — cold stop flag; strongest order keeps shutdown reasoning simple.
+        stop.store(true, Ordering::SeqCst);
+        reactor.with_conn(key, |this, conn| {
+            let seq = conn.next_ordered;
+            conn.next_ordered += 1;
+            this.queue_reload(conn, true, seq, ProtocolVersion::V1, None, |_| {
+                panic!("a reload built after the stop")
+            });
+        });
+        wait_answered(&mut reactor);
+        let refused = "{\"ok\":false,\"error\":\"engine is shutting down\"}";
+        assert_eq!(lines.next().as_deref(), Some(refused));
+        drop(reactor);
+        reload_thread
+            .join()
+            .expect("the reload thread exits once its queue closes");
         engine.shutdown();
     }
 }

@@ -141,8 +141,11 @@
 //!
 //! - `{"cmd":"info"}` → `{"ok":true,"epoch":N,"trajectories":T,
 //!   "points":P,"workers":W,"cache_capacity":C,"cache_len":E,"default_k":K,
-//!   "rls_loaded":B,"t2vec_loaded":B,"swaps":N,"build":"x.y.z",
-//!   "protocol":[1,2]}` — what is serving right now.
+//!   "slow_query_us":U,"audit_sample":F,"max_queue_depth":D,
+//!   "default_deadline_ms":M,"faults":"spec","rls_loaded":B,
+//!   "t2vec_loaded":B,"swaps":N,"build":"x.y.z","protocol":[1,2]}` —
+//!   what is serving right now. `cache_capacity` through `faults` are
+//!   the live knobs, echoed as `configure` echoes them.
 //! - `{"cmd":"reload","corpus":"/path/to.csv"}` **or**
 //!   `{"cmd":"reload","corpus_bin":"/path/to.ssb"}` (optional:
 //!   `"policy":"/path"`, `"t2vec":"/path"`, `"skip":N`,
@@ -158,18 +161,22 @@
 //!   version and says to re-pack it. Exactly one of
 //!   `corpus`/`corpus_bin` must be present. In-flight queries
 //!   finish against the old snapshot; queries admitted after the swap
-//!   see the new one. Nothing restarts, no connection drops.
-//! - `{"cmd":"configure"}` with any of `"cache_capacity":N`,
-//!   `"default_k":N`, `"slow_query_us":N` (0 disables the slow-query
-//!   log),
-//!   `"audit_sample":F` (fraction in `[0,1]`, 0 disables auditing),
-//!   `"max_queue_depth":N` (admission-gate bound; 0 = unbounded),
-//!   `"default_deadline_ms":N` (deadline for requests that carry none;
-//!   0 = none), `"faults":"spec"` (fault-injection spec, see
-//!   [`crate::fault`]; `""` disarms) → applies the knobs live and
-//!   answers `{"ok":true,"configured":true,...}` echoing the full
-//!   effective configuration. Other keys are ignored; a `configure`
-//!   that names none of these knobs is an error.
+//!   see the new one. Nothing restarts, no connection drops. Reloads
+//!   swap one at a time, in the order read. Lines read after a reload
+//!   do not wait for it: they are answered from the state before it.
+//! - `{"cmd":"configure"}` with any of the [`Knob`] table's keys —
+//!   `"cache_capacity":N`, `"default_k":N` (≥ 1), `"slow_query_us":N`
+//!   (0 disables the slow-query log), `"audit_sample":F` (fraction in
+//!   `[0,1]`, 0 disables auditing), `"max_queue_depth":N`
+//!   (admission-gate bound; 0 = unbounded), `"default_deadline_ms":N`
+//!   (deadline for requests that carry none; 0 = none) — and
+//!   `"faults":"spec"` (fault-injection spec, see [`crate::fault`]; `""`
+//!   disarms) → applies them live and answers
+//!   `{"ok":true,"configured":true,...}` echoing the full effective
+//!   configuration, `cache_capacity` through `faults` as in `info`, then
+//!   `"workers"`. Other keys are ignored; a `configure` that names none
+//!   of these is an error, and one whose value its knob does not take
+//!   changes nothing.
 //! - `{"cmd":"metrics"}` → `{"ok":true,"metrics":"<text>"}` where
 //!   `<text>` is the full Prometheus-style exposition
 //!   ([`QueryEngine::metrics_exposition`]): `# HELP`/`# TYPE` headers,
@@ -179,9 +186,8 @@
 //!
 //! Unknown `"cmd"` values are errors, so clients can feature-probe.
 
-use crate::engine::{
-    ConfigUpdate, ConfigView, CorpusSnapshot, QueryEngine, ServiceError, SubmitOptions,
-};
+use crate::config::{ConfigUpdate, ConfigView, Knob, KnobKind};
+use crate::engine::{CorpusSnapshot, QueryEngine, ServiceError, SubmitOptions};
 use crate::json::{obj, write_num, Json, ProtocolVersion};
 use crate::query::{QueryRequest, QueryResponse};
 use crate::stats::Count;
@@ -211,6 +217,8 @@ pub struct Server {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     serve_thread: Option<JoinHandle<()>>,
+    /// Runs queued reloads; ends once the serve thread drops its queue.
+    reload_thread: Option<JoinHandle<()>>,
     /// Kicks the reactor out of its poll wait when `stop` flips, so
     /// [`Server::stop`] takes effect immediately instead of at the next
     /// poll timeout.
@@ -219,9 +227,9 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:7878"`; port 0 picks a free port)
-    /// and starts the reactor serving it. Fails, rather than serving
-    /// some other way, where the `polling` shim has no epoll (its
-    /// non-Linux stub).
+    /// and starts the reactor serving it, with its reload thread. Fails,
+    /// rather than serving some other way, where the `polling` shim has
+    /// no epoll (its non-Linux stub), or when a thread cannot start.
     pub fn bind(engine: Arc<QueryEngine>, addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -229,19 +237,20 @@ impl Server {
         let parts = crate::reactor::ReactorParts::new()?;
         let waker = Arc::clone(&parts.waker);
         let stop = Arc::new(AtomicBool::new(false));
+        let (reloads, reload_thread) = crate::reactor::spawn_reload_thread(Arc::clone(&stop))?;
         let serve_thread = {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("simsub-reactor".into())
-                .spawn(move || crate::reactor::run(parts, listener, &engine, &stop))
-                .expect("spawning reactor thread")
+                .spawn(move || crate::reactor::run(parts, listener, &engine, &stop, reloads))?
         };
         Ok(Server {
             engine,
             local_addr,
             stop,
             serve_thread: Some(serve_thread),
+            reload_thread: Some(reload_thread),
             waker,
         })
     }
@@ -270,23 +279,30 @@ impl Server {
     /// panicked serve thread is reported, not propagated — the engine
     /// drain still runs.
     pub fn wait(mut self) {
+        self.join_threads();
+        self.engine.shutdown();
+    }
+
+    /// Joins the serve thread, then the reload thread (a build already
+    /// running finishes; queued ones are answered unbuilt).
+    fn join_threads(&mut self) {
         if let Some(handle) = self.serve_thread.take() {
             if handle.join().is_err() {
                 eprintln!("simsub: serve thread panicked");
             }
         }
-        self.engine.shutdown();
+        if let Some(handle) = self.reload_thread.take() {
+            if handle.join().is_err() {
+                eprintln!("simsub: reload thread panicked");
+            }
+        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-        if let Some(handle) = self.serve_thread.take() {
-            if handle.join().is_err() {
-                eprintln!("simsub: serve thread panicked");
-            }
-        }
+        self.join_threads();
     }
 }
 
@@ -421,7 +437,7 @@ pub(crate) fn classify_line(line: &str, engine: &QueryEngine) -> LineOutcome {
             },
         };
         match (
-            QueryRequest::from_json_with(&parsed, engine.default_k()),
+            QueryRequest::from_json_with(&parsed, engine.knob(Knob::DefaultK) as usize),
             deadline,
         ) {
             (Err(e), _) => LineJob::Immediate(error_response(&e)),
@@ -577,22 +593,19 @@ fn admin_info(engine: &QueryEngine) -> Json {
     obj(pairs)
 }
 
-/// The live knobs as the `info` and `configure` replies both echo them,
-/// `cache_capacity` through `faults`, in wire order.
-fn config_echo(view: ConfigView) -> [(&'static str, Json); 8] {
-    [
-        ("cache_capacity", Json::Num(view.cache_capacity as f64)),
-        ("cache_len", Json::Num(view.cache_len as f64)),
-        ("default_k", Json::Num(view.default_k as f64)),
-        ("slow_query_us", Json::Num(view.slow_query_us as f64)),
-        ("audit_sample", Json::Num(view.audit_sample)),
-        ("max_queue_depth", Json::Num(view.max_queue_depth as f64)),
-        (
-            "default_deadline_ms",
-            Json::Num(view.default_deadline_ms as f64),
-        ),
-        ("faults", Json::Str(view.faults)),
-    ]
+/// The live knobs as the `info` and `configure` replies both echo them:
+/// each [`Knob`] in table order, `cache_len` right after the cache
+/// capacity, then `faults`.
+fn config_echo(view: ConfigView) -> Vec<(&'static str, Json)> {
+    let mut pairs = Vec::with_capacity(Knob::ALL.len() + 2);
+    for knob in Knob::ALL {
+        pairs.push((knob.key(), Json::Num(view.knobs[knob])));
+        if knob == Knob::CacheCapacity {
+            pairs.push(("cache_len", Json::Num(view.cache_len as f64)));
+        }
+    }
+    pairs.push(("faults", Json::Str(view.faults)));
+    pairs
 }
 
 /// `{"cmd":"reload",...}`: builds a fresh [`CorpusSnapshot`] from
@@ -676,65 +689,10 @@ fn build_snapshot(parsed: &Json) -> Result<CorpusSnapshot, String> {
     )
 }
 
-/// `{"cmd":"configure",...}`: applies the live-tunable knobs and echoes
-/// the full effective configuration.
+/// `{"cmd":"configure",...}`: applies the live knobs and the fault spec
+/// and echoes the full effective configuration.
 fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
-    let field_usize = |key: &str| -> Result<Option<usize>, String> {
-        match parsed.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_usize()
-                .map(Some)
-                .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-        }
-    };
-    let audit_sample = match parsed.get("audit_sample") {
-        None => None,
-        Some(v) => match v.as_f64() {
-            Some(f) => Some(f),
-            None => return error_response("\"audit_sample\" must be a number in [0, 1]"),
-        },
-    };
-    let update = ConfigUpdate {
-        cache_capacity: match field_usize("cache_capacity") {
-            Ok(v) => v,
-            Err(e) => return error_response(&e),
-        },
-        default_k: match field_usize("default_k") {
-            Ok(v) => v,
-            Err(e) => return error_response(&e),
-        },
-        slow_query_us: match field_usize("slow_query_us") {
-            Ok(v) => v.map(|us| us as u64),
-            Err(e) => return error_response(&e),
-        },
-        audit_sample,
-        max_queue_depth: match field_usize("max_queue_depth") {
-            Ok(v) => v,
-            Err(e) => return error_response(&e),
-        },
-        default_deadline_ms: match field_usize("default_deadline_ms") {
-            Ok(v) => v.map(|ms| ms as u64),
-            Err(e) => return error_response(&e),
-        },
-        faults: match parsed.get("faults") {
-            None => None,
-            Some(v) => match v.as_str() {
-                Some(spec) => Some(spec.to_string()),
-                None => {
-                    return error_response("\"faults\" must be a string fault spec (\"\" disarms)")
-                }
-            },
-        },
-    };
-    if update == ConfigUpdate::default() {
-        return error_response(
-            "configure needs at least one of \"cache_capacity\", \"default_k\", \
-             \"slow_query_us\", \"audit_sample\", \"max_queue_depth\", \
-             \"default_deadline_ms\", \"faults\"",
-        );
-    }
-    match engine.configure(update) {
+    match configure_update(parsed).and_then(|u| engine.configure(u).map_err(|e| e.to_string())) {
         Ok(view) => {
             let workers = view.workers;
             let mut pairs = vec![("ok", Json::Bool(true)), ("configured", Json::Bool(true))];
@@ -742,6 +700,37 @@ fn admin_configure(engine: &QueryEngine, parsed: &Json) -> Json {
             pairs.push(("workers", Json::Num(workers as f64)));
             obj(pairs)
         }
-        Err(e) => error_response(&e.to_string()),
+        Err(e) => error_response(&e),
     }
+}
+
+/// The [`ConfigUpdate`] a `configure` command names: each knob parsed by
+/// its kind (its range is [`QueryEngine::configure`]'s to check) and the
+/// fault spec.
+fn configure_update(parsed: &Json) -> Result<ConfigUpdate, String> {
+    let mut update = ConfigUpdate::default();
+    for knob in Knob::ALL {
+        let Some(v) = parsed.get(knob.key()) else {
+            continue;
+        };
+        let (value, want) = match knob.kind() {
+            KnobKind::Fraction => (v.as_f64(), "a number in [0, 1]"),
+            KnobKind::Count | KnobKind::PositiveCount => {
+                (v.as_usize().map(|n| n as f64), "a non-negative integer")
+            }
+        };
+        let bad = || format!("\"{}\" must be {want}", knob.key());
+        update.knobs[knob] = Some(value.ok_or_else(bad)?);
+    }
+    if let Some(v) = parsed.get("faults") {
+        let spec = v.as_str().map(str::to_string);
+        update.faults = Some(spec.ok_or("\"faults\" must be a string fault spec (\"\" disarms)")?);
+    }
+    if update == ConfigUpdate::default() {
+        let keys = Knob::ALL.map(Knob::key).join("\", \"");
+        return Err(format!(
+            "configure needs at least one of \"{keys}\", \"faults\""
+        ));
+    }
+    Ok(update)
 }

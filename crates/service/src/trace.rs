@@ -52,8 +52,8 @@ pub struct TraceReport {
     pub batch_us: u64,
     /// Wall-clock time of the job's corpus scan (0 for cache hits).
     pub scan_us: u64,
-    /// Of the scan, time evaluating bound cascades (only measured while
-    /// scan timing is enabled — i.e. for traced queries).
+    /// Of a pruning scan, the time outside the kernel (only measured
+    /// while scan timing is enabled — i.e. for traced queries).
     pub bound_us: u64,
     /// Of the scan, time inside the DP search kernel (measured like
     /// `bound_us`), summed over every thread that searched: an

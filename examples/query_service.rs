@@ -10,7 +10,7 @@ use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::measures::Dtw;
 use simsub::service::{
-    AlgoSpec, CorpusSnapshot, Count, EngineConfig, MeasureSpec, QueryEngine, QueryRequest,
+    AlgoSpec, CorpusSnapshot, Count, EngineConfig, Knob, MeasureSpec, QueryEngine, QueryRequest,
 };
 use std::sync::Arc;
 
@@ -23,9 +23,9 @@ fn main() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 4,
-            cache_capacity: 1024,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 1024),
     ));
     println!(
         "engine up: {} trajectories, {} points, 4 workers",

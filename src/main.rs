@@ -23,7 +23,9 @@ use simsub::index::TrajectoryDb;
 use simsub::measures::{Dtw, Frechet, Measure, T2Vec, T2VecConfig};
 use simsub::nn::BinaryCodec;
 use simsub::rl::Policy;
-use simsub::service::{json::Json, CorpusSnapshot, EngineConfig, QueryEngine, Server};
+use simsub::service::{
+    json::Json, CorpusSnapshot, EngineConfig, Knob, KnobKind, QueryEngine, Server,
+};
 use simsub::trajectory::{CorpusArena, Trajectory};
 use std::path::PathBuf;
 use std::process::exit;
@@ -88,6 +90,12 @@ fn main() {
 }
 
 fn usage() {
+    let knobs = Knob::ALL.map(|knob| {
+        let fraction = knob.kind() == KnobKind::Fraction;
+        let flag = format!("[--{} {}]", knob.flag(), if fraction { "F" } else { "N" });
+        format!("{:15}{flag:26}# {}\n", "", knob.help())
+    });
+    let knobs = knobs.concat();
     eprintln!(
         "simsub <command> [flags]\n\
          commands:\n\
@@ -103,31 +111,25 @@ fn usage() {
          \x20 topk         (--corpus FILE.csv | --corpus-bin FILE.ssb) --query FILE.csv --k N\n\
          \x20              --algo ... --measure ... [--index rtree|none]\n\
          \x20 serve        (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
-         \x20              [--workers N] [--cache N] [--default-k N]\n\
-         \x20              [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
+         \x20              [--workers N] [--policy POLICY.ssub] [--t2vec MODEL.ssub]\n\
          \x20              [--skip K] [--no-suffix]\n\
-         \x20              [--slow-query-us N]    # log traces of queries slower than N µs\n\
-         \x20              [--audit-sample F]     # audit fraction F of cold answers (0..=1)\n\
-         \x20              [--max-queue-depth N]  # shed queries past N queued (0 = unbounded)\n\
-         \x20              [--default-deadline-ms N]  # deadline for queries without one (0 = none)\n\
-         \x20              [--faults SPEC]        # arm fault injection (chaos testing)\n\
+         {knobs}\
+         \x20              [--faults SPEC]           # arm fault injection (chaos testing)\n\
          \x20 admin        <info|stats|metrics|ping|shutdown> [--addr HOST:PORT]\n\
          \x20              # metrics prints Prometheus-style text exposition\n\
          \x20 admin        stats --watch SECS [--count M] [--addr HOST:PORT]\n\
          \x20              # one delta line per tick: qps, p99, hit rate, prune ratio\n\
          \x20 admin        reload (--corpus FILE.csv | --corpus-bin FILE.ssb) [--addr HOST:PORT]\n\
          \x20              [--policy F] [--t2vec F] [--skip K] [--no-suffix]\n\
-         \x20 admin        configure [--addr HOST:PORT] [--cache N] [--default-k N]\n\
-         \x20              [--slow-query-us N] [--audit-sample F]\n\
-         \x20              [--max-queue-depth N] [--default-deadline-ms N]\n\
+         \x20 admin        configure [--addr HOST:PORT]   # any of the knob flags above, and\n\
          \x20              [--faults SPEC]   # SPEC like \"slow_scan=p:0.1:5\"; \"off\" disarms"
     );
 }
 
 /// The flags `cmd` reads, space-separated: its own plus those of the
 /// shared loaders it calls (`load_corpus*`, `load_measure`, `load_algo`,
-/// `mdp_from_flags`). `admin` and `corpus` list
-/// every action's.
+/// `mdp_from_flags`). `admin` and `corpus` list every action's. `serve`
+/// and `admin` also read every [`Knob`]'s flag.
 fn accepted_flags(cmd: &str) -> &'static str {
     match cmd {
         "generate" => "dataset count seed out",
@@ -138,15 +140,8 @@ fn accepted_flags(cmd: &str) -> &'static str {
         "topk" => {
             "corpus corpus-bin measure t2vec skip no-suffix algo xi delay policy query k index"
         }
-        "serve" => {
-            "corpus corpus-bin addr workers cache default-k policy t2vec skip no-suffix \
-             slow-query-us audit-sample max-queue-depth default-deadline-ms faults"
-        }
-        "admin" => {
-            "addr watch count corpus corpus-bin policy t2vec skip no-suffix \
-             cache default-k slow-query-us audit-sample max-queue-depth default-deadline-ms \
-             faults"
-        }
+        "serve" => "corpus corpus-bin addr workers policy t2vec skip no-suffix faults",
+        "admin" => "addr watch count corpus corpus-bin policy t2vec skip no-suffix faults",
         _ => "",
     }
 }
@@ -170,7 +165,9 @@ impl Flags {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("expected flag, found '{arg}'"));
             };
-            if !accepted.split_whitespace().any(|name| name == key) {
+            let known = accepted.split_whitespace().any(|name| name == key)
+                || (matches!(cmd, "serve" | "admin") && Knob::ALL.iter().any(|k| k.flag() == key));
+            if !known {
                 return Err(format!("unknown flag --{key} for {cmd}"));
             }
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
@@ -442,16 +439,34 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The engine knobs `serve` reads from its flags, checked before any
+/// `knob`'s flag, parsed by its kind; `None` when it is not given.
+fn knob_flag(flags: &Flags, knob: Knob) -> Result<Option<f64>, String> {
+    let Some(text) = flags.get(knob.flag()) else {
+        return Ok(None);
+    };
+    let value = match knob.kind() {
+        KnobKind::Fraction => text.parse().ok(),
+        KnobKind::Count | KnobKind::PositiveCount => text.parse::<u64>().ok().map(|n| n as f64),
+    };
+    value
+        .map(Some)
+        .ok_or_else(|| format!("bad value for --{}: {text}", knob.flag()))
+}
+
+/// The engine settings `serve` reads from its flags, checked before any
 /// corpus is loaded so a bad value fails fast with a message.
 fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
-    let audit_sample: f64 = flags.parse_or("audit-sample", 0.0)?;
-    if !audit_sample.is_finite() || !(0.0..=1.0).contains(&audit_sample) {
-        return Err("--audit-sample must be a fraction in [0, 1] (0 = off)".into());
+    let mut config = EngineConfig::default();
+    for knob in Knob::ALL {
+        if let Some(value) = knob_flag(flags, knob)? {
+            knob.check(value)
+                .map_err(|rule| format!("--{} {rule}", knob.flag()))?;
+            config.knobs[knob] = value;
+        }
     }
     // `--faults off` forces disarmed even when SIMSUB_FAULTS is set;
     // no flag defers to the environment hatch.
-    let faults = match flags.get("faults") {
+    config.faults = match flags.get("faults") {
         None => None,
         Some("off") => Some(String::new()),
         Some(spec) => {
@@ -459,16 +474,8 @@ fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
             Some(spec.to_string())
         }
     };
-    Ok(EngineConfig {
-        workers: flags.positive("workers", EngineConfig::default().workers)?,
-        cache_capacity: flags.parse_or("cache", EngineConfig::default().cache_capacity)?,
-        default_k: flags.positive("default-k", EngineConfig::default().default_k)?,
-        slow_query_us: flags.parse_or("slow-query-us", 0u64)?,
-        audit_sample,
-        max_queue_depth: flags.parse_or("max-queue-depth", 0usize)?,
-        default_deadline_ms: flags.parse_or("default-deadline-ms", 0u64)?,
-        faults,
-    })
+    config.workers = flags.positive("workers", config.workers)?;
+    Ok(config)
 }
 
 /// `simsub serve`: load a corpus (plus optional learned models), start the
@@ -558,25 +565,11 @@ fn cmd_admin(action: &str, flags: &Flags) -> Result<(), String> {
         }
         "configure" => {
             field("cmd", Json::Str("configure".into()));
-            for (flag, key) in [
-                ("cache", "cache_capacity"),
-                ("default-k", "default_k"),
-                ("slow-query-us", "slow_query_us"),
-                ("max-queue-depth", "max_queue_depth"),
-                ("default-deadline-ms", "default_deadline_ms"),
-            ] {
-                if let Some(value) = flags.get(flag) {
-                    let value: u64 = value
-                        .parse()
-                        .map_err(|_| format!("bad value for --{flag}: {value}"))?;
-                    field(key, Json::Num(value as f64));
+            // The server checks the ranges.
+            for knob in Knob::ALL {
+                if let Some(value) = knob_flag(flags, knob)? {
+                    field(knob.key(), Json::Num(value));
                 }
-            }
-            if let Some(value) = flags.get("audit-sample") {
-                let value: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad value for --audit-sample: {value}"))?;
-                field("audit_sample", Json::Num(value));
             }
             if let Some(spec) = flags.get("faults") {
                 let spec = if spec == "off" { "" } else { spec };
@@ -844,10 +837,16 @@ mod tests {
             (
                 "serve",
                 "--corpus /tmp/obs_corpus.csv --addr 127.0.0.1:7979 --workers 2 \
-                 --slow-query-us 250000 --audit-sample 0.25",
+                 --cache 512 --default-k 2 --slow-query-us 250000 --audit-sample 0.25 \
+                 --max-queue-depth 64 --default-deadline-ms 5000 --faults off",
             ),
             ("admin", "--addr 127.0.0.1:7979"),
-            ("admin", "--default-k 3 --addr 127.0.0.1:7979"),
+            (
+                "admin",
+                "--cache 256 --default-k 3 --slow-query-us 200000 --audit-sample 0.5 \
+                 --max-queue-depth 32 --default-deadline-ms 4000 --addr 127.0.0.1:7979",
+            ),
+            ("admin", "--default-k 0 --addr 127.0.0.1:7979"),
             ("admin", "--watch 0.2 --count 2 --addr 127.0.0.1:7979"),
             (
                 "train",

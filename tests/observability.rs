@@ -6,7 +6,7 @@
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::service::{
-    json::Json, AlgoSpec, ConfigUpdate, CorpusSnapshot, Count, EngineConfig, Histogram,
+    json::Json, AlgoSpec, ConfigUpdate, CorpusSnapshot, Count, EngineConfig, Histogram, Knob,
     MeasureSpec, QueryEngine, QueryRequest, Server, ServiceError, SubmitOptions,
 };
 use simsub::trajectory::Point;
@@ -146,9 +146,9 @@ fn metrics_exposition_over_the_wire() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
-            cache_capacity: 64,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 64),
     ));
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let (mut stream, mut reader) = wire(server.local_addr());
@@ -219,9 +219,9 @@ fn trace_is_a_wire_v2_opt_in_with_stage_breakdown() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 64,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 64),
     ));
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let (mut stream, mut reader) = wire(server.local_addr());
@@ -296,10 +296,10 @@ fn slow_query_log_captures_outliers() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 0,
-            slow_query_us: 1,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 0)
+        .with(Knob::SlowQueryUs, 1),
     );
     for q in queries_from(&db, 4) {
         engine.query(request(q, AlgoSpec::Exact, 2)).expect("query");
@@ -321,10 +321,7 @@ fn slow_query_log_captures_outliers() {
 
     // Raising the threshold back live stops the logging.
     engine
-        .configure(ConfigUpdate {
-            slow_query_us: Some(u64::MAX),
-            ..ConfigUpdate::default()
-        })
+        .configure(ConfigUpdate::default().with(Knob::SlowQueryUs, u64::MAX as f64))
         .expect("configure");
     for q in queries_from(&db, 2) {
         engine.query(request(q, AlgoSpec::Pss, 2)).expect("query");
@@ -385,13 +382,13 @@ fn every_count_reads_the_same_in_stats_and_metrics() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 2,
-            max_queue_depth: 2,
-            slow_query_us: 1,
             // Every scan sleeps 20ms, so queued work can expire or be shed.
             faults: Some("slow_scan=n:1:20".into()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 2)
+        .with(Knob::MaxQueueDepth, 2)
+        .with(Knob::SlowQueryUs, 1),
     );
     let queries = queries_from(&db, 8);
     let ask = |i: usize| request(queries[i].clone(), AlgoSpec::Exact, 2);
@@ -513,10 +510,10 @@ fn auditor_reports_ar_at_least_one_for_live_pss() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
-            cache_capacity: 0, // every answer is cold, hence auditable
-            audit_sample: 1.0,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 0) // every answer is cold, hence auditable
+        .with(Knob::AuditSample, 1.0),
     );
     let queries = queries_from(&db, 6);
     for q in &queries {

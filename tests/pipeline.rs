@@ -24,7 +24,7 @@ use simsub::index::TrajectoryDb;
 use simsub::nn::BinaryCodec;
 use simsub::rl::{DqnAgent, DqnConfig};
 use simsub::service::json::Json;
-use simsub::service::{CorpusSnapshot, Count, EngineConfig, QueryEngine, Server};
+use simsub::service::{CorpusSnapshot, Count, EngineConfig, Knob, QueryEngine, Server};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -42,9 +42,9 @@ fn engine_two_workers(db: &Arc<TrajectoryDb>) -> Arc<QueryEngine> {
         CorpusSnapshot::new(Arc::clone(db)),
         EngineConfig {
             workers: 2,
-            cache_capacity: 64,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 64),
     ))
 }
 
@@ -212,10 +212,10 @@ fn held_cache_lock_queues_the_hit_and_never_stalls_the_reactor() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 64,
             faults: Some(String::new()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 64),
     ));
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();

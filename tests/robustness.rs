@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::service::{
-    json::Json, AlgoSpec, CorpusSnapshot, Count, EngineConfig, MeasureSpec, QueryEngine,
+    json::Json, AlgoSpec, CorpusSnapshot, Count, EngineConfig, Knob, MeasureSpec, QueryEngine,
     QueryRequest, Server, ServiceError, StatsSnapshot, SubmitOptions,
 };
 use simsub::trajectory::Point;
@@ -125,11 +125,11 @@ fn scan_panics_are_isolated_to_their_requests() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 0,
             // Deterministic: every 2nd scan dispatch panics.
             faults: Some("panic_in_scan=n:2".into()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 0),
     );
     for (i, q) in queries_from(&db, 8).into_iter().enumerate() {
         // Sequential + one job per dispatch + no cache: query i is scan i+1, so
@@ -274,13 +274,13 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 0,
-            max_queue_depth: 4,
             // Every scan sleeps 15ms, so a burst of 32 instant
             // submissions must pile past the 4-deep gate.
             faults: Some("slow_scan=n:1:15".into()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 0)
+        .with(Knob::MaxQueueDepth, 4),
     );
     let queries = queries_from(&db, 6);
     let mut pending = Vec::new();
@@ -314,10 +314,10 @@ fn expired_deadlines_drop_queued_work() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 0,
             faults: Some("slow_scan=n:1:30".into()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 0),
     );
     let queries = queries_from(&db, 5);
     // Occupy the single worker (30ms scan), then queue three requests
@@ -368,12 +368,12 @@ fn supervisor_respawns_dead_workers() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
-            cache_capacity: 0,
             // Every 3rd pass through a worker's loop top kills the
             // thread (before it picks up a job, so nothing is lost).
             faults: Some("panic_in_worker=n:3".into()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 0),
     );
     for q in queries_from(&db, 10) {
         engine
@@ -449,10 +449,10 @@ fn wire_internal_errors_and_live_fault_control() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 0,
             faults: Some("panic_in_scan=n:1".into()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 0),
     ));
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let (mut stream, mut reader) = wire(server.local_addr());

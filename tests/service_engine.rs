@@ -14,7 +14,7 @@ use simsub::measures::{CoordNormalizer, Dtw, Frechet, Measure, T2Vec};
 use simsub::service::json::Json;
 use simsub::service::server::handle_admin_command;
 use simsub::service::{
-    AlgoSpec, ConfigUpdate, CorpusSnapshot, Count, EngineConfig, EngineHandle, MeasureSpec,
+    AlgoSpec, ConfigUpdate, CorpusSnapshot, Count, EngineConfig, EngineHandle, Knob, MeasureSpec,
     QueryEngine, QueryRequest, QueryResponse, Server, ServiceError, SubmitOptions,
 };
 use simsub::trajectory::Point;
@@ -32,9 +32,9 @@ fn engine_with(db: &Arc<TrajectoryDb>, workers: usize) -> QueryEngine {
         CorpusSnapshot::new(Arc::clone(db)),
         EngineConfig {
             workers,
-            cache_capacity: 256,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 256),
     )
 }
 
@@ -167,10 +167,10 @@ fn admission_hit_answers_on_the_caller_without_queueing() {
         CorpusSnapshot::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
-            cache_capacity: 64,
             faults: Some(String::new()),
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 64),
     );
     let req = request(
         queries_from(&db, 1).remove(0),
@@ -272,10 +272,10 @@ fn armed_engine(
 ) -> QueryEngine {
     let config = EngineConfig {
         workers,
-        cache_capacity,
         faults: Some(faults.into()),
         ..EngineConfig::default()
-    };
+    }
+    .with(Knob::CacheCapacity, cache_capacity as f64);
     QueryEngine::start(CorpusSnapshot::new(Arc::clone(db)), config)
 }
 
@@ -402,6 +402,144 @@ fn configure_ignores_the_retired_knobs() {
         "{info}"
     );
     engine.shutdown();
+}
+
+/// Every knob's wire key, flag and default, in table order: a renamed,
+/// added, dropped or reordered row changes the wire or the CLI and fails
+/// here.
+const KNOB_NAMES: [(&str, &str, f64); 6] = [
+    ("cache_capacity", "cache", 4096.0),
+    ("default_k", "default-k", 1.0),
+    ("slow_query_us", "slow-query-us", 0.0),
+    ("audit_sample", "audit-sample", 0.0),
+    ("max_queue_depth", "max-queue-depth", 0.0),
+    ("default_deadline_ms", "default-deadline-ms", 0.0),
+];
+
+#[test]
+fn every_knob_keeps_its_names() {
+    let table = Knob::ALL.map(|k| (k.key(), k.flag(), k.default_value()));
+    assert_eq!(table, KNOB_NAMES);
+    for knob in Knob::ALL {
+        assert_eq!(knob.check(knob.default_value()), Ok(()), "{knob:?}");
+    }
+}
+
+/// Every knob round-trips over the wire: `configure` sets it and `info`
+/// reads it back. A value the knob's kind does not take is refused with
+/// the error the server has always given for it, and changes nothing.
+#[test]
+fn every_knob_configures_over_the_wire_and_refuses_bad_values() {
+    let engine = Arc::new(engine_with(&shared_db(8), 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+    let mut send = |line: &str| send_line(&mut stream, &mut reader, line);
+    let integer = |key: &str| format!("\"{key}\" must be a non-negative integer");
+    let count_row = |key: &'static str, good: &'static str| {
+        (
+            key,
+            good,
+            vec![("-1", integer(key)), ("\"x\"", integer(key))],
+        )
+    };
+    let fraction = "invalid request: audit_sample must be a fraction in [0, 1] (0 disables)";
+    // (wire key, a value to set, bad values with the reply's error)
+    let rows = [
+        count_row("cache_capacity", "17"),
+        (
+            "default_k",
+            "4",
+            vec![
+                ("0", "invalid request: default_k must be positive".into()),
+                ("-1", integer("default_k")),
+                ("\"x\"", integer("default_k")),
+            ],
+        ),
+        count_row("slow_query_us", "2500"),
+        (
+            "audit_sample",
+            "0.25",
+            vec![
+                ("1.5", fraction.into()),
+                ("-0.5", fraction.into()),
+                (
+                    "\"x\"",
+                    "\"audit_sample\" must be a number in [0, 1]".into(),
+                ),
+            ],
+        ),
+        count_row("max_queue_depth", "9"),
+        count_row("default_deadline_ms", "1234"),
+    ];
+    let keys: Vec<&str> = rows.iter().map(|row| row.0).collect();
+    assert_eq!(keys, Knob::ALL.map(Knob::key), "a row has no wire case");
+    for (key, good, bad) in rows {
+        let set = send(&format!("{{\"cmd\":\"configure\",\"{key}\":{good}}}"));
+        let echoed = format!("\"{key}\":{good},");
+        assert!(set.contains(&echoed), "{set}");
+        let info = send("{\"cmd\":\"info\"}");
+        assert!(info.contains(&echoed), "{info}");
+        for (value, error) in bad {
+            let line = format!("{{\"cmd\":\"configure\",\"{key}\":{value}}}");
+            let refused = Json::parse(send(&line).trim()).expect("json reply");
+            assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+            assert_eq!(
+                refused.get("error").and_then(Json::as_str),
+                Some(error.as_str()),
+                "{line}"
+            );
+            assert_eq!(
+                send("{\"cmd\":\"info\"}"),
+                info,
+                "{line} changed the config"
+            );
+        }
+    }
+    assert!(send("{\"cmd\":\"shutdown\"}").contains("\"bye\":true"));
+    server.wait();
+}
+
+/// Reloads sent back to back on one connection swap in the order they
+/// were sent, one at a time: a big corpus followed by a small one leaves
+/// the small one serving, and the replies carry epochs 2 and 3 in line
+/// order. (An `info` in the same write would be answered from the epoch
+/// current when its line was read, so it is sent after the replies.)
+#[test]
+fn pipelined_reloads_swap_in_the_order_they_were_sent() {
+    let dir = std::env::temp_dir().join(format!("simsub-reload-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let big = dir.join("big.csv");
+    let small = dir.join("small.csv");
+    write_csv_file(&big, &generate(&DatasetSpec::porto(), 2_000, 5)).unwrap();
+    write_csv_file(&small, &generate(&DatasetSpec::porto(), 8, 6)).unwrap();
+
+    let engine = Arc::new(engine_with(&shared_db(4), 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+    let reload = |path: &std::path::Path| {
+        let path = json_string(&path.display().to_string());
+        format!("{{\"cmd\":\"reload\",\"corpus\":{path}}}\n")
+    };
+    let both = format!("{}{}", reload(&big), reload(&small));
+    stream.write_all(both.as_bytes()).unwrap();
+    for (epoch, trajectories) in [(2, 2_000), (3, 8)] {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        for needle in [
+            format!("\"epoch\":{epoch},"),
+            format!("\"trajectories\":{trajectories},"),
+        ] {
+            assert!(reply.contains(&needle), "missing {needle}: {reply}");
+        }
+    }
+    let info = send_line(&mut stream, &mut reader, "{\"cmd\":\"info\"}");
+    for needle in ["\"epoch\":3,", "\"trajectories\":8,", "\"swaps\":2,"] {
+        assert!(info.contains(needle), "missing {needle}: {info}");
+    }
+    let bye = send_line(&mut stream, &mut reader, "{\"cmd\":\"shutdown\"}");
+    assert!(bye.contains("\"bye\":true"), "{bye}");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The result cache answers only the query it holds: once a client has
@@ -957,9 +1095,9 @@ fn preswap_admissions_answer_from_their_epoch() {
         CorpusSnapshot::new(Arc::clone(&db_a)),
         EngineConfig {
             workers: 1,
-            cache_capacity: 64,
             ..EngineConfig::default()
-        },
+        }
+        .with(Knob::CacheCapacity, 64),
     );
 
     // Head-of-line blocker: an expensive unindexed exact scan keeps the
