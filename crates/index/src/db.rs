@@ -48,15 +48,16 @@ impl TrajectoryDb {
         Self::from_arena(CorpusArena::from_trajectories(&trajs))
     }
 
-    /// Builds the database straight from a columnar arena — the reload
-    /// path for packed binary corpora: the R-tree comes from the arena's
-    /// precomputed MBR table, so no point is re-read.
+    /// Builds the database straight from a columnar arena — the one
+    /// builder behind [`TrajectoryDb::build`], startup and every reload
+    /// of a packed binary corpus. The R-tree is bulk-loaded
+    /// ([`RTree::bulk_load`]) from the arena's precomputed MBR table, so
+    /// no point is re-read; its shape never changes a candidate set.
     ///
     /// # Panics
     /// Panics on duplicate trajectory ids (the binary loader validates
     /// them beforehand and errors instead).
     pub fn from_arena(arena: CorpusArena) -> Self {
-        let mut rtree = RTree::new();
         let mut by_id = HashMap::with_capacity(arena.len());
         for slot in 0..arena.len() {
             let id = arena.id(slot);
@@ -64,8 +65,8 @@ impl TrajectoryDb {
                 by_id.insert(id, slot).is_none(),
                 "duplicate trajectory id {id}"
             );
-            rtree.insert(*arena.mbr(slot), slot as u64);
         }
+        let rtree = RTree::bulk_load(arena.mbrs());
         Self {
             arena,
             by_id,
@@ -353,45 +354,135 @@ mod tests {
             .collect()
     }
 
+    /// Asserts that the R-tree's candidate set equals, as a set, a plain
+    /// pass over the arena's MBR table that keeps every MBR intersecting
+    /// the query's, on a random lattice corpus of `count` trajectories.
+    fn assert_candidates_match_linear_mbr_filter(seed: u64, count: usize, query_shape: u8) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trajs: Vec<Trajectory> = (0..count)
+            .map(|i| {
+                let shape = rng.gen_range(0u8..5);
+                Trajectory::new_unchecked(i as u64, lattice_points(&mut rng, shape))
+            })
+            .collect();
+        let db = TrajectoryDb::build(trajs);
+        // More than 256 boxes need more than 16 leaves, so a root above
+        // a level of internal nodes.
+        if count > 256 {
+            assert!(
+                db.rtree.height() >= 3,
+                "{count} boxes in one internal level"
+            );
+        }
+        let qmbr = Mbr::of_points(&lattice_points(&mut rng, query_shape));
+        let mut want: Vec<u64> = db
+            .arena()
+            .mbrs()
+            .iter()
+            .enumerate()
+            .filter(|(_, mbr)| mbr.intersects(&qmbr))
+            .map(|(slot, _)| db.arena().id(slot))
+            .collect();
+        want.sort_unstable();
+        let mut got = db.candidate_ids(&qmbr);
+        got.sort_unstable();
+        assert_eq!(got, want);
+        let mut views: Vec<u64> = db.candidates(&qmbr).iter().map(|v| v.id).collect();
+        views.sort_unstable();
+        assert_eq!(views, want);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The R-tree's candidate set equals, as a set, a plain pass over
-        /// the arena's MBR table that keeps every MBR intersecting the
-        /// query's — on random corpora (the empty one included) whose
-        /// MBRs and queries are often points or segments and often share
-        /// edges.
+        /// Small corpora (the empty one included) whose MBRs and queries
+        /// are often points or segments and often share edges.
         #[test]
         fn candidates_match_linear_mbr_filter(
             seed in 0u64..1_000_000,
             count in 0usize..24,
             query_shape in 0u8..5,
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let trajs: Vec<Trajectory> = (0..count)
-                .map(|i| {
-                    let shape = rng.gen_range(0u8..5);
-                    Trajectory::new_unchecked(i as u64, lattice_points(&mut rng, shape))
-                })
-                .collect();
-            let db = TrajectoryDb::build(trajs);
-            let qmbr = Mbr::of_points(&lattice_points(&mut rng, query_shape));
-            let mut want: Vec<u64> = db
-                .arena()
-                .mbrs()
-                .iter()
-                .enumerate()
-                .filter(|(_, mbr)| mbr.intersects(&qmbr))
-                .map(|(slot, _)| db.arena().id(slot))
-                .collect();
-            want.sort_unstable();
-            let mut got = db.candidate_ids(&qmbr);
-            got.sort_unstable();
-            proptest::prop_assert_eq!(&got, &want);
-            let mut views: Vec<u64> = db.candidates(&qmbr).iter().map(|v| v.id).collect();
-            views.sort_unstable();
-            proptest::prop_assert_eq!(&views, &want);
+            assert_candidates_match_linear_mbr_filter(seed, count, query_shape);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Corpora large enough for trees of two to three levels.
+        #[test]
+        fn candidates_of_a_multi_level_tree_match_linear_mbr_filter(
+            seed in 0u64..1_000_000,
+            count in 200usize..600,
+            query_shape in 0u8..5,
+        ) {
+            assert_candidates_match_linear_mbr_filter(seed, count, query_shape);
+        }
+    }
+
+    /// A scan's answers and counters do not depend on the R-tree's shape:
+    /// the database over the bulk-loaded tree and one over a tree built
+    /// by an insert per slot give the same candidate sets, bit-identical
+    /// hits and the same `PruneStats` counts.
+    #[test]
+    fn bulk_loaded_and_insert_built_trees_answer_identically() {
+        use simsub_core::Pss;
+        use simsub_measures::Frechet;
+        // 400 overlapping walks, so each query meets 19 to 40 candidates.
+        let trajs = (0..400u64).map(|i| {
+            let origin = ((i % 20) as f64, (i / 20) as f64);
+            Trajectory::new_unchecked(i, walk(i, 24, origin))
+        });
+        let packed = TrajectoryDb::build(trajs.collect());
+        let mut inserted = packed.clone();
+        inserted.rtree = RTree::new();
+        for (slot, mbr) in packed.arena().mbrs().iter().enumerate() {
+            inserted.rtree.insert(*mbr, slot as u64);
+        }
+        assert_eq!(packed.rtree.height(), 3);
+        assert!(inserted.rtree.height() >= 3);
+        let untimed = |mut stats: PruneStats| {
+            (stats.bound_ns, stats.kernel_ns) = (0, 0);
+            stats
+        };
+        let bits = |hits: &[TopKResult]| -> Vec<_> {
+            let result_bits =
+                |r: &SearchResult| (r.range, r.similarity.to_bits(), r.distance.to_bits());
+            hits.iter()
+                .map(|h| (h.trajectory_id, result_bits(&h.result)))
+                .collect()
+        };
+        let algos: [&dyn SubtrajSearch; 2] = [&ExactS, &Pss];
+        let measures: [&dyn Measure; 2] = [&Dtw, &Frechet];
+        let mut pruned = 0;
+        for i in 0..16u64 {
+            let query = walk(
+                900 + i,
+                8,
+                (4.0 + (i % 4) as f64 * 4.0, 4.0 + (i / 4) as f64 * 4.0),
+            );
+            let qmbr = Mbr::of_points(&query);
+            let mut want = inserted.candidate_ids(&qmbr);
+            let mut got = packed.candidate_ids(&qmbr);
+            assert!(want.len() > 10, "{} candidates", want.len());
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want);
+            for algo in algos {
+                for measure in measures {
+                    let (want_hits, want_stats) =
+                        inserted.top_k_with_stats(algo, measure, &query, 5, true, true);
+                    let (hits, stats) =
+                        packed.top_k_with_stats(algo, measure, &query, 5, true, true);
+                    let what = format!("{} {}", algo.name(), measure.name());
+                    assert_eq!(bits(&hits), bits(&want_hits), "{what}");
+                    assert_eq!(untimed(stats), untimed(want_stats), "{what}");
+                    pruned += stats.pruned();
+                }
+            }
+        }
+        assert!(pruned > 0, "no bound pruned a candidate");
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! A classic Guttman R-tree (quadratic split) storing `(Mbr, u64)` entries.
+//! An R-tree storing `(Mbr, u64)` entries, built in one
+//! sort-tile-recursive (STR) pack and grown by Guttman inserts.
 //!
-//! Kept deliberately standard: least-enlargement descent for inserts,
-//! quadratic pick-seeds / pick-next splitting, recursive intersection
-//! queries. Trajectory databases in the experiments are static after
-//! loading, but inserts are incremental so the index also serves streaming
-//! ingestion.
+//! Every [`crate::TrajectoryDb`] is bulk-loaded ([`RTree::bulk_load`]):
+//! sort the boxes by centre x, cut them into vertical slices, sort each
+//! slice by centre y and cut it into balanced nodes, then pack those
+//! nodes the same way one level up until one root is left.
+//! [`RTree::insert`] is the incremental path, kept deliberately
+//! standard: least-enlargement descent and quadratic pick-seeds /
+//! pick-next splitting. Queries are recursive intersection walks, and
+//! their answer — the set of intersecting payloads — does not depend on
+//! how the tree was built.
 
 use simsub_trajectory::Mbr;
 
@@ -61,6 +66,36 @@ impl RTree {
     /// True when no entry has been inserted.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// A tree over `mbrs` whose payloads are their indices (a
+    /// [`crate::TrajectoryDb`]'s arena slots), built in one
+    /// sort-tile-recursive pack.
+    ///
+    /// Each level sorts its boxes by centre x, cuts them into
+    /// ⌈√(n / 16)⌉ balanced vertical slices, sorts each slice by centre y
+    /// and cuts it into balanced nodes of at most 16 entries; the nodes
+    /// are the next level's boxes, until one root is left. Every leaf is
+    /// at one depth and every node but the root holds 8 to 16 entries
+    /// (an insert's split may leave 6). The leaf level sorts indices
+    /// against `mbrs`, so the build copies no box but into its leaf.
+    /// Empty rectangles are rejected, as [`RTree::insert`] rejects them.
+    pub fn bulk_load(mbrs: &[Mbr]) -> Self {
+        assert!(
+            mbrs.iter().all(|mbr| !mbr.is_empty()),
+            "cannot index an empty MBR"
+        );
+        let slots = (0..mbrs.len()).collect();
+        let mut level = str_pack(slots, |&slot| mbrs[slot], |slot| slot as u64, Node::Leaf);
+        while level.len() > 1 {
+            let boxed = |(_, node)| Box::new(node);
+            level = str_pack(level, |(mbr, _)| *mbr, boxed, Node::Internal);
+        }
+        let root = level.pop().map_or(Node::Leaf(Vec::new()), |(_, node)| node);
+        Self {
+            root,
+            len: mbrs.len(),
+        }
     }
 
     /// Inserts an entry. Empty rectangles are rejected.
@@ -129,6 +164,57 @@ impl RTree {
         let mut leaf_depth = None;
         walk(&self.root, true, 0, &mut leaf_depth);
     }
+}
+
+/// One sort-tile-recursive level: sorts `items` by the centre x of
+/// their `mbr`, cuts them into ⌈√⌈n / 16⌉⌉ balanced slices, sorts each
+/// slice by centre y and cuts it into ⌈len / 16⌉ balanced groups, and
+/// makes each group a node with `make`, an item entering it as its box
+/// and its `payload`. Returns the nodes with their MBRs, in tile order.
+///
+/// A slice holds at least 8 items whenever `n > 16`, and a balanced cut
+/// of at least 8 into groups of at most 16 leaves each group at least 8
+/// (`MIN_ENTRIES` is 6), so no tail node is underfull.
+fn str_pack<T, P>(
+    mut items: Vec<T>,
+    mbr: impl Fn(&T) -> Mbr,
+    payload: impl Fn(T) -> P,
+    make: impl Fn(Vec<(Mbr, P)>) -> Node,
+) -> Vec<(Mbr, Node)> {
+    // Twice the centre: the same order, one operation fewer.
+    let x = |item: &T| {
+        let m = mbr(item);
+        m.min_x + m.max_x
+    };
+    let y = |item: &T| {
+        let m = mbr(item);
+        m.min_y + m.max_y
+    };
+    let n = items.len();
+    let slices = (n.div_ceil(MAX_ENTRIES) as f64).sqrt().ceil() as usize;
+    items.sort_unstable_by(|a, b| x(a).total_cmp(&x(b)));
+    let mut sizes = Vec::with_capacity(n.div_ceil(MAX_ENTRIES) + slices);
+    let mut start = 0;
+    for slice_len in balanced(n, slices) {
+        let slice = &mut items[start..start + slice_len];
+        slice.sort_unstable_by(|a, b| y(a).total_cmp(&y(b)));
+        sizes.extend(balanced(slice_len, slice_len.div_ceil(MAX_ENTRIES)));
+        start += slice_len;
+    }
+    let mut rest = items.into_iter().map(|item| (mbr(&item), payload(item)));
+    sizes
+        .into_iter()
+        .map(|size| {
+            let group: Vec<(Mbr, P)> = rest.by_ref().take(size).collect();
+            let mbr = group.iter().fold(Mbr::EMPTY, |acc, (m, _)| acc.union(*m));
+            (mbr, make(group))
+        })
+        .collect()
+}
+
+/// The sizes of `n` items cut into `parts` runs that differ by at most one.
+fn balanced(n: usize, parts: usize) -> impl Iterator<Item = usize> {
+    (0..parts).map(move |i| n / parts + usize::from(i < n % parts))
 }
 
 /// Recursive insert. Returns `Some((left, right))` when the node split.
@@ -310,15 +396,7 @@ mod tests {
         assert_eq!(tree.len(), 500);
         assert!(tree.height() >= 2, "tree should have split");
         // Every entry is findable with a universal query.
-        let q = Mbr {
-            min_x: -1e9,
-            min_y: -1e9,
-            max_x: 1e9,
-            max_y: 1e9,
-        };
-        let mut all = tree.query_intersecting(&q);
-        all.sort_unstable();
-        assert_eq!(all, (0..500).collect::<Vec<_>>());
+        assert_eq!(all_payloads(&tree), (0..500).collect::<Vec<_>>());
     }
 
     #[test]
@@ -349,6 +427,102 @@ mod tests {
         tree.insert(Mbr::EMPTY, 0);
     }
 
+    /// Asserts that every node but the root holds 8 (more than
+    /// `MIN_ENTRIES`) to `MAX_ENTRIES` entries, as a bulk load leaves them.
+    fn assert_filled(tree: &RTree) {
+        fn walk(node: &Node, is_root: bool) {
+            let len = match node {
+                Node::Leaf(entries) => entries.len(),
+                Node::Internal(children) => children.len(),
+            };
+            assert!(
+                is_root || (8..=MAX_ENTRIES).contains(&len),
+                "a non-root node holds {len} entries"
+            );
+            if let Node::Internal(children) = node {
+                children.iter().for_each(|(_, child)| walk(child, false));
+            }
+        }
+        walk(&tree.root, true);
+    }
+
+    /// Every payload in `tree`, sorted.
+    fn all_payloads(tree: &RTree) -> Vec<u64> {
+        let everywhere = Mbr {
+            min_x: -1e9,
+            min_y: -1e9,
+            max_x: 1e9,
+            max_y: 1e9,
+        };
+        let mut all = tree.query_intersecting(&everywhere);
+        all.sort_unstable();
+        all
+    }
+
+    /// Asserts that ten random queries find, in `tree`, exactly the
+    /// indices of the boxes of `reference` they intersect.
+    fn assert_queries_match_linear_scan(tree: &RTree, reference: &[Mbr], rng: &mut StdRng) {
+        for _ in 0..10 {
+            let q = random_mbr(rng);
+            let mut got = tree.query_intersecting(&q);
+            got.sort_unstable();
+            let want: Vec<u64> = (0..reference.len() as u64)
+                .filter(|&id| reference[id as usize].intersects(&q))
+                .collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn bulk_load_packs_full_trees_with_every_leaf_at_one_depth() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for (n, height) in [
+            (0, 1),
+            (1, 1),
+            (16, 1),
+            (17, 2),
+            (256, 2),
+            (257, 3),
+            (5_000, 4),
+        ] {
+            let mbrs: Vec<Mbr> = (0..n).map(|_| random_mbr(&mut rng)).collect();
+            let tree = RTree::bulk_load(&mbrs);
+            tree.check_invariants();
+            assert_filled(&tree);
+            assert_eq!(tree.len(), n);
+            assert_eq!(tree.is_empty(), n == 0);
+            assert_eq!(tree.height(), height, "n={n}");
+            assert_eq!(all_payloads(&tree), (0..n as u64).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn bulk_loaded_identical_degenerate_mbrs_are_all_found() {
+        use simsub_trajectory::Point;
+        // Many equal sort keys: every tile of one box must keep each id
+        // exactly once.
+        let (x, y) = (3.0, -2.0);
+        for (min_x, max_x) in [(x, x), (x - 4.0, x)] {
+            let m = Mbr::of_points(&[Point::xy(min_x, y), Point::xy(max_x, y)]);
+            let tree = RTree::bulk_load(&[m; 300]);
+            tree.check_invariants();
+            assert_filled(&tree);
+            assert_eq!(tree.height(), 3);
+            let mut got = tree.query_intersecting(&m);
+            got.sort_unstable();
+            assert_eq!(got, (0..300).collect::<Vec<_>>());
+            let beside = Mbr::of_points(&[Point::xy(x + 1e-9, y), Point::xy(x + 1.0, y)]);
+            assert!(tree.query_intersecting(&beside).is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot index an empty MBR")]
+    fn bulk_load_rejects_an_empty_mbr() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let _ = RTree::bulk_load(&[random_mbr(&mut rng), Mbr::EMPTY]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -360,20 +534,40 @@ mod tests {
             for id in 0..count as u64 {
                 let m = random_mbr(&mut rng);
                 tree.insert(m, id);
-                reference.push((m, id));
+                reference.push(m);
             }
-            for _ in 0..10 {
-                let q = random_mbr(&mut rng);
-                let mut got = tree.query_intersecting(&q);
-                got.sort_unstable();
-                let mut want: Vec<u64> = reference
-                    .iter()
-                    .filter(|(m, _)| m.intersects(&q))
-                    .map(|&(_, id)| id)
-                    .collect();
-                want.sort_unstable();
-                prop_assert_eq!(&got, &want);
+            assert_queries_match_linear_scan(&tree, &reference, &mut rng);
+        }
+
+        #[test]
+        fn bulk_loaded_query_matches_linear_scan(seed in 0u64..500, count in 0usize..700) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let reference: Vec<Mbr> = (0..count).map(|_| random_mbr(&mut rng)).collect();
+            let tree = RTree::bulk_load(&reference);
+            tree.check_invariants();
+            assert_filled(&tree);
+            assert_queries_match_linear_scan(&tree, &reference, &mut rng);
+        }
+
+        #[test]
+        fn bulk_loaded_then_inserted_query_matches_linear_scan(
+            seed in 0u64..500,
+            loaded in 0usize..400,
+            inserted in 1usize..200,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference: Vec<Mbr> = (0..loaded).map(|_| random_mbr(&mut rng)).collect();
+            let mut tree = RTree::bulk_load(&reference);
+            for id in loaded as u64..(loaded + inserted) as u64 {
+                let m = random_mbr(&mut rng);
+                tree.insert(m, id);
+                reference.push(m);
             }
+            tree.check_invariants();
+            prop_assert_eq!(tree.len(), loaded + inserted);
+            let ids: Vec<u64> = (0..(loaded + inserted) as u64).collect();
+            prop_assert_eq!(all_payloads(&tree), ids);
+            assert_queries_match_linear_scan(&tree, &reference, &mut rng);
         }
     }
 }
