@@ -70,9 +70,11 @@ use std::collections::BinaryHeap;
 /// workspace encodes the query once more, one GRU step per query point
 /// (≈ 1 µs each). Against that, the unprunable traffic:
 /// - RLS under t2vec walks its candidate one GRU step and one Q-network
-///   decision a point, ≈ 630 ns a point, ≈ 40 µs for a 60-point
-///   candidate; PSS and ExactS under t2vec cost more (a second GRU pass
-///   for the suffix, or O(n²) steps);
+///   decision a point, ≈ 0.7–1.3 µs a point (traced `learned_offline`
+///   runs pinned to one core of a 2-vCPU x86-64 box, whose speed modes
+///   make most of that range), ≈ 60 µs for a 60-point candidate; PSS
+///   and ExactS under t2vec cost more (a second GRU pass for the
+///   suffix, or O(n²) steps);
 /// - RLS under DTW pays an O(m) DP row and the Q-network's ≈ 100 ns a
 ///   point, ≈ 8 µs for a 60-point candidate;
 /// - the `prune: false` reference runs ExactS's O(n²·m) enumeration

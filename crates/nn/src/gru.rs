@@ -23,9 +23,11 @@ use serde::{Deserialize, Serialize};
 /// weights `W`, `(hidden_dim, hidden_dim)` recurrent weights `U`, biases
 /// `b`): the layout BPTT, Adam and [`GruCell::flat_params`] — hence the
 /// on-disk format — work in. The forward pass reads a column-major,
-/// gate-stacked mirror of the six matrices; every field is private so the
-/// two can only change together ([`GruCell::apply_grads`],
-/// [`GruCell::set_flat_params`]).
+/// gate-stacked mirror of the six matrices, plus the products `U_z · 0`
+/// and `U_h · 0` that a step from the fresh all-`+0.0` state adds in place
+/// of its recurrent products (see [`GruCell::step_with`]); every field is
+/// private so the tensors and the mirror can only change together
+/// ([`GruCell::apply_grads`], [`GruCell::set_flat_params`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GruCell {
     in_dim: usize,
@@ -53,6 +55,13 @@ struct PackedGates {
     uzr: Vec<f64>,
     /// `[d][d]`: column `c` of `U_h`.
     uh: Vec<f64>,
+    /// `[d]`: `U_z · 0`, summed as [`matvec_columns`] sums it against the
+    /// fresh state: `-0.0`, then `+ w * 0.0` column by column. A lane is
+    /// `-0.0` when every weight of its row is negative, `+0.0` when one is
+    /// not, and NaN when one is not finite.
+    uz0: Vec<f64>,
+    /// `[d]`: `U_h · 0`, summed the same way.
+    uh0: Vec<f64>,
 }
 
 /// Caller-owned activations of one forward step; sized on first use and
@@ -61,7 +70,8 @@ struct PackedGates {
 pub struct GruScratch {
     /// `W x` stacked `z | r | ĥ`, turned into the gate values in place.
     gates: Vec<f64>,
-    /// `U_z h | U_r h`, then `U_h (r ⊙ h) | r ⊙ h`.
+    /// `U_z h | U_r h | U_h (r ⊙ h)`, the middle turned into `r ⊙ h` in
+    /// place; untouched by a fresh-state step.
     rec: Vec<f64>,
 }
 
@@ -182,13 +192,17 @@ impl GruCell {
         self.hidden_dim
     }
 
-    /// Rebuilds the forward pass's mirror from the row-major tensors.
+    /// Rebuilds the forward pass's mirror from the row-major tensors, in
+    /// place: it allocates only when the cell's shape first meets it.
     fn repack(&mut self) {
         let (d, n) = (self.hidden_dim, self.in_dim);
         let p = &mut self.packed;
         p.wx.resize(n * 3 * d, 0.0);
         p.uzr.resize(d * 2 * d, 0.0);
         p.uh.resize(d * d, 0.0);
+        p.uz0.resize(d, 0.0);
+        p.uh0.resize(d, 0.0);
+        let times_zero = |row: &[f64]| row.iter().fold(-0.0, |acc, w| acc + w * 0.0);
         for r in 0..d {
             for c in 0..n {
                 p.wx[c * 3 * d + r] = self.wz[r * n + c];
@@ -200,6 +214,8 @@ impl GruCell {
                 p.uzr[c * 2 * d + d + r] = self.ur[r * d + c];
                 p.uh[c * d + r] = self.uh[r * d + c];
             }
+            p.uz0[r] = times_zero(&self.uz[r * d..(r + 1) * d]);
+            p.uh0[r] = times_zero(&self.uh[r * d..(r + 1) * d]);
         }
     }
 
@@ -216,14 +232,31 @@ impl GruCell {
     }
 
     /// One recurrence step: writes `h_t` into `h` (in place over
-    /// `h_{t-1}`), leaving the gate values in `scratch`. This is the
+    /// `h_{t-1}`), leaving its activations in `scratch`. This is the
     /// O(1)-per-point incremental primitive (constant in the trajectory
     /// length; the constant is `O(hidden_dim²)`), and it does not allocate
     /// once `scratch` has seen this cell's shape.
+    ///
+    /// A step from the fresh state — every lane of `h` is `+0.0`, as
+    /// [`GruCell::initial_state`] and `fill(0.0)` leave it — reads no
+    /// recurrent product: `U_z h` and `U_h (r ⊙ h)` are the `U · 0` rows
+    /// the cell keeps, and the reset gate `r`, which only scales `h`, is
+    /// never computed. That skips the step's two `U` products and its `d`
+    /// reset sigmoids, and gives the full body's `h_t` bit for bit: with
+    /// `r ∈ [0, 1]`, `r ⊙ h` is all `+0.0`, so `U_h (r ⊙ h)` is the same
+    /// `-0.0`-seeded sum of `w * 0.0` the kept row holds. (Only a NaN
+    /// reset pre-activation, from a non-finite input or `W_r`/`U_r`/`b_r`
+    /// weight, would tell the two apart.)
     pub fn step_with(&self, h: &mut [f64], x: &[f64], scratch: &mut GruScratch) {
+        let fresh = h.iter().all(|v| v.to_bits() == 0);
+        self.forward(h, x, scratch, fresh);
+    }
+
+    /// `h ← (1 − z) ⊙ h + z ⊙ ĥ` over the gates of [`GruCell::gates`].
+    fn forward(&self, h: &mut [f64], x: &[f64], s: &mut GruScratch, fresh: bool) {
         let d = self.hidden_dim;
-        self.gates(h, x, scratch);
-        let (z, hhat) = (&scratch.gates[..d], &scratch.gates[2 * d..]);
+        self.gates(h, x, s, fresh);
+        let (z, hhat) = (&s.gates[..d], &s.gates[2 * d..]);
         for i in 0..d {
             h[i] = (1.0 - z[i]) * h[i] + z[i] * hhat[i];
         }
@@ -233,34 +266,46 @@ impl GruCell {
     /// `(h_prev, x)`. Each pre-activation is `(W x + U h) + b` with both
     /// products summed left to right from `f64::sum`'s `-0.0` seed, as a
     /// row-by-row dot product would — only across output lanes at once.
-    fn gates(&self, h_prev: &[f64], x: &[f64], s: &mut GruScratch) {
+    /// `fresh` (the caller has checked that `h_prev` is all `+0.0`) takes
+    /// the kept `U · 0` rows for `U_z h` and `U_h (r ⊙ h)` and leaves the
+    /// `r` lanes holding `W_r x`.
+    fn gates(&self, h_prev: &[f64], x: &[f64], s: &mut GruScratch, fresh: bool) {
         let d = self.hidden_dim;
         debug_assert_eq!(h_prev.len(), d);
         debug_assert_eq!(x.len(), self.in_dim);
         s.gates.resize(3 * d, 0.0);
-        s.rec.resize(2 * d, 0.0);
+        s.rec.resize(3 * d, 0.0);
         matvec_columns(&self.packed.wx, x, &mut s.gates);
-        matvec_columns(&self.packed.uzr, h_prev, &mut s.rec);
         let (z, rest) = s.gates.split_at_mut(d);
         let (r, hhat) = rest.split_at_mut(d);
-        // `uz_h` becomes `U_h (r ⊙ h)` and `ur_h` becomes `r ⊙ h` below.
-        let (uz_h, ur_h) = s.rec.split_at_mut(d);
+        let (uz_h, uh_rh): (&[f64], &[f64]) = if fresh {
+            (&self.packed.uz0, &self.packed.uh0)
+        } else {
+            let (uzr_h, uh_rh) = s.rec.split_at_mut(2 * d);
+            matvec_columns(&self.packed.uzr, h_prev, uzr_h);
+            // `ur_h` becomes `r ⊙ h`.
+            let (uz_h, ur_h) = uzr_h.split_at_mut(d);
+            for i in 0..d {
+                r[i] = sigmoid(r[i] + ur_h[i] + self.br[i]);
+                ur_h[i] = r[i] * h_prev[i];
+            }
+            matvec_columns(&self.packed.uh, ur_h, uh_rh);
+            (uz_h, uh_rh)
+        };
         for i in 0..d {
             z[i] = sigmoid(z[i] + uz_h[i] + self.bz[i]);
-            r[i] = sigmoid(r[i] + ur_h[i] + self.br[i]);
-            ur_h[i] = r[i] * h_prev[i];
         }
-        matvec_columns(&self.packed.uh, ur_h, uz_h);
         for i in 0..d {
-            hhat[i] = (hhat[i] + uz_h[i] + self.bh[i]).tanh();
+            hhat[i] = (hhat[i] + uh_rh[i] + self.bh[i]).tanh();
         }
     }
 
     /// Forward step that records intermediates for BPTT into `cache`.
+    /// Always the full body, fresh state or not: BPTT reads `r`.
     pub fn step_cached(&self, h: &mut [f64], x: &[f64], cache: &mut GruCache) {
         cache.records.extend_from_slice(x);
         cache.records.extend_from_slice(h);
-        self.step_with(h, x, &mut cache.scratch);
+        self.forward(h, x, &mut cache.scratch, false);
         cache.records.extend_from_slice(&cache.scratch.gates);
         cache.steps += 1;
     }
@@ -507,6 +552,7 @@ impl GruGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BinaryCodec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -535,6 +581,82 @@ mod tests {
         assert_eq!(h1, h2);
         assert_eq!(cache.len(), 12);
         assert_eq!(h1, cell.encode(&xs));
+    }
+
+    /// `z | ĥ` of one step from the fresh state, as bits: by the zero-state
+    /// branch (`step_with`) and by the full body (`step_cached`'s record).
+    fn fresh_gates(cell: &GruCell, x: &[f64]) -> (Vec<u64>, Vec<u64>) {
+        let d = cell.hidden_dim;
+        let z_and_hhat = |g: &[f64]| -> Vec<u64> {
+            g[..d]
+                .iter()
+                .chain(&g[2 * d..3 * d])
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let mut scratch = GruScratch::default();
+        cell.step_with(&mut cell.initial_state(), x, &mut scratch);
+        let mut cache = GruCache::default();
+        cell.step_cached(&mut cell.initial_state(), x, &mut cache);
+        (
+            z_and_hhat(&scratch.gates),
+            z_and_hhat(&cache.records[cell.in_dim + d..]),
+        )
+    }
+
+    #[test]
+    fn a_fresh_step_skips_the_reset_gate_and_keeps_every_gate_bit() {
+        // W x = -0.0 on x = -0.0 with positive W, and b_h = -0.0, so ĥ is
+        // tanh(U_h · 0): `-0.0` for row 0 (every weight negative), `+0.0`
+        // for row 1 (mixed) — the sign a dropped or stale zero row loses.
+        let (n, d) = (2, 2);
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut cell = GruCell::new(&mut rng, n, d);
+        let all_negative = [-0.01, -0.02];
+        let mixed = [0.01, -0.02];
+        let flat = |uh_row0: [f64; 2]| -> Vec<f64> {
+            let mut flat = vec![0.25; 3 * d * n];
+            flat.extend([0.1, -0.3, 0.2, 0.4]); // U_z
+            flat.extend([0.3, 0.1, -0.2, 0.5]); // U_r
+            flat.extend(uh_row0.iter().chain(&mixed)); // U_h
+            flat.extend([-0.0; 3 * 2]); // b_z, b_r, b_h
+            flat
+        };
+        cell.set_flat_params(&flat(all_negative));
+        let x = [-0.0, -0.0];
+        let hhat = |gates: &[u64]| gates[d..].to_vec();
+        let (branch, full) = fresh_gates(&cell, &x);
+        assert_eq!(branch, full);
+        assert_eq!(hhat(&branch), [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
+
+        // The branch ran: the `r` lanes still hold `W_r x`, ungated.
+        let mut scratch = GruScratch::default();
+        cell.step_with(&mut cell.initial_state(), &x, &mut scratch);
+        assert!(scratch.gates[d..2 * d]
+            .iter()
+            .all(|v| v.to_bits() == (-0.0f64).to_bits()));
+        // A `-0.0` state is not the fresh one: its reset gate is computed.
+        cell.step_with(&mut vec![-0.0; d], &x, &mut scratch);
+        assert!(scratch.gates[d..2 * d].iter().all(|&r| r > 0.0 && r < 1.0));
+
+        // The kept rows follow every weight change.
+        cell.set_flat_params(&flat(mixed));
+        let (branch, full) = fresh_gates(&cell, &x);
+        assert_eq!(branch, full, "after set_flat_params");
+        assert_eq!(hhat(&branch), [0.0f64.to_bits(); 2]);
+        cell.set_flat_params(&flat(all_negative));
+        let mut grads = GruGrads::zeros(&cell);
+        grads.uh[..2].copy_from_slice(&[-1.0, -1.0]);
+        cell.apply_grads(&grads, &mut Adam::new(0.05));
+        assert!(cell.uh[..2].iter().all(|&w| w > 0.0));
+        let (branch, full) = fresh_gates(&cell, &x);
+        assert_eq!(branch, full, "after apply_grads");
+        assert_eq!(hhat(&branch), [0.0f64.to_bits(); 2]);
+        cell.set_flat_params(&flat(all_negative));
+        let reloaded = GruCell::from_bytes(&cell.to_bytes()).expect("round trip");
+        let (branch, full) = fresh_gates(&reloaded, &x);
+        assert_eq!(branch, full, "after a round trip");
+        assert_eq!(hhat(&branch)[0], (-0.0f64).to_bits());
     }
 
     #[test]
@@ -635,31 +757,34 @@ mod tests {
     #[test]
     fn backward_returns_initial_state_gradient() {
         // For a 1-step sequence, dL/dh0 is easy to check numerically by
-        // shifting h0 (which requires a custom encode-from-h0 helper).
+        // shifting h0 (which requires a custom encode-from-h0 helper). From
+        // the fresh state it is the one gradient that reads the recorded
+        // reset gate, which a zero-state `step_with` never computes.
         let mut rng = StdRng::seed_from_u64(23);
         let cell = GruCell::new(&mut rng, 2, 4);
         let x = vec![0.3, -0.7];
-        let h0 = vec![0.1, -0.2, 0.05, 0.4];
         let c = [1.0, -1.0, 0.5, 0.25];
 
-        let mut h = h0.clone();
-        let mut cache = GruCache::default();
-        cell.step_cached(&mut h, &x, &mut cache);
-        let mut grads = GruGrads::zeros(&cell);
-        let dh0 = cell.backward(&cache, &c, &mut grads);
+        for h0 in [vec![0.1, -0.2, 0.05, 0.4], cell.initial_state()] {
+            let mut h = h0.clone();
+            let mut cache = GruCache::default();
+            cell.step_cached(&mut h, &x, &mut cache);
+            let mut grads = GruGrads::zeros(&cell);
+            let dh0 = cell.backward(&cache, &c, &mut grads);
 
-        let mut h0_probe = h0.clone();
-        let err = crate::gradient_check(
-            &mut h0_probe,
-            dh0,
-            |p| {
-                let mut h = p.to_vec();
-                cell.step(&mut h, &x);
-                h.iter().zip(&c).map(|(a, b)| a * b).sum()
-            },
-            1e-5,
-        );
-        assert!(err < 1e-6, "dh0 error {err}");
+            let mut h0_probe = h0.clone();
+            let err = crate::gradient_check(
+                &mut h0_probe,
+                dh0,
+                |p| {
+                    let mut h = p.to_vec();
+                    cell.step(&mut h, &x);
+                    h.iter().zip(&c).map(|(a, b)| a * b).sum()
+                },
+                1e-5,
+            );
+            assert!(err < 1e-6, "dh0 error {err} from h0 {h0:?}");
+        }
     }
 
     #[test]

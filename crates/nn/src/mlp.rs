@@ -65,6 +65,67 @@ pub struct MlpCache {
     outputs: Vec<Vec<f64>>,
 }
 
+/// An [`Mlp`] frozen for one sample at a time: each layer's weights
+/// column-major (`wt[c * out_dim + r]` is `W[r][c]`), so that
+/// [`matvec_columns`] runs a layer's outputs side by side. Each output sums
+/// its products in column order from the `-0.0` seed, adds the bias, then
+/// applies the activation — [`Mlp::forward`]'s order — so the outputs are
+/// those of the network it was built from, bit for bit. It holds a copy
+/// of the weights: build it from a network that no longer trains.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct MlpColumns {
+    layers: Vec<ColumnLayer>,
+}
+
+/// One layer of an [`MlpColumns`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct ColumnLayer {
+    /// `[in_dim][out_dim]`: column `c` of `W`.
+    wt: Vec<f64>,
+    b: Vec<f64>,
+    act: Activation,
+}
+
+impl MlpColumns {
+    /// The column-major copy of `net`.
+    pub fn new(net: &Mlp) -> Self {
+        let layers = net
+            .layers
+            .iter()
+            .zip(&net.activations)
+            .map(|(layer, &act)| {
+                let (rows, cols) = (layer.out_dim, layer.in_dim);
+                let wt = (0..rows * cols)
+                    .map(|i| layer.w[(i % rows) * cols + i / rows])
+                    .collect();
+                ColumnLayer {
+                    wt,
+                    b: layer.b.clone(),
+                    act,
+                }
+            })
+            .collect();
+        Self { layers }
+    }
+
+    /// [`Mlp::forward_cached`] on the column-major weights: records every
+    /// layer's output in `cache` and returns the final one.
+    pub fn forward_cached<'c>(&self, x: &[f64], cache: &'c mut MlpCache) -> &'c [f64] {
+        cache.outputs.resize(self.layers.len(), Vec::new());
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = cache.outputs.split_at_mut(l);
+            let out = &mut rest[0];
+            let input: &[f64] = if l == 0 { x } else { &done[l - 1] };
+            out.resize(layer.b.len(), 0.0);
+            matvec_columns(&layer.wt, input, out);
+            for (o, b) in out.iter_mut().zip(&layer.b) {
+                *o = layer.act.apply(*o + b);
+            }
+        }
+        cache.outputs.last().map(Vec::as_slice).unwrap_or(&[])
+    }
+}
+
 /// Activations of a whole minibatch for [`Mlp::forward_batch`] and
 /// [`Mlp::backward_batch`], stored feature-major: value `r` of sample `s`
 /// sits at `[r * batch + s]`, so each weight meets a contiguous run of
@@ -421,6 +482,46 @@ mod tests {
         let mut cache = MlpCache::default();
         let cached = net.forward_cached(&x, &mut cache).to_vec();
         assert_eq!(cached, net.forward(&x));
+    }
+
+    #[test]
+    fn column_form_equals_forward_bit_for_bit() {
+        // 20 and 33 hidden lanes run a block of 16 plus a tail; 5 and 2
+        // are all tail. Every activation, and inputs with signed zeros.
+        let mut rng = StdRng::seed_from_u64(41);
+        let nets = [
+            paper_qnet(2),
+            Mlp::new(
+                &mut rng,
+                &[2, 33, 5],
+                &[Activation::Tanh, Activation::Identity],
+            ),
+            Mlp::new(
+                &mut rng,
+                &[4, 5, 16, 1],
+                &[Activation::Sigmoid, Activation::Relu, Activation::Tanh],
+            ),
+        ];
+        let mut cache = MlpCache::default();
+        for net in &nets {
+            let columns = MlpColumns::new(net);
+            for s in 0..300 {
+                let x: Vec<f64> = (0..net.in_dim())
+                    .map(|c| match (s + c) % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-2.0..2.0),
+                    })
+                    .collect();
+                let want: Vec<u64> = net.forward(&x).iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = columns
+                    .forward_cached(&x, &mut cache)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "x = {x:?}");
+            }
+        }
     }
 
     #[test]

@@ -167,12 +167,20 @@ impl Decoder {
         Ok(v as usize)
     }
 
-    /// Length-prefixed f64 slice.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
-        let len = self.get_dim()?;
-        if self.buf.remaining() < len * 8 {
+    /// Reads the count of items that each take at least `min_bytes` of
+    /// the rest of the buffer: a count the rest cannot hold is `Truncated`
+    /// before anything is sized by it.
+    pub fn get_count(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.get_dim()?;
+        if self.buf.remaining() < n * min_bytes {
             return Err(CodecError::Truncated);
         }
+        Ok(n)
+    }
+
+    /// Length-prefixed f64 slice.
+    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
+        let len = self.get_count(8)?;
         Ok((0..len).map(|_| self.buf.get_f64_le()).collect())
     }
 
@@ -271,7 +279,8 @@ impl BinaryCodec for Mlp {
     }
 
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
-        let n = dec.get_dim()?;
+        // A layer is at least its tag, two dimensions and two lengths.
+        let n = dec.get_count(1 + 4 * 8)?;
         let mut layers = Vec::with_capacity(n);
         let mut acts = Vec::with_capacity(n);
         for _ in 0..n {
@@ -317,8 +326,11 @@ impl BinaryCodec for GruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     #[test]
     fn linear_roundtrip() {
@@ -500,5 +512,181 @@ mod tests {
     #[test]
     fn empty_buffer_is_truncated() {
         assert_eq!(Mlp::from_bytes(&[]), Err(CodecError::Truncated));
+    }
+
+    thread_local! {
+        /// The largest allocation this thread has asked for since it was
+        /// last reset: the tests run on threads of their own.
+        static LARGEST_ALLOCATION: Cell<usize> = const { Cell::new(0) };
+    }
+
+    struct TrackingAlloc;
+
+    fn note_allocation(size: usize) {
+        let _ = LARGEST_ALLOCATION.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's arguments
+    // unchanged, so `System`'s guarantees carry over; noting the size sets
+    // a constant-initialised thread local, which never allocates.
+    unsafe impl GlobalAlloc for TrackingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note_allocation(layout.size());
+            // SAFETY: same layout the caller vouched for.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note_allocation(new_size);
+            // SAFETY: `ptr`/`layout` describe a live `System` block; `new_size` is the caller's.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: TrackingAlloc = TrackingAlloc;
+
+    /// Decodes `bytes` as a `T` and checks the outcome of a damaged file: a
+    /// typed error, or a model that re-encodes to exactly these bytes (so
+    /// it has the shape the file declares and every byte was read). No
+    /// allocation along the way may exceed a small multiple of the file.
+    fn decode_damaged<T: BinaryCodec>(bytes: &[u8], context: &str) -> Result<T, CodecError> {
+        LARGEST_ALLOCATION.with(|largest| largest.set(0));
+        let outcome = T::from_bytes(bytes);
+        let largest = LARGEST_ALLOCATION.with(Cell::get);
+        assert!(
+            largest <= 4 * bytes.len() + 256,
+            "{context}: a {}-byte file allocated {largest} bytes at once",
+            bytes.len()
+        );
+        if let Ok(model) = &outcome {
+            assert_eq!(
+                model.to_bytes().to_vec(),
+                bytes,
+                "{context}: decoded another model"
+            );
+        }
+        outcome
+    }
+
+    /// Every truncation of a saved model is `Truncated`; every single-bit
+    /// flip, header or payload, decodes per [`decode_damaged`].
+    fn fuzz_saved<T: BinaryCodec>(saved: &[u8], name: &str) {
+        assert!(
+            decode_damaged::<T>(saved, name).is_ok(),
+            "{name}: intact file"
+        );
+        for len in 0..saved.len() {
+            assert_eq!(
+                decode_damaged::<T>(&saved[..len], name).err(),
+                Some(CodecError::Truncated),
+                "{name} cut at {len}"
+            );
+        }
+        let mut flipped = saved.to_vec();
+        for byte in 0..saved.len() {
+            for bit in 0..8 {
+                flipped[byte] ^= 1 << bit;
+                let _ = decode_damaged::<T>(&flipped, &format!("{name}, bit {bit} of byte {byte}"));
+                flipped[byte] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_saved_gru_is_caught() {
+        let mut rng = StdRng::seed_from_u64(8);
+        fuzz_saved::<GruCell>(&GruCell::new(&mut rng, 2, 3).to_bytes(), "gru");
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_saved_mlp_is_caught() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let net = Mlp::new(
+            &mut rng,
+            &[3, 4, 2],
+            &[Activation::Relu, Activation::Sigmoid],
+        );
+        fuzz_saved::<Mlp>(&net.to_bytes(), "mlp");
+    }
+
+    /// A well-formed record under any dimension, and its lengths: `true`
+    /// writes what the dimensions call for, `false` keeps `present`.
+    fn gru_claiming(in_dim: u64, hidden_dim: u64, present: usize, honest: bool) -> Bytes {
+        let len = if honest {
+            (3 * (hidden_dim * in_dim + hidden_dim * hidden_dim + hidden_dim)) as usize
+        } else {
+            present
+        };
+        gru_record(in_dim, hidden_dim, &vec![0.5; len])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Dimensions from tiny to past the plausibility bound, each
+        /// encoded with the parameters it calls for or with another count:
+        /// the outcome is the declared cell or a typed error, and nothing
+        /// is allocated beyond the file.
+        #[test]
+        fn gru_headers_decode_to_their_declared_shape_or_fail(
+            dims in (0u64..6, 0u64..6),
+            shift in 0u32..40,
+            present in 0usize..200,
+            honest in 0u8..2,
+        ) {
+            // Either dimension may be scaled far up; an honest record is
+            // only written when it stays small.
+            let (in_dim, hidden_dim) = match shift % 3 {
+                0 => dims,
+                1 => (dims.0 << shift, dims.1),
+                _ => (dims.0, dims.1 << shift),
+            };
+            let honest = honest == 1 && in_dim <= 64 && hidden_dim <= 64;
+            let bytes = gru_claiming(in_dim, hidden_dim, present, honest);
+            match decode_damaged::<GruCell>(&bytes, "claimed gru") {
+                Ok(cell) => {
+                    prop_assert_eq!(cell.in_dim() as u64, in_dim);
+                    prop_assert_eq!(cell.hidden_dim() as u64, hidden_dim);
+                }
+                Err(e) => prop_assert!(!honest, "honest record refused: {e}"),
+            }
+        }
+
+        /// An MLP record of 1–4 layers whose dimensions chain or not, and
+        /// whose layer count is true or inflated up to the bound.
+        #[test]
+        fn mlp_headers_decode_to_their_declared_shape_or_fail(
+            dims in proptest::collection::vec(0usize..5, 2..6),
+            break_chain in 0u8..4,
+            extra_layers in 0u64..3,
+            inflate in 0u32..25,
+        ) {
+            let layers = dims.len() - 1;
+            let mut enc = Encoder::new();
+            let count = if inflate > 20 { 1 << inflate } else { layers as u64 + extra_layers };
+            enc.put_u64(count);
+            for l in 0..layers {
+                let (rows, cols) = (dims[l + 1], dims[l] + usize::from(break_chain == 0 && l == 1));
+                enc.put_u8(Activation::Tanh.tag());
+                enc.put_u64(cols as u64);
+                enc.put_u64(rows as u64);
+                enc.put_f64_slice(&vec![0.25; rows * cols]);
+                enc.put_f64_slice(&vec![-0.5; rows]);
+            }
+            let bytes = enc.finish();
+            let chains = !(break_chain == 0 && layers >= 2);
+            let outcome = decode_damaged::<Mlp>(&bytes, "claimed mlp");
+            if count == layers as u64 && chains {
+                let net = outcome.expect("a true record decodes");
+                prop_assert_eq!(net.in_dim(), dims[0]);
+                prop_assert_eq!(net.out_dim(), dims[layers]);
+            } else {
+                prop_assert!(outcome.is_err());
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@ use crate::replay::{ReplayMemory, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simsub_nn::{Activation, Adam, Mlp, MlpBatch, MlpCache, MlpGrads};
+use simsub_nn::{Activation, Adam, Mlp, MlpBatch, MlpCache, MlpColumns, MlpGrads};
 
 /// Hyperparameters of the DQN agent. Defaults are exactly the paper's
 /// Section 6.1 settings.
@@ -59,6 +59,9 @@ impl DqnConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Policy {
     net: Mlp,
+    /// `net` column-major, built with it: what [`Policy::greedy_action`]
+    /// runs. Nothing mutates a `Policy`, so the two cannot drift apart.
+    columns: MlpColumns,
 }
 
 impl simsub_nn::BinaryCodec for Policy {
@@ -67,17 +70,24 @@ impl simsub_nn::BinaryCodec for Policy {
     }
 
     fn decode(dec: &mut simsub_nn::Decoder) -> Result<Self, simsub_nn::CodecError> {
-        Ok(Policy {
-            net: Mlp::decode(dec)?,
-        })
+        Ok(Policy::new(Mlp::decode(dec)?))
     }
 }
 
 impl Policy {
-    /// Greedy action `argmax_a Q(s, a)`, evaluated on caller-owned
-    /// activations so a walk of many states allocates once.
+    fn new(net: Mlp) -> Self {
+        Self {
+            columns: MlpColumns::new(&net),
+            net,
+        }
+    }
+
+    /// Greedy action `argmax_a Q(s, a)` (the first on a tie), evaluated on
+    /// caller-owned activations so a walk of many states allocates once.
+    /// The Q-values are [`Policy::q_values`]' bit for bit, computed on the
+    /// column-major copy of the network.
     pub fn greedy_action(&self, state: &[f64], scratch: &mut MlpCache) -> usize {
-        argmax(self.net.forward_cached(state, scratch).iter().copied())
+        argmax(self.columns.forward_cached(state, scratch).iter().copied())
     }
 
     /// Raw Q-values for inspection.
@@ -282,9 +292,7 @@ impl DqnAgent {
 
     /// Freezes the current main network into a standalone greedy policy.
     pub fn policy(&self) -> Policy {
-        Policy {
-            net: self.main.clone(),
-        }
+        Policy::new(self.main.clone())
     }
 }
 
@@ -440,6 +448,118 @@ mod tests {
         assert_eq!(policy.q_values(&s), back.q_values(&s));
         assert_eq!(back.state_dim(), 3);
         assert_eq!(back.n_actions(), 5);
+    }
+
+    /// The greedy walk runs the column-major copy of the network: its
+    /// Q-values are `Mlp::forward`'s bit for bit, and its action is their
+    /// first maximum. Checked for a fresh and a trained agent's policy,
+    /// each also saved and loaded back, over 10k seeded states with exact
+    /// `0.0`/`-0.0` coordinates and huge ones that saturate the sigmoid
+    /// outputs into exact ties.
+    #[test]
+    fn column_form_decides_as_the_row_form() {
+        use simsub_nn::BinaryCodec;
+        let fresh = DqnAgent::new(DqnConfig::paper(3, 4));
+        let mut trained = DqnAgent::new(DqnConfig::paper(3, 4));
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..64 {
+            let s: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let next: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            trained.remember(Transition {
+                state: &s,
+                action: rng.gen_range(0..4usize),
+                reward: rng.gen(),
+                next_state: &next,
+                terminal: rng.gen::<f64>() < 0.5,
+            });
+        }
+        for _ in 0..50 {
+            trained.train_step();
+        }
+        let dir =
+            std::env::temp_dir().join(format!("simsub-policy-columns-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut policies = Vec::new();
+        for (name, agent) in [("fresh", &fresh), ("trained", &trained)] {
+            let policy = agent.policy();
+            let path = dir.join(format!("{name}.ssub"));
+            policy.save(&path).unwrap();
+            policies.push((format!("{name}, loaded"), Policy::load(&path).unwrap()));
+            policies.push((name.to_string(), policy));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        let bits = |q: &[f64]| -> Vec<u64> { q.iter().map(|v| v.to_bits()).collect() };
+        let mut cache = MlpCache::default();
+        for (name, policy) in &policies {
+            let mut ties = 0;
+            for s in 0..10_000 {
+                let state: Vec<f64> = (0..3)
+                    .map(|c| match (s + c) % 6 {
+                        _ if s % 97 == 0 => [0.0, -0.0][(s / 97 + c) % 2],
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => rng.gen_range(-1e4..1e4),
+                        _ => rng.gen_range(-2.0..2.0),
+                    })
+                    .collect();
+                let q = policy.q_values(&state);
+                let columns = policy.columns.forward_cached(&state, &mut cache);
+                assert_eq!(bits(columns), bits(&q), "{name}, state {state:?}");
+                let top = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let first = q.iter().position(|&v| v == top).unwrap();
+                ties += usize::from(q.iter().filter(|&&v| v == top).count() > 1);
+                assert_eq!(
+                    policy.greedy_action(&state, &mut cache),
+                    first,
+                    "{name}, state {state:?}, q {q:?}"
+                );
+            }
+            assert!(ties > 0, "{name}: no tie was decided");
+        }
+    }
+
+    /// A damaged policy file never panics: every truncation is
+    /// `Truncated`, and every single-bit flip is a typed error or a policy
+    /// that saves back to exactly the flipped bytes. (The decoder under
+    /// it, `Mlp`'s, is also held to allocate no more than a small multiple
+    /// of the file, in `simsub_nn`'s persistence tests.)
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_saved_policy_is_caught() {
+        use simsub_nn::{BinaryCodec, CodecError};
+        let saved = DqnAgent::new(DqnConfig::paper(2, 2))
+            .policy()
+            .to_bytes()
+            .to_vec();
+        for len in 0..saved.len() {
+            assert_eq!(
+                Policy::from_bytes(&saved[..len]).err(),
+                Some(CodecError::Truncated),
+                "cut at {len}"
+            );
+        }
+        let mut flipped = saved.clone();
+        for byte in 0..saved.len() {
+            for bit in 0..8 {
+                flipped[byte] ^= 1 << bit;
+                if let Ok(policy) = Policy::from_bytes(&flipped) {
+                    assert_eq!(
+                        policy.to_bytes().to_vec(),
+                        flipped,
+                        "bit {bit} of byte {byte}"
+                    );
+                    let state = vec![0.5; policy.state_dim()];
+                    let q = policy.q_values(&state);
+                    let columns = policy
+                        .columns
+                        .forward_cached(&state, &mut MlpCache::default())
+                        .to_vec();
+                    let bits = |q: &[f64]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&columns), bits(&q), "bit {bit} of byte {byte}");
+                }
+                flipped[byte] ^= 1 << bit;
+            }
+        }
     }
 
     #[test]

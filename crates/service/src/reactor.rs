@@ -20,6 +20,9 @@
 //!   can have many queries in flight at once.
 //! - A **`reload`** runs on the one `simsub-reload` thread, in the order
 //!   read: reloads swap in the order sent, one corpus build at a time.
+//!   An admin command (`info`, `stats`, `configure`, …) read while a
+//!   reload of its connection is still queued or building follows it on
+//!   that thread, so it answers from the state the reload left.
 //!
 //! # Ordering (the wire contract, enforced here)
 //!
@@ -138,6 +141,8 @@ struct Completed {
     seq: u64,
     ordered: bool,
     line: String,
+    /// Ran on the reload thread ([`Reactor::queue_reload`]).
+    reload_thread: bool,
 }
 
 struct Conn {
@@ -165,6 +170,9 @@ struct Conn {
     /// Requests submitted (queries, reloads) whose completion has not
     /// arrived yet. Drives drain termination.
     pending: usize,
+    /// Those of them queued on the reload thread. While any is, an admin
+    /// command read on this connection queues behind them.
+    on_reload_thread: usize,
     dead: bool,
 }
 
@@ -358,6 +366,7 @@ impl<'a> Reactor<'a> {
             next_flush: 0,
             held: BTreeMap::new(),
             pending: 0,
+            on_reload_thread: 0,
             dead: false,
         });
         self.open += 1;
@@ -409,6 +418,7 @@ impl<'a> Reactor<'a> {
             match self.rx.try_recv() {
                 Ok(c) => self.with_conn(c.conn, |_this, conn| {
                     conn.pending -= 1;
+                    conn.on_reload_thread -= usize::from(c.reload_thread);
                     Self::deliver(conn, c.ordered, c.seq, c.line);
                 }),
                 Err(TryRecvError::Empty | TryRecvError::Disconnected) => return,
@@ -572,6 +582,20 @@ impl<'a> Reactor<'a> {
                 self.stop.store(true, Ordering::SeqCst);
                 let _ = self.waker.wake();
             }
+            LineJob::Command(parsed) if conn.on_reload_thread > 0 => {
+                // A reload read before this line has not swapped yet:
+                // answer from the state it leaves, not the one before it.
+                self.queue_reload(conn, ordered, seq, version, id, move |engine| {
+                    server::command_response(engine, &parsed)
+                });
+            }
+            LineJob::Command(parsed) => {
+                let body = server::command_response(self.engine, &parsed);
+                let line = version
+                    .envelope(body, id.as_ref(), self.engine.epoch())
+                    .dump();
+                Self::deliver(conn, ordered, seq, line);
+            }
             LineJob::Reload(parsed) => {
                 self.queue_reload(conn, ordered, seq, version, id, move |engine| {
                     server::admin_reload(engine, &parsed)
@@ -606,6 +630,7 @@ impl<'a> Reactor<'a> {
                         seq,
                         ordered,
                         line,
+                        reload_thread: false,
                     });
                     let _ = waker.wake();
                 });
@@ -635,11 +660,13 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Queues a reload's `work` for the reload thread. Its response lands
-    /// at the line's slot whatever happens: a panic in `work` is answered
-    /// `{"ok":false,"error":"internal",...}`, as a scan panic is, so the
-    /// id-less lines after it are never held behind a slot that cannot
-    /// fill; after a stop it is "engine is shutting down", unbuilt.
+    /// Queues `work` — a reload, or a command read behind one — for the
+    /// reload thread, which runs it after every job queued before it. Its
+    /// response lands at the line's slot whatever happens: a panic in
+    /// `work` is answered `{"ok":false,"error":"internal",...}`, as a scan
+    /// panic is, so the id-less lines after it are never held behind a
+    /// slot that cannot fill; after a stop it is "engine is shutting
+    /// down", not run.
     fn queue_reload(
         &mut self,
         conn: &mut Conn,
@@ -668,6 +695,7 @@ impl<'a> Reactor<'a> {
                 seq,
                 ordered,
                 line,
+                reload_thread: true,
             });
             let _ = waker.wake();
         };
@@ -675,6 +703,7 @@ impl<'a> Reactor<'a> {
             .send(Box::new(job))
             .expect("the reload thread outlives the reactor (it catches every panic)");
         conn.pending += 1;
+        conn.on_reload_thread += 1;
     }
 
     /// Routes one finished response into the connection: id-carrying

@@ -162,8 +162,11 @@
 //!   `corpus`/`corpus_bin` must be present. In-flight queries
 //!   finish against the old snapshot; queries admitted after the swap
 //!   see the new one. Nothing restarts, no connection drops. Reloads
-//!   swap one at a time, in the order read. Lines read after a reload
-//!   do not wait for it: they are answered from the state before it.
+//!   swap one at a time, in the order read. An admin command (`info`,
+//!   `stats`, `metrics`, `configure`, …) read after a reload on the same
+//!   connection waits for it and answers from the state it leaves; a
+//!   query does not wait, and scans the snapshot current when it is
+//!   read.
 //! - `{"cmd":"configure"}` with any of the [`Knob`] table's keys —
 //!   `"cache_capacity":N`, `"default_k":N` (≥ 1), `"slow_query_us":N`
 //!   (0 disables the slow-query log), `"audit_sample":F` (fraction in
@@ -372,9 +375,13 @@ pub(crate) struct LineOutcome {
 /// submits queries with a completion, and runs `reload` off the polling
 /// thread.
 pub(crate) enum LineJob {
-    /// The body is ready now (commands, validation errors). The caller
-    /// wraps it in the version envelope with the current engine epoch.
+    /// The body is ready now (validation errors). The caller wraps it in
+    /// the version envelope with the current engine epoch.
     Immediate(Json),
+    /// An admin command other than `reload` and `shutdown`, carrying the
+    /// parsed line: the reactor evaluates it ([`command_response`]) once
+    /// the reloads read before it on the connection have swapped.
+    Command(Json),
     /// `shutdown`: deliver the body, then set the stop flag.
     Shutdown(Json),
     /// `reload`, carrying the parsed command: heavy (file reads + index
@@ -414,10 +421,7 @@ pub(crate) fn classify_line(line: &str, engine: &QueryEngine) -> LineOutcome {
         } else if cmd == "reload" {
             LineJob::Reload(parsed)
         } else {
-            LineJob::Immediate(
-                handle_admin_command(engine, &parsed)
-                    .unwrap_or_else(|| error_response(&format!("unknown cmd {cmd:?}"))),
-            )
+            LineJob::Command(parsed)
         }
     } else {
         // Tracing is v2-only: the trace object is an appended body field,
@@ -537,6 +541,15 @@ pub fn query_line(
     }
     line.push('}');
     line
+}
+
+/// The response body of an admin command line: [`handle_admin_command`]'s,
+/// or an error naming a command it does not know.
+pub(crate) fn command_response(engine: &QueryEngine, parsed: &Json) -> Json {
+    handle_admin_command(engine, parsed).unwrap_or_else(|| {
+        let cmd = parsed.get("cmd").and_then(Json::as_str).unwrap_or_default();
+        error_response(&format!("unknown cmd {cmd:?}"))
+    })
 }
 
 /// Handles one parsed admin/introspection command (`stats`, `ping`,

@@ -502,8 +502,7 @@ fn every_knob_configures_over_the_wire_and_refuses_bad_values() {
 /// Reloads sent back to back on one connection swap in the order they
 /// were sent, one at a time: a big corpus followed by a small one leaves
 /// the small one serving, and the replies carry epochs 2 and 3 in line
-/// order. (An `info` in the same write would be answered from the epoch
-/// current when its line was read, so it is sent after the replies.)
+/// order. The `info` in the same write waits for both.
 #[test]
 fn pipelined_reloads_swap_in_the_order_they_were_sent() {
     let dir = std::env::temp_dir().join(format!("simsub-reload-order-{}", std::process::id()));
@@ -516,12 +515,12 @@ fn pipelined_reloads_swap_in_the_order_they_were_sent() {
     let engine = Arc::new(engine_with(&shared_db(4), 1));
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let (mut stream, mut reader) = wire(server.local_addr());
-    let reload = |path: &std::path::Path| {
-        let path = json_string(&path.display().to_string());
-        format!("{{\"cmd\":\"reload\",\"corpus\":{path}}}\n")
-    };
-    let both = format!("{}{}", reload(&big), reload(&small));
-    stream.write_all(both.as_bytes()).unwrap();
+    let all = format!(
+        "{}{}{{\"cmd\":\"info\"}}\n",
+        reload_line(&big),
+        reload_line(&small)
+    );
+    stream.write_all(all.as_bytes()).unwrap();
     for (epoch, trajectories) in [(2, 2_000), (3, 8)] {
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
@@ -532,10 +531,79 @@ fn pipelined_reloads_swap_in_the_order_they_were_sent() {
             assert!(reply.contains(&needle), "missing {needle}: {reply}");
         }
     }
-    let info = send_line(&mut stream, &mut reader, "{\"cmd\":\"info\"}");
+    let mut info = String::new();
+    reader.read_line(&mut info).unwrap();
     for needle in ["\"epoch\":3,", "\"trajectories\":8,", "\"swaps\":2,"] {
         assert!(info.contains(needle), "missing {needle}: {info}");
     }
+    let bye = send_line(&mut stream, &mut reader, "{\"cmd\":\"shutdown\"}");
+    assert!(bye.contains("\"bye\":true"), "{bye}");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `{"cmd":"reload","corpus":path}` and its newline.
+fn reload_line(path: &std::path::Path) -> String {
+    let path = json_string(&path.display().to_string());
+    format!("{{\"cmd\":\"reload\",\"corpus\":{path}}}\n")
+}
+
+/// An admin command written in one go with the reload before it answers
+/// from the state that reload leaves: `info`, `stats`, `metrics` and
+/// `configure` all wait for the swap, and a `configure` that waited still
+/// applies to the new snapshot.
+#[test]
+fn a_command_read_after_a_reload_answers_from_the_reloaded_state() {
+    let dir = std::env::temp_dir().join(format!("simsub-reload-then-info-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let small = dir.join("small.csv");
+    write_csv_file(&small, &generate(&DatasetSpec::porto(), 8, 6)).unwrap();
+
+    let engine = Arc::new(engine_with(&shared_db(40), 1));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let (mut stream, mut reader) = wire(server.local_addr());
+    let both = format!("{}{{\"cmd\":\"info\"}}\n", reload_line(&small));
+    stream.write_all(both.as_bytes()).unwrap();
+    let mut replies = [String::new(), String::new()];
+    for reply in &mut replies {
+        reader.read_line(reply).unwrap();
+    }
+    let [reloaded, info] = replies;
+    assert!(reloaded.contains("\"reloaded\":true"), "{reloaded}");
+    for needle in ["\"epoch\":2,", "\"trajectories\":8,", "\"swaps\":1,"] {
+        assert!(info.contains(needle), "missing {needle}: {info}");
+    }
+
+    // The same through the other commands, with a v2 id on one of them.
+    let lines = format!(
+        "{}{{\"cmd\":\"stats\"}}\n{{\"cmd\":\"metrics\"}}\n\
+         {{\"v\":2,\"id\":7,\"cmd\":\"configure\",\"default_k\":3}}\n\
+         {{\"cmd\":\"info\"}}\n",
+        reload_line(&small)
+    );
+    stream.write_all(lines.as_bytes()).unwrap();
+    let mut replies: Vec<String> = Vec::new();
+    for _ in 0..5 {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        replies.push(reply);
+    }
+    assert!(replies[0].contains("\"epoch\":3,"), "{}", replies[0]);
+    assert!(replies[1].contains("\"swaps\":2"), "{}", replies[1]);
+    assert!(
+        replies[2].contains("simsub_swaps_total 2"),
+        "{}",
+        replies[2]
+    );
+    assert!(
+        replies[3].contains("\"configured\":true") && replies[3].contains("\"epoch\":3"),
+        "{}",
+        replies[3]
+    );
+    assert!(replies[4].contains("\"epoch\":3,"), "{}", replies[4]);
+    assert!(replies[4].contains("\"default_k\":3,"), "{}", replies[4]);
+    assert_eq!(engine.knob(Knob::DefaultK), 3.0);
+
     let bye = send_line(&mut stream, &mut reader, "{\"cmd\":\"shutdown\"}");
     assert!(bye.contains("\"bye\":true"), "{bye}");
     server.wait();
