@@ -72,7 +72,6 @@ fn run(ctx: &mut Context, cmd: &str) {
         "fig9" | "fig14" => experiments::fig9(ctx),
         "table7" => experiments::table7(ctx),
         "table2" => experiments::table2(ctx),
-        "ext" => simsub_bench::ext_measures::ext_measures(ctx),
         "all" => {
             experiments::toy();
             experiments::fig3(ctx);
@@ -87,7 +86,6 @@ fn run(ctx: &mut Context, cmd: &str) {
             experiments::efficiency(ctx, "Harbin");
             experiments::efficiency(ctx, "Sports");
             experiments::table7(ctx);
-            simsub_bench::ext_measures::ext_measures(ctx);
         }
         other => {
             eprintln!("unknown experiment '{other}'");

@@ -6,7 +6,6 @@
 //! per-experiment index).
 
 pub mod experiments;
-pub mod ext_measures;
 
 use simsub_core::{train_rls, MdpConfig, Rls, RlsTrainConfig};
 use simsub_data::{generate, DatasetSpec};

@@ -540,7 +540,7 @@ mod tests {
     use crate::test_util::walk;
     use crate::{ExactS, SubtrajSearch};
     use proptest::prelude::*;
-    use simsub_measures::{Dtw, Frechet};
+    use simsub_measures::{CoordNormalizer, Dtw, Frechet, T2Vec};
     use simsub_trajectory::Trajectory;
 
     #[test]
@@ -572,12 +572,12 @@ mod tests {
 
     #[test]
     fn inactive_measure_never_bounds() {
-        // LCSS reports no aggregate: no scan under it prunes, and every
+        // t2vec reports no aggregate: no scan under it prunes, and every
         // bound is INFINITY.
         let q = walk(1, 5);
-        let lcss = simsub_measures::Lcss::new(0.5);
-        assert!(!crate::scan_prunes(&ExactS, &lcss, true));
-        let mut cascade = BoundCascade::new(&lcss, &q);
+        let t2vec = T2Vec::random(7, 6, CoordNormalizer::identity());
+        assert!(!crate::scan_prunes(&ExactS, &t2vec, true));
+        let mut cascade = BoundCascade::new(&t2vec, &q);
         let mbr = Mbr::of_points(&walk(2, 6));
         assert_eq!(cascade.coarse_bound(&mbr), f64::INFINITY);
         assert_eq!(cascade.envelope_bound(&mbr), f64::INFINITY);
@@ -845,8 +845,8 @@ mod tests {
         // A one-point query samples its only column four times.
         let one = BoundCascade::new(&Dtw, &q[3..4]);
         assert_eq!(one.order_estimate(&[3.0], &[1.5]), 6.0);
-        let lcss = simsub_measures::Lcss::new(0.5);
-        assert_eq!(BoundCascade::new(&lcss, &q).order_estimate(&xs, &ys), 0.0);
+        let t2vec = T2Vec::random(7, 6, CoordNormalizer::identity());
+        assert_eq!(BoundCascade::new(&t2vec, &q).order_estimate(&xs, &ys), 0.0);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 use crate::exact::ExhaustiveRanking;
 use simsub_trajectory::SubtrajRange;
 
-/// Below this, the optimal distance is treated as exactly zero (possible
-/// when the query is literally embedded in the data trajectory, and
-/// common under normalized measures like LCSS where a single in-tolerance
-/// point yields distance 0).
+/// Below this, the optimal distance is treated as exactly zero (under DTW
+/// and Frechet, whenever the query is literally embedded in the data
+/// trajectory).
 const ZERO_OPT: f64 = 1e-9;
 
 /// Per-query effectiveness numbers (or their means, via

@@ -431,7 +431,7 @@ mod tests {
     use super::*;
     use crate::splitting::suffix_similarities;
     use crate::test_util::walk;
-    use simsub_measures::{Dtw, Frechet};
+    use simsub_measures::{CoordNormalizer, Dtw, Frechet, T2Vec};
 
     #[test]
     fn bulk_suffix_matches_generic_backward_scan() {
@@ -531,8 +531,8 @@ mod tests {
             }
         }
         // Measures that do not factor their cells never claim to.
-        let lcss = simsub_measures::Lcss::new(0.5);
-        assert!(!SearchWorkspace::new(&lcss, &q).factors_cell_rows());
+        let t2vec = T2Vec::random(7, 6, CoordNormalizer::identity());
+        assert!(!SearchWorkspace::new(&t2vec, &q).factors_cell_rows());
     }
 
     #[test]

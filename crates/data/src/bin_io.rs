@@ -858,6 +858,92 @@ mod tests {
         }
     }
 
+    /// The verdict on checksum-valid tables, written out in the order the
+    /// reader checks them: the offsets table, then duplicate ids, then the
+    /// first non-finite point, then the first time that regresses inside a
+    /// trajectory. `words` are the payload words (`n_traj` is word 0).
+    fn table_verdict(words: &[u64]) -> Result<(), ArenaError> {
+        let (n, p) = (words[0] as usize, words[1] as usize);
+        let ids = &words[2..2 + n];
+        let offsets = &words[2 + n..3 + 2 * n];
+        let slab = |k: usize| -> Vec<f64> {
+            let from = 3 + 2 * n + k * p;
+            words[from..from + p]
+                .iter()
+                .map(|&w| f64::from_bits(w))
+                .collect()
+        };
+        let (xs, ys, ts) = (slab(0), slab(1), slab(2));
+        if offsets[0] != 0 || offsets[n] != p as u64 || offsets.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(ArenaError::BadOffsets);
+        }
+        if let Some(i) = (1..n).find(|&i| ids[..i].contains(&ids[i])) {
+            return Err(ArenaError::DuplicateId(ids[i]));
+        }
+        if let Some(i) = (0..p).find(|&i| [xs[i], ys[i], ts[i]].iter().any(|v| !v.is_finite())) {
+            return Err(ArenaError::NonFinitePoint(i));
+        }
+        let starts = |i: usize| offsets.contains(&(i as u64));
+        if let Some(i) = (1..p).find(|&i| !starts(i) && ts[i] < ts[i - 1]) {
+            return Err(ArenaError::TimeNotMonotone(i));
+        }
+        Ok(())
+    }
+
+    /// Every table word (ids, offsets and the three slabs) replaced in turn
+    /// by NaN, ±∞, −1.0, 0 and itself + 1, checksum recomputed: both entry
+    /// points give the verdict `table_verdict` computes — the same
+    /// `ArenaError`, first bad index included — or load exactly the edited
+    /// tables. This pins the reader's check order, so a later fused
+    /// validation pass cannot drift from it. (Edited counts change the
+    /// framing, not the tables; `checksum_refixed_mutations_fail_validation`
+    /// covers them.)
+    #[test]
+    fn hostile_table_words_get_the_first_failing_check() {
+        let arena = corpus_arena(3, &[2, 5, 3]);
+        let buf = packed(&arena);
+        let words = payload_words(&buf);
+        let mut verdicts = std::collections::HashSet::new();
+        for i in 2..words.len() {
+            for value in [
+                f64::NAN.to_bits(),
+                f64::INFINITY.to_bits(),
+                f64::NEG_INFINITY.to_bits(),
+                (-1.0f64).to_bits(),
+                0,
+                words[i].wrapping_add(1),
+            ] {
+                let mut edited = words.clone();
+                edited[i] = value;
+                let want = table_verdict(&edited);
+                verdicts.insert(want.as_ref().err().map(std::mem::discriminant));
+                for got in read_both(&refixed(&buf, &[(i, value)])) {
+                    match (got, &want) {
+                        (Ok(back), Ok(())) => {
+                            let mut loaded = vec![back.len() as u64, back.total_points() as u64];
+                            loaded.extend(back.ids());
+                            loaded.extend(back.offsets().iter().map(|&o| o as u64));
+                            for slab in [back.xs(), back.ys(), back.ts()] {
+                                loaded.extend(slab.iter().map(|v| v.to_bits()));
+                            }
+                            assert_eq!(loaded, edited, "word {i} := {value:#x}");
+                        }
+                        (Err(BinCorpusError::Arena(e)), Err(w)) => {
+                            assert_eq!(&e, w, "word {i} := {value:#x}")
+                        }
+                        (got, want) => panic!(
+                            "word {i} := {value:#x}: got {:?}, want {want:?}",
+                            got.map(|a| a.len())
+                        ),
+                    }
+                }
+            }
+        }
+        // Loads, bad offsets, non-finite points and regressing times all
+        // occur; a duplicate id needs a copied id, not one of these values.
+        assert_eq!(verdicts.len(), 4);
+    }
+
     /// Headers advertising tables the stream cannot hold fail through
     /// both entry points. A reservation of the advertised size would abort
     /// the test process, so passing shows none is made.

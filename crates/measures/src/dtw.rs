@@ -27,97 +27,6 @@ pub fn dtw_distance(a: &[Point], b: &[Point]) -> f64 {
     kernel::row_distance::<SumOp>(a, b)
 }
 
-/// Banded (Sakoe-Chiba) DTW used by the UCR and Spring comparisons
-/// (Section 6.2(9)): point `a_i` may only align with `b_j` for
-/// `|i - j| <= band` after rescaling index ranges to equal lengths.
-/// `band` is in *b*-index units. Cells outside the band are `+∞`.
-/// With `band >= max(|a|, |b|)` this equals unconstrained DTW.
-///
-/// Allocates a fresh [`BandedDtwWorkspace`] per call; hot loops that
-/// compute many banded distances should hold a workspace and call
-/// [`BandedDtwWorkspace::distance`] instead.
-pub fn dtw_distance_banded(a: &[Point], b: &[Point], band: usize) -> f64 {
-    BandedDtwWorkspace::new().distance(a, b, band)
-}
-
-/// Reusable row buffers for banded DTW: one allocation serves any number
-/// of `distance` calls (rows grow to the largest `|b|` seen and are then
-/// reused). The DP tracks each row's valid band window explicitly instead
-/// of resetting whole rows to `+∞`, so per-row work is `O(band)` writes,
-/// not `O(m)` — the difference dominates at small bands.
-#[derive(Debug, Clone, Default)]
-pub struct BandedDtwWorkspace {
-    prev: Vec<f64>,
-    cur: Vec<f64>,
-}
-
-impl BandedDtwWorkspace {
-    /// An empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Banded DTW distance; semantics identical to [`dtw_distance_banded`]
-    /// (property-tested), buffers reused across calls.
-    #[allow(clippy::needless_range_loop)] // lockstep band-window indexing
-    pub fn distance(&mut self, a: &[Point], b: &[Point], band: usize) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return f64::INFINITY;
-        }
-        let (n, m) = (a.len(), b.len());
-        if self.prev.len() < m {
-            self.prev.resize(m, f64::INFINITY);
-            self.cur.resize(m, f64::INFINITY);
-        }
-        let (prev, cur) = (&mut self.prev, &mut self.cur);
-        // Map row i to the band center on the b axis so unequal lengths
-        // warp proportionally (the classic Sakoe-Chiba generalization).
-        let center = |i: usize| -> isize {
-            if n <= 1 {
-                0
-            } else {
-                ((i as f64) * ((m - 1) as f64) / ((n - 1) as f64)).round() as isize
-            }
-        };
-        // Valid band window of the previous row; cells outside it read as
-        // +∞ (initially empty: row 0 reads no previous row).
-        let (mut plo, mut phi) = (1usize, 0usize);
-        for i in 0..n {
-            let c = center(i);
-            let lo = (c - band as isize).max(0) as usize;
-            let hi = ((c + band as isize) as usize).min(m - 1);
-            for j in lo..=hi {
-                let d = a[i].dist(b[j]);
-                let best = if i == 0 && j == 0 {
-                    0.0
-                } else {
-                    let mut best = f64::INFINITY;
-                    if (plo..=phi).contains(&j) {
-                        best = best.min(prev[j]); // D_{i-1, j}
-                    }
-                    if j > 0 && (plo..=phi).contains(&(j - 1)) {
-                        best = best.min(prev[j - 1]); // D_{i-1, j-1}
-                    }
-                    if j > lo {
-                        best = best.min(cur[j - 1]); // D_{i, j-1}
-                    }
-                    best
-                };
-                cur[j] = d + best;
-            }
-            std::mem::swap(prev, cur);
-            (plo, phi) = (lo, hi);
-        }
-        if (plo..=phi).contains(&(m - 1)) {
-            prev[m - 1]
-        } else {
-            // The last row's band never reached column m-1 (possible only
-            // in degenerate n=1 cases): no admissible path exists.
-            f64::INFINITY
-        }
-    }
-}
-
 impl Measure for Dtw {
     fn name(&self) -> &'static str {
         "dtw"
@@ -282,23 +191,53 @@ mod tests {
     }
 
     #[test]
-    fn banded_with_full_band_equals_unbanded() {
-        let a = pts(&[(0.0, 0.0), (1.0, 2.0), (3.0, 1.0), (4.0, 4.0)]);
-        let b = pts(&[(0.5, 0.5), (2.0, 2.0), (4.0, 3.5)]);
-        let full = dtw_distance(&a, &b);
-        let banded = dtw_distance_banded(&a, &b, 10);
-        assert!((full - banded).abs() < 1e-9);
+    fn single_points_are_their_euclidean_distance() {
+        let a = pts(&[(0.0, 0.0)]);
+        let b = pts(&[(3.0, 4.0)]);
+        assert_eq!(dtw_distance(&a, &b), 5.0);
+        assert_eq!(Dtw.similarity(&a, &b), 1.0 / 6.0);
     }
 
     #[test]
-    fn banded_is_lower_bounded_by_unbanded() {
-        // Restricting alignments can only increase the optimum.
-        let a = pts(&[(0.0, 0.0), (5.0, 0.0), (0.0, 0.0), (5.0, 0.0), (0.0, 0.0)]);
-        let b = pts(&[(0.0, 0.0), (0.0, 0.0), (5.0, 0.0)]);
-        let un = dtw_distance(&a, &b);
-        for band in 0..4 {
-            assert!(dtw_distance_banded(&a, &b, band) >= un - 1e-9);
-        }
+    fn opposite_directions_pay_at_both_ends() {
+        // Both endpoint pairs are always matched, so the same segment
+        // walked the other way costs the distance at each end.
+        let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
+        let b = pts(&[(1.0, 0.0), (0.0, 0.0)]);
+        assert_eq!(dtw_distance(&a, &b), 2.0);
+    }
+
+    #[test]
+    fn warping_absorbs_repeated_points() {
+        let a = pts(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
+        let b = pts(&[(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
+        assert_eq!(dtw_distance(&a, &b), 0.0);
+        assert_eq!(dtw_distance(&b, &a), 0.0);
+    }
+
+    #[test]
+    fn reports_its_name_and_sum_aggregate() {
+        assert_eq!(Dtw.name(), "dtw");
+        assert_eq!(Dtw.distance_aggregate(), Some(DistanceAggregate::Sum));
+    }
+
+    #[test]
+    fn workspace_is_infinite_until_init_and_after_reset() {
+        let q = pts(&[(0.0, 0.0), (1.0, 0.0)]);
+        let mut ws = Dtw.make_workspace(&q);
+        assert!(ws.distance().is_infinite());
+        assert_eq!(ws.similarity(), 0.0);
+        assert_eq!(ws.init(Point::xy(0.0, 0.0)), 0.5);
+        assert_eq!(ws.distance(), 1.0);
+        ws.reset(&q);
+        assert!(ws.distance().is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "extend before init")]
+    fn extend_before_init_panics() {
+        let mut ws = Dtw.make_workspace(&pts(&[(0.0, 0.0)]));
+        ws.extend(Point::xy(1.0, 0.0));
     }
 
     proptest! {
@@ -352,19 +291,6 @@ mod tests {
             for &p in &a[1..] {
                 prop_assert_eq!(reused.extend(p).to_bits(), fresh.extend(p).to_bits());
             }
-        }
-
-        #[test]
-        fn workspace_reuse_matches_fresh_banded(
-            a in arb_traj(10), b in arb_traj(10), c in arb_traj(10), band in 0usize..6,
-        ) {
-            // A reused workspace (dirty buffers from an unrelated call)
-            // must reproduce the allocating entry point exactly.
-            let mut ws = BandedDtwWorkspace::new();
-            let _ = ws.distance(&c, &b, band); // dirty the buffers
-            let reused = ws.distance(&a, &b, band);
-            let fresh = dtw_distance_banded(&a, &b, band);
-            prop_assert_eq!(reused.to_bits(), fresh.to_bits());
         }
 
         #[test]
@@ -458,16 +384,113 @@ mod tests {
         }
 
         #[test]
-        fn banded_monotone_in_band(a in arb_traj(10), b in arb_traj(10)) {
-            // Wider bands can only improve (decrease) the distance.
-            let mut prev = f64::INFINITY;
-            for band in 0..b.len() + 2 {
-                let d = dtw_distance_banded(&a, &b, band);
-                prop_assert!(d <= prev + 1e-9);
-                prev = d;
+        fn workspace_prefix_distances_are_the_measure_bit_for_bit(
+            a in arb_traj(12), b in arb_traj(10),
+        ) {
+            // The boxed workspace a scan drives and `Φ` from scratch agree
+            // on every prefix.
+            let mut ws = Dtw.make_workspace(&b);
+            for j in 0..a.len() {
+                let sim = if j == 0 { ws.init(a[0]) } else { ws.extend(a[j]) };
+                prop_assert_eq!(ws.distance().to_bits(), dtw_distance(&a[..=j], &b).to_bits());
+                prop_assert_eq!(sim.to_bits(), Dtw.similarity(&a[..=j], &b).to_bits());
             }
-            let full = dtw_distance(&a, &b);
-            prop_assert!((prev - full).abs() < 1e-6);
+        }
+
+        #[test]
+        fn lower_bounded_by_nearest_point_sums(a in arb_traj(12), b in arb_traj(12)) {
+            // Every point of either side is matched at least once, to a
+            // point no closer than its nearest on the other side: the
+            // `Sum` bound the corpus scan's pruning cascade relies on.
+            let nearest_sum = |xs: &[Point], ys: &[Point]| -> f64 {
+                xs.iter()
+                    .map(|p| ys.iter().map(|q| p.dist(*q)).fold(f64::INFINITY, f64::min))
+                    .sum()
+            };
+            let d = dtw_distance(&a, &b);
+            prop_assert!(d + 1e-9 >= nearest_sum(&a, &b));
+            prop_assert!(d + 1e-9 >= nearest_sum(&b, &a));
+        }
+
+        #[test]
+        fn upper_bounded_by_the_boundary_path(a in arb_traj(12), b in arb_traj(12)) {
+            // All of `a` against `b`'s first point, then the rest of `b`
+            // against `a`'s last point: one of the warping paths DTW
+            // minimises over.
+            let last = a[a.len() - 1];
+            let path: f64 = a.iter().map(|p| p.dist(b[0])).sum::<f64>()
+                + b[1..].iter().map(|q| last.dist(*q)).sum::<f64>();
+            prop_assert!(dtw_distance(&a, &b) <= path + 1e-9);
+        }
+
+        #[test]
+        fn endpoints_are_always_matched(a in arb_traj(12), b in arb_traj(12)) {
+            let d = dtw_distance(&a, &b);
+            let first = a[0].dist(b[0]);
+            let last = a[a.len() - 1].dist(b[b.len() - 1]);
+            if a.len() == 1 && b.len() == 1 {
+                prop_assert_eq!(d, first);
+            } else {
+                // Two distinct cells of every path.
+                prop_assert!(d + 1e-9 >= first + last);
+            }
+        }
+
+        #[test]
+        fn translation_invariant(
+            a in arb_traj(12), b in arb_traj(12), dx in -100.0..100.0f64, dy in -100.0..100.0f64,
+        ) {
+            let shift = |t: &[Point]| -> Vec<Point> {
+                t.iter().map(|p| Point::xy(p.x + dx, p.y + dy)).collect()
+            };
+            let d = dtw_distance(&a, &b);
+            let moved = dtw_distance(&shift(&a), &shift(&b));
+            prop_assert!((moved - d).abs() <= 1e-9 * (1.0 + d), "{moved} vs {d}");
+        }
+
+        #[test]
+        fn scales_linearly(a in arb_traj(12), b in arb_traj(12), c in 0.01..100.0f64) {
+            let scale = |t: &[Point]| -> Vec<Point> {
+                t.iter().map(|p| Point::xy(p.x * c, p.y * c)).collect()
+            };
+            let want = c * dtw_distance(&a, &b);
+            let got = dtw_distance(&scale(&a), &scale(&b));
+            prop_assert!((got - want).abs() <= 1e-9 * (1.0 + want), "{got} vs {want}");
+        }
+
+        #[test]
+        fn repeating_a_point_never_lowers_the_distance(
+            a in arb_traj(12), b in arb_traj(12), at in 0usize..12,
+        ) {
+            // A path over the stuttered input folds onto one over `a`
+            // whose cells are a subset of its own.
+            let i = at % a.len();
+            let mut stutter = a.clone();
+            stutter.insert(i, a[i]);
+            prop_assert!(dtw_distance(&stutter, &b) + 1e-9 >= dtw_distance(&a, &b));
+        }
+
+        #[test]
+        fn single_point_query_sums_the_point_distances(a in arb_traj(12), q in arb_traj(2)) {
+            let want: f64 = a.iter().map(|p| p.dist(q[0])).sum();
+            let got = dtw_distance(&a, &q);
+            prop_assert!((got - want).abs() <= 1e-9 * (1.0 + want), "{got} vs {want}");
+        }
+
+        #[test]
+        fn timestamps_are_ignored(
+            a in arb_traj(12), b in arb_traj(12), t0 in -1e6..1e6f64, dt in 0.0..100.0f64,
+        ) {
+            let stamp = |t: &[Point]| -> Vec<Point> {
+                t.iter()
+                    .enumerate()
+                    .map(|(i, p)| Point::new(p.x, p.y, t0 + dt * i as f64))
+                    .collect()
+            };
+            prop_assert_eq!(
+                dtw_distance(&stamp(&a), &stamp(&b)).to_bits(),
+                dtw_distance(&a, &b).to_bits()
+            );
         }
     }
 }

@@ -181,6 +181,29 @@ mod tests {
         assert!(frechet_distance(&[], &a).is_infinite());
     }
 
+    #[test]
+    fn single_points_are_their_euclidean_distance() {
+        let a = pts(&[(0.0, 0.0)]);
+        let b = pts(&[(3.0, 4.0)]);
+        assert_eq!(frechet_distance(&a, &b), 5.0);
+        assert_eq!(Frechet.similarity(&a, &b), 1.0 / 6.0);
+    }
+
+    #[test]
+    fn opposite_directions_pay_the_larger_end() {
+        // Both endpoint pairs are always matched; the max keeps the worse.
+        let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
+        let b = pts(&[(1.0, 0.0), (-1.0, 0.0)]);
+        assert_eq!(frechet_distance(&a, &b), 2.0);
+        assert_eq!(crate::dtw_distance(&a, &b), 3.0);
+    }
+
+    #[test]
+    fn reports_its_name_and_max_aggregate() {
+        assert_eq!(Frechet.name(), "frechet");
+        assert_eq!(Frechet.distance_aggregate(), Some(DistanceAggregate::Max));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -316,6 +339,106 @@ mod tests {
                 crate::kernel::scalar_exact_sweep(&Frechet, &a, &b);
             prop_assert_eq!(sim.to_bits(), want_sim.to_bits());
             prop_assert_eq!((start, end), (want_start, want_end), "tie-breaking must match");
+        }
+
+        #[test]
+        fn workspace_prefix_distances_are_the_measure_bit_for_bit(
+            a in arb_traj(12), b in arb_traj(10),
+        ) {
+            // The boxed workspace a scan drives and `Φ` from scratch agree
+            // on every prefix.
+            let mut ws = Frechet.make_workspace(&b);
+            for j in 0..a.len() {
+                let sim = if j == 0 { ws.init(a[0]) } else { ws.extend(a[j]) };
+                prop_assert_eq!(
+                    ws.distance().to_bits(),
+                    frechet_distance(&a[..=j], &b).to_bits()
+                );
+                prop_assert_eq!(sim.to_bits(), Frechet.similarity(&a[..=j], &b).to_bits());
+            }
+        }
+
+        #[test]
+        fn lower_bounded_by_nearest_point_maxima(a in arb_traj(12), b in arb_traj(12)) {
+            // Every point of either side is coupled to some point of the
+            // other (the directed Hausdorff distances): the `Max` bound
+            // the corpus scan's pruning cascade relies on.
+            let farthest_nearest = |xs: &[Point], ys: &[Point]| -> f64 {
+                xs.iter()
+                    .map(|p| ys.iter().map(|q| p.dist(*q)).fold(f64::INFINITY, f64::min))
+                    .fold(0.0, f64::max)
+            };
+            let f = frechet_distance(&a, &b);
+            prop_assert!(f >= farthest_nearest(&a, &b));
+            prop_assert!(f >= farthest_nearest(&b, &a));
+        }
+
+        #[test]
+        fn upper_bounded_by_the_boundary_coupling(a in arb_traj(12), b in arb_traj(12)) {
+            // All of `a` against `b`'s first point, then the rest of `b`
+            // against `a`'s last point: one of the couplings Frechet
+            // minimises over.
+            let last = a[a.len() - 1];
+            let coupling = a
+                .iter()
+                .map(|p| p.dist(b[0]))
+                .chain(b[1..].iter().map(|q| last.dist(*q)))
+                .fold(0.0, f64::max);
+            prop_assert!(frechet_distance(&a, &b) <= coupling);
+        }
+
+        #[test]
+        fn translation_invariant(
+            a in arb_traj(12), b in arb_traj(12), dx in -100.0..100.0f64, dy in -100.0..100.0f64,
+        ) {
+            let shift = |t: &[Point]| -> Vec<Point> {
+                t.iter().map(|p| Point::xy(p.x + dx, p.y + dy)).collect()
+            };
+            let f = frechet_distance(&a, &b);
+            let moved = frechet_distance(&shift(&a), &shift(&b));
+            prop_assert!((moved - f).abs() <= 1e-9 * (1.0 + f), "{moved} vs {f}");
+        }
+
+        #[test]
+        fn scales_linearly(a in arb_traj(12), b in arb_traj(12), c in 0.01..100.0f64) {
+            let scale = |t: &[Point]| -> Vec<Point> {
+                t.iter().map(|p| Point::xy(p.x * c, p.y * c)).collect()
+            };
+            let want = c * frechet_distance(&a, &b);
+            let got = frechet_distance(&scale(&a), &scale(&b));
+            prop_assert!((got - want).abs() <= 1e-9 * (1.0 + want), "{got} vs {want}");
+        }
+
+        #[test]
+        fn repeating_a_point_leaves_the_distance_unchanged(
+            a in arb_traj(12), b in arb_traj(12), at in 0usize..12,
+        ) {
+            // Couplings lift onto the stuttered input and fold back off it
+            // with the same set of pair distances, so the max is the same
+            // value bit for bit (unlike DTW, which may grow).
+            let i = at % a.len();
+            let mut stutter = a.clone();
+            stutter.insert(i, a[i]);
+            prop_assert_eq!(
+                frechet_distance(&stutter, &b).to_bits(),
+                frechet_distance(&a, &b).to_bits()
+            );
+        }
+
+        #[test]
+        fn triangle_inequality(a in arb_traj(10), b in arb_traj(10), c in arb_traj(10)) {
+            let (ab, bc, ac) = (
+                frechet_distance(&a, &b),
+                frechet_distance(&b, &c),
+                frechet_distance(&a, &c),
+            );
+            prop_assert!(ac <= ab + bc + 1e-9, "{ac} > {ab} + {bc}");
+        }
+
+        #[test]
+        fn single_point_query_is_the_farthest_point(a in arb_traj(12), q in arb_traj(2)) {
+            let want = a.iter().map(|p| p.dist(q[0])).fold(0.0, f64::max);
+            prop_assert_eq!(frechet_distance(&a, &q).to_bits(), want.to_bits());
         }
     }
 }

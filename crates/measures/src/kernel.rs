@@ -1191,4 +1191,20 @@ mod tests {
             assert_eq!(out[j].to_bits(), p.dist(*q).to_bits(), "element {j}");
         }
     }
+
+    #[test]
+    fn load_query_soa_overwrites_reused_buffers() {
+        let (mut qx, mut qy) = (vec![9.0; 7], vec![9.0; 2]);
+        let long: Vec<Point> = (0..5)
+            .map(|i| Point::new(i as f64, -(i as f64), 100.0))
+            .collect();
+        load_query_soa(&long, &mut qx, &mut qy);
+        assert_eq!(qx, [0.0, 1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(qy, [0.0, -1.0, -2.0, -3.0, -4.0]);
+        load_query_soa(&long[3..], &mut qx, &mut qy);
+        assert_eq!(
+            (qx.as_slice(), qy.as_slice()),
+            (&[3.0, 4.0][..], &[-3.0, -4.0][..])
+        );
+    }
 }

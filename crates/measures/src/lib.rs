@@ -30,22 +30,14 @@
 //! ([`similarity_from_distance`]): the paper's "ratio between 1 and a
 //! distance" made total at `dist = 0`.
 
-mod cdtw;
 mod dtw;
-mod edr;
-mod erp;
 mod frechet;
 mod kernel;
-mod lcss;
 mod t2vec;
 
-pub use cdtw::Cdtw;
-pub use dtw::{dtw_distance, dtw_distance_banded, BandedDtwWorkspace, Dtw};
-pub use edr::{edr_distance, Edr};
-pub use erp::{erp_distance, Erp};
+pub use dtw::{dtw_distance, Dtw};
 pub use frechet::{frechet_distance, Frechet};
 pub use kernel::{fill_point_dists, load_query_soa, DpScratch, ExactBest};
-pub use lcss::{lcss_distance, lcss_length, Lcss};
 pub use t2vec::{CoordNormalizer, T2Vec, T2VecConfig};
 
 use simsub_trajectory::{Point, TrajView};
@@ -75,12 +67,12 @@ pub fn distance_from_similarity(sim: f64) -> f64 {
 /// query point to at least one data point, a `Sum` measure's distance is
 /// at least the sum — and a `Max` measure's at least the max — of each
 /// query point's distance to the *closest* point of the data trajectory,
-/// which in turn is lower-bounded by cheap MBR geometry. Measures whose
-/// cost is not a monotone function of pair distances (edit-style EDR/LCSS,
-/// gap-penalty ERP, learned t2vec) report `None` and are never pruned.
+/// which in turn is lower-bounded by cheap MBR geometry. The learned
+/// t2vec distance is not a function of pair distances at all: it reports
+/// `None` and is never pruned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistanceAggregate {
-    /// Distance is a sum over matched pairs (DTW, banded DTW).
+    /// Distance is a sum over matched pairs (DTW).
     Sum,
     /// Distance is a maximum over matched pairs (discrete Frechet).
     Max,
@@ -216,9 +208,7 @@ pub trait PrefixEvaluator {
     /// equivalent to `extend_run(a ++ b)` for any split, including after a
     /// [`PrefixEvaluator::reset`]. The default is exactly that point loop,
     /// compiled per implementing type, so its `extend` calls are static.
-    /// Two evaluators override it: DTW/Frechet run a 4-lane wavefront
-    /// over the DP row, and cDTW recomputes its band once per run instead
-    /// of once per point.
+    /// DTW/Frechet override it with a 4-lane wavefront over the DP row.
     fn extend_run(&mut self, xs: &[f64], ys: &[f64], ts: &[f64]) -> f64 {
         debug_assert!(xs.len() == ys.len() && xs.len() == ts.len());
         let mut sim = self.similarity();
@@ -284,29 +274,6 @@ pub trait PrefixEvaluator {
     }
 }
 
-/// The three instantiations evaluated in the paper, as a config-friendly
-/// tag. `T2Vec` carries no model here; construction of a trained model goes
-/// through [`T2Vec`]/[`T2VecConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MeasureKind {
-    /// Dynamic Time Warping (Eq. 1 of the paper).
-    Dtw,
-    /// Discrete Frechet distance (Eq. 2).
-    Frechet,
-    /// The learned, data-driven measure (Li et al., ICDE 2018).
-    T2Vec,
-}
-
-impl std::fmt::Display for MeasureKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MeasureKind::Dtw => write!(f, "DTW"),
-            MeasureKind::Frechet => write!(f, "Frechet"),
-            MeasureKind::T2Vec => write!(f, "t2vec"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,5 +296,14 @@ mod tests {
             let s = similarity_from_distance(d);
             assert!((distance_from_similarity(s) - d).abs() < 1e-6 * (1.0 + d));
         }
+    }
+
+    #[test]
+    fn similarity_transform_extremes() {
+        // Empty inputs' infinite distance reads as similarity 0, and back.
+        assert_eq!(similarity_from_distance(f64::INFINITY), 0.0);
+        assert_eq!(distance_from_similarity(0.0), f64::INFINITY);
+        assert_eq!(distance_from_similarity(1.0), 0.0);
+        assert_eq!(similarity_from_distance(1.0), 0.5);
     }
 }

@@ -413,6 +413,7 @@ impl PrefixEvaluator for T2VecEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn traj(id: u64, coords: &[(f64, f64)]) -> Trajectory {
         let points = coords
@@ -609,5 +610,137 @@ mod tests {
         let a = traj(0, &[(0.0, 0.0)]);
         assert!(m.distance(a.points(), &[]).is_infinite());
         assert!(m.distance(&[], a.points()).is_infinite());
+    }
+
+    #[test]
+    fn hidden_state_is_an_embedding_dim_vector_in_the_unit_cube() {
+        let m = T2Vec::random(11, 6, CoordNormalizer::identity());
+        let h = m.encode(wiggle(4, 50, 0.0).points());
+        assert_eq!(h.len(), m.embedding_dim());
+        assert_eq!(m.embedding_dim(), 6);
+        // Each GRU step mixes the previous state with a tanh candidate.
+        assert!(h.iter().all(|v| v.abs() <= 1.0), "{h:?}");
+        assert!(h.iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn normalizer_of_an_empty_extent_is_the_identity() {
+        let norm = CoordNormalizer::from_mbr(Mbr::EMPTY);
+        assert_eq!(norm.features(Point::xy(3.5, -2.0)), [3.5, -2.0]);
+        assert_eq!(CoordNormalizer::from_corpus(&[]).scale, 1.0);
+    }
+
+    #[test]
+    fn normalizer_maps_the_longer_side_onto_minus_one_to_one() {
+        let mbr = Mbr::of_points(&[Point::xy(0.0, 0.0), Point::xy(4.0, 2.0)]);
+        let norm = CoordNormalizer::from_mbr(mbr);
+        assert_eq!(norm.features(Point::xy(0.0, 0.0)), [-1.0, -0.5]);
+        assert_eq!(norm.features(Point::xy(4.0, 2.0)), [1.0, 0.5]);
+        assert_eq!(norm.features(Point::xy(2.0, 1.0)), [0.0, 0.0]);
+    }
+
+    #[test]
+    fn normalizer_of_a_single_point_stays_finite() {
+        let p = Point::xy(7.0, -3.0);
+        let norm = CoordNormalizer::from_mbr(Mbr::of_point(p));
+        assert!(norm.scale.is_finite());
+        assert_eq!(norm.features(p), [0.0, 0.0]);
+        let f = norm.features(Point::xy(7.0 + 1e-12, -3.0));
+        assert!(f[0] > 0.0 && f[0].is_finite());
+    }
+
+    #[test]
+    fn has_no_pruning_bound_and_no_exact_kernel() {
+        // Embedding distance is no function of point distances: scans
+        // never prune under t2vec and run the scalar sweep.
+        let m = T2Vec::random(7, 6, CoordNormalizer::identity());
+        assert_eq!(m.name(), "t2vec");
+        assert_eq!(m.distance_aggregate(), None);
+        let a = traj(0, &[(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)]);
+        let q = traj(1, &[(0.0, 0.1), (0.2, 0.2)]);
+        let (xs, ys): (Vec<f64>, Vec<f64>) = a.points().iter().map(|p| (p.x, p.y)).unzip();
+        let ts = vec![0.0; xs.len()];
+        let view = simsub_trajectory::TrajView::new(0, &xs, &ys, &ts);
+        let mut scratch = crate::DpScratch::default();
+        assert!(m.exact_best(view, q.points(), &mut scratch).is_none());
+        let ws = m.make_workspace(q.points());
+        assert_eq!(ws.fill_cell_rows(&xs, &ys, &ts, &mut Vec::new()), None);
+    }
+
+    #[test]
+    fn evaluator_is_infinite_until_init_and_after_reset() {
+        let m = T2Vec::random(2, 5, CoordNormalizer::identity());
+        let q = traj(0, &[(0.0, 0.1), (0.2, 0.2)]);
+        let mut ws = m.make_workspace(q.points());
+        assert!(ws.distance().is_infinite());
+        assert_eq!(ws.similarity(), 0.0);
+        let sim = ws.init(Point::xy(0.0, 0.1));
+        assert!(sim > 0.0 && sim <= 1.0);
+        ws.reset(q.points());
+        assert!(ws.distance().is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "extend before init")]
+    fn extend_before_init_panics() {
+        let m = T2Vec::random(2, 5, CoordNormalizer::identity());
+        let q = traj(0, &[(0.0, 0.1)]);
+        let mut ws = m.make_workspace(q.points());
+        ws.extend(Point::xy(0.5, 0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "query must be non-empty")]
+    fn reset_rejects_an_empty_query() {
+        let m = T2Vec::random(2, 5, CoordNormalizer::identity());
+        let q = traj(0, &[(0.0, 0.1)]);
+        let mut ws = m.make_workspace(q.points());
+        ws.reset(&[]);
+    }
+
+    fn arb_unit_traj(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
+        proptest::collection::vec((-1.0..1.0f64, -1.0..1.0f64), 1..max_len)
+            .prop_map(|v| v.iter().map(|&(x, y)| Point::xy(x, y)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn triangle_inequality_in_embedding_space(
+            a in arb_unit_traj(10), b in arb_unit_traj(10), c in arb_unit_traj(10),
+        ) {
+            let m = T2Vec::random(13, 8, CoordNormalizer::identity());
+            let (ab, bc, ac) = (m.distance(&a, &b), m.distance(&b, &c), m.distance(&a, &c));
+            prop_assert!(ac <= ab + bc + 1e-12, "{ac} > {ab} + {bc}");
+        }
+
+        #[test]
+        fn reset_equals_fresh_evaluator(
+            a in arb_unit_traj(12), b in arb_unit_traj(8), c in arb_unit_traj(8),
+        ) {
+            // One evaluator re-targeted from query c to query b must track
+            // a fresh evaluator over b bit for bit.
+            let m = T2Vec::random(17, 8, CoordNormalizer::identity());
+            let mut reused = m.make_workspace(&c);
+            reused.init(a[0]);
+            reused.reset(&b);
+            let mut fresh = m.make_workspace(&b);
+            prop_assert_eq!(reused.init(a[0]).to_bits(), fresh.init(a[0]).to_bits());
+            for &p in &a[1..] {
+                prop_assert_eq!(reused.extend(p).to_bits(), fresh.extend(p).to_bits());
+            }
+        }
+
+        #[test]
+        fn zero_on_self_and_a_similarity_in_the_unit_interval(
+            a in arb_unit_traj(12), b in arb_unit_traj(12),
+        ) {
+            let m = T2Vec::random(19, 8, CoordNormalizer::identity());
+            prop_assert_eq!(m.distance(&a, &a), 0.0);
+            prop_assert_eq!(m.similarity(&a, &a), 1.0);
+            let sim = m.similarity(&a, &b);
+            prop_assert!(sim > 0.0 && sim <= 1.0, "{sim}");
+        }
     }
 }

@@ -24,22 +24,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsub::index::TrajectoryDb;
-use simsub::measures::{
-    Cdtw, CoordNormalizer, DpScratch, Dtw, Edr, Erp, Frechet, Lcss, Measure, T2Vec,
-};
+use simsub::measures::{CoordNormalizer, DpScratch, Dtw, Frechet, Measure, T2Vec};
 use simsub::trajectory::{Point, TrajView, Trajectory};
 
-/// All seven evaluator families under conformance. The t2vec instance is
-/// a deterministic untrained encoder — the kernel contract is about
-/// arithmetic, not model quality.
-fn all_measures() -> Vec<Box<dyn Measure>> {
-    vec![
+/// The paper's three measures, all under conformance: the two with slice
+/// DP kernels and cell-row factoring, and the learned one without either.
+/// The t2vec instance is a deterministic untrained encoder — the kernel
+/// contract is about arithmetic, not model quality.
+fn all_measures() -> [Box<dyn Measure>; 3] {
+    [
         Box::new(Dtw),
         Box::new(Frechet),
-        Box::new(Cdtw::new(2)),
-        Box::new(Edr::new(0.5)),
-        Box::new(Erp::new()),
-        Box::new(Lcss::new(0.5)),
         Box::new(T2Vec::random(7, 6, CoordNormalizer::identity())),
     ]
 }
@@ -171,7 +166,7 @@ fn check_conformance(measure: &dyn Measure, query: &[Point], data: &[Point], spl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline contract, continuous coordinates: for all seven
+    /// The headline contract, continuous coordinates: for all three
     /// evaluators, bulk == scalar bitwise (final value, per-point values,
     /// chunked calls, after reset).
     #[test]
@@ -243,16 +238,6 @@ fn grid_query(seed: u64, qlen: usize) -> Vec<Point> {
         .collect::<Vec<_>>())
 }
 
-/// The measures of the search-path differential: the two with slice DP
-/// kernels and cell-row factoring, and the learned one without either.
-fn scan_measures() -> [Box<dyn Measure>; 3] {
-    [
-        Box::new(Dtw),
-        Box::new(Frechet),
-        Box::new(T2Vec::random(7, 6, CoordNormalizer::identity())),
-    ]
-}
-
 const SPLITTERS_WITH_SUFFIX_OR_WINDOW: [Scalar; 4] = [
     Scalar::Pss,
     Scalar::SizeS { xi: 0 },
@@ -312,7 +297,7 @@ proptest! {
             &grid_corpus(seed, count),
             &grid_query(seed, qlen),
             k,
-            &scan_measures(),
+            &all_measures(),
             &SPLITTERS_WITH_SUFFIX_OR_WINDOW,
         );
     }
@@ -320,9 +305,8 @@ proptest! {
     /// The same pin for the prefix-only splitters — POS and POS-D at
     /// delay 0, 3 and 5, whose lookahead argmax must keep the earliest
     /// index on ties — and for ExactS, both through the multi-start
-    /// slice kernel (DTW, Fréchet) and, under measures without an
-    /// `exact_best` kernel (t2vec, ERP, EDR), through the
-    /// evaluator-driven bulk sweep.
+    /// slice kernel (DTW, Fréchet) and, under t2vec, which has no
+    /// `exact_best` kernel, through the evaluator-driven bulk sweep.
     #[test]
     fn pos_posd_and_exact_winners_match_scalar_on_ties(
         seed in 0u64..5_000,
@@ -330,15 +314,12 @@ proptest! {
         k in 1usize..5,
         qlen in 1usize..6,
     ) {
-        let corpus = grid_corpus(seed, count);
-        let query = grid_query(seed, qlen);
-        check_scan_winners(&corpus, &query, k, &scan_measures(), &PREFIX_ONLY_AND_EXACT);
         check_scan_winners(
-            &corpus,
-            &query,
+            &grid_corpus(seed, count),
+            &grid_query(seed, qlen),
             k,
-            &[Box::new(Erp::new()), Box::new(Edr::new(0.5))],
-            &[Scalar::ExactS],
+            &all_measures(),
+            &PREFIX_ONLY_AND_EXACT,
         );
     }
 
@@ -353,7 +334,7 @@ proptest! {
     ) {
         let corpus = walk_corpus(seed, count);
         for algos in [&SPLITTERS_WITH_SUFFIX_OR_WINDOW[..], &PREFIX_ONLY_AND_EXACT[..]] {
-            check_scan_winners(&corpus, &query, k, &scan_measures(), algos);
+            check_scan_winners(&corpus, &query, k, &all_measures(), algos);
         }
     }
 }
