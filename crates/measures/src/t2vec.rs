@@ -590,6 +590,25 @@ mod tests {
     }
 
     #[test]
+    fn a_t2vec_file_is_not_a_gru_file() {
+        use simsub_nn::{BinaryCodec, CodecError};
+        // The cell's record is a prefix of the file; the normalizer's three
+        // values behind it must not be dropped silently.
+        let m = T2Vec::random(5, 4, CoordNormalizer::identity());
+        let saved = m.to_bytes();
+        assert_eq!(
+            GruCell::from_bytes(&saved).err(),
+            Some(CodecError::TrailingBytes(24))
+        );
+        let mut appended = saved.to_vec();
+        appended.push(0);
+        assert_eq!(
+            T2Vec::from_bytes(&appended).err(),
+            Some(CodecError::TrailingBytes(1))
+        );
+    }
+
+    #[test]
     fn model_file_whose_gru_is_not_two_wide_fails_to_load() {
         use simsub_nn::{BinaryCodec, CodecError};
         // Each step feeds the cell two features, (x, y).

@@ -4,13 +4,11 @@ use serde::{Deserialize, Serialize};
 /// the learned measure with "Adam stochastic gradient descent with an
 /// initial learning rate of 0.001" (Section 6.1).
 ///
-/// Moment buffers are keyed by the parameter slice's address-stable
-/// identity: callers register each parameter tensor implicitly on first
-/// update through its length and an internal counter per step. To keep the
-/// API simple and allocation-free on the hot path, the optimizer tracks
-/// buffers positionally: every [`Adam::begin_step`] resets the cursor, and
-/// the sequence of [`Adam::update`] calls must touch parameter tensors in a
-/// stable order (which the `Mlp`/`GruCell` drivers guarantee).
+/// Moment buffers are positional: every [`Adam::begin_step`] rewinds a
+/// cursor, the `i`-th [`Adam::update`] of a step uses the `i`-th buffers
+/// (sized on its first call), and so the calls must touch parameter
+/// tensors in a stable order (which the `Mlp`/`GruCell` drivers
+/// guarantee).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     /// Step size α.
@@ -29,8 +27,6 @@ pub struct Adam {
     bias_correction: (f64, f64),
     cursor: usize,
     moments: Vec<Moments>,
-    #[serde(skip)]
-    _non_exhaustive: (),
 }
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -51,7 +47,6 @@ impl Adam {
             bias_correction: (0.0, 0.0),
             cursor: 0,
             moments: Vec::new(),
-            _non_exhaustive: (),
         }
     }
 

@@ -1,6 +1,6 @@
 use crate::adam::Adam;
 use crate::init::xavier_uniform;
-use crate::math::{add_outer, matvec_columns, matvec_transpose};
+use crate::math::{add_products, add_transposed, matvec_columns};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -19,42 +19,32 @@ use serde::{Deserialize, Serialize};
 /// subtrajectory by one point is a single [`GruCell::step_with`] from the
 /// cached hidden state.
 ///
-/// The nine parameter tensors are row-major (`(hidden_dim, in_dim)` input
-/// weights `W`, `(hidden_dim, hidden_dim)` recurrent weights `U`, biases
-/// `b`): the layout BPTT, Adam and [`GruCell::flat_params`] — hence the
-/// on-disk format — work in. The forward pass reads a column-major,
-/// gate-stacked mirror of the six matrices, plus the products `U_z · 0`
-/// and `U_h · 0` that a step from the fresh all-`+0.0` state adds in place
-/// of its recurrent products (see [`GruCell::step_with`]); every field is
-/// private so the tensors and the mirror can only change together
+/// The weights are stored in the one layout that the forward pass, BPTT,
+/// the gradients and Adam share: column-major, so that `W x` is a sum of
+/// columns scaled by `x[c]` whose output lanes sit side by side, and
+/// stacked, so that gates sharing an input share one such sum — `W_z |
+/// W_r | W_h` as `[in_dim][3d]`, `U_z | U_r` as `[d][2d]`, `U_h` as
+/// `[d][d]`, and the biases `b_z | b_r | b_h`. Row-major order, one tensor
+/// after another (`W_z W_r W_h U_z U_r U_h b_z b_r b_h`, each matrix row by
+/// row), is met only in [`GruCell::new`]'s Xavier draws and in
+/// [`GruCell::flat_params`] / [`GruCell::set_flat_params`] — hence the
+/// on-disk format. Beside the weights the cell keeps the products
+/// `U_z · 0` and `U_h · 0` that a step from the fresh all-`+0.0` state adds
+/// in place of its recurrent products (see [`GruCell::step_with`]); every
+/// field is private so they can only change with `U`
 /// ([`GruCell::apply_grads`], [`GruCell::set_flat_params`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GruCell {
     in_dim: usize,
     hidden_dim: usize,
-    wz: Vec<f64>,
-    wr: Vec<f64>,
-    wh: Vec<f64>,
-    uz: Vec<f64>,
-    ur: Vec<f64>,
-    uh: Vec<f64>,
-    bz: Vec<f64>,
-    br: Vec<f64>,
-    bh: Vec<f64>,
-    packed: PackedGates,
-}
-
-/// The forward pass's view of the weights: transposed, so that `W x` is a
-/// sum of columns scaled by `x[c]` whose output lanes sit side by side, and
-/// stacked, so that gates sharing an input share one such sum.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct PackedGates {
     /// `[in_dim][3d]`: column `c` of `W_z | W_r | W_h`.
     wx: Vec<f64>,
     /// `[d][2d]`: column `c` of `U_z | U_r`.
     uzr: Vec<f64>,
     /// `[d][d]`: column `c` of `U_h`.
     uh: Vec<f64>,
+    /// `[3d]`: `b_z | b_r | b_h`.
+    b: Vec<f64>,
     /// `[d]`: `U_z · 0`, summed as [`matvec_columns`] sums it against the
     /// fresh state: `-0.0`, then `+ w * 0.0` column by column. A lane is
     /// `-0.0` when every weight of its row is negative, `+0.0` when one is
@@ -112,27 +102,18 @@ impl GruCache {
     }
 }
 
-/// Gradient accumulator matching a [`GruCell`].
+/// Gradient accumulator matching a [`GruCell`], in its stacked,
+/// column-major layout.
 #[derive(Debug, Clone, Default)]
 pub struct GruGrads {
-    /// Gradient of the update-gate input weights.
-    pub wz: Vec<f64>,
-    /// Gradient of the reset-gate input weights.
-    pub wr: Vec<f64>,
-    /// Gradient of the candidate input weights.
-    pub wh: Vec<f64>,
-    /// Gradient of the update-gate recurrent weights.
-    pub uz: Vec<f64>,
-    /// Gradient of the reset-gate recurrent weights.
-    pub ur: Vec<f64>,
-    /// Gradient of the candidate recurrent weights.
+    /// Gradient of `W_z | W_r | W_h`, `[in_dim][3d]`.
+    pub wx: Vec<f64>,
+    /// Gradient of `U_z | U_r`, `[d][2d]`.
+    pub uzr: Vec<f64>,
+    /// Gradient of `U_h`, `[d][d]`.
     pub uh: Vec<f64>,
-    /// Gradient of the update-gate bias.
-    pub bz: Vec<f64>,
-    /// Gradient of the reset-gate bias.
-    pub br: Vec<f64>,
-    /// Gradient of the candidate bias.
-    pub bh: Vec<f64>,
+    /// Gradient of `b_z | b_r | b_h`.
+    pub b: Vec<f64>,
     bptt: BpttScratch,
 }
 
@@ -146,10 +127,9 @@ struct BpttScratch {
     dh: Vec<f64>,
     dh_prev: Vec<f64>,
     dz: Vec<f64>,
-    dhhat_pre: Vec<f64>,
     drh: Vec<f64>,
-    dr_pre: Vec<f64>,
-    dz_pre: Vec<f64>,
+    /// The gates' pre-activation gradients, stacked `z | r | ĥ` like `b`.
+    dpre: Vec<f64>,
     /// `r ⊙ h_prev`.
     rh: Vec<f64>,
 }
@@ -159,26 +139,59 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// Where each parameter of the row-major order sits in the stored tensors
+/// `[wx, uzr, uh, b]`, as `(tensor, index)`: the one conversion between the
+/// two orders, for the cell and its gradients alike.
+fn row_major_order(n: usize, d: usize) -> impl Iterator<Item = (usize, usize)> {
+    // `gates` matrices of `cols` columns stacked in tensor `t`, each row by row.
+    let stacked = move |t: usize, gates: usize, cols: usize| {
+        (0..gates).flat_map(move |g| {
+            (0..d).flat_map(move |r| (0..cols).map(move |c| (t, c * gates * d + g * d + r)))
+        })
+    };
+    stacked(0, 3, n)
+        .chain(stacked(1, 2, d))
+        .chain(stacked(2, 1, d))
+        .chain((0..3 * d).map(|k| (3, k)))
+}
+
+/// The tensors `[wx, uzr, uh, b]` in row-major order.
+fn gather_row_major(n: usize, d: usize, tensors: [&[f64]; 4]) -> Vec<f64> {
+    row_major_order(n, d).map(|(t, i)| tensors[t][i]).collect()
+}
+
 impl GruCell {
-    /// Xavier-initialized GRU cell.
+    /// Xavier-initialized GRU cell, its weights drawn tensor by tensor and
+    /// row by row; the biases start at zero.
     pub fn new<R: Rng>(rng: &mut R, in_dim: usize, hidden_dim: usize) -> Self {
-        let wi = |rng: &mut R| xavier_uniform(rng, in_dim, hidden_dim, hidden_dim * in_dim);
-        let wu = |rng: &mut R| xavier_uniform(rng, hidden_dim, hidden_dim, hidden_dim * hidden_dim);
+        let d = hidden_dim;
+        let count = 3 * (d * in_dim + d * d + d);
+        let mut flat = Vec::with_capacity(count);
+        for _ in 0..3 {
+            flat.extend(xavier_uniform(rng, in_dim, d, d * in_dim));
+        }
+        for _ in 0..3 {
+            flat.extend(xavier_uniform(rng, d, d, d * d));
+        }
+        flat.resize(count, 0.0);
+        Self::from_flat(in_dim, hidden_dim, &flat)
+    }
+
+    /// The cell whose parameters are `flat`, in [`GruCell::flat_params`]
+    /// order.
+    pub(crate) fn from_flat(in_dim: usize, hidden_dim: usize, flat: &[f64]) -> Self {
+        let d = hidden_dim;
         let mut cell = Self {
             in_dim,
             hidden_dim,
-            wz: wi(rng),
-            wr: wi(rng),
-            wh: wi(rng),
-            uz: wu(rng),
-            ur: wu(rng),
-            uh: wu(rng),
-            bz: vec![0.0; hidden_dim],
-            br: vec![0.0; hidden_dim],
-            bh: vec![0.0; hidden_dim],
-            packed: PackedGates::default(),
+            wx: vec![0.0; in_dim * 3 * d],
+            uzr: vec![0.0; d * 2 * d],
+            uh: vec![0.0; d * d],
+            b: vec![0.0; 3 * d],
+            uz0: vec![0.0; d],
+            uh0: vec![0.0; d],
         };
-        cell.repack();
+        cell.set_flat_params(flat);
         cell
     }
 
@@ -192,30 +205,18 @@ impl GruCell {
         self.hidden_dim
     }
 
-    /// Rebuilds the forward pass's mirror from the row-major tensors, in
-    /// place: it allocates only when the cell's shape first meets it.
-    fn repack(&mut self) {
-        let (d, n) = (self.hidden_dim, self.in_dim);
-        let p = &mut self.packed;
-        p.wx.resize(n * 3 * d, 0.0);
-        p.uzr.resize(d * 2 * d, 0.0);
-        p.uh.resize(d * d, 0.0);
-        p.uz0.resize(d, 0.0);
-        p.uh0.resize(d, 0.0);
-        let times_zero = |row: &[f64]| row.iter().fold(-0.0, |acc, w| acc + w * 0.0);
+    /// Recomputes the `U · 0` rows after `U` changed.
+    fn refresh_zero_rows(&mut self) {
+        let d = self.hidden_dim;
+        let times_zero = |u: &[f64], stride: usize, r: usize| {
+            u[r..]
+                .iter()
+                .step_by(stride)
+                .fold(-0.0, |acc, w| acc + w * 0.0)
+        };
         for r in 0..d {
-            for c in 0..n {
-                p.wx[c * 3 * d + r] = self.wz[r * n + c];
-                p.wx[c * 3 * d + d + r] = self.wr[r * n + c];
-                p.wx[c * 3 * d + 2 * d + r] = self.wh[r * n + c];
-            }
-            for c in 0..d {
-                p.uzr[c * 2 * d + r] = self.uz[r * d + c];
-                p.uzr[c * 2 * d + d + r] = self.ur[r * d + c];
-                p.uh[c * d + r] = self.uh[r * d + c];
-            }
-            p.uz0[r] = times_zero(&self.uz[r * d..(r + 1) * d]);
-            p.uh0[r] = times_zero(&self.uh[r * d..(r + 1) * d]);
+            self.uz0[r] = times_zero(&self.uzr, 2 * d, r);
+            self.uh0[r] = times_zero(&self.uh, d, r);
         }
     }
 
@@ -275,28 +276,30 @@ impl GruCell {
         debug_assert_eq!(x.len(), self.in_dim);
         s.gates.resize(3 * d, 0.0);
         s.rec.resize(3 * d, 0.0);
-        matvec_columns(&self.packed.wx, x, &mut s.gates);
+        matvec_columns(&self.wx, x, &mut s.gates);
         let (z, rest) = s.gates.split_at_mut(d);
         let (r, hhat) = rest.split_at_mut(d);
+        let (bz, rest) = self.b.split_at(d);
+        let (br, bh) = rest.split_at(d);
         let (uz_h, uh_rh): (&[f64], &[f64]) = if fresh {
-            (&self.packed.uz0, &self.packed.uh0)
+            (&self.uz0, &self.uh0)
         } else {
             let (uzr_h, uh_rh) = s.rec.split_at_mut(2 * d);
-            matvec_columns(&self.packed.uzr, h_prev, uzr_h);
+            matvec_columns(&self.uzr, h_prev, uzr_h);
             // `ur_h` becomes `r ⊙ h`.
             let (uz_h, ur_h) = uzr_h.split_at_mut(d);
             for i in 0..d {
-                r[i] = sigmoid(r[i] + ur_h[i] + self.br[i]);
+                r[i] = sigmoid(r[i] + ur_h[i] + br[i]);
                 ur_h[i] = r[i] * h_prev[i];
             }
-            matvec_columns(&self.packed.uh, ur_h, uh_rh);
+            matvec_columns(&self.uh, ur_h, uh_rh);
             (uz_h, uh_rh)
         };
         for i in 0..d {
-            z[i] = sigmoid(z[i] + uz_h[i] + self.bz[i]);
+            z[i] = sigmoid(z[i] + uz_h[i] + bz[i]);
         }
         for i in 0..d {
-            hhat[i] = (hhat[i] + uh_rh[i] + self.bh[i]).tanh();
+            hhat[i] = (hhat[i] + uh_rh[i] + bh[i]).tanh();
         }
     }
 
@@ -350,15 +353,14 @@ impl GruCell {
             dh,
             dh_prev,
             dz,
-            dhhat_pre,
             drh,
-            dr_pre,
-            dz_pre,
+            dpre,
             rh,
         } = &mut grads.bptt;
-        for v in [&mut *dh_prev, dz, dhhat_pre, drh, dr_pre, dz_pre, rh] {
+        for v in [&mut *dh_prev, dz, drh, rh] {
             v.resize(d, 0.0);
         }
+        dpre.resize(3 * d, 0.0);
         dh.clear();
         dh.extend_from_slice(dh_final);
 
@@ -367,6 +369,8 @@ impl GruCell {
             let (h_prev, rest) = rest.split_at(d);
             let (z, rest) = rest.split_at(d);
             let (r, hhat) = rest.split_at(d);
+            let (dz_pre, rest) = dpre.split_at_mut(d);
+            let (dr_pre, dhhat_pre) = rest.split_at_mut(d);
             dh_prev.fill(0.0);
 
             for i in 0..d {
@@ -375,19 +379,11 @@ impl GruCell {
                 dz[i] = dh[i] * (hhat[i] - h_prev[i]);
                 // dĥ chained through tanh.
                 dhhat_pre[i] = dh[i] * z[i] * (1.0 - hhat[i] * hhat[i]);
-            }
-
-            // ĥ branch: ĥ_pre = W_h x + U_h (r ⊙ h_prev) + b_h
-            add_outer(&mut grads.wh, d, n, dhhat_pre, x);
-            for i in 0..d {
                 rh[i] = r[i] * h_prev[i];
             }
-            add_outer(&mut grads.uh, d, d, dhhat_pre, rh);
-            for i in 0..d {
-                grads.bh[i] += dhhat_pre[i];
-            }
-            drh.iter_mut().for_each(|v| *v = 0.0);
-            matvec_transpose(&self.uh, d, d, dhhat_pre, drh);
+            // ĥ_pre = W_h x + U_h (r ⊙ h_prev) + b_h
+            drh.fill(0.0);
+            add_transposed(&self.uh, d, dhhat_pre, drh);
             for i in 0..d {
                 dh_prev[i] += drh[i] * r[i];
                 // r gate: chained through sigmoid.
@@ -395,22 +391,18 @@ impl GruCell {
                 // z gate.
                 dz_pre[i] = dz[i] * z[i] * (1.0 - z[i]);
             }
+            // r_pre = W_r x + U_r h_prev + b_r, then the z gate likewise.
+            add_transposed(&self.uzr[d..], 2 * d, dr_pre, dh_prev);
+            add_transposed(&self.uzr, 2 * d, dz_pre, dh_prev);
 
-            // r branch: r_pre = W_r x + U_r h_prev + b_r
-            add_outer(&mut grads.wr, d, n, dr_pre, x);
-            add_outer(&mut grads.ur, d, d, dr_pre, h_prev);
-            for i in 0..d {
-                grads.br[i] += dr_pre[i];
+            // Each weight takes one product a step, so the stacked gates
+            // share one outer product per input.
+            add_products(&mut grads.wx, 3 * d, dpre, x);
+            add_products(&mut grads.uzr, 2 * d, &dpre[..2 * d], h_prev);
+            add_products(&mut grads.uh, d, &dpre[2 * d..], rh);
+            for (gb, &g) in grads.b.iter_mut().zip(dpre.iter()) {
+                *gb += g;
             }
-            matvec_transpose(&self.ur, d, d, dr_pre, dh_prev);
-
-            // z branch: z_pre = W_z x + U_z h_prev + b_z
-            add_outer(&mut grads.wz, d, n, dz_pre, x);
-            add_outer(&mut grads.uz, d, d, dz_pre, h_prev);
-            for i in 0..d {
-                grads.bz[i] += dz_pre[i];
-            }
-            matvec_transpose(&self.uz, d, d, dz_pre, dh_prev);
 
             std::mem::swap(dh, dh_prev);
         }
@@ -420,16 +412,11 @@ impl GruCell {
     /// Applies an Adam update with accumulated gradients.
     pub fn apply_grads(&mut self, grads: &GruGrads, adam: &mut Adam) {
         adam.begin_step();
-        adam.update(&mut self.wz, &grads.wz);
-        adam.update(&mut self.wr, &grads.wr);
-        adam.update(&mut self.wh, &grads.wh);
-        adam.update(&mut self.uz, &grads.uz);
-        adam.update(&mut self.ur, &grads.ur);
+        adam.update(&mut self.wx, &grads.wx);
+        adam.update(&mut self.uzr, &grads.uzr);
         adam.update(&mut self.uh, &grads.uh);
-        adam.update(&mut self.bz, &grads.bz);
-        adam.update(&mut self.br, &grads.br);
-        adam.update(&mut self.bh, &grads.bh);
-        self.repack();
+        adam.update(&mut self.b, &grads.b);
+        self.refresh_zero_rows();
     }
 
     /// Total number of scalar parameters.
@@ -439,113 +426,69 @@ impl GruCell {
             + 3 * self.hidden_dim
     }
 
-    /// Flattens all parameters in a stable order (tests / persistence).
+    /// Flattens all parameters in the row-major order of the file:
+    /// `W_z W_r W_h U_z U_r U_h b_z b_r b_h`, each matrix row by row.
     pub fn flat_params(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for t in [
-            &self.wz, &self.wr, &self.wh, &self.uz, &self.ur, &self.uh, &self.bz, &self.br,
-            &self.bh,
-        ] {
-            out.extend_from_slice(t);
-        }
-        out
+        gather_row_major(
+            self.in_dim,
+            self.hidden_dim,
+            [&self.wx, &self.uzr, &self.uh, &self.b],
+        )
     }
 
-    /// Loads from [`GruCell::flat_params`] layout.
+    /// Loads from [`GruCell::flat_params`] order.
     pub fn set_flat_params(&mut self, flat: &[f64]) {
         assert_eq!(flat.len(), self.param_count());
-        let mut off = 0;
-        for t in [
-            &mut self.wz,
-            &mut self.wr,
-            &mut self.wh,
-            &mut self.uz,
-            &mut self.ur,
-            &mut self.uh,
-            &mut self.bz,
-            &mut self.br,
-            &mut self.bh,
-        ] {
-            let len = t.len();
-            t.copy_from_slice(&flat[off..off + len]);
-            off += len;
+        let tensors = [&mut self.wx, &mut self.uzr, &mut self.uh, &mut self.b];
+        for ((t, i), &v) in row_major_order(self.in_dim, self.hidden_dim).zip(flat) {
+            tensors[t][i] = v;
         }
-        self.repack();
+        self.refresh_zero_rows();
     }
 }
 
 impl GruGrads {
     /// Zeroed gradients shaped like `cell`.
     pub fn zeros(cell: &GruCell) -> Self {
-        let wi = cell.hidden_dim * cell.in_dim;
-        let wu = cell.hidden_dim * cell.hidden_dim;
         Self {
-            wz: vec![0.0; wi],
-            wr: vec![0.0; wi],
-            wh: vec![0.0; wi],
-            uz: vec![0.0; wu],
-            ur: vec![0.0; wu],
-            uh: vec![0.0; wu],
-            bz: vec![0.0; cell.hidden_dim],
-            br: vec![0.0; cell.hidden_dim],
-            bh: vec![0.0; cell.hidden_dim],
+            wx: vec![0.0; cell.wx.len()],
+            uzr: vec![0.0; cell.uzr.len()],
+            uh: vec![0.0; cell.uh.len()],
+            b: vec![0.0; cell.b.len()],
             bptt: BpttScratch::default(),
         }
     }
 
     fn ensure_shape(&mut self, cell: &GruCell) {
-        // All three: `wz` alone cannot tell (in 4, hidden 2) from
-        // (in 2, hidden 4).
-        let (d, n) = (cell.hidden_dim, cell.in_dim);
-        if self.wz.len() != d * n || self.uz.len() != d * d || self.bz.len() != d {
+        // `wx` alone cannot tell (in 4, hidden 2) from (in 2, hidden 4).
+        if self.wx.len() != cell.wx.len() || self.uh.len() != cell.uh.len() {
             *self = Self::zeros(cell);
         }
     }
 
+    fn tensors_mut(&mut self) -> [&mut Vec<f64>; 4] {
+        [&mut self.wx, &mut self.uzr, &mut self.uh, &mut self.b]
+    }
+
     /// Resets all gradients to zero.
     pub fn zero(&mut self) {
-        for t in [
-            &mut self.wz,
-            &mut self.wr,
-            &mut self.wh,
-            &mut self.uz,
-            &mut self.ur,
-            &mut self.uh,
-            &mut self.bz,
-            &mut self.br,
-            &mut self.bh,
-        ] {
-            t.iter_mut().for_each(|g| *g = 0.0);
+        for t in self.tensors_mut() {
+            t.fill(0.0);
         }
     }
 
     /// Scales all gradients (minibatch averaging).
     pub fn scale(&mut self, s: f64) {
-        for t in [
-            &mut self.wz,
-            &mut self.wr,
-            &mut self.wh,
-            &mut self.uz,
-            &mut self.ur,
-            &mut self.uh,
-            &mut self.bz,
-            &mut self.br,
-            &mut self.bh,
-        ] {
+        for t in self.tensors_mut() {
             t.iter_mut().for_each(|g| *g *= s);
         }
     }
 
     /// Flattened gradients in [`GruCell::flat_params`] order.
     pub fn flat(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        for t in [
-            &self.wz, &self.wr, &self.wh, &self.uz, &self.ur, &self.uh, &self.bz, &self.br,
-            &self.bh,
-        ] {
-            out.extend_from_slice(t);
-        }
-        out
+        let d = self.b.len() / 3;
+        let n = if d == 0 { 0 } else { self.wx.len() / (3 * d) };
+        gather_row_major(n, d, [&self.wx, &self.uzr, &self.uh, &self.b])
     }
 }
 
@@ -646,9 +589,11 @@ mod tests {
         assert_eq!(hhat(&branch), [0.0f64.to_bits(); 2]);
         cell.set_flat_params(&flat(all_negative));
         let mut grads = GruGrads::zeros(&cell);
-        grads.uh[..2].copy_from_slice(&[-1.0, -1.0]);
+        // Row 0 of `U_h`: column-major, one weight every `d`.
+        grads.uh[0] = -1.0;
+        grads.uh[d] = -1.0;
         cell.apply_grads(&grads, &mut Adam::new(0.05));
-        assert!(cell.uh[..2].iter().all(|&w| w > 0.0));
+        assert!([cell.uh[0], cell.uh[d]].iter().all(|&w| w > 0.0));
         let (branch, full) = fresh_gates(&cell, &x);
         assert_eq!(branch, full, "after apply_grads");
         assert_eq!(hhat(&branch), [0.0f64.to_bits(); 2]);
@@ -688,7 +633,7 @@ mod tests {
 
     #[test]
     fn grads_are_reshaped_when_only_the_products_of_the_dims_agree() {
-        // (in 4, hidden 2) and (in 2, hidden 4) share `wz.len() == 8`;
+        // (in 4, hidden 2) and (in 2, hidden 4) share `wx.len() == 24`;
         // accumulators left over from one must not be fed to the other.
         let mut rng = StdRng::seed_from_u64(29);
         let wide_in = GruCell::new(&mut rng, 4, 2);
@@ -706,8 +651,8 @@ mod tests {
             let mut reused = GruGrads::zeros(stale);
             cell.backward(&cache, &dh, &mut reused);
             assert_eq!(reused.flat(), fresh.flat());
-            assert_eq!(reused.uz.len(), cell.hidden_dim() * cell.hidden_dim());
-            assert_eq!(reused.bz.len(), cell.hidden_dim());
+            assert_eq!(reused.uh.len(), cell.hidden_dim() * cell.hidden_dim());
+            assert_eq!(reused.b.len(), 3 * cell.hidden_dim());
         }
     }
 

@@ -31,8 +31,8 @@ pub use adam::Adam;
 pub use gru::{GruCache, GruCell, GruGrads, GruScratch};
 pub use init::xavier_uniform;
 pub use linear::{Linear, LinearGrads};
-pub use math::{add_outer, axpy, dot, matvec, matvec_columns, matvec_transpose, squared_distance};
-pub use mlp::{Activation, Mlp, MlpBatch, MlpCache, MlpColumns, MlpGrads};
+pub use math::{matvec_columns, squared_distance};
+pub use mlp::{Activation, Mlp, MlpBatch, MlpCache, MlpGrads};
 pub use persist::{BinaryCodec, CodecError, Decoder, Encoder};
 
 /// Numerically checks an analytic gradient against central finite

@@ -48,6 +48,8 @@ impl Activation {
 }
 
 /// A multi-layer perceptron: alternating [`Linear`] layers and activations.
+/// Every pass runs on the layers' column-major weights; only
+/// [`Mlp::flat_params`] and [`Mlp::set_flat_params`] speak row-major order.
 ///
 /// The SimSub Q-network is `Mlp::new(rng, &[3, 20, 2 + k],
 /// &[Activation::Relu, Activation::Sigmoid])` per Section 6.1 of the paper.
@@ -65,67 +67,6 @@ pub struct MlpCache {
     outputs: Vec<Vec<f64>>,
 }
 
-/// An [`Mlp`] frozen for one sample at a time: each layer's weights
-/// column-major (`wt[c * out_dim + r]` is `W[r][c]`), so that
-/// [`matvec_columns`] runs a layer's outputs side by side. Each output sums
-/// its products in column order from the `-0.0` seed, adds the bias, then
-/// applies the activation — [`Mlp::forward`]'s order — so the outputs are
-/// those of the network it was built from, bit for bit. It holds a copy
-/// of the weights: build it from a network that no longer trains.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MlpColumns {
-    layers: Vec<ColumnLayer>,
-}
-
-/// One layer of an [`MlpColumns`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ColumnLayer {
-    /// `[in_dim][out_dim]`: column `c` of `W`.
-    wt: Vec<f64>,
-    b: Vec<f64>,
-    act: Activation,
-}
-
-impl MlpColumns {
-    /// The column-major copy of `net`.
-    pub fn new(net: &Mlp) -> Self {
-        let layers = net
-            .layers
-            .iter()
-            .zip(&net.activations)
-            .map(|(layer, &act)| {
-                let (rows, cols) = (layer.out_dim, layer.in_dim);
-                let wt = (0..rows * cols)
-                    .map(|i| layer.w[(i % rows) * cols + i / rows])
-                    .collect();
-                ColumnLayer {
-                    wt,
-                    b: layer.b.clone(),
-                    act,
-                }
-            })
-            .collect();
-        Self { layers }
-    }
-
-    /// [`Mlp::forward_cached`] on the column-major weights: records every
-    /// layer's output in `cache` and returns the final one.
-    pub fn forward_cached<'c>(&self, x: &[f64], cache: &'c mut MlpCache) -> &'c [f64] {
-        cache.outputs.resize(self.layers.len(), Vec::new());
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = cache.outputs.split_at_mut(l);
-            let out = &mut rest[0];
-            let input: &[f64] = if l == 0 { x } else { &done[l - 1] };
-            out.resize(layer.b.len(), 0.0);
-            matvec_columns(&layer.wt, input, out);
-            for (o, b) in out.iter_mut().zip(&layer.b) {
-                *o = layer.act.apply(*o + b);
-            }
-        }
-        cache.outputs.last().map(Vec::as_slice).unwrap_or(&[])
-    }
-}
-
 /// Activations of a whole minibatch for [`Mlp::forward_batch`] and
 /// [`Mlp::backward_batch`], stored feature-major: value `r` of sample `s`
 /// sits at `[r * batch + s]`, so each weight meets a contiguous run of
@@ -140,6 +81,8 @@ pub struct MlpBatch {
     /// yields for the layer below.
     delta: Vec<f64>,
     dx: Vec<f64>,
+    /// One row of a layer's weights, gathered from its columns.
+    row: Vec<f64>,
 }
 
 /// Gradients for every layer of an [`Mlp`].
@@ -192,17 +135,19 @@ impl Mlp {
     }
 
     /// Forward pass that records every layer's output in `cache`;
-    /// returns the final output slice.
+    /// returns the final output slice. Each output sums its products in
+    /// column order from the `-0.0` seed ([`matvec_columns`]), adds the
+    /// bias, then applies the activation.
     pub fn forward_cached<'c>(&self, x: &[f64], cache: &'c mut MlpCache) -> &'c [f64] {
         cache.outputs.resize(self.layers.len(), Vec::new());
-        // Split borrows: walk layer by layer writing into cache.outputs[l].
-        for l in 0..self.layers.len() {
+        for (l, (layer, act)) in self.layers.iter().zip(&self.activations).enumerate() {
             let (done, rest) = cache.outputs.split_at_mut(l);
             let out = &mut rest[0];
-            let layer_in: &[f64] = if l == 0 { x } else { &done[l - 1] };
-            self.layers[l].forward(layer_in, out);
-            for v in out.iter_mut() {
-                *v = self.activations[l].apply(*v);
+            let input: &[f64] = if l == 0 { x } else { &done[l - 1] };
+            out.resize(layer.out_dim, 0.0);
+            matvec_columns(&layer.w, input, out);
+            for (o, b) in out.iter_mut().zip(&layer.b) {
+                *o = act.apply(*o + b);
             }
         }
         cache.outputs.last().map(Vec::as_slice).unwrap_or(&[])
@@ -222,9 +167,10 @@ impl Mlp {
             "one input column per sample"
         );
         cache.batch = batch;
-        cache.outputs.resize_with(self.layers.len(), Vec::new);
+        let MlpBatch { outputs, row, .. } = cache;
+        outputs.resize_with(self.layers.len(), Vec::new);
         for (l, (layer, act)) in self.layers.iter().zip(&self.activations).enumerate() {
-            let (done, rest) = cache.outputs.split_at_mut(l);
+            let (done, rest) = outputs.split_at_mut(l);
             let input: &[f64] = if l == 0 { x } else { &done[l - 1] };
             let out = &mut rest[0];
             out.resize(layer.out_dim * batch, 0.0);
@@ -232,18 +178,16 @@ impl Mlp {
                 // The batch's samples are the output lanes: column `c` of
                 // the input times weight `c` of the row (a product's bits
                 // do not depend on its operands' order).
-                let row = &mut out[r * batch..(r + 1) * batch];
-                matvec_columns(
-                    input,
-                    &layer.w[r * layer.in_dim..(r + 1) * layer.in_dim],
-                    row,
-                );
-                for o in row.iter_mut() {
+                row.clear();
+                row.extend(layer.w[r..].iter().step_by(layer.out_dim));
+                let out_row = &mut out[r * batch..(r + 1) * batch];
+                matvec_columns(input, row, out_row);
+                for o in out_row.iter_mut() {
                     *o = act.apply(*o + layer.b[r]);
                 }
             }
         }
-        cache.outputs.last().map(Vec::as_slice).unwrap_or(&[])
+        outputs.last().map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Backward pass over the minibatch of the last [`Mlp::forward_batch`]
@@ -282,11 +226,11 @@ impl Mlp {
             }
             let input: &[f64] = if l == 0 { x } else { &outputs[l - 1] };
             let g = &mut grads.layers[l];
-            // Element `k` of `gw` is `(row k / cols, column k % cols)`; it
+            // Element `k` of `gw` is `(row k % rows, column k / rows)`; it
             // sums its samples in batch order onto what it holds. Four
             // elements at a time, so that their chains overlap.
-            let cols = layer.in_dim;
-            let operands = |k: usize| (&delta[k / cols * n..][..n], &input[k % cols * n..][..n]);
+            let rows = layer.out_dim;
+            let operands = |k: usize| (&delta[k % rows * n..][..n], &input[k / rows * n..][..n]);
             let tail = g.gw.len() / 4 * 4;
             let mut blocks = g.gw.chunks_exact_mut(4);
             for (k, block) in (0..).step_by(4).zip(&mut blocks) {
@@ -319,11 +263,10 @@ impl Mlp {
             if l > 0 {
                 dx.clear();
                 dx.resize(layer.in_dim * n, 0.0);
-                for r in 0..layer.out_dim {
-                    let d_row = &delta[r * n..(r + 1) * n];
-                    for c in 0..layer.in_dim {
-                        let w = layer.w[r * layer.in_dim + c];
-                        for (v, &d) in dx[c * n..(c + 1) * n].iter_mut().zip(d_row) {
+                for c in 0..layer.in_dim {
+                    let dx_col = &mut dx[c * n..(c + 1) * n];
+                    for (r, &w) in layer.w[c * rows..(c + 1) * rows].iter().enumerate() {
+                        for (v, &d) in dx_col.iter_mut().zip(&delta[r * n..(r + 1) * n]) {
                             *v += d * w;
                         }
                     }
@@ -350,11 +293,12 @@ impl Mlp {
         }
     }
 
-    /// Flattens all parameters (for tests and checksums).
+    /// Flattens all parameters layer by layer, each layer's weights row by
+    /// row and then its bias (for tests and checksums).
     pub fn flat_params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.param_count());
         for l in &self.layers {
-            out.extend_from_slice(&l.w);
+            out.extend(l.row_major());
             out.extend_from_slice(&l.b);
         }
         out
@@ -394,7 +338,7 @@ impl Mlp {
         let mut off = 0;
         for l in &mut self.layers {
             let wl = l.w.len();
-            l.w.copy_from_slice(&flat[off..off + wl]);
+            l.set_row_major(&flat[off..off + wl]);
             off += wl;
             let bl = l.b.len();
             l.b.copy_from_slice(&flat[off..off + bl]);
@@ -455,11 +399,12 @@ mod tests {
             .collect()
     }
 
-    fn flat_grads(grads: &MlpGrads) -> Vec<f64> {
-        grads
-            .layers
+    /// Gradients in [`Mlp::flat_params`] order.
+    fn flat_grads(net: &Mlp, grads: &MlpGrads) -> Vec<f64> {
+        net.layers
             .iter()
-            .flat_map(|g| g.gw.iter().chain(&g.gb).copied())
+            .zip(&grads.layers)
+            .flat_map(|(layer, g)| layer.row_major_order().map(|i| g.gw[i]).chain(g.gb.clone()))
             .collect()
     }
 
@@ -484,8 +429,34 @@ mod tests {
         assert_eq!(cached, net.forward(&x));
     }
 
+    /// `net`'s output at `x` from [`Mlp::flat_params`] alone: each layer
+    /// a row-major matrix, each output a row-by-row dot product (`f64::sum`,
+    /// so seeded with `-0.0`) plus the bias, through the activation.
+    fn row_major_reference(net: &Mlp, x: &[f64]) -> Vec<f64> {
+        let flat = net.flat_params();
+        let mut params = flat.as_slice();
+        let mut values = x.to_vec();
+        for (layer, act) in net.layers.iter().zip(&net.activations) {
+            let (rows, cols) = (layer.out_dim, layer.in_dim);
+            let (w, rest) = params.split_at(rows * cols);
+            let (b, rest) = rest.split_at(rows);
+            params = rest;
+            values = (0..rows)
+                .map(|r| {
+                    let dot: f64 = w[r * cols..][..cols]
+                        .iter()
+                        .zip(&values)
+                        .map(|(a, b)| a * b)
+                        .sum();
+                    act.apply(dot + b[r])
+                })
+                .collect();
+        }
+        values
+    }
+
     #[test]
-    fn column_form_equals_forward_bit_for_bit() {
+    fn forward_equals_a_row_major_reference_bit_for_bit() {
         // 20 and 33 hidden lanes run a block of 16 plus a tail; 5 and 2
         // are all tail. Every activation, and inputs with signed zeros.
         let mut rng = StdRng::seed_from_u64(41);
@@ -504,7 +475,6 @@ mod tests {
         ];
         let mut cache = MlpCache::default();
         for net in &nets {
-            let columns = MlpColumns::new(net);
             for s in 0..300 {
                 let x: Vec<f64> = (0..net.in_dim())
                     .map(|c| match (s + c) % 5 {
@@ -513,8 +483,11 @@ mod tests {
                         _ => rng.gen_range(-2.0..2.0),
                     })
                     .collect();
-                let want: Vec<u64> = net.forward(&x).iter().map(|v| v.to_bits()).collect();
-                let got: Vec<u64> = columns
+                let want: Vec<u64> = row_major_reference(net, &x)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let got: Vec<u64> = net
                     .forward_cached(&x, &mut cache)
                     .iter()
                     .map(|v| v.to_bits())
@@ -559,7 +532,7 @@ mod tests {
         let mut params = net.flat_params();
         let err = crate::gradient_check(
             &mut params,
-            &flat_grads(&grads),
+            &flat_grads(&net, &grads),
             |p| {
                 let mut probe = net.clone();
                 probe.set_flat_params(p);
@@ -580,14 +553,14 @@ mod tests {
         net.forward_batch(&x, 1, &mut batch);
         let mut grads = MlpGrads::zeros(&net);
         net.backward_batch(&x, &mut batch, &[1.0, -1.0], &mut grads);
-        let once = flat_grads(&grads);
+        let once = flat_grads(&net, &grads);
         net.backward_batch(&x, &mut batch, &[1.0, -1.0], &mut grads);
         assert_eq!(
-            flat_grads(&grads),
+            flat_grads(&net, &grads),
             once.iter().map(|g| g + g).collect::<Vec<_>>()
         );
         grads.zero();
-        assert!(flat_grads(&grads).iter().all(|&g| g == 0.0));
+        assert!(flat_grads(&net, &grads).iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -609,7 +582,7 @@ mod tests {
             let mut reused = MlpGrads::zeros(stale);
             accumulate(stale, &mut reused);
             accumulate(net, &mut reused);
-            assert_eq!(flat_grads(&reused), flat_grads(&fresh));
+            assert_eq!(flat_grads(net, &reused), flat_grads(net, &fresh));
             assert_eq!(reused.layers[0].gb.len(), net.out_dim());
         }
     }

@@ -38,6 +38,8 @@ pub enum CodecError {
         /// The dimension the file declares.
         found: u64,
     },
+    /// A complete model followed by this many bytes that belong to none.
+    TrailingBytes(u64),
 }
 
 impl std::fmt::Display for CodecError {
@@ -51,6 +53,7 @@ impl std::fmt::Display for CodecError {
             CodecError::DimensionMismatch { expected, found } => {
                 write!(f, "model has input dimension {found}, expected {expected}")
             }
+            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the model"),
         }
     }
 }
@@ -183,11 +186,6 @@ impl Decoder {
         let len = self.get_count(8)?;
         Ok((0..len).map(|_| self.buf.get_f64_le()).collect())
     }
-
-    /// True when every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        !self.buf.has_remaining()
-    }
 }
 
 /// Types that can round-trip through the binary codec.
@@ -204,10 +202,15 @@ pub trait BinaryCodec: Sized {
         enc.finish()
     }
 
-    /// Deserializes from a standalone buffer.
+    /// Deserializes from a standalone buffer, which must hold exactly one
+    /// value.
     fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Decoder::new(data)?;
-        Self::decode(&mut dec)
+        let value = Self::decode(&mut dec)?;
+        match dec.buf.remaining() {
+            0 => Ok(value),
+            n => Err(CodecError::TrailingBytes(n as u64)),
+        }
     }
 
     /// Writes the model to a file.
@@ -243,11 +246,13 @@ impl Activation {
     }
 }
 
+/// A layer is written with its weights row by row, `W[r][c]` at
+/// `r * in_dim + c`.
 impl BinaryCodec for Linear {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.in_dim as u64);
         enc.put_u64(self.out_dim as u64);
-        enc.put_f64_slice(&self.w);
+        enc.put_f64_slice(&self.row_major().collect::<Vec<_>>());
         enc.put_f64_slice(&self.b);
     }
 
@@ -259,12 +264,7 @@ impl BinaryCodec for Linear {
         if w.len() != in_dim * out_dim || b.len() != out_dim {
             return Err(CodecError::InvalidDimension(w.len() as u64));
         }
-        Ok(Linear {
-            in_dim,
-            out_dim,
-            w,
-            b,
-        })
+        Ok(Linear::from_row_major(in_dim, out_dim, &w, b))
     }
 }
 
@@ -291,6 +291,7 @@ impl BinaryCodec for Mlp {
     }
 }
 
+/// A cell is written as its dimensions and [`GruCell::flat_params`].
 impl BinaryCodec for GruCell {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.in_dim() as u64);
@@ -314,12 +315,7 @@ impl BinaryCodec for GruCell {
         if expected != Some(params.len()) {
             return Err(CodecError::InvalidDimension(params.len() as u64));
         }
-        // Build a correctly-shaped zero cell, then load the parameters.
-        let mut rng = rand::rngs::mock::StepRng::new(0, 0);
-        let mut cell = GruCell::new(&mut rng, in_dim, hidden_dim);
-        debug_assert_eq!(cell.param_count(), params.len());
-        cell.set_flat_params(&params);
-        Ok(cell)
+        Ok(GruCell::from_flat(in_dim, hidden_dim, &params))
     }
 }
 
@@ -572,8 +568,9 @@ mod tests {
         outcome
     }
 
-    /// Every truncation of a saved model is `Truncated`; every single-bit
-    /// flip, header or payload, decodes per [`decode_damaged`].
+    /// Every truncation of a saved model is `Truncated`, and every append
+    /// `TrailingBytes`; every single-bit flip, header or payload, decodes
+    /// per [`decode_damaged`].
     fn fuzz_saved<T: BinaryCodec>(saved: &[u8], name: &str) {
         assert!(
             decode_damaged::<T>(saved, name).is_ok(),
@@ -584,6 +581,15 @@ mod tests {
                 decode_damaged::<T>(&saved[..len], name).err(),
                 Some(CodecError::Truncated),
                 "{name} cut at {len}"
+            );
+        }
+        for extra in [1, 8] {
+            let mut appended = saved.to_vec();
+            appended.resize(saved.len() + extra, 0);
+            assert_eq!(
+                decode_damaged::<T>(&appended, name).err(),
+                Some(CodecError::TrailingBytes(extra as u64)),
+                "{name} with {extra} bytes appended"
             );
         }
         let mut flipped = saved.to_vec();

@@ -2,7 +2,7 @@ use crate::replay::{ReplayMemory, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simsub_nn::{Activation, Adam, Mlp, MlpBatch, MlpCache, MlpColumns, MlpGrads};
+use simsub_nn::{Activation, Adam, Mlp, MlpBatch, MlpCache, MlpGrads};
 
 /// Hyperparameters of the DQN agent. Defaults are exactly the paper's
 /// Section 6.1 settings.
@@ -53,15 +53,13 @@ impl DqnConfig {
     }
 }
 
-/// A frozen greedy policy: just the main network. This is what the RLS /
-/// RLS-Skip *search* algorithms carry at query time, and what gets
-/// serialized for model persistence.
+/// A frozen greedy policy: just the main network, whose one copy of the
+/// weights is the column-major layout its forward pass reads. This is what
+/// the RLS / RLS-Skip *search* algorithms carry at query time, and what
+/// gets serialized for model persistence.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Policy {
     net: Mlp,
-    /// `net` column-major, built with it: what [`Policy::greedy_action`]
-    /// runs. Nothing mutates a `Policy`, so the two cannot drift apart.
-    columns: MlpColumns,
 }
 
 impl simsub_nn::BinaryCodec for Policy {
@@ -70,24 +68,18 @@ impl simsub_nn::BinaryCodec for Policy {
     }
 
     fn decode(dec: &mut simsub_nn::Decoder) -> Result<Self, simsub_nn::CodecError> {
-        Ok(Policy::new(Mlp::decode(dec)?))
+        Ok(Policy {
+            net: Mlp::decode(dec)?,
+        })
     }
 }
 
 impl Policy {
-    fn new(net: Mlp) -> Self {
-        Self {
-            columns: MlpColumns::new(&net),
-            net,
-        }
-    }
-
     /// Greedy action `argmax_a Q(s, a)` (the first on a tie), evaluated on
     /// caller-owned activations so a walk of many states allocates once.
-    /// The Q-values are [`Policy::q_values`]' bit for bit, computed on the
-    /// column-major copy of the network.
+    /// The Q-values are [`Policy::q_values`]' bit for bit.
     pub fn greedy_action(&self, state: &[f64], scratch: &mut MlpCache) -> usize {
-        argmax(self.columns.forward_cached(state, scratch).iter().copied())
+        argmax(self.net.forward_cached(state, scratch).iter().copied())
     }
 
     /// Raw Q-values for inspection.
@@ -292,7 +284,9 @@ impl DqnAgent {
 
     /// Freezes the current main network into a standalone greedy policy.
     pub fn policy(&self) -> Policy {
-        Policy::new(self.main.clone())
+        Policy {
+            net: self.main.clone(),
+        }
     }
 }
 
@@ -450,14 +444,47 @@ mod tests {
         assert_eq!(back.n_actions(), 5);
     }
 
-    /// The greedy walk runs the column-major copy of the network: its
-    /// Q-values are `Mlp::forward`'s bit for bit, and its action is their
-    /// first maximum. Checked for a fresh and a trained agent's policy,
-    /// each also saved and loaded back, over 10k seeded states with exact
-    /// `0.0`/`-0.0` coordinates and huge ones that saturate the sigmoid
-    /// outputs into exact ties.
+    /// The Q-values of `policy` from `Mlp::flat_params` alone: each layer
+    /// a row-major matrix whose outputs are row-by-row dot products
+    /// (`f64::sum`, so seeded with `-0.0`) plus the bias, through the
+    /// activation. Shares no code with the forward pass.
+    fn row_major_q(policy: &Policy, state: &[f64]) -> Vec<f64> {
+        let (layers, activations) = policy.net.parts();
+        let flat = policy.net.flat_params();
+        let mut params = flat.as_slice();
+        let mut values = state.to_vec();
+        for (layer, act) in layers.iter().zip(activations) {
+            let (rows, cols) = (layer.out_dim, layer.in_dim);
+            let (w, rest) = params.split_at(rows * cols);
+            let (b, rest) = rest.split_at(rows);
+            params = rest;
+            values = (0..rows)
+                .map(|r| {
+                    let dot: f64 = w[r * cols..][..cols]
+                        .iter()
+                        .zip(&values)
+                        .map(|(a, b)| a * b)
+                        .sum();
+                    let v = dot + b[r];
+                    match act {
+                        Activation::Relu => v.max(0.0),
+                        Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+                        Activation::Tanh => v.tanh(),
+                        Activation::Identity => v,
+                    }
+                })
+                .collect();
+        }
+        values
+    }
+
+    /// The greedy walk's Q-values are a row-major reference's bit for bit,
+    /// and its action is their first maximum. Checked for a fresh and a
+    /// trained agent's policy, each also saved and loaded back, over 10k
+    /// seeded states with exact `0.0`/`-0.0` coordinates and huge ones that
+    /// saturate the sigmoid outputs into exact ties.
     #[test]
-    fn column_form_decides_as_the_row_form() {
+    fn greedy_action_decides_as_a_row_major_reference() {
         use simsub_nn::BinaryCodec;
         let fresh = DqnAgent::new(DqnConfig::paper(3, 4));
         let mut trained = DqnAgent::new(DqnConfig::paper(3, 4));
@@ -503,9 +530,14 @@ mod tests {
                         _ => rng.gen_range(-2.0..2.0),
                     })
                     .collect();
-                let q = policy.q_values(&state);
-                let columns = policy.columns.forward_cached(&state, &mut cache);
-                assert_eq!(bits(columns), bits(&q), "{name}, state {state:?}");
+                let q = row_major_q(policy, &state);
+                assert_eq!(
+                    bits(&policy.q_values(&state)),
+                    bits(&q),
+                    "{name}, state {state:?}"
+                );
+                let cached = policy.net.forward_cached(&state, &mut cache);
+                assert_eq!(bits(cached), bits(&q), "{name}, state {state:?}");
                 let top = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 let first = q.iter().position(|&v| v == top).unwrap();
                 ties += usize::from(q.iter().filter(|&&v| v == top).count() > 1);
@@ -550,12 +582,12 @@ mod tests {
                     );
                     let state = vec![0.5; policy.state_dim()];
                     let q = policy.q_values(&state);
-                    let columns = policy
-                        .columns
-                        .forward_cached(&state, &mut MlpCache::default())
-                        .to_vec();
                     let bits = |q: &[f64]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&columns), bits(&q), "bit {bit} of byte {byte}");
+                    assert_eq!(
+                        bits(&row_major_q(&policy, &state)),
+                        bits(&q),
+                        "bit {bit} of byte {byte}"
+                    );
                 }
                 flipped[byte] ^= 1 << bit;
             }

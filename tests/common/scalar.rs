@@ -417,6 +417,14 @@ fn activation_slope(act: Activation, y: f64) -> f64 {
     }
 }
 
+/// `W[r][c]` of a layer's column-major weights `w`, as row-major: the
+/// order `Mlp::flat_params` and the file use.
+pub fn rows_of(w: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    (0..rows * cols)
+        .map(|i| w[(i % cols) * rows + i / cols])
+        .collect()
+}
+
 /// Every layer's output of `net` at `x`, from its public parts: each a
 /// left-to-right dot product (`f64::sum`, so seeded with `-0.0`) plus the
 /// bias, through the activation.
@@ -425,7 +433,8 @@ pub fn mlp_layers(net: &Mlp, x: &[f64]) -> Vec<Vec<f64>> {
     let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(layers.len());
     for (layer, &act) in layers.iter().zip(activations) {
         let input = outputs.last().map_or(x, Vec::as_slice);
-        let out = matvec(&layer.w, layer.out_dim, layer.in_dim, input)
+        let (rows, cols) = (layer.out_dim, layer.in_dim);
+        let out = matvec(&rows_of(&layer.w, rows, cols), rows, cols, input)
             .into_iter()
             .zip(&layer.b)
             .map(|(v, b)| activate(act, v + b))
@@ -456,11 +465,13 @@ pub fn mlp_backward(
         }
         let input = if l == 0 { x } else { &outputs[l - 1] };
         let g = &mut grads.layers[l];
+        let rows = layer.out_dim;
         let mut dx = vec![0.0; cols];
-        for r in 0..layer.out_dim {
+        for r in 0..rows {
             for c in 0..cols {
-                g.gw[r * cols + c] += delta[r] * input[c];
-                dx[c] += delta[r] * layer.w[r * cols + c];
+                // Both column-major: `W[r][c]` at `c * rows + r`.
+                g.gw[c * rows + r] += delta[r] * input[c];
+                dx[c] += delta[r] * layer.w[c * rows + r];
             }
             g.gb[r] += delta[r];
         }
@@ -607,7 +618,12 @@ impl ScalarDqn {
         let bc1 = 1.0 - beta1.powi(self.steps);
         let bc2 = 1.0 - beta2.powi(self.steps);
         let mut params = self.main.flat_params();
-        let grads = grads.layers.iter().flat_map(|g| g.gw.iter().chain(&g.gb));
+        let (layers, _) = self.main.parts();
+        let grads = layers.iter().zip(&grads.layers).flat_map(|(layer, g)| {
+            rows_of(&g.gw, layer.out_dim, layer.in_dim)
+                .into_iter()
+                .chain(g.gb.iter().copied())
+        });
         for (i, g) in grads.enumerate() {
             let g = g * inv;
             self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;

@@ -194,9 +194,10 @@ fn fresh_state_rows_follow_every_weight_update() {
     // An infinite gradient on one `U_z` and one `U_h` weight makes Adam
     // write NaN there.
     let mut cell = finite.clone();
+    // `U_z[0][0]` and `U_h[0][3]` in the stacked, column-major gradients.
     let mut grads = GruGrads::zeros(&cell);
-    grads.uz[0] = f64::INFINITY;
-    grads.uh[3] = f64::NEG_INFINITY;
+    grads.uzr[0] = f64::INFINITY;
+    grads.uh[3 * cell.hidden_dim()] = f64::NEG_INFINITY;
     cell.apply_grads(&grads, &mut Adam::new(0.01));
     assert!(nan_lanes(&cell) > 0, "the update reached no fresh step");
     assert_fresh(&cell, "apply_grads");

@@ -7,10 +7,13 @@
 //! fold of `f64::to_bits()` (and the integers beside them); a mismatch
 //! prints the value the tree produces.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use simsub::core::{train_rls, MdpConfig, Rls, RlsTrainConfig, ScanStats, TopKResult, TrainReport};
 use simsub::data::{generate, DatasetSpec};
 use simsub::index::TrajectoryDb;
 use simsub::measures::{CoordNormalizer, Dtw, Measure, T2Vec, T2VecConfig};
+use simsub::nn::{Activation, BinaryCodec, GruCell, Linear, Mlp};
 use simsub::rl::{DqnAgent, DqnConfig};
 use simsub::trajectory::Trajectory;
 
@@ -94,6 +97,56 @@ fn t2vec_embeddings_are_pinned() {
         "20-step trained t2vec embedding",
         fold_f64(&trained_t2vec(&corpus).encode(probe)),
         0xa869_3d58_0fe4_1103,
+    );
+}
+
+/// The saved bytes of seeded models, recorded before the networks' weights
+/// moved to the column-major layout the forward pass reads: the file format
+/// is row-major and must not follow the in-memory layout. A round trip
+/// alone passes whatever the format is.
+#[test]
+fn saved_model_bytes_are_pinned() {
+    let bytes = |saved: &[u8]| fold(saved.iter().map(|&b| u64::from(b)));
+    let mut rng = StdRng::seed_from_u64(47);
+    let linear = Linear::new(&mut rng, 3, 5);
+    let mlp = Mlp::new(
+        &mut rng,
+        &[3, 20, 4],
+        &[Activation::Relu, Activation::Sigmoid],
+    );
+    let cell = GruCell::new(&mut rng, 2, 5);
+    pinned(
+        "seeded Linear bytes",
+        bytes(&linear.to_bytes()),
+        0x921c_75db_3559_07d0,
+    );
+    pinned(
+        "seeded Mlp bytes",
+        bytes(&mlp.to_bytes()),
+        0x57d6_a1d4_3e26_a372,
+    );
+    pinned(
+        "seeded GruCell bytes",
+        bytes(&cell.to_bytes()),
+        0x2903_b30b_f12b_3aa6,
+    );
+    let policy = DqnAgent::new(DqnConfig::paper(3, 4)).policy();
+    pinned(
+        "seeded Policy bytes",
+        bytes(&policy.to_bytes()),
+        0x4fe7_9f65_2d21_88cd,
+    );
+    let corpus = corpus();
+    let random = T2Vec::random(24, 16, CoordNormalizer::from_corpus(&corpus));
+    pinned(
+        "random T2Vec bytes",
+        bytes(&random.to_bytes()),
+        0x1b8d_f99b_31bb_517c,
+    );
+    pinned(
+        "20-step trained T2Vec bytes",
+        bytes(&trained_t2vec(&corpus).to_bytes()),
+        0x8edc_1981_152b_9a2b,
     );
 }
 

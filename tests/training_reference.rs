@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::scalar::{mlp_backward, mlp_layers, ScalarDqn};
+use common::scalar::{mlp_backward, mlp_layers, rows_of, ScalarDqn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsub::nn::{Activation, BinaryCodec, Mlp, MlpBatch, MlpGrads};
@@ -30,11 +30,18 @@ fn signed_values(rng: &mut StdRng, len: usize) -> Vec<f64> {
         .collect()
 }
 
-fn flat_grads(grads: &MlpGrads) -> Vec<f64> {
-    grads
-        .layers
+/// Gradients in `Mlp::flat_params` order: each layer's column-major `gw`
+/// row by row, then `gb`.
+fn flat_grads(net: &Mlp, grads: &MlpGrads) -> Vec<f64> {
+    let (layers, _) = net.parts();
+    layers
         .iter()
-        .flat_map(|g| g.gw.iter().chain(&g.gb).copied())
+        .zip(&grads.layers)
+        .flat_map(|(layer, g)| {
+            rows_of(&g.gw, layer.out_dim, layer.in_dim)
+                .into_iter()
+                .chain(g.gb.iter().copied())
+        })
         .collect()
 }
 
@@ -83,8 +90,8 @@ fn minibatch_passes_match_the_per_sample_reference_bit_for_bit() {
                 }
                 net.backward_batch(&x, &mut acts_batch, &dout, &mut grads);
                 assert_eq!(
-                    bits(&flat_grads(&grads)),
-                    bits(&flat_grads(&want_grads)),
+                    bits(&flat_grads(&net, &grads)),
+                    bits(&flat_grads(&net, &want_grads)),
                     "backward, {context}"
                 );
             }
