@@ -44,7 +44,7 @@
 //! ones seen so far — a prefix of the full fold, never larger, so its
 //! bound is never below the full one — already fails the scan's test,
 //! the rest are not read. Only a survivor pays for the `sqrt` matrix
-//! ([`crate::SearchWorkspace::prepare_cell_rows`]), which its ExactS DP
+//! ([`crate::SearchWorkspace::ensure_cell_rows`]), which its ExactS DP
 //! and PSS walks then read instead of recomputing distances.
 //!
 //! Distance lower bounds convert to similarity upper bounds through the
@@ -343,7 +343,7 @@ impl BoundCascade {
     /// O(n·m) upper bound from the trajectory's own points (coordinate
     /// slabs `xs`, `ys`): per query point the distance to its nearest data
     /// point — the column minima of the point-distance matrix
-    /// [`crate::SearchWorkspace::prepare_cell_rows`] fills, without
+    /// [`crate::SearchWorkspace::ensure_cell_rows`] fills, without
     /// filling it. The minima are taken over `dx*dx + dy*dy`, the
     /// expression `simsub_measures::fill_point_dists` evaluates before its
     /// `sqrt`, and then one `sqrt` per query point: `sqrt` is correctly
@@ -598,7 +598,7 @@ mod tests {
         let ts = vec![0.0; data.len()];
         let view = simsub_trajectory::TrajView::new(0, &xs, &ys, &ts);
         let mut ws = crate::SearchWorkspace::new(measure, query);
-        assert!(ws.prepare_cell_rows(view));
+        assert!(ws.ensure_cell_rows(view));
         let matrix = ws.cell_rows();
         for (r, p) in data.iter().enumerate() {
             for (k, &qk) in query.iter().enumerate() {

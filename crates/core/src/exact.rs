@@ -24,50 +24,12 @@ impl SubtrajSearch for ExactS {
         // The measure's multi-start slice kernel when it has one (DTW,
         // discrete Frechet) — bit-identical to the scalar sweep by its
         // contract (property-tested per measure and end-to-end by
-        // tests/layout_equivalence.rs) — else the evaluator-driven bulk
-        // sweep straight off the view's slabs.
+        // tests/layout_equivalence.rs) — else Algorithm 1's sweep itself:
+        // SizeS's windowed sweep with the window opened to every size.
         if let Some(result) = ws.exact_best(data) {
             return result;
         }
-        exact_sweep_view(ws, data)
-    }
-}
-
-/// The arena-backed exhaustive sweep for measures without a multi-start
-/// slice kernel: per start point, one `init` plus **one** bulk
-/// [`simsub_measures::PrefixEvaluator::extend_run_into`] call over the
-/// entire tail, then a scalar in-order argmax over the buffered
-/// similarities — the same strict-`>` comparisons in the same order as
-/// the scalar `init`/`extend` sweep of Algorithm 1 (chunking invariance),
-/// with no per-candidate AoS staging copy.
-fn exact_sweep_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-    let n = data.len();
-    let (xs, ys, ts) = (data.xs(), data.ys(), data.ts());
-    let mut best_range = SubtrajRange::new(0, 0);
-    let mut best_sim = f64::NEG_INFINITY;
-    let (eval, _, sims) = ws.scan_parts();
-    for i in 0..n {
-        let sim = eval.init(Point::new(xs[i], ys[i], ts[i]));
-        if sim > best_sim {
-            best_sim = sim;
-            best_range = SubtrajRange::new(i, i);
-        }
-        if i + 1 < n {
-            sims.clear();
-            sims.resize(n - 1 - i, 0.0);
-            eval.extend_run_into(&xs[i + 1..], &ys[i + 1..], &ts[i + 1..], sims);
-            for (k, &sim) in sims.iter().enumerate() {
-                if sim > best_sim {
-                    best_sim = sim;
-                    best_range = SubtrajRange::new(i, i + 1 + k);
-                }
-            }
-        }
-    }
-    SearchResult {
-        range: best_range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
+        crate::sizes::window_sweep(ws, data, 1, data.len())
     }
 }
 

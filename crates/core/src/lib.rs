@@ -115,12 +115,17 @@ pub trait SubtrajSearch: Sync {
     /// slabs, zero-copy. Must return bit-identical results to `search`
     /// with the workspace's measure and query. For the scan algorithms
     /// that dominate the serving hot path (ExactS, PSS, POS, POS-D,
-    /// SizeS) this override *is* the algorithm's one scan body — their
-    /// `search` is an adapter that builds a one-trajectory view and calls
-    /// it, and `tests/common/scalar.rs` holds the scalar definitions the
+    /// SizeS) this override *is* the scan: two bodies serve the five, as
+    /// the paper defines them in terms of each other — one windowed sweep
+    /// (SizeS's size window, and `[1, n]` for ExactS under a measure
+    /// without a slice kernel) and one split walk (POS-D; POS at `D = 0`;
+    /// PSS at `D = 0` plus the suffix). Their `search` is an adapter that
+    /// builds a one-trajectory view and calls it, and
+    /// `tests/common/scalar.rs` holds the scalar definitions the
     /// equivalence harnesses pin it to bit for bit. The default stages
     /// the view into the workspace's reusable AoS buffer and falls back
-    /// to the allocating `search` path (RLS and the baselines).
+    /// to the allocating `search` path (the baselines; RLS overrides it
+    /// with its learned walk).
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
         let (measure, data, query) = ws.staged(data);
         self.search(measure, data, query)

@@ -90,7 +90,7 @@ impl Rls {
     ) -> (SearchResult, ScanStats) {
         assert!(!data.is_empty(), "inputs must be non-empty");
         if self.cfg.use_suffix {
-            ws.compute_suffix_similarities_bulk(data);
+            ws.compute_suffix_similarities(data);
         }
         let (eval, suffix, scratch) = ws.episode_parts();
         greedy_walk(

@@ -27,23 +27,29 @@ impl Default for SizeS {
     }
 }
 
-/// The arena-backed SizeS scan: per start point, one `init` plus **one**
-/// bulk [`simsub_measures::PrefixEvaluator::extend_run_into`] call over
-/// the whole size window, then a scalar in-order pass over the buffered
-/// per-length similarities — the same comparisons against the same values
-/// in the same order as the scalar `init`/`extend` scan (chunking
-/// invariance), with no per-candidate AoS staging copy.
-fn sizes_scan_view(xi: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
+/// Algorithm 1's sweep restricted to subtrajectory sizes in
+/// `[min_len, max_len]` (`1 <= min_len`, `max_len <= n`) — SizeS's window,
+/// and ExactS's evaluator path at `[1, n]`. Per start point, one `init`
+/// plus **one** bulk [`simsub_measures::PrefixEvaluator::extend_run_into`]
+/// call over the window, then a scalar in-order pass over the buffered
+/// per-length similarities — the same strict-`>` comparisons against the
+/// same values in the same order as the scalar `init`/`extend` sweep
+/// (chunking invariance), with no per-candidate AoS staging copy. Sizes
+/// below `min_len` are computed (to reach the window incrementally) but
+/// are not candidates; when no size is reachable (`n < min_len`) the
+/// whole trajectory is the answer.
+pub(crate) fn window_sweep(
+    ws: &mut SearchWorkspace<'_>,
+    data: TrajView<'_>,
+    min_len: usize,
+    max_len: usize,
+) -> SearchResult {
     let n = data.len();
-    let m = ws.query().len();
-    let min_len = m.saturating_sub(xi).max(1);
-    let max_len = (m + xi).min(n);
     let (xs, ys, ts) = (data.xs(), data.ys(), data.ts());
-
     let mut best_range = SubtrajRange::new(0, 0);
     let mut best_sim = f64::NEG_INFINITY;
     {
-        let (eval, _, sims) = ws.scan_parts();
+        let (eval, _, sims, _) = ws.scan_parts();
         for i in 0..n {
             let sim = eval.init(Point::new(xs[i], ys[i], ts[i]));
             if 1 >= min_len && sim > best_sim {
@@ -51,9 +57,7 @@ fn sizes_scan_view(xi: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) 
                 best_range = SubtrajRange::new(i, i);
             }
             // Prefixes grow while len <= max_len: the window covers data
-            // indices i+1 ..= i+max_len-1, clamped to the end. Lengths
-            // below min_len are computed (to reach the window
-            // incrementally) but are not candidates.
+            // indices i+1 ..= i+max_len-1, clamped to the end.
             let end = (i + max_len - 1).min(n - 1);
             if end > i {
                 sims.clear();
@@ -69,17 +73,12 @@ fn sizes_scan_view(xi: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) 
             }
         }
     }
-    // When min_len exceeds every reachable length (n < m - ξ) the loop
-    // admitted no candidate: return the whole trajectory. Cold path, so
-    // the one-off staging copy is fine here.
+    // Cold path (SizeS only: ExactS's window admits every size), so the
+    // one-off staging copy is fine here.
     if best_sim == f64::NEG_INFINITY {
         let (measure, staged, query) = ws.staged(data);
-        let sim = measure.similarity(staged, query);
-        return SearchResult {
-            range: SubtrajRange::new(0, n - 1),
-            similarity: sim,
-            distance: simsub_measures::distance_from_similarity(sim),
-        };
+        best_sim = measure.similarity(staged, query);
+        best_range = SubtrajRange::new(0, n - 1);
     }
     SearchResult {
         range: best_range,
@@ -99,7 +98,10 @@ impl SubtrajSearch for SizeS {
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
         assert!(!data.is_empty(), "inputs must be non-empty");
-        sizes_scan_view(self.xi, ws, data)
+        let m = ws.query().len();
+        let min_len = m.saturating_sub(self.xi).max(1);
+        let max_len = m.saturating_add(self.xi).min(data.len());
+        window_sweep(ws, data, min_len, max_len)
     }
 }
 

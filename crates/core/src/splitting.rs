@@ -3,6 +3,11 @@
 //! point whether to split; the candidate subtrajectories are the prefixes
 //! (and, for PSS, suffixes) delimited by splits — at most `n` candidates,
 //! giving `O(n1·Φini + n·Φinc)` total time.
+//!
+//! The paper defines them in terms of each other, and so does the code:
+//! POS-D is POS that looks `D` points ahead before it splits, POS is POS-D
+//! at `D = 0`, and PSS is that walk plus the suffix candidates. One split
+//! walk (`split_walk`) runs all three, monomorphic in the suffix switch.
 
 use crate::{SearchResult, SearchWorkspace, SubtrajSearch};
 use simsub_measures::{Measure, PrefixEvaluator};
@@ -169,23 +174,40 @@ impl Default for PosD {
     }
 }
 
-/// The arena-backed PSS scan: suffix similarities through one bulk
-/// reversed `extend_run_into` pass, prefix similarities through a
-/// speculative [`PrefixStream`], and Algorithm 2's scalar decision walk
-/// over those values — no per-candidate AoS staging copy.
-fn pss_scan_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
+/// The one split walk behind PSS (`SUFFIX`, `delay == 0`), POS (neither)
+/// and POS-D (its own `delay`): suffix similarities, when `SUFFIX`,
+/// through the workspace's one bulk reversed pass; prefix similarities
+/// through a speculative [`PrefixStream`]; and the paper's scalar
+/// decision walk over those values — no per-candidate AoS staging copy.
+///
+/// At each point the walk compares the running prefix (and, for PSS, the
+/// suffix at that point) with the best so far. A winning suffix is taken
+/// as is (the prefix wins only when strictly better). A winning prefix
+/// first looks up to `delay` points further along the same prefix chain
+/// and takes the most similar position, earliest on ties: the lookahead
+/// reads the same stream as the walk, which is exactly the running chain
+/// the scalar definition would keep extending, so every strict-`>`
+/// comparison sees bit-identical values in the identical order. `SUFFIX`
+/// is a const so POS and POS-D carry no suffix read and PSS's per-point
+/// loop no suffix switch.
+///
+/// When the measure factors its DP cells through coordinates only (DTW,
+/// Fréchet), the candidate's cell matrix is filled once — by the scan,
+/// or here when the scan did not — and shared by the suffix pass
+/// (reversed) and the prefix stream, so PSS computes no point-pair
+/// distance twice. A matrix filled here is released on return.
+fn split_walk<const SUFFIX: bool>(
+    delay: usize,
+    ws: &mut SearchWorkspace<'_>,
+    data: TrajView<'_>,
+) -> SearchResult {
+    assert!(!data.is_empty(), "inputs must be non-empty");
     let n = data.len();
-    // When the measure factors its DP cells through coordinates only
-    // (DTW, Fréchet), fill the cell matrix once and share it between the
-    // suffix pass (reversed) and the prefix stream — PSS otherwise
-    // computes every point-pair distance twice.
-    let rows_ready = ws.ensure_cell_rows(data);
-    if rows_ready {
-        ws.compute_suffix_similarities_rows(data);
-    } else {
-        ws.compute_suffix_similarities_bulk(data);
+    let own_rows = !ws.rows_prepared() && ws.ensure_cell_rows(data);
+    if SUFFIX {
+        ws.compute_suffix_similarities(data);
     }
-    let (eval, suffix, vals, rows) = ws.scan_parts_rows();
+    let (eval, suffix, vals, rows) = ws.scan_parts();
     let mut stream = PrefixStream::new(eval, data, vals, rows);
 
     let mut best_sim = 0.0f64;
@@ -196,15 +218,26 @@ fn pss_scan_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResu
         let mut i = h;
         loop {
             let pre = stream.get(i);
-            let suf = suffix[i];
-            if pre.max(suf) > best_sim {
-                best_sim = pre.max(suf);
-                best_range = Some(if pre > suf {
-                    SubtrajRange::new(h, i)
+            let sim = if SUFFIX { pre.max(suffix[i]) } else { pre };
+            if sim > best_sim {
+                if !SUFFIX || pre > suffix[i] {
+                    let mut split_at = i;
+                    let mut split_sim = pre;
+                    for j in i + 1..=i.saturating_add(delay).min(n - 1) {
+                        let s = stream.get(j);
+                        if s > split_sim {
+                            split_sim = s;
+                            split_at = j;
+                        }
+                    }
+                    best_sim = split_sim;
+                    best_range = Some(SubtrajRange::new(h, split_at));
+                    h = split_at + 1;
                 } else {
-                    SubtrajRange::new(i, n - 1)
-                });
-                h = i + 1;
+                    best_sim = sim;
+                    best_range = Some(SubtrajRange::new(i, n - 1));
+                    h = i + 1;
+                }
                 continue 'outer;
             }
             i += 1;
@@ -212,6 +245,9 @@ fn pss_scan_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResu
                 break 'outer;
             }
         }
+    }
+    if own_rows {
+        ws.release_cell_rows();
     }
     let range = best_range.expect("similarities are positive; first point always splits");
     SearchResult {
@@ -231,43 +267,7 @@ impl SubtrajSearch for Pss {
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-        assert!(!data.is_empty(), "inputs must be non-empty");
-        pss_scan_view(ws, data)
-    }
-}
-
-/// The arena-backed POS scan: [`pss_scan_view`] minus the suffix channel.
-fn pos_scan_view(ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-    let n = data.len();
-    ws.ensure_cell_rows(data);
-    let (eval, _, vals, rows) = ws.scan_parts_rows();
-    let mut stream = PrefixStream::new(eval, data, vals, rows);
-
-    let mut best_sim = 0.0f64;
-    let mut best_range: Option<SubtrajRange> = None;
-    let mut h = 0usize;
-    'outer: while h < n {
-        stream.anchor(h);
-        let mut i = h;
-        loop {
-            let pre = stream.get(i);
-            if pre > best_sim {
-                best_sim = pre;
-                best_range = Some(SubtrajRange::new(h, i));
-                h = i + 1;
-                continue 'outer;
-            }
-            i += 1;
-            if i == n {
-                break 'outer;
-            }
-        }
-    }
-    let range = best_range.expect("similarities are positive; first point always splits");
-    SearchResult {
-        range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
+        split_walk::<true>(0, ws, data)
     }
 }
 
@@ -281,59 +281,7 @@ impl SubtrajSearch for Pos {
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-        assert!(!data.is_empty(), "inputs must be non-empty");
-        pos_scan_view(ws, data)
-    }
-}
-
-/// The arena-backed POS-D scan. The lookahead reads the same stream as
-/// the main walk: in the scalar definition the lookahead `extend`s
-/// continue the running prefix chain, which is exactly what the stream's
-/// buffered continuation holds, so the strict-`>` argmax (earliest index
-/// wins on ties) sees bit-identical values in the identical order.
-fn pos_d_scan_view(delay: usize, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-    let n = data.len();
-    ws.ensure_cell_rows(data);
-    let (eval, _, vals, rows) = ws.scan_parts_rows();
-    let mut stream = PrefixStream::new(eval, data, vals, rows);
-
-    let mut best_sim = 0.0f64;
-    let mut best_range: Option<SubtrajRange> = None;
-    let mut h = 0usize;
-    'outer: while h < n {
-        stream.anchor(h);
-        let mut i = h;
-        loop {
-            let pre = stream.get(i);
-            if pre > best_sim {
-                // Delay the split: look ahead up to `delay` more points
-                // and split at the position with the most similar prefix.
-                let mut split_at = i;
-                let mut split_sim = pre;
-                let lookahead_end = (i + delay).min(n - 1);
-                for j in i + 1..=lookahead_end {
-                    let s = stream.get(j);
-                    if s > split_sim {
-                        split_sim = s;
-                        split_at = j;
-                    }
-                }
-                best_sim = split_sim;
-                best_range = Some(SubtrajRange::new(h, split_at));
-                h = split_at + 1;
-                continue 'outer;
-            }
-            i += 1;
-            if i == n {
-                break 'outer;
-            }
-        }
-    }
-    let range = best_range.expect("similarities are positive; first point always splits");
-    SearchResult {
-        range,
-        similarity: best_sim,
-        distance: simsub_measures::distance_from_similarity(best_sim),
+        split_walk::<false>(0, ws, data)
     }
 }
 
@@ -347,8 +295,7 @@ impl SubtrajSearch for PosD {
     }
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
-        assert!(!data.is_empty(), "inputs must be non-empty");
-        pos_d_scan_view(self.delay, ws, data)
+        split_walk::<false>(self.delay, ws, data)
     }
 }
 

@@ -326,7 +326,7 @@ fn search_and_push(
     stats.searched += 1;
     stats.searched_cells += view.len() as u64 * ws.query().len() as u64;
     let result = timed(timing, &mut stats.kernel_ns, || {
-        let rows_prepared = prepare_rows && ws.prepare_cell_rows(view);
+        let rows_prepared = prepare_rows && ws.ensure_cell_rows(view);
         ws.begin_candidate(sim_floor, rows_prepared);
         algo.search_with(ws, view)
     });

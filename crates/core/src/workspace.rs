@@ -22,10 +22,20 @@
 //!   filled — live for exactly one search, so a search outside a scan
 //!   never sees either — and what the search left for the scan to do
 //!   ([`SearchOutcome`]),
-//! - the speculative-similarity and reversed-slab scratch behind the bulk
-//!   [`simsub_measures::PrefixEvaluator::extend_run`] scan paths (the
-//!   evaluator-driven algorithms feed the arena slabs to `extend_run`
-//!   directly, with no per-candidate AoS staging copy),
+//! - the candidate's point-distance (cell-row) matrix: one
+//!   [`SearchWorkspace::ensure_cell_rows`] fills it unless the workspace
+//!   already holds it, whether the scan or the split walk asks first, and
+//!   every reader shares that one fill,
+//! - one suffix pass ([`SearchWorkspace::compute_suffix_similarities`]),
+//!   which reads that matrix reversed while the workspace holds this
+//!   candidate's and the coordinate slabs reversed otherwise, and the
+//!   speculative-similarity scratch behind the bulk
+//!   [`simsub_measures::PrefixEvaluator::extend_run`] scan paths; one
+//!   split borrow ([`SearchWorkspace::scan_parts`]) lends the two scan
+//!   bodies (the windowed sweep of ExactS and SizeS, the split walk of
+//!   PSS, POS and POS-D) the evaluator, the suffix, the scratch and the
+//!   matrix, so they read the arena slabs with no per-candidate AoS
+//!   staging copy,
 //! - the Q-network activations behind the learned walk
 //!   ([`SearchWorkspace::episode_parts`] lends a [`crate::SplitEnv`] the
 //!   prefix evaluator, the suffix buffer and this scratch, so an RLS scan
@@ -93,14 +103,14 @@ pub struct SearchWorkspace<'m> {
     /// Precomputed DP cell rows for the whole trajectory
     /// (`cell_rows[k * stride + j]` = the evaluator's cell input for data
     /// point `k` against query point `j`), filled by
-    /// [`SearchWorkspace::prepare_cell_rows`] when the measure supports
-    /// [`PrefixEvaluator::fill_cell_rows`]. Shared by the prefix stream
-    /// and (reversed) the suffix pass, halving distance computation.
+    /// [`SearchWorkspace::ensure_cell_rows`] when the measure supports
+    /// [`PrefixEvaluator::fill_cell_rows`]. Shared by the exact kernel,
+    /// the prefix stream and (reversed) the suffix pass.
     cell_rows: Vec<f64>,
     /// `cell_rows` reversed in both dimensions — exactly the cell rows
     /// the reversed-stream/reversed-query suffix evaluator would fill.
     rev_cell_rows: Vec<f64>,
-    /// Row stride of `cell_rows` (the query length), 0 when inactive.
+    /// Row stride of `cell_rows` (the query length), 0 before the first fill.
     cell_stride: usize,
     /// Whether the measure's evaluator factors cell rows at all.
     factors_cell_rows: bool,
@@ -109,7 +119,8 @@ pub struct SearchWorkspace<'m> {
     /// [`SearchWorkspace::end_candidate`]).
     sim_floor: f64,
     /// True while `cell_rows` holds the matrix of the candidate being
-    /// searched (the scan filled it for a survivor of its bounds).
+    /// searched: the scan filled it for a survivor of its bounds, or a
+    /// split walk filled it for itself and releases it when it returns.
     rows_prepared: bool,
     /// How the candidate's exact kernel left its result.
     outcome: SearchOutcome,
@@ -178,7 +189,7 @@ impl<'m> SearchWorkspace<'m> {
     /// Tells the next `search_with` call what the pruning scan knows about
     /// its candidate: only a hit with similarity `≥ sim_floor` can still
     /// enter the top-k, and — when `rows_prepared` — the matrix of the last
-    /// [`SearchWorkspace::prepare_cell_rows`] call belongs to it. Both are
+    /// [`SearchWorkspace::ensure_cell_rows`] call belongs to it. Both are
     /// overwritten per candidate and cleared by
     /// [`SearchWorkspace::end_candidate`].
     pub fn begin_candidate(&mut self, sim_floor: f64, rows_prepared: bool) {
@@ -201,8 +212,9 @@ impl<'m> SearchWorkspace<'m> {
         self.sim_floor
     }
 
-    /// Whether the scan prepared the cell-row matrix of the candidate being
-    /// searched (see [`SearchWorkspace::begin_candidate`]).
+    /// Whether the workspace holds the cell-row matrix of the candidate
+    /// being searched (see [`SearchWorkspace::ensure_cell_rows`] and
+    /// [`SearchWorkspace::begin_candidate`]).
     pub fn rows_prepared(&self) -> bool {
         self.rows_prepared
     }
@@ -252,16 +264,19 @@ impl<'m> SearchWorkspace<'m> {
 
     /// Fills the suffix-similarity buffer for `data` (Algorithm 2,
     /// lines 2-3) at `Φini + (n-1)·Φinc` cost and zero allocation after
-    /// first use: copies the view's coordinate slabs reversed (a
-    /// sequential SoA copy, not a per-point AoS round trip) and rolls the
-    /// reversed-query evaluator forward with **one**
-    /// [`PrefixEvaluator::extend_run_into`] call instead of `n - 1`
-    /// virtual `extend` calls. Bit-identical to the scalar backward chain
-    /// ([`crate::suffix_similarities`]) by the `extend_run` contract (the
-    /// reversed stream's point `k` *is* `data.point(n - 1 - k)`, same
-    /// coordinate bits). Read the result through
-    /// [`SearchWorkspace::scan_parts`].
-    pub fn compute_suffix_similarities_bulk(&mut self, data: TrajView<'_>) {
+    /// first use: the reversed-query evaluator rolls forward over the
+    /// reversed stream in **one** bulk call instead of `n - 1` virtual
+    /// `extend` calls. When the workspace holds this candidate's matrix
+    /// ([`SearchWorkspace::rows_prepared`]) that call reads it reversed —
+    /// reversing the flat matrix reverses both dimensions at once
+    /// (`rev[k * m + j] == rows[(n-1-k) * m + (m-1-j)]`), which is the
+    /// reversed-stream × reversed-query cell matrix bit for bit — and
+    /// otherwise the view's coordinate slabs copied reversed, so a search
+    /// that never fills a matrix (RLS) never reads a stale one. Either way
+    /// bit-identical to the scalar backward chain
+    /// ([`crate::suffix_similarities`]) by the `extend_run` contract. Read
+    /// the result through [`SearchWorkspace::scan_parts`].
+    pub fn compute_suffix_similarities(&mut self, data: TrajView<'_>) {
         let n = data.len();
         assert!(n > 0, "data must be non-empty");
         if self.suffix_eval.is_none() {
@@ -273,56 +288,72 @@ impl<'m> SearchWorkspace<'m> {
         self.suffix.clear();
         self.suffix.resize(n, 0.0);
         self.suffix[n - 1] = eval.init(data.point(n - 1));
-        if n > 1 {
+        if n == 1 {
+            return;
+        }
+        self.sims.clear();
+        self.sims.resize(n - 1, 0.0);
+        if self.rows_prepared {
+            let m = self.cell_stride;
+            debug_assert_eq!(
+                self.cell_rows.len(),
+                n * m,
+                "the matrix is this candidate's"
+            );
+            self.rev_cell_rows.clear();
+            self.rev_cell_rows.extend(self.cell_rows.iter().rev());
+            eval.extend_run_rows_into(&self.rev_cell_rows[m..], &mut self.sims);
+        } else {
             self.rev_xs.clear();
             self.rev_xs.extend(data.xs().iter().rev());
             self.rev_ys.clear();
             self.rev_ys.extend(data.ys().iter().rev());
             self.rev_ts.clear();
             self.rev_ts.extend(data.ts().iter().rev());
-            self.sims.clear();
-            self.sims.resize(n - 1, 0.0);
             eval.extend_run_into(
                 &self.rev_xs[1..],
                 &self.rev_ys[1..],
                 &self.rev_ts[1..],
                 &mut self.sims,
             );
-            // Reversed-stream index k covers suffix start n-1-k.
-            for (k, &sim) in self.sims.iter().enumerate() {
-                self.suffix[n - 2 - k] = sim;
-            }
+        }
+        // Reversed-stream index k covers suffix start n-1-k.
+        for (k, &sim) in self.sims.iter().enumerate() {
+            self.suffix[n - 2 - k] = sim;
         }
     }
 
-    /// Fills the shared DP cell-row matrix for `data` through the
-    /// measure's [`PrefixEvaluator::fill_cell_rows`] kernel. Returns
-    /// `true` (and arms the rows-based scan paths) when the measure
-    /// supports cell-row factoring; `false` leaves the coordinate-fed
-    /// paths in charge. The matrix depends only on the coordinate/query
-    /// bits, so one fill serves both PSS walks: the prefix stream reads
-    /// it forward, and [`SearchWorkspace::compute_suffix_similarities_rows`]
-    /// reads it reversed in both dimensions (which is *exactly* the
-    /// matrix the reversed-query evaluator would fill for the reversed
-    /// stream — same value bits, so results stay bitwise identical).
-    pub fn prepare_cell_rows(&mut self, data: TrajView<'_>) -> bool {
-        match self
-            .prefix
-            .fill_cell_rows(data.xs(), data.ys(), data.ts(), &mut self.cell_rows)
-        {
-            Some(stride) => {
-                self.cell_stride = stride;
-                true
-            }
-            None => {
-                self.cell_stride = 0;
-                false
-            }
+    /// Makes the workspace hold `data`'s DP cell-row matrix, filling it
+    /// through the measure's [`PrefixEvaluator::fill_cell_rows`] kernel
+    /// unless it already does ([`SearchWorkspace::rows_prepared`]), and
+    /// returns whether it does: `false` only when the measure does not
+    /// factor cell rows (see [`SearchWorkspace::factors_cell_rows`]). A
+    /// pruning scan calls it for each survivor of its bounds before
+    /// [`SearchWorkspace::begin_candidate`]; a split walk calls it first
+    /// thing and finds the scan's fill. The matrix depends only on the
+    /// coordinate/query bits, so one fill serves every reader: the exact
+    /// kernel, the prefix stream (forward) and the suffix pass (reversed).
+    pub fn ensure_cell_rows(&mut self, data: TrajView<'_>) -> bool {
+        if !self.rows_prepared && self.factors_cell_rows {
+            let stride =
+                self.prefix
+                    .fill_cell_rows(data.xs(), data.ys(), data.ts(), &mut self.cell_rows);
+            self.cell_stride = stride.expect("probed when the workspace was built");
+            self.rows_prepared = true;
         }
+        self.rows_prepared
+    }
+
+    /// Lets go of a matrix a search filled for itself, so the next search
+    /// — of another trajectory, perhaps outside any scan — neither reads
+    /// it nor skips its own fill. A matrix the scan prepared is the scan's
+    /// to release ([`SearchWorkspace::end_candidate`]).
+    pub(crate) fn release_cell_rows(&mut self) {
+        self.rows_prepared = false;
     }
 
     /// Grows the matrix buffer to hold a candidate of `len` points, so no
-    /// later [`SearchWorkspace::prepare_cell_rows`] of a candidate that
+    /// later [`SearchWorkspace::ensure_cell_rows`] of a candidate that
     /// short reallocates. A pruning scan calls it once with its longest
     /// candidate, so what it allocates does not depend on the order it
     /// searches in.
@@ -334,86 +365,29 @@ impl<'m> SearchWorkspace<'m> {
         }
     }
 
-    /// Whether [`SearchWorkspace::prepare_cell_rows`] can succeed under
-    /// this workspace's measure (DTW and Frechet factor their cells; the
-    /// rest do not). Probed once, on an empty run, when the workspace is
-    /// built.
+    /// Whether [`SearchWorkspace::ensure_cell_rows`] can fill a matrix
+    /// under this workspace's measure (DTW and Frechet factor their cells;
+    /// the rest do not). Probed once, on an empty run, when the workspace
+    /// is built.
     pub fn factors_cell_rows(&self) -> bool {
         self.factors_cell_rows
     }
 
-    /// [`SearchWorkspace::prepare_cell_rows`] unless the scan already
-    /// prepared this candidate's matrix (see
-    /// [`SearchWorkspace::begin_candidate`]).
-    pub fn ensure_cell_rows(&mut self, data: TrajView<'_>) -> bool {
-        self.rows_prepared || self.prepare_cell_rows(data)
-    }
-
-    /// The matrix of the last successful
-    /// [`SearchWorkspace::prepare_cell_rows`] call, row-major with the
-    /// query length as stride.
+    /// The matrix of the last [`SearchWorkspace::ensure_cell_rows`] fill,
+    /// row-major with the query length as stride.
     pub fn cell_rows(&self) -> &[f64] {
         &self.cell_rows
     }
 
-    /// Rows-based variant of
-    /// [`SearchWorkspace::compute_suffix_similarities_bulk`]: consumes
-    /// the matrix prepared by [`SearchWorkspace::prepare_cell_rows`]
-    /// instead of refilling distances against the reversed query.
-    /// Reversing the flat matrix reverses both dimensions at once
-    /// (`rev[k * m + j] == rows[(n-1-k) * m + (m-1-j)]`), which is the
-    /// reversed-stream × reversed-query cell matrix bit for bit.
-    pub fn compute_suffix_similarities_rows(&mut self, data: TrajView<'_>) {
-        let n = data.len();
-        assert!(n > 0, "data must be non-empty");
-        let m = self.cell_stride;
-        debug_assert_eq!(self.cell_rows.len(), n * m, "prepare_cell_rows first");
-        if self.suffix_eval.is_none() {
-            self.reversed_query.clear();
-            self.reversed_query.extend(self.query.iter().rev().copied());
-            self.suffix_eval = Some(self.measure.make_workspace(&self.reversed_query));
-        }
-        let eval = self.suffix_eval.as_mut().expect("created above");
-        self.suffix.clear();
-        self.suffix.resize(n, 0.0);
-        self.suffix[n - 1] = eval.init(data.point(n - 1));
-        if n > 1 {
-            self.rev_cell_rows.clear();
-            self.rev_cell_rows.extend(self.cell_rows.iter().rev());
-            self.sims.clear();
-            self.sims.resize(n - 1, 0.0);
-            eval.extend_run_rows_into(&self.rev_cell_rows[m..], &mut self.sims);
-            // Reversed-stream index k covers suffix start n-1-k.
-            for (k, &sim) in self.sims.iter().enumerate() {
-                self.suffix[n - 2 - k] = sim;
-            }
-        }
-    }
-
-    /// Three-way split borrow for the bulk scan bodies: the prefix
-    /// evaluator, the suffix similarities (state of the last
-    /// `compute_suffix_similarities*` call; empty if never called), and
-    /// the per-point similarity scratch buffer.
-    pub fn scan_parts(&mut self) -> (&mut (dyn PrefixEvaluator + 'm), &[f64], &mut Vec<f64>) {
-        (self.prefix.as_mut(), &self.suffix, &mut self.sims)
-    }
-
-    /// What a splitting-MDP episode ([`crate::SplitEnv`]) borrows: the
-    /// prefix evaluator, the suffix similarities of the last
-    /// `compute_suffix_similarities*` call, and the policy network's
-    /// activation scratch.
-    pub fn episode_parts(&mut self) -> (&mut (dyn PrefixEvaluator + 'm), &[f64], &mut MlpCache) {
-        (self.prefix.as_mut(), &self.suffix, &mut self.policy_scratch)
-    }
-
-    /// [`SearchWorkspace::scan_parts`] plus the shared cell-row matrix and
-    /// its row stride, for scan bodies that feed the prefix stream from
-    /// precomputed rows: `Some` after a successful
-    /// [`SearchWorkspace::ensure_cell_rows`] /
-    /// [`SearchWorkspace::prepare_cell_rows`] for the trajectory being
-    /// searched, `None` when the measure does not factor cell rows.
+    /// Four-way split borrow for the scan bodies: the prefix evaluator,
+    /// the suffix similarities (state of the last
+    /// [`SearchWorkspace::compute_suffix_similarities`] call; empty if
+    /// never called), the per-point similarity scratch buffer, and — while
+    /// the workspace holds this candidate's matrix
+    /// ([`SearchWorkspace::rows_prepared`]) — that matrix with its row
+    /// stride, `None` otherwise.
     #[allow(clippy::type_complexity)]
-    pub fn scan_parts_rows(
+    pub fn scan_parts(
         &mut self,
     ) -> (
         &mut (dyn PrefixEvaluator + 'm),
@@ -421,8 +395,18 @@ impl<'m> SearchWorkspace<'m> {
         &mut Vec<f64>,
         Option<(&[f64], usize)>,
     ) {
-        let rows = (self.cell_stride > 0).then_some((self.cell_rows.as_slice(), self.cell_stride));
+        let rows = self
+            .rows_prepared
+            .then_some((self.cell_rows.as_slice(), self.cell_stride));
         (self.prefix.as_mut(), &self.suffix, &mut self.sims, rows)
+    }
+
+    /// What a splitting-MDP episode ([`crate::SplitEnv`]) borrows: the
+    /// prefix evaluator, the suffix similarities of the last
+    /// [`SearchWorkspace::compute_suffix_similarities`] call, and the
+    /// policy network's activation scratch.
+    pub fn episode_parts(&mut self) -> (&mut (dyn PrefixEvaluator + 'm), &[f64], &mut MlpCache) {
+        (self.prefix.as_mut(), &self.suffix, &mut self.policy_scratch)
     }
 }
 
@@ -442,9 +426,9 @@ mod tests {
             let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
             let view = TrajView::new(0, &xs, &ys, &ts);
             let mut ws = SearchWorkspace::new(&Dtw, &q);
-            ws.compute_suffix_similarities_bulk(view);
+            ws.compute_suffix_similarities(view);
             let want = suffix_similarities(&Dtw, data.as_slice(), &q);
-            let (_, got, _) = ws.scan_parts();
+            let (_, got, _, _) = ws.scan_parts();
             assert_eq!(got.len(), want.len());
             for (t, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "seed {seed} suffix {t}");
@@ -462,10 +446,10 @@ mod tests {
                 let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
                 let view = TrajView::new(0, &xs, &ys, &ts);
                 let mut ws = SearchWorkspace::new(measure, &q);
-                assert!(ws.prepare_cell_rows(view), "dtw/frechet factor cell rows");
-                ws.compute_suffix_similarities_rows(view);
+                assert!(ws.ensure_cell_rows(view), "dtw/frechet factor cell rows");
+                ws.compute_suffix_similarities(view);
                 let want = suffix_similarities(measure, data.as_slice(), &q);
-                let (_, got, _) = ws.scan_parts();
+                let (_, got, _, _) = ws.scan_parts();
                 assert_eq!(got.len(), want.len());
                 for (t, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
@@ -475,6 +459,46 @@ mod tests {
                         measure.name()
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn suffix_pass_never_reads_another_candidates_matrix() {
+        // PSS holds a matrix while it searches; an RLS with the suffix on
+        // never fills one, so its suffix pass must read coordinates, not
+        // the matrix the PSS search before it left in the buffer. Half the
+        // searches run bare, half inside a scan's bracket (where the scan
+        // fills PSS's matrix), and equal lengths alternate with unequal
+        // ones so a stale read would also go unnoticed by length.
+        let q = walk(13, 6);
+        let mdp = crate::MdpConfig::rls();
+        assert!(mdp.use_suffix);
+        let dqn = simsub_rl::DqnConfig::paper(mdp.state_dim(), mdp.n_actions());
+        let rls = crate::Rls::new(simsub_rl::DqnAgent::new(dqn).policy(), mdp);
+        let mut ws = SearchWorkspace::new(&Dtw, &q);
+        for (i, len) in [9, 9, 12, 9, 12, 12, 9, 9].into_iter().enumerate() {
+            let data = walk(60 + i as u64, len);
+            let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
+            let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
+            let view = TrajView::new(i as u64, &xs, &ys, &ts);
+            let pss = i % 2 == 0;
+            let algo: &dyn crate::SubtrajSearch = if pss { &crate::Pss } else { &rls };
+            let in_scan = i % 4 < 2;
+            if in_scan {
+                let rows = pss && ws.ensure_cell_rows(view);
+                ws.begin_candidate(f64::NEG_INFINITY, rows);
+            }
+            algo.search_with(&mut ws, view);
+            if in_scan {
+                ws.end_candidate();
+            }
+            assert!(!ws.rows_prepared(), "search {i} left its matrix held");
+            let want = suffix_similarities(&Dtw, data.as_slice(), &q);
+            let (_, got, _, _) = ws.scan_parts();
+            assert_eq!(got.len(), want.len(), "search {i}");
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "search {i} suffix {t}");
             }
         }
     }
@@ -494,7 +518,7 @@ mod tests {
             // A floor the best reaches, over the prepared matrix: the DP
             // cannot settle below it, so Θ* comes back bit for bit with
             // its range pending.
-            assert!(ws.prepare_cell_rows(view));
+            assert!(ws.ensure_cell_rows(view));
             ws.begin_candidate(plain.similarity, true);
             assert_eq!(ws.sim_floor(), plain.similarity);
             assert!(ws.rows_prepared() && ws.ensure_cell_rows(view));
@@ -557,12 +581,12 @@ mod tests {
         let ts: Vec<f64> = data.iter().map(|p| p.t).collect();
         let view = TrajView::new(0, &xs, &ys, &ts);
         let mut ws = SearchWorkspace::new(&Frechet, &q1);
-        ws.compute_suffix_similarities_bulk(view);
+        ws.compute_suffix_similarities(view);
         ws.reset(&q2);
         assert_eq!(ws.query(), &q2[..]);
-        ws.compute_suffix_similarities_bulk(view);
+        ws.compute_suffix_similarities(view);
         let want = suffix_similarities(&Frechet, data.as_slice(), &q2);
-        let (eval, got, _) = ws.scan_parts();
+        let (eval, got, _, _) = ws.scan_parts();
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
         }

@@ -17,7 +17,10 @@
 //!    arithmetic `Point::dist` performs (`dx = px - qx; dy = py - qy;
 //!    sqrt(dx² + dy²)`), and the DP consumes them in the original order,
 //!    so results cannot drift. Its bulk entry points advance four data
-//!    points at once along anti-diagonals ([`extend_run_wavefront`]).
+//!    points at once along anti-diagonals through the one wavefront entry
+//!    ([`extend_run_wavefront_rows`]): the coordinate entry fills a
+//!    four-point tile of distance rows and hands it over, the cell-row
+//!    entry hands over rows of a matrix filled once per candidate.
 //!
 //! 2. **Multi-start lockstep (the ExactS kernel).** ExactS sweeps one DP
 //!    row per start index; rows for different starts are *independent*,
@@ -176,7 +179,7 @@ pub(crate) fn row_distance<Op: DpOp>(a: &[Point], b: &[Point]) -> f64 {
 /// The query is kept as SoA coordinate slices; a step fills its
 /// point-distance row first and then runs the serial recurrence over it
 /// (module docs, idea 1), and the bulk entry points run the wavefront
-/// ([`extend_run_wavefront`]). Every path evaluates the same cell
+/// ([`extend_run_wavefront_rows`]). Every path evaluates the same cell
 /// expressions in the same dependency order, so they agree bit for bit
 /// with each other and with the scalar references in `dtw.rs`/`frechet.rs`
 /// (property-tested there and in `tests/evaluator_conformance.rs`).
@@ -211,21 +214,27 @@ impl<Op: DpOp> RowEvaluator<Op> {
     }
 
     /// The wavefront over a coordinate run, reading each point's distance
-    /// out through `sink`.
-    fn run(&mut self, xs: &[f64], ys: &[f64], sink: impl FnMut(usize, f64)) -> f64 {
+    /// out through `sink`: each tile of [`LANES`] points gets its distance
+    /// rows from [`fill_point_dists`] — contiguous, auto-vectorized fills
+    /// that keep the DP tile's register set small — and then runs the one
+    /// wavefront entry, [`extend_run_wavefront_rows`], over them.
+    fn run(&mut self, xs: &[f64], ys: &[f64], mut sink: impl FnMut(usize, f64)) -> f64 {
+        debug_assert_eq!(xs.len(), ys.len());
         if xs.is_empty() {
             return self.similarity();
         }
         assert!(self.initialized, "extend_run before init");
-        extend_run_wavefront::<Op>(
-            &mut self.row,
-            &self.qx,
-            &self.qy,
-            xs,
-            ys,
-            &mut self.bulk_dist,
-            sink,
-        );
+        let m = self.qx.len();
+        self.bulk_dist.resize(LANES * m, 0.0);
+        for (tile, (txs, tys)) in xs.chunks(LANES).zip(ys.chunks(LANES)).enumerate() {
+            let dist = &mut self.bulk_dist[..txs.len() * m];
+            for ((&x, &y), out) in txs.iter().zip(tys).zip(dist.chunks_exact_mut(m)) {
+                fill_point_dists(&self.qx, &self.qy, x, y, out);
+            }
+            extend_run_wavefront_rows::<Op, false>(&mut self.row, dist, |l, d| {
+                sink(tile * LANES + l, d)
+            });
+        }
         self.similarity()
     }
 }
@@ -589,89 +598,6 @@ fn extend_all_lanes<Op: DpOp>(rows: &mut [f64], dist: &[f64], m: usize) -> [f64;
     row_min
 }
 
-/// Queries shorter than this take the scalar per-point fallback inside
-/// [`extend_run_wavefront`]: the diagonal tile needs `m > LANES` for its
-/// phase structure, and tiny rows have nothing to vectorize anyway.
-const WAVEFRONT_MIN_M: usize = LANES + 1;
-
-/// Bulk Φinc over a run of data points for a row-rolling measure: rolls
-/// the single DP row `row` (length `m`, the query length) forward by one
-/// data point per run element, in [`LANES`]-wide **anti-diagonal SIMD**
-/// order.
-///
-/// The scalar `extend` is latency-bound: each cell's `min`/`add` chain
-/// depends on the cell to its left. Consecutive *rows*, however, only
-/// couple through the up/diag cells, so a tile of [`LANES`] rows can
-/// advance along anti-diagonals: at wavefront step `s`, lane `l`
-/// (handling data point `base + l`) computes column `j = s - l`, and the
-/// value lane `l` reads as `up` is exactly what lane `l - 1` computed one
-/// step earlier — so the whole DP state rotates through registers and the
-/// steady-state step touches memory only for one incoming row cell, one
-/// final row cell, and the four per-lane distances (precomputed as
-/// contiguous vectorized [`fill_point_dists`] rows). Four independent
-/// `min`/`add` chains advance per step, hiding the serial latency the
-/// scalar `extend` is bound by.
-///
-/// Bitwise identity with the scalar chain is by construction: every cell
-/// value is a fixed function of its three neighbors, evaluated by the
-/// same expression (`Op::cell(d, fmin(fmin(diag, up), left))`, distances via
-/// the exact `Point::dist` arithmetic; the `j == 0` boundary is
-/// `Op::cell(d, up)`, bitwise `up + d` / `up.max(d)` because both ops are
-/// commutative), so any dependency-respecting schedule produces the same
-/// bits (property-tested in `dtw.rs`/`frechet.rs` and the conformance
-/// suite).
-///
-/// `sink(i, v)` is called once per run point `i` with the row's final
-/// cell `v` (the subtrajectory distance after appending that point) at
-/// the moment it is computed — later lanes overwrite the cell, so readout
-/// happens inside the sweep. `scratch` is a reusable buffer holding the
-/// tile's precomputed distance rows (`LANES * m` cells).
-pub(crate) fn extend_run_wavefront<Op: DpOp>(
-    row: &mut [f64],
-    qx: &[f64],
-    qy: &[f64],
-    xs: &[f64],
-    ys: &[f64],
-    scratch: &mut Vec<f64>,
-    mut sink: impl FnMut(usize, f64),
-) {
-    let m = qx.len();
-    debug_assert_eq!(qy.len(), m);
-    debug_assert_eq!(row.len(), m);
-    debug_assert_eq!(xs.len(), ys.len());
-    if m < WAVEFRONT_MIN_M {
-        scratch.resize(m, 0.0);
-        let dist = &mut scratch[..m];
-        for i in 0..xs.len() {
-            fill_point_dists(qx, qy, xs[i], ys[i], dist);
-            roll_row::<Op, false>(row, dist);
-            sink(i, row[m - 1]);
-        }
-        return;
-    }
-    scratch.resize(LANES * m, 0.0);
-    let dist = &mut scratch[..LANES * m];
-    let mut base = 0usize;
-    while base < xs.len() {
-        let lanes = LANES.min(xs.len() - base);
-        // Hoisted distance rows: `dist[l * m + j] = d(p_{base+l}, q_j)` —
-        // the sqrt-heavy part runs as contiguous auto-vectorized fills,
-        // keeping the DP tile's register set small enough to stay
-        // spill-free.
-        for l in 0..lanes {
-            fill_point_dists(
-                qx,
-                qy,
-                xs[base + l],
-                ys[base + l],
-                &mut dist[l * m..(l + 1) * m],
-            );
-        }
-        diagonal_tile::<Op, false>(row, dist, m, lanes, |l, v| sink(base + l, v));
-        base += lanes;
-    }
-}
-
 /// Column 0's `up` input: the row above under the per-start recurrence,
 /// `0.0` under the free-start one, where every data point may open a
 /// match (`Op::cell(d, 0.0)` is `d` for both ops).
@@ -686,8 +612,7 @@ fn col0_up<const FREE: bool>(up: f64) -> f64 {
 
 /// One Φinc step in column order: rolls `row` forward over the next data
 /// point's distance row `dist` (column 0 reads [`col0_up`]). The body of
-/// `RowEvaluator::extend` and of both wavefront entries' short-query
-/// fallback.
+/// `RowEvaluator::extend` and of the wavefront's short-query fallback.
 #[inline]
 fn roll_row<Op: DpOp, const FREE: bool>(row: &mut [f64], dist: &[f64]) {
     let mut diag = row[0];
@@ -701,13 +626,45 @@ fn roll_row<Op: DpOp, const FREE: bool>(row: &mut [f64], dist: &[f64]) {
     }
 }
 
-/// [`extend_run_wavefront`] minus the distance fills: advances the DP row
-/// over `rows.len() / m` run points whose per-point cell-input rows are
-/// already laid out contiguously (`rows[k * m + j]`, as produced by
-/// `PrefixEvaluator::fill_cell_rows`). The DP schedule, cell expressions,
-/// and readout are exactly the coordinate entry's, so given bitwise-equal
-/// rows the results are bitwise equal — this is the second-walk half of
-/// sharing one distance matrix between PSS's prefix and suffix passes.
+/// Queries shorter than this take the scalar per-point fallback inside
+/// [`extend_run_wavefront_rows`]: the diagonal tile needs `m > LANES` for
+/// its phase structure, and tiny rows have nothing to vectorize anyway.
+const WAVEFRONT_MIN_M: usize = LANES + 1;
+
+/// Bulk Φinc over a run of data points for a row-rolling measure — the
+/// one wavefront entry: rolls the single DP row `row` (length `m`, the
+/// query length) forward by one data point per row of `rows`, in
+/// [`LANES`]-wide **anti-diagonal SIMD** order. `rows[k * m + j]` is run
+/// point `k`'s distance to query point `j`: a candidate's whole matrix
+/// (`PrefixEvaluator::fill_cell_rows`, shared by PSS's prefix and suffix
+/// passes) or one tile that the coordinate entry filled with
+/// [`fill_point_dists`] (`RowEvaluator`'s `extend_run*`).
+///
+/// The scalar `extend` is latency-bound: each cell's `min`/`add` chain
+/// depends on the cell to its left. Consecutive *rows*, however, only
+/// couple through the up/diag cells, so a tile of [`LANES`] rows can
+/// advance along anti-diagonals: at wavefront step `s`, lane `l`
+/// (handling data point `base + l`) computes column `j = s - l`, and the
+/// value lane `l` reads as `up` is exactly what lane `l - 1` computed one
+/// step earlier — so the whole DP state rotates through registers and the
+/// steady-state step touches memory only for one incoming row cell, one
+/// final row cell, and the four per-lane distances. Four independent
+/// `min`/`add` chains advance per step, hiding the serial latency the
+/// scalar `extend` is bound by.
+///
+/// Bitwise identity with the scalar chain is by construction: every cell
+/// value is a fixed function of its three neighbors, evaluated by the
+/// same expression (`Op::cell(d, fmin(fmin(diag, up), left))`, distances via
+/// the exact `Point::dist` arithmetic; the `j == 0` boundary is
+/// `Op::cell(d, up)`, bitwise `up + d` / `up.max(d)` because both ops are
+/// commutative), so any dependency-respecting schedule — and any way of
+/// cutting the run into calls — produces the same bits (property-tested
+/// in `dtw.rs`/`frechet.rs` and the conformance suite).
+///
+/// `sink(i, v)` is called once per run point `i` with the row's final
+/// cell `v` (the subtrajectory distance after appending that point) at
+/// the moment it is computed — later lanes overwrite the cell, so readout
+/// happens inside the sweep.
 ///
 /// With `FREE` the same body runs the free-start recurrence (module docs,
 /// idea 3): column 0 reads `up = 0.0` instead of the row above, and
@@ -741,7 +698,7 @@ pub(crate) fn extend_run_wavefront_rows<Op: DpOp, const FREE: bool>(
     }
 }
 
-/// One tile of [`extend_run_wavefront`]: dispatches on the (run-tail)
+/// One tile of [`extend_run_wavefront_rows`]: dispatches on the (run-tail)
 /// lane count so each variant monomorphizes with fully unrolled inner
 /// loops. Requires `m > LANES` (shorter queries take the scalar fallback
 /// above). `FREE` selects column 0's `up` ([`col0_up`]).

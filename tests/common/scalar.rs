@@ -9,13 +9,17 @@
 //! ([`ScalarDqn`], over [`mlp_layers`] and [`mlp_backward`]) as it ran
 //! before training went minibatch-major.
 //!
-//! `crates/core` keeps exactly one scan body per algorithm (the view
-//! body behind `SubtrajSearch::search_with`; `search(&[Point])` is an
-//! adapter over it), built on bulk `extend_run` kernels, a speculative
-//! prefix stream, shared cell-row matrices and multi-start slice kernels.
-//! None of that is used here: one fresh evaluator per trajectory, one
-//! virtual call per point. The equivalence harnesses compare the product
-//! bodies with these bit for bit — range, score bits, winner order.
+//! `crates/core` runs the five through two scan bodies behind
+//! `SubtrajSearch::search_with` (`search(&[Point])` is an adapter over
+//! it): one windowed sweep for SizeS and ExactS's evaluator path (the
+//! window `[1, n]`; DTW and Fréchet take the multi-start slice kernels
+//! instead) and one split walk for PSS, POS and POS-D — built on bulk
+//! `extend_run` kernels, a speculative prefix stream and shared cell-row
+//! matrices. None of that is used here: one body per algorithm (POS is
+//! `pos_d_scan` at `delay = 0`, as the paper defines it), one fresh
+//! evaluator per trajectory, one virtual call per point. The equivalence
+//! harnesses compare the product bodies with these bit for bit — range,
+//! score bits, winner order.
 // Index loops keep each body aligned with the paper's pseudocode, which
 // walks positions `i`, `j`, `h`, not items.
 #![allow(clippy::needless_range_loop)]
@@ -133,7 +137,7 @@ fn sizes_scan(
 ) -> (SubtrajRange, f64) {
     let n = data.len();
     let min_len = query.len().saturating_sub(xi).max(1);
-    let max_len = (query.len() + xi).min(n);
+    let max_len = query.len().saturating_add(xi).min(n);
     let mut eval = measure.make_workspace(query);
     let mut best = (SubtrajRange::new(0, 0), f64::NEG_INFINITY);
     for i in 0..n {
@@ -226,7 +230,7 @@ fn pos_d_scan(
         };
         if pre > best_sim {
             let (mut split_at, mut split_sim) = (i, pre);
-            for j in i + 1..=(i + delay).min(n - 1) {
+            for j in i + 1..=i.saturating_add(delay).min(n - 1) {
                 let s = eval.extend(data[j]);
                 if s > split_sim {
                     (split_at, split_sim) = (j, s);

@@ -133,3 +133,49 @@ fn results_are_deterministic_across_runs() {
         }
     }
 }
+
+#[test]
+fn unbounded_window_and_delay_saturate_to_the_whole_trajectory() {
+    // ξ = n already admits every size and D = n already looks ahead to the
+    // end, so the largest values must answer the same, bit for bit — the
+    // window's `m + ξ` and the lookahead's `i + D` saturate rather than
+    // overflow (a debug build would panic, a release build would wrap).
+    let corpus = generate(&DatasetSpec::porto(), 6, 41);
+    let pairs = sample_pairs(&corpus, 6, 12, 43);
+    let t2vec = T2Vec::random(45, 8, CoordNormalizer::from_corpus(&corpus));
+    let measures: [&dyn Measure; 3] = [&Dtw, &Frechet, &t2vec];
+    for measure in measures {
+        for pair in &pairs {
+            let data = corpus[pair.data_idx].points();
+            let query = pair.query.points();
+            let n = data.len();
+            let twins: [(Box<dyn SubtrajSearch>, Box<dyn SubtrajSearch>); 2] = [
+                (Box::new(SizeS::new(usize::MAX)), Box::new(SizeS::new(n))),
+                (Box::new(PosD::new(usize::MAX)), Box::new(PosD::new(n))),
+            ];
+            for (unbounded, bounded) in &twins {
+                let context = format!(
+                    "{} vs {} under {}",
+                    unbounded.name(),
+                    bounded.name(),
+                    measure.name()
+                );
+                let (unbounded, bounded) = (
+                    unbounded.search(measure, data, query),
+                    bounded.search(measure, data, query),
+                );
+                assert_eq!(unbounded.range, bounded.range, "{context}");
+                assert_eq!(
+                    unbounded.similarity.to_bits(),
+                    bounded.similarity.to_bits(),
+                    "{context}"
+                );
+                assert_eq!(
+                    unbounded.distance.to_bits(),
+                    bounded.distance.to_bits(),
+                    "{context}"
+                );
+            }
+        }
+    }
+}
