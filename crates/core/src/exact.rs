@@ -1,6 +1,8 @@
 //! ExactS (Algorithm 1): exhaustive search over all `n(n+1)/2`
 //! subtrajectories, computing similarities *incrementally* per start point
-//! — `O(n·(Φini + n·Φinc))` instead of the naive `O(n²·Φ)`.
+//! — `O(n·(Φini + n·Φinc))` instead of the naive `O(n²·Φ)`. Under DTW and
+//! discrete Frechet the same answer, bit for bit, comes from the measure's
+//! free-start DP in `O(n·m·log n)` (`Measure::exact_best_above`).
 
 use crate::{SearchResult, SearchWorkspace, SubtrajSearch};
 use simsub_measures::Measure;
@@ -21,11 +23,13 @@ impl SubtrajSearch for ExactS {
 
     fn search_with(&self, ws: &mut SearchWorkspace<'_>, data: TrajView<'_>) -> SearchResult {
         assert!(!data.is_empty(), "inputs must be non-empty");
-        // The measure's multi-start slice kernel when it has one (DTW,
-        // discrete Frechet) — bit-identical to the scalar sweep by its
-        // contract (property-tested per measure and end-to-end by
-        // tests/layout_equivalence.rs) — else Algorithm 1's sweep itself:
-        // SizeS's windowed sweep with the window opened to every size.
+        // The measure's exact kernel when it has one (DTW, discrete
+        // Frechet): the free-start DP, which resolves the sweep's range
+        // itself or, inside a pruning scan, leaves it pending for the scan —
+        // bit-identical to the scalar sweep by its contract (property-tested
+        // per measure and end-to-end by tests/layout_equivalence.rs). Else
+        // Algorithm 1's sweep itself: SizeS's windowed sweep with the window
+        // opened to every size.
         if let Some(result) = ws.exact_best(data) {
             return result;
         }
@@ -138,28 +142,6 @@ impl ExhaustiveRanking {
         all.truncate(k);
         all
     }
-
-    /// Like [`ExhaustiveRanking::top_k`], but greedily skipping
-    /// subtrajectories that overlap an already-selected one — the variant
-    /// downstream applications (e.g. play retrieval) usually want, since
-    /// the plain top-k is dominated by ±1-point shifts of the optimum.
-    pub fn top_k_disjoint(&self, k: usize) -> Vec<(SubtrajRange, f64)> {
-        let mut all: Vec<(SubtrajRange, f64)> = self.entries.clone();
-        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let mut picked: Vec<(SubtrajRange, f64)> = Vec::with_capacity(k);
-        for (r, d) in all {
-            if picked.len() == k {
-                break;
-            }
-            let overlaps = picked
-                .iter()
-                .any(|(p, _)| r.start <= p.end && p.start <= r.end);
-            if !overlaps {
-                picked.push((r, d));
-            }
-        }
-        picked
-    }
 }
 
 #[cfg(test)]
@@ -235,25 +217,6 @@ mod tests {
         assert_eq!(top[0].1, ranking.best().1);
         // Asking for more than exist returns everything.
         assert_eq!(ranking.top_k(10_000).len(), ranking.total());
-    }
-
-    #[test]
-    fn top_k_disjoint_has_no_overlaps() {
-        let t = walk(7, 12);
-        let q = walk(8, 4);
-        let ranking = exhaustive_ranking(&Dtw, &t, &q);
-        let picked = ranking.top_k_disjoint(4);
-        assert!(!picked.is_empty());
-        for (i, (a, _)) in picked.iter().enumerate() {
-            for (b, _) in &picked[i + 1..] {
-                assert!(
-                    a.end < b.start || b.end < a.start,
-                    "overlap between {a} and {b}"
-                );
-            }
-        }
-        // First pick is still the global optimum.
-        assert_eq!(picked[0].1, ranking.best().1);
     }
 
     proptest! {

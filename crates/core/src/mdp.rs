@@ -209,11 +209,6 @@ impl<'e, S: PointSeq> SplitEnv<'e, S> {
         self.t == self.n - 1
     }
 
-    /// True once the episode has terminated.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Episode counters.
     pub fn stats(&self) -> ScanStats {
         self.stats

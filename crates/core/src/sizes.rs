@@ -31,13 +31,17 @@ impl Default for SizeS {
 /// `[min_len, max_len]` (`1 <= min_len`, `max_len <= n`) — SizeS's window,
 /// and ExactS's evaluator path at `[1, n]`. Per start point, one `init`
 /// plus **one** bulk [`simsub_measures::PrefixEvaluator::extend_run_into`]
-/// call over the window, then a scalar in-order pass over the buffered
-/// per-length similarities — the same strict-`>` comparisons against the
-/// same values in the same order as the scalar `init`/`extend` sweep
-/// (chunking invariance), with no per-candidate AoS staging copy. Sizes
-/// below `min_len` are computed (to reach the window incrementally) but
-/// are not candidates; when no size is reachable (`n < min_len`) the
-/// whole trajectory is the answer.
+/// call over the window — `extend_run_rows_into` over the window's rows
+/// while the workspace holds the candidate's cell-row matrix
+/// ([`SearchWorkspace::rows_prepared`]: a pruning scan under DTW or
+/// Frechet), so the window reads the distances the scan already computed
+/// — then a scalar in-order pass over the buffered per-length
+/// similarities: the same strict-`>` comparisons against the same values
+/// in the same order as the scalar `init`/`extend` sweep (chunking
+/// invariance), with no per-candidate AoS staging copy. Sizes below
+/// `min_len` are computed (to reach the window incrementally) but are not
+/// candidates; when no size is reachable (`n < min_len`) the whole
+/// trajectory is the answer.
 pub(crate) fn window_sweep(
     ws: &mut SearchWorkspace<'_>,
     data: TrajView<'_>,
@@ -49,7 +53,7 @@ pub(crate) fn window_sweep(
     let mut best_range = SubtrajRange::new(0, 0);
     let mut best_sim = f64::NEG_INFINITY;
     {
-        let (eval, _, sims, _) = ws.scan_parts();
+        let (eval, _, sims, rows) = ws.scan_parts();
         for i in 0..n {
             let sim = eval.init(Point::new(xs[i], ys[i], ts[i]));
             if 1 >= min_len && sim > best_sim {
@@ -62,7 +66,17 @@ pub(crate) fn window_sweep(
             if end > i {
                 sims.clear();
                 sims.resize(end - i, 0.0);
-                eval.extend_run_into(&xs[i + 1..=end], &ys[i + 1..=end], &ts[i + 1..=end], sims);
+                match rows {
+                    Some((rows, m)) => {
+                        eval.extend_run_rows_into(&rows[(i + 1) * m..(end + 1) * m], sims)
+                    }
+                    None => eval.extend_run_into(
+                        &xs[i + 1..=end],
+                        &ys[i + 1..=end],
+                        &ts[i + 1..=end],
+                        sims,
+                    ),
+                };
                 for (k, &sim) in sims.iter().enumerate() {
                     let len = k + 2;
                     if len >= min_len && sim > best_sim {

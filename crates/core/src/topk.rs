@@ -25,10 +25,10 @@
 //!   settles the candidate if its best is below the k-th. Otherwise the
 //!   hit enters the heap with its exact similarity and its range pending;
 //!   the scan resolves the range only for the pending hits still in the
-//!   heap when it ends — at most `k` a call — with the per-start kernel
-//!   floored at each hit's own similarity. See [`crate::bounds`] for why
-//!   none of this can change the answer. [`PruneStats`] counts what
-//!   happened.
+//!   heap when it ends — at most `k` a call — with the same DP on
+//!   distance tiles, floored at each hit's own similarity, and its range
+//!   resolver. See [`crate::bounds`] for why none of this can change the
+//!   answer. [`PruneStats`] counts what happened.
 //! - **Unprunable scans use the idle cores.** When [`scan_prunes`] is
 //!   false (RLS, t2vec, `prune: false`) every candidate is searched in
 //!   full at floor `-∞`, so no candidate's search depends on another's.
@@ -77,8 +77,9 @@ use std::collections::BinaryHeap;
 ///   suffix, or O(n²) steps);
 /// - RLS under DTW pays an O(m) DP row and the Q-network's ≈ 100 ns a
 ///   point, ≈ 8 µs for a 60-point candidate;
-/// - the `prune: false` reference runs ExactS's O(n²·m) enumeration
-///   (tens of µs a candidate) or PSS's O(n·m) walk (≈ 1 µs a candidate).
+/// - the `prune: false` reference runs ExactS's free-start DP with its
+///   range resolved, O(n·m·log n), or PSS's O(n·m) walk (≈ 1 µs a
+///   candidate).
 ///
 /// Eight learned candidates outweigh a helper's cost tenfold. Eight PSS
 /// candidates under DTW do not, but that pairing only splits on the
@@ -345,7 +346,8 @@ fn search_and_push(
 /// of this scan call only, since every call resolves its own before it
 /// returns, so each slot names a trajectory in `arena`. One search per
 /// hit, without the matrix and floored at the hit's own similarity: for
-/// ExactS the multi-start sweep, whose contract returns the sweep's range,
+/// ExactS the free-start DP on distance tiles, then the range resolver's
+/// bisection over split passes, whose contract returns the sweep's range,
 /// ties included, with the same similarity bits. Its time counts as
 /// kernel time; it is not a search of its own in [`PruneStats`].
 fn resolve_pending_ranges(
@@ -568,8 +570,8 @@ pub fn scan_top_k_into(
     );
     let timing = crate::bounds::scan_timing_enabled();
     if !scan_prunes(algo, ws.measure(), prune) {
-        // The reference path: no floor, no prepared rows — ExactS stays
-        // the paper's multi-start enumeration.
+        // The reference path: no floor, no prepared rows — ExactS runs the
+        // free-start DP and resolves every candidate's range itself.
         scan_reference(
             algo, arena, candidates, query, heap, ws, threads, timing, stats,
         );

@@ -4,9 +4,10 @@
 //! The two measures are one row recurrence that differs only in how a
 //! cell combines its point distance with its neighbourhood ([`DpOp`]: a
 //! sum for DTW, a max for Frechet), so everything here — the incremental
-//! [`RowEvaluator`] and the three kernels below — is written once over
-//! that choice. Three ideas, all **bit-identical** to the scalar
-//! references they accelerate (property-tested in `dtw.rs`/`frechet.rs`):
+//! [`RowEvaluator`], the range resolver and the free-start DP — is
+//! written once over that choice and runs through one wavefront entry.
+//! Three ideas, all **bit-identical** to the scalar references they
+//! accelerate (property-tested in `dtw.rs`/`frechet.rs`):
 //!
 //! 1. **Hoisted distance rows.** [`RowEvaluator`] lifts the data point
 //!    out of the DP inner loop: the per-row point-distance vector
@@ -22,26 +23,22 @@
 //!    four-point tile of distance rows and hands it over, the cell-row
 //!    entry hands over rows of a matrix filled once per candidate.
 //!
-//! 2. **Multi-start lockstep (the ExactS kernel).** ExactS sweeps one DP
-//!    row per start index; rows for different starts are *independent*,
-//!    so [`exact_best_multi_start`] advances [`LANES`] starts in lockstep
-//!    over the shared data stream. At global data index `j` all active
-//!    lanes need distances to the *same* point `p_j`, so one distance
-//!    row serves every lane, and the lane-interleaved row storage turns
-//!    the serial `min`/`add` recurrence into [`LANES`]-wide SIMD — the
-//!    dependency chain that bounds a single row amortizes across lanes.
-//!    Per-cell arithmetic and the tie-breaking scan order (ascending
-//!    start, then ascending end, strict improvement) are exactly those of
-//!    the scalar sweep, so the returned `(start, end, similarity)` is
-//!    bit-for-bit the scalar answer. Given a similarity floor (the Θ* of
-//!    a hit whose range a top-k scan resolves) the same body also tracks
-//!    each lane's row minimum — a lower bound on everything that start
-//!    can still produce — and leaves a start group once no lane can reach
-//!    the floor; the answer is then bit-for-bit the scalar one whenever it
-//!    reaches the floor. This is the paper's enumeration and the range
-//!    resolver; a pruning scan's per-candidate kernel is idea 3.
+//! 2. **The range resolver.** Among equal Θ the scalar ExactS sweep
+//!    keeps the first `(start, end)` — ascending start, then ascending
+//!    end, strict improvement — and the free-start DP (idea 3) cannot
+//!    tell which start won. By idea 3's monotone-rounding argument a
+//!    *split* pass — the free-start recurrence over data points
+//!    `from..=s₁`, then the per-start one over the rest — leaves after
+//!    each point `j` the minimum over starts `from..=min(j, s₁)` of the
+//!    per-start cells, bit for bit. So "some start `≤ s₁` reaches Θ*" is
+//!    one split pass, and bisection on `s₁` over `[0, first end whose
+//!    free-start value reaches Θ*]` finds the first start that does; no
+//!    pass reads a point past the last such end. A pass with `from = s₁`
+//!    is that start's own DP, whose first end reaching Θ* is the sweep's
+//!    end. O(n·m·log n) on distance tiles each pass fills: ExactS outside
+//!    a pruning scan, and the resolver of a pending range.
 //!
-//! 3. **Free-start DP (the scan's ExactS kernel).** Given the candidate's
+//! 3. **Free-start DP (the ExactS kernel).** Given the candidate's
 //!    `n × m` point-distance matrix, one DP over it finds the best
 //!    similarity Θ* of *every* start at once (Sakurai et al.'s Spring
 //!    construction): the row wavefront runs from a row of `+∞` with
@@ -51,12 +48,10 @@
 //!    starts of the per-start cells, because rounding is monotone —
 //!    `fl(d + min_s x_s) = min_s fl(d + x_s)` — and `min`/`max` are
 //!    exact, so by induction over the cells `F(j, c) = min_s D_s(j, c)`
-//!    bit for bit, and Θ* is the sweep's Θ. The DP cannot tell *which*
-//!    start won, and among equal Θ the sweep keeps the first `(start,
-//!    end)`; so a candidate whose Θ* reaches the floor comes back with
-//!    its range pending ([`ExactBest::range_pending`]). A top-k scan
-//!    resolves the range only for the hits it keeps — at most `k` a scan
-//!    call — with the multi-start sweep floored at Θ* itself.
+//!    bit for bit, and Θ* is the sweep's Θ. A candidate whose Θ* reaches
+//!    the floor comes back with its range pending
+//!    ([`ExactBest::range_pending`]); a top-k scan resolves the range
+//!    only for the hits it keeps — at most `k` a scan call — with idea 2.
 
 use crate::{similarity_from_distance, PrefixEvaluator};
 use simsub_trajectory::Point;
@@ -213,28 +208,16 @@ impl<Op: DpOp> RowEvaluator<Op> {
         eval
     }
 
-    /// The wavefront over a coordinate run, reading each point's distance
-    /// out through `sink`: each tile of [`LANES`] points gets its distance
-    /// rows from [`fill_point_dists`] — contiguous, auto-vectorized fills
-    /// that keep the DP tile's register set small — and then runs the one
-    /// wavefront entry, [`extend_run_wavefront_rows`], over them.
-    fn run(&mut self, xs: &[f64], ys: &[f64], mut sink: impl FnMut(usize, f64)) -> f64 {
+    /// The wavefront over a coordinate run ([`extend_run_points`]),
+    /// reading each point's distance out through `sink`.
+    fn run(&mut self, xs: &[f64], ys: &[f64], sink: impl FnMut(usize, f64)) -> f64 {
         debug_assert_eq!(xs.len(), ys.len());
         if xs.is_empty() {
             return self.similarity();
         }
         assert!(self.initialized, "extend_run before init");
-        let m = self.qx.len();
-        self.bulk_dist.resize(LANES * m, 0.0);
-        for (tile, (txs, tys)) in xs.chunks(LANES).zip(ys.chunks(LANES)).enumerate() {
-            let dist = &mut self.bulk_dist[..txs.len() * m];
-            for ((&x, &y), out) in txs.iter().zip(tys).zip(dist.chunks_exact_mut(m)) {
-                fill_point_dists(&self.qx, &self.qy, x, y, out);
-            }
-            extend_run_wavefront_rows::<Op, false>(&mut self.row, dist, |l, d| {
-                sink(tile * LANES + l, d)
-            });
-        }
+        let query = (&self.qx[..], &self.qy[..]);
+        extend_run_points::<Op, false>(&mut self.row, query, (xs, ys), &mut self.bulk_dist, sink);
         self.similarity()
     }
 }
@@ -321,24 +304,80 @@ impl<Op: DpOp> PrefixEvaluator for RowEvaluator<Op> {
     }
 }
 
-/// Starts advanced in lockstep by the multi-start kernel. Four f64 lanes
-/// fill one AVX register (two SSE2 registers); the inner per-lane loops
-/// are written over contiguous `[f64; LANES]` groups so LLVM vectorizes
-/// them at either width.
+/// Data points a wavefront tile advances at once. Four f64 lanes fill one
+/// AVX register (two SSE2 registers).
 pub(crate) const LANES: usize = 4;
 
 /// Reusable buffers for the slice kernels: one allocation serves a whole
-/// corpus scan (held by `simsub_core::SearchWorkspace`).
+/// corpus scan (held by `simsub_core::SearchWorkspace`). Every buffer is
+/// sized by the query alone, never by the data.
 #[derive(Debug, Clone, Default)]
 pub struct DpScratch {
     qx: Vec<f64>,
     qy: Vec<f64>,
-    dist: Vec<f64>,
-    /// Lane-interleaved DP rows: `rows[jj * LANES + l]` is row cell `jj`
-    /// of lane `l`.
-    rows: Vec<f64>,
-    /// The free-start DP's rolling row (length `m`).
-    free_row: Vec<f64>,
+    /// The coordinate passes' [`LANES`]-point distance tile.
+    tile: Vec<f64>,
+    /// The DP's rolling row (length `m`).
+    row: Vec<f64>,
+}
+
+impl DpScratch {
+    /// A split pass (module docs, idea 2) over the query in `qx`/`qy` and
+    /// data points `from..=to`: the free-start recurrence over
+    /// `from..=split` from a row of `+∞`, the per-start one after it.
+    /// `sink(j, d)` reads the row's last cell after point `j`.
+    fn split_pass<Op: DpOp>(
+        &mut self,
+        (xs, ys): (&[f64], &[f64]),
+        (from, split, to): (usize, usize, usize),
+        mut sink: impl FnMut(usize, f64),
+    ) {
+        self.row.clear();
+        self.row.resize(self.qx.len(), f64::INFINITY);
+        let query = (&self.qx[..], &self.qy[..]);
+        let (free, rest) = (from..split + 1, split + 1..to + 1);
+        let run = (&xs[free.clone()], &ys[free]);
+        extend_run_points::<Op, true>(&mut self.row, query, run, &mut self.tile, |i, d| {
+            sink(from + i, d)
+        });
+        let run = (&xs[rest.clone()], &ys[rest]);
+        extend_run_points::<Op, false>(&mut self.row, query, run, &mut self.tile, |i, d| {
+            sink(split + 1 + i, d)
+        });
+    }
+
+    /// The range the scalar sweep picks among those reaching `target`, the
+    /// best similarity, given the first and the last end whose free-start
+    /// value reaches it (module docs, idea 2).
+    fn resolve_range<Op: DpOp>(
+        &mut self,
+        data: (&[f64], &[f64]),
+        (first_end, last_end): (usize, usize),
+        target: f64,
+    ) -> (usize, usize) {
+        let mut first_reaching = |from, split| {
+            let mut found = None;
+            self.split_pass::<Op>(data, (from, split, last_end), |j, d| {
+                if found.is_none() && similarity_from_distance(d) >= target {
+                    found = Some(j);
+                }
+            });
+            found
+        };
+        // Starts below `lo` never reach Θ* and some start up to `hi` does,
+        // so each test covers only the starts `lo..=mid`.
+        let (mut lo, mut hi) = (0, first_end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match first_reaching(lo, mid) {
+                Some(_) => hi = mid,
+                None => lo = mid + 1,
+            }
+        }
+        // The winner's own DP gives the end. Nothing reaches only when no
+        // similarity compares (NaN coordinates): the sweep keeps `T[0, 0]`.
+        (lo, first_reaching(lo, lo).unwrap_or(lo))
+    }
 }
 
 /// What `Measure::exact_best_above` found: the winning range, its
@@ -362,141 +401,18 @@ pub struct ExactBest {
     pub range_pending: bool,
 }
 
-/// The distance threshold `τ` of a similarity floor: every distance
-/// `x ≥ τ` has `similarity_from_distance(x) < floor` *strictly*.
-/// `Θ = 1/(1+x)` is evaluated by two correctly rounded — hence monotone —
-/// operations, so it suffices to find one `τ` whose own similarity is
-/// below the floor; the algebraic inverse is nudged up until the forward
-/// evaluation agrees (the nudge doubles, so the loop runs once or twice).
-/// A floor no similarity can be below (`≤ 0`, `-∞`, NaN) yields `∞`.
-fn abandon_threshold(floor: f64) -> f64 {
-    if floor.is_nan() || floor <= 0.0 {
-        return f64::INFINITY;
-    }
-    let mut tau = fmax(1.0 / floor - 1.0, 0.0);
-    let mut nudge = f64::EPSILON;
-    while similarity_from_distance(tau) >= floor {
-        tau = (tau + nudge) * (1.0 + nudge);
-        nudge *= 2.0;
-    }
-    tau
-}
-
-/// The best subtrajectory under a measure whose prefix DP is expressible
-/// as a [`DpOp`], with exactly the scalar ExactS sweep's values and
-/// tie-breaking **whenever that best reaches `floor`**; when it does not,
-/// the result is some real subtrajectory's similarity, itself below
-/// `floor` (a top-k heap whose k-th similarity is `floor` rejects it
-/// either way). `floor = -∞` is the plain exhaustive sweep.
+/// `Measure::exact_best_above` for a [`DpOp`] measure: the free-start DP
+/// (module docs, idea 3) yields Θ*, the best similarity of any range, bit
+/// for bit. If `Θ* < floor` every range is below the floor too, and the
+/// result is `T[0, 0]` with the value of the DP's first row — a real
+/// subtrajectory below the floor, flagged `abandoned`.
 ///
-/// The floor buys early abandoning. Cell costs are `≥ 0`, so both ops
-/// only ever grow what they combine (`d + best ≥ best` also after
-/// rounding, `max(d, best) ≥ best`): by induction along a row every cell
-/// of a start's next row is `≥` the minimum of its current row, so that
-/// minimum never decreases and every later prefix distance from the same
-/// start is `≥` it. Once a lane's row minimum reaches
-/// [`abandon_threshold`]`(floor)` none of its remaining consults can
-/// reach the floor, and a start group whose lanes are all in that state is
-/// left. Skipped consults are strictly below the true best, so neither
-/// its value nor the strict-`>` tie-breaking among equal bests can change.
-fn exact_best_multi_start<Op: DpOp>(
-    xs: &[f64],
-    ys: &[f64],
-    query: &[Point],
-    floor: f64,
-    scratch: &mut DpScratch,
-) -> ExactBest {
-    let n = xs.len();
-    let m = query.len();
-    assert!(n > 0 && m > 0, "inputs must be non-empty");
-    assert_eq!(n, ys.len(), "coordinate slabs must agree");
-    load_query_soa(query, &mut scratch.qx, &mut scratch.qy);
-    scratch.dist.resize(m, 0.0);
-    scratch.rows.resize(m * LANES, 0.0);
-    let rows = &mut scratch.rows[..m * LANES];
-    let tau = abandon_threshold(floor);
-
-    let mut best_sim = f64::NEG_INFINITY;
-    let mut best = (0usize, 0usize);
-    for group in (0..n).step_by(LANES) {
-        let lanes = LANES.min(n - group);
-        let mut lane_best_sim = [f64::NEG_INFINITY; LANES];
-        let mut lane_best_end = [0usize; LANES];
-        let mut lane_best_dist = [f64::INFINITY; LANES];
-        for j in group..n {
-            fill_point_dists(&scratch.qx, &scratch.qy, xs[j], ys[j], &mut scratch.dist);
-            let dist = &scratch.dist[..m];
-            // Lane `l` covers start `group + l`: it initializes its row at
-            // j == group + l and extends on every later j. All lanes
-            // extend in lockstep from the group's second point on; a lane
-            // that has not started yet (or, in a ragged tail group, never
-            // will) carries junk that its own init overwrites and that
-            // is neither consulted nor allowed to hold the group open.
-            let newly = j - group;
-            let mut row_min = if newly == 0 {
-                [f64::INFINITY; LANES]
-            } else {
-                extend_all_lanes::<Op>(rows, dist, m)
-            };
-            if newly < lanes {
-                // A boundary row only accumulates, so its minimum is its
-                // first cell.
-                init_lane::<Op>(rows, newly, dist, m);
-                row_min[newly] = rows[newly];
-            }
-            let active = if newly < lanes { newly + 1 } else { lanes };
-            for l in 0..active {
-                // The scalar sweep's consult — similarity of the row's
-                // last cell, strict improvement only — minus the divisions
-                // that cannot win: Θ is non-increasing in distance, so a
-                // cell above the one behind the lane's best cannot be
-                // strictly more similar.
-                let last = rows[(m - 1) * LANES + l];
-                if last <= lane_best_dist[l] {
-                    let sim = similarity_from_distance(last);
-                    if sim > lane_best_sim[l] {
-                        lane_best_sim[l] = sim;
-                        lane_best_dist[l] = last;
-                        lane_best_end[l] = j;
-                    }
-                }
-            }
-            let dead = |l: usize| l >= lanes || row_min[l] >= tau;
-            if active == lanes && j + 1 < n && (0..LANES).all(dead) {
-                break;
-            }
-        }
-        // Merging lane bests in ascending-lane order with strict `>`
-        // reproduces the scalar sweep's ascending-start tie preference.
-        for l in 0..lanes {
-            if lane_best_sim[l] > best_sim {
-                best_sim = lane_best_sim[l];
-                best = (group + l, lane_best_end[l]);
-            }
-        }
-    }
-    ExactBest {
-        start: best.0,
-        end: best.1,
-        similarity: best_sim,
-        abandoned: best_sim < floor,
-        range_pending: false,
-    }
-}
-
-/// `Measure::exact_best_above` for a [`DpOp`] measure.
-///
-/// With the cell-row matrix (a pruning scan always hands it over) only
-/// the free-start DP runs (module docs, idea 3), O(n·m), and yields Θ*,
-/// the best similarity of any range, bit for bit. If `Θ* < floor` every
-/// range is below the floor too, and the result is `T[0, 0]` with the
-/// value of the DP's first row — a real subtrajectory below the floor.
-/// Otherwise the result is Θ* with its range pending.
-///
-/// Without the matrix it is the multi-start sweep — the paper's
-/// enumeration, which `ExactS::search` keeps timing, and the resolver of
-/// a pending range when floored at Θ*: each start is left as soon as it
-/// cannot tie, and the sweep's first range reaching Θ* comes back.
+/// With the cell-row matrix (a pruning scan always hands it over) the DP
+/// reads it, O(n·m), and a Θ* that reaches the floor comes back with its
+/// range pending. Without it the DP runs on distance tiles, and a Θ* that
+/// reaches the floor comes back with the range the scalar sweep picks
+/// (module docs, idea 2) — ExactS itself outside a pruning scan, and the
+/// resolver of a pending range when floored at Θ*.
 pub(crate) fn exact_best_above<Op: DpOp>(
     xs: &[f64],
     ys: &[f64],
@@ -505,97 +421,81 @@ pub(crate) fn exact_best_above<Op: DpOp>(
     cell_rows: Option<&[f64]>,
     scratch: &mut DpScratch,
 ) -> ExactBest {
-    let Some(cell_rows) = cell_rows else {
-        return exact_best_multi_start::<Op>(xs, ys, query, floor, scratch);
+    let (n, m) = (xs.len(), query.len());
+    assert!(n > 0 && m > 0, "inputs must be non-empty");
+    assert_eq!(n, ys.len(), "coordinate slabs must agree");
+    // Θ*, the distance of `T[0, 0]` and, without the matrix, the first and
+    // the last end whose free-start value reaches Θ*.
+    let (best_sim, first, ends) = if let Some(cell_rows) = cell_rows {
+        assert_eq!(cell_rows.len(), n * m, "cell rows must cover data × query");
+        scratch.row.clear();
+        scratch.row.resize(m, f64::INFINITY);
+        let (mut best, mut first) = (f64::INFINITY, 0.0);
+        extend_run_wavefront_rows::<Op, true>(&mut scratch.row, cell_rows, |j, d| {
+            if j == 0 {
+                first = d;
+            }
+            best = fmin(best, d);
+        });
+        (similarity_from_distance(best), first, None)
+    } else {
+        load_query_soa(query, &mut scratch.qx, &mut scratch.qy);
+        let (mut best_sim, mut first, mut ends) = (f64::NEG_INFINITY, 0.0, (0, 0));
+        scratch.split_pass::<Op>((xs, ys), (0, n - 1, n - 1), |j, d| {
+            let sim = similarity_from_distance(d);
+            if j == 0 {
+                first = d;
+            }
+            if sim > best_sim {
+                (best_sim, ends) = (sim, (j, j));
+            } else if sim == best_sim {
+                ends.1 = j;
+            }
+        });
+        (best_sim, first, Some(ends))
     };
-    assert_eq!(
-        cell_rows.len(),
-        xs.len() * query.len(),
-        "cell rows must cover data × query"
-    );
-    let (best, first) = free_start_best::<Op>(cell_rows, query.len(), &mut scratch.free_row);
-    let best_sim = similarity_from_distance(best);
-    if best_sim < floor {
-        return ExactBest {
-            start: 0,
-            end: 0,
-            similarity: similarity_from_distance(first),
-            abandoned: true,
-            range_pending: false,
-        };
-    }
-    ExactBest {
+    let mut best = ExactBest {
         start: 0,
         end: 0,
         similarity: best_sim,
         abandoned: false,
-        range_pending: true,
-    }
-}
-
-/// The free-start DP over `cell_rows` (`n × m`, row `j` the distances of
-/// data point `j` to the query): returns the best distance of any
-/// subtrajectory and the distance of `T[0, 0]`. `free_row` is the DP's
-/// rolling row.
-fn free_start_best<Op: DpOp>(cell_rows: &[f64], m: usize, free_row: &mut Vec<f64>) -> (f64, f64) {
-    assert!(m > 0 && !cell_rows.is_empty(), "inputs must be non-empty");
-    assert!(
-        cell_rows.len().is_multiple_of(m),
-        "cell rows must cover data × query"
-    );
-    free_row.clear();
-    free_row.resize(m, f64::INFINITY);
-    let (mut best, mut first) = (f64::INFINITY, 0.0);
-    extend_run_wavefront_rows::<Op, true>(free_row, cell_rows, |j, d| {
-        if j == 0 {
-            first = d;
+        range_pending: false,
+    };
+    match ends {
+        _ if best_sim < floor => {
+            best.similarity = similarity_from_distance(first);
+            best.abandoned = true;
         }
-        best = fmin(best, d);
-    });
-    (best, first)
-}
-
-/// Φini for lane `l`: the boundary recurrence over the distance row.
-#[inline]
-fn init_lane<Op: DpOp>(rows: &mut [f64], l: usize, dist: &[f64], m: usize) {
-    let mut acc = 0.0f64;
-    for jj in 0..m {
-        acc = Op::boundary(acc, dist[jj]);
-        rows[jj * LANES + l] = acc;
-    }
-}
-
-/// Φinc for all [`LANES`] lanes in lockstep: the per-`jj` lane loop runs
-/// over a contiguous `[f64; LANES]` group, so the serial `min`/`add`
-/// chain vectorizes across lanes; `diag`/`left` stay in registers and
-/// lanes never mix, so each lane's cells are exactly the scalar
-/// recurrence's. Returns the per-lane minima of the new rows — one more
-/// packed `min` per cell group, fed by the chain but not on it.
-#[inline]
-fn extend_all_lanes<Op: DpOp>(rows: &mut [f64], dist: &[f64], m: usize) -> [f64; LANES] {
-    let mut diag = [0.0f64; LANES];
-    let mut left = [0.0f64; LANES];
-    let d0 = dist[0];
-    {
-        let r0: &mut [f64; LANES] = (&mut rows[..LANES]).try_into().expect("LANES cells");
-        for l in 0..LANES {
-            diag[l] = r0[l];
-            r0[l] = Op::cell(d0, r0[l]);
-            left[l] = r0[l];
+        None => best.range_pending = true,
+        Some(ends) => {
+            (best.start, best.end) = scratch.resolve_range::<Op>((xs, ys), ends, best_sim)
         }
     }
-    let mut row_min = left;
-    let mut groups = rows[LANES..LANES * m].chunks_exact_mut(LANES);
-    for (row, &d) in (&mut groups).zip(&dist[1..m]) {
-        for l in 0..LANES {
-            let up = row[l];
-            row[l] = Op::cell(d, fmin(fmin(diag[l], up), left[l]));
-            diag[l] = up;
-            left[l] = row[l];
-            row_min[l] = fmin(row_min[l], row[l]);
+    best
+}
+
+/// The wavefront over a coordinate run `(xs, ys)` against `(qx, qy)`: each
+/// tile of [`LANES`] points gets its distance rows from
+/// [`fill_point_dists`] into `tile` — contiguous, auto-vectorized fills
+/// that keep the DP tile's register set small — and then runs the one
+/// wavefront entry, [`extend_run_wavefront_rows`], over them. `sink(i, d)`
+/// reads the row's last cell after run point `i`.
+fn extend_run_points<Op: DpOp, const FREE: bool>(
+    row: &mut [f64],
+    (qx, qy): (&[f64], &[f64]),
+    (xs, ys): (&[f64], &[f64]),
+    tile: &mut Vec<f64>,
+    mut sink: impl FnMut(usize, f64),
+) {
+    let m = row.len();
+    tile.resize(LANES * m, 0.0);
+    for (t, (txs, tys)) in xs.chunks(LANES).zip(ys.chunks(LANES)).enumerate() {
+        let dist = &mut tile[..txs.len() * m];
+        for ((&x, &y), out) in txs.iter().zip(tys).zip(dist.chunks_exact_mut(m)) {
+            fill_point_dists(qx, qy, x, y, out);
         }
+        extend_run_wavefront_rows::<Op, FREE>(row, dist, |l, d| sink(t * LANES + l, d));
     }
-    row_min
 }
 
 /// Column 0's `up` input: the row above under the per-start recurrence,
@@ -637,8 +537,8 @@ const WAVEFRONT_MIN_M: usize = LANES + 1;
 /// [`LANES`]-wide **anti-diagonal SIMD** order. `rows[k * m + j]` is run
 /// point `k`'s distance to query point `j`: a candidate's whole matrix
 /// (`PrefixEvaluator::fill_cell_rows`, shared by PSS's prefix and suffix
-/// passes) or one tile that the coordinate entry filled with
-/// [`fill_point_dists`] (`RowEvaluator`'s `extend_run*`).
+/// passes) or one tile that [`extend_run_points`] filled with
+/// [`fill_point_dists`] (`RowEvaluator`'s `extend_run*`, the resolver).
 ///
 /// The scalar `extend` is latency-bound: each cell's `min`/`add` chain
 /// depends on the cell to its left. Consecutive *rows*, however, only
@@ -947,8 +847,8 @@ pub(crate) fn scalar_exact_sweep(
 }
 
 /// Test support: the free-start DP's last column — `ends[j]` is the best
-/// distance of any range ending at data point `j` — as the wavefront
-/// [`free_start_best`] folds produces it.
+/// distance of any range ending at data point `j` — as the matrix path of
+/// [`exact_best_above`] folds it.
 #[cfg(test)]
 fn free_start_ends<Op: DpOp>(cell_rows: &[f64], m: usize) -> Vec<f64> {
     let mut row = vec![f64::INFINITY; m];
@@ -959,15 +859,16 @@ fn free_start_ends<Op: DpOp>(cell_rows: &[f64], m: usize) -> Vec<f64> {
 
 /// Test support: the floor contract of `Measure::exact_best_above`,
 /// checked for one `(data, query)` pair without the cell-row matrix (the
-/// multi-start sweep) and with it (the free-start DP alone). At a floor
-/// the true best reaches (`-∞`, its own similarity, one ulp below, `probe`
-/// when it happens to be low enough) the sweep's result must be the
-/// unfloored one bit for bit, and the DP's must be Θ* bit for bit with its
-/// range pending — which the sweep floored at Θ* then resolves to the
-/// unfloored range. At a floor it misses (one ulp above, `probe`
-/// otherwise) either result must be a real subtrajectory's similarity
-/// below that floor, flagged `abandoned`. The DP itself is pinned too:
-/// every end's best similarity and Θ* against the scalar sweep.
+/// free-start DP and the range resolver) and with it (the free-start DP
+/// alone). At a floor the true best reaches (`-∞`, its own similarity, one
+/// ulp below, `probe` when it happens to be low enough) the matrix-free
+/// result must be the scalar sweep's bit for bit, range included, and the
+/// DP's must be Θ* bit for bit with its range pending — which the
+/// matrix-free call floored at Θ* then resolves to the sweep's range. At
+/// a floor it misses (one ulp above, `probe` otherwise) either result must
+/// be a real subtrajectory's similarity below that floor, flagged
+/// `abandoned`. The DP itself is pinned too: every end's best similarity
+/// against the scalar sweep.
 #[cfg(test)]
 pub(crate) fn assert_floor_contract(
     measure: &dyn crate::Measure,
@@ -1006,16 +907,9 @@ pub(crate) fn assert_floor_contract(
         }
     }
     let m = query.len();
-    let mut free_row = Vec::new();
-    let (ends, (dp_best, dp_first)) = match measure.name() {
-        "dtw" => (
-            free_start_ends::<SumOp>(&matrix, m),
-            free_start_best::<SumOp>(&matrix, m, &mut free_row),
-        ),
-        "frechet" => (
-            free_start_ends::<MaxOp>(&matrix, m),
-            free_start_best::<MaxOp>(&matrix, m, &mut free_row),
-        ),
+    let ends = match measure.name() {
+        "dtw" => free_start_ends::<SumOp>(&matrix, m),
+        "frechet" => free_start_ends::<MaxOp>(&matrix, m),
         other => panic!("no free-start DP for {other}"),
     };
     let shape = format!("n {} m {}", data.len(), query.len());
@@ -1023,9 +917,6 @@ pub(crate) fn assert_floor_contract(
         let got = similarity_from_distance(d);
         assert_eq!(got.to_bits(), want.to_bits(), "DP end {j}, {shape}");
     }
-    let dp_sim = similarity_from_distance(dp_best);
-    assert_eq!(dp_sim.to_bits(), sim.to_bits(), "DP Θ*, {shape}");
-    assert_eq!(dp_first.to_bits(), ends[0].to_bits(), "DP T[0, 0], {shape}");
 
     for cell_rows in [None, Some(matrix.as_slice())] {
         for floor in [
@@ -1073,26 +964,197 @@ pub(crate) fn assert_floor_contract(
 mod tests {
     use super::*;
 
+    /// Per-start rows of `data` against `query`: `rows[s][j - s]` is the
+    /// DP row of `T[s, j]`, through the one-point-at-a-time evaluator.
+    fn per_start_rows<Op: DpOp>(data: &[Point], query: &[Point]) -> Vec<Vec<Vec<f64>>> {
+        let mut eval = RowEvaluator::<Op>::new(query);
+        (0..data.len())
+            .map(|s| {
+                eval.init(data[s]);
+                let mut rows = vec![eval.row.clone()];
+                for &p in &data[s + 1..] {
+                    eval.extend(p);
+                    rows.push(eval.row.clone());
+                }
+                rows
+            })
+            .collect()
+    }
+
+    /// The identity behind the range resolver (module docs, idea 2): for
+    /// every `from <= split`, the split pass leaves after each point `j`
+    /// the cell-wise minimum over starts `from..=min(j, split)` of the
+    /// per-start rows, bit for bit.
+    fn assert_split_pass_is_the_minimum_over_starts<Op: DpOp>(data: &[Point], query: &[Point]) {
+        let (n, m) = (data.len(), query.len());
+        let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
+        let per_start = per_start_rows::<Op>(data, query);
+        let min_over = |starts: std::ops::RangeInclusive<usize>, j: usize| -> Vec<f64> {
+            let mut row = vec![f64::INFINITY; m];
+            for s in starts {
+                for (r, &v) in row.iter_mut().zip(&per_start[s][j - s]) {
+                    *r = fmin(*r, v);
+                }
+            }
+            row
+        };
+        let mut scratch = DpScratch::default();
+        load_query_soa(query, &mut scratch.qx, &mut scratch.qy);
+        for from in 0..n {
+            for split in from..n {
+                let shape = format!("n {n} m {m} from {from} split {split}");
+                let mut last = vec![f64::NAN; n];
+                scratch.split_pass::<Op>((&xs, &ys), (from, split, n - 1), |j, d| last[j] = d);
+                for (j, &got) in last.iter().enumerate().skip(from) {
+                    let want = min_over(from..=j.min(split), j)[m - 1];
+                    assert_eq!(got.to_bits(), want.to_bits(), "end {j}, {shape}");
+                }
+                let want = min_over(from..=split, n - 1);
+                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scratch.row), bits(&want), "last row, {shape}");
+            }
+        }
+    }
+
     #[test]
-    fn abandon_threshold_is_strictly_below_the_floor() {
-        for floor in [1.0, 1.0f64.next_down(), 0.75, 0.5, 1e-3, 1e-300, 5e-324] {
-            let tau = abandon_threshold(floor);
-            assert!(similarity_from_distance(tau) < floor, "floor {floor:e}");
-            // Tight: a distance a few ulps of the algebraic inverse lower
-            // still reaches the floor.
-            let exact = 1.0 / floor - 1.0;
-            assert!(
-                tau <= exact * (1.0 + 1e-12) + 1e-15,
-                "floor {floor:e} tau {tau:e}"
-            );
+    fn split_pass_is_the_minimum_over_starts() {
+        // Walks and the 3×3 grid (ties everywhere), runs that end inside
+        // a tile and on its boundary, queries below and above the
+        // wavefront minimum.
+        for n in [1usize, 4, 6, 9] {
+            for m in [1usize, 3, WAVEFRONT_MIN_M, 8] {
+                let walk = |seed: usize, len: usize| -> Vec<Point> {
+                    (0..len)
+                        .map(|i| {
+                            let t = (seed * 31 + i) as f64;
+                            Point::xy((t * 0.37).sin() * 3.0 + i as f64 * 0.2, (t * 0.73).cos())
+                        })
+                        .collect()
+                };
+                let grid = |seed: usize, len: usize| -> Vec<Point> {
+                    (0..len)
+                        .map(|i| {
+                            Point::xy(((seed + 5 * i) % 3) as f64, ((seed * 7 + i * i) % 3) as f64)
+                        })
+                        .collect()
+                };
+                for (data, query) in [(walk(n, n), walk(50 + m, m)), (grid(n, n), grid(9 + m, m))] {
+                    assert_split_pass_is_the_minimum_over_starts::<SumOp>(&data, &query);
+                    assert_split_pass_is_the_minimum_over_starts::<MaxOp>(&data, &query);
+                }
+            }
         }
-        // Nothing is below these floors / everything is below those.
-        for floor in [f64::NEG_INFINITY, -1.0, 0.0, f64::NAN] {
-            assert_eq!(abandon_threshold(floor), f64::INFINITY);
+    }
+
+    /// The first and the last end whose free-start value reaches the best
+    /// similarity: every range that reaches it ends in between.
+    fn reaching_ends(
+        measure: &dyn crate::Measure,
+        data: &[Point],
+        query: &[Point],
+    ) -> (usize, usize) {
+        let (xs, ys): (Vec<f64>, Vec<f64>) = data.iter().map(|p| (p.x, p.y)).unzip();
+        let mut matrix = Vec::new();
+        measure
+            .make_workspace(query)
+            .fill_cell_rows(&xs, &ys, &vec![0.0; data.len()], &mut matrix)
+            .expect("measure factors cell rows");
+        let ends = match measure.name() {
+            "dtw" => free_start_ends::<SumOp>(&matrix, query.len()),
+            _ => free_start_ends::<MaxOp>(&matrix, query.len()),
+        };
+        let sims: Vec<f64> = ends.into_iter().map(similarity_from_distance).collect();
+        let best = sims.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let first = sims
+            .iter()
+            .position(|&s| s >= best)
+            .expect("some end reaches");
+        let last = sims
+            .iter()
+            .rposition(|&s| s >= best)
+            .expect("some end reaches");
+        (first, last)
+    }
+
+    #[test]
+    fn floor_contract_on_resolver_edge_shapes() {
+        let far = |len: usize, seed: usize| -> Vec<Point> {
+            (0..len)
+                .map(|i| Point::xy(1e3 + 37.0 * (seed + i) as f64, -5e2 - 11.0 * i as f64))
+                .collect()
+        };
+        let query_of = |m: usize| -> Vec<Point> {
+            (0..m)
+                .map(|i| Point::xy(0.5 + 0.3 * i as f64, (i as f64 * 0.9).sin()))
+                .collect()
+        };
+        let measures = [&crate::Dtw as &dyn crate::Measure, &crate::Frechet];
+        // Data lengths on both sides of a tile boundary (4k ± 1), queries
+        // below and above the wavefront minimum.
+        for n in [7usize, 9, 15, 17] {
+            for m in [WAVEFRONT_MIN_M - 1, WAVEFRONT_MIN_M + 1] {
+                let query = query_of(m);
+                let q0 = query[0];
+                let ql = query[m - 1];
+                let p = Point::xy(0.5, 0.25);
+                let near: Vec<Point> = (0..m)
+                    .map(|i| Point::xy(p.x + 0.01 * i as f64, p.y - 0.01 * i as f64))
+                    .collect();
+                // (data, query, check on (start, end, first, last reaching end))
+                type Check = fn(usize, usize, usize, usize, usize) -> bool;
+                let shapes: [(&str, Vec<Point>, &[Point], Check); 3] = [
+                    (
+                        "winning start 0",
+                        [query.clone(), far(n.saturating_sub(m), 1)].concat(),
+                        &query,
+                        |start, _, _, _, _| start == 0,
+                    ),
+                    (
+                        "winning start is the first reaching end",
+                        [far(n / 2, 2), vec![p], far(n - n / 2 - 1, 3)].concat(),
+                        &near,
+                        |start, end, first, _, _| start == first && end == first && start > 0,
+                    ),
+                    (
+                        "last reaching end below n - 1",
+                        [far(1, 4), vec![q0], query.clone(), vec![ql], far(1, 5)].concat(),
+                        &query,
+                        |start, _, first, last, n| start == 1 && first < last && last < n - 1,
+                    ),
+                ];
+                for (name, data, query, check) in shapes {
+                    if data.len() < m {
+                        continue;
+                    }
+                    for measure in measures {
+                        let (start, end, _) = scalar_exact_sweep(measure, &data, query);
+                        let (first, last) = reaching_ends(measure, &data, query);
+                        let context = format!("{name}: {} n {} m {m}", measure.name(), data.len());
+                        assert!(check(start, end, first, last, data.len()), "{context}");
+                        assert_floor_contract(measure, &data, query, 0.5);
+                    }
+                }
+            }
         }
-        for floor in [1.0f64.next_up(), 2.0, f64::INFINITY] {
-            assert_eq!(abandon_threshold(floor), 0.0);
-        }
+    }
+
+    #[test]
+    fn resolver_takes_the_end_from_the_winning_starts_own_dp() {
+        // Under DTW the winning start's first range reaching Θ* can end
+        // after the first end whose free-start value reaches it: rounding
+        // at 2^53 lets start 2 tie Θ* at end 3 while start 1 first reaches
+        // it at end 4. The free-start ends alone would answer `T[1, 3]`;
+        // the sweep keeps `T[1, 4]`.
+        let big = (1u64 << 53) as f64;
+        let data: Vec<Point> = [big + 4.0, 3.0, 0.0, big / 2.0, big + 2.0, 2.0, 2.0]
+            .iter()
+            .map(|&x| Point::xy(x, 0.0))
+            .collect();
+        let query = [Point::xy(0.0, 0.0), Point::xy(2.0 * big, 0.0)];
+        let (start, end, _) = scalar_exact_sweep(&crate::Dtw, &data, &query);
+        assert_eq!((start, end), (1, 4));
+        assert_eq!(reaching_ends(&crate::Dtw, &data, &query), (3, 4));
+        assert_floor_contract(&crate::Dtw, &data, &query, 0.5);
     }
 
     #[test]

@@ -118,8 +118,8 @@ pub trait Measure: Send + Sync {
     /// runs the scalar prefix-evaluator sweep).
     ///
     /// This is [`Measure::exact_best_above`] with no floor and no
-    /// precomputed cell rows — the same kernel body, never abandoned.
-    /// Measures implement that method, not this one.
+    /// precomputed cell rows — the same kernel body, never abandoned, with
+    /// the range resolved. Measures implement that method, not this one.
     fn exact_best(
         &self,
         data: TrajView<'_>,
@@ -149,13 +149,15 @@ pub trait Measure: Send + Sync {
     /// cannot preserve the contract must stay with the default `None`.
     ///
     /// DTW and discrete Frechet implement it in [`mod@self`]'s `kernel`
-    /// module (property-tested per measure). Without `cell_rows` they run
-    /// the multi-start lockstep sweep, which uses the floor to leave start
-    /// groups early but stays the paper's O(n²·m) enumeration. With
-    /// `cell_rows` (a pruning scan) they run only one free-start DP over
-    /// the matrix, O(n·m), whose best Θ* is the sweep's bit for bit: below
-    /// the floor the candidate is settled, otherwise Θ* comes back with its
-    /// range pending, and the scan resolves it only for the hits it keeps.
+    /// module (property-tested per measure) with one exact body, the
+    /// free-start DP, whose best Θ* is the sweep's bit for bit; below the
+    /// floor the candidate is settled. With `cell_rows` (a pruning scan)
+    /// the DP reads the matrix, O(n·m), and Θ* comes back with its range
+    /// pending: the scan resolves it only for the hits it keeps. Without
+    /// `cell_rows` the DP runs on distance tiles and the range comes back
+    /// resolved — the first start reaching Θ* by bisection over split
+    /// free-start/per-start passes, then that start's first end reaching
+    /// it — in O(n·m·log n).
     fn exact_best_above(
         &self,
         data: TrajView<'_>,

@@ -60,16 +60,6 @@ impl Mbr {
         }
     }
 
-    /// Grows the rectangle by `margin` on every side.
-    pub fn expanded(self, margin: f64) -> Mbr {
-        Mbr {
-            min_x: self.min_x - margin,
-            min_y: self.min_y - margin,
-            max_x: self.max_x + margin,
-            max_y: self.max_y + margin,
-        }
-    }
-
     /// True when the two rectangles share at least one point
     /// (boundary contact counts as intersection).
     pub fn intersects(&self, other: &Mbr) -> bool {
@@ -79,11 +69,6 @@ impl Mbr {
             && other.min_x <= self.max_x
             && self.min_y <= other.max_y
             && other.min_y <= self.max_y
-    }
-
-    /// True when `p` lies inside or on the boundary.
-    pub fn contains_point(&self, p: Point) -> bool {
-        p.x >= self.min_x && p.x <= self.max_x && p.y >= self.min_y && p.y <= self.max_y
     }
 
     /// Area of the rectangle (0 for the empty rectangle).
@@ -216,7 +201,7 @@ mod tests {
             let b = Mbr::of_points(&pts(&ys));
             let u = a.union(b);
             for &(x, y) in xs.iter().chain(ys.iter()) {
-                prop_assert!(u.contains_point(Point::xy(x, y)));
+                prop_assert!(u.min_x <= x && x <= u.max_x && u.min_y <= y && y <= u.max_y);
             }
             prop_assert!(u.area() + 1e-9 >= a.area());
             prop_assert!(u.area() + 1e-9 >= b.area());

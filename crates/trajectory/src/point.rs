@@ -47,16 +47,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Linear interpolation between two points (spatial and temporal),
-    /// with `f = 0` giving `self` and `f = 1` giving `other`.
-    pub fn lerp(self, other: Point, f: f64) -> Point {
-        Point {
-            x: self.x + (other.x - self.x) * f,
-            y: self.y + (other.y - self.y) * f,
-            t: self.t + (other.t - self.t) * f,
-        }
-    }
-
     /// True when both spatial coordinates and the timestamp are finite.
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.t.is_finite()
@@ -72,16 +62,6 @@ mod tests {
     fn dist_is_zero_on_self() {
         let p = Point::new(1.5, -2.0, 7.0);
         assert_eq!(p.dist(p), 0.0);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Point::new(0.0, 0.0, 0.0);
-        let b = Point::new(2.0, 4.0, 10.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        let mid = a.lerp(b, 0.5);
-        assert_eq!(mid, Point::new(1.0, 2.0, 5.0));
     }
 
     #[test]

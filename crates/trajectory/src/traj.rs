@@ -123,11 +123,6 @@ impl Trajectory {
             _ => 0.0,
         }
     }
-
-    /// Consumes the trajectory, returning its points.
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
-    }
 }
 
 /// Reverses a point slice into a new vector (spatial order only; timestamps

@@ -12,14 +12,14 @@
 //! `crates/core` runs the five through two scan bodies behind
 //! `SubtrajSearch::search_with` (`search(&[Point])` is an adapter over
 //! it): one windowed sweep for SizeS and ExactS's evaluator path (the
-//! window `[1, n]`; DTW and Fréchet take the multi-start slice kernels
-//! instead) and one split walk for PSS, POS and POS-D — built on bulk
-//! `extend_run` kernels, a speculative prefix stream and shared cell-row
-//! matrices. None of that is used here: one body per algorithm (POS is
-//! `pos_d_scan` at `delay = 0`, as the paper defines it), one fresh
-//! evaluator per trajectory, one virtual call per point. The equivalence
-//! harnesses compare the product bodies with these bit for bit — range,
-//! score bits, winner order.
+//! window `[1, n]`; DTW and Fréchet take their free-start DP kernel and
+//! its range resolver instead) and one split walk for PSS, POS and POS-D
+//! — built on bulk `extend_run` kernels, a speculative prefix stream and
+//! shared cell-row matrices. None of that is used here: one body per
+//! algorithm (POS is `pos_d_scan` at `delay = 0`, as the paper defines
+//! it), one fresh evaluator per trajectory, one virtual call per point.
+//! The equivalence harnesses compare the product bodies with these bit
+//! for bit — range, score bits, winner order.
 // Index loops keep each body aligned with the paper's pseudocode, which
 // walks positions `i`, `j`, `h`, not items.
 #![allow(clippy::needless_range_loop)]

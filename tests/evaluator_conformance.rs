@@ -304,9 +304,9 @@ proptest! {
 
     /// The same pin for the prefix-only splitters — POS and POS-D at
     /// delay 0, 3 and 5, whose lookahead argmax must keep the earliest
-    /// index on ties — and for ExactS, both through the multi-start
-    /// slice kernel (DTW, Fréchet) and, under t2vec, which has no
-    /// `exact_best` kernel, through the evaluator-driven bulk sweep.
+    /// index on ties — and for ExactS, both through the free-start DP
+    /// and its range resolver (DTW, Fréchet) and, under t2vec, which has
+    /// no `exact_best` kernel, through the evaluator-driven bulk sweep.
     #[test]
     fn pos_posd_and_exact_winners_match_scalar_on_ties(
         seed in 0u64..5_000,
